@@ -71,7 +71,6 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
                 cost_model: Optional[CostModel] = None,
                 peer_call_timeout: float = 3.0,
                 health_period: float = 5.0,
-                bucket_width: float = 0.25,
                 sim: Optional[Simulator] = None) -> Fleet:
     """N servers + M shard hosts in a star through a ``core`` backbone.
 
@@ -84,9 +83,7 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
     One shared :class:`~repro.obs.RequestCostLedger` spans the fleet:
     every server, every shard ORB pipeline, and the network's per-hop
     byte accounting attribute into the same instance (zero-event
-    bookkeeping — E11's numbers are untouched).  ``bucket_width`` sets
-    the ledger's time-series resolution, which bounds E14's
-    heavy-hitter detection latency.
+    bookkeeping — E11's numbers are untouched).
     """
     if n_servers < 2:
         raise ValueError("a fleet needs at least 2 servers")
@@ -96,7 +93,7 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
     spec = spec or LinkSpec()
     costs = cost_model or CostModel()
     net = Network(sim)
-    ledger = RequestCostLedger(sim, bucket_width=bucket_width)
+    ledger = RequestCostLedger(sim)
     net.cost_ledger = ledger
     half_wan = spec.wan_latency / 2
     net.add_host("core")
@@ -371,7 +368,7 @@ def run_noisy_neighbor_drill(n_servers: int = 50, *,
       every :data:`FLOOD_DIMS` dimension by the end of the run.
     - ``detection_latency_s`` — per-dimension time from flood start to
       the sketch naming the flooder; the E14 acceptance bound is one
-      time-series bucket (monitor resolution = ``bucket_width``).
+      monitor sampling period (``bucket_width``).
 
     ``profiler`` (a :class:`~repro.obs.DispatchProfiler`) is installed on
     the kernel for the whole drill when given — the CI artifact path.
@@ -383,8 +380,7 @@ def run_noisy_neighbor_drill(n_servers: int = 50, *,
     n_apps = n_apps or max(8, 2 * n_servers)
     n_users = n_users or max(50, n_sessions // 10)
     fleet = build_fleet(n_servers, directory_shards=directory_shards,
-                        directory_replicas=directory_replicas,
-                        bucket_width=bucket_width)
+                        directory_replicas=directory_replicas)
     sim, ledger = fleet.sim, fleet.ledger
     if profiler is not None:
         profiler.install(sim)

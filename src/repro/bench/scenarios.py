@@ -23,6 +23,31 @@ from repro.net.costs import CostModel, LinkSpec
 from repro.pipeline.core import PLANE_CHANNEL, PLANE_HTTP, PLANE_ORB
 
 
+#: footer key → the collector counter(s) it sums across servers
+_FEDERATION_KEYS = {
+    "fed_subscribes": ("subscribes",),
+    "fed_unsubscribes": ("unsubscribes",),
+    "fed_invalidations": ("app_invalidations", "peer_invalidations"),
+    "fed_poll_failovers": ("poll_failovers",),
+    "fed_discovery_skipped": ("discovery_skipped",),
+}
+_DIRECTORY_KEYS = {
+    "dir_lookups": "lookups", "dir_locates": "locates",
+    "dir_publishes": "publishes", "dir_read_failovers": "read_failovers",
+    "dir_write_skips": "write_skips",
+    "dir_stale_retries": "stale_epoch_retries",
+    "dir_stub_hits": "stub_cache_hits", "dir_stub_misses": "stub_cache_misses",
+}
+_STORAGE_KEYS = {
+    "storage_appends": "wal_appends", "storage_snapshots": "snapshots",
+    "storage_compacted": "records_compacted",
+    "storage_recoveries": "recoveries", "storage_replayed": "records_replayed",
+}
+#: ledger dimensions reported as ``cost_<dim>`` footer keys
+_COST_DIMS = ("requests", "events", "cpu_us", "wan_bytes", "dropped_frames",
+              "dropped_bytes")
+
+
 def pipeline_counters(servers, tracer=None) -> dict:
     """Aggregate per-plane pipeline counters across ``servers`` into the
     extra row keys every scenario reports (``http_requests``,
@@ -41,130 +66,63 @@ def pipeline_counters(servers, tracer=None) -> dict:
     ``storage_compacted``, ``storage_recoveries``, ``storage_replayed``).
     Observability totals ride along too: the structured log's retained /
     ring-dropped record counts (``log_records``, ``log_dropped`` — so
-    overflow is visible, not silent) and the time-series store's size
-    (``ts_series``, ``ts_points``).  The cost-attribution plane's
-    fleet totals close the set (``cost_requests``, ``cost_events``,
-    ``cost_cpu_us``, ``cost_wan_bytes``, ``cost_dropped_frames``,
-    ``cost_dropped_bytes``, ``cost_entries`` — distinct rollup keys —
-    and ``cost_top_principal``, the heaviest requester); shared ledgers
-    are deduplicated by identity so a deployment-wide ledger counts
-    once, and dropped frames are no longer invisible to rollups.
+    overflow is visible, not silent) and the size of the servers'
+    time-series registries (``ts_series``, ``ts_points``; the cost ledger
+    keeps no series).  The cost-attribution plane's fleet totals close
+    the set (``cost_requests``, ``cost_events``, ``cost_cpu_us``,
+    ``cost_wan_bytes``, ``cost_dropped_frames``, ``cost_dropped_bytes``,
+    ``cost_entries`` — distinct rollup keys — and ``cost_top_principal``,
+    the heaviest requester); a ledger shared by several servers counts
+    once, and servers built with accounting off contribute none.
     Passing the deployment's tracer adds the span-store totals
     (``spans_recorded``, ``traces_recorded``, ``spans_dropped``)."""
-    http = orb = channel = errors = expired = 0
-    subscribes = unsubscribes = invalidations = failovers = 0
-    discovery_skipped = 0
-    dir_totals = {"lookups": 0, "locates": 0, "publishes": 0,
-                  "read_failovers": 0, "write_skips": 0,
-                  "stale_epoch_retries": 0, "stub_cache_hits": 0,
-                  "stub_cache_misses": 0}
-    storage_totals = {"wal_appends": 0, "snapshots": 0,
-                      "records_compacted": 0, "recoveries": 0,
-                      "records_replayed": 0}
-    status_counts = {"healthy": 0, "degraded": 0, "unhealthy": 0,
-                     "unknown": 0}
-    alerts_fired = alerts_resolved = health_failovers = 0
-    log_records = log_dropped = ts_series = ts_points = 0
+    row = dict.fromkeys((
+        "http_requests", "orb_requests", "channel_requests",
+        "pipeline_errors", "sessions_expired",
+        *_FEDERATION_KEYS, *_DIRECTORY_KEYS, *_STORAGE_KEYS,
+        "health_healthy", "health_degraded", "health_unhealthy",
+        "health_unknown", "alerts_fired", "alerts_resolved",
+        "health_failovers", "log_records", "log_dropped", "ts_series",
+        "ts_points", *(f"cost_{dim}" for dim in _COST_DIMS),
+        "cost_entries"), 0)
     ledgers: dict = {}  # id → ledger: shared deployment ledgers count once
     for server in servers:
         metrics = server.pipeline_metrics
-        http += metrics.requests(PLANE_HTTP)
-        orb += metrics.requests(PLANE_ORB)
-        channel += metrics.requests(PLANE_CHANNEL)
-        errors += metrics.errors()
-        expired += server.container.sessions_expired
-        fed = server.federation_metrics
-        subscribes += fed.get("subscribes")
-        unsubscribes += fed.get("unsubscribes")
-        invalidations += (fed.get("app_invalidations")
-                          + fed.get("peer_invalidations"))
-        failovers += fed.get("poll_failovers")
-        discovery_skipped += fed.get("discovery_skipped")
-        directory = getattr(server, "directory_metrics", None)
-        if directory is not None:
-            for key in dir_totals:
-                dir_totals[key] += directory.get(key)
-        storage = getattr(server, "storage_metrics", None)
-        if storage is not None:
-            for key in storage_totals:
-                storage_totals[key] += storage.get(key)
-        health = getattr(server, "health", None)
-        if health is not None:
-            for status, n in health.model.status_counts().items():
-                status_counts[status] = status_counts.get(status, 0) + n
-            alert_snap = health.alerts.snapshot()
-            alerts_fired += alert_snap["fired"]
-            alerts_resolved += alert_snap["resolved"]
-            health_failovers += health.counters["failovers"]
-        log = getattr(server, "log", None)
-        if log is not None:
-            log_records += len(log)
-            log_dropped += log.dropped
-        timeseries = getattr(server, "timeseries", None)
-        if timeseries is not None:
-            ts_snap = timeseries.snapshot()
-            ts_series += ts_snap["series"]
-            ts_points += ts_snap["points"]
-        ledger = getattr(server, "ledger", None)
-        if ledger is not None:
-            ledgers[id(ledger)] = ledger
-    cost = {"requests": 0, "events": 0, "cpu_us": 0, "wan_bytes": 0,
-            "dropped_frames": 0, "dropped_bytes": 0}
-    cost_entries = 0
-    top_principal = "-"
+        row["http_requests"] += metrics.requests(PLANE_HTTP)
+        row["orb_requests"] += metrics.requests(PLANE_ORB)
+        row["channel_requests"] += metrics.requests(PLANE_CHANNEL)
+        row["pipeline_errors"] += metrics.errors()
+        row["sessions_expired"] += server.container.sessions_expired
+        for key, counters in _FEDERATION_KEYS.items():
+            row[key] += sum(map(server.federation_metrics.get, counters))
+        for key, counter in _DIRECTORY_KEYS.items():
+            row[key] += server.directory_metrics.get(counter)
+        for key, counter in _STORAGE_KEYS.items():
+            row[key] += server.storage_metrics.get(counter)
+        health = server.health
+        for status, n in health.model.status_counts().items():
+            row[f"health_{status}"] += n
+        alert_snap = health.alerts.snapshot()
+        row["alerts_fired"] += alert_snap["fired"]
+        row["alerts_resolved"] += alert_snap["resolved"]
+        row["health_failovers"] += health.counters["failovers"]
+        row["log_records"] += len(server.log)
+        row["log_dropped"] += server.log.dropped
+        ts_snap = server.timeseries.snapshot()
+        row["ts_series"] += ts_snap["series"]
+        row["ts_points"] += ts_snap["points"]
+        if server.ledger is not None:
+            ledgers[id(server.ledger)] = server.ledger
+    row["cost_top_principal"] = "-"
     top_requests = -1
     for ledger in ledgers.values():
         totals = ledger.total.as_dict()
-        for key in cost:
-            cost[key] += totals[key]
-        cost_entries += len(ledger.entries)
+        for dim in _COST_DIMS:
+            row[f"cost_{dim}"] += totals[dim]
+        row["cost_entries"] += len(ledger.entries)
         for principal, count, _err in ledger.top("requests", 1):
             if count > top_requests:
-                top_principal, top_requests = principal, count
-    row = {
-        "http_requests": http,
-        "orb_requests": orb,
-        "channel_requests": channel,
-        "pipeline_errors": errors,
-        "sessions_expired": expired,
-        "fed_subscribes": subscribes,
-        "fed_unsubscribes": unsubscribes,
-        "fed_invalidations": invalidations,
-        "fed_poll_failovers": failovers,
-        "fed_discovery_skipped": discovery_skipped,
-        "dir_lookups": dir_totals["lookups"],
-        "dir_locates": dir_totals["locates"],
-        "dir_publishes": dir_totals["publishes"],
-        "dir_read_failovers": dir_totals["read_failovers"],
-        "dir_write_skips": dir_totals["write_skips"],
-        "dir_stale_retries": dir_totals["stale_epoch_retries"],
-        "dir_stub_hits": dir_totals["stub_cache_hits"],
-        "dir_stub_misses": dir_totals["stub_cache_misses"],
-        "storage_appends": storage_totals["wal_appends"],
-        "storage_snapshots": storage_totals["snapshots"],
-        "storage_compacted": storage_totals["records_compacted"],
-        "storage_recoveries": storage_totals["recoveries"],
-        "storage_replayed": storage_totals["records_replayed"],
-        "health_healthy": status_counts["healthy"],
-        "health_degraded": status_counts["degraded"],
-        "health_unhealthy": status_counts["unhealthy"],
-        "health_unknown": status_counts["unknown"],
-        "alerts_fired": alerts_fired,
-        "alerts_resolved": alerts_resolved,
-        "health_failovers": health_failovers,
-        "log_records": log_records,
-        "log_dropped": log_dropped,
-        "ts_series": ts_series,
-        "ts_points": ts_points,
-        "cost_requests": cost["requests"],
-        "cost_events": cost["events"],
-        "cost_cpu_us": cost["cpu_us"],
-        "cost_wan_bytes": cost["wan_bytes"],
-        "cost_dropped_frames": cost["dropped_frames"],
-        "cost_dropped_bytes": cost["dropped_bytes"],
-        "cost_entries": cost_entries,
-        "cost_top_principal": top_principal,
-    }
+                row["cost_top_principal"], top_requests = principal, count
     if tracer is not None:
         row["spans_recorded"] = len(tracer.store)
         row["traces_recorded"] = len(tracer.store.trace_ids())
@@ -569,7 +527,7 @@ def run_recovery_drill(*, n_commands: int = 10,
         session = state["driver"]
         for i in range(n_commands):
             yield collab.sim.timeout(command_interval)
-            yield from session.set_param("gain", float(i))
+            yield from session.set_param("gain", float(i % 100))
 
     proc = collab.sim.spawn(drive_commands(), name="driver-commands")
     collab.sim.run(until=proc)
@@ -608,7 +566,8 @@ def run_recovery_drill(*, n_commands: int = 10,
     def latecomer():
         yield from late.login("observer")
         session = yield from late.open(app_id)
-        records["catchup"] = yield from session.catchup(n=100)
+        records["catchup"] = yield from session.catchup(
+            n=max(100, n_commands))
         records["app_log"] = yield from session.replay_app_log()
 
     proc = collab.sim.spawn(latecomer(), name="latecomer")

@@ -468,27 +468,6 @@ def export_log(path: str) -> Dict:
     }
 
 
-def export_profile(path: str) -> Dict:
-    """cProfile the fleet-scale ``e2e/E1_n1000`` scenario to ``path``.
-
-    The dump is a standard ``pstats`` file (load with
-    ``pstats.Stats(path)`` or ``snakeviz``); CI uploads it from the bench
-    job so hot-path regressions come with their profile attached.  Run as
-    a side artifact only — profiling roughly triples the scenario's wall
-    time, so it must never contaminate the BENCH_*.json numbers.
-    """
-    import cProfile
-
-    from repro.bench.scenarios import run_app_scalability
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    row = run_app_scalability(1000, duration=5.0)
-    profiler.disable()
-    profiler.dump_stats(path)
-    return {"path": path, "updates": row["updates_processed"]}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Run the wall-clock performance suite.")
@@ -496,9 +475,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the JSON report to this path")
     parser.add_argument("--quick", action="store_true",
                         help="reduced iteration counts (CI smoke)")
-    parser.add_argument("--profile-output", default=None,
-                        help="also dump a cProfile (pstats) artifact of "
-                             "the e2e/E1_n1000 scenario")
     parser.add_argument("--trace-output", default=None,
                         help="also export a JSONL span trace of the "
                              "cross-server steering scenario")
@@ -511,10 +487,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.output:
         write_report(args.output, report)
         print(f"report written to {args.output}")
-    if args.profile_output:
-        info = export_profile(args.profile_output)
-        print(f"profile written to {info['path']} "
-              f"({info['updates']} updates processed)")
     if args.trace_output:
         info = export_trace(args.trace_output)
         print(f"trace written to {info['path']} "

@@ -146,26 +146,20 @@ class Collaboratory:
     # -- observability --------------------------------------------------------
     def metrics_registry(self) -> MetricsRegistry:
         """One snapshot surface over every collector in the deployment:
-        per-server pipeline + federation metrics, the network's traffic
-        trace, and the span store."""
+        each server's own sources, the directory plane, the network's
+        traffic trace, the span store, and the cost ledger."""
         registry = MetricsRegistry()
         for name in sorted(self.servers):
             server = self.servers[name]
-            registry.register(f"pipeline[{name}]", server.pipeline_metrics)
-            registry.register(f"federation[{name}]",
-                              server.federation_metrics)
-            registry.register(f"directory[{name}]",
-                              server.directory_metrics)
-            registry.register(f"storage[{name}]", server.storage_metrics)
-            registry.register(f"health[{name}]", server.health)
-            registry.register(f"log[{name}]", server.log)
-            registry.register(f"timeseries[{name}]", server.timeseries)
+            for label, source in server.metrics_registry().items():
+                # the ledger is deployment-shared: once below, not per server
+                if source is not server.ledger:
+                    registry.register(label, source)
         if self.directory is not None:
             registry.register("directory_plane", self.directory)
         registry.register("traffic", self.net.trace)
         registry.register("spans", self.tracer)
         if self.ledger is not None:
-            # deployment-shared: registered once, not per server
             registry.register("costs", self.ledger)
         return registry
 
@@ -274,8 +268,7 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
     ledger = None
     if accounting_enabled:
         from repro.obs import RequestCostLedger
-        ledger = RequestCostLedger(sim,
-                                   bucket_width=timeseries_bucket_width)
+        ledger = RequestCostLedger(sim)
         net.cost_ledger = ledger
 
     # Registry host (naming + trader) on the first domain's LAN — the

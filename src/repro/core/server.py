@@ -104,7 +104,6 @@ class DiscoverServer:
         #: deployment via :meth:`attach_directory` — when set, login is a
         #: single (sharded) directory lookup instead of a peer fan-out
         self.directory = None
-        self.directory_metrics = DirectoryMetrics()
         #: how updates for remote apps reach this server: "push" (home
         #: server sends one message per subscribed peer, the default) or
         #: "poll" (this server polls the CorbaProxy — the paper's literal
@@ -130,7 +129,7 @@ class DiscoverServer:
         self.timeseries = TimeSeriesRegistry(
             clock=lambda: self.sim.now,
             bucket_width=timeseries_bucket_width)
-        self.directory_metrics.timeseries = self.timeseries
+        self.directory_metrics = DirectoryMetrics(self.timeseries)
 
         # -- cost-attribution plane (§ DESIGN 4i) ---------------------------
         #: per-request resource accounting by (principal, app, plane,
@@ -141,23 +140,19 @@ class DiscoverServer:
         if not accounting_enabled:
             ledger = None  # overhead-bench control arm: no ledger at all
         elif ledger is None:
-            ledger = RequestCostLedger(
-                self.sim, bucket_width=timeseries_bucket_width)
+            ledger = RequestCostLedger(self.sim)
         self.ledger = ledger
 
         # -- durable state plane (§ DESIGN 4g) ------------------------------
         #: WAL + snapshot journal every stateful plane writes through; the
         #: backend outlives this server object, so a replacement server
         #: handed the same backend rebuilds the planes via :meth:`recover`
-        self.storage_metrics = StorageMetrics()
-        self.storage_metrics.timeseries = self.timeseries
-        self.storage_metrics.ledger = self.ledger
+        self.storage_metrics = StorageMetrics(self.timeseries, self.ledger)
         self.journal = StateJournal(
             storage if storage is not None else MemoryBackend(),
             clock=lambda: self.sim.now,
             snapshot_every=storage_snapshot_every,
-            metrics=self.storage_metrics)
-        self.journal.timeseries = self.timeseries
+            metrics=self.storage_metrics, timeseries=self.timeseries)
 
         # -- components ---------------------------------------------------
         self.security = SecurityManager()
@@ -172,8 +167,7 @@ class DiscoverServer:
         #: plane's front door by its pipeline's admission interceptor
         self.policies = PolicyManager()
         #: per-plane request counters/latencies shared by all three chains
-        self.pipeline_metrics = PipelineMetrics()
-        self.pipeline_metrics.timeseries = self.timeseries
+        self.pipeline_metrics = PipelineMetrics(self.timeseries)
         if tracer is None:
             # Standalone servers trace nothing; a disabled tracer keeps
             # the request paths free of None checks.  Deployments pass
@@ -200,8 +194,7 @@ class DiscoverServer:
 
         # -- federation (the location-transparency layer, §4–5) ------------
         #: invalidation / subscription / staleness counters (repro.metrics)
-        self.federation_metrics = FederationMetrics()
-        self.federation_metrics.timeseries = self.timeseries
+        self.federation_metrics = FederationMetrics(self.timeseries)
         self.registry = PeerRegistry(
             self.orb, self.name, trader_ref=trader_ref,
             service_id=SERVICE_ID, call_timeout=peer_call_timeout,

@@ -2,7 +2,6 @@
 
 - :class:`LatencyRecorder` — collects per-operation latencies and reduces
   them to summary statistics (mean / percentiles).
-- :class:`ThroughputMeter` — counts events over virtual-time windows.
 - :class:`PipelineMetrics` — per-plane request/error counters and latency
   histograms fed by the request pipeline's metrics interceptor.
 - :class:`FederationMetrics` — peer-cache invalidation, subscription
@@ -22,7 +21,6 @@ from repro.metrics.collectors import (
     LatencyRecorder,
     PipelineMetrics,
     StorageMetrics,
-    ThroughputMeter,
 )
 from repro.metrics.stats import Reservoir, SummaryStats, summarize
 
@@ -34,6 +32,5 @@ __all__ = [
     "Reservoir",
     "StorageMetrics",
     "SummaryStats",
-    "ThroughputMeter",
     "summarize",
 ]

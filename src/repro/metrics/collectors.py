@@ -67,20 +67,19 @@ class PipelineMetrics:
     exact over every request; percentiles are estimated from the
     reservoir), so a long-running server's metrics use O(1) memory.
 
-    When the server attaches its shared time-series registry
-    (``timeseries``), every observation is also recorded as sim-time
-    series — ``pipeline.requests.<plane>`` / ``pipeline.errors.<plane>``
-    counters and a ``pipeline.latency.<plane>`` histogram whose buckets
+    Given a time-series registry (``timeseries``), every observation is
+    also recorded as sim-time series — ``pipeline.requests.<plane>`` /
+    ``pipeline.errors.<plane>`` counters and a ``pipeline.latency.<plane>`` histogram whose buckets
     carry span-id exemplars — alongside the end-of-run snapshot path.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, timeseries=None) -> None:
         self._requests: Dict[str, int] = defaultdict(int)
         self._errors: Dict[str, int] = defaultdict(int)
         self._error_types: Dict[str, Dict[str, int]] = {}
         self._latencies: Dict[str, Reservoir] = defaultdict(Reservoir)
-        #: optional TimeSeriesRegistry sink, attached by the server
-        self.timeseries = None
+        #: optional TimeSeriesRegistry sink
+        self.timeseries = timeseries
 
     def observe(self, plane: str, latency: Optional[float] = None,
                 error_type: Optional[str] = None,
@@ -143,7 +142,26 @@ class PipelineMetrics:
         self._latencies.clear()
 
 
-class FederationMetrics:
+class CounterMetrics:
+    """Named integer counters plus an optional time-series sink — what the
+    federation, directory and storage collectors share."""
+
+    def __init__(self, timeseries=None) -> None:
+        self._counters: Dict[str, int] = defaultdict(int)
+        #: optional TimeSeriesRegistry sink
+        self.timeseries = timeseries
+
+    def count(self, name: str, n: int = 1) -> None:
+        self._counters[name] += n
+
+    def get(self, name: str) -> int:
+        return self._counters.get(name, 0)
+
+    def clear(self) -> None:
+        self._counters.clear()
+
+
+class FederationMetrics(CounterMetrics):
     """Counters and per-app staleness for the federation layer.
 
     Fed by :mod:`repro.federation` — the :class:`PeerRegistry` counts
@@ -157,17 +175,9 @@ class FederationMetrics:
     percentiles) so long collaborations cannot grow memory without limit.
     """
 
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = defaultdict(int)
+    def __init__(self, timeseries=None) -> None:
+        super().__init__(timeseries)
         self._staleness: Dict[str, Reservoir] = defaultdict(Reservoir)
-        #: optional TimeSeriesRegistry sink, attached by the server
-        self.timeseries = None
-
-    def count(self, name: str, n: int = 1) -> None:
-        self._counters[name] += n
-
-    def get(self, name: str) -> int:
-        return self._counters.get(name, 0)
 
     def observe_staleness(self, app_id: str, lag: float) -> None:
         """Record one remote update's age on arrival."""
@@ -191,11 +201,11 @@ class FederationMetrics:
         return out
 
     def clear(self) -> None:
-        self._counters.clear()
+        super().clear()
         self._staleness.clear()
 
 
-class DirectoryMetrics:
+class DirectoryMetrics(CounterMetrics):
     """Counters and lookup latency for one server's ``DirectoryClient``.
 
     Fed by :class:`repro.directory.client.DirectoryClient` — counts
@@ -208,17 +218,9 @@ class DirectoryMetrics:
     sampled percentiles).
     """
 
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = defaultdict(int)
+    def __init__(self, timeseries=None) -> None:
+        super().__init__(timeseries)
         self._read_latency = Reservoir()
-        #: optional TimeSeriesRegistry sink, attached by the server
-        self.timeseries = None
-
-    def count(self, name: str, n: int = 1) -> None:
-        self._counters[name] += n
-
-    def get(self, name: str) -> int:
-        return self._counters.get(name, 0)
 
     def observe_read(self, latency: float) -> None:
         """Record one successful directory read's round-trip time."""
@@ -245,11 +247,11 @@ class DirectoryMetrics:
         return out
 
     def clear(self) -> None:
-        self._counters.clear()
+        super().clear()
         self._read_latency = Reservoir()
 
 
-class StorageMetrics:
+class StorageMetrics(CounterMetrics):
     """Counters for one server's durable state plane (:mod:`repro.storage`).
 
     Fed by the server's :class:`~repro.storage.StateJournal` —
@@ -261,14 +263,12 @@ class StorageMetrics:
     E12 recovery-time table, never asserted bit-for-bit.
     """
 
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = defaultdict(int)
+    def __init__(self, timeseries=None, ledger=None) -> None:
+        super().__init__(timeseries)
         self.last_recovery_ms = 0.0
-        #: optional TimeSeriesRegistry sink, attached by the server
-        self.timeseries = None
         #: optional RequestCostLedger — WAL appends made while a request
         #: is being handled join that request's cost vector
-        self.ledger = None
+        self.ledger = ledger
 
     def count(self, name: str, n: int = 1) -> None:
         self._counters[name] += n
@@ -278,40 +278,11 @@ class StorageMetrics:
             self.ledger.charge("wal_appends", n,
                                plane="storage", operation="append")
 
-    def get(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
     def snapshot(self) -> dict:
         out = dict(self._counters)
         out["last_recovery_ms"] = self.last_recovery_ms
         return out
 
     def clear(self) -> None:
-        self._counters.clear()
+        super().clear()
         self.last_recovery_ms = 0.0
-
-
-class ThroughputMeter:
-    """Counts events and reports rates over the elapsed virtual time."""
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._counts: Dict[str, int] = defaultdict(int)
-        self._t0 = sim.now
-
-    def count(self, op: str, n: int = 1) -> None:
-        self._counts[op] += n
-
-    def total(self, op: str) -> int:
-        return self._counts.get(op, 0)
-
-    def rate(self, op: str) -> float:
-        """Events per virtual second since construction (or reset)."""
-        elapsed = self.sim.now - self._t0
-        if elapsed <= 0:
-            return 0.0
-        return self._counts.get(op, 0) / elapsed
-
-    def reset(self) -> None:
-        self._counts.clear()
-        self._t0 = self.sim.now

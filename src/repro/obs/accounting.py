@@ -15,9 +15,7 @@ burning it.  Three cooperating pieces:
   — join the same vector either through the request's propagated trace
   context (``Frame.trace_ctx``) or through the per-process attribution
   scope the interceptor activates, the same scoping discipline the tracer
-  uses.  Aggregates roll into a private
-  :class:`~repro.obs.TimeSeriesRegistry` (``cost.<dim>.<plane>``) so cost
-  history merges into fleet-wide telemetry views.
+  uses.
 - :class:`SpaceSaving` — a top-K heavy-hitter sketch (Metwally et al.)
   per cost dimension, keyed by principal, so "who is the noisy neighbor"
   is answerable in O(K) memory at 10^5-session scale without keeping a
@@ -51,7 +49,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.interceptor import TRACE_CTX_KEY
-from repro.obs.timeseries import TimeSeriesRegistry
 from repro.pipeline.core import Interceptor, RequestContext
 
 #: the core per-request cost dimensions (every E14 heavy-hitter assertion
@@ -198,6 +195,11 @@ class RequestCostLedger:
     dimension, so a fleet-wide "who is spending what" view needs no merge
     step.  Standalone servers create their own.
 
+    The ledger is one store: a charge updates the key's entry, the
+    running total and the dimension's sketch, nothing else.  Cost history
+    over time is not kept here; the servers' time-series registries
+    carry the per-plane request and WAL counters.
+
     Attribution paths, in order of preference:
 
     1. **Interceptor scope** — ``open_request``/``close_request`` bracket
@@ -215,24 +217,18 @@ class RequestCostLedger:
     """
 
     def __init__(self, sim=None, *,
-                 clock: Optional[Callable[[], float]] = None,
                  scope: Optional[Callable[[], Any]] = None,
                  events_fn: Optional[Callable[[], int]] = None,
-                 bucket_width: float = 0.25, top_k: int = 8,
+                 top_k: int = 8,
                  max_trace_bindings: int = MAX_TRACE_BINDINGS,
                  wall_clock: Callable[[], int] = time.perf_counter_ns) -> None:
         if sim is not None:
-            clock = clock or (lambda: sim.now)
             scope = scope or (lambda: sim.active_process)
             events_fn = events_fn or (lambda: sim.events_dispatched)
-        self._clock = clock or (lambda: 0.0)
         self._scope = scope or (lambda: None)
         self._events = events_fn or (lambda: 0)
         self._wall = wall_clock
         self.top_k = top_k
-        #: cost history in sim-time buckets: ``cost.<dim>.<plane>`` counters
-        self.timeseries = TimeSeriesRegistry(clock=self._clock,
-                                             bucket_width=bucket_width)
         self.entries: Dict[Tuple[str, str, str, str], CostVector] = {}
         self.total = CostVector()
         self.sketches: Dict[str, SpaceSaving] = {
@@ -254,7 +250,6 @@ class RequestCostLedger:
         entry.bump(dim, n)
         self.total.bump(dim, n)
         self.sketches[dim].add(key[0], n)
-        self.timeseries.inc(f"cost.{dim}.{key[2]}", n)
 
     def _active_key(self) -> Optional[Tuple[str, str, str, str]]:
         stack = self._active.get(self._scope())
@@ -405,14 +400,12 @@ class RequestCostLedger:
         self.total.add(other.total)
         for dim, sketch in other.sketches.items():
             self.sketches[dim].merge_from(sketch)
-        self.timeseries.merge_from(other.timeseries)
         return self
 
     @classmethod
     def merged(cls, ledgers: Iterable["RequestCostLedger"], *,
-               clock: Optional[Callable[[], float]] = None,
                top_k: int = 8) -> "RequestCostLedger":
-        out = cls(clock=clock, top_k=top_k)
+        out = cls(top_k=top_k)
         for ledger in ledgers:
             out.merge_from(ledger)
         return out

@@ -29,6 +29,10 @@ class MetricsRegistry:
     def sources(self) -> List[str]:
         return sorted(self._sources)
 
+    def items(self) -> List[Tuple[str, Any]]:
+        """``(name, source)`` pairs, sorted by name."""
+        return [(name, self._sources[name]) for name in self.sources()]
+
     def snapshot(self) -> Dict[str, dict]:
         """``{source_name: source.snapshot()}`` over every source."""
         return {name: self._sources[name].snapshot()

@@ -58,16 +58,16 @@ class StateJournal:
     def __init__(self, backend: StorageBackend, *,
                  clock: Optional[Callable[[], float]] = None,
                  snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-                 metrics=None) -> None:
+                 metrics=None, timeseries=None) -> None:
         self.wal = WriteAheadLog(backend)
         self.clock = clock or (lambda: 0.0)
         #: 0 disables automatic snapshots (explicit take_snapshot only)
         self.snapshot_every = snapshot_every
         self.metrics = metrics
-        #: optional TimeSeriesRegistry sink, attached by the server: WAL
-        #: append wall-clock cost lands in a ``storage.wal_append_us``
-        #: histogram (real microseconds — telemetry, never asserted)
-        self.timeseries = None
+        #: optional TimeSeriesRegistry sink: WAL append wall-clock cost
+        #: lands in a ``storage.wal_append_us`` histogram (real
+        #: microseconds — telemetry, never asserted)
+        self.timeseries = timeseries
         self.recovering = False
         self._planes: Dict[str, _Plane] = {}
         self._since_snapshot = 0

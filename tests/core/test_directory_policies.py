@@ -5,7 +5,6 @@ import pytest
 
 from repro import AppConfig, PortalError, build_collaboratory
 from repro.apps import SyntheticApp
-from repro.core.directory import UserDirectoryService
 from repro.core.policies import (
     PolicyManager,
     PolicyViolation,
@@ -24,61 +23,7 @@ def run(collab, gen):
     return collab.sim.run(until=collab.sim.spawn(gen))
 
 
-# ------------------------- UserDirectoryService -----------------------------
-
-def test_directory_publish_and_lookup():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write", "bob": "read"})
-    d.publish_app("s2#a1", "s2", "cfd", {"alice": "read"})
-    assert d.authenticate("alice")
-    assert not d.authenticate("eve")
-    apps = {a["app_id"]: a for a in d.lookup("alice")}
-    assert set(apps) == {"s1#a1", "s2#a1"}
-    assert apps["s1#a1"]["privilege"] == "write"
-    assert apps["s2#a1"]["server"] == "s2"
-    assert d.lookup("bob")[0]["app_id"] == "s1#a1"
-
-
-def test_directory_withdraw():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write"})
-    d.withdraw_app("s1#a1")
-    assert not d.authenticate("alice")
-    assert d.lookup("alice") == []
-    assert d.app_count() == 0
-    d.withdraw_app("ghost")  # idempotent
-
-
-def test_directory_republish_replaces_acl():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write"})
-    d.publish_app("s1#a1", "s1", "wave", {"bob": "read"})
-    assert not d.authenticate("alice")
-    assert d.authenticate("bob")
-
-
-def test_directory_withdraw_maintains_server_reverse_index():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write"})
-    d.publish_app("s1#a2", "s1", "cfd", {"bob": "read"})
-    d.publish_app("s2#a1", "s2", "heat", {"alice": "read"})
-    d.withdraw_app("s1#a1")  # must leave only s1#a2 under s1
-    assert d.withdraw_server("s1") == 1
-    assert d.withdraw_server("s2") == 1
-    assert d.app_count() == 0 and d.known_users() == []
-
-
-def test_directory_republish_moves_app_between_servers():
-    # re-publishing the same app from a new server must re-home it in
-    # the reverse index, not leave a stale pointer at the old server
-    d = UserDirectoryService()
-    d.publish_app("x#a1", "s1", "wave", {"alice": "write"})
-    d.publish_app("x#a1", "s2", "wave", {"alice": "write"})
-    assert d.withdraw_server("s1") == 0
-    assert d.authenticate("alice")
-    assert d.withdraw_server("s2") == 1
-    assert not d.authenticate("alice")
-
+# ------------------------- directory-backed login ---------------------------
 
 def test_directory_backed_login_end_to_end():
     collab = build_collaboratory(3, apps_hosts_per_domain=1,
@@ -120,19 +65,6 @@ def test_directory_login_rejects_unknown_user():
             return exc.status
 
     assert run(collab, scenario()) == 401
-
-
-def test_directory_withdraw_server_bulk():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write"})
-    d.publish_app("s1#a2", "s1", "cfd", {"alice": "read"})
-    d.publish_app("s2#a1", "s2", "heat", {"bob": "write"})
-    assert d.withdraw_server("s1") == 2
-    assert d.app_count() == 1
-    assert d.lookup("alice") == []
-    assert d.lookup("bob")[0]["app_id"] == "s2#a1"
-    assert d.withdraw_server("s1") == 0  # idempotent
-    assert d.withdraw_server("ghost") == 0
 
 
 def test_directory_withdraws_on_server_shutdown():

@@ -187,3 +187,13 @@ def test_drill_is_deterministic():
     row_a.pop("recovery_wall_ms")
     row_b.pop("recovery_wall_ms")
     assert row_a == row_b
+
+
+def test_drill_runs_past_the_gain_range():
+    """Regression: command i steered gain to float(i), so any drill longer
+    than 101 commands was rejected by the parameter's 0..100 bound."""
+    row, collab = run_recovery_drill(n_commands=120, command_interval=0.1)
+    collab.stop()
+    assert row["pre_interactions"] >= 120
+    assert row["recovered_interactions"] == row["pre_interactions"]
+    assert row["catchup_records"] == row["pre_interactions"]

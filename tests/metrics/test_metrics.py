@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import LatencyRecorder, ThroughputMeter, summarize
+from repro.metrics import LatencyRecorder, summarize
 from repro.sim import Simulator
 
 
@@ -99,41 +99,3 @@ def test_recorder_operations_and_clear(sim):
     assert rec.operations() == ["a", "b"]
     rec.clear()
     assert rec.operations() == []
-
-
-# ------------------------------- throughput ---------------------------------
-
-def test_throughput_rate(sim):
-    meter = ThroughputMeter(sim)
-
-    def proc():
-        for _ in range(10):
-            meter.count("msgs")
-            yield sim.timeout(0.5)
-
-    sim.spawn(proc())
-    sim.run()
-    assert meter.total("msgs") == 10
-    assert meter.rate("msgs") == pytest.approx(2.0)
-
-
-def test_throughput_rate_zero_elapsed(sim):
-    meter = ThroughputMeter(sim)
-    meter.count("x")
-    assert meter.rate("x") == 0.0
-
-
-def test_throughput_reset(sim):
-    meter = ThroughputMeter(sim)
-    meter.count("x", 5)
-
-    def proc():
-        yield sim.timeout(1.0)
-        meter.reset()
-        meter.count("x", 2)
-        yield sim.timeout(1.0)
-
-    sim.spawn(proc())
-    sim.run()
-    assert meter.total("x") == 2
-    assert meter.rate("x") == pytest.approx(2.0)

@@ -24,7 +24,7 @@ from repro.sim import Simulator
 
 def make_ledger(**kwargs):
     """A ledger with inert clocks — pure bookkeeping, no simulator."""
-    return RequestCostLedger(clock=lambda: 0.0, scope=lambda: "proc",
+    return RequestCostLedger(scope=lambda: "proc",
                              events_fn=lambda: 0, wall_clock=lambda: 0,
                              **kwargs)
 
@@ -100,7 +100,7 @@ class TestLedgerAttribution:
 
     def test_request_lifecycle_charges_request_and_events(self):
         events = {"n": 0}
-        ledger = RequestCostLedger(clock=lambda: 0.0, scope=lambda: "p",
+        ledger = RequestCostLedger(scope=lambda: "p",
                                    events_fn=lambda: events["n"],
                                    wall_clock=lambda: 0)
         ctx = RequestContext(PLANE_HTTP, principal="bob",
@@ -158,12 +158,6 @@ class TestLedgerAttribution:
             ledger.bind_trace(i, ("p", "-", "orb", "op"))
         assert len(ledger._bindings) == 10
         assert 24 in ledger._bindings and 0 not in ledger._bindings
-
-    def test_timeseries_records_cost_by_plane(self):
-        ledger = make_ledger()
-        with ledger.scoped("s1", plane="orb", operation="lookup"):
-            ledger.charge("wal_appends", 2)
-        assert ledger.timeseries.query("cost.wal_appends.orb", "sum") == 2
 
 
 class TestDroppedFrameAccounting:
