@@ -3,7 +3,9 @@
 Unlike every other benchmark in this directory — which reproduces a *paper*
 measurement in virtual time — this one measures the real seconds the
 reproduction burns on the wire fast path, network delivery, broadcast
-fan-out, and the end-to-end scenarios.  It writes ``BENCH_3.json`` at the
+fan-out, the storage journal and one fleet-scale E1 arm (the other
+end-to-end arms and the planes' on/off price moved to ``perf/``, the
+benchmark of record).  It writes ``BENCH_3.json`` at the
 repository root so successive PRs leave a perf trajectory, and gates it
 against the committed ``BENCH_1.json`` baseline: any shared benchmark more
 than 25% slower fails the suite.
@@ -16,8 +18,6 @@ Run with::
 from __future__ import annotations
 
 from pathlib import Path
-
-import time
 
 from benchmarks.conftest import run_once
 
@@ -40,8 +40,9 @@ def test_wallclock_suite(benchmark):
     names = {entry["name"] for entry in report["benchmarks"]}
     assert "wire/encoded_size_update_64x64" in names
     assert "collab/broadcast_poll_30_subscribers" in names
-    assert "e2e/E1_health_on_n10" in names
-    assert "e2e/E1_n1000" in names
+    assert "storage/append_jsonl" in names
+    # perf/ times E1/E2/E11/E12 and the planes on/off; one e2e arm is left
+    assert {n for n in names if n.startswith("e2e/")} == {"e2e/E1_n1000"}
     assert all(entry["per_op_us"] > 0 for entry in report["benchmarks"])
 
 
@@ -66,77 +67,3 @@ def test_no_regression_vs_baseline():
                "--candidate", str(BENCH_JSON),
                "--threshold", str(REGRESSION_THRESHOLD)])
     assert rc == 0, "wall-clock regression vs BENCH_1.json (see output)"
-
-
-def test_health_plane_overhead_under_5_percent(benchmark):
-    """The always-on health plane must stay effectively free.
-
-    Same E1 workload with the plane on and off; the on/off ratio of the
-    per-arm minima bounds the plane's overhead.  The runs must be long
-    enough (~0.7s here) that scheduler noise is small relative to the
-    measured quantum — with short runs the fixed jitter alone exceeds
-    the 5% ceiling.  The health plane is pure bookkeeping on timer
-    events, so 5% is a generous ceiling.
-    """
-    from repro.bench.scenarios import run_app_scalability
-
-    def one(enabled: bool) -> float:
-        t0 = time.perf_counter()
-        run_app_scalability(20, duration=30.0, health_enabled=enabled)
-        return time.perf_counter() - t0
-
-    def measure():
-        # warm both arms first (lazy numpy percentile machinery, import
-        # costs) so neither measured minimum carries one-time work, then
-        # interleave rounds so drift hits both arms equally.  Minima only
-        # converge downward, so keep adding rounds until the ratio settles
-        # comfortably under the bound; a genuinely slow health plane stays
-        # above it no matter how many rounds run.
-        one(True), one(False)
-        ons, offs = [], []
-        for i in range(12):
-            offs.append(one(False))
-            ons.append(one(True))
-            if i >= 2 and min(ons) / min(offs) < 1.04:
-                break
-        return min(ons), min(offs)
-
-    with_health, without = run_once(benchmark, measure)
-    ratio = with_health / without
-    print(f"\nhealth plane wall-clock: on={with_health:.3f}s "
-          f"off={without:.3f}s ratio={ratio:.3f}")
-    assert ratio < 1.05, (
-        f"health plane adds {100 * (ratio - 1):.1f}% wall-clock overhead")
-
-
-def test_accounting_overhead_under_5_percent(benchmark):
-    """The cost-attribution ledger must stay effectively free (ISSUE 10).
-
-    Same interleaved-minima protocol as the health-plane gate: identical
-    E1 workload with ``accounting_enabled`` on and off.  The attribution
-    path is an interceptor scope, a handful of integer bumps, and a
-    bounded sketch add per request — 5% is a generous ceiling.
-    """
-    from repro.bench.scenarios import run_app_scalability
-
-    def one(enabled: bool) -> float:
-        t0 = time.perf_counter()
-        run_app_scalability(20, duration=30.0, accounting_enabled=enabled)
-        return time.perf_counter() - t0
-
-    def measure():
-        one(True), one(False)
-        ons, offs = [], []
-        for i in range(12):
-            offs.append(one(False))
-            ons.append(one(True))
-            if i >= 2 and min(ons) / min(offs) < 1.04:
-                break
-        return min(ons), min(offs)
-
-    with_ledger, without = run_once(benchmark, measure)
-    ratio = with_ledger / without
-    print(f"\ncost ledger wall-clock: on={with_ledger:.3f}s "
-          f"off={without:.3f}s ratio={ratio:.3f}")
-    assert ratio < 1.05, (
-        f"cost ledger adds {100 * (ratio - 1):.1f}% wall-clock overhead")

@@ -8,11 +8,17 @@ DESIGN.md) builds on these pieces:
 - :mod:`repro.bench.scenarios` — end-to-end scenario runners that assemble
   a deployment, drive a workload for a stretch of virtual time, and return
   the measured table row.
+- :mod:`repro.bench.fleet` — the star-backbone fleet and the E11/E14
+  drills on it.
+- :mod:`repro.bench.experiments` — the experiment table: each runnable
+  experiment's quick/full parameters, columns and acceptance facts,
+  declared once for the CLI, CI, ``tools/`` and the tests.
 - :mod:`repro.bench.report` — table formatting shared by every benchmark's
   printed output.
 - :mod:`repro.bench.wallclock` — the *wall-clock* harness: real seconds
   burned by the simulator itself (wire fast path, network delivery,
-  broadcast fan-out, end-to-end scenarios), reported as ``BENCH_*.json``.
+  broadcast fan-out, storage journal), reported as ``BENCH_*.json``;
+  end-to-end timing is ``perf/``'s.
 """
 
 from repro.bench.report import format_table, print_experiment
@@ -28,22 +34,6 @@ from repro.bench.workload import (
     steering_client,
 )
 
-_WALLCLOCK_EXPORTS = {
-    "run_wallclock_suite": "run_suite",
-    "time_op": "time_op",
-    "write_wallclock_report": "write_report",
-}
-
-
-def __getattr__(name):
-    # Lazy so ``python -m repro.bench.wallclock`` doesn't trip the
-    # runpy "found in sys.modules" RuntimeWarning.
-    target = _WALLCLOCK_EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from repro.bench import wallclock
-    return getattr(wallclock, target)
-
 __all__ = [
     "format_table",
     "make_app_farm",
@@ -53,8 +43,5 @@ __all__ = [
     "run_client_scalability",
     "run_collab_scenario",
     "run_remote_vs_local",
-    "run_wallclock_suite",
     "steering_client",
-    "time_op",
-    "write_wallclock_report",
 ]

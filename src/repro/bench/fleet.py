@@ -28,10 +28,12 @@ sketches surface the flooder within one time-series bucket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.scenarios import pipeline_counters
 from repro.bench.traffic import TrafficSpec, constant, exponential, session_plans
+from repro.bench.workload import run_process
 from repro.core.server import DiscoverServer
 from repro.directory import DirectoryPlane, make_app_id
 from repro.metrics.stats import Reservoir
@@ -53,12 +55,12 @@ class Fleet:
     net: Network
     servers: List[DiscoverServer]
     plane: DirectoryPlane
-    ledger: Optional[RequestCostLedger] = None
-    by_name: Dict[str, DiscoverServer] = field(default_factory=dict)
+    #: one ledger shared by every server, shard pipeline and the network
+    ledger: RequestCostLedger
 
     def __post_init__(self) -> None:
-        if not self.by_name:
-            self.by_name = {s.name: s for s in self.servers}
+        self.by_name: Dict[str, DiscoverServer] = {
+            s.name: s for s in self.servers}
 
     def stop(self) -> None:
         for server in self.servers:
@@ -207,43 +209,47 @@ def _session(server: DiscoverServer, plan, homes: Dict[str, str],
         counters["failed"] += 1
 
 
-def run_fleet_directory(n_servers: int = 50, *, n_sessions: int = 20_000,
-                        directory_shards: int = 8,
-                        directory_replicas: int = 2,
-                        n_apps: Optional[int] = None,
-                        n_users: Optional[int] = None,
-                        duration: Optional[float] = None,
-                        traffic: Optional[TrafficSpec] = None,
-                        kill_shard_at: Optional[float] = None,
-                        seed: int = 0) -> dict:
-    """E11: fleet-scale sharded-directory workload; returns one table row.
+@dataclass
+class _SessionLoad:
+    """The E11 session mix in flight on a fleet (see :func:`_drive_sessions`)."""
 
-    ``duration`` defaults to whatever keeps each shard near ~50% CPU
-    (≈6 ms of modeled ORB dispatch per read, ~3 reads per session), so
-    scaling ``n_sessions`` or the fleet never silently saturates the
-    plane — saturation is a *finding*, not a default.  With
-    ``kill_shard_at`` the first ring node crashes at that offset and the
-    run doubles as the failover drill.
+    sim: Simulator
+    population: Population
+    rng: DeterministicRNG
+    spec: TrafficSpec
+    counters: Dict[str, int]
+    #: sim time the driver (and anything the caller spawns next) starts at
+    t0: float
+
+    @property
+    def deadline(self) -> float:
+        return self.t0 + self.spec.duration + 120.0
+
+    def wait(self) -> None:
+        """Run until every session ended (or the deadline passed)."""
+        sim, counters = self.sim, self.counters
+        while (counters["done"] + counters["failed"]
+               < self.spec.total_sessions and sim.now < self.deadline):
+            sim.run(until=min(sim.now + 10.0, self.deadline))
+
+
+def _drive_sessions(fleet: Fleet, tag: str, *, n_apps: int, n_users: int,
+                    n_sessions: int, duration: float, seed: int,
+                    traffic: Optional[TrafficSpec] = None) -> _SessionLoad:
+    """The body E11 and E14 share: publish the population, then start the
+    open-loop session driver.
+
+    The default mix is uniform over apps: the ring flattens *keyspace*,
+    not popularity — a zipf mix (via ``traffic=``) shows hot-app skew
+    concentrating on single shards, a finding EXPERIMENTS records.
+    Nothing past the publish has run when this returns, so processes the
+    caller spawns next (a shard killer, a flooder) also start at ``t0``.
     """
-    n_apps = n_apps or max(8, 4 * n_servers)
-    n_users = n_users or max(100, n_sessions // 20)
-    if duration is None:
-        # per-shard read rate ≈ 3 * n_sessions / duration / shards;
-        # hold it near 80/s (≈50% of one modeled shard CPU)
-        duration = max(20.0, 3.0 * n_sessions / (80.0 * directory_shards))
-    fleet = build_fleet(n_servers, directory_shards=directory_shards,
-                        directory_replicas=directory_replicas)
     sim = fleet.sim
-    rng = DeterministicRNG(seed, "e11")
-    pub = sim.spawn(publish_population(fleet, n_apps=n_apps,
-                                       n_users=n_users, rng=rng),
-                    name="publish-population")
-    population = sim.run(until=pub)
-    publish_loads = dict(fleet.plane.per_shard_load())
-
-    # uniform app mix by default: the ring flattens *keyspace*, not
-    # popularity — a zipf mix (available via ``traffic=``) shows hot-app
-    # skew concentrating on single shards, a finding EXPERIMENTS records
+    rng = DeterministicRNG(seed, tag)
+    population = run_process(
+        sim, publish_population(fleet, n_apps=n_apps, n_users=n_users,
+                                rng=rng), name="publish-population")
     spec = traffic or TrafficSpec(
         total_sessions=n_sessions, duration=duration,
         ops_per_session=constant(2), think_time=exponential(0.1),
@@ -259,21 +265,48 @@ def run_fleet_directory(n_servers: int = 50, *, n_sessions: int = 20_000,
                 yield sim.timeout(gap)
             sim.spawn(_session(fleet.by_name[plan.edge], plan,
                                population.homes, counters),
-                      name="e11-session")
+                      name=f"{tag}-session")
 
-    t0 = sim.now
-    sim.spawn(driver(), name="e11-driver")
+    sim.spawn(driver(), name=f"{tag}-driver")
+    return _SessionLoad(sim, population, rng, spec, counters, sim.now)
+
+
+def run_fleet_directory(n_servers: int = 50, *, n_sessions: int = 20_000,
+                        directory_shards: int = 8,
+                        directory_replicas: int = 2,
+                        n_apps: Optional[int] = None,
+                        n_users: Optional[int] = None,
+                        traffic: Optional[TrafficSpec] = None,
+                        kill_shard_at: Optional[float] = None,
+                        seed: int = 0) -> dict:
+    """E11: fleet-scale sharded-directory workload; returns one table row.
+
+    The run lasts whatever keeps each shard near ~50% CPU (≈6 ms of
+    modeled ORB dispatch per read, ~3 reads per session), so scaling
+    ``n_sessions`` or the fleet never silently saturates the plane —
+    saturation is a *finding* (pass a denser ``traffic=``).  With
+    ``kill_shard_at`` the first ring node crashes at that offset and the
+    run doubles as the failover drill.
+    """
+    n_apps = n_apps or max(8, 4 * n_servers)
+    n_users = n_users or max(100, n_sessions // 20)
+    # per-shard read rate ≈ 3 * n_sessions / duration / shards;
+    # hold it near 80/s (≈50% of one modeled shard CPU)
+    duration = max(20.0, 3.0 * n_sessions / (80.0 * directory_shards))
+    fleet = build_fleet(n_servers, directory_shards=directory_shards,
+                        directory_replicas=directory_replicas)
+    sim = fleet.sim
+    load = _drive_sessions(fleet, "e11", n_apps=n_apps, n_users=n_users,
+                           n_sessions=n_sessions, duration=duration,
+                           seed=seed, traffic=traffic)
+    publish_loads = dict(fleet.plane.per_shard_load())
     if kill_shard_at is not None:
         def killer():
             yield sim.timeout(kill_shard_at)
             fleet.plane.kill_shard(fleet.plane.ring.nodes[0])
         sim.spawn(killer(), name="e11-killer")
-
-    total = spec.total_sessions
-    deadline = t0 + spec.duration + 120.0
-    while (counters["done"] + counters["failed"] < total
-           and sim.now < deadline):
-        sim.run(until=min(sim.now + 10.0, deadline))
+    load.wait()
+    counters = load.counters
 
     # fleet-wide read latency: merge every server's reservoir — exact
     # count/mean/min/max composition, traffic-weighted sample retention
@@ -292,14 +325,13 @@ def run_fleet_directory(n_servers: int = 50, *, n_sessions: int = 20_000,
     mean_load = (sum(loads.values()) / len(loads)) if loads else 0.0
     flatness = (max(loads.values()) / mean_load) if mean_load else 0.0
 
-    from repro.bench.scenarios import pipeline_counters
     row = {
         "n_servers": n_servers,
         "n_shards": directory_shards,
         "n_replicas": directory_replicas,
         "n_apps": n_apps,
         "n_users": n_users,
-        "sessions": total,
+        "sessions": load.spec.total_sessions,
         "sessions_done": counters["done"],
         "sessions_failed": counters["failed"],
         "locate_misses": counters["misses"],
@@ -310,7 +342,7 @@ def run_fleet_directory(n_servers: int = 50, *, n_sessions: int = 20_000,
         "lookup_p99_ms": round(stats.p99, 3),
         "shard_load_max_over_mean": round(flatness, 3),
         "ring_epoch": fleet.plane.ring.epoch,
-        "virtual_duration_s": round(sim.now - t0, 1),
+        "virtual_duration_s": round(sim.now - load.t0, 1),
     }
     row.update(pipeline_counters(fleet.servers))
     fleet.stop()
@@ -338,12 +370,9 @@ def _flood_lookup(server: DiscoverServer, app_id: str,
 def run_noisy_neighbor_drill(n_servers: int = 50, *,
                              n_sessions: int = 2_000,
                              directory_shards: int = 8,
-                             directory_replicas: int = 2,
                              duration: float = 60.0,
                              flood_start: float = 15.0,
                              flood_rate: float = 200.0,
-                             n_apps: Optional[int] = None,
-                             n_users: Optional[int] = None,
                              bucket_width: float = 0.25,
                              seed: int = 0,
                              profiler=None) -> Tuple[dict, Fleet]:
@@ -374,50 +403,28 @@ def run_noisy_neighbor_drill(n_servers: int = 50, *,
     the kernel for the whole drill when given — the CI artifact path.
 
     Returns ``(row, fleet)`` — the live fleet so callers (the costs CLI,
-    the CI snapshot exporter) can read ``fleet.ledger`` before stopping
-    it, like the other drill scenarios.
+    the cost gate) can read ``fleet.ledger`` before stopping it, like
+    the other drill scenarios.
     """
-    n_apps = n_apps or max(8, 2 * n_servers)
-    n_users = n_users or max(50, n_sessions // 10)
     fleet = build_fleet(n_servers, directory_shards=directory_shards,
-                        directory_replicas=directory_replicas)
+                        directory_replicas=2)
     sim, ledger = fleet.sim, fleet.ledger
     if profiler is not None:
         profiler.install(sim)
-    rng = DeterministicRNG(seed, "e14")
-    pub = sim.spawn(publish_population(fleet, n_apps=n_apps,
-                                       n_users=n_users, rng=rng),
-                    name="publish-population")
-    population = sim.run(until=pub)
-
-    spec = TrafficSpec(total_sessions=n_sessions, duration=duration,
-                       ops_per_session=constant(2),
-                       think_time=exponential(0.1),
-                       app_mix="uniform", seed=seed)
-    counters = {"done": 0, "failed": 0, "misses": 0, "lookup_errors": 0,
-                "flood_lookups": 0, "flood_errors": 0,
-                "flood_noise_frames": 0}
-    server_names = [s.name for s in fleet.servers]
+    load = _drive_sessions(fleet, "e14", n_apps=max(8, 2 * n_servers),
+                           n_users=max(50, n_sessions // 10),
+                           n_sessions=n_sessions, duration=duration,
+                           seed=seed)
+    population, counters, t0 = load.population, load.counters, load.t0
+    counters.update(flood_lookups=0, flood_errors=0, flood_noise_frames=0)
     flooder = fleet.servers[-1]
-    t0 = sim.now
-
-    def driver():
-        for gap, plan in session_plans(spec, population.users,
-                                       population.app_ids, server_names,
-                                       rng=rng.child("traffic")):
-            if gap > 0:
-                yield sim.timeout(gap)
-            sim.spawn(_session(fleet.by_name[plan.edge], plan,
-                               population.homes, counters),
-                      name="e14-session")
-
     flood_t: Dict[str, float] = {}
 
     def flood():
         yield sim.timeout(flood_start)
         flood_t["start"] = sim.now
         noise = flooder.host.bind(45_999)
-        app_rng = rng.child("flood")
+        app_rng = load.rng.child("flood")
         gap = 1.0 / flood_rate
         k = 0
         while sim.now < t0 + duration:
@@ -447,15 +454,10 @@ def run_noisy_neighbor_drill(n_servers: int = 50, *,
                     detection[dim] = round(sim.now - flood_t["start"], 6)
             yield sim.timeout(bucket_width)
 
-    sim.spawn(driver(), name="e14-driver")
     sim.spawn(flood(), name="e14-flooder")
     sim.spawn(monitor(), name="e14-monitor")
-
-    deadline = t0 + duration + 120.0
-    while (counters["done"] + counters["failed"] < n_sessions
-           and sim.now < deadline):
-        sim.run(until=min(sim.now + 10.0, deadline))
-    sim.run(until=min(sim.now + 5.0, deadline + 5.0))  # drain flood tail
+    load.wait()
+    sim.run(until=min(sim.now + 5.0, load.deadline + 5.0))  # drain flood tail
     if profiler is not None:
         profiler.uninstall()
 
@@ -502,6 +504,5 @@ def run_noisy_neighbor_drill(n_servers: int = 50, *,
         "flooder_dropped_frames": flooder_vec.get("dropped_frames", 0),
         "virtual_duration_s": round(sim.now - t0, 1),
     }
-    from repro.bench.scenarios import pipeline_counters
     row.update(pipeline_counters(fleet.servers))
     return row, fleet

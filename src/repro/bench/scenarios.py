@@ -8,16 +8,24 @@ is in the returned rows.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
+from repro.apps import SyntheticApp
 from repro.bench.workload import (
-    bench_app_config,
+    INTERACTIVE_APP,
     make_app_farm,
     polling_client,
+    resilient_steering_client,
+    run_process,
     steering_client,
     update_watching_client,
 )
-from repro.core.deployment import build_collaboratory, build_single_server
+from repro.client import DiscoverPortal
+from repro.core.deployment import (
+    build_collaboratory,
+    build_single_server,
+    reset_runtime_ids,
+)
 from repro.metrics import LatencyRecorder
 from repro.net.costs import CostModel, LinkSpec
 from repro.pipeline.core import PLANE_CHANNEL, PLANE_HTTP, PLANE_ORB
@@ -133,16 +141,15 @@ def pipeline_counters(servers, tracer=None) -> dict:
 def run_app_scalability(n_apps: int, *, duration: float = 30.0,
                         update_period: float = 0.5,
                         cost_model: Optional[CostModel] = None,
-                        health_enabled: bool = True,
                         accounting_enabled: bool = True,
                         profiler=None) -> dict:
     """E1: one server, ``n_apps`` applications pushing updates.
 
     Returns the server-side update-processing lag; the knee past which the
     mean lag grows with offered load marks the capacity the paper reports
-    as ">40 simultaneous applications".  ``health_enabled=False`` turns the
-    health plane off entirely, ``accounting_enabled=False`` the cost
-    ledger — the overhead benches' control arms.  ``profiler`` (a
+    as ">40 simultaneous applications".  ``accounting_enabled=False``
+    turns the cost ledger off (the parity tests' control arm; ``perf/``
+    prices the planes with ``app_updates_bare``).  ``profiler`` (a
     :class:`repro.obs.DispatchProfiler`) is installed on the kernel for
     the run; an untagged profiler inherits the deployment's tracer so
     samples carry plane/operation span names.
@@ -150,7 +157,6 @@ def run_app_scalability(n_apps: int, *, duration: float = 30.0,
     collab = build_collaboratory(1,
                                  apps_hosts_per_domain=max(4, n_apps // 4),
                                  cost_model=cost_model,
-                                 health_enabled=health_enabled,
                                  accounting_enabled=accounting_enabled)
     collab.run_bootstrap()
     server = collab.server_of(0)
@@ -249,7 +255,6 @@ def run_collab_scenario(*, mode: str, n_domains: int = 3,
     home_server = collab.domains[0].server.name
 
     recorder = LatencyRecorder(collab.sim)
-    from repro.client import DiscoverPortal
     for d in range(n_domains):
         for c in range(clients_per_domain):
             host = collab.domains[d].client_hosts[
@@ -289,16 +294,8 @@ def run_remote_vs_local(*, remote: bool, duration: float = 20.0,
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1, spec=spec)
     collab.run_bootstrap()
-    # An interaction-dominant application, so command latency measures the
-    # middleware path (HTTP + server + optional CORBA relay) rather than
-    # compute-phase buffering.
-    from repro.apps import SyntheticApp
-    from repro.steering import AppConfig
-    app = collab.add_app(
-        1, SyntheticApp, "steer-target", acl={"bench": "write"},
-        config=AppConfig(steps_per_phase=1, step_time=0.005,
-                         interaction_window=0.25,
-                         command_service_time=0.002))
+    app = collab.add_app(1, SyntheticApp, "steer-target",
+                         acl={"bench": "write"}, config=INTERACTIVE_APP)
     collab.sim.run(until=collab.sim.now + 2.0)
     app_id = app.app_id
     # local client sits in the app's domain; remote client one WAN hop away
@@ -341,13 +338,8 @@ def run_traced_remote_command(*, wan_latency: float = 0.060,
                                  client_hosts_per_domain=1, spec=spec,
                                  trace_sampling=sampling)
     collab.run_bootstrap()
-    from repro.apps import SyntheticApp
-    from repro.steering import AppConfig
-    app = collab.add_app(
-        1, SyntheticApp, "traced-target", acl={"bench": "write"},
-        config=AppConfig(steps_per_phase=1, step_time=0.005,
-                         interaction_window=0.25,
-                         command_service_time=0.002))
+    app = collab.add_app(1, SyntheticApp, "traced-target",
+                         acl={"bench": "write"}, config=INTERACTIVE_APP)
     collab.sim.run(until=collab.sim.now + 2.0)
     portal = collab.add_portal(0)
     result = {}
@@ -358,8 +350,7 @@ def run_traced_remote_command(*, wan_latency: float = 0.060,
         result["value"] = yield from session.steer("get_param",
                                                    {"name": "gain"})
 
-    proc = collab.sim.spawn(scenario(), name="traced-steer")
-    collab.sim.run(until=proc)
+    run_process(collab.sim, scenario(), name="traced-steer")
     tracer = collab.tracer
     row = {
         "wan_latency_ms": wan_latency * 1e3,
@@ -370,60 +361,42 @@ def run_traced_remote_command(*, wan_latency: float = 0.060,
     return row, tracer, collab.metrics_registry()
 
 
-def run_fault_injection(*, duration: float = 30.0, kill_at: float = 10.0,
-                        wan_latency: float = 0.030,
-                        heartbeat_period: float = 0.25,
-                        gossip_period: float = 0.5,
-                        peer_call_timeout: float = 0.5,
-                        command_interval: float = 0.5,
-                        response_timeout: float = 5.0,
-                        log_sink=None):
-    """E10: kill a server mid-run; measure detection, failover, alerting.
+def _start_kill_drill(app_name: str, *, duration: float, kill_at: float,
+                      response_timeout: float,
+                      heartbeat_period: float = 0.25,
+                      gossip_period: float = 0.5,
+                      peer_call_timeout: float = 0.5, **deployment):
+    """The set-up E10b and E13 share, up to (not including) the first tick.
 
     Three domains; the steered application is homed in domain 1 with a
-    same-named replica in domain 2.  A resilient client in domain 0 steers
-    through its local server the whole run.  At ``kill_at`` the domain-1
-    server is stopped cold (its ports unbind, so in-flight and later
-    frames are dropped like TCP RSTs).  The health plane on the surviving
-    servers must (a) mark ``server:srvB`` unhealthy within the hysteresis
-    bound, (b) fail the client's commands over to the replica, (c) fire an
-    SLO burn-rate alert on the client-facing server with trace exemplars,
-    and (d) resolve the alert once failover restores the error budget.
-
-    Returns ``(row, collab)`` — the measured row plus the live deployment
-    so callers (the status CLI, the CI artifact exporter) can scrape
-    ``GET /status?format=prom`` from it afterwards.
+    same-named replica in domain 2.  A resilient client in domain 0
+    steers through its local server for ``duration``; a fault-injector
+    process stops the domain-1 server cold at ``kill_at`` (its ports
+    unbind, so in-flight and later frames are dropped like TCP RSTs).
+    Returns ``(collab, victim, t0, counts, kill_time)`` —
+    ``kill_time["t"]`` is set when the kill lands.
     """
-    from repro.apps import SyntheticApp
-    from repro.bench.workload import resilient_steering_client
-    from repro.steering import AppConfig
-
-    spec = LinkSpec(wan_latency=wan_latency)
     collab = build_collaboratory(3, apps_hosts_per_domain=1,
-                                 client_hosts_per_domain=1, spec=spec,
+                                 client_hosts_per_domain=1,
                                  health_period=heartbeat_period,
                                  health_gossip_period=gossip_period,
-                                 log_sink=log_sink)
+                                 **deployment)
     for server in collab.servers.values():
         server.peer_call_timeout = peer_call_timeout
     collab.run_bootstrap()
-    interactive = AppConfig(steps_per_phase=1, step_time=0.005,
-                            interaction_window=0.25,
-                            command_service_time=0.002)
-    primary = collab.add_app(1, SyntheticApp, "fault-target",
-                             acl={"bench": "write"}, config=interactive)
-    collab.add_app(2, SyntheticApp, "fault-target",
-                   acl={"bench": "write"}, config=interactive)
+    primary = collab.add_app(1, SyntheticApp, app_name,
+                             acl={"bench": "write"}, config=INTERACTIVE_APP)
+    collab.add_app(2, SyntheticApp, app_name,
+                   acl={"bench": "write"}, config=INTERACTIVE_APP)
     collab.sim.run(until=collab.sim.now + 2.0)  # apps register
 
     victim = collab.server_of(1)
-    client_server = collab.server_of(0)
     portal = collab.add_portal(0)
     counts: dict = {}
     t0 = collab.sim.now
     collab.sim.spawn(resilient_steering_client(
         portal, primary.app_id, user="bench", duration=duration,
-        command_interval=command_interval, counts=counts,
+        command_interval=0.5, counts=counts,
         response_timeout=response_timeout))
     kill_time = {}
 
@@ -433,8 +406,32 @@ def run_fault_injection(*, duration: float = 30.0, kill_at: float = 10.0,
         victim.stop()
 
     collab.sim.spawn(killer(), name="fault-injector")
+    return collab, victim, t0, counts, kill_time
+
+
+def run_fault_injection(*, duration: float = 30.0, kill_at: float = 10.0,
+                        log_sink=None, **probe_cadence):
+    """E10b: kill a server mid-run; measure detection, failover, alerting.
+
+    On top of :func:`_start_kill_drill`, the health plane on the
+    surviving servers must (a) mark ``server:srvB`` unhealthy within the
+    hysteresis bound, (b) fail the client's commands over to the replica,
+    (c) fire an SLO burn-rate alert on the client-facing server with
+    trace exemplars, and (d) resolve the alert once failover restores the
+    error budget.  ``probe_cadence`` (``heartbeat_period``,
+    ``gossip_period``, ``peer_call_timeout``) is the variable of
+    EXPERIMENTS' detection-latency sweep.
+
+    Returns ``(row, collab)`` — the measured row plus the live deployment
+    so callers (the status CLI, the CI artifact exporter) can scrape
+    ``GET /status?format=prom`` from it afterwards.
+    """
+    collab, victim, t0, counts, kill_time = _start_kill_drill(
+        "fault-target", duration=duration, kill_at=kill_at,
+        response_timeout=5.0, log_sink=log_sink, **probe_cadence)
     collab.sim.run(until=t0 + duration + 2.0)
 
+    client_server = collab.server_of(0)
     victim_key = client_server.health.server_key(victim.name)
     detection = client_server.health.detection_latency(
         victim.name, kill_time.get("t", t0 + kill_at))
@@ -458,9 +455,7 @@ def run_fault_injection(*, duration: float = 30.0, kill_at: float = 10.0,
 def run_recovery_drill(*, n_commands: int = 10,
                        command_interval: float = 0.5,
                        outage: float = 1.0, settle: float = 4.0,
-                       wan_latency: float = 0.030,
-                       snapshot_every: int = 32,
-                       storage_backend_factory=None):
+                       snapshot_every: int = 32):
     """E12: kill a server mid-collaboration, restart it, recover its planes.
 
     Two domains; the steered application is homed in domain 1.  A driver
@@ -470,31 +465,22 @@ def run_recovery_drill(*, n_commands: int = 10,
     ``outage`` virtual seconds — replaced via
     :meth:`~repro.core.deployment.Collaboratory.restart_server`, which
     rebuilds sessions, proxies, lock tables, group membership, and the
-    archive from the surviving backend's ``snapshot + WAL tail``.
-    Finally a latecomer in domain 0 logs in as a read-only ACL user and
-    catches up from the recovered archive across the WAN.
+    archive from the surviving in-memory backend's ``snapshot + WAL
+    tail`` (the on-disk :class:`~repro.storage.JsonlBackend` restart is
+    ``tests/core/test_recovery.py``'s and the ``crash_recovery``
+    workload's).  Finally a latecomer in domain 0 logs in as a read-only
+    ACL user and catches up from the recovered archive across the WAN.
 
-    ``storage_backend_factory`` selects the medium (default in-memory;
-    CI passes :class:`~repro.storage.JsonlBackend` directories so the
-    compacted snapshot survives as an artifact).  Returns
-    ``(row, collab)``; every row value is deterministic except
+    Returns ``(row, collab)``; every row value is deterministic except
     ``recovery_wall_ms`` (real time, reported not asserted).
     """
-    from repro.apps import SyntheticApp
-    from repro.steering import AppConfig
-
-    spec = LinkSpec(wan_latency=wan_latency)
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
-                                 client_hosts_per_domain=1, spec=spec,
-                                 storage_backend_factory=storage_backend_factory,
+                                 client_hosts_per_domain=1,
                                  storage_snapshot_every=snapshot_every)
     collab.run_bootstrap()
-    interactive = AppConfig(steps_per_phase=1, step_time=0.005,
-                            interaction_window=0.25,
-                            command_service_time=0.002)
     primary = collab.add_app(1, SyntheticApp, "recovery-target",
                              acl={"bench": "write", "observer": "read"},
-                             config=interactive)
+                             config=INTERACTIVE_APP)
     collab.sim.run(until=collab.sim.now + 2.0)  # app registers
     app_id = primary.app_id
     victim = collab.server_of(1)
@@ -504,24 +490,17 @@ def run_recovery_drill(*, n_commands: int = 10,
     waiter = collab.add_portal(1)
     state: dict = {}
 
-    def driver_setup():
-        yield from driver.login("bench")
-        session = yield from driver.open(app_id)
+    def join_and_lock(portal, who):
+        yield from portal.login("bench")
+        session = yield from portal.open(app_id)
         yield from session.join_group("scientists")
-        state["driver_lock"] = yield from session.acquire_lock()
-        state["driver"] = session
+        state[f"{who}_lock"] = yield from session.acquire_lock()
+        state[who] = session
 
-    proc = collab.sim.spawn(driver_setup(), name="driver-setup")
-    collab.sim.run(until=proc)
-
-    def waiter_setup():
-        yield from waiter.login("bench")
-        session = yield from waiter.open(app_id)
-        yield from session.join_group("scientists")
-        state["waiter_lock"] = yield from session.acquire_lock()
-
-    proc = collab.sim.spawn(waiter_setup(), name="waiter-setup")
-    collab.sim.run(until=proc)
+    run_process(collab.sim, join_and_lock(driver, "driver"),
+                name="driver-setup")
+    run_process(collab.sim, join_and_lock(waiter, "waiter"),
+                name="waiter-setup")
 
     def drive_commands():
         session = state["driver"]
@@ -529,17 +508,19 @@ def run_recovery_drill(*, n_commands: int = 10,
             yield collab.sim.timeout(command_interval)
             yield from session.set_param("gain", float(i % 100))
 
-    proc = collab.sim.spawn(drive_commands(), name="driver-commands")
-    collab.sim.run(until=proc)
+    run_process(collab.sim, drive_commands(), name="driver-commands")
 
-    pre = {
-        "sessions": victim.collab.session_count(),
-        "holder": victim.locks.holder_of(app_id),
-        "queue": victim.locks.queue_length(app_id),
-        "members_all": victim.collab.members_of(app_id),
-        "members_sci": victim.collab.members_of(app_id, "scientists"),
-        "interactions": victim.archive.interaction_count(app_id),
-    }
+    def planes_of(server):
+        return {
+            "sessions": server.collab.session_count(),
+            "holder": server.locks.holder_of(app_id),
+            "queue": server.locks.queue_length(app_id),
+            "members_all": server.collab.members_of(app_id),
+            "members_sci": server.collab.members_of(app_id, "scientists"),
+            "interactions": server.archive.interaction_count(app_id),
+        }
+
+    pre = planes_of(victim)
     wal_appends = victim.storage_metrics.get("wal_appends")
     pre_snapshots = victim.storage_metrics.get("snapshots")
 
@@ -549,15 +530,7 @@ def run_recovery_drill(*, n_commands: int = 10,
     server2, report = collab.restart_server(victim_name)
     collab.run_bootstrap()
     collab.sim.run(until=collab.sim.now + settle)
-
-    post = {
-        "sessions": server2.collab.session_count(),
-        "holder": server2.locks.holder_of(app_id),
-        "queue": server2.locks.queue_length(app_id),
-        "members_all": server2.collab.members_of(app_id),
-        "members_sci": server2.collab.members_of(app_id, "scientists"),
-        "interactions": server2.archive.interaction_count(app_id),
-    }
+    post = planes_of(server2)
 
     # -- latecomer catch-up across the WAN from the recovered archive -----
     late = collab.add_portal(0)
@@ -570,8 +543,7 @@ def run_recovery_drill(*, n_commands: int = 10,
             n=max(100, n_commands))
         records["app_log"] = yield from session.replay_app_log()
 
-    proc = collab.sim.spawn(latecomer(), name="latecomer")
-    collab.sim.run(until=proc)
+    run_process(collab.sim, latecomer(), name="latecomer")
 
     row = {
         "victim": victim_name,
@@ -599,22 +571,16 @@ def run_recovery_drill(*, n_commands: int = 10,
 
 def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
                         outage: float = 2.0, settle: float = 5.0,
-                        wan_latency: float = 0.030,
-                        heartbeat_period: float = 0.25,
-                        gossip_period: float = 0.5,
-                        peer_call_timeout: float = 0.5,
-                        command_interval: float = 0.5,
-                        response_timeout: float = 2.0,
                         bucket_width: float = 1.0,
                         breach_threshold: float = 0.01,
                         warmup: float = 2.0):
     """E13: kill-and-recover, observed entirely through the telemetry plane.
 
-    The E10 fault shape (three domains, replica app, resilient client)
-    plus the E12 recovery (the victim restarts after ``outage`` and
-    rejoins), but every headline number is *queried from the time-series
-    store* rather than read off live collectors — the drill that proves
-    the plane supports post-hoc fleet-wide analysis:
+    The E10b fault shape (:func:`_start_kill_drill`) plus the E12
+    recovery (the victim restarts after ``outage`` and rejoins), but
+    every headline number is *queried from the time-series store* rather
+    than read off live collectors — the drill that proves the plane
+    supports post-hoc fleet-wide analysis:
 
     - **detection**: the fleet-merged per-bucket error rate
       (``pipeline.errors.http`` over ``pipeline.requests.http``) first
@@ -634,49 +600,13 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
     ``merged`` is the fleet-merged
     :class:`~repro.obs.TimeSeriesRegistry` for further queries.
     """
-    from repro.apps import SyntheticApp
-    from repro.bench.workload import resilient_steering_client
-    from repro.core.deployment import reset_runtime_ids
-    from repro.steering import AppConfig
-
     # id-counter digits feed wire sizes, so the ledger's byte totals are
     # only run-deterministic if every drill starts from the same seeds
     reset_runtime_ids()
-    spec = LinkSpec(wan_latency=wan_latency)
-    collab = build_collaboratory(3, apps_hosts_per_domain=1,
-                                 client_hosts_per_domain=1, spec=spec,
-                                 health_period=heartbeat_period,
-                                 health_gossip_period=gossip_period,
-                                 timeseries_bucket_width=bucket_width)
-    for server in collab.servers.values():
-        server.peer_call_timeout = peer_call_timeout
-    collab.run_bootstrap()
-    interactive = AppConfig(steps_per_phase=1, step_time=0.005,
-                            interaction_window=0.25,
-                            command_service_time=0.002)
-    primary = collab.add_app(1, SyntheticApp, "drill-target",
-                             acl={"bench": "write"}, config=interactive)
-    collab.add_app(2, SyntheticApp, "drill-target",
-                   acl={"bench": "write"}, config=interactive)
-    collab.sim.run(until=collab.sim.now + 2.0)  # apps register
-
-    victim = collab.server_of(1)
+    collab, victim, t0, counts, kill_time = _start_kill_drill(
+        "drill-target", duration=duration, kill_at=kill_at,
+        response_timeout=2.0, timeseries_bucket_width=bucket_width)
     victim_name = victim.name
-    portal = collab.add_portal(0)
-    counts: dict = {}
-    t0 = collab.sim.now
-    collab.sim.spawn(resilient_steering_client(
-        portal, primary.app_id, user="bench", duration=duration,
-        command_interval=command_interval, counts=counts,
-        response_timeout=response_timeout))
-    kill_time = {}
-
-    def killer():
-        yield collab.sim.timeout(kill_at)
-        kill_time["t"] = collab.sim.now
-        victim.stop()
-
-    collab.sim.spawn(killer(), name="telemetry-drill-killer")
 
     # crash → outage → restart → recovery, with the client steering
     # through all of it; the victim's pre-kill series are captured before
@@ -759,7 +689,6 @@ def scrape_status(collab, *, domain_index: int = 0, path: str = "/status",
     def scrape():
         result["body"] = yield from client.get(path, params)
 
-    proc = collab.sim.spawn(scrape(), name="status-scrape")
-    collab.sim.run(until=proc)
+    run_process(collab.sim, scrape(), name="status-scrape")
     client.close()
     return result["body"]

@@ -8,10 +8,16 @@ produces a JSON report::
 
     PYTHONPATH=src python -m repro.bench.wallclock --output BENCH_1.json
 
-The suite times the wire fast path (sizing, encoding, the single-encode
-broadcast fan-out), raw network delivery, and two end-to-end scenarios
-(E1 app scalability, E2 client scalability) in wall seconds.  ``--quick``
-runs a reduced version suitable for CI smoke checks.
+The suite times the inputs nothing else times: the wire fast path
+(sizing, encoding, the single-encode broadcast fan-out), raw network
+delivery, the broadcast/poll loop, the storage journal, and one
+fleet-scale arm (``e2e/E1_n1000``).  End-to-end E1/E2/E11/E12 timing and
+the planes' on/off price live in ``perf/`` (the benchmark of record:
+``app_updates`` vs ``app_updates_bare``, ``client_polls``,
+``fleet_sessions``, ``crash_recovery``); the ``e2e/*`` arms that timed
+them here a second way are gone, so ``BENCH_1–3.json`` are history for
+those names.  ``--quick`` runs a reduced version suitable for CI smoke
+checks.
 """
 
 from __future__ import annotations
@@ -187,130 +193,29 @@ def bench_broadcast(quick: bool = False, n_subscribers: int = 30) -> List[Dict]:
 
 
 # ---------------------------------------------------------------------------
-# macro: end-to-end scenarios (virtual experiments, wall seconds)
+# macro: the one fleet-scale end-to-end arm
 # ---------------------------------------------------------------------------
 
-def _best_of(fn: Callable[[], Dict], rounds: int) -> (float, Dict):
-    """Fastest wall time over ``rounds`` runs of a scenario (the minimum is
-    the least noisy estimator — single-shot e2e numbers on a shared box
-    carry scheduler jitter larger than real hot-path changes)."""
-    best, row = float("inf"), None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        row = fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-    return best, row
-
-
 def bench_end_to_end(quick: bool = False) -> List[Dict]:
-    from repro.bench.scenarios import (
-        run_app_scalability,
-        run_client_scalability,
-    )
+    """1000 registered applications against one server, best of three.
 
-    duration = 3.0 if quick else 15.0
-    rounds = 1 if quick else 3
-    results = []
-    best, row = _best_of(lambda: run_app_scalability(10, duration=duration),
-                         rounds)
-    results.append(_entry("e2e/E1_app_scalability_n10", best,
-                          note=f"virtual duration {duration}s, "
-                               f"{row['updates_processed']} updates"))
-    best, row = _best_of(
-        lambda: run_client_scalability(10, duration=duration), rounds)
-    results.append(_entry("e2e/E2_client_scalability_n10", best,
-                          note=f"virtual duration {duration}s, "
-                               f"{row['polls']} polls"))
-    if not quick:
-        # Fleet-scale arm: 1000 registered applications against one server.
-        # Infeasible before the batched simulator core (PR 6); kept at a
-        # short virtual duration so the whole suite stays CI-sized.
-        best, row = _best_of(lambda: run_app_scalability(1000, duration=5.0),
-                             rounds)
-        results.append(_entry("e2e/E1_n1000", best,
-                              note=f"virtual duration 5.0s, "
-                                   f"{row['updates_processed']} updates"))
-    return results
-
-
-def bench_directory(quick: bool = False) -> List[Dict]:
-    """Fleet-scale E11: wall seconds for the sharded-directory workload.
-
-    Two fleet sizes at the same shard count, so the pair tracks both the
-    absolute cost of the directory plane and how it scales with servers
-    (sessions dominate; server count should be near-free).
+    Infeasible before the batched simulator core (PR 6) and not a
+    ``perf/`` workload shape; kept at a short virtual duration so the
+    suite stays CI-sized, and skipped under ``--quick``.
     """
-    from repro.bench.fleet import run_fleet_directory
-
-    rounds = 1 if quick else 3
-    sweeps = ((10, 500), (20, 500)) if quick else ((10, 2000), (50, 2000))
-    results = []
-    for n_servers, n_sessions in sweeps:
-        best, row = _best_of(
-            lambda n=n_servers, s=n_sessions: run_fleet_directory(
-                n, n_sessions=s, directory_shards=4), rounds)
-        results.append(_entry(
-            f"e2e/E11_directory_n{n_servers}_s{n_sessions}", best,
-            note=f"{row['sessions_done']} sessions, "
-                 f"p99 {row['lookup_p99_ms']:.1f}ms, "
-                 f"flatness {row['shard_load_max_over_mean']:.2f}"))
-    return results
-
-
-def bench_health_overhead(quick: bool = False) -> List[Dict]:
-    """E1 with the health plane on vs off — the plane's wall-clock tax.
-
-    The two entries share the workload exactly (same sweep, same virtual
-    duration), so their ratio is the health plane's overhead; the
-    regression gate in ``benchmarks/test_bench_wallclock.py`` asserts it
-    stays under 5%.
-    """
+    if quick:
+        return []
     from repro.bench.scenarios import run_app_scalability
 
-    duration = 3.0 if quick else 15.0
-    rounds = 1 if quick else 3
-    results = []
-    for enabled in (True, False):
-        best, _row = _best_of(
-            lambda: run_app_scalability(10, duration=duration,
-                                        health_enabled=enabled), rounds)
-        label = "on" if enabled else "off"
-        results.append(_entry(f"e2e/E1_health_{label}_n10", best,
-                              note=f"virtual duration {duration}s, "
-                                   f"health plane {label}"))
-    return results
-
-
-def bench_accounting_overhead(quick: bool = False) -> List[Dict]:
-    """E1 with the cost ledger on vs off — the accounting plane's tax.
-
-    Same shape as :func:`bench_health_overhead`: identical workload, one
-    knob flipped, so the on/off ratio is the per-request cost of the
-    attribution path (interceptor scope + counter deltas + sketch adds).
-    The gate in ``benchmarks/test_bench_wallclock.py`` asserts it stays
-    under 5%.
-    """
-    from repro.bench.scenarios import run_app_scalability
-
-    duration = 3.0 if quick else 15.0
-    rounds = 1 if quick else 3
-    results = []
-    for enabled in (True, False):
-        best, _row = _best_of(
-            lambda: run_app_scalability(10, duration=duration,
-                                        accounting_enabled=enabled), rounds)
-        label = "on" if enabled else "off"
-        results.append(_entry(f"e2e/E1_accounting_{label}_n10", best,
-                              note=f"virtual duration {duration}s, "
-                                   f"cost ledger {label}"))
-    return results
+    return [_entry("e2e/E1_n1000",
+                   time_op(lambda: run_app_scalability(1000, duration=5.0),
+                           repeat=3, number=1),
+                   note="virtual duration 5.0s, 1000 apps")]
 
 
 def bench_storage(quick: bool = False) -> List[Dict]:
-    """Durable-state-plane costs: WAL append (both backends), snapshot +
-    compaction, and the E12 crash-recovery drill end to end.
+    """Durable-state-plane costs: WAL append (both backends) and snapshot
+    + compaction.
 
     The append benches go through the :class:`~repro.storage.StateJournal`
     facade — the exact call every journaled plane mutation makes — so the
@@ -368,17 +273,6 @@ def bench_storage(quick: bool = False) -> List[Dict]:
             f"storage/snapshot_compact_tail{tail}",
             time_op(snap_cycle, repeat=repeat, number=1), ops=tail,
             note=f"append {tail} records + snapshot + compact (JSONL)"))
-
-    from repro.bench.scenarios import run_recovery_drill
-
-    rounds = 1 if quick else 3
-    best, row = _best_of(
-        lambda: run_recovery_drill()[0], rounds)
-    results.append(_entry(
-        "e2e/E12_recovery_drill", best,
-        note=f"{row['recovered_sessions']} sessions recovered, "
-             f"{row['wal_replayed']} replayed, "
-             f"recovery {row['recovery_wall_ms']:.2f}ms"))
     return results
 
 
@@ -390,9 +284,7 @@ def run_suite(quick: bool = False) -> Dict:
     """Run every wall-clock bench; returns the full report dict."""
     benchmarks: List[Dict] = []
     for group in (bench_wire, bench_network, bench_broadcast,
-                  bench_end_to_end, bench_health_overhead,
-                  bench_accounting_overhead,
-                  bench_directory, bench_storage):
+                  bench_end_to_end, bench_storage):
         benchmarks.extend(group(quick=quick))
     return {
         "schema": SCHEMA,
@@ -449,7 +341,7 @@ def export_log(path: str) -> Dict:
     order — sim-time-stamped, trace-correlated, machine-readable.  Like
     :func:`export_trace`, this is a side artifact, never timed.
     """
-    from repro.bench.scenarios import run_fault_injection
+    from repro.bench.experiments import EXPERIMENTS
 
     lines = 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -458,8 +350,7 @@ def export_log(path: str) -> Dict:
             fh.write(line + "\n")
             lines += 1
 
-        row, _collab = run_fault_injection(duration=15.0, kill_at=5.0,
-                                           log_sink=sink)
+        (row,), _collab = EXPERIMENTS["E10b"].run(quick=True, log_sink=sink)
     return {
         "path": path,
         "records": lines,

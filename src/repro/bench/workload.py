@@ -21,6 +21,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.steering import SteerableApplication
 
 
+#: an interaction-dominant application — one short step per phase, a wide
+#: interaction window — so command latency measures the middleware path
+#: (HTTP + server + optional CORBA relay), not compute-phase buffering
+INTERACTIVE_APP = AppConfig(steps_per_phase=1, step_time=0.005,
+                            interaction_window=0.25,
+                            command_service_time=0.002)
+
+
+def run_process(sim, generator, name: Optional[str] = None):
+    """Spawn ``generator`` and run the clock until it ends; returns its
+    return value."""
+    return sim.run(until=sim.spawn(generator, name=name))
+
+
 def bench_app_config(update_period: float = 0.5,
                      steps_per_phase: int = 10) -> AppConfig:
     """Application cadence used across benchmarks: one update per
@@ -52,8 +66,7 @@ def make_app_farm(collab: "Collaboratory", n_apps: int, *,
 
 def polling_client(portal: DiscoverPortal, app_id: str, *, user: str,
                    duration: float, poll_interval: float,
-                   recorder: LatencyRecorder, warmup: float = 0.0,
-                   op: str = "poll_rtt"):
+                   recorder: LatencyRecorder, warmup: float = 0.0):
     """Process: log in, open the app, poll on a cadence, record poll RTTs.
 
     The client-visible metric of E2: the round-trip time of each poll
@@ -71,7 +84,7 @@ def polling_client(portal: DiscoverPortal, app_id: str, *, user: str,
         except HttpError:
             break
         if sim.now >= warm_until:
-            recorder.record(op, sim.now - t0)
+            recorder.record("poll_rtt", sim.now - t0)
         remaining = deadline - sim.now
         if remaining <= 0:
             break
@@ -80,11 +93,9 @@ def polling_client(portal: DiscoverPortal, app_id: str, *, user: str,
 
 def steering_client(portal: DiscoverPortal, app_id: str, *, user: str,
                     duration: float, command_interval: float,
-                    recorder: LatencyRecorder, op: str = "steer_rtt",
-                    command: str = "get_param",
-                    args: Optional[dict] = None,
+                    recorder: LatencyRecorder,
                     poll_interval: float = 0.05):
-    """Process: repeatedly issue a command and wait for its response.
+    """Process: repeatedly read a parameter and wait for the response.
 
     Records command→response latency — the E6 metric (response latency for
     local vs remote applications).
@@ -93,30 +104,26 @@ def steering_client(portal: DiscoverPortal, app_id: str, *, user: str,
     yield from portal.login(user)
     session = yield from portal.open(app_id)
     deadline = sim.now + duration
-    issued = 0
     while sim.now < deadline:
         t0 = sim.now
         try:
-            request_id = yield from session.command(
-                command, args or {"name": "gain"})
+            request_id = yield from session.command("get_param",
+                                                    {"name": "gain"})
             yield from portal.wait_response(request_id, timeout=duration,
                                             poll_interval=poll_interval)
         except (PortalError, HttpError):
             break
-        recorder.record(op, sim.now - t0)
-        issued += 1
+        recorder.record("steer_rtt", sim.now - t0)
         remaining = deadline - sim.now
         if remaining <= 0:
             break
         yield sim.timeout(min(command_interval, remaining))
-    return issued
 
 
 def update_watching_client(portal: DiscoverPortal, app_id: str, *,
                            user: str, duration: float,
                            poll_interval: float,
-                           recorder: LatencyRecorder,
-                           op: str = "update_latency"):
+                           recorder: LatencyRecorder):
     """Process: poll and record app-timestamp→client-receipt update latency.
 
     The E5 metric: how stale an update is by the time a collaborating
@@ -133,7 +140,8 @@ def update_watching_client(portal: DiscoverPortal, app_id: str, *,
             update = portal.updates[seen]
             seen += 1
             if update.timestamp > 0:
-                recorder.record(op, sim.now - update.timestamp)
+                recorder.record("update_latency",
+                                sim.now - update.timestamp)
         remaining = deadline - sim.now
         if remaining <= 0:
             break
@@ -143,43 +151,33 @@ def update_watching_client(portal: DiscoverPortal, app_id: str, *,
 def resilient_steering_client(portal: DiscoverPortal, app_id: str, *,
                               user: str, duration: float,
                               command_interval: float, counts: dict,
-                              command: str = "get_param",
-                              args: Optional[dict] = None,
-                              poll_interval: float = 0.05,
-                              response_timeout: float = 5.0):
+                              response_timeout: float):
     """Process: steer on a cadence, surviving server failures.
 
     Unlike :func:`steering_client` (which stops on the first error — the
     steady-state E6 shape), this client treats failures as data: each
     command either lands (``counts["ok"]``) or fails
-    (``counts["failed"]``), with per-outcome timestamps, and the loop
-    always continues — the E10 fault-injection workload that measures
-    failover from the client's chair.
+    (``counts["failed"]``), and the loop always continues — the E10
+    fault-injection workload that measures failover from the client's
+    chair.
     """
     sim = portal.sim
-    counts.setdefault("ok", 0)
-    counts.setdefault("failed", 0)
-    counts.setdefault("ok_times", [])
-    counts.setdefault("failed_times", [])
+    counts.update(ok=0, failed=0)
     yield from portal.login(user)
     session = yield from portal.open(app_id)
     deadline = sim.now + duration
     while sim.now < deadline:
-        t0 = sim.now
         try:
-            request_id = yield from session.command(
-                command, args or {"name": "gain"})
+            request_id = yield from session.command("get_param",
+                                                    {"name": "gain"})
             yield from portal.wait_response(request_id,
                                             timeout=response_timeout,
-                                            poll_interval=poll_interval)
+                                            poll_interval=0.05)
         except (PortalError, HttpError):
             counts["failed"] += 1
-            counts["failed_times"].append(t0)
         else:
             counts["ok"] += 1
-            counts["ok_times"].append(t0)
         remaining = deadline - sim.now
         if remaining <= 0:
             break
         yield sim.timeout(min(command_interval, remaining))
-    return counts

@@ -29,129 +29,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Tuple
 
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.report import format_pipeline_summary, format_table
-from repro.bench.scenarios import (
-    run_app_scalability,
-    run_client_scalability,
-    run_collab_scenario,
-    run_remote_vs_local,
-)
-
-
-def _exp_e1(quick: bool) -> Tuple[List[dict], List[str]]:
-    sweep = (10, 40, 60) if quick else (10, 20, 30, 40, 50, 60, 70)
-    duration = 10.0 if quick else 20.0
-    rows = [run_app_scalability(n, duration=duration) for n in sweep]
-    return rows, ["n_apps", "mean_lag_ms", "p90_lag_ms",
-                  "throughput_per_s", "saturated"]
-
-
-def _exp_e2(quick: bool) -> Tuple[List[dict], List[str]]:
-    sweep = (5, 20, 30) if quick else (5, 10, 15, 20, 25, 30, 40)
-    duration = 10.0 if quick else 20.0
-    rows = [run_client_scalability(n, duration=duration) for n in sweep]
-    return rows, ["n_clients", "mean_rtt_ms", "p90_rtt_ms", "polls"]
-
-
-def _exp_e4(quick: bool) -> Tuple[List[dict], List[str]]:
-    duration = 10.0 if quick else 20.0
-    rows = [run_collab_scenario(mode=m, duration=duration,
-                                wan_latency=0.060)
-            for m in ("central", "p2p")]
-    return rows, ["mode", "clients", "wan_messages", "wan_bytes",
-                  "mean_update_latency_ms"]
-
-
-def _exp_e5(quick: bool) -> Tuple[List[dict], List[str]]:
-    duration = 10.0 if quick else 20.0
-    lats = (0.020, 0.120) if quick else (0.020, 0.060, 0.120)
-    rows = [run_collab_scenario(mode=m, duration=duration, wan_latency=w)
-            for w in lats for m in ("central", "p2p")]
-    return rows, ["mode", "wan_latency_ms", "mean_update_latency_ms",
-                  "p90_update_latency_ms"]
-
-
-def _exp_e6(quick: bool) -> Tuple[List[dict], List[str]]:
-    duration = 10.0 if quick else 20.0
-    rows = [run_remote_vs_local(remote=r, duration=duration)
-            for r in (False, True)]
-    return rows, ["placement", "mean_steer_rtt_ms", "p90_steer_rtt_ms",
-                  "throughput_per_s"]
-
-
-def _exp_e11(quick: bool) -> Tuple[List[dict], List[str]]:
-    from repro.bench.fleet import run_fleet_directory
-    if quick:
-        sweeps = ((10, 1000, 4), (20, 1000, 4))
-    else:
-        sweeps = ((50, 20_000, 8), (100, 20_000, 8), (200, 20_000, 8))
-    rows = [run_fleet_directory(n, n_sessions=s, directory_shards=shards)
-            for n, s, shards in sweeps]
-    return rows, ["n_servers", "n_shards", "sessions", "sessions_done",
-                  "sessions_failed", "lookup_p50_ms", "lookup_p99_ms",
-                  "shard_load_max_over_mean"]
-
-
-def _exp_e12(quick: bool) -> Tuple[List[dict], List[str]]:
-    from repro.bench.scenarios import run_recovery_drill
-    n_commands = 10 if quick else 25
-    row, collab = run_recovery_drill(n_commands=n_commands)
-    collab.stop()
-    return [row], ["victim", "pre_sessions", "recovered_sessions",
-                   "lock_preserved", "groups_preserved",
-                   "recovered_interactions", "wal_replayed",
-                   "catchup_records", "recovery_wall_ms"]
-
-
-def _exp_e13(quick: bool) -> Tuple[List[dict], List[str]]:
-    from repro.bench.scenarios import run_telemetry_drill
-    duration = 15.0 if quick else 30.0
-    kill_at = 5.0 if quick else 10.0
-    row, collab, _merged = run_telemetry_drill(duration=duration,
-                                               kill_at=kill_at)
-    collab.stop()
-    return [row], ["victim", "bucket_width_s", "kill_at_s",
-                   "breach_delay_s", "p99_baseline_ms", "p99_recovered_ms",
-                   "p99_ratio", "commands_ok", "commands_failed",
-                   "merged_series", "merged_points"]
-
-
-def _run_e14(quick: bool, profiler=None):
-    from repro.bench.fleet import run_noisy_neighbor_drill
-    if quick:
-        return run_noisy_neighbor_drill(10, n_sessions=300,
-                                        directory_shards=4, duration=20.0,
-                                        flood_start=5.0, flood_rate=100.0,
-                                        profiler=profiler)
-    return run_noisy_neighbor_drill(profiler=profiler)
-
-
-def _exp_e14(quick: bool) -> Tuple[List[dict], List[str]]:
-    row, fleet = _run_e14(quick)
-    fleet.stop()
-    return [row], ["n_servers", "flooder", "flood_lookups",
-                   "flood_noise_frames", "partition_exact", "principals",
-                   "flooder_top_all_dims", "detection_latency_max_s",
-                   "bucket_width_s"]
-
-
-EXPERIMENTS: Dict[str, Tuple[str, Callable]] = {
-    "E1": ("applications per server (>40 supported)", _exp_e1),
-    "E2": ("HTTP clients per server (~20, then degradation)", _exp_e2),
-    "E4": ("WAN collaboration traffic, central vs P2P", _exp_e4),
-    "E5": ("client update latency vs WAN distance", _exp_e5),
-    "E6": ("steering latency, local vs remote application", _exp_e6),
-    "E11": ("sharded directory: flat shard load, p99 independent of "
-            "fleet size", _exp_e11),
-    "E12": ("kill → restart → recover sessions, locks, archive from "
-            "snapshot + WAL", _exp_e12),
-    "E13": ("telemetry plane: error-rate breach within one bucket of a "
-            "kill, merged p99 recovers within 10%", _exp_e13),
-    "E14": ("cost attribution: exact per-principal partition, noisy "
-            "neighbor tops every dimension within one bucket", _exp_e14),
-}
+from repro.bench.scenarios import run_app_scalability, scrape_status
 
 
 def cmd_info(_args) -> int:
@@ -164,25 +45,31 @@ def cmd_info(_args) -> int:
 
 def cmd_experiments(_args) -> int:
     print("runnable experiments (see benchmarks/ for the full suite):")
-    for exp_id, (claim, _fn) in EXPERIMENTS.items():
-        print(f"  {exp_id}: {claim}")
+    for exp_id, entry in EXPERIMENTS.items():
+        print(f"  {exp_id}: {entry.claim}")
     return 0
 
 
 def cmd_run(args) -> int:
-    exp_id = args.experiment.upper()
-    entry = EXPERIMENTS.get(exp_id)
-    if entry is None:
-        print(f"unknown experiment {exp_id!r}; try `experiments`",
-              file=sys.stderr)
+    """Print one experiment's table, then enforce its acceptance facts."""
+    by_upper = {exp_id.upper(): exp_id for exp_id in EXPERIMENTS}
+    exp_id = by_upper.get(args.experiment.upper())
+    if exp_id is None:
+        print(f"unknown experiment {args.experiment.upper()!r}; "
+              f"try `experiments`", file=sys.stderr)
         return 2
-    claim, fn = entry
-    rows, columns = fn(args.quick)
-    print(format_table(rows, columns, title=f"{exp_id}: {claim}"))
+    entry = EXPERIMENTS[exp_id]
+    rows, _live = entry.run(args.quick)
+    print(format_table(rows, entry.columns,
+                       title=f"{exp_id}: {entry.claim}"))
     summary = format_pipeline_summary(rows)
     if summary:
         print(summary)
-    return 0
+    violated = entry.check(rows)
+    for fact in violated:
+        print(f"{exp_id}: acceptance fact violated: {fact}",
+              file=sys.stderr)
+    return 1 if violated else 0
 
 
 def cmd_trace(args) -> int:
@@ -246,19 +133,9 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _fault_deployment(args):
-    """Run the E10 fault-injection scenario the status views render from."""
-    from repro.bench.scenarios import run_fault_injection
-    duration = 15.0 if args.quick else 30.0
-    kill_at = 5.0 if args.quick else 10.0
-    return run_fault_injection(duration=duration, kill_at=kill_at)
-
-
 def cmd_status(args) -> int:
     """Fleet health after the fault-injection scenario (operator view)."""
-    from repro.bench.scenarios import scrape_status
-
-    row, collab = _fault_deployment(args)
+    (row,), collab = EXPERIMENTS["E10b"].run(args.quick)
     if args.prom:
         print(scrape_status(collab, params={"format": "prom"}))
         return 0
@@ -284,9 +161,7 @@ def cmd_status(args) -> int:
 
 def cmd_alerts(args) -> int:
     """Alert history after the fault-injection scenario."""
-    from repro.bench.scenarios import scrape_status
-
-    row, collab = _fault_deployment(args)
+    (row,), collab = EXPERIMENTS["E10b"].run(args.quick)
     body = scrape_status(collab, path="/status/alerts")
     for label in ("active", "history"):
         records = body[label]
@@ -312,12 +187,7 @@ def cmd_tsdb(args) -> int:
             merged = TimeSeriesRegistry.from_dict(json.load(fh))
         print(f"loaded {len(merged.names())} series from {args.input}")
     else:
-        from repro.bench.scenarios import run_telemetry_drill
-        duration = 15.0 if args.quick else 30.0
-        kill_at = 5.0 if args.quick else 10.0
-        row, collab, merged = run_telemetry_drill(duration=duration,
-                                                  kill_at=kill_at)
-        collab.stop()
+        (row,), merged = EXPERIMENTS["E13"].run(args.quick)
         print(f"telemetry drill: victim={row['victim']} "
               f"breach_delay_s={row['breach_delay_s']} "
               f"p99_baseline_ms={row['p99_baseline_ms']} "
@@ -378,7 +248,7 @@ def cmd_costs(args) -> int:
 
     from repro.obs import format_cost_report
 
-    row, fleet = _run_e14(quick=not args.full)
+    (row,), fleet = EXPERIMENTS["E14"].run(quick=not args.full)
     ledger = fleet.ledger
     print(f"noisy-neighbor drill: flooder={row['flooder']} "
           f"partition_exact={row['partition_exact']} "
@@ -408,7 +278,8 @@ def cmd_profile(args) -> int:
 
     profiler = DispatchProfiler(interval_us=args.interval_us)
     if args.scenario == "e14":
-        row, fleet = _run_e14(quick=not args.full, profiler=profiler)
+        (row,), fleet = EXPERIMENTS["E14"].run(quick=not args.full,
+                                               profiler=profiler)
         fleet.stop()
         print(f"profiled E14 drill: sessions_done={row['sessions_done']} "
               f"flood_lookups={row['flood_lookups']} "

@@ -40,7 +40,7 @@ class DiscoverPortal:
     """A user's connection to their local DISCOVER server."""
 
     def __init__(self, host: "Host", server_host: str,
-                 http_port: int = 80, tracer=None) -> None:
+                 tracer=None) -> None:
         self.host = host
         self.sim = host.sim
         if tracer is None:
@@ -49,7 +49,7 @@ class DiscoverPortal:
             from repro.obs import SAMPLE_OFF, Tracer
             tracer = Tracer(sampling=SAMPLE_OFF, clock=lambda: self.sim.now)
         self.tracer = tracer
-        self.http = HttpClient(host, server_host, http_port)
+        self.http = HttpClient(host, server_host)
         self.server_host = server_host
         self.user: Optional[str] = None
         self.client_id: Optional[str] = None

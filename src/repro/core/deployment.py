@@ -221,7 +221,6 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                         cost_model: Optional[CostModel] = None,
                         server_cpus: int = 1,
                         client_buffer_capacity: float = float("inf"),
-                        trader_match_cost: float = 0.0008,
                         use_directory: bool = False,
                         directory_shards: int = 1,
                         directory_replicas: int = 1,
@@ -278,7 +277,7 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                  spec.lan_latency, spec.lan_bandwidth, kind="lan")
     registry_orb = Orb(registry_host, cost_model=costs, tracer=tracer)
     naming = NamingService()
-    trader = TraderService(naming, sim=sim, match_cost=trader_match_cost)
+    trader = TraderService(naming, sim=sim, match_cost=costs.trader_match_cost)
     naming_ref = registry_orb.activate(naming, key=NamingService.OBJECT_KEY)
     trader_ref = registry_orb.activate(trader, key=TraderService.OBJECT_KEY)
     directory = None

@@ -14,6 +14,8 @@ by all the servers".
 
 from __future__ import annotations
 
+import itertools
+
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core import handlers
@@ -81,7 +83,6 @@ class DiscoverServer:
                  update_mode: str = "push",
                  update_poll_interval: float = 0.5,
                  remote_access: str = "relay",
-                 http_port: int = 80,
                  tracer=None,
                  health_period: float = 0.5,
                  health_gossip_period: Optional[float] = None,
@@ -120,6 +121,8 @@ class DiscoverServer:
             raise ValueError(f"unknown remote_access {remote_access!r}")
         self.remote_access = remote_access
         self._schedules: Dict[str, Any] = {}
+        #: monotonic, so an ended schedule's id is never handed out again
+        self._schedule_seq = itertools.count(1)
 
         # -- time-series telemetry plane (§ DESIGN 4h) ----------------------
         #: sim-time metric streams every collector sinks into alongside
@@ -184,7 +187,7 @@ class DiscoverServer:
                                  server=self.name, tracer=tracer,
                                  sink=log_sink)
         self.container = ServletContainer(
-            host, port=http_port, cost_model=self.costs,
+            host, cost_model=self.costs,
             pipeline=self._build_pipeline(PLANE_HTTP))
         self.daemon = DaemonService(
             self, pipeline=self._build_pipeline(PLANE_CHANNEL))
@@ -599,7 +602,7 @@ class DiscoverServer:
         self.collab.session(client_id)  # validate
         if period <= 0:
             raise ValueError("period must be positive")
-        schedule_id = f"sched-{client_id}-{len(self._schedules) + 1}"
+        schedule_id = f"sched-{client_id}-{next(self._schedule_seq)}"
         proc = self.sim.spawn(
             self._run_schedule(schedule_id, client_id, app_id, command,
                                dict(args or {}), period, count),

@@ -18,7 +18,7 @@ seconds, sizes in bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -44,8 +44,6 @@ class CostModel:
     corba_call_cost: float = 0.006
     #: per-byte marshalling cost (CDR encode + decode)
     corba_per_byte: float = 8.0e-8
-    #: naming-service resolve cost at the naming host
-    naming_resolve_cost: float = 0.003
     #: trader query cost per offer examined
     trader_match_cost: float = 0.0008
 
@@ -88,5 +86,3 @@ class LinkSpec:
     #: bandwidth links (~100 MB)"; latency is the experimental variable)
     wan_bandwidth: float = 100e6 / 8
     wan_latency: float = 0.030
-
-    extras: dict = field(default_factory=dict)

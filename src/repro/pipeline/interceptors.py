@@ -28,7 +28,7 @@ in CI).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.core.collaboration import CollaborationError
 from repro.core.locking import LockError
@@ -91,14 +91,10 @@ class AdmissionInterceptor(Interceptor):
 
     name = "admission"
 
-    def __init__(self, policies: PolicyManager,
-                 planes: Optional[Iterable[str]] = None) -> None:
+    def __init__(self, policies: PolicyManager) -> None:
         self.policies = policies
-        self.planes = frozenset(planes) if planes is not None else None
 
     def before(self, ctx: RequestContext) -> None:
-        if self.planes is not None and ctx.plane not in self.planes:
-            return
         now = ctx.started_at if ctx.started_at is not None else 0.0
         self.policies.check(ctx.principal or "anonymous", now, ctx.size)
 

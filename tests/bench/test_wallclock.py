@@ -25,7 +25,9 @@ def test_quick_suite_report_shape(tmp_path):
     names = [e["name"] for e in report["benchmarks"]]
     assert "wire/encoded_size_update_64x64" in names
     assert "collab/broadcast_poll_30_subscribers" in names
-    assert "e2e/E1_app_scalability_n10" in names
+    assert "storage/append_memory" in names
+    # end-to-end timing lives in perf/; the quick suite has no e2e arm
+    assert not [n for n in names if n.startswith("e2e/")]
     assert all(e["per_op_us"] > 0 for e in report["benchmarks"])
     # the report must survive a JSON round trip (what BENCH_*.json holds)
     path = tmp_path / "bench.json"

@@ -84,6 +84,50 @@ def test_cancel_twice_reports_already_stopped(site):
     assert run(collab, scenario()) is False
 
 
+def test_schedule_id_not_reused_after_an_earlier_schedule_ends(site):
+    """Ids come from a monotonic counter: with ``len(_schedules) + 1`` the
+    schedule created after A ended took live B's id, so B could never be
+    cancelled and cancelling "B" stopped C instead."""
+    collab, app = site
+    portal = collab.add_portal(0)
+    server = collab.server_of(0)
+
+    def drain():
+        while (yield from portal.poll(max_items=64)):
+            pass
+        return len(portal._responses)
+
+    def scenario():
+        yield from portal.login("alice")
+        session = yield from portal.open(app.app_id)
+        a = yield from session.schedule("status", {}, period=0.2, count=1)
+        b = yield from session.schedule("status", {}, period=0.5)
+        yield collab.sim.timeout(1.0)  # A fired once and ended; B is live
+        b_proc = server._schedules[b]
+        c = yield from session.schedule("status", {}, period=0.5)
+        c_proc = server._schedules[c]
+        stopped_b = yield from session.unschedule(b)
+        liveness = (b_proc.is_alive, c_proc.is_alive)
+        n1 = yield from drain()
+        yield collab.sim.timeout(2.0)
+        n2 = yield from drain()  # only C can have fired in between
+        stopped_c = yield from session.unschedule(c)
+        n3 = yield from drain()
+        yield collab.sim.timeout(2.0)
+        n4 = yield from drain()
+        return (a, b, c), stopped_b, liveness, (n1, n2), stopped_c, (n3, n4)
+
+    ids, stopped_b, liveness, (n1, n2), stopped_c, (n3, n4) = run(
+        collab, scenario())
+    assert len(set(ids)) == 3
+    assert stopped_b is True
+    assert liveness == (False, True)  # B is dead, C untouched
+    assert n2 >= n1 + 3               # C kept firing after B's cancel
+    assert stopped_c is True
+    assert n4 == n3                   # neither B nor C fires any more
+    assert not server._schedules
+
+
 def test_cannot_cancel_someone_elses_schedule(site):
     collab, app = site
     alice = collab.add_portal(0)

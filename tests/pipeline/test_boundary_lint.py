@@ -33,14 +33,14 @@ def test_federation_lint_catches_stub_usage(tmp_path):
         "    if server.is_local_app(app_id):\n"
         "        return server.proxy_stub(app_id, None)\n"
         "    return peer_stub\n")
-    hits = lint.federation_leaks(bad)
-    assert sorted(name for _, name in hits) == [
-        "is_local_app", "peer_stub", "proxy_stub"]
+    hits = lint.leaks("federation", bad)
+    assert sorted(what for _, what in hits) == [
+        "uses 'is_local_app'", "uses 'peer_stub'", "uses 'proxy_stub'"]
     ok = tmp_path / "ok.py"
     ok.write_text(
         "def handler(registry, app_id):\n"
         "    return registry.remote_proxy_stub(app_id)\n")
-    assert lint.federation_leaks(ok) == []
+    assert lint.leaks("federation", ok) == []
 
 
 def test_obs_lint_catches_span_internals(tmp_path):
@@ -58,7 +58,7 @@ def test_obs_lint_catches_span_internals(tmp_path):
         "def record(store):\n"
         "    store.add(Span(1, 2, None, 'op', 'http', 's', 0.0, 1.0))\n"
         "    return TraceContext(1, 2)\n")
-    hits = lint.obs_leaks(bad)
+    hits = lint.leaks("obs", bad)
     assert any("repro.obs.span" in what for _, what in hits)
     assert any("repro.obs.store" in what for _, what in hits)
     assert any("'Span'" in what for _, what in hits)
@@ -69,7 +69,7 @@ def test_obs_lint_catches_span_internals(tmp_path):
         "def trace(tracer, sim):\n"
         "    with tracer.span('op', plane='http', server='s'):\n"
         "        return tracer.current_context()\n")
-    assert lint.obs_leaks(ok) == []
+    assert lint.leaks("obs", ok) == []
 
 
 def test_storage_lint_catches_wal_internals(tmp_path):
@@ -87,7 +87,7 @@ def test_storage_lint_catches_wal_internals(tmp_path):
         "def rebuild(backend):\n"
         "    wal = WriteAheadLog(backend)\n"
         "    return [WalRecord.from_entry(e) for e in backend.entries()]\n")
-    hits = lint.storage_leaks(bad)
+    hits = lint.leaks("storage", bad)
     assert any("repro.storage.wal" in what for _, what in hits)
     assert any("repro.storage.backends" in what for _, what in hits)
     assert any("'WriteAheadLog'" in what for _, what in hits)
@@ -99,7 +99,7 @@ def test_storage_lint_catches_wal_internals(tmp_path):
         "    journal = StateJournal(MemoryBackend())\n"
         "    journal.append('db.insert', {})\n"
         "    return journal.recover()\n")
-    assert lint.storage_leaks(ok) == []
+    assert lint.leaks("storage", ok) == []
 
 
 def test_core_file_io_lint(tmp_path):
@@ -116,7 +116,7 @@ def test_core_file_io_lint(tmp_path):
         "    with open('/tmp/state.json', 'w') as fh:\n"
         "        fh.write(str(state))\n"
         "    return io.open('/tmp/log', 'a')\n")
-    hits = lint.core_file_io(bad)
+    hits = lint.leaks("core-io", bad)
     assert sorted(what for _, what in hits) == ["calls io.open()",
                                                 "calls open()"]
     ok = tmp_path / "ok.py"
@@ -124,4 +124,4 @@ def test_core_file_io_lint(tmp_path):
         "def persist(journal, state):\n"
         "    journal.append('db.insert', state)\n"
         "    session = mgr.open_session()\n")  # method named open is fine
-    assert lint.core_file_io(ok) == []
+    assert lint.leaks("core-io", ok) == []

@@ -42,11 +42,9 @@ BASELINE = Path(__file__).resolve().parents[1] / "COSTS_BASELINE.json"
 
 def measured_costs() -> dict:
     """Per-(plane/operation) deterministic cost dims from the quick drill."""
-    from repro.bench.fleet import run_noisy_neighbor_drill
+    from repro.bench.experiments import EXPERIMENTS
 
-    row, fleet = run_noisy_neighbor_drill(
-        10, n_sessions=300, directory_shards=4, duration=20.0,
-        flood_start=5.0, flood_rate=100.0)
+    (row,), fleet = EXPERIMENTS["E14"].run(quick=True)
     ops = {}
     for op, dims in fleet.ledger.by_operation().items():
         ops[op] = {d: dims.get(d, 0) for d in GATED_DIMENSIONS}
