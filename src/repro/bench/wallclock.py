@@ -248,31 +248,46 @@ def bench_storage(quick: bool = False) -> List[Dict]:
                 repeat=repeat, number=number),
         note="StateJournal.append, in-memory backend (default)"))
 
-    with tempfile.TemporaryDirectory(prefix="bench-storage-") as tmp:
-        disk_journal = StateJournal(JsonlBackend(tmp), snapshot_every=0)
-        disk_journal.register_plane(
+    def disk_journal(tmp):
+        journal = StateJournal(JsonlBackend(tmp), snapshot_every=0)
+        journal.register_plane(
             "bench", snapshot=dict, restore=lambda s: None,
             apply=lambda e, d, at: None)
+        # archived, as the server's record store is
+        journal.register_plane("db", apply=lambda e, d, at: None)
+        return journal
+
+    with tempfile.TemporaryDirectory(prefix="bench-storage-") as tmp:
+        journal = disk_journal(tmp)
         results.append(_entry(
             "storage/append_jsonl",
-            time_op(lambda: disk_journal.append("db.insert", payload),
+            time_op(lambda: journal.append("db.insert", payload),
                     repeat=repeat, number=max(1, number // 4)),
             note="StateJournal.append, JSONL backend, flush per record"))
+        journal.backend.close()
 
-        # Snapshot + compaction over a WAL tail of fixed length.
-        tail = 100 if quick else 500
-        state = {"bench": {"rows": list(range(64))}}
+    # Snapshot + compaction over a WAL tail of fixed length, with and
+    # without a long archive behind it: a snapshot's cost must follow the
+    # tail, so the two per-op numbers belong side by side.
+    tail = 100 if quick else 500
+    for archived, suffix in ((0, ""), (5000, "_archive5000")):
+        with tempfile.TemporaryDirectory(prefix="bench-storage-") as tmp:
+            journal = disk_journal(tmp)
+            for _ in range(archived):
+                journal.append("db.insert", payload)
+            journal.take_snapshot()
 
-        def snap_cycle():
-            for i in range(tail):
-                disk_journal.append("db.insert", payload)
-            disk_journal.take_snapshot()
-            return state
+            def snap_cycle():
+                for _ in range(tail):
+                    journal.append("db.insert", payload)
+                journal.take_snapshot()
 
-        results.append(_entry(
-            f"storage/snapshot_compact_tail{tail}",
-            time_op(snap_cycle, repeat=repeat, number=1), ops=tail,
-            note=f"append {tail} records + snapshot + compact (JSONL)"))
+            results.append(_entry(
+                f"storage/snapshot_compact_tail{tail}{suffix}",
+                time_op(snap_cycle, repeat=repeat, number=1), ops=tail,
+                note=f"append {tail} records + snapshot + compact (JSONL) "
+                     f"behind {archived} archived records"))
+            journal.backend.close()
     return results
 
 

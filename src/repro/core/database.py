@@ -11,9 +11,10 @@ We keep exactly that model: named tables of append-only records with an
 ``owner`` and a ``readers`` set enforced on query.
 
 When wired to a :class:`~repro.storage.StateJournal`, every insert is
-journaled as a ``"db.insert"`` record and the whole store serializes to /
-rebuilds from a snapshot document, so a restarted server recovers its
-archive from ``snapshot + WAL tail``.
+journaled as a ``"db.insert"`` record.  The tables are append-only, so
+those records are the store's whole state: it registers as an archived
+plane (no snapshot document), and a restarted server rebuilds it by
+re-applying the journal's archive region and then the WAL tail.
 """
 
 from __future__ import annotations
@@ -150,25 +151,10 @@ class Database:
     def table_names(self) -> List[str]:
         return sorted(self._tables)
 
-    # -- durable state plane hooks --------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serialize every table to a JSON-safe document."""
-        return {name: [{"record_id": r.record_id, "owner": r.owner,
-                        "created_at": r.created_at, "data": dict(r.data),
-                        "readers": sorted(r.readers)}
-                       for r in tbl._records]
-                for name, tbl in self._tables.items()}
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild every table from a :meth:`snapshot_state` document."""
-        for name, rows in state.items():
-            tbl = self.table(name)
-            for row in rows:
-                tbl.restore(row["record_id"], row["owner"], row["data"],
-                            row["created_at"], row.get("readers"))
-
+    # -- durable state plane hook ---------------------------------------
     def apply_event(self, event: str, data: dict, at: float) -> None:
-        """Replay one journaled mutation (WAL tail during recovery)."""
+        """Replay one journaled mutation (archive or WAL tail, during
+        recovery)."""
         if event == "insert":
             self.table(data["table"]).restore(
                 data["record_id"], data["owner"], data["data"],

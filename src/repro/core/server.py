@@ -238,16 +238,15 @@ class DiscoverServer:
             self.corba_servant, key="DiscoverCorbaServer")
         handlers.mount_all(self)
 
-        # -- durable plane registration (replay order = registration order:
-        # the daemon's id sequence first, then records, proxies, sessions,
-        # locks — matching the dependency order of live mutations) ---------
+        # -- durable plane registration (restore order = registration order:
+        # the daemon's id sequence first, then proxies, sessions, locks —
+        # matching the dependency order of live mutations; the records are
+        # applied from the archive after them and depend on none) ----------
         self.journal.register_plane(
             "daemon", snapshot=self.daemon.seq_state,
             restore=self.daemon.restore_seq,
             apply=self.daemon.apply_seq_event)
-        self.journal.register_plane(
-            "db", snapshot=self.db.snapshot_state,
-            restore=self.db.restore_state, apply=self.db.apply_event)
+        self.journal.register_plane("db", apply=self.db.apply_event)
         self.journal.register_plane(
             "proxy", snapshot=self._proxy_plane_snapshot,
             restore=self._proxy_plane_restore, apply=self._proxy_plane_apply)
@@ -779,12 +778,14 @@ class DiscoverServer:
             self.sim.spawn(self.host.use_cpu(cost), name="async-cpu")
 
     def recover(self) -> RecoveryReport:
-        """Rebuild every stateful plane from the backend's snapshot + WAL
-        tail (a restarted server's first call, before it serves traffic)."""
+        """Rebuild every stateful plane from the backend's snapshot +
+        archive + WAL tail (a restarted server's first call, before it
+        serves traffic)."""
         report = self.journal.recover()
         self.log.event("server.recovered",
                        snapshot_lsn=report.snapshot_lsn,
                        last_lsn=report.last_lsn,
+                       archived=report.archived,
                        replayed=report.replayed,
                        planes=dict(report.planes))
         return report

@@ -8,16 +8,18 @@ planes are durable catalogs, not heap objects.  This package makes the
 server's planes exactly that:
 
 - :class:`StorageBackend` — the medium interface: an append-only WAL
-  region plus one snapshot slot.  :class:`MemoryBackend` (the default;
-  models a durable device that outlives the server object because the
-  deployment holds it) and :class:`JsonlBackend` (a directory with
-  ``wal.jsonl`` + ``snapshot.json``, atomic rewrites) implement it.
+  region, an append-only archive region and one snapshot slot.
+  :class:`MemoryBackend` (the default; models a durable device that
+  outlives the server object because the deployment holds it) and
+  :class:`JsonlBackend` (a directory with ``wal.jsonl`` +
+  ``archive.jsonl`` + ``snapshot.json``, atomic rewrites) implement it.
 - :class:`StateJournal` — the façade the server talks to.  Planes
-  register ``(snapshot, restore, apply)`` hooks; mutations are journaled
-  as ``plane.event`` records; every ``snapshot_every`` appends the
-  journal serializes all plane state and compacts the WAL; and
-  :meth:`StateJournal.recover` rebuilds everything from
-  ``snapshot + WAL tail`` on restart.
+  register ``(snapshot, restore, apply)`` hooks, or ``apply`` alone when
+  they are append-only logs; mutations are journaled as ``plane.event``
+  records; every ``snapshot_every`` appends the journal serializes the
+  snapshotted planes, moves the log planes' covered records to the
+  archive and compacts the WAL; and :meth:`StateJournal.recover`
+  rebuilds everything from ``snapshot + archive + WAL tail`` on restart.
 - :data:`NULL_JOURNAL` — the no-op used by standalone components, so
   journaling never needs a None check on the hot path.
 

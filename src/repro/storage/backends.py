@@ -1,11 +1,12 @@
 """Storage media for the durable state plane.
 
-A backend is dumb on purpose: it persists an ordered list of WAL entries
-and one snapshot document, both plain JSON-safe dicts.  Everything with
-semantics — LSNs, compaction policy, plane dispatch — lives above it in
-:mod:`repro.storage.wal` / :mod:`repro.storage.journal`, so swapping the
-medium (heap, JSONL directory, eventually a real database) never touches
-recovery logic.
+A backend is dumb on purpose: it persists an ordered list of WAL entries,
+an append-only archive of entries moved out of the WAL, and one snapshot
+document, all plain JSON-safe dicts.  Everything with semantics — LSNs,
+compaction policy, which entries are archived, plane dispatch — lives
+above it in :mod:`repro.storage.wal` / :mod:`repro.storage.journal`, so
+swapping the medium (heap, JSONL directory, eventually a real database)
+never touches recovery logic.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ class StorageBackend:
     """Interface every storage medium implements.
 
     The WAL region is append-only between compactions; ``reset_wal``
-    atomically replaces it (the compaction rewrite).  The snapshot slot
-    holds at most one document and is atomically replaced on save.
+    atomically replaces it (the compaction rewrite).  The archive region
+    is written once and then only read: entries are appended behind a
+    known prefix and never rewritten.  The snapshot slot holds at most
+    one document and is atomically replaced on save.
     """
 
     # -- WAL region -----------------------------------------------------
@@ -41,6 +44,19 @@ class StorageBackend:
     def wal_len(self) -> int:
         return len(self.entries())
 
+    # -- archive region -------------------------------------------------
+    def archive_append(self, entries: List[Dict], after: int) -> None:
+        """Leave the archive holding its first ``after`` entries followed
+        by ``entries``.  Anything beyond ``after`` was appended by a
+        snapshot that crashed before its document was saved, so no
+        snapshot covers it and it is overwritten here."""
+        raise NotImplementedError
+
+    def archive_entries(self, count: int) -> List[Dict]:
+        """The first ``count`` archive entries, oldest first; fewer on
+        the medium than a snapshot covers is a :class:`StorageError`."""
+        raise NotImplementedError
+
     # -- snapshot slot --------------------------------------------------
     def save_snapshot(self, snapshot: Dict) -> None:
         raise NotImplementedError
@@ -50,12 +66,18 @@ class StorageBackend:
 
     # -- lifecycle ------------------------------------------------------
     def clear(self) -> None:
-        """Wipe both regions (tests / fresh deployments)."""
+        """Wipe all three regions (tests / fresh deployments)."""
         self.reset_wal(())
+        self.archive_append([], after=0)
         self.save_snapshot({})
 
     def close(self) -> None:
         pass
+
+
+def _missing(count: int, held: int) -> StorageError:
+    return StorageError(f"archive holds {held} entries, "
+                        f"the snapshot covers {count}")
 
 
 class MemoryBackend(StorageBackend):
@@ -69,6 +91,7 @@ class MemoryBackend(StorageBackend):
 
     def __init__(self) -> None:
         self._wal: List[Dict] = []
+        self._archive: List[Dict] = []
         self._snapshot: Optional[Dict] = None
 
     def append(self, entry: Dict) -> None:
@@ -83,6 +106,16 @@ class MemoryBackend(StorageBackend):
     def wal_len(self) -> int:
         return len(self._wal)
 
+    def archive_append(self, entries: List[Dict], after: int) -> None:
+        if len(self._archive) < after:
+            raise _missing(after, len(self._archive))
+        self._archive[after:] = entries
+
+    def archive_entries(self, count: int) -> List[Dict]:
+        if len(self._archive) < count:
+            raise _missing(count, len(self._archive))
+        return self._archive[:count]
+
     def save_snapshot(self, snapshot: Dict) -> None:
         self._snapshot = snapshot if snapshot else None
 
@@ -90,34 +123,68 @@ class MemoryBackend(StorageBackend):
         return self._snapshot
 
 
+def _dump_line(entry: Dict) -> str:
+    return json.dumps(entry, separators=(",", ":")) + "\n"
+
+
+def _dump_lines(entries: Iterable[Dict]) -> str:
+    return "".join(map(_dump_line, entries))
+
+
 class JsonlBackend(StorageBackend):
-    """On-disk medium: ``<dir>/wal.jsonl`` + ``<dir>/snapshot.json``.
+    """On-disk medium: ``<dir>/wal.jsonl`` + ``<dir>/archive.jsonl`` +
+    ``<dir>/snapshot.json``.
 
     Appends go straight to the WAL file (one JSON object per line,
-    flushed per append — the write-ahead contract).  Snapshot saves and
-    WAL compactions write to a temp file and ``os.replace`` it, so a
-    crash mid-rewrite leaves the previous generation intact.  Reopening
-    the directory recovers whatever the last process persisted.
+    flushed per append — the write-ahead contract); the archive file
+    (created by the first snapshot that moves an entry) takes the same
+    lines.  Snapshot saves and WAL compactions write to a temp file and
+    ``os.replace`` it, so a crash mid-rewrite leaves the previous
+    generation intact.  Opening the directory cuts both line files back
+    to the end of their last complete line — a crash mid-append leaves a
+    fragment that never committed, and appending behind it would glue
+    the next record onto it — and then recovers whatever the last
+    process persisted.
     """
 
     WAL_NAME = "wal.jsonl"
+    ARCHIVE_NAME = "archive.jsonl"
     SNAPSHOT_NAME = "snapshot.json"
 
     def __init__(self, directory) -> None:
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.wal_path = self.dir / self.WAL_NAME
+        self.archive_path = self.dir / self.ARCHIVE_NAME
         self.snapshot_path = self.dir / self.SNAPSHOT_NAME
+        self._drop_torn_tail(self.wal_path)
+        self._archive_len = self._drop_torn_tail(self.archive_path)
         self._fh = open(self.wal_path, "a", encoding="utf-8")
 
-    def append(self, entry: Dict) -> None:
+    @staticmethod
+    def _drop_torn_tail(path: Path) -> int:
+        """Truncate ``path`` after its last newline; returns the number
+        of complete lines it holds (0 when it does not exist)."""
+        if not path.exists():
+            return 0
+        with open(path, "rb+") as fh:
+            data = fh.read()
+            keep = data.rfind(b"\n") + 1
+            if keep < len(data):
+                fh.truncate(keep)
+        return data.count(b"\n")
+
+    def _check_open(self) -> None:
         if self._fh.closed:
             raise StorageError(f"backend {self.dir} is closed")
-        self._fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+
+    def append(self, entry: Dict) -> None:
+        self._check_open()
+        self._fh.write(_dump_line(entry))
         self._fh.flush()
 
     def entries(self) -> List[Dict]:
-        self._fh.flush()
+        self._check_open()
         out: List[Dict] = []
         with open(self.wal_path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -127,8 +194,8 @@ class JsonlBackend(StorageBackend):
                 try:
                     out.append(json.loads(line))
                 except ValueError:
-                    # torn tail write from a crash mid-append: everything
-                    # before it is intact, the torn record never committed
+                    # a corrupt line: everything before it is intact,
+                    # nothing after it can be trusted to be in order
                     break
         return out
 
@@ -136,15 +203,47 @@ class JsonlBackend(StorageBackend):
         self._fh.close()
         tmp = self.wal_path.with_suffix(".jsonl.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+            fh.write(_dump_lines(entries))
         os.replace(tmp, self.wal_path)
         self._fh = open(self.wal_path, "a", encoding="utf-8")
+
+    def archive_append(self, entries: List[Dict], after: int) -> None:
+        self._check_open()
+        if self._archive_len != after:
+            self._cut_archive(after)
+        if entries:
+            with open(self.archive_path, "a", encoding="utf-8") as fh:
+                fh.write(_dump_lines(entries))
+            self._archive_len += len(entries)
+
+    def _cut_archive(self, count: int) -> None:
+        """Truncate the archive file to its first ``count`` lines."""
+        if self._archive_len < count:
+            raise _missing(count, self._archive_len)
+        with open(self.archive_path, "rb+") as fh:
+            for _ in range(count):
+                fh.readline()
+            fh.truncate(fh.tell())
+        self._archive_len = count
+
+    def archive_entries(self, count: int) -> List[Dict]:
+        self._check_open()
+        if self._archive_len < count:
+            raise _missing(count, self._archive_len)
+        if not count:
+            return []
+        with open(self.archive_path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()[:count]
+        try:
+            return json.loads("[" + ",".join(lines) + "]")
+        except ValueError as exc:
+            raise StorageError(
+                f"corrupt archive {self.archive_path}: {exc}") from exc
 
     def save_snapshot(self, snapshot: Dict) -> None:
         tmp = self.snapshot_path.with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, separators=(",", ":"))
+            fh.write(json.dumps(snapshot, separators=(",", ":")))
         os.replace(tmp, self.snapshot_path)
 
     def load_snapshot(self) -> Optional[Dict]:

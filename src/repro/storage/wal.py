@@ -6,16 +6,26 @@ StorageBackend` and owns the ordering invariants the medium doesn't:
 - every record carries a monotonically increasing **LSN**, resumed from
   whatever the backend already holds (reopening a JSONL directory
   continues the sequence, it doesn't restart it);
-- the snapshot document records the LSN it covers, so recovery is always
-  ``restore(snapshot.state)`` then ``replay(tail after snapshot.lsn)``;
+- the snapshot document records the LSN it covers and how many archive
+  entries it covers, so recovery is always ``restore(snapshot.state)``,
+  then ``archived()``, then ``replay(tail after snapshot.lsn)``;
 - :meth:`write_snapshot` **compacts**: records at or below the new
-  snapshot LSN are dropped from the WAL in the same atomic rewrite.
+  snapshot LSN leave the WAL — those of an archived plane move to the
+  backend's archive region as they are, the rest (already folded into
+  ``state``) are dropped.
+
+One snapshot writes archive → snapshot document → WAL, in that order.  A
+crash after the first step leaves archive entries no document covers:
+they are still in the WAL, are replayed from there, and are overwritten
+by the next snapshot.  A crash after the second leaves covered records in
+the WAL: :meth:`tail` skips them and the next snapshot drops them without
+archiving them twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 from repro.storage.backends import StorageBackend
 
@@ -44,9 +54,10 @@ class WriteAheadLog:
 
     def __init__(self, backend: StorageBackend) -> None:
         self.backend = backend
-        doc = backend.load_snapshot()
-        self._snapshot_lsn = int(doc.get("lsn", 0)) if doc else 0
-        self._snapshot_state = doc.get("state") if doc else None
+        doc = backend.load_snapshot() or {}
+        self._snapshot_lsn = int(doc.get("lsn", 0))
+        self._archived = int(doc.get("archived", 0))
+        self._snapshot_state = doc.get("state")
         last = self._snapshot_lsn
         for entry in backend.entries():
             last = max(last, int(entry.get("lsn", 0)))
@@ -59,19 +70,31 @@ class WriteAheadLog:
         self.backend.append(record.to_entry())
         return record
 
-    def write_snapshot(self, state: Dict) -> int:
-        """Persist ``state`` as covering everything up to the last LSN,
-        then compact the WAL down to the uncovered tail.  Returns the
-        number of records compacted away."""
-        lsn = self._lsn
-        self.backend.save_snapshot({"lsn": lsn, "state": state})
-        self._snapshot_lsn = lsn
-        self._snapshot_state = state
-        before = self.backend.wal_len()
-        keep = [e for e in self.backend.entries()
-                if int(e.get("lsn", 0)) > lsn]
+    def write_snapshot(self, state: Dict,
+                       archive_planes: Collection[str] = ()) -> int:
+        """Persist ``state`` as covering everything up to the last LSN and
+        compact the WAL down to the uncovered tail; newly covered records
+        of ``archive_planes`` move to the archive instead of into
+        ``state``.  Returns the number of records that left the WAL."""
+        lsn, covered = self._lsn, self._snapshot_lsn
+        entries = self.backend.entries()
+        keep, moved = [], []
+        for entry in entries:
+            entry_lsn = int(entry.get("lsn", 0))
+            if entry_lsn > lsn:
+                keep.append(entry)
+            elif (entry_lsn > covered and
+                  entry.get("kind", "").partition(".")[0] in archive_planes):
+                moved.append(entry)
+        self.backend.archive_append(moved, after=self._archived)
+        archived = self._archived + len(moved)
+        self.backend.save_snapshot({"lsn": lsn, "archived": archived,
+                                    "state": state})
         self.backend.reset_wal(keep)
-        return before - len(keep)
+        self._snapshot_lsn = lsn
+        self._archived = archived
+        self._snapshot_state = state
+        return len(entries) - len(keep)
 
     # -- read path ------------------------------------------------------
     def tail(self, after_lsn: Optional[int] = None) -> List[WalRecord]:
@@ -79,6 +102,11 @@ class WriteAheadLog:
         cut = self._snapshot_lsn if after_lsn is None else after_lsn
         return [WalRecord.from_entry(e) for e in self.backend.entries()
                 if int(e.get("lsn", 0)) > cut]
+
+    def archived(self) -> List[WalRecord]:
+        """The archived records the snapshot covers, oldest first."""
+        return [WalRecord.from_entry(e)
+                for e in self.backend.archive_entries(self._archived)]
 
     def snapshot_state(self) -> Optional[Dict]:
         return self._snapshot_state

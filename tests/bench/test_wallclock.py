@@ -26,6 +26,8 @@ def test_quick_suite_report_shape(tmp_path):
     assert "wire/encoded_size_update_64x64" in names
     assert "collab/broadcast_poll_30_subscribers" in names
     assert "storage/append_memory" in names
+    assert "storage/snapshot_compact_tail100" in names
+    assert "storage/snapshot_compact_tail100_archive5000" in names
     # end-to-end timing lives in perf/; the quick suite has no e2e arm
     assert not [n for n in names if n.startswith("e2e/")]
     assert all(e["per_op_us"] > 0 for e in report["benchmarks"])

@@ -46,10 +46,33 @@ def test_snapshot_slot_roundtrip(backend):
 
 def test_clear_wipes_both_regions(backend):
     backend.append({"lsn": 1})
+    backend.archive_append([{"lsn": 0}], after=0)
     backend.save_snapshot({"lsn": 1, "state": {}})
     backend.clear()
     assert backend.entries() == []
     assert backend.load_snapshot() is None
+    assert backend.archive_entries(0) == []
+    with pytest.raises(StorageError):
+        backend.archive_entries(1)
+
+
+def test_archive_appends_behind_the_covered_prefix(backend):
+    backend.archive_append([{"lsn": 1}, {"lsn": 2}], after=0)
+    backend.archive_append([{"lsn": 3}], after=2)
+    assert [e["lsn"] for e in backend.archive_entries(3)] == [1, 2, 3]
+    # a reader is handed only what its snapshot covers
+    assert [e["lsn"] for e in backend.archive_entries(2)] == [1, 2]
+    # entries no snapshot came to cover are overwritten, not kept
+    backend.archive_append([{"lsn": 4}, {"lsn": 5}], after=2)
+    assert [e["lsn"] for e in backend.archive_entries(4)] == [1, 2, 4, 5]
+
+
+def test_archive_shorter_than_covered_is_an_error(backend):
+    backend.archive_append([{"lsn": 1}], after=0)
+    with pytest.raises(StorageError, match="holds 1 entries"):
+        backend.archive_entries(2)
+    with pytest.raises(StorageError, match="holds 1 entries"):
+        backend.archive_append([{"lsn": 9}], after=5)
 
 
 # ------------------------- JSONL specifics ---------------------------------
@@ -80,6 +103,40 @@ def test_jsonl_torn_tail_is_dropped(tmp_path):
     reopened.close()
 
 
+def test_jsonl_append_after_a_torn_tail_is_not_lost(tmp_path):
+    """Regression: the reopened file was appended to as it stood, so the
+    next record was glued onto the fragment and it, and every record
+    after it, failed to parse."""
+    b = JsonlBackend(tmp_path)
+    b.append({"lsn": 1})
+    b.append({"lsn": 2})
+    b.close()
+    with open(tmp_path / JsonlBackend.WAL_NAME, "a",
+              encoding="utf-8") as fh:
+        fh.write('{"lsn": 3, "kind": "db.ins')
+    reopened = JsonlBackend(tmp_path)
+    reopened.append({"lsn": 3})
+    reopened.append({"lsn": 4})
+    assert [e["lsn"] for e in reopened.entries()] == [1, 2, 3, 4]
+    reopened.close()
+
+
+def test_jsonl_archive_survives_reopen_minus_a_torn_tail(tmp_path):
+    b = JsonlBackend(tmp_path)
+    b.archive_append([{"lsn": 1}, {"lsn": 2}], after=0)
+    b.close()
+    with open(tmp_path / JsonlBackend.ARCHIVE_NAME, "a",
+              encoding="utf-8") as fh:
+        fh.write('{"lsn": 3, "ki')
+    reopened = JsonlBackend(tmp_path)
+    assert [e["lsn"] for e in reopened.archive_entries(2)] == [1, 2]
+    with pytest.raises(StorageError):
+        reopened.archive_entries(3)
+    reopened.archive_append([{"lsn": 3}], after=2)
+    assert [e["lsn"] for e in reopened.archive_entries(3)] == [1, 2, 3]
+    reopened.close()
+
+
 def test_jsonl_snapshot_replace_is_atomic(tmp_path):
     b = JsonlBackend(tmp_path)
     b.save_snapshot({"lsn": 1, "state": {"a": 1}})
@@ -98,3 +155,13 @@ def test_jsonl_append_after_close_raises(tmp_path):
     b.close()
     with pytest.raises(StorageError):
         b.append({"lsn": 1})
+
+
+def test_jsonl_reads_after_close_raise(tmp_path):
+    b = JsonlBackend(tmp_path)
+    b.append({"lsn": 1})
+    b.close()
+    with pytest.raises(StorageError):
+        b.entries()
+    with pytest.raises(StorageError):
+        b.archive_entries(0)

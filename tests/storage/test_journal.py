@@ -1,10 +1,13 @@
 """Unit tests for the StateJournal facade (plane dispatch + recovery)."""
 
+import pytest
+
 from repro.metrics import StorageMetrics
 from repro.storage import (
     MemoryBackend,
     NULL_JOURNAL,
     StateJournal,
+    StorageError,
 )
 
 
@@ -125,6 +128,86 @@ def test_unknown_plane_records_are_skipped():
     report = journal2.recover()
     assert plane2.value == 1
     assert report.replayed == 1  # the unknown record did not count
+
+
+class LogPlane:
+    """A minimal archived plane: an append-only list."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, journal, line):
+        self.lines.append(line)
+        journal.append("log.write", {"line": line})
+
+    def apply(self, event, data, at):
+        assert event == "write"
+        self.lines.append(data["line"])
+
+
+def make_archiving_journal(backend):
+    journal, counter = make_journal(backend)
+    log = LogPlane()
+    journal.register_plane("log", apply=log.apply)
+    return journal, counter, log
+
+
+def test_archived_plane_moves_out_of_the_wal_and_comes_back():
+    backend = MemoryBackend()
+    journal, counter, log = make_archiving_journal(backend)
+    for i in range(3):
+        log.write(journal, f"a{i}")
+        counter.bump(journal)
+    assert journal.take_snapshot() == 6
+    log.write(journal, "tail")
+
+    doc = backend.load_snapshot()
+    assert doc == {"lsn": 6, "archived": 3,
+                   "state": {"counter": {"value": 3}}}
+    assert [e["data"]["line"] for e in backend.archive_entries(3)] \
+        == ["a0", "a1", "a2"]
+    assert [e["lsn"] for e in backend.entries()] == [7]
+
+    journal2, counter2, log2 = make_archiving_journal(backend)
+    report = journal2.recover()
+    assert log2.lines == ["a0", "a1", "a2", "tail"]
+    assert counter2.value == 3
+    assert (report.archived, report.replayed) == (3, 1)
+    assert report.planes == {"log": 1}
+
+
+def test_snapshot_state_without_a_restore_hook_is_an_error():
+    """A snapshot document written when the plane still serialized its
+    state must not come back as an empty plane."""
+    backend = MemoryBackend()
+    backend.save_snapshot({"lsn": 2, "state": {"counter": {"value": 2},
+                                               "log": ["a0", "a1"]}})
+    journal, _counter, _log = make_archiving_journal(backend)
+    with pytest.raises(StorageError, match="'log'"):
+        journal.recover()
+    assert journal.recovering is False
+
+    backend.save_snapshot({"lsn": 2, "state": {"retired": {}}})
+    journal, _counter, _log = make_archiving_journal(backend)
+    with pytest.raises(StorageError, match="'retired'"):
+        journal.recover()
+
+
+def test_archived_record_of_an_unregistered_plane_is_an_error():
+    backend = MemoryBackend()
+    journal, _counter, log = make_archiving_journal(backend)
+    log.write(journal, "a0")
+    journal.take_snapshot()
+    journal2, _counter2 = make_journal(backend)  # no "log" plane
+    with pytest.raises(StorageError, match="log.write"):
+        journal2.recover()
+
+
+def test_snapshot_and_restore_hooks_come_together():
+    journal = StateJournal(MemoryBackend())
+    with pytest.raises(ValueError):
+        journal.register_plane("half", snapshot=dict,
+                               apply=lambda e, d, at: None)
 
 
 def test_null_journal_is_inert():
