@@ -10,11 +10,12 @@ produces a JSON report::
 
 The suite times the inputs nothing else times: the wire fast path
 (sizing, encoding, the single-encode broadcast fan-out), raw network
-delivery, the broadcast/poll loop, the storage journal, and one
-fleet-scale arm (``e2e/E1_n1000``).  End-to-end E1/E2/E11/E12 timing and
-the planes' on/off price live in ``perf/`` (the benchmark of record:
-``app_updates`` vs ``app_updates_bare``, ``client_polls``,
-``fleet_sessions``, ``crash_recovery``); the ``e2e/*`` arms that timed
+delivery, the broadcast/poll loop, the storage journal, one health
+heartbeat, and one fleet-scale arm (``e2e/E1_n1000``).  End-to-end
+E1/E2/E11/E12 timing and the planes' on/off price live in ``perf/`` (the
+benchmark of record: ``app_updates`` vs ``app_updates_bare``,
+``client_polls``, ``fleet_sessions``, ``crash_recovery``); the ``e2e/*``
+arms that timed
 them here a second way are gone, so ``BENCH_1–3.json`` are history for
 those names.  ``--quick`` runs a reduced version suitable for CI smoke
 checks.
@@ -291,6 +292,47 @@ def bench_storage(quick: bool = False) -> List[Dict]:
     return results
 
 
+def bench_health(quick: bool = False) -> List[Dict]:
+    """One heartbeat on a server with a short and a long retained history.
+
+    A tick reads burn-rate windows of at most 20 sim-s out of the
+    server's time-series registry, so its cost must follow the windows,
+    not the history behind them: the two per-op numbers belong side by
+    side.  The exact form of that statement (buckets read, no timing) is
+    tests/obs/test_timeseries_cost.py.
+    """
+    from repro.core.deployment import build_single_server
+
+    repeat = 3 if quick else 7
+    number = 50 if quick else 500
+    results = []
+    for history in (40, 400):
+        collab = build_single_server(app_hosts=1, client_hosts=1)
+        collab.run_bootstrap()
+        sim, server = collab.sim, collab.server_of(0)
+        metrics, health = server.pipeline_metrics, server.health
+
+        def requests():
+            while True:
+                yield sim.timeout(0.25)
+                metrics.observe("http", latency=0.01)
+
+        sim.spawn(requests(), name="bench-requests")
+        sim.run(until=history)
+
+        def beat():
+            metrics.observe("http", latency=0.01)  # the p99 read is fresh
+            health.tick()
+
+        results.append(_entry(
+            f"health/heartbeat_history_{history}s",
+            time_op(beat, repeat=repeat, number=number),
+            note=f"HealthMonitor.tick() after {history} sim-s of 4 "
+                 "requests/s (2 default SLOs, 0.25 s buckets)"))
+        collab.stop()
+    return results
+
+
 # ---------------------------------------------------------------------------
 # suite + report
 # ---------------------------------------------------------------------------
@@ -299,7 +341,7 @@ def run_suite(quick: bool = False) -> Dict:
     """Run every wall-clock bench; returns the full report dict."""
     benchmarks: List[Dict] = []
     for group in (bench_wire, bench_network, bench_broadcast,
-                  bench_end_to_end, bench_storage):
+                  bench_end_to_end, bench_storage, bench_health):
         benchmarks.extend(group(quick=quick))
     return {
         "schema": SCHEMA,

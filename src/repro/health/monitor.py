@@ -68,7 +68,7 @@ def default_slos(server: "DiscoverServer", engine: SLOEngine) -> None:
                 threshold=DEFAULT_P99_THRESHOLD,
                 description="http-plane p99 latency stays under "
                             f"{DEFAULT_P99_THRESHOLD} sim-s"),
-        lambda: metrics.latency_stats("http").p99 or None)
+        lambda: metrics.latency_percentile("http", 99) or None)
 
 
 class HealthMonitor:

@@ -31,6 +31,17 @@ so an alert links straight to a cross-server trace of the damage.
 
 Like the rest of the health plane, evaluation is plain bookkeeping:
 no events, no messages, no CPU charges.
+
+What a tick costs the host: per spec, eight window sums (two pairs ×
+two windows × total/bad), each reading the buckets inside its window
+plus one per tier — the store keeps every tier's buckets in time order
+and a sum stops at the first one at or before the cutoff — so O(window)
+buckets however long the server has been up; a latency spec adds one
+call of its sample function (the monitor's default reads one quantile
+of the pipeline's latency reservoir, recomputed only if a request
+arrived since the last tick).  Trace exemplars (a walk over the span
+store) are gathered when a pair starts firing, not while it keeps
+firing.  tests/obs/test_timeseries_cost.py pins the bucket counts.
 """
 
 from __future__ import annotations
@@ -196,6 +207,10 @@ class AlertLog:
                 break  # everything active; never drop a live alert
 
     # -- queries -----------------------------------------------------------
+    def is_active(self, slo: str, severity: str) -> bool:
+        """Is this (spec, severity) pair firing right now?"""
+        return (slo, severity) in self._active
+
     def active(self) -> List[Alert]:
         return [self._active[key] for key in sorted(self._active)]
 
@@ -310,8 +325,12 @@ class SLOEngine:
             burn_long = self._burn(spec, now, long_)
             firing = burn_short >= factor and burn_long >= factor
             if firing:
+                # gathered for a new fire only: a pair already firing is
+                # deduplicated by the log, which would drop them
                 exemplars = (self.exemplar_fn(now - long_)
-                             if self.exemplar_fn is not None else None)
+                             if self.exemplar_fn is not None
+                             and not self.log.is_active(spec.name, severity)
+                             else None)
                 self.log.fire(spec.name, severity, now,
                               burn_short=burn_short, burn_long=burn_long,
                               windows=(short, long_), exemplars=exemplars)

@@ -119,6 +119,12 @@ class PipelineMetrics:
         reservoir = self._latencies.get(plane)
         return reservoir.stats() if reservoir is not None else summarize(())
 
+    def latency_percentile(self, plane: str, percent: float) -> float:
+        """``latency_stats(plane).p<percent>`` alone (see
+        :meth:`Reservoir.percentile`)."""
+        reservoir = self._latencies.get(plane)
+        return reservoir.percentile(percent) if reservoir is not None else 0.0
+
     def planes(self) -> List[str]:
         return sorted(self._requests)
 

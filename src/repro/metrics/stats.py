@@ -52,7 +52,7 @@ class Reservoir:
     """
 
     __slots__ = ("capacity", "count", "total", "minimum", "maximum",
-                 "_samples", "_rng")
+                 "_samples", "_rng", "_percentile_memo")
 
     def __init__(self, capacity: int = DEFAULT_RESERVOIR_CAPACITY,
                  seed: int = 0x5EED) -> None:
@@ -65,6 +65,8 @@ class Reservoir:
         self.maximum = float("-inf")
         self._samples: List[float] = []
         self._rng = random.Random(seed)
+        #: (percent, count when computed, value) of the last percentile()
+        self._percentile_memo = (None, 0, 0.0)
 
     def add(self, value: float) -> None:
         """Observe one value."""
@@ -117,6 +119,22 @@ class Reservoir:
     def samples(self) -> List[float]:
         """The retained (possibly subsampled) values."""
         return list(self._samples)
+
+    def percentile(self, percent: float) -> float:
+        """One sampled percentile — ``stats().p99`` for ``percent=99``,
+        bit for bit, without the rest of the summary (empty → 0.0).
+
+        A periodic reader (the latency SLO, once per heartbeat) pays
+        nothing while no observation arrived: the value is recomputed
+        only when ``count`` moved since the last call.
+        """
+        memo = self._percentile_memo
+        if memo[0] != percent or memo[1] != self.count:
+            value = (float(np.percentile(
+                np.asarray(self._samples, dtype=float), percent))
+                if self.count else 0.0)
+            memo = self._percentile_memo = (percent, self.count, value)
+        return memo[2]
 
     def stats(self) -> SummaryStats:
         """Exact count/mean/min/max merged with sampled percentiles.

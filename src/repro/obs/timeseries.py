@@ -205,6 +205,15 @@ class TimeSeries:
     bucket is folded into the parent bucket (``index // 2``) one tier
     up, so tiers never overlap in time and a range query is just the
     concatenation of every tier's in-range buckets.
+
+    Invariant: every tier's keys are strictly ascending in insertion
+    order.  ``_open`` is the only way a bucket enters a tier during
+    recording or eviction and keeps them so (also under a clock that
+    steps backwards); ``merge_from`` and ``from_dict`` restore the order
+    afterwards.  Readers lean on it: the oldest bucket is the first key,
+    the newest the last, and a window or range read scans a tier from
+    its newest bucket and stops at the first one out of range — its
+    cost follows the window asked for, not the history retained.
     """
 
     __slots__ = ("name", "kind", "width", "max_buckets", "tiers", "points")
@@ -224,59 +233,71 @@ class TimeSeries:
 
     # -- recording ---------------------------------------------------
 
-    def _tier0(self, now: float) -> int:
-        return int(now // self.width)
-
     def inc(self, now: float, n: float = 1.0) -> None:
         tier = self.tiers[0]
         index = int(now // self.width)
-        tier[index] = tier.get(index, 0.0) + n
+        prior = tier.get(index)
+        if prior is None:
+            self._open(0, index, 0.0 + n)
+        else:
+            tier[index] = prior + n
         self.points += 1
-        if len(tier) > self.max_buckets:
-            self._evict(0)
 
     def set(self, now: float, value: float) -> None:
         tier = self.tiers[0]
         index = int(now // self.width)
-        tier[index] = value
+        if index in tier:
+            tier[index] = value
+        else:
+            self._open(0, index, value)
         self.points += 1
-        if len(tier) > self.max_buckets:
-            self._evict(0)
 
     def observe(self, now: float, value: float, exemplar: Any = None) -> None:
-        tier = self.tiers[0]
         index = int(now // self.width)
-        hist = tier.get(index)
+        hist = self.tiers[0].get(index)
         if hist is None:
-            hist = tier[index] = LogHistogram()
-            if len(tier) > self.max_buckets:
-                self._evict(0)
-        hist.add(value, exemplar)
+            # filled before it is placed: a bucket older than a full
+            # tier's oldest is folded upward by the very call placing it
+            hist = LogHistogram()
+            hist.add(value, exemplar)
+            self._open(0, index, hist)
+        else:
+            hist.add(value, exemplar)
         self.points += 1
+
+    def _open(self, t: int, index: int, value: Any) -> None:
+        """Add the new bucket ``index`` to tier ``t``, keys kept ascending,
+        and fold the tier's overflow upward."""
+        tier = self.tiers[t]
+        if tier and index < next(reversed(tier)):
+            # older than the tier's newest bucket (a clock that stepped
+            # back, or a fold landing behind one): re-lay the tier
+            _relay(tier, [*tier.items(), (index, value)])
+        else:
+            tier[index] = value
+        if len(tier) > self.max_buckets:
+            self._evict(t)
 
     def _evict(self, t: int) -> None:
         """Downsample the oldest bucket of tier ``t`` into tier ``t+1``."""
         tier = self.tiers[t]
         while len(tier) > self.max_buckets:
-            oldest = min(tier)
+            oldest = next(iter(tier))
             value = tier.pop(oldest)
             if t + 1 >= len(self.tiers):
                 continue  # beyond the coarsest tier: drop
             parent = self.tiers[t + 1]
             pidx = oldest // 2
-            if self.kind == COUNTER:
-                parent[pidx] = parent.get(pidx, 0.0) + value
+            prior = parent.get(pidx)
+            if prior is None:
+                self._open(t + 1, pidx, value)
+            elif self.kind == COUNTER:
+                parent[pidx] = prior + value
             elif self.kind == GAUGE:
                 # evicting in ascending order, the later child wins
                 parent[pidx] = value
             else:
-                prior = parent.get(pidx)
-                if prior is None:
-                    parent[pidx] = value
-                else:
-                    prior.merge(value)
-            if len(parent) > self.max_buckets:
-                self._evict(t + 1)
+                prior.merge(value)
 
     # -- querying ----------------------------------------------------
 
@@ -285,13 +306,17 @@ class TimeSeries:
         """``(bucket_start, bucket_width, value)`` overlapping [start, end).
 
         Sorted by bucket start; tiers are disjoint by construction.
+        Each tier is read from its newest bucket back to the first one
+        that ends at or before ``start``.
         """
         out: List[Tuple[float, float, Any]] = []
         for t, tier in enumerate(self.tiers):
             w = self.width * (1 << t)
-            for index, value in tier.items():
+            for index, value in reversed(tier.items()):
                 t0 = index * w
-                if t0 < end and t0 + w > start:
+                if t0 + w <= start:
+                    break
+                if t0 < end:
                     out.append((t0, w, value))
         out.sort(key=lambda item: item[0])
         return out
@@ -301,14 +326,19 @@ class TimeSeries:
 
         This is the SLO engine's window rule: with observations recorded
         at bucket-aligned times, "bucket start > cutoff" is exactly
-        "observation time > cutoff" (see repro.health.slo).
+        "observation time > cutoff" (see repro.health.slo).  Each tier
+        is read from its newest bucket back to the first one at or
+        before the cutoff, so a call touches the window's buckets plus
+        one per tier, however long the series is; the fold is therefore
+        newest first (exact for integer-valued counts).
         """
         total = 0.0
         for t, tier in enumerate(self.tiers):
             w = self.width * (1 << t)
-            for index, value in tier.items():
-                if index * w > cutoff:
-                    total += value
+            for index, value in reversed(tier.items()):
+                if index * w <= cutoff:
+                    break
+                total += value
         return total
 
     def merged_histogram(self, start: float, end: float) -> LogHistogram:
@@ -324,7 +354,7 @@ class TimeSeries:
             if not tier:
                 continue
             w = self.width * (1 << t)
-            index = max(tier)
+            index = next(reversed(tier))
             t0 = index * w
             if best is None or t0 > best[0]:
                 best = (t0, tier[index])
@@ -359,16 +389,16 @@ class TimeSeries:
                     mine[index] = value
                 else:
                     mine[index] = prior + value
+            _relay(mine, mine.items())
         return self
 
     def to_dict(self) -> Dict[str, Any]:
         tiers: List[Dict[str, Any]] = []
         for tier in self.tiers:
             if self.kind == HISTOGRAM:
-                tiers.append({str(k): v.to_dict()
-                              for k, v in sorted(tier.items())})
+                tiers.append({str(k): v.to_dict() for k, v in tier.items()})
             else:
-                tiers.append({str(k): v for k, v in sorted(tier.items())})
+                tiers.append({str(k): v for k, v in tier.items()})
         return {"name": self.name, "kind": self.kind, "width": self.width,
                 "max_buckets": self.max_buckets, "points": self.points,
                 "tiers": tiers}
@@ -381,11 +411,18 @@ class TimeSeries:
         out.points = int(doc["points"])
         for t, tier in enumerate(doc["tiers"]):
             if out.kind == HISTOGRAM:
-                out.tiers[t] = {int(k): LogHistogram.from_dict(v)
-                                for k, v in tier.items()}
+                _relay(out.tiers[t], ((int(k), LogHistogram.from_dict(v))
+                                      for k, v in tier.items()))
             else:
-                out.tiers[t] = {int(k): v for k, v in tier.items()}
+                _relay(out.tiers[t], ((int(k), v) for k, v in tier.items()))
         return out
+
+
+def _relay(tier: Dict[int, Any], items: Iterable[Tuple[int, Any]]) -> None:
+    """Refill ``tier`` from ``items`` in ascending key order (in place)."""
+    items = sorted(items, key=lambda item: item[0])
+    tier.clear()
+    tier.update(items)
 
 
 class TimeSeriesRegistry:
@@ -503,10 +540,13 @@ class TimeSeriesRegistry:
         raise ValueError(f"unknown query fn: {fn!r}")
 
     def window_sum(self, name: str, cutoff: float) -> float:
-        """Counter sum over buckets starting strictly after ``cutoff``."""
+        """Counter sum over buckets starting strictly after ``cutoff``
+        (an unknown series sums to 0.0; a histogram has no such sum)."""
         series = self._series.get(name)
         if series is None:
             return 0.0
+        if series.kind == HISTOGRAM:
+            raise ValueError(f"series {name!r} is a histogram")
         return series.window_sum(cutoff)
 
     def histogram_summary(self, name: str, *, start: Optional[float] = None,

@@ -28,6 +28,8 @@ def test_quick_suite_report_shape(tmp_path):
     assert "storage/append_memory" in names
     assert "storage/snapshot_compact_tail100" in names
     assert "storage/snapshot_compact_tail100_archive5000" in names
+    assert "health/heartbeat_history_40s" in names
+    assert "health/heartbeat_history_400s" in names
     # end-to-end timing lives in perf/; the quick suite has no e2e arm
     assert not [n for n in names if n.startswith("e2e/")]
     assert all(e["per_op_us"] > 0 for e in report["benchmarks"])

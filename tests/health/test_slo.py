@@ -157,6 +157,30 @@ class TestAlerting:
         engine.observe()
         assert engine.log.active()[0].exemplars == [7, 9]
 
+    def test_exemplars_gathered_once_per_outage(self):
+        """A pair that is already firing is deduplicated by the log, so
+        the span-store walk behind ``exemplar_fn`` runs for the fire
+        alone — not on each tick of the outage."""
+        clock = Clock()
+        calls = []
+        engine = SLOEngine(clock=clock,
+                           exemplar_fn=lambda start: calls.append(start) or [7])
+        source = Source()
+        # the slow pair's factor is out of reach: only the page fires
+        engine.add(SLOSpec("err", objective=0.9,
+                           fast=(1.0, 2.0, 5.0), slow=(2.0, 4.0, 1e9)),
+                   source)
+        source.add(10)
+        engine.observe()
+        for tick in range(1, 41):
+            clock.now = tick * 0.5
+            source.add(0, bad=10)
+            engine.observe()
+        assert len(calls) == 1
+        assert engine.log.snapshot() == {"fired": 1, "resolved": 0,
+                                         "active": 1, "deduplicated": 39}
+        assert engine.log.active()[0].exemplars == [7]
+
     def test_latency_kind_counts_threshold_breaches(self):
         clock = Clock()
         engine = SLOEngine(clock=clock)
@@ -302,3 +326,81 @@ class TestStoreBackedParity:
         hist_b = [a.to_record() for a in engine_b.log.history()]
         assert hist_a == hist_b
         assert engine_a.compliance() == engine_b.compliance()
+
+
+class DequeReference:
+    """The private-accumulator engine the store replaced: cumulative
+    ``(t, total, bad)`` samples in a deque, a window's delta taken
+    against the last sample at or before its left edge."""
+
+    def __init__(self, spec):
+        from collections import deque
+        self.spec = spec
+        self.samples = deque()
+        self.active = {}
+        self.records = []
+
+    def _burn(self, now, window):
+        edge = self.samples[0]  # the baseline, until the window is full
+        for sample in reversed(self.samples):
+            if sample[0] <= now - window:
+                edge = sample
+                break
+        total = self.samples[-1][1] - edge[1]
+        bad = self.samples[-1][2] - edge[2]
+        return (bad / total) / self.spec.budget if total > 0 else 0.0
+
+    def observe(self, now, total, bad):
+        self.samples.append((now, float(total), float(bad)))
+        for severity, (short, long_, factor) in (
+                (SEVERITY_PAGE, self.spec.fast),
+                (SEVERITY_TICKET, self.spec.slow)):
+            burn_short = self._burn(now, short)
+            burn_long = self._burn(now, long_)
+            record = self.active.get(severity)
+            if burn_short >= factor and burn_long >= factor:
+                if record is None:
+                    record = self.active[severity] = {
+                        "slo": self.spec.name, "severity": severity,
+                        "fired_at": now, "resolved_at": None,
+                        "burn_short": burn_short, "burn_long": burn_long,
+                        "windows": [short, long_], "exemplars": []}
+                    self.records.append(record)
+            elif record is not None:
+                record["resolved_at"] = now
+                del self.active[severity]
+
+
+def test_long_run_alert_log_matches_the_sample_deque_exactly():
+    """2 000 ticks (1 000 sim-s, 15x the 64 s tier 0 keeps): buckets fold
+    through every tier and finally drop, with bad bursts before and after
+    each of those moments.  Fire/resolve times and both burn rates equal
+    the deque arithmetic bit for bit."""
+    import random
+
+    clock = Clock()
+    engine = SLOEngine(clock=clock, log=AlertLog(max_events=10_000))
+    source = Source()
+    spec = engine.add(SLOSpec("err", objective=0.99), source)
+    reference = DequeReference(spec)
+    # tier 0 starts folding at 64 s, tier 1 at 192 s, tier 2 at 448 s and
+    # the coarsest tier drops from 960 s on; the 600 s stretch is a slow
+    # leak that only the ticket pair catches
+    bursts = [(20, 26), (58, 70), (186, 198), (440, 455), (952, 968)]
+    rng = random.Random(15)
+    for tick in range(2000):
+        now = clock.now = tick * 0.5
+        bad = 0
+        if any(lo <= now < hi for lo, hi in bursts):
+            bad = rng.randint(0, 12)
+        elif 600 <= now < 640:
+            bad = rng.random() < 0.3
+        source.add(rng.randint(5, 20), bad=bad)
+        engine.observe()
+        reference.observe(now, source.total, source.bad)
+    records = [a.to_record() for a in engine.log.history()]
+    assert records == reference.records
+    severities = {r["severity"] for r in records}
+    assert severities == {SEVERITY_PAGE, SEVERITY_TICKET}
+    assert len(records) >= 2 * len(bursts)
+    assert all(r["resolved_at"] is not None for r in records)

@@ -120,6 +120,46 @@ def test_merge_aggregates_match_single_stream(xs, ys):
     assert len(merged) <= 32
 
 
+def test_percentile_is_the_summary_field_bit_for_bit():
+    res = Reservoir(capacity=64)
+    assert res.percentile(99) == res.stats().p99 == 0.0
+    other = Reservoir(capacity=64)
+    for i in range(300):
+        other.add(float(i * i % 101))
+    for i in range(500):
+        res.add(0.001 * (i * 7919 % 257))
+        if i % 50 == 0:
+            assert res.percentile(99) == res.stats().p99
+    res.merge(other)
+    assert res.percentile(99) == res.stats().p99
+    assert res.percentile(50) == res.stats().p50  # another percentile
+
+
+def test_percentile_recomputed_only_when_count_moved(monkeypatch):
+    from repro.metrics import stats
+
+    calls = []
+    real = stats.np.percentile
+    monkeypatch.setattr(stats.np, "percentile",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    res = Reservoir(capacity=16)
+    res.add(1.0)
+    first = [res.percentile(99) for _ in range(5)]
+    assert first == [1.0] * 5 and len(calls) == 1
+    res.add(3.0)
+    assert res.percentile(99) == res.stats().p99
+    assert len(calls) == 2 + 3  # one more read, then the full summary's three
+
+
+def test_pipeline_metrics_single_percentile_matches_the_summary():
+    metrics = PipelineMetrics()
+    assert metrics.latency_percentile("http", 99) == 0.0  # no such plane
+    for i in range(2000):
+        metrics.observe("http", latency=1e-3 * (i * 31 % 97))
+    assert (metrics.latency_percentile("http", 99)
+            == metrics.latency_stats("http").p99)
+
+
 def test_pipeline_metrics_latencies_are_bounded():
     metrics = PipelineMetrics()
     for i in range(5000):

@@ -176,6 +176,18 @@ class TestTimeSeriesRetention:
         assert merged.maximum == 0.07
         assert any(series.tiers[t] for t in range(1, 5))
 
+    def test_late_observation_older_than_a_full_tier_is_kept(self):
+        # the bucket opened for t=4.5 is older than everything tier 0
+        # holds, so placing it folds it straight into a tier-1 bucket
+        # that already exists — the observation must ride along
+        series = TimeSeries("h", "histogram", width=1.0, max_buckets=2,
+                            n_tiers=2)
+        for t in (4.0, 5.0, 6.0, 7.0, 4.5):
+            series.observe(t, 0.01)
+        assert list(series.tiers[0]) == [6, 7]
+        assert list(series.tiers[1]) == [2]
+        assert series.merged_histogram(-math.inf, math.inf).count == 5
+
     def test_gauge_downsample_keeps_latest_child(self):
         series = TimeSeries("g", "gauge", width=1.0, max_buckets=4,
                             n_tiers=2)
@@ -246,6 +258,12 @@ class TestRegistryQueries:
         with pytest.raises(ValueError):
             reg.observe("c", 1.0)  # kind mismatch
         assert reg.window_sum("nope", 0.0) == 0.0
+
+    def test_window_sum_rejects_histograms(self):
+        reg, _ = self.make()
+        reg.observe("lat", 0.05)
+        with pytest.raises(ValueError, match="'lat'"):
+            reg.window_sum("lat", -1.0)
 
     def test_window_sum_is_strict(self):
         reg, clock = self.make(width=0.25)
@@ -334,3 +352,88 @@ class TestSerialization:
         assert by_name["reqs"]["args"] == {"value": 3.0}
         assert by_name["lat"]["args"]["count"] == 1
         assert by_name["reqs"]["ts"] == 0.0
+
+
+# -- the ordering invariant ---------------------------------------------
+
+SERIES_OPS = {"c": "inc", "g": "set_gauge", "h": "observe"}
+
+
+def all_buckets(series):
+    """Every retained ``(t0, width, value)``, tier by tier — no reliance
+    on key order."""
+    return [(index * series.width * (1 << t), series.width * (1 << t), value)
+            for t, tier in enumerate(series.tiers)
+            for index, value in tier.items()]
+
+
+def assert_ordered_and_consistent(reg, cutoffs):
+    """Each tier's keys ascend, and the reads that lean on that equal a
+    fold over all buckets."""
+    for name in reg.names():
+        series = reg.series(name)
+        for tier in series.tiers:
+            keys = list(tier)
+            assert all(a < b for a, b in zip(keys, keys[1:])), (name, keys)
+        buckets = all_buckets(series)
+        newest = None
+        for t0, _, value in buckets:
+            if newest is None or t0 > newest[0]:
+                newest = (t0, value)
+        assert series.latest() == newest
+        for cutoff in cutoffs:
+            if series.kind == "counter":
+                assert reg.window_sum(name, cutoff) == sum(
+                    v for t0, _, v in buckets if t0 > cutoff)
+            if series.kind != "gauge":
+                expected = sum(
+                    v.count if series.kind == "histogram" else v
+                    for t0, w, v in buckets
+                    if t0 < cutoff + 7.0 and t0 + w > cutoff)
+                assert reg.query(name, "sum", start=cutoff,
+                                 end=cutoff + 7.0) == expected
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(SERIES_OPS)),
+                          # mostly forward, sometimes a step backwards
+                          st.integers(min_value=-6, max_value=9),
+                          st.integers(min_value=1, max_value=5),
+                          st.integers(min_value=0, max_value=2)),
+                min_size=1, max_size=120),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_tier_keys_stay_ascending_and_reads_match_brute_force(ops, rng):
+    """Interleaved inc / set_gauge / observe under a clock that can step
+    backwards, fleet merges in shuffled order and a dump round trip all
+    keep every tier's keys strictly ascending; ``window_sum``, ``latest``
+    and ``query(..., "sum")`` agree with a fold over every bucket."""
+    clock = {"now": 10.0}
+
+    def make():
+        # small rings, so a short run folds buckets through every tier
+        return TimeSeriesRegistry(clock=lambda: clock["now"],
+                                  bucket_width=0.5, max_buckets=4, n_tiers=3)
+
+    single, parts = make(), [make() for _ in range(3)]
+    for name, step, value, part in ops:
+        clock["now"] = max(0.0, clock["now"] + step * 0.25)
+        for reg in (single, parts[part]):
+            getattr(reg, SERIES_OPS[name])(name, float(value))
+    cutoffs = [clock["now"] - w for w in (0.0, 0.5, 2.0, 5.0, 40.0)]
+    assert_ordered_and_consistent(single, cutoffs)
+
+    rng.shuffle(parts)
+    fleet = make()
+    for part in parts:
+        fleet.merge_from(part)
+    assert_ordered_and_consistent(fleet, cutoffs)
+
+    doc = fleet.to_dict()
+    for series_doc in doc["series"]:  # a dump whose keys lost their order
+        for t, tier in enumerate(series_doc["tiers"]):
+            items = list(tier.items())
+            rng.shuffle(items)
+            series_doc["tiers"][t] = dict(items)
+    reloaded = TimeSeriesRegistry.from_dict(doc)
+    assert_ordered_and_consistent(reloaded, cutoffs)
+    assert reloaded.to_dict() == fleet.to_dict()
