@@ -117,10 +117,9 @@ class DaemonService:
                 ctx = RequestContext(PLANE_CHANNEL, request_id=msg.msg_id,
                                      principal=frame.src_host,
                                      operation=type(msg).__name__,
-                                     size=frame.size, request=msg)
-                ctx.attrs["trace_parent"] = frame.trace_ctx
-                # modeled CPU charged above, reported for cost attribution
-                ctx.attrs["cpu_cost"] = cpu_cost
+                                     size=frame.size, request=msg,
+                                     trace_parent=frame.trace_ctx,
+                                     cpu_cost=cpu_cost)
 
                 def dispatch(_ctx, frame=frame, msg=msg):
                     return self._dispatch(frame, msg)
@@ -129,7 +128,7 @@ class DaemonService:
                 if isinstance(reply, Message):
                     self.endpoint.send(frame.src_host, frame.src_port,
                                        reply, channel="response",
-                                       trace_ctx=ctx.attrs.get("trace_ctx"))
+                                       trace_ctx=ctx.trace_ctx)
         except Interrupt:
             return
 
@@ -150,7 +149,7 @@ class DaemonService:
                 self.server.on_app_deregister(msg.app_id)
             else:
                 self.server.log.warn(
-                    "daemon.unknown_control_event", event=msg.event,
+                    "daemon.unknown_control_event", control_event=msg.event,
                     app_id=msg.app_id, src=frame.src_host)
         else:
             self.server.log.warn(

@@ -761,8 +761,9 @@ class DiscoverServer:
             pass
 
     def _build_pipeline(self, plane: str) -> Pipeline:
-        """Assemble one plane's default interceptor chain: metrics → error
-        envelope → tracing → accounting → security → admission → handler."""
+        """Assemble one plane's default interceptor chain: error envelope
+        → recording (metrics, span, ledger) → security → admission →
+        handler."""
         # Late import: repro.pipeline.interceptors imports this package.
         from repro.pipeline.interceptors import default_pipeline
         return default_pipeline(plane, clock=lambda: self.sim.now,

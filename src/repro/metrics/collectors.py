@@ -55,9 +55,9 @@ class LatencyRecorder:
 class PipelineMetrics:
     """Per-plane request counters and latency histograms.
 
-    Fed by :class:`~repro.pipeline.interceptors.MetricsInterceptor` as
-    every request on any plane (http / orb / channel) unwinds its
-    interceptor chain; one shared instance per
+    Fed by :class:`~repro.obs.RecordingInterceptor` as every request on
+    any plane (http / orb / channel) unwinds its interceptor chain; one
+    shared instance per
     :class:`~repro.core.server.DiscoverServer` makes all three planes
     report into one place.  Latencies are virtual seconds spent inside
     the pipeline (dispatch + handler), excluding the transport costs

@@ -11,14 +11,12 @@ boundary lint (``tools/check_pipeline_boundary.py``) rejects imports of
 the submodules and direct span construction elsewhere.
 """
 
-from repro.obs.accounting import (COST_DIMENSIONS, AccountingInterceptor,
-                                  DispatchProfiler, RequestCostLedger,
-                                  format_cost_report)
+from repro.obs.accounting import (COST_DIMENSIONS, DispatchProfiler,
+                                  RequestCostLedger, format_cost_report)
 from repro.obs.export import (export_chrome, export_jsonl, load_jsonl,
                               to_chrome_trace, to_jsonl_lines,
                               tree_signature)
-from repro.obs.interceptor import (TRACE_CTX_KEY, TRACE_PARENT_KEY,
-                                   TracingInterceptor)
+from repro.obs.interceptor import RecordingInterceptor
 from repro.obs.log import StructuredLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.render import (format_critical_path, format_trace_summary,
@@ -29,11 +27,11 @@ from repro.obs.timeseries import TimeSeriesRegistry, to_chrome_counters
 from repro.obs.tracer import SAMPLE_ALWAYS, SAMPLE_OFF, Tracer
 
 __all__ = [
-    "AccountingInterceptor",
     "COST_DIMENSIONS",
     "DispatchProfiler",
     "MetricsRegistry",
     "PathSegment",
+    "RecordingInterceptor",
     "RequestCostLedger",
     "SAMPLE_ALWAYS",
     "SAMPLE_OFF",
@@ -41,12 +39,9 @@ __all__ = [
     "SpanNode",
     "SpanStore",
     "StructuredLog",
-    "TRACE_CTX_KEY",
-    "TRACE_PARENT_KEY",
     "TimeSeriesRegistry",
     "TraceContext",
     "Tracer",
-    "TracingInterceptor",
     "export_chrome",
     "export_jsonl",
     "format_cost_report",

@@ -5,9 +5,10 @@ module answers the operator's first capacity question — *which principal*
 is consuming CPU, wire bytes, and WAL bandwidth, and *which operation* is
 burning it.  Three cooperating pieces:
 
-- :class:`RequestCostLedger` — the write-side.  An
-  :class:`AccountingInterceptor` joins the standard chain on all three
-  planes and attributes a per-request **cost vector** (requests, sim
+- :class:`RequestCostLedger` — the write-side.  The chain's
+  :class:`~repro.obs.interceptor.RecordingInterceptor` brackets every
+  request on all three planes with ``open_request`` / ``close_request``,
+  which attribute a per-request **cost vector** (requests, sim
   events dispatched, modeled CPU µs, wire bytes split LAN/WAN, WAL
   appends, spans minted, real wall-µs, dropped frames/bytes) to the
   rollup key ``(principal, app, plane, operation)``.  Costs observed away
@@ -17,9 +18,11 @@ burning it.  Three cooperating pieces:
   scope the interceptor activates, the same scoping discipline the tracer
   uses.
 - :class:`SpaceSaving` — a top-K heavy-hitter sketch (Metwally et al.)
-  per cost dimension, keyed by principal, so "who is the noisy neighbor"
-  is answerable in O(K) memory at 10^5-session scale without keeping a
-  counter per principal.
+  per modelled cost dimension, keyed by principal, so "who is the noisy
+  neighbor" is answerable in O(K) memory at 10^5-session scale without
+  keeping a counter per principal.  ``wall_us`` has no sketch: host time
+  must not decide which principals a data structure keeps, so its
+  ranking is computed from the entries when read.
 - :class:`DispatchProfiler` — a continuous sampling profiler for the real
   time axis.  It rides the kernel dispatch loop: on a wall-clock
   interval it times exactly one callback dispatch and folds the sample
@@ -36,9 +39,9 @@ partition invariant testable bit-for-bit: the per-principal vectors sum
 *exactly* to the ledger's running totals, in any merge order.
 
 Boundary: the rest of the tree names only :class:`RequestCostLedger`,
-:class:`AccountingInterceptor`, :class:`DispatchProfiler`, and
-:data:`COST_DIMENSIONS` (through the :mod:`repro.obs` facade); the sketch
-and vector internals stay in this module (boundary lint #8).
+:class:`DispatchProfiler`, and :data:`COST_DIMENSIONS` (through the
+:mod:`repro.obs` facade); the sketch and vector internals stay in this
+module (boundary lint #8).
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.interceptor import TRACE_CTX_KEY
-from repro.pipeline.core import Interceptor, RequestContext
+from repro.pipeline.core import RequestContext
 
 #: the core per-request cost dimensions (every E14 heavy-hitter assertion
 #: quantifies over these)
@@ -59,11 +61,9 @@ COST_DIMENSIONS = ("requests", "events", "cpu_us", "lan_bytes", "wan_bytes",
 #: separately (errors only on failures; drops only for shed load)
 EXTRA_DIMENSIONS = ("errors", "dropped_frames", "dropped_bytes")
 ALL_DIMENSIONS = COST_DIMENSIONS + EXTRA_DIMENSIONS
-
-#: ctx.attrs key dispatch sites use to report the modeled CPU seconds they
-#: charged for the request before entering the pipeline
-CPU_COST_KEY = "cpu_cost"
-_OPEN_KEY = "_cost_open"
+#: the dimensions that feed a heavy-hitter sketch: every modelled one.
+#: ``wall_us`` is host time, and a sketch's evictions depend on its input
+SKETCHED_DIMENSIONS = tuple(d for d in ALL_DIMENSIONS if d != "wall_us")
 
 #: default capacity of the trace-id -> rollup-key LRU binding table
 MAX_TRACE_BINDINGS = 4096
@@ -196,9 +196,9 @@ class RequestCostLedger:
     step.  Standalone servers create their own.
 
     The ledger is one store: a charge updates the key's entry, the
-    running total and the dimension's sketch, nothing else.  Cost history
-    over time is not kept here; the servers' time-series registries
-    carry the per-plane request and WAL counters.
+    running total and the dimension's sketch (``wall_us`` has none),
+    nothing else.  Cost history over time is not kept here; the servers'
+    time-series registries carry the per-plane request and WAL counters.
 
     Attribution paths, in order of preference:
 
@@ -206,6 +206,8 @@ class RequestCostLedger:
        each dispatched request and activate the rollup key for the
        handling process, so charges made *during* handling (WAL appends,
        span minting) attribute to the request that caused them.
+       ``close_request`` books the request itself — requests, errors,
+       events, CPU, wall time — with one entry update.
     2. **Trace binding** — ``open_request`` binds the request's trace id
        to its key (LRU-bounded); frames stamped with that context
        (``Frame.trace_ctx``) attribute their per-hop wire bytes to the
@@ -232,7 +234,7 @@ class RequestCostLedger:
         self.entries: Dict[Tuple[str, str, str, str], CostVector] = {}
         self.total = CostVector()
         self.sketches: Dict[str, SpaceSaving] = {
-            dim: SpaceSaving(top_k) for dim in ALL_DIMENSIONS}
+            dim: SpaceSaving(top_k) for dim in SKETCHED_DIMENSIONS}
         self._bindings: "OrderedDict[Any, Tuple[str, str, str, str]]" = \
             OrderedDict()
         self.max_trace_bindings = max_trace_bindings
@@ -249,7 +251,9 @@ class RequestCostLedger:
             entry = self.entries[key] = CostVector()
         entry.bump(dim, n)
         self.total.bump(dim, n)
-        self.sketches[dim].add(key[0], n)
+        sketch = self.sketches.get(dim)
+        if sketch is not None:
+            sketch.add(key[0], n)
 
     def _active_key(self) -> Optional[Tuple[str, str, str, str]]:
         stack = self._active.get(self._scope())
@@ -278,17 +282,18 @@ class RequestCostLedger:
     def open_request(self, ctx: RequestContext) -> None:
         key = (ctx.principal or "-", self._app_of(ctx), ctx.plane,
                ctx.operation or "-")
-        ctx.attrs[_OPEN_KEY] = (key, self._events(), self._wall())
+        ctx.cost_open = (key, self._events(), self._wall())
         self._active.setdefault(self._scope(), []).append(key)
-        span_ctx = ctx.attrs.get(TRACE_CTX_KEY)
-        if span_ctx is not None:
-            self.bind_trace(span_ctx.trace_id, key)
+        if ctx.trace_ctx is not None:
+            self.bind_trace(ctx.trace_ctx.trace_id, key)
 
-    def close_request(self, ctx: RequestContext, *,
-                      error: bool = False) -> None:
-        rec = ctx.attrs.pop(_OPEN_KEY, None)
+    def close_request(self, ctx: RequestContext) -> None:
+        """Book the request ``open_request`` opened: one entry lookup,
+        then entry, total and sketch per non-zero amount."""
+        rec = ctx.cost_open
         if rec is None:
             return
+        ctx.cost_open = None
         key, events0, wall0 = rec
         scope_key = self._scope()
         stack = self._active.get(scope_key)
@@ -302,18 +307,27 @@ class RequestCostLedger:
                     pass
             if not stack:
                 del self._active[scope_key]
-        self._charge_key(key, "requests", 1)
-        if error:
-            self._charge_key(key, "errors", 1)
+        errors = 0 if ctx.error_type is None else 1
         # +1: the kernel counts the event that *delivered* this request
         # before its callbacks (and hence this window) run — attribute it
         # here, so a synchronous handler still costs the one dispatch it
         # consumed and the events dimension partitions exactly.
-        self._charge_key(key, "events", self._events() - events0 + 1)
-        cpu = ctx.attrs.get(CPU_COST_KEY)
-        if cpu:
-            self._charge_key(key, "cpu_us", int(round(cpu * 1e6)))
-        self._charge_key(key, "wall_us", (self._wall() - wall0) // 1000)
+        events = self._events() - events0 + 1
+        cpu_us = int(round(ctx.cpu_cost * 1e6))
+        wall_us = (self._wall() - wall0) // 1000
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = CostVector()
+        for vec in (entry, self.total):
+            vec.requests += 1
+            vec.errors += errors
+            vec.events += events
+            vec.cpu_us += cpu_us
+            vec.wall_us += wall_us
+        for dim, n in (("requests", 1), ("errors", errors),
+                       ("events", events), ("cpu_us", cpu_us)):
+            if n:  # a zero amount must not enter a principal in a sketch
+                self.sketches[dim].add(key[0], n)
 
     @contextmanager
     def scoped(self, principal: str, *, plane: str, operation: str):
@@ -386,8 +400,18 @@ class RequestCostLedger:
 
     def top(self, dim: str, n: Optional[int] = None) \
             -> List[Tuple[str, int, int]]:
-        """Top principals for one dimension: ``[(principal, count, err)]``."""
-        return self.sketches[dim].top(n if n is not None else self.top_k)
+        """Top principals for one dimension: ``[(principal, count, err)]``
+        — the sketch's estimate, or for ``wall_us`` the exact ranking of
+        the entries."""
+        n = n if n is not None else self.top_k
+        sketch = self.sketches.get(dim)
+        if sketch is not None:
+            return sketch.top(n)
+        ranked = sorted(((principal, getattr(vec, dim)) for principal, vec
+                         in self.partition_by("principal").items()
+                         if getattr(vec, dim)),
+                        key=lambda pc: (-pc[1], pc[0]))
+        return [(principal, count, 0) for principal, count in ranked[:n]]
 
     def merge_from(self, other: "RequestCostLedger") -> "RequestCostLedger":
         """Fold another ledger in exactly (entries and totals are integer
@@ -429,32 +453,6 @@ class RequestCostLedger:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<RequestCostLedger entries={len(self.entries)} "
                 f"requests={self.total.requests}>")
-
-
-class AccountingInterceptor(Interceptor):
-    """The cost ledger's seam into the standard chain on every plane.
-
-    Sits after tracing (so the request's freshly-minted trace context is
-    available to bind) and *before* security/admission — a rejected or
-    shed request is still accounted, because you cannot meter principals
-    you refuse to see.
-    """
-
-    name = "accounting"
-
-    def __init__(self, ledger: RequestCostLedger) -> None:
-        self.ledger = ledger
-
-    def before(self, ctx: RequestContext) -> None:
-        self.ledger.open_request(ctx)
-
-    def after(self, ctx: RequestContext) -> None:
-        # an absorbed error still reaches ``after`` with error_type set
-        self.ledger.close_request(ctx,
-                                  error="error_type" in ctx.attrs)
-
-    def on_error(self, ctx: RequestContext) -> None:
-        self.ledger.close_request(ctx, error=True)
 
 
 class DispatchProfiler:

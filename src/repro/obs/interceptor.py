@@ -1,65 +1,75 @@
-"""TracingInterceptor: the pipeline's seam into :mod:`repro.obs`.
+"""RecordingInterceptor: the one place a completed request is written down.
 
-Joins the standard chain on all three planes (metrics → envelope →
-**tracing** → security → admission), so it is entered after the error
-envelope — its ``on_error`` still sees the raw exception of a rejected
-request before the envelope absorbs it into a reply shape.
+Joins the standard chain on all three planes (envelope → **recording** →
+security → admission).  It sits directly inside the error envelope, so
+its ``on_error`` sees the raw exception before the envelope absorbs it
+into a reply shape, and ahead of security/admission, so a rejected or
+shed request is still traced, metered and charged to its principal — you
+cannot meter principals you refuse to see.
 
-Per request it opens one span named after the plane's operation (servlet
-path, ORB operation, channel message type), parented on the propagated
-context the dispatcher stashed in ``ctx.attrs["trace_parent"]`` (frame
-metadata / GIOP service context), and activates it as the handling
-process's current span so everything the handler does — nested peer
-calls, frames it sends — joins the same trace.
+The :class:`~repro.pipeline.core.RequestContext` is the completion
+record; each store is written from it once:
+
+- ``before`` opens one span named after the plane's operation (servlet
+  path, ORB operation, channel message type), parented on
+  ``ctx.trace_parent``, and activates it as the handling process's
+  current span so everything the handler does — nested peer calls,
+  frames it sends — joins the same trace.  Then it opens the ledger
+  window.  Span first: minting it is charged to whatever scope encloses
+  the request, not to the request itself.
+- Completion (``after`` and ``on_error`` alike — ``ctx.error_type`` says
+  which) closes the ledger window with one entry update, finishes the
+  span, and makes one :meth:`PipelineMetrics.observe` with the span id
+  as the latency bucket's exemplar.
+
+Each sink is optional: a bare ORB has only a tracer, a directory shard
+only a ledger, a :class:`~repro.core.server.DiscoverServer` all three.
 """
 
 from __future__ import annotations
 
-from repro.obs.tracer import Tracer
 from repro.pipeline.core import Interceptor, RequestContext
 
-#: ctx.attrs key dispatchers use to hand the propagated parent context in
-TRACE_PARENT_KEY = "trace_parent"
-#: ctx.attrs key carrying this request's own context (for reply stamping)
-TRACE_CTX_KEY = "trace_ctx"
-_SPAN_KEY = "_trace_span"
-_TOKEN_KEY = "_trace_token"
 
+class RecordingInterceptor(Interceptor):
+    """One span, one ledger update and one metrics observation per
+    dispatched request, on every plane."""
 
-class TracingInterceptor(Interceptor):
-    """One span per dispatched request, on every plane."""
+    name = "recording"
 
-    name = "tracing"
-
-    def __init__(self, tracer: Tracer, server: str = "") -> None:
+    def __init__(self, *, metrics=None, tracer=None, server: str = "",
+                 ledger=None) -> None:
+        self.metrics = metrics
         self.tracer = tracer
         self.server = server
+        self.ledger = ledger
 
     def before(self, ctx: RequestContext) -> None:
-        parent = ctx.attrs.pop(TRACE_PARENT_KEY, None)
-        span = self.tracer.start_span(
-            ctx.operation or ctx.plane, plane=ctx.plane, server=self.server,
-            parent=parent,
-            attrs={"request_id": ctx.request_id,
-                   "principal": ctx.principal,
-                   "bytes": ctx.size})
-        if span is None:
-            return
-        ctx.attrs[_SPAN_KEY] = span
-        ctx.attrs[_TOKEN_KEY] = self.tracer.activate(span)
-        ctx.attrs[TRACE_CTX_KEY] = span.context()
-
-    def _close(self, ctx: RequestContext, error) -> None:
-        span = ctx.attrs.pop(_SPAN_KEY, None)
-        token = ctx.attrs.pop(_TOKEN_KEY, None)
-        self.tracer.deactivate(token)
-        self.tracer.finish(span, error=error)
+        if self.tracer is not None:
+            span = self.tracer.start_span(
+                ctx.operation or ctx.plane, plane=ctx.plane,
+                server=self.server, parent=ctx.trace_parent,
+                attrs={"request_id": ctx.request_id,
+                       "principal": ctx.principal,
+                       "bytes": ctx.size})
+            if span is not None:
+                ctx.span = span
+                ctx.span_token = self.tracer.activate(span)
+                ctx.trace_ctx = span.context()
+        if self.ledger is not None:
+            self.ledger.open_request(ctx)
 
     def after(self, ctx: RequestContext) -> None:
-        # Sitting inside the envelope, this interceptor unwinds before the
-        # envelope absorbs anything: a failed request reaches on_error with
-        # the raw exception, so a clean ``after`` always means success.
-        self._close(ctx, None)
+        if self.ledger is not None:
+            self.ledger.close_request(ctx)
+        span = ctx.span
+        if span is not None:
+            self.tracer.deactivate(ctx.span_token)
+            self.tracer.finish(span, error=ctx.error)
+        if self.metrics is not None:
+            self.metrics.observe(ctx.plane, latency=ctx.elapsed,
+                                 error_type=ctx.error_type,
+                                 exemplar=(span.span_id if span is not None
+                                           else None))
 
-    def on_error(self, ctx: RequestContext) -> None:
-        self._close(ctx, ctx.error)
+    on_error = after

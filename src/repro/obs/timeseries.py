@@ -602,11 +602,21 @@ class TimeSeriesRegistry:
     def merged(cls, registries: Iterable["TimeSeriesRegistry"],
                clock: Optional[Callable[[], float]] = None,
                ) -> "TimeSeriesRegistry":
-        """Fleet-wide registry: per-bucket sums, exact histogram merges."""
+        """Fleet-wide registry: per-bucket sums, exact histogram merges.
+
+        The result takes the sources' bucket width, so a series created
+        on it later merges with theirs; sources of different widths
+        cannot be merged and raise ``ValueError``.
+        """
         registries = list(registries)
+        widths = {registry.bucket_width for registry in registries}
+        if len(widths) > 1:
+            raise ValueError("cannot merge registries of different bucket "
+                             f"widths {sorted(widths)}")
         if clock is None and registries:
             clock = registries[0]._clock
-        out = cls(clock)
+        out = cls(clock, bucket_width=(widths.pop() if widths
+                                       else DEFAULT_BUCKET_WIDTH))
         for registry in registries:
             out.merge_from(registry)
         return out

@@ -202,24 +202,23 @@ class Orb:
         # Server-side dispatch occupies the host CPU.
         cpu_cost = self.costs.corba_cost(size)
         yield from self.host.use_cpu(cpu_cost)
-        ctx = RequestContext(PLANE_ORB, request_id=req.request_id,
-                             principal=src_host, operation=req.operation,
-                             size=size, request=req)
-        # Decoded requests lack the slot entirely — it is not a wire field.
-        ctx.attrs["trace_parent"] = getattr(req, "service_context", None)
-        # modeled CPU charged above, reported for cost attribution
-        ctx.attrs["cpu_cost"] = cpu_cost
+        ctx = RequestContext(
+            PLANE_ORB, request_id=req.request_id, principal=src_host,
+            operation=req.operation, size=size, request=req,
+            # Decoded requests lack the slot entirely — not a wire field.
+            trace_parent=getattr(req, "service_context", None),
+            cpu_cost=cpu_cost)
         result = yield from self.pipeline.execute(ctx,
                                                   self._dispatch_servant)
         if req.oneway:
             return
-        if ctx.attrs.get("error_type"):
+        if ctx.error_type is not None:
             reply = ctx.response  # GiopReply built by the error envelope
         else:
             reply = GiopReply(req.request_id, STATUS_OK, result, "", "")
         self.endpoint.send(req.reply_host, req.reply_port, reply,
                            channel="corba",
-                           trace_ctx=ctx.attrs.get("trace_ctx"))
+                           trace_ctx=ctx.trace_ctx)
 
     def _dispatch_servant(self, ctx: RequestContext):
         """Pipeline handler: look the servant up and run the operation.

@@ -3,7 +3,8 @@
 - :mod:`repro.pipeline.core` — :class:`RequestContext`,
   :class:`Interceptor`, :class:`Pipeline` (plane-neutral, dependency-free).
 - :mod:`repro.pipeline.interceptors` — the standard cross-cutting chain:
-  security, admission, error envelope, metrics.
+  error envelope, security, admission (recording is
+  :class:`repro.obs.RecordingInterceptor`).
 
 The interceptor re-exports below are lazy (PEP 562): dispatch modules
 import :mod:`repro.pipeline.core` while this package initializes, so the
@@ -24,7 +25,6 @@ from repro.pipeline.core import (
 _INTERCEPTOR_EXPORTS = (
     "AdmissionInterceptor",
     "ErrorEnvelopeInterceptor",
-    "MetricsInterceptor",
     "SecurityInterceptor",
     "default_pipeline",
 )

@@ -20,12 +20,15 @@ Contract (deterministic, allocation-light, zero virtual-time cost):
   successfully (the seam future caching/rate-limit interceptors use).
 - The handler runs next; it may return a value or a generator (a
   simulation process), which the pipeline drives with ``yield from``.
+- A raising ``before`` or handler sets ``ctx.error`` and
+  ``ctx.error_type`` (the exception's class name).
 - Unwinding visits the interceptors whose ``before`` completed, in
   *reverse* order: ``on_error`` while ``ctx.error`` is set, ``after``
   otherwise.  An ``on_error`` may absorb the failure by clearing
   ``ctx.error`` and setting ``ctx.response`` (see
   :class:`~repro.pipeline.interceptors.ErrorEnvelopeInterceptor`);
-  interceptors further out then see a completed request.
+  interceptors further out then see a completed request whose
+  ``ctx.error_type`` still names the failure.
 - If no interceptor absorbed the error, :meth:`Pipeline.execute` re-raises
   it at the caller.
 
@@ -49,34 +52,59 @@ PLANES = (PLANE_HTTP, PLANE_ORB, PLANE_CHANNEL)
 
 
 class RequestContext:
-    """Everything the chain knows about one in-flight request.
+    """One request, from dispatch to completion: the record every store
+    is written from.
 
-    One context is created per dispatched request on any plane; it carries
-    identity (``plane`` + ``request_id``), the caller (``principal`` — the
-    source host, matching §6.3's per-server accounting), the requested
-    ``operation`` (servlet path, ORB operation, or channel message type),
-    the wire ``size`` in bytes, and the raw ``request`` payload.
-    Interceptors communicate through ``attrs``.
+    One context is created per dispatched request on any plane.  The
+    dispatch site fills in what it knows before the chain runs:
+
+    - identity — ``plane`` + ``request_id``; the caller (``principal`` —
+      the source host, matching §6.3's per-server accounting); the
+      requested ``operation`` (servlet path, ORB operation, or channel
+      message type); the wire ``size`` in bytes; the raw ``request``;
+    - ``trace_parent`` — the trace context the request arrived with
+      (frame metadata / GIOP service context), or None;
+    - ``cpu_cost`` — the modeled CPU seconds the site charged the host
+      before entering the chain.
+
+    The pipeline stamps ``started_at`` / ``finished_at``, and sets
+    ``error`` and ``error_type`` (the exception's class name) when a hook
+    or the handler raises.  An absorbing ``on_error`` clears ``error``;
+    ``error_type`` stays, so "did this request fail" has one answer
+    everywhere: ``ctx.error_type is not None``.
+
+    The recording interceptor (:mod:`repro.obs.interceptor`) fills
+    ``trace_ctx`` — this request's own span context, which the dispatch
+    site stamps on the reply — and keeps its open span, activation token
+    and ledger window in ``span`` / ``span_token`` / ``cost_open`` until
+    completion.
     """
 
     __slots__ = ("plane", "request_id", "principal", "operation", "size",
-                 "request", "response", "error", "started_at", "finished_at",
-                 "attrs")
+                 "request", "trace_parent", "cpu_cost", "response", "error",
+                 "error_type", "started_at", "finished_at", "trace_ctx",
+                 "span", "span_token", "cost_open")
 
     def __init__(self, plane: str, request_id: int = 0, principal: str = "",
-                 operation: str = "", size: int = 0,
-                 request: Any = None) -> None:
+                 operation: str = "", size: int = 0, request: Any = None,
+                 trace_parent: Any = None, cpu_cost: float = 0.0) -> None:
         self.plane = plane
         self.request_id = request_id
         self.principal = principal
         self.operation = operation
         self.size = size
         self.request = request
+        self.trace_parent = trace_parent
+        self.cpu_cost = cpu_cost
         self.response: Any = None
         self.error: Optional[BaseException] = None
+        self.error_type: Optional[str] = None
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self.attrs: dict = {}
+        self.trace_ctx: Any = None
+        self.span: Any = None
+        self.span_token: Any = None
+        self.cost_open: Optional[tuple] = None
 
     @property
     def trace_id(self) -> str:
@@ -158,7 +186,7 @@ class Pipeline:
             try:
                 interceptor.before(ctx)
             except Exception as exc:  # noqa: BLE001 - rejection short-circuit
-                ctx.error = exc
+                ctx.error, ctx.error_type = exc, type(exc).__name__
                 break
             entered.append(interceptor)
             if ctx.response is not None:
@@ -170,7 +198,7 @@ class Pipeline:
                     outcome = yield from outcome
                 ctx.response = outcome
             except Exception as exc:  # noqa: BLE001 - envelope decides
-                ctx.error = exc
+                ctx.error, ctx.error_type = exc, type(exc).__name__
         if self.clock is not None:
             ctx.finished_at = self.clock()
         for interceptor in reversed(entered):

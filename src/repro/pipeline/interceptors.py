@@ -11,13 +11,11 @@ Each class wraps code that previously lived inline in one dispatch path:
 - :class:`ErrorEnvelopeInterceptor` — one error envelope per plane,
   absorbing the per-servlet ``_error`` helpers and the ad-hoc try/except
   blocks the planes used to carry.
-- :class:`MetricsInterceptor` — per-plane request counts and latency
-  samples into :class:`repro.metrics.PipelineMetrics`.
 
-Causal tracing joins the chain as :class:`repro.obs.TracingInterceptor`
-(between the envelope and security), opening one span per dispatched
-request on every plane; end-to-end traffic correlation now rides on the
-per-frame trace ids the tracer stamps, not on request-id tagging.
+Recording — the request's span, its ledger entry and its
+:class:`repro.metrics.PipelineMetrics` observation — is one more
+interceptor, :class:`repro.obs.RecordingInterceptor`, which
+:func:`default_pipeline` places between the envelope and security.
 
 Dispatch modules (``repro.web.container``, ``repro.orb.core``,
 ``repro.core.daemon``) must not import ``repro.core.security`` or
@@ -103,8 +101,8 @@ class ErrorEnvelopeInterceptor(Interceptor):
     """Uniform error envelopes for all three planes.
 
     Absorbs any exception escaping the handler (or a ``before`` hook
-    further in) and converts it to the plane's reply shape, recording the
-    exception class name in ``ctx.attrs["error_type"]`` so the same
+    further in) and converts it to the plane's reply shape; the
+    exception's class name stays in ``ctx.error_type``, so the same
     failure is observable identically on every plane:
 
     - HTTP: a ``(status, {"error": message})`` body — the mapping the
@@ -124,7 +122,6 @@ class ErrorEnvelopeInterceptor(Interceptor):
         exc = ctx.error
         if exc is None:
             return
-        ctx.attrs["error_type"] = type(exc).__name__
         if ctx.plane == PLANE_ORB:
             system = isinstance(exc, (ObjectNotFound, BadOperation,
                                       CommFailure))
@@ -168,41 +165,6 @@ class ErrorEnvelopeInterceptor(Interceptor):
         return f"{type(exc).__name__}: {exc}"
 
 
-class MetricsInterceptor(Interceptor):
-    """Per-plane request counters and latency histograms (ROADMAP: make the
-    middleware observable before scaling it further).
-
-    Feeds a shared :class:`repro.metrics.PipelineMetrics`.  When tracing
-    is on, the request's span id rides along as the latency histogram's
-    bucket exemplar, so a time-series latency spike links back to a
-    concrete :class:`~repro.obs.SpanStore` trace.
-    """
-
-    name = "metrics"
-
-    def __init__(self, metrics: PipelineMetrics,
-                 plane: Optional[str] = None) -> None:
-        self.metrics = metrics
-        self.plane = plane
-        # deferred: repro.obs imports the pipeline package
-        from repro.obs import TRACE_CTX_KEY
-        self._trace_key = TRACE_CTX_KEY
-
-    def _observe(self, ctx: RequestContext, error_type: Optional[str]) -> None:
-        span_ctx = ctx.attrs.get(self._trace_key)
-        self.metrics.observe(self.plane or ctx.plane, latency=ctx.elapsed,
-                             error_type=error_type,
-                             exemplar=(span_ctx.span_id
-                                       if span_ctx is not None else None))
-
-    def after(self, ctx: RequestContext) -> None:
-        self._observe(ctx, ctx.attrs.get("error_type"))
-
-    def on_error(self, ctx: RequestContext) -> None:
-        # an error nothing further in absorbed: still count the request
-        self._observe(ctx, type(ctx.error).__name__)
-
-
 def default_pipeline(plane: str, *,
                      clock: Optional[Callable[[], float]] = None,
                      metrics: Optional[PipelineMetrics] = None,
@@ -210,32 +172,30 @@ def default_pipeline(plane: str, *,
                      policies: Optional[PolicyManager] = None,
                      tracer=None, server: str = "",
                      accounting=None) -> Pipeline:
-    """The standard chain for one plane: metrics → envelope → tracing →
-    accounting → security → admission → handler (tracing/accounting/
-    security/admission only when a tracer / ledger / the managers are
-    given).
+    """The standard chain for one plane: envelope → recording → security
+    → admission → handler (each step only when its collaborator — a
+    metrics collector, tracer or ledger; the managers — is given).
 
-    Tracing sits inside the envelope so its ``on_error`` sees the raw
-    exception before the envelope absorbs it into a reply shape.
-    Accounting (``accounting`` is a :class:`repro.obs.RequestCostLedger`)
-    sits right after tracing — the request's trace context is minted and
-    bindable — but before security/admission, so rejected and shed
-    requests are still attributed to their principal.
+    Recording sits inside the envelope so it sees the raw exception
+    before the envelope absorbs it into a reply shape, and before
+    security/admission so rejected and shed requests are still recorded
+    against their principal.  ``accounting`` is a
+    :class:`repro.obs.RequestCostLedger`.  ``plane`` names the plane the
+    chain serves; the interceptors read each request's plane from its
+    context.
 
     Bare components (a :class:`~repro.web.ServletContainer` or
     :class:`~repro.orb.Orb` outside a :class:`DiscoverServer`) call this
-    with just a clock; :class:`~repro.core.server.DiscoverServer` passes
-    its shared managers so all three planes report into one place.
+    with just a clock and record no metrics;
+    :class:`~repro.core.server.DiscoverServer` passes its shared managers
+    so all three planes report into one place.
     """
-    chain = [MetricsInterceptor(metrics if metrics is not None
-                                else PipelineMetrics(), plane),
-             ErrorEnvelopeInterceptor()]
-    if tracer is not None:
-        from repro.obs import TracingInterceptor
-        chain.append(TracingInterceptor(tracer, server))
-    if accounting is not None:
-        from repro.obs import AccountingInterceptor
-        chain.append(AccountingInterceptor(accounting))
+    chain = [ErrorEnvelopeInterceptor()]
+    if any(sink is not None for sink in (metrics, tracer, accounting)):
+        # deferred: repro.obs imports the pipeline package
+        from repro.obs import RecordingInterceptor
+        chain.append(RecordingInterceptor(metrics=metrics, tracer=tracer,
+                                          server=server, ledger=accounting))
     if security is not None:
         chain.append(SecurityInterceptor(security))
     if policies is not None:

@@ -2,7 +2,7 @@
 
 Request lifecycle per the paper's commodity web-server tier: accept →
 (create or resolve session) → charge the host CPU the HTTP service cost →
-run the request pipeline (security / admission / error envelope / metrics
+run the request pipeline (error envelope / recording / security / admission
 interceptors around longest-prefix servlet routing) → reply to the
 caller's endpoint.  Concurrent requests queue on the host CPU, which is
 what saturates a server past ~20 polling clients (experiment E2).
@@ -125,10 +125,8 @@ class ServletContainer:
         ctx = RequestContext(PLANE_HTTP, request_id=request.request_id,
                              principal=frame.src_host,
                              operation=request.path, size=frame.size,
-                             request=request)
-        ctx.attrs["trace_parent"] = frame.trace_ctx
-        # modeled CPU charged above, reported for cost attribution
-        ctx.attrs["cpu_cost"] = cpu_cost
+                             request=request, trace_parent=frame.trace_ctx,
+                             cpu_cost=cpu_cost)
 
         def route(_ctx):
             servlet = self.servlet_for(request.path)
@@ -144,4 +142,4 @@ class ServletContainer:
         self.requests_served += 1
         self.endpoint.send(frame.src_host, frame.src_port, response,
                            channel="response",
-                           trace_ctx=ctx.attrs.get("trace_ctx"))
+                           trace_ctx=ctx.trace_ctx)

@@ -7,6 +7,7 @@ entry, all fields are integers, so any grouping of the entries sums back
 to the ledger's running totals bit-for-bit, in any merge order.
 """
 
+import itertools
 import math
 
 import pytest
@@ -18,7 +19,7 @@ from repro.net import Network
 from repro.obs import DispatchProfiler, RequestCostLedger
 from repro.obs.accounting import ALL_DIMENSIONS, SpaceSaving
 from repro.obs.timeseries import LogHistogram
-from repro.pipeline.core import PLANE_HTTP, RequestContext
+from repro.pipeline.core import PLANE_HTTP, Interceptor, RequestContext
 from repro.sim import Simulator
 
 
@@ -104,10 +105,9 @@ class TestLedgerAttribution:
                                    events_fn=lambda: events["n"],
                                    wall_clock=lambda: 0)
         ctx = RequestContext(PLANE_HTTP, principal="bob",
-                             operation="poll")
+                             operation="poll", cpu_cost=0.0015)
         ledger.open_request(ctx)
         events["n"] += 4  # four events dispatched while handling
-        ctx.attrs["cpu_cost"] = 0.0015
         ledger.close_request(ctx)
         vec = ledger.entries[("bob", "-", PLANE_HTTP, "poll")].as_dict()
         assert vec["requests"] == 1
@@ -120,7 +120,8 @@ class TestLedgerAttribution:
         ledger = make_ledger()
         ctx = RequestContext(PLANE_HTTP, principal="eve", operation="put")
         ledger.open_request(ctx)
-        ledger.close_request(ctx, error=True)
+        ctx.error_type = "PermissionError"
+        ledger.close_request(ctx)
         vec = ledger.entries[("eve", "-", PLANE_HTTP, "put")].as_dict()
         assert vec["errors"] == 1 and vec["requests"] == 1
 
@@ -158,6 +159,44 @@ class TestLedgerAttribution:
             ledger.bind_trace(i, ("p", "-", "orb", "op"))
         assert len(ledger._bindings) == 10
         assert 24 in ledger._bindings and 0 not in ledger._bindings
+
+
+class TestHostTimeSteersNoSketch:
+    """``wall_us`` is booked in entries and totals only: which principals
+    a sketch keeps may depend on modelled costs, never on the host."""
+
+    @staticmethod
+    def scripted(wall_clock):
+        ledger = RequestCostLedger(scope=lambda: "proc", events_fn=lambda: 0,
+                                   wall_clock=wall_clock, top_k=2)
+        for i in range(12):  # 5 principals through capacity-2 sketches
+            ctx = RequestContext(PLANE_HTTP, principal=f"u{i % 5}",
+                                 operation="poll", cpu_cost=0.001 * (i % 3))
+            ledger.open_request(ctx)
+            ledger.close_request(ctx)
+        return ledger
+
+    def test_two_wall_clocks_leave_every_sketch_equal(self):
+        steady = itertools.count(0, 5_000)
+        bursty = (n * n * 7_000 for n in itertools.count())
+        a = self.scripted(lambda: next(steady))
+        b = self.scripted(lambda: next(bursty))
+        assert a.total.wall_us != b.total.wall_us  # the clocks did differ
+        assert "wall_us" not in a.sketches
+        for dim, sketch in a.sketches.items():
+            assert sketch.counters == b.sketches[dim].counters, dim
+            assert sketch.errors == b.sketches[dim].errors, dim
+
+    def test_wall_us_heavy_hitters_are_the_exact_entry_ranking(self):
+        steady = itertools.count(0, 5_000)
+        ledger = self.scripted(lambda: next(steady))
+        exact = sorted(((who, vec.wall_us) for who, vec
+                        in ledger.partition_by("principal").items()),
+                       key=lambda pc: (-pc[1], pc[0]))
+        assert ledger.top("wall_us") == [(who, n, 0) for who, n in exact[:2]]
+        hitters = ledger.snapshot(top=3)["heavy_hitters"]
+        assert list(hitters) == list(ALL_DIMENSIONS)
+        assert hitters["wall_us"] == [[who, n, 0] for who, n in exact[:3]]
 
 
 class TestDroppedFrameAccounting:
@@ -354,20 +393,21 @@ class TestDispatchProfiler:
 
 
 class TestInterceptorSeam:
+    class Shed(Interceptor):
+        name = "shed"
+
+        def before(self, ctx):
+            raise RuntimeError("bucket exhausted")
+
     def test_rejected_request_is_still_accounted(self):
-        """Accounting sits before admission in the chain: a request shed
+        """Recording sits before admission in the chain: a request shed
         deeper in (an exhausted token bucket) still costs its principal."""
-        from repro.obs import AccountingInterceptor
-        from repro.pipeline.core import Interceptor, Pipeline
-
-        class Shed(Interceptor):
-            name = "shed"
-
-            def before(self, ctx):
-                raise RuntimeError("bucket exhausted")
+        from repro.obs import RecordingInterceptor
+        from repro.pipeline.core import Pipeline
 
         ledger = make_ledger()
-        pipeline = Pipeline([AccountingInterceptor(ledger), Shed()])
+        pipeline = Pipeline([RecordingInterceptor(ledger=ledger),
+                             self.Shed()])
         ctx = RequestContext(PLANE_HTTP, principal="mallory",
                              operation="flood")
         with pytest.raises(RuntimeError):
@@ -376,12 +416,36 @@ class TestInterceptorSeam:
         assert vec.as_dict()["requests"] == 1
         assert vec.as_dict()["errors"] == 1
 
+    def test_rejected_request_reaches_every_store_with_one_error_type(self):
+        from repro.metrics import PipelineMetrics
+        from repro.obs import RecordingInterceptor, Tracer
+        from repro.pipeline import ErrorEnvelopeInterceptor
+        from repro.pipeline.core import Pipeline
+
+        ledger, metrics, tracer = make_ledger(), PipelineMetrics(), Tracer()
+        pipeline = Pipeline([
+            ErrorEnvelopeInterceptor(),
+            RecordingInterceptor(metrics=metrics, tracer=tracer,
+                                 ledger=ledger),
+            self.Shed()])
+        ctx = RequestContext(PLANE_HTTP, principal="mallory",
+                             operation="flood")
+        with pytest.raises(StopIteration):  # absorbed: a 500 reply
+            next(pipeline.execute(ctx, lambda c: None))
+        assert ctx.error is None and ctx.error_type == "RuntimeError"
+        assert metrics.error_types(PLANE_HTTP) == {"RuntimeError": 1}
+        (span,) = tracer.store.spans()
+        assert (span.status, span.error) == (
+            "error", "RuntimeError: bucket exhausted")
+        vec = ledger.entries[("mallory", "-", PLANE_HTTP, "flood")]
+        assert vec.as_dict()["errors"] == 1
+
     def test_successful_request_through_chain(self):
-        from repro.obs import AccountingInterceptor
+        from repro.obs import RecordingInterceptor
         from repro.pipeline.core import Pipeline
 
         ledger = make_ledger()
-        pipeline = Pipeline([AccountingInterceptor(ledger)])
+        pipeline = Pipeline([RecordingInterceptor(ledger=ledger)])
         ctx = RequestContext(PLANE_HTTP, principal="alice",
                              operation="poll")
         with pytest.raises(StopIteration) as stop:

@@ -1,0 +1,124 @@
+"""What recording one request costs, as counts of store writes — no
+timing (in the spirit of tests/obs/test_timeseries_cost.py).
+
+One completed request is one ``PipelineMetrics.observe``, one
+``SpanStore.add`` and one ledger entry lookup from ``close_request``;
+every other charge (a span minted, a WAL append, a frame hop) stays its
+own single lookup.  And nobody pays for a collector no surface can read:
+a bare component's chain is the envelope plus at most the recording step.
+"""
+
+from repro.core.daemon import DaemonService
+from repro.core.server import DiscoverServer
+from repro.net import Network
+from repro.obs import RecordingInterceptor, Tracer
+from repro.orb import Orb
+from repro.pipeline import ErrorEnvelopeInterceptor, default_pipeline
+from repro.pipeline.core import PLANE_ORB
+from repro.sim import Simulator
+from repro.steering.application import DAEMON_PORT
+from repro.web import ServletContainer
+from repro.wire import RegisterMessage
+from tests.conftest import drive
+
+
+class CountingEntries(dict):
+    """``ledger.entries`` that counts keyed reads (``get`` / ``[]``)."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def make_server():
+    sim = Simulator()
+    net = Network(sim)
+    net.add_host("solo")
+    net.add_host("peer")
+    net.add_link("solo", "peer", 0.001)
+    tracer = Tracer(sim)
+    server = DiscoverServer(net.hosts["solo"], tracer=tracer,
+                            health_enabled=False)
+    net.cost_ledger = server.ledger
+    return sim, net, server
+
+
+def sinks(interceptor):
+    return {name: getattr(interceptor, name) for name
+            in ("metrics", "tracer", "ledger")
+            if getattr(interceptor, name, None) is not None}
+
+
+def test_a_server_plane_chain_is_four_interceptors_and_one_records():
+    _sim, _net, server = make_server()
+    for component in (server.container, server.daemon, server.orb):
+        chain = component.pipeline.interceptors
+        assert [i.name for i in chain] == [
+            "error-envelope", "recording", "security", "admission"]
+        assert type(chain[1]) is RecordingInterceptor
+        assert [sinks(i) for i in chain] == [
+            {}, {"metrics": server.pipeline_metrics,
+                 "tracer": server.tracer, "ledger": server.ledger}, {}, {}]
+
+
+def test_bare_components_record_no_metrics():
+    sim, net, server = make_server()
+    bare = (Orb(net.hosts["peer"]),
+            ServletContainer(net.hosts["peer"]),
+            DaemonService(server, port=DAEMON_PORT + 1))
+    for component in bare:
+        chain = component.pipeline.interceptors
+        assert len(chain) <= 2
+        assert isinstance(chain[0], ErrorEnvelopeInterceptor)
+        assert not any("metrics" in sinks(i) for i in chain)
+    chain = default_pipeline(PLANE_ORB, clock=lambda: sim.now).interceptors
+    assert [i.name for i in chain] == ["error-envelope"]
+
+
+def test_one_request_writes_each_store_once():
+    sim, net, server = make_server()
+    ledger, store = server.ledger, server.tracer.store
+    calls = {"observe": 0, "add": 0, "hops": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    server.pipeline_metrics.observe = counted(
+        "observe", server.pipeline_metrics.observe)
+    store.add = counted("add", store.add)
+    ledger.account_frame_hop = counted("hops", ledger.account_frame_hop)
+    ledger.entries = entries = CountingEntries(ledger.entries)
+
+    peer = Orb(net.hosts["peer"])  # untraced caller: the span is a root
+    channel = net.hosts["peer"].bind(5000)
+
+    def ping():
+        return (yield from peer.invoke(server.corba_ref, "ping"))
+
+    def register():
+        channel.send("solo", DAEMON_PORT, RegisterMessage(
+            "app", "", {}, {"alice": "write"}), channel="main")
+        yield channel.recv()  # the ack
+
+    for request, wal_appends in ((ping, 0), (register, 2)):
+        before = dict(calls, lookups=entries.lookups,
+                      **ledger.total.as_dict())
+        drive(sim, request())
+        after = ledger.total.as_dict()
+        assert after["requests"] - before["requests"] == 1
+        assert after["wal_appends"] - before["wal_appends"] == wal_appends
+        assert calls["observe"] - before["observe"] == 1
+        assert calls["add"] - before["add"] == 1
+        # close_request's one lookup, plus one per charge made elsewhere
+        assert entries.lookups - before["lookups"] == (
+            1 + (after["spans"] - before["spans"]) + wal_appends
+            + (calls["hops"] - before["hops"]))

@@ -125,6 +125,29 @@ class TestServerIntegration:
         assert server.health.counters["channel_failures"] == 1
         collab.stop()
 
+    def test_unknown_control_event_is_logged_not_raised(self):
+        """The warning passed the control event as ``event=``, which is
+        ``StructuredLog.warn``'s own first parameter: the message died in
+        a ``TypeError`` (absorbed by the envelope, counted as a pipeline
+        error) and nothing was logged."""
+        from repro.core.deployment import build_single_server
+        from repro.steering.application import DAEMON_PORT
+        from repro.wire import ControlMessage
+
+        collab = build_single_server(app_hosts=1, client_hosts=1)
+        collab.run_bootstrap()
+        server = collab.server_of(0)
+        ep = collab.domains[0].app_hosts[0].bind(12345)
+        ep.send(server.host.name, DAEMON_PORT,
+                ControlMessage("unheard-of", app_id="a#1"),
+                channel="control")
+        collab.sim.run(until=collab.sim.now + 1.0)
+        (record,) = server.log.records(event="daemon.unknown_control_event")
+        assert record["control_event"] == "unheard-of"
+        assert record["level"] == "warning"
+        assert server.pipeline_metrics.errors("channel") == 0
+        collab.stop()
+
 
 class TestOverflowVisibility:
     def test_ring_overflow_counts_drops(self):

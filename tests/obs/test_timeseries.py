@@ -316,6 +316,30 @@ class TestFleetMerge:
         with pytest.raises(ValueError):
             a.merge_from(b)
 
+    def test_merged_registry_keeps_the_sources_bucket_width(self):
+        # merged() used to build a default-width (0.25) registry over
+        # width-1.0 series: the dump header lied, and a series created on
+        # the result could not be merged with its own sources
+        clock = {"now": 3.0}
+        a, b = (TimeSeriesRegistry(clock=lambda: clock["now"],
+                                   bucket_width=1.0) for _ in range(2))
+        a.inc("reqs")
+        merged = TimeSeriesRegistry.merged([a, b])
+        assert merged.bucket_width == 1.0
+        assert merged.to_dict()["bucket_width"] == 1.0
+        merged.inc("late")
+        b.inc("late")
+        merged.merge_from(b)
+        assert merged.query("late", "sum") == 2
+
+    def test_merged_rejects_mixed_bucket_widths_up_front(self):
+        a = TimeSeriesRegistry(bucket_width=1.0)
+        b = TimeSeriesRegistry(bucket_width=0.5)  # no series in common
+        a.inc("only_a")
+        b.inc("only_b")
+        with pytest.raises(ValueError, match="bucket widths"):
+            TimeSeriesRegistry.merged([a, b])
+
     def test_merge_does_not_alias_source_histograms(self):
         a = TimeSeriesRegistry(bucket_width=1.0)
         a.observe("lat", 0.1)

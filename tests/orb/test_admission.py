@@ -1,9 +1,12 @@
 """ORB-plane admission via the request pipeline (§6.3 enforcement point)."""
 
 from repro.core.policies import PolicyManager, ResourcePolicy
+from repro.metrics import PipelineMetrics
 from repro.net import Network
+from repro.obs import RequestCostLedger
 from repro.orb import Orb, RemoteException
-from repro.pipeline import AdmissionInterceptor, Interceptor
+from repro.pipeline import (PLANE_ORB, AdmissionInterceptor, Interceptor,
+                            default_pipeline)
 from repro.sim import Simulator
 from tests.conftest import drive
 
@@ -88,6 +91,30 @@ def test_admission_applies_to_oneway_too():
     assert usage.requests + usage.rejected == 5
     assert usage.requests >= 1
     assert usage.rejected >= 1
+
+
+def test_shed_oneway_is_still_recorded():
+    # Recording sits ahead of admission, so the calls the bucket sheds —
+    # oneway ones, which have no reply to carry the error — still count
+    # against their principal in the metrics and in the ledger.
+    sim, corb, sorb, ref = make_pair()
+    policies = PolicyManager()
+    policies.set_policy("caller", ResourcePolicy(max_requests_per_s=1.0,
+                                                 burst_seconds=1.0))
+    metrics = PipelineMetrics()
+    ledger = RequestCostLedger(sim)
+    sorb.pipeline = default_pipeline(
+        PLANE_ORB, clock=lambda: sim.now, metrics=metrics, policies=policies,
+        accounting=ledger)
+    for _ in range(5):
+        corb.invoke_oneway(ref, "echo", 1)
+    sim.run()
+    shed = policies.ledger.usage("caller").rejected
+    assert shed >= 1
+    assert metrics.requests(PLANE_ORB) == 5
+    assert metrics.error_types(PLANE_ORB) == {"PolicyViolation": shed}
+    vec = ledger.entries[("caller", "-", PLANE_ORB, "echo")].as_dict()
+    assert (vec["requests"], vec["errors"]) == (5, shed)
 
 
 def test_oneway_and_twoway_share_the_same_chain():

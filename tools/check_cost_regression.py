@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Gate the per-operation cost trajectory: drill vs committed baseline.
 
-``check_bench_regression.py`` catches "the suite got slower"; this gate
-catches *why*-class regressions one level down: "the modeled middleware
-got fatter per operation".  It re-runs the deterministic quick
+``perf/compare.py`` catches "the suite got slower"; this gate catches
+*why*-class regressions one level down: "the modeled middleware got
+fatter per operation".  It re-runs the deterministic quick
 noisy-neighbor drill (E14, fixed seed — every cost below is virtual and
 bit-for-bit reproducible), rolls the ledger up by (plane, operation),
 and compares each operation's deterministic cost dimensions (requests,
