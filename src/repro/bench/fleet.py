@@ -41,7 +41,6 @@ from repro.net import Network
 from repro.net.costs import CostModel, LinkSpec
 from repro.obs import RequestCostLedger
 from repro.orb import Orb, OrbError
-from repro.pipeline.core import PLANE_ORB
 from repro.pipeline.interceptors import default_pipeline
 from repro.sim import Simulator
 from repro.sim.rng import DeterministicRNG
@@ -108,8 +107,7 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
         # accounting-only pipeline — directory reads are where a noisy
         # principal's load lands, exactly what E14 must attribute
         shard_pipeline = default_pipeline(
-            PLANE_ORB, clock=lambda: sim.now, server=host.name,
-            accounting=ledger)
+            clock=lambda: sim.now, server=host.name, accounting=ledger)
         plane.add_shard(host.name, Orb(host, cost_model=costs,
                                        pipeline=shard_pipeline))
     servers: List[DiscoverServer] = []

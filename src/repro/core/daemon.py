@@ -60,8 +60,7 @@ class DaemonService:
             # include the security interceptor — registration auth (§4.1)
             # lives there now.
             from repro.pipeline.interceptors import default_pipeline
-            pipeline = default_pipeline(PLANE_CHANNEL,
-                                        clock=lambda: self.sim.now,
+            pipeline = default_pipeline(clock=lambda: self.sim.now,
                                         security=server.security)
         #: interceptor chain every channel message dispatches through
         self.pipeline = pipeline

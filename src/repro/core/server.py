@@ -45,7 +45,7 @@ from repro.metrics import (
     StorageMetrics,
 )
 from repro.net.costs import CostModel
-from repro.pipeline.core import PLANE_CHANNEL, PLANE_HTTP, PLANE_ORB, Pipeline
+from repro.pipeline.core import Pipeline
 from repro.orb import ObjectRef, Orb, OrbError, ServiceOffer
 from repro.orb.idl import validate_servant
 from repro.storage import (
@@ -187,12 +187,10 @@ class DiscoverServer:
                                  server=self.name, tracer=tracer,
                                  sink=log_sink)
         self.container = ServletContainer(
-            host, cost_model=self.costs,
-            pipeline=self._build_pipeline(PLANE_HTTP))
-        self.daemon = DaemonService(
-            self, pipeline=self._build_pipeline(PLANE_CHANNEL))
+            host, cost_model=self.costs, pipeline=self._build_pipeline())
+        self.daemon = DaemonService(self, pipeline=self._build_pipeline())
         self.orb = Orb(host, cost_model=self.costs,
-                       pipeline=self._build_pipeline(PLANE_ORB),
+                       pipeline=self._build_pipeline(),
                        tracer=tracer)
 
         # -- federation (the location-transparency layer, §4–5) ------------
@@ -760,13 +758,13 @@ class DiscoverServer:
         except OrbError:
             pass
 
-    def _build_pipeline(self, plane: str) -> Pipeline:
+    def _build_pipeline(self) -> Pipeline:
         """Assemble one plane's default interceptor chain: error envelope
         → recording (metrics, span, ledger) → security → admission →
         handler."""
         # Late import: repro.pipeline.interceptors imports this package.
         from repro.pipeline.interceptors import default_pipeline
-        return default_pipeline(plane, clock=lambda: self.sim.now,
+        return default_pipeline(clock=lambda: self.sim.now,
                                 metrics=self.pipeline_metrics,
                                 security=self.security,
                                 policies=self.policies,

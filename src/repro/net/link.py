@@ -4,28 +4,22 @@ Transmission time (``size / bandwidth``) serializes on the link — frames
 queue behind one another per direction — while propagation latency is
 pipelined, the standard store-and-forward model.
 
-The transmitter is a fused FIFO queue per direction rather than a
-:class:`~repro.sim.Resource`: starting a transmission on a free transmitter
-schedules exactly one pooled kernel callback at transmission-complete time
-(zero events when the transfer time is zero), instead of the
-request/grant/timeout/release event chain a counted resource needs.  The
-queueing behaviour — FIFO per direction, zero-cost transfers never
-serialize — is identical.
+Each direction's transmitter is a clock, ``free_at``: the time its last
+accepted frame finishes transmitting.  A frame handed to :meth:`Link.send`
+starts at ``max(now, free_at)``, is done one transfer time later, moves
+``free_at`` there and arrives one latency after that — so a hop is **one**
+pooled kernel callback, at the arrival time (none at all when that time is
+now), however long the queue in front of it.  FIFO per direction, and a
+zero-cost transfer waiting its turn behind a busy transmitter, follow from
+the clock; there is no in-flight slot and no queue to drain.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple
-
-from repro.sim import SimEvent
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
-
-
-def _succeed_event(ev: SimEvent) -> None:
-    ev.succeed()
 
 
 class Link:
@@ -56,15 +50,10 @@ class Link:
         self.latency = latency
         self.bandwidth = bandwidth
         self.kind = kind
-        #: precomputed so the hot path never rebuilds float("inf"); the
-        #: division itself must stay ``size / bandwidth`` bit-for-bit
-        self._infinite_bw = bandwidth == float("inf")
-        # One transmitter per direction: the in-flight completion callback
-        # plus a FIFO of waiting transmissions.
-        self._inflight: Dict[str, Optional[Tuple[Callable, Any]]] = {
-            a: None, b: None}
-        self._queue: Dict[str, Deque[Tuple[int, Callable, Any]]] = {
-            a: deque(), b: deque()}
+        #: per sending end, when its transmitter finishes the last frame
+        #: it accepted (``-inf``: it has never been busy)
+        self._free_at: Dict[str, float] = {
+            a: float("-inf"), b: float("-inf")}
 
     @property
     def ends(self) -> Tuple[str, str]:
@@ -79,59 +68,38 @@ class Link:
         raise ValueError(f"{host!r} is not an endpoint of {self!r}")
 
     def transfer_time(self, size: int) -> float:
-        """Pure transmission time for ``size`` bytes (no queueing)."""
-        if self._infinite_bw:
-            return 0.0
+        """Pure transmission time for ``size`` bytes (no queueing); zero
+        on an infinite-bandwidth link."""
         return size / self.bandwidth
 
-    def start_tx(self, src: str, size: int,
-                 done: Callable[[Any], None], arg: Any) -> None:
-        """Occupy the ``src``-side transmitter for ``size`` bytes.
+    def send(self, src: str, size: int,
+             arrive: Callable[[Any], None], arg: Any) -> None:
+        """Carry ``size`` bytes from the ``src`` end to the other one:
+        ``arrive(arg)`` runs at arrival time, after queueing behind earlier
+        frames of the same direction, the transfer and the latency.
 
-        ``done(arg)`` runs at transmission-complete time — propagation
-        latency is the caller's business.  Transmissions are strictly FIFO
-        per direction; a zero-cost transfer on a free transmitter completes
-        synchronously (no event at all).
+        The arrival time is built by the same two additions a separate
+        transmission-complete step and propagation step would make
+        (``done = start + transfer``, then ``done + latency``) and given
+        to the kernel as an absolute time: the next frame of the direction
+        starts from the exact ``done`` of this one, and every simulated
+        time stays bit-for-bit.  A frame that arrives now on a transmitter
+        that was idle is delivered synchronously, no event at all.
         """
-        inflight = self._inflight[src]  # KeyError doubles as validation
-        if inflight is not None or self._queue[src]:
-            self._queue[src].append((size, done, arg))
-            return
-        if self._infinite_bw:
-            done(arg)
-            return
-        t = size / self.bandwidth
-        if t > 0.0:
-            self._inflight[src] = (done, arg)
-            self.sim.schedule_fn(t, self._tx_done, src)
+        sim = self.sim
+        now = sim.now
+        free_at = self._free_at[src]  # KeyError doubles as validation
+        idle = free_at < now
+        done = now if idle else free_at
+        transfer = size / self.bandwidth  # bit-for-bit: keep the division
+        if transfer > 0.0:
+            done += transfer
+            self._free_at[src] = done
+        arrival = done + self.latency
+        if idle and arrival == now:
+            arrive(arg)
         else:
-            done(arg)
-
-    def _tx_done(self, src: str) -> None:
-        done, arg = self._inflight[src]
-        self._inflight[src] = None
-        done(arg)
-        queue = self._queue[src]
-        while queue:
-            size, done, arg = queue.popleft()
-            t = self.transfer_time(size)
-            if t > 0.0:
-                self._inflight[src] = (done, arg)
-                self.sim.schedule_fn(t, self._tx_done, src)
-                break
-            done(arg)
-
-    def transmit(self, src: str, size: int):
-        """Process: occupy the ``src``-side transmitter for the transfer,
-        then wait the propagation latency.  Yields; returns at delivery time.
-        """
-        if src != self.a and src != self.b:
-            raise KeyError(src)
-        ev = SimEvent(self.sim)
-        self.start_tx(src, size, _succeed_event, ev)
-        yield ev
-        if self.latency > 0:
-            yield self.sim.timeout(self.latency)
+            sim.schedule_at(arrival, arrive, arg)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Link {self.a}<->{self.b} {self.kind} "

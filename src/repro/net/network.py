@@ -1,14 +1,16 @@
 """The network: topology, routing, and frame delivery.
 
 ``Network.send`` computes the (latency-weighted) shortest path once, then
-walks it with a :class:`_Delivery` state machine: each hop occupies the
-link transmitter for ``size/bandwidth`` (one pooled kernel callback), then
-waits the propagation latency (one more), and is counted by the traffic
-trace.  Frames finally land in the destination endpoint's inbox.  Compared
-to the generator-process-per-frame design this replaces, a single-hop
-delivery schedules two pooled events instead of spawning a process (boot
-event, resource grant, two timeouts, process-completion event) — and no
-per-frame process name is ever built.
+walks it with a :class:`_Delivery` state machine: each hop is one
+:meth:`Link.send <repro.net.link.Link.send>` — queueing, transmission and
+propagation fused into one pooled kernel callback at the arrival time —
+and is counted by the traffic trace when it lands.  Frames finally drop
+into the destination endpoint's inbox without an event of their own (a
+waiting receiver's ``get`` is the only one).  Compared to the
+generator-process-per-frame design this replaces, a single-hop delivery
+schedules one pooled event instead of spawning a process (boot event,
+resource grant, two timeouts, process-completion event) — and no per-frame
+process name is ever built.
 
 Loopback delivery is fused further: same-host frames are appended to a
 per-instant batch and handed off by one two-stage sweep, so a fan-out of N
@@ -79,9 +81,9 @@ class _Delivery:
     """Per-frame hop walker: the fused replacement for the old
     generator-process delivery.
 
-    Each hop is two pooled callbacks at most (transmission complete,
-    propagation latency); zero-cost segments collapse into synchronous
-    calls.  The instance is the only per-frame allocation.
+    Each hop is one pooled callback, :meth:`_arrive` at the arrival time
+    the link computes; a hop that costs no time is a synchronous call.
+    The instance is the only per-frame allocation.
     """
 
     __slots__ = ("net", "frame", "path", "idx", "wan", "link")
@@ -99,14 +101,7 @@ class _Delivery:
         path, idx = self.path, self.idx
         link = self.net.link_between(path[idx], path[idx + 1])
         self.link = link
-        link.start_tx(path[idx], self.frame.size, _Delivery._tx_done, self)
-
-    def _tx_done(self) -> None:
-        latency = self.link.latency
-        if latency > 0.0:
-            self.net.sim.schedule_fn(latency, _Delivery._arrive, self)
-        else:
-            self._arrive()
+        link.send(path[idx], self.frame.size, _Delivery._arrive, self)
 
     def _arrive(self) -> None:
         net, frame, link = self.net, self.frame, self.link
@@ -274,4 +269,4 @@ class Network:
             # Parity mode: materialize the bytes the reference codec would
             # put on the wire and hand the decoded copy to the receiver.
             frame.payload = decode(encode(frame.payload))
-        inbox.put(frame)
+        inbox.try_put(frame)  # unbounded, so never refused

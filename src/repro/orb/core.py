@@ -73,8 +73,7 @@ class Orb:
             # Late import: repro.pipeline.interceptors imports the core
             # managers, which import this module.
             from repro.pipeline.interceptors import default_pipeline
-            pipeline = default_pipeline(PLANE_ORB,
-                                        clock=lambda: self.sim.now,
+            pipeline = default_pipeline(clock=lambda: self.sim.now,
                                         tracer=tracer, server=host.name)
         #: interceptor chain every incoming request (two-way *and* oneway)
         #: dispatches through — §6.3 admission plugs in here

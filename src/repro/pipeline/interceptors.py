@@ -165,14 +165,13 @@ class ErrorEnvelopeInterceptor(Interceptor):
         return f"{type(exc).__name__}: {exc}"
 
 
-def default_pipeline(plane: str, *,
-                     clock: Optional[Callable[[], float]] = None,
+def default_pipeline(*, clock: Optional[Callable[[], float]] = None,
                      metrics: Optional[PipelineMetrics] = None,
                      security: Optional[SecurityManager] = None,
                      policies: Optional[PolicyManager] = None,
                      tracer=None, server: str = "",
                      accounting=None) -> Pipeline:
-    """The standard chain for one plane: envelope → recording → security
+    """The standard chain of any plane: envelope → recording → security
     → admission → handler (each step only when its collaborator — a
     metrics collector, tracer or ledger; the managers — is given).
 
@@ -180,9 +179,8 @@ def default_pipeline(plane: str, *,
     before the envelope absorbs it into a reply shape, and before
     security/admission so rejected and shed requests are still recorded
     against their principal.  ``accounting`` is a
-    :class:`repro.obs.RequestCostLedger`.  ``plane`` names the plane the
-    chain serves; the interceptors read each request's plane from its
-    context.
+    :class:`repro.obs.RequestCostLedger`.  The chain is the same on every
+    plane: the interceptors read each request's plane from its context.
 
     Bare components (a :class:`~repro.web.ServletContainer` or
     :class:`~repro.orb.Orb` outside a :class:`DiscoverServer`) call this

@@ -129,7 +129,14 @@ class Timeout(SimEvent):
 
 
 class _Condition(SimEvent):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite waits."""
+    """Base for :class:`AnyOf` / :class:`AllOf` composite waits.
+
+    A condition listens to its members only until it is decided: the moment
+    it fires or fails it takes its callback back from the members that have
+    not fired.  The loser of a race — the 30 s ``expiry`` timer of a call
+    that was answered in 2 ms — is then an event nobody listens to, which
+    the kernel drops when the clock reaches it instead of dispatching it.
+    """
 
     __slots__ = ("events", "_fired")
 
@@ -144,7 +151,7 @@ class _Condition(SimEvent):
         for ev in self.events:
             if ev.processed:
                 self._on_fire(ev)
-            else:
+            elif self._value is PENDING:
                 ev.callbacks.append(self._on_fire)
         if not self.events and not self.triggered:
             # Degenerate empty condition fires immediately.
@@ -160,10 +167,18 @@ class _Condition(SimEvent):
         if not event.ok:
             event.defuse()
             self.fail(event.value)
-            return
-        self._fired.append(event)
-        if self._satisfied():
+        else:
+            self._fired.append(event)
+            if not self._satisfied():
+                return
             self.succeed(self._collect())
+        on_fire = self._on_fire
+        for ev in self.events:
+            if ev.callbacks is not None:
+                try:
+                    ev.callbacks.remove(on_fire)
+                except ValueError:
+                    pass
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -14,6 +14,16 @@ The schedule has two tiers:
   that instant into the buckets in (priority, seq) order, so cross-tier
   ordering is exactly the ordering a single global heap would produce.
 
+An entry nobody waits on is not run.  When the clock reaches a heap entry
+whose event succeeded by construction and has an empty callback list — the
+``expiry`` timer of a request that was answered long ago — the kernel marks
+it processed and moves on: no bucket append, no dispatch, no count in
+``events_dispatched``.  "Nobody listens" is read off the event itself; there
+is no cancel call and no tombstone.  What is never dropped: a failed event
+(the kernel must surface its error), an event with a listener, and anything
+already in the current-instant buckets.  The clock still visits the dropped
+entry's instant, so the final ``now`` of a drained run does not move.
+
 ``seq`` is a monotonically increasing counter so simultaneous far-future
 events are processed in insertion order; bucket order is insertion order by
 construction.  This is what makes the whole reproduction deterministic — a
@@ -114,7 +124,8 @@ class Simulator:
         #: free list of recycled internal callback events
         self._cb_pool: List[_PooledCallback] = []
         self._active_process: Optional[Process] = None
-        #: total events ever dispatched (step() and run()); the cost
+        #: events whose callbacks the kernel ran (step() and run()); heap
+        #: entries dropped because nobody listened are not in it.  The cost
         #: ledger reads deltas of this to attribute "sim events" per request
         self.events_dispatched = 0
         #: optional repro.obs.DispatchProfiler — when set (before run()),
@@ -193,16 +204,48 @@ class Simulator:
         ev.arg = arg
         self._push_event(ev, delay=delay, priority=priority)
 
+    def schedule_at(self, when: float, fn: Callable[[Any], None],
+                    arg: Any = None, priority: int = NORMAL) -> None:
+        """Run ``fn(arg)`` at absolute virtual time ``when`` (>= now): the
+        sibling of :meth:`schedule_fn`, same pool, same ``seq`` tiebreak.
+
+        It exists because a time reached by two additions cannot be handed
+        over as a delay: ``now + ((now + a + b) - now)`` is not the float
+        ``now + a + b``.  A caller that fuses two scheduling steps into one
+        (a link hop: transmission, then propagation) keeps every simulated
+        time bit-for-bit only by passing the sum it computed itself.
+        """
+        if when > self._now:
+            pool = self._cb_pool
+            ev = pool.pop() if pool else _PooledCallback(self)
+            ev.fn = fn
+            ev.arg = arg
+            self._seq += 1
+            heapq.heappush(self._heap, (when, priority, self._seq, ev))
+        elif when == self._now:
+            self.schedule_fn(0.0, fn, arg, priority)
+        else:
+            raise SimulationError(
+                f"schedule_at({when}) is in the past (now={self._now})")
+
     # -- running -------------------------------------------------------------
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next event that will run, or ``inf`` if none.
+
+        Heap entries nobody listens to do not count: unless somebody
+        attaches to them first, the kernel drops them unrun.
+        """
         if self._bucket_urgent or self._bucket_normal:
             return self._now
-        return self._heap[0][0] if self._heap else float("inf")
+        return min((item[0] for item in self._heap
+                    if item[3].callbacks or not item[3]._ok),
+                   default=float("inf"))
 
     def _advance(self) -> bool:
         """Move the clock to the heap's earliest instant and bucket every
-        event scheduled there.  Returns False if the schedule is empty."""
+        event scheduled there that somebody listens to (or that failed);
+        the others are marked processed and dropped, so the buckets may
+        still be empty afterwards.  Returns False if the heap was empty."""
         heap = self._heap
         if not heap:
             return False
@@ -212,10 +255,13 @@ class Simulator:
         urgent, normal = self._bucket_urgent, self._bucket_normal
         while heap and heap[0][0] == when:
             item = pop(heap)
-            if item[1] == NORMAL:
-                normal.append(item[3])
+            event = item[3]
+            if not event.callbacks and event._ok:
+                event.callbacks = None
+            elif item[1] == NORMAL:
+                normal.append(event)
             else:
-                urgent.append(item[3])
+                urgent.append(event)
         return True
 
     def step(self) -> None:
@@ -225,7 +271,7 @@ class Simulator:
         fast ``_ok`` / ``_defused`` attribute reads — a failed, defused
         event behaves identically under ``step()`` and ``run()``.
         """
-        if not (self._bucket_urgent or self._bucket_normal):
+        while not (self._bucket_urgent or self._bucket_normal):
             if not self._advance():
                 raise SimulationError("step() on an empty schedule")
         if self._bucket_urgent:
@@ -282,16 +328,20 @@ class Simulator:
                 elif normal:
                     event = normal.popleft()
                 elif heap:
-                    # Advance: bucket every event at the next instant so
-                    # cross-tier ordering matches a single global heap.
+                    # _advance() inlined: bucket every listened-to event at
+                    # the next instant, so cross-tier ordering matches a
+                    # single global heap; drop the ones nobody waits on.
                     when = heap[0][0]
                     self._now = when
                     while heap and heap[0][0] == when:
                         item = pop(heap)
-                        if item[1] == NORMAL:
-                            normal.append(item[3])
+                        event = item[3]
+                        if not event.callbacks and event._ok:
+                            event.callbacks = None
+                        elif item[1] == NORMAL:
+                            normal.append(event)
                         else:
-                            urgent.append(item[3])
+                            urgent.append(event)
                     continue
                 else:
                     break

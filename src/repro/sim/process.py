@@ -29,6 +29,12 @@ class Process(SimEvent):
 
     The process-event fires with the generator's return value when it ends
     normally, and fails with the exception if the generator raises.
+
+    A process nobody has joined by the time it returns ends without an
+    event: it records its value and is ``processed`` at once, so a later
+    ``yield proc``, ``AnyOf([proc, ...])`` or ``run(until=proc)`` continues
+    immediately.  A process that *fails* always goes through the schedule,
+    so the kernel surfaces an error nobody waited for.
     """
 
     __slots__ = ("generator", "name", "pid", "_waiting_on")
@@ -96,7 +102,11 @@ class Process(SimEvent):
                         target = self.generator.throw(event.value)
                 except StopIteration as stop:
                     if not self.triggered:
-                        self.succeed(stop.value)
+                        if self.callbacks:
+                            self.succeed(stop.value)
+                        else:  # nobody joined: nothing to dispatch
+                            self._value = stop.value
+                            self.callbacks = None
                     return
                 except BaseException as exc:
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):

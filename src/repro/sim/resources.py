@@ -84,10 +84,19 @@ class Store:
         return item
 
     def try_put(self, item: Any) -> bool:
-        """Non-blocking put: buffer the item unless the store is full."""
-        if self.is_full and not self._getters:
+        """Non-blocking put: buffer the item unless the store is full.
+
+        Nobody waits on a ``try_put``, so it makes no :class:`StorePut`:
+        the item goes straight into the buffer, and a waiting getter is
+        served through the usual dispatch (one event, the getter's).  A
+        blocked ``put`` is never overtaken — putters only wait on a full
+        store, which refuses.
+        """
+        if len(self.items) >= self.capacity:
             return False
-        self.put(item)
+        self.items.append(item)
+        if self._getters:
+            self._dispatch()
         return True
 
     def cancel(self, event: SimEvent) -> None:
@@ -161,6 +170,14 @@ class PriorityStore(Store):
         item = heapq.heappop(self._heap)
         self._dispatch()
         return item
+
+    def try_put(self, item: Any) -> bool:
+        if len(self._heap) >= self.capacity:
+            return False
+        heapq.heappush(self._heap, item)
+        if self._getters:
+            self._dispatch()
+        return True
 
 
 class ResourceRequest(SimEvent):

@@ -46,8 +46,7 @@ class ServletContainer:
             # Late import: repro.pipeline.interceptors imports the core
             # managers, which import this module.
             from repro.pipeline.interceptors import default_pipeline
-            pipeline = default_pipeline(PLANE_HTTP,
-                                        clock=lambda: self.sim.now)
+            pipeline = default_pipeline(clock=lambda: self.sim.now)
         #: interceptor chain every request dispatches through
         self.pipeline = pipeline
         self._servlets: Dict[str, Servlet] = {}

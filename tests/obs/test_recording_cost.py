@@ -14,7 +14,6 @@ from repro.net import Network
 from repro.obs import RecordingInterceptor, Tracer
 from repro.orb import Orb
 from repro.pipeline import ErrorEnvelopeInterceptor, default_pipeline
-from repro.pipeline.core import PLANE_ORB
 from repro.sim import Simulator
 from repro.steering.application import DAEMON_PORT
 from repro.web import ServletContainer
@@ -77,7 +76,7 @@ def test_bare_components_record_no_metrics():
         assert len(chain) <= 2
         assert isinstance(chain[0], ErrorEnvelopeInterceptor)
         assert not any("metrics" in sinks(i) for i in chain)
-    chain = default_pipeline(PLANE_ORB, clock=lambda: sim.now).interceptors
+    chain = default_pipeline(clock=lambda: sim.now).interceptors
     assert [i.name for i in chain] == ["error-envelope"]
 
 

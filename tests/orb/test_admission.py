@@ -104,7 +104,7 @@ def test_shed_oneway_is_still_recorded():
     metrics = PipelineMetrics()
     ledger = RequestCostLedger(sim)
     sorb.pipeline = default_pipeline(
-        PLANE_ORB, clock=lambda: sim.now, metrics=metrics, policies=policies,
+        clock=lambda: sim.now, metrics=metrics, policies=policies,
         accounting=ledger)
     for _ in range(5):
         corb.invoke_oneway(ref, "echo", 1)

@@ -7,6 +7,13 @@ insertion-seq) — same-tick bursts, far-future outliers, and events that
 schedule further events mid-dispatch included.  This property test drives
 both schedulers with the same randomized workload and compares the full
 dispatch sequences.
+
+Entries reach the schedule the four ways the kernel offers — a pooled
+callback by delay (``schedule_fn``) or by absolute time (``schedule_at``),
+and a ``Timeout`` somebody listens to or one whose listener went away
+before it fired.  The kernel drops the last kind unrun, so the contract
+is: the survivors dispatch in exactly the reference's order with the
+abandoned entries deleted, and ``events_dispatched`` counts the survivors.
 """
 
 from __future__ import annotations
@@ -24,9 +31,20 @@ from repro.sim.kernel import NORMAL, URGENT
 #: schedule grows while it is being drained, like real processes do)
 _delays = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 1e6])
 _priorities = st.sampled_from([NORMAL, NORMAL, NORMAL, URGENT])
-_child = st.tuples(_delays, _priorities)
-_entry = st.tuples(_delays, _priorities, st.lists(_child, max_size=3))
+_kinds = st.sampled_from(["delay", "delay", "absolute", "timer", "abandoned"])
+_child = st.tuples(_delays, _priorities, _kinds)
+_entry = st.tuples(_delays, _priorities, _kinds, st.lists(_child, max_size=3))
 _workload = st.lists(_entry, min_size=1, max_size=30)
+
+
+def _as_scheduled(delay, priority, kind):
+    """A timeout is always NORMAL, and one due this instant is already in
+    the bucket, where nothing is dropped: it counts as listened to."""
+    if kind in ("timer", "abandoned"):
+        priority = NORMAL
+        if delay == 0.0:
+            kind = "timer"
+    return delay, priority, kind
 
 
 class _ReferenceSchedule:
@@ -56,34 +74,52 @@ def _dispatch_with_simulator(workload, *, stepwise: bool) -> list:
     sim = Simulator()
     order = []
 
+    def schedule(entry, label):
+        delay, priority, kind = _as_scheduled(*entry)
+        if kind == "delay":
+            sim.schedule_fn(delay, fire, label, priority=priority)
+        elif kind == "absolute":
+            sim.schedule_at(sim.now + delay, fire, label, priority=priority)
+        else:
+            def listener(_event):
+                fire(label)
+            timer = sim.timeout(delay)
+            timer.callbacks.append(listener)
+            if kind == "abandoned":
+                timer.callbacks.remove(listener)
+
     def fire(label):
         order.append((sim.now, label))
         _idx, children = label
-        for cidx, (delay, priority) in enumerate(children):
-            sim.schedule_fn(delay, fire, ((_idx, cidx), ()),
-                            priority=priority)
+        for cidx, child in enumerate(children):
+            schedule(child, ((_idx, cidx), ()))
 
-    for idx, (delay, priority, children) in enumerate(workload):
-        sim.schedule_fn(delay, fire, (idx, tuple(children)),
-                        priority=priority)
+    for idx, (*entry, children) in enumerate(workload):
+        schedule(entry, (idx, tuple(children)))
     if stepwise:
         while sim.peek() != float("inf"):
             sim.step()
     else:
         sim.run()
+    assert sim.events_dispatched == len(order)
     return order
 
 
 def _dispatch_with_reference(workload) -> list:
     ref = _ReferenceSchedule()
 
-    def on_fire(sched, label):
-        _idx, children = label
-        for cidx, (delay, priority) in enumerate(children):
-            sched.push(delay, priority, ((_idx, cidx), ()))
+    def push(entry, label):
+        delay, priority, kind = _as_scheduled(*entry)
+        if kind != "abandoned":
+            ref.push(delay, priority, label)
 
-    for idx, (delay, priority, children) in enumerate(workload):
-        ref.push(delay, priority, (idx, tuple(children)))
+    def on_fire(_sched, label):
+        _idx, children = label
+        for cidx, child in enumerate(children):
+            push(child, ((_idx, cidx), ()))
+
+    for idx, (*entry, children) in enumerate(workload):
+        push(entry, (idx, tuple(children)))
     return ref.drain(on_fire)
 
 

@@ -237,5 +237,7 @@ def test_step_on_empty_schedule_rejected():
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert sim.peek() == float("inf")
-    sim.timeout(7.5)
+    sim.timeout(2.5)  # nobody listens: it will be dropped, not run
+    assert sim.peek() == float("inf")
+    sim.call_at(7.5, lambda: None)
     assert sim.peek() == 7.5
