@@ -120,15 +120,22 @@ def bench_wire(quick: bool = False) -> List[Dict]:
 # ---------------------------------------------------------------------------
 
 def bench_network(quick: bool = False) -> List[Dict]:
-    """Wall cost of Network.send + delivery, loopback and 3-hop."""
+    """Wall cost of Network.send + delivery, loopback and 3-hop: a fresh
+    registered message per frame, sent inside a span on a network with
+    the tracer and the ledger attached as ``build_collaboratory`` attaches
+    them — sized, stamped, counted per hop, charged and spanned."""
     from repro.net import Network
+    from repro.obs import RequestCostLedger, Tracer
     from repro.sim import Simulator
+    from repro.wire import ControlMessage
 
     n_frames = 200 if quick else 2000
     results = []
     for label, hops in (("loopback", 0), ("3_hop", 3)):
         sim = Simulator()
         net = Network(sim)
+        net.tracer = tracer = Tracer(sim)
+        net.cost_ledger = tracer.ledger = RequestCostLedger(sim)
         names = [f"h{i}" for i in range(max(2, hops + 1))]
         for name in names:
             net.add_host(name)
@@ -136,15 +143,19 @@ def bench_network(quick: bool = False) -> List[Dict]:
             net.add_link(a, b, latency=0.001)
         src, dst = names[0], (names[0] if hops == 0 else names[-1])
         net.hosts[dst].bind(9)
-        payload = {"seq": 1, "data": "x" * 200}
+        messages = [ControlMessage("bench", detail="x" * 200, sender=src,
+                                   destination=dst)
+                    for _ in range(n_frames)]
 
         t0 = time.perf_counter()
-        for _ in range(n_frames):
-            net.send(src, 1, dst, 9, payload)
+        with tracer.span("bench", plane="bench", server=src):
+            for msg in messages:
+                net.send(src, 1, dst, 9, msg)
         sim.run()
         elapsed = time.perf_counter() - t0
-        results.append(_entry(f"net/send_{label}", elapsed / n_frames,
-                              ops=n_frames))
+        results.append(_entry(
+            f"net/send_{label}", elapsed / n_frames, ops=n_frames,
+            note="exact counts: tests/net/test_frame_cost.py"))
     return results
 
 

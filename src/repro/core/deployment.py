@@ -258,7 +258,10 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
         sim, n_domains, apps_hosts_per_domain, client_hosts_per_domain,
         spec=spec, server_cpus=server_cpus, names=names)
     tracer = Tracer(sim, sampling=trace_sampling, max_spans=trace_max_spans)
-    net.tracer = tracer
+    if tracer.enabled:
+        # the network asks its tracer on every send and hop; one that
+        # samples nothing is not attached, so it is not asked
+        net.tracer = tracer
     # One cost ledger for the whole deployment: the rollup key carries no
     # server dimension, so every server's interceptor and the shared
     # network attribute into the same instance (zero-event bookkeeping).

@@ -27,8 +27,8 @@ tests.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -51,23 +51,38 @@ class NetworkError(Exception):
     """Unroutable destinations, unbound ports, unknown hosts."""
 
 
-@dataclass(slots=True)
 class Frame:
-    """One payload in flight, with its measured wire size."""
+    """One payload in flight, with its measured wire size.
 
-    src_host: str
-    src_port: int
-    dst_host: str
-    dst_port: int
-    payload: Any
-    size: int
-    channel: str = "main"
-    sent_at: float = 0.0
-    delivered_at: Optional[float] = None
-    #: propagated trace context (repro.obs.TraceContext), carried as frame
-    #: metadata only — never encoded, so wire sizes are trace-invariant
-    trace_ctx: Any = None
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    A plain ``__slots__`` record that :meth:`Network.send` builds
+    positionally, one per message.  ``trace_ctx`` is the propagated trace
+    context (:class:`repro.obs.TraceContext`), carried as frame metadata
+    only — never encoded, so wire sizes are trace-invariant.  ``frame_id``
+    comes from the module's ``_frame_ids`` sequence, looked up when the
+    frame is built, because ``core.deployment.reset_runtime_ids()`` rebinds
+    the name.
+    """
+
+    __slots__ = ("src_host", "src_port", "dst_host", "dst_port", "payload",
+                 "size", "channel", "sent_at", "delivered_at", "trace_ctx",
+                 "frame_id")
+
+    def __init__(self, src_host: str, src_port: int, dst_host: str,
+                 dst_port: int, payload: Any, size: int,
+                 channel: str = "main", sent_at: float = 0.0,
+                 delivered_at: Optional[float] = None,
+                 trace_ctx: Any = None) -> None:
+        self.src_host = src_host
+        self.src_port = src_port
+        self.dst_host = dst_host
+        self.dst_port = dst_port
+        self.payload = payload
+        self.size = size
+        self.channel = channel
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
+        self.trace_ctx = trace_ctx
+        self.frame_id = next(_frame_ids)
 
     @property
     def latency(self) -> Optional[float]:
@@ -76,6 +91,11 @@ class Frame:
             return None
         return self.delivered_at - self.sent_at
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"<Frame #{self.frame_id} {self.src_host}:{self.src_port}->"
+                f"{self.dst_host}:{self.dst_port} ch={self.channel} "
+                f"{self.size}B>")
+
 
 class _Delivery:
     """Per-frame hop walker: the fused replacement for the old
@@ -83,43 +103,51 @@ class _Delivery:
 
     Each hop is one pooled callback, :meth:`_arrive` at the arrival time
     the link computes; a hop that costs no time is a synchronous call.
-    The instance is the only per-frame allocation.
+    The instance is the only per-frame allocation; the links it walks are
+    the route's, resolved once per ``(src, dst)`` pair.
+
+    A hop that lands is written down by three bookkeepers, in this order:
+    the traffic trace (:meth:`TrafficTrace.record`), the cost ledger
+    (``account_frame_hop``, when one is attached), and — once, at the last
+    hop of a frame that carries a trace context — the tracer's ``net.hop``
+    span.  Then the frame is handed off.
     """
 
-    __slots__ = ("net", "frame", "path", "idx", "wan", "link")
+    __slots__ = ("net", "frame", "links", "idx", "at", "wan")
 
-    def __init__(self, net: "Network", frame: Frame, path: List[str]) -> None:
+    def __init__(self, net: "Network", frame: Frame,
+                 links: Tuple[Link, ...]) -> None:
         self.net = net
         self.frame = frame
-        self.path = path
+        self.links = links
         self.idx = 0
+        #: the host the frame is at (or leaving)
+        self.at = frame.src_host
         self.wan = False
-        self.link: Optional[Link] = None
-        self._start_hop()
-
-    def _start_hop(self) -> None:
-        path, idx = self.path, self.idx
-        link = self.net.link_between(path[idx], path[idx + 1])
-        self.link = link
-        link.send(path[idx], self.frame.size, _Delivery._arrive, self)
+        links[0].send(frame.src_host, frame.size, _Delivery._arrive, self)
 
     def _arrive(self) -> None:
-        net, frame, link = self.net, self.frame, self.link
+        net, frame, links, idx = self.net, self.frame, self.links, self.idx
+        link = links[idx]
+        wan = link.kind == "wan"
         net.trace.record(link, frame)
         if net.cost_ledger is not None:
-            net.cost_ledger.account_frame_hop(frame, link.kind == "wan")
-        if link.kind == "wan":
+            net.cost_ledger.account_frame_hop(frame, wan)
+        if wan:
             self.wan = True
-        self.idx += 1
-        if self.idx + 1 < len(self.path):
-            self._start_hop()
+        self.idx = idx = idx + 1
+        if idx < len(links):
+            self.at = at = link.other(self.at)
+            links[idx].send(at, frame.size, _Delivery._arrive, self)
             return
         if net.tracer is not None and frame.trace_ctx is not None:
             # Post-hoc bookkeeping: the transit already happened, the span
             # just records it (zero-event — no scheduling, no wire bytes).
+            # The label is interned: the retained hop spans of a host pair
+            # share one string, not one each.
             net.tracer.record_span(
                 "net.hop", frame.sent_at, net.sim.now, plane="net",
-                server=f"{frame.src_host}->{frame.dst_host}",
+                server=sys.intern(f"{frame.src_host}->{frame.dst_host}"),
                 parent=frame.trace_ctx,
                 attrs={"wan": self.wan, "channel": frame.channel,
                        "bytes": frame.size})
@@ -134,7 +162,9 @@ class Network:
         self.sim = sim
         self.trace = trace if trace is not None else TrafficTrace()
         #: optional repro.obs.Tracer — stamps outgoing frames with the
-        #: sender's current trace context and records per-hop spans
+        #: sender's current trace context and records per-hop spans.  It is
+        #: asked on every send, so a tracer that samples nothing is left
+        #: unattached (``build_collaboratory``)
         self.tracer = None
         #: optional repro.obs.RequestCostLedger — per-hop wire bytes
         #: (LAN/WAN) and dropped frames attributed back to the request
@@ -149,7 +179,8 @@ class Network:
         self.hosts: Dict[str, Host] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         self.graph = nx.Graph()
-        self._route_cache: Dict[Tuple[str, str], List[str]] = {}
+        #: the links of each ``(src, dst)`` pair's route, in order
+        self._routes: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
         #: loopback frames awaiting this instant's hand-off sweep
         self._loopback_batch: List[Frame] = []
         self._loopback_scheduled = False
@@ -183,7 +214,7 @@ class Network:
         link = Link(self.sim, a, b, latency, bandwidth, kind)
         self.links[key] = link
         self.graph.add_edge(a, b, weight=max(latency, 1e-9), link=link)
-        self._route_cache.clear()
+        self._routes.clear()
         return link
 
     def link_between(self, a: str, b: str) -> Link:
@@ -194,23 +225,29 @@ class Network:
             raise NetworkError(f"no link {a}<->{b}") from None
 
     # -- routing ------------------------------------------------------------
-    def route(self, src: str, dst: str) -> List[str]:
-        """Hop sequence (list of host names) from ``src`` to ``dst``."""
+    def _links(self, src: str, dst: str) -> Tuple[Link, ...]:
+        """The links a frame crosses from ``src`` to ``dst``, in order."""
         key = (src, dst)
-        path = self._route_cache.get(key)
-        if path is None:
+        links = self._routes.get(key)
+        if links is None:
             try:
                 path = nx.shortest_path(self.graph, src, dst, weight="weight")
             except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
                 raise NetworkError(f"no route {src} -> {dst}") from exc
-            self._route_cache[key] = path
+            links = self._routes[key] = tuple(
+                self.link_between(a, b) for a, b in zip(path, path[1:]))
+        return links
+
+    def route(self, src: str, dst: str) -> List[str]:
+        """Hop sequence (list of host names) from ``src`` to ``dst``."""
+        path = [src]
+        for link in self._links(src, dst):
+            path.append(link.other(path[-1]))
         return path
 
     def path_latency(self, src: str, dst: str) -> float:
         """Sum of propagation latencies along the route (no queueing)."""
-        path = self.route(src, dst)
-        return sum(self.link_between(a, b).latency
-                   for a, b in zip(path, path[1:]))
+        return sum(link.latency for link in self._links(src, dst))
 
     # -- delivery -------------------------------------------------------------
     def send(self, src_host: str, src_port: int, dst_host: str, dst_port: int,
@@ -225,8 +262,7 @@ class Network:
         if trace_ctx is None and self.tracer is not None:
             trace_ctx = self.tracer.current_context()
         frame = Frame(src_host, src_port, dst_host, dst_port, payload, size,
-                      channel=channel, sent_at=self.sim.now,
-                      trace_ctx=trace_ctx)
+                      channel, self.sim.now, None, trace_ctx)
         if src_host == dst_host:
             # Loopback: no links, no transmission — joined to this
             # instant's batched same-tick hand-off sweep.
@@ -236,7 +272,7 @@ class Network:
                 self.sim.schedule_fn(0.0, Network._loopback_boot, self,
                                      priority=0)
         else:
-            _Delivery(self, frame, self.route(src_host, dst_host))
+            _Delivery(self, frame, self._links(src_host, dst_host))
         return frame
 
     def _loopback_boot(self) -> None:

@@ -9,7 +9,7 @@ remote server instead of one per remote client (§5.2.3).
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_TRACE_IDS = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkCounter:
     """Per-link totals."""
 
@@ -47,6 +47,9 @@ class TrafficTrace:
         self.dropped = LinkCounter()
         #: per-trace-id hop totals, most recently active last (bounded)
         self.per_trace: "OrderedDict[int, LinkCounter]" = OrderedDict()
+        #: each link seen so far -> its ``per_link`` and ``per_kind``
+        #: counters, so a hop derives neither key again
+        self._of_link: Dict["Link", Tuple[LinkCounter, LinkCounter]] = {}
 
     def for_trace(self, trace_id: int) -> LinkCounter:
         """The (possibly evicted → zeroed) hop totals of one trace."""
@@ -68,15 +71,32 @@ class TrafficTrace:
         self.dropped.bytes += frame.size
 
     def record(self, link: "Link", frame: "Frame") -> None:
-        """Count one frame crossing one link."""
-        key = tuple(sorted(link.ends))
-        counters = [self.per_link[key], self.per_kind[link.kind],
-                    self.per_channel[frame.channel], self.total]
+        """Count one frame crossing one link: one message and
+        ``frame.size`` bytes into the link's, its kind's and the
+        channel's counters and the total, and into the frame's trace's
+        when it carries a context (which also makes that trace the most
+        recently active of the LRU)."""
+        resolved = self._of_link.get(link)
+        if resolved is None:
+            resolved = self._of_link[link] = (
+                self.per_link[tuple(sorted(link.ends))],
+                self.per_kind[link.kind])
+        on_link, on_kind = resolved
+        on_channel = self.per_channel[frame.channel]
+        total = self.total
+        size = frame.size
+        on_link.messages += 1
+        on_link.bytes += size
+        on_kind.messages += 1
+        on_kind.bytes += size
+        on_channel.messages += 1
+        on_channel.bytes += size
+        total.messages += 1
+        total.bytes += size
         if frame.trace_ctx is not None:
-            counters.append(self._trace_counter(frame.trace_ctx.trace_id))
-        for counter in counters:
-            counter.messages += 1
-            counter.bytes += frame.size
+            on_trace = self._trace_counter(frame.trace_ctx.trace_id)
+            on_trace.messages += 1
+            on_trace.bytes += size
 
     # -- convenience views used by the benchmarks -------------------------
     @property
@@ -103,6 +123,7 @@ class TrafficTrace:
         self.total = LinkCounter()
         self.dropped = LinkCounter()
         self.per_trace.clear()
+        self._of_link.clear()
 
     def snapshot(self) -> dict:
         """A plain-dict summary for reports."""

@@ -82,9 +82,6 @@ class CostVector:
         for dim in ALL_DIMENSIONS:
             setattr(self, dim, 0)
 
-    def bump(self, dim: str, n: int) -> None:
-        setattr(self, dim, getattr(self, dim) + n)
-
     def add(self, other: "CostVector") -> "CostVector":
         for dim in ALL_DIMENSIONS:
             setattr(self, dim, getattr(self, dim) + getattr(other, dim))
@@ -249,24 +246,20 @@ class RequestCostLedger:
         entry = self.entries.get(key)
         if entry is None:
             entry = self.entries[key] = CostVector()
-        entry.bump(dim, n)
-        self.total.bump(dim, n)
+        setattr(entry, dim, getattr(entry, dim) + n)
+        total = self.total
+        setattr(total, dim, getattr(total, dim) + n)
         sketch = self.sketches.get(dim)
         if sketch is not None:
             sketch.add(key[0], n)
-
-    def _active_key(self) -> Optional[Tuple[str, str, str, str]]:
-        stack = self._active.get(self._scope())
-        return stack[-1] if stack else None
 
     def charge(self, dim: str, n: int = 1, *, plane: str = "obs",
                operation: str = "charge") -> None:
         """Attribute ``n`` units of ``dim`` to the active request scope
         (or the fallback key when no request is being handled)."""
-        key = self._active_key()
-        if key is None:
-            key = ("-", "-", plane, operation)
-        self._charge_key(key, dim, n)
+        stack = self._active.get(self._scope())
+        self._charge_key(stack[-1] if stack
+                         else ("-", "-", plane, operation), dim, n)
 
     # -- request lifecycle (interceptor) ------------------------------------
     @staticmethod
@@ -363,9 +356,24 @@ class RequestCostLedger:
         return (frame.src_host, "-", "net", frame.channel)
 
     def account_frame_hop(self, frame: Any, wan: bool) -> None:
-        """One traversed link: ``frame.size`` wire bytes, LAN or WAN."""
-        self._charge_key(self._frame_key(frame),
-                         "wan_bytes" if wan else "lan_bytes", frame.size)
+        """One traversed link: ``frame.size`` wire bytes, LAN or WAN —
+        one binding lookup, one entry lookup, then entry, total and
+        sketch, the order every charge is booked in."""
+        size = frame.size
+        if not size:
+            return
+        key = self._frame_key(frame)
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = CostVector()
+        if wan:
+            entry.wan_bytes += size
+            self.total.wan_bytes += size
+            self.sketches["wan_bytes"].add(key[0], size)
+        else:
+            entry.lan_bytes += size
+            self.total.lan_bytes += size
+            self.sketches["lan_bytes"].add(key[0], size)
 
     def account_dropped(self, frame: Any) -> None:
         """A frame shed at hand-off (unbound port): count it and its bytes

@@ -22,7 +22,8 @@ class TraceContext:
     This is what crosses process and server boundaries — carried by
     reference in frame metadata and GIOP service-context slots, never
     serialized, so wire sizes (and therefore virtual-time schedules) are
-    identical with tracing on or off.
+    identical with tracing on or off.  A span hands the same instance to
+    every frame and request it parents, so it is never mutated.
     """
 
     __slots__ = ("trace_id", "span_id")
@@ -50,7 +51,8 @@ class Span:
     """One timed, attributed step of a trace tree."""
 
     __slots__ = ("trace_id", "span_id", "parent_id", "op", "plane",
-                 "server", "start", "end", "status", "error", "attrs")
+                 "server", "start", "end", "status", "error", "attrs",
+                 "_context")
 
     def __init__(self, trace_id: int, span_id: int,
                  parent_id: Optional[int], op: str, *, plane: str = "",
@@ -67,6 +69,7 @@ class Span:
         self.status = "ok"
         self.error = ""
         self.attrs: Dict[str, Any] = attrs if attrs is not None else {}
+        self._context: Optional[TraceContext] = None
 
     @property
     def duration(self) -> float:
@@ -76,7 +79,14 @@ class Span:
         return self.end - self.start
 
     def context(self) -> TraceContext:
-        return TraceContext(self.trace_id, self.span_id)
+        """The span's propagatable identity: one shared instance while the
+        span is open, built on first use.  :meth:`Tracer.finish` lets go
+        of it, so a retained span does not keep a context alive (frames
+        and requests that carry it hold their own reference)."""
+        ctx = self._context
+        if ctx is None:
+            ctx = self._context = TraceContext(self.trace_id, self.span_id)
+        return ctx
 
     def to_dict(self) -> dict:
         """JSON-serializable record (the JSONL exporter's row shape)."""

@@ -110,6 +110,7 @@ class Tracer:
         if span is None:
             return
         span.end = self._clock()
+        span._context = None  # a stored span keeps no context alive
         if error is not None:
             span.status = "error"
             span.error = (error if isinstance(error, str)
@@ -180,8 +181,8 @@ class Tracer:
     def current_context(self) -> Optional[TraceContext]:
         """The propagatable context of the calling process's current span
         (what frames and GIOP service-context slots carry)."""
-        span = self.current_span()
-        return span.context() if span is not None else None
+        stack = self._active.get(self._scope())
+        return stack[-1].context() if stack else None
 
     @staticmethod
     def context_of(span: Optional[Span]) -> Optional[TraceContext]:

@@ -16,9 +16,9 @@ STATUS_USER_EXC = "user_exception"
 STATUS_SYSTEM_EXC = "system_exception"
 
 # Wire field order of the two message types.  GIOP messages are the per-call
-# hot path, so the classes use __slots__; the codec functions below replicate
-# exactly what the default ``dict(vars(obj))`` codec produced before, keeping
-# the encoding byte-for-byte identical.
+# hot path, so the classes use __slots__; registering the names in this order
+# replicates exactly what the default ``vars(obj)`` codec produced before,
+# keeping the encoding byte-for-byte identical.
 _REQUEST_FIELDS = ("request_id", "object_key", "operation", "args", "kwargs",
                    "reply_host", "reply_port", "oneway")
 _REPLY_FIELDS = ("request_id", "status", "result", "exc_type", "exc_message")
@@ -73,19 +73,5 @@ class GiopReply:
         return f"<GiopReply #{self.request_id} {self.status}>"
 
 
-def _slots_codec(cls: type, fields: tuple) -> None:
-    """Register a ``__slots__`` class with an explicit field-order codec."""
-    def to_fields(obj: Any, _fields=fields) -> dict:
-        return {name: getattr(obj, name) for name in _fields}
-
-    def from_fields(data: dict, _cls=cls) -> Any:
-        obj = _cls.__new__(_cls)
-        for name, value in data.items():
-            setattr(obj, name, value)
-        return obj
-
-    register_codec(cls, to_fields=to_fields, from_fields=from_fields)
-
-
-_slots_codec(GiopRequest, _REQUEST_FIELDS)
-_slots_codec(GiopReply, _REPLY_FIELDS)
+register_codec(GiopRequest, fields=_REQUEST_FIELDS)
+register_codec(GiopReply, fields=_REPLY_FIELDS)

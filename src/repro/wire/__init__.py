@@ -15,7 +15,9 @@ Fast-path invariant: ``encoded_size(x) == len(encode(x))`` always holds,
 but ``encoded_size`` never materializes encoded bytes (a dedicated size
 visitor; ndarrays sized without a copy).  ``freeze_size`` memoizes the size
 of a wire message the first time it is sent or fanned out — from that point
-the message must be treated as frozen (not mutated).
+the message must be treated as frozen (not mutated).  The size is kept
+beside the message, not on it (a weak-reference table keyed by ``id``), so
+a copy of a frozen message is an ordinary unfrozen one.
 """
 
 from repro.wire.messages import (

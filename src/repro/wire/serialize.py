@@ -23,13 +23,18 @@ test to ``encoded_size(x) == len(encode(x))`` over the full value model.
 :func:`freeze_size` additionally memoizes the size of a registered wire
 object, so a message fanned out to N subscribers is walked exactly once;
 callers must treat a message as **frozen** (immutable) once it has been
-sent or pushed into a fan-out buffer.
+sent or pushed into a fan-out buffer.  The memo is one ``id``-keyed table
+of weak references that carry the size (:class:`_FrozenSize`): an entry
+costs one small object, dies with its message, and is never copied — a
+``copy.deepcopy`` or a decoded copy is a new object and starts unfrozen.
 """
 
 from __future__ import annotations
 
 import struct
 import weakref
+from itertools import repeat
+from operator import countOf
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -54,45 +59,49 @@ class SerializationError(Exception):
     """Raised when a value cannot be encoded or a buffer cannot be decoded."""
 
 
-# Registered application types: name -> (class, to_fields, from_fields)
-_registry: Dict[str, Tuple[type, Callable[[Any], dict], Callable[[dict], Any]]] = {}
+# Registered application types: name -> (class, wire field names).  The
+# names are None for a ``__dict__``-backed class, whose fields are whatever
+# ``vars(obj)`` holds, in order.
+_registry: Dict[str, Tuple[type, Optional[Tuple[str, ...]]]] = {}
 _by_class: Dict[type, str] = {}
-#: sizing metadata per registered class: (encoded key length, to_fields) —
-#: ``to_fields`` is None for default codecs, letting the size visitor walk
-#: ``vars(obj)`` directly instead of copying it into a fresh dict
-_obj_size_info: Dict[type, Tuple[int, Optional[Callable[[Any], dict]]]] = {}
+#: sizing metadata per registered class: (bytes that do not depend on the
+#: instance, wire field names) — the tag and the registered name, and with
+#: explicit field names (not None) their encoded keys as well, which leaves
+#: only the values to walk
+_obj_size_info: Dict[type, Tuple[int, Optional[Tuple[str, ...]]]] = {}
 
 
 def register_codec(cls: type, name: str | None = None,
-                   to_fields: Callable[[Any], dict] | None = None,
-                   from_fields: Callable[[dict], Any] | None = None) -> type:
+                   fields: Tuple[str, ...] | None = None) -> type:
     """Register ``cls`` so instances can cross the wire.
 
-    Defaults assume a ``__dict__``-backed object reconstructable via
-    ``cls.__new__`` + attribute assignment (our message classes).  Usable as
-    a decorator.
+    By default the wire fields are the instance ``__dict__`` and decoding
+    is ``cls.__new__`` + attribute assignment (our message classes);
+    usable as a decorator.  A ``__slots__`` class names its wire
+    ``fields`` in order instead — a slot left out is not a wire field
+    (``GiopRequest.service_context``).
     """
     key = name or cls.__qualname__
-    default_fields = to_fields is None
-    if to_fields is None:
-        to_fields = lambda obj: dict(vars(obj))
-    if from_fields is None:
-        def from_fields(fields: dict, _cls=cls) -> Any:
-            obj = _cls.__new__(_cls)
-            obj.__dict__.update(fields)
-            return obj
     if key in _registry and _registry[key][0] is not cls:
         raise SerializationError(f"codec name {key!r} already registered")
-    _registry[key] = (cls, to_fields, from_fields)
+    _registry[key] = (cls, fields)
     _by_class[cls] = key
     if not issubclass(cls, (int, float, str, bytes, bytearray, list, tuple,
                             dict, np.ndarray)):
         # encode() would treat instances of builtin subclasses as the
         # builtin (its isinstance chain runs before the registry check),
         # so only plain classes take the object sizing fast path
-        _obj_size_info[cls] = (len(key.encode("utf-8")),
-                               None if default_fields else to_fields)
+        fixed = 5 + len(key.encode("utf-8"))
+        if fields is not None:
+            fixed += sum(_size_str(f) for f in fields)
+        _obj_size_info[cls] = (fixed, fields)
     return cls
+
+
+def _fields_of(obj: Any, fields: Optional[Tuple[str, ...]]) -> dict:
+    if fields is None:
+        return vars(obj)
+    return {name: getattr(obj, name) for name in fields}
 
 
 def _pack_len(n: int) -> bytes:
@@ -188,12 +197,11 @@ def _encode_into(value: Any, out: list) -> None:
         _encode_into(float(value), out)
     elif type(value) in _by_class:
         key = _by_class[type(value)]
-        _cls, to_fields, _from = _registry[key]
         raw_key = key.encode("utf-8")
         out.append(_T_OBJECT)
         out.append(_pack_len(len(raw_key)))
         out.append(raw_key)
-        _encode_into(to_fields(value), out)
+        _encode_into(_fields_of(value, _registry[key][1]), out)
     else:
         raise SerializationError(
             f"cannot encode value of type {type(value).__name__}: {value!r}")
@@ -284,8 +292,14 @@ def _decode_from(buf: bytes, off: int) -> Tuple[Any, int]:
         fields, off = _decode_from(buf, off)
         if key not in _registry:
             raise SerializationError(f"unknown object type {key!r}")
-        _cls, _to, from_fields = _registry[key]
-        return from_fields(fields), off
+        cls, names = _registry[key]
+        obj = cls.__new__(cls)
+        if names is None:
+            obj.__dict__.update(fields)
+        else:
+            for name, value in fields.items():
+                setattr(obj, name, value)
+        return obj, off
     raise SerializationError(f"unknown type tag {tag!r} at offset {off - 1}")
 
 
@@ -300,10 +314,29 @@ def _decode_from(buf: bytes, off: int) -> Tuple[Any, int]:
 # the total for registered wire objects so a message broadcast to N
 # subscribers (or re-sent on a retry) is walked exactly once.
 
-#: memoized sizes of *frozen* registered objects, keyed by ``id``.  Entries
-#: are removed by a ``weakref.finalize`` when the object is collected, so a
-#: live entry can never alias a recycled id.
-_FROZEN_SIZES: Dict[int, int] = {}
+
+class _FrozenSize(weakref.ref):
+    """One memo entry: a weak reference to a frozen object that carries
+    the object's ``id`` (its key in :data:`_FROZEN_SIZES`) and its size.
+
+    Nearly every message is sent once, so the entry has to cost less than
+    the walk it saves: it is the only object made per frozen message, and
+    every entry shares one callback, :func:`_thaw`.
+    """
+
+    __slots__ = ("key", "size")
+
+
+#: memoized sizes of *frozen* registered objects, keyed by ``id``.  The
+#: interpreter runs an entry's callback while its object is being torn
+#: down — before the memory, and with it the ``id``, can be handed to a new
+#: object — so a live entry can never alias a recycled id.
+_FROZEN_SIZES: Dict[int, _FrozenSize] = {}
+
+
+def _thaw(entry: _FrozenSize, _pop=_FROZEN_SIZES.pop) -> None:
+    _pop(entry.key, None)
+
 
 #: test/bench instrumentation: when set, called with each registered object
 #: whose fields are fully walked for sizing (i.e. on every memo *miss*).
@@ -330,13 +363,28 @@ def _size_str(value: str) -> int:
     return 5 + len(value.encode("utf-8"))
 
 
+#: a list or tuple at least this long is first asked, in one C-level pass,
+#: whether it holds nothing but floats (a sampled series, a flattened
+#: grid); anything shorter is cheaper to walk element by element
+_FLOAT_RUN = 64
+
+
 def _size_seq(value) -> int:
+    """A list or tuple: its header and its elements."""
+    n = len(value)
+    if n >= _FLOAT_RUN and countOf(map(type, value), float) == n:
+        return 5 + 9 * n
+    return _size_items(value)
+
+
+def _size_items(items) -> int:
+    """A sequence header and every item of an iterable."""
     # Scalar cases are unrolled inline: sequence/dict elements are
     # overwhelmingly str/float/int, and the extra dispatch call per element
     # is the dominant cost of the walk.
     size_of = _size_of
     total = 5
-    for v in value:
+    for v in items:
         tv = type(v)
         if tv is str:
             total += 5 + (len(v) if v.isascii() else len(v.encode("utf-8")))
@@ -398,6 +446,18 @@ _SIZERS: Dict[type, Callable[[Any], int]] = {
 }
 
 
+def _walk_object(value: Any, info: tuple) -> int:
+    """Size a registered object field by field (every memo *miss*)."""
+    if _object_walk_hook is not None:
+        _object_walk_hook(value)
+    fixed, fields = info
+    if fields is None:
+        return fixed + _size_dict(vars(value))
+    # the keys are in ``fixed``; the 5 bytes _size_items counts for a
+    # sequence header are those of the field dict nobody builds
+    return fixed + _size_items(map(getattr, repeat(value), fields))
+
+
 def _size_of(value: Any) -> int:
     """Exact ``len(encode(value))`` without materializing any bytes."""
     tp = type(value)
@@ -406,14 +466,10 @@ def _size_of(value: Any) -> int:
         return sizer(value)
     info = _obj_size_info.get(tp)
     if info is not None:
-        size = _FROZEN_SIZES.get(id(value))
-        if size is not None:
-            return size
-        if _object_walk_hook is not None:
-            _object_walk_hook(value)
-        key_len, to_fields = info
-        fields = vars(value) if to_fields is None else to_fields(value)
-        return 5 + key_len + _size_dict(fields)
+        entry = _FROZEN_SIZES.get(id(value))
+        if entry is not None:
+            return entry.size
+        return _walk_object(value, info)
     # Slow path: subclasses and numpy scalars, mirroring _encode_into's
     # isinstance chain exactly.
     if value is True or value is False:
@@ -458,18 +514,28 @@ def freeze_size(value: Any) -> int:
     across multiple hops is sized exactly once.  From the first call on the
     object must be treated as *frozen*: mutating a message after it has
     been sent or buffered for fan-out yields stale byte accounting.
+
+    The size is held in :data:`_FROZEN_SIZES` by a :class:`_FrozenSize`
+    for as long as the object lives.  A copy — ``copy.deepcopy``, or what
+    a ``strict_wire`` network decodes — is another object with another
+    ``id``: it is not frozen and is walked when first sized.  An instance
+    of a registered class that cannot be weakly referenced (``__slots__``
+    without ``__weakref__``) cannot take the memo and is sized on every
+    call.
     """
-    if type(value) not in _by_class:
+    info = _obj_size_info.get(type(value))
+    if info is None:
         return _size_of(value)
     key = id(value)
-    size = _FROZEN_SIZES.get(key)
-    if size is None:
-        size = _size_of(value)
-        try:
-            # the finalizer drops the entry when the object dies, before
-            # its id can be reused
-            weakref.finalize(value, _FROZEN_SIZES.pop, key, None)
-        except TypeError:  # not weak-referenceable: size it, don't memoize
-            return size
-        _FROZEN_SIZES[key] = size
+    entry = _FROZEN_SIZES.get(key)
+    if entry is not None:
+        return entry.size
+    size = _walk_object(value, info)
+    try:
+        entry = _FrozenSize(value, _thaw)
+    except TypeError:  # not weak-referenceable: size it, don't memoize
+        return size
+    entry.key = key
+    entry.size = size
+    _FROZEN_SIZES[key] = entry
     return size

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
+import sys
+
 import pytest
 
 from repro.sim import Simulator
@@ -15,6 +19,45 @@ def drive(sim: Simulator, generator):
     """
     proc = sim.spawn(generator)
     return sim.run(until=proc)
+
+
+def polling_miniature():
+    """An E2-shaped miniature — one server, one application, three portals
+    polling every 0.25 s for five simulated seconds — run to the end.
+    Returns ``(collab, recorder)``; the recorder holds 57 ``poll_rtt``."""
+    from repro import build_single_server
+    from repro.bench.workload import make_app_farm, polling_client
+    from repro.metrics import LatencyRecorder
+
+    collab = build_single_server(client_hosts=4)
+    collab.run_bootstrap()
+    sim = collab.sim
+    (app,) = make_app_farm(collab, 1, user="bench")
+    sim.run(until=sim.now + 2.0)
+    recorder = LatencyRecorder(sim)
+    for _ in range(3):
+        sim.spawn(polling_client(collab.add_portal(0), app.app_id,
+                                 user="bench", duration=5.0,
+                                 poll_interval=0.25, recorder=recorder))
+    sim.run(until=sim.now + 6.0)
+    return collab, recorder
+
+
+@pytest.fixture
+def session_ids_kept():
+    """Put the process-global id counters back after a test that builds a
+    deployment (or re-seeds them: ``build_fleet`` → ``reset_runtime_ids``).
+    Their digits reach the wire, and tests that compare two back-to-back
+    runs break when a counter crosses a power of ten between them — so a
+    new test must leave the ids the later ones would have seen."""
+    kept = [(module, name, copy.copy(value))  # a count at the same state
+            for module in list(sys.modules.values())
+            if getattr(module, "__name__", "").startswith("repro.")
+            for name, value in vars(module).items()
+            if isinstance(value, itertools.count)]
+    yield
+    for module, name, value in kept:
+        setattr(module, name, value)
 
 
 @pytest.fixture

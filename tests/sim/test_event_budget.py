@@ -10,11 +10,9 @@ are the budget, the parent's are in the comments.
 
 import pytest
 
-from repro import build_single_server
-from repro.bench.workload import make_app_farm, polling_client
-from repro.metrics import LatencyRecorder
 from repro.net import Network
 from repro.sim import AnyOf, PriorityStore, SimulationError, Simulator, Store
+from tests.conftest import polling_miniature
 
 
 def listening_line(*hosts, latency=0.001, bandwidth=1e6):
@@ -201,16 +199,6 @@ EVENTS = 974  # parent: 1 460 for the same 57 polls and the same final clock
 def test_client_polling_miniature_total():
     """One server, one application, three portals polling for five
     simulated seconds: the whole run's event count, pinned."""
-    collab = build_single_server(client_hosts=4)
-    collab.run_bootstrap()
-    sim = collab.sim
-    (app,) = make_app_farm(collab, 1, user="bench")
-    sim.run(until=sim.now + 2.0)
-    recorder = LatencyRecorder(sim)
-    for _ in range(3):
-        sim.spawn(polling_client(collab.add_portal(0), app.app_id,
-                                 user="bench", duration=5.0,
-                                 poll_interval=0.25, recorder=recorder))
-    sim.run(until=sim.now + 6.0)
+    collab, recorder = polling_miniature()
     assert recorder.stats("poll_rtt").count == POLLS
-    assert sim.events_dispatched == EVENTS
+    assert collab.sim.events_dispatched == EVENTS
