@@ -1,7 +1,5 @@
-"""Benchmark harness: workloads, scenario runners, and reporting.
-
-Each experiment in ``benchmarks/`` (see the per-experiment index in
-DESIGN.md) builds on these pieces:
+"""Experiment harness: workloads, scenario runners, the experiment
+table and reporting.
 
 - :mod:`repro.bench.workload` — scripted client behaviours (polling
   monitors, steering engineers) and application farms.
@@ -10,18 +8,20 @@ DESIGN.md) builds on these pieces:
   the measured table row.
 - :mod:`repro.bench.fleet` — the star-backbone fleet and the E11/E14
   drills on it.
-- :mod:`repro.bench.experiments` — the experiment table: each runnable
-  experiment's quick/full parameters, columns and acceptance facts,
-  declared once for the CLI, CI, ``tools/`` and the tests.
-- :mod:`repro.bench.report` — table formatting shared by every benchmark's
-  printed output.
-- :mod:`repro.bench.wallclock` — the *wall-clock* harness: real seconds
-  burned by the simulator itself (wire fast path, network delivery,
-  broadcast fan-out, storage journal), reported as ``BENCH_*.json``;
-  end-to-end timing is ``perf/``'s.
+- :mod:`repro.bench.traffic` — declarative synthetic traffic (arrival
+  process, session plans) for the fleet drills and ``perf/``.
+- :mod:`repro.bench.experiments` — the experiment table: every experiment
+  EXPERIMENTS.md names, with its quick/full parameters, columns and
+  acceptance facts, declared once for the CLI (``python -m repro run
+  <id>`` / ``run all``), CI, ``tools/`` and the tests.
+- :mod:`repro.bench.report` — table and footer formatting shared by every
+  printed experiment.
+
+What a run costs the host is timed by ``perf/`` (the benchmark of record)
+and the single-purpose scripts in ``tools/``, not here.
 """
 
-from repro.bench.report import format_table, print_experiment
+from repro.bench.report import format_table
 from repro.bench.scenarios import (
     run_app_scalability,
     run_client_scalability,
@@ -38,7 +38,6 @@ __all__ = [
     "format_table",
     "make_app_farm",
     "polling_client",
-    "print_experiment",
     "run_app_scalability",
     "run_client_scalability",
     "run_collab_scenario",

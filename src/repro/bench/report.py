@@ -1,8 +1,9 @@
-"""Table formatting for benchmark output.
+"""Table formatting for experiment output.
 
-Every benchmark prints its regenerated paper table through these helpers so
-``pytest benchmarks/ --benchmark-only -s`` reads like the evaluation
-section, and EXPERIMENTS.md can quote the rows directly.
+``python -m repro run <id>`` prints an experiment's rows through
+:func:`format_table` and the counters every scenario row carries through
+:func:`format_pipeline_summary`, so EXPERIMENTS.md can quote both
+directly; :data:`FOOTER_GROUPS` is the one list of those counters.
 """
 
 from __future__ import annotations
@@ -38,110 +39,84 @@ def format_table(rows: Sequence[Dict], columns: Sequence[str],
     return "\n".join(lines)
 
 
-#: extra row keys added by ``repro.bench.scenarios.pipeline_counters``
-PIPELINE_KEYS = ("http_requests", "orb_requests", "channel_requests",
-                 "pipeline_errors", "sessions_expired")
-
-#: federation-layer totals, also added by ``pipeline_counters``
-FEDERATION_KEYS = ("fed_subscribes", "fed_unsubscribes",
-                   "fed_invalidations", "fed_poll_failovers")
-
-#: health-plane totals, also added by ``pipeline_counters``
-HEALTH_KEYS = ("health_healthy", "health_degraded", "health_unhealthy",
-               "health_unknown", "alerts_fired", "alerts_resolved",
-               "health_failovers")
-
-#: sharded-directory totals, also added by ``pipeline_counters``
-DIRECTORY_KEYS = ("dir_lookups", "dir_locates", "dir_publishes",
-                  "dir_read_failovers", "dir_write_skips",
-                  "dir_stale_retries", "dir_stub_hits", "dir_stub_misses")
-
-#: durable-state-plane totals, also added by ``pipeline_counters``
-STORAGE_KEYS = ("storage_appends", "storage_snapshots", "storage_compacted",
-                "storage_recoveries", "storage_replayed")
-
-#: observability totals (structured log + time-series store), also
-#: added by ``pipeline_counters``
-OBS_KEYS = ("log_records", "log_dropped", "ts_series", "ts_points")
-
-#: cost-attribution totals, also added by ``pipeline_counters``
-COST_KEYS = ("cost_requests", "cost_events", "cost_cpu_us",
-             "cost_wan_bytes", "cost_dropped_frames", "cost_dropped_bytes",
-             "cost_entries")
+#: The footer under every table and the row keys behind it, declared
+#: once: ``label → ((shown_name, row_key), …)``, one entry per footer
+#: line, in print order.  :func:`format_pipeline_summary` prints ``label:
+#: shown_name=<row_key summed over the rows> …``;
+#: ``repro.bench.scenarios.pipeline_counters`` fills exactly these row
+#: keys.  A ``shown_name`` of None rides in the row but is not printed.
+FOOTER_GROUPS = {
+    "pipeline": (("http", "http_requests"), ("orb", "orb_requests"),
+                 ("channel", "channel_requests"),
+                 ("errors", "pipeline_errors"),
+                 ("sessions_expired", "sessions_expired")),
+    "federation": (("subscribes", "fed_subscribes"),
+                   ("unsubscribes", "fed_unsubscribes"),
+                   ("invalidations", "fed_invalidations"),
+                   ("poll_failovers", "fed_poll_failovers"),
+                   (None, "fed_discovery_skipped")),
+    "health": (("healthy", "health_healthy"),
+               ("degraded", "health_degraded"),
+               ("unhealthy", "health_unhealthy"),
+               ("unknown", "health_unknown"),
+               ("alerts_fired", "alerts_fired"),
+               ("alerts_resolved", "alerts_resolved"),
+               ("failovers", "health_failovers")),
+    "directory": (("lookups", "dir_lookups"), ("locates", "dir_locates"),
+                  ("publishes", "dir_publishes"),
+                  ("read_failovers", "dir_read_failovers"),
+                  ("write_skips", "dir_write_skips"),
+                  ("stale_retries", "dir_stale_retries"),
+                  ("stub_hits", "dir_stub_hits"),
+                  ("stub_misses", "dir_stub_misses")),
+    "storage": (("appends", "storage_appends"),
+                ("snapshots", "storage_snapshots"),
+                ("compacted", "storage_compacted"),
+                ("recoveries", "storage_recoveries"),
+                ("replayed", "storage_replayed")),
+    "obs": (("log_records", "log_records"), ("log_dropped", "log_dropped"),
+            ("ts_series", "ts_series"), ("ts_points", "ts_points")),
+    "costs": (("requests", "cost_requests"), ("events", "cost_events"),
+              ("cpu_us", "cost_cpu_us"), ("wan_bytes", "cost_wan_bytes"),
+              ("dropped_frames", "cost_dropped_frames"),
+              ("dropped_bytes", "cost_dropped_bytes"),
+              ("entries", "cost_entries")),
+}
 
 
 def format_pipeline_summary(rows: Sequence[Dict]) -> str:
-    """Footer lines aggregating the per-plane pipeline counters and the
-    federation layer's subscription/invalidation totals.
+    """Footer lines summing the :data:`FOOTER_GROUPS` counters over
+    ``rows``, one line per group the rows carry; the health line ends
+    with the worst ``detection_latency_s`` and the costs line with the
+    first ``cost_top_principal``, where rows report them.
 
     Returns "" when the rows carry no pipeline keys (e.g. rows loaded
     from a pre-pipeline results file)."""
-    if not rows or not any(k in row for row in rows for k in PIPELINE_KEYS):
+    def carried(entries) -> bool:
+        return any(key in row for row in rows for _name, key in entries)
+
+    if not carried(FOOTER_GROUPS["pipeline"]):
         return ""
-    totals = {k: sum(row.get(k, 0) for row in rows) for k in PIPELINE_KEYS}
-    out = (f"pipeline: http={totals['http_requests']} "
-           f"orb={totals['orb_requests']} "
-           f"channel={totals['channel_requests']} "
-           f"errors={totals['pipeline_errors']} "
-           f"sessions_expired={totals['sessions_expired']}")
-    if any(k in row for row in rows for k in FEDERATION_KEYS):
-        fed = {k: sum(row.get(k, 0) for row in rows)
-               for k in FEDERATION_KEYS}
-        out += (f"\nfederation: subscribes={fed['fed_subscribes']} "
-                f"unsubscribes={fed['fed_unsubscribes']} "
-                f"invalidations={fed['fed_invalidations']} "
-                f"poll_failovers={fed['fed_poll_failovers']}")
-    if any(k in row for row in rows for k in HEALTH_KEYS):
-        hk = {k: sum(row.get(k, 0) for row in rows) for k in HEALTH_KEYS}
-        out += (f"\nhealth: healthy={hk['health_healthy']} "
-                f"degraded={hk['health_degraded']} "
-                f"unhealthy={hk['health_unhealthy']} "
-                f"unknown={hk['health_unknown']} "
-                f"alerts_fired={hk['alerts_fired']} "
-                f"alerts_resolved={hk['alerts_resolved']} "
-                f"failovers={hk['health_failovers']}")
-        latencies = [row["detection_latency_s"] for row in rows
-                     if row.get("detection_latency_s") is not None]
-        if latencies:
-            out += (f" detection_latency_s="
-                    f"{max(latencies):.2f}")
-    if any(k in row for row in rows for k in DIRECTORY_KEYS):
-        dk = {k: sum(row.get(k, 0) for row in rows) for k in DIRECTORY_KEYS}
-        out += (f"\ndirectory: lookups={dk['dir_lookups']} "
-                f"locates={dk['dir_locates']} "
-                f"publishes={dk['dir_publishes']} "
-                f"read_failovers={dk['dir_read_failovers']} "
-                f"write_skips={dk['dir_write_skips']} "
-                f"stale_retries={dk['dir_stale_retries']} "
-                f"stub_hits={dk['dir_stub_hits']} "
-                f"stub_misses={dk['dir_stub_misses']}")
-    if any(k in row for row in rows for k in STORAGE_KEYS):
-        sk = {k: sum(row.get(k, 0) for row in rows) for k in STORAGE_KEYS}
-        out += (f"\nstorage: appends={sk['storage_appends']} "
-                f"snapshots={sk['storage_snapshots']} "
-                f"compacted={sk['storage_compacted']} "
-                f"recoveries={sk['storage_recoveries']} "
-                f"replayed={sk['storage_replayed']}")
-    if any(k in row for row in rows for k in OBS_KEYS):
-        ok = {k: sum(row.get(k, 0) for row in rows) for k in OBS_KEYS}
-        out += (f"\nobs: log_records={ok['log_records']} "
-                f"log_dropped={ok['log_dropped']} "
-                f"ts_series={ok['ts_series']} "
-                f"ts_points={ok['ts_points']}")
-    if any(k in row for row in rows for k in COST_KEYS):
-        ck = {k: sum(row.get(k, 0) for row in rows) for k in COST_KEYS}
-        out += (f"\ncosts: requests={ck['cost_requests']} "
-                f"events={ck['cost_events']} "
-                f"cpu_us={ck['cost_cpu_us']} "
-                f"wan_bytes={ck['cost_wan_bytes']} "
-                f"dropped_frames={ck['cost_dropped_frames']} "
-                f"dropped_bytes={ck['cost_dropped_bytes']} "
-                f"entries={ck['cost_entries']}")
-        top = [row.get("cost_top_principal") for row in rows
-               if row.get("cost_top_principal") not in (None, "-")]
-        if top:
-            out += f" top_principal={top[0]}"
-    return out
+    lines = []
+    for label, entries in FOOTER_GROUPS.items():
+        shown = [(name, key) for name, key in entries if name]
+        if not carried(shown):
+            continue
+        line = f"{label}: " + " ".join(
+            f"{name}={sum(row.get(key, 0) for row in rows)}"
+            for name, key in shown)
+        if label == "health":
+            latencies = [row["detection_latency_s"] for row in rows
+                         if row.get("detection_latency_s") is not None]
+            if latencies:
+                line += f" detection_latency_s={max(latencies):.2f}"
+        elif label == "costs":
+            top = [row.get("cost_top_principal") for row in rows
+                   if row.get("cost_top_principal") not in (None, "-")]
+            if top:
+                line += f" top_principal={top[0]}"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def format_registry(registry) -> str:
@@ -158,18 +133,3 @@ def format_registry(registry) -> str:
         else:
             lines.append(f"{key} {value}")
     return "\n".join(lines)
-
-
-def print_experiment(exp_id: str, claim: str, rows: Sequence[Dict],
-                     columns: Sequence[str], finding: str = "") -> None:
-    """Print one experiment block: id, the paper's claim, rows, finding."""
-    print()
-    print(f"=== {exp_id} ===")
-    print(f"paper: {claim}")
-    print(format_table(rows, columns))
-    summary = format_pipeline_summary(rows)
-    if summary:
-        print(summary)
-    if finding:
-        print(f"measured: {finding}")
-    print()

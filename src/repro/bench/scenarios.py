@@ -2,8 +2,10 @@
 
 Every runner assembles a fresh deployment, drives a workload for a stretch
 of *virtual* time, and returns a plain dict of measured quantities (one
-table row).  Wall-clock cost is what pytest-benchmark reports; the science
-is in the returned rows.
+table row; a list where one simulation yields several).  The parameter
+sets each experiment runs them at, and the facts its rows must satisfy,
+are :data:`repro.bench.experiments.EXPERIMENTS`; what the runs cost the
+host is ``perf/``'s to time.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps import SyntheticApp
+from repro.bench.report import FOOTER_GROUPS
 from repro.bench.workload import (
     INTERACTIVE_APP,
     make_app_farm,
@@ -26,73 +29,51 @@ from repro.core.deployment import (
     build_single_server,
     reset_runtime_ids,
 )
+from repro.core.server import SERVICE_ID
 from repro.metrics import LatencyRecorder
+from repro.net import Network
 from repro.net.costs import CostModel, LinkSpec
+from repro.orb import Orb
 from repro.pipeline.core import PLANE_CHANNEL, PLANE_HTTP, PLANE_ORB
+from repro.sim import Simulator
+from repro.wire import CommandMessage, ResponseMessage
 
 
-#: footer key → the collector counter(s) it sums across servers
-_FEDERATION_KEYS = {
-    "fed_subscribes": ("subscribes",),
-    "fed_unsubscribes": ("unsubscribes",),
+#: footer group → the server collector its row keys are summed from
+_COLLECTORS = {"federation": "federation_metrics",
+               "directory": "directory_metrics",
+               "storage": "storage_metrics"}
+#: row key → collector counter(s), where not the footer's shown name
+_COUNTERS = {
     "fed_invalidations": ("app_invalidations", "peer_invalidations"),
-    "fed_poll_failovers": ("poll_failovers",),
     "fed_discovery_skipped": ("discovery_skipped",),
+    "dir_stale_retries": ("stale_epoch_retries",),
+    "dir_stub_hits": ("stub_cache_hits",),
+    "dir_stub_misses": ("stub_cache_misses",),
+    "storage_appends": ("wal_appends",),
+    "storage_compacted": ("records_compacted",),
+    "storage_replayed": ("records_replayed",),
 }
-_DIRECTORY_KEYS = {
-    "dir_lookups": "lookups", "dir_locates": "locates",
-    "dir_publishes": "publishes", "dir_read_failovers": "read_failovers",
-    "dir_write_skips": "write_skips",
-    "dir_stale_retries": "stale_epoch_retries",
-    "dir_stub_hits": "stub_cache_hits", "dir_stub_misses": "stub_cache_misses",
-}
-_STORAGE_KEYS = {
-    "storage_appends": "wal_appends", "storage_snapshots": "snapshots",
-    "storage_compacted": "records_compacted",
-    "storage_recoveries": "recoveries", "storage_replayed": "records_replayed",
-}
-#: ledger dimensions reported as ``cost_<dim>`` footer keys
-_COST_DIMS = ("requests", "events", "cpu_us", "wan_bytes", "dropped_frames",
-              "dropped_bytes")
+#: the order a row lists the footer groups in
+_ROW_ORDER = ("pipeline", *_COLLECTORS, "health", "obs", "costs")
 
 
 def pipeline_counters(servers, tracer=None) -> dict:
-    """Aggregate per-plane pipeline counters across ``servers`` into the
-    extra row keys every scenario reports (``http_requests``,
-    ``orb_requests``, ``channel_requests``, ``pipeline_errors``,
-    ``sessions_expired``), plus the federation layer's subscription and
-    cache-invalidation totals (``fed_subscribes``, ``fed_unsubscribes``,
-    ``fed_invalidations``, ``fed_poll_failovers``), and the health plane's
-    fleet summary (``health_healthy`` / ``health_degraded`` /
-    ``health_unhealthy`` / ``health_unknown`` status counts plus
-    ``alerts_fired`` / ``alerts_resolved`` / ``health_failovers``),
-    and the directory plane's client totals (``dir_lookups``,
-    ``dir_locates``, ``dir_publishes``, ``dir_read_failovers``,
-    ``dir_write_skips``, ``dir_stale_retries``, ``dir_stub_hits``,
-    ``dir_stub_misses``) plus ``fed_discovery_skipped``, and the durable
-    state plane's totals (``storage_appends``, ``storage_snapshots``,
-    ``storage_compacted``, ``storage_recoveries``, ``storage_replayed``).
-    Observability totals ride along too: the structured log's retained /
-    ring-dropped record counts (``log_records``, ``log_dropped`` — so
-    overflow is visible, not silent) and the size of the servers'
-    time-series registries (``ts_series``, ``ts_points``; the cost ledger
-    keeps no series).  The cost-attribution plane's fleet totals close
-    the set (``cost_requests``, ``cost_events``, ``cost_cpu_us``,
-    ``cost_wan_bytes``, ``cost_dropped_frames``, ``cost_dropped_bytes``,
-    ``cost_entries`` — distinct rollup keys — and ``cost_top_principal``,
-    the heaviest requester); a ledger shared by several servers counts
-    once, and servers built with accounting off contribute none.
-    Passing the deployment's tracer adds the span-store totals
-    (``spans_recorded``, ``traces_recorded``, ``spans_dropped``)."""
-    row = dict.fromkeys((
-        "http_requests", "orb_requests", "channel_requests",
-        "pipeline_errors", "sessions_expired",
-        *_FEDERATION_KEYS, *_DIRECTORY_KEYS, *_STORAGE_KEYS,
-        "health_healthy", "health_degraded", "health_unhealthy",
-        "health_unknown", "alerts_fired", "alerts_resolved",
-        "health_failovers", "log_records", "log_dropped", "ts_series",
-        "ts_points", *(f"cost_{dim}" for dim in _COST_DIMS),
-        "cost_entries"), 0)
+    """Sum the counters of ``servers`` into the extra row keys every
+    scenario reports: exactly the row keys of
+    :data:`repro.bench.report.FOOTER_GROUPS` — pipeline requests by
+    plane, federation subscriptions and invalidations, the health plane's
+    status counts, alerts and failovers, the directory clients' totals,
+    the storage journal's, the structured log's retained / ring-dropped
+    records (so overflow is visible, not silent), the size of the
+    time-series registries, the cost ledger's totals and distinct rollup
+    keys — plus ``cost_top_principal``, the heaviest requester.  A ledger
+    shared by several servers counts once, and servers built with
+    accounting off contribute none.  Passing the deployment's tracer adds
+    the span-store totals (``spans_recorded``, ``traces_recorded``,
+    ``spans_dropped``)."""
+    row = dict.fromkeys((key for label in _ROW_ORDER
+                         for _name, key in FOOTER_GROUPS[label]), 0)
     ledgers: dict = {}  # id → ledger: shared deployment ledgers count once
     for server in servers:
         metrics = server.pipeline_metrics
@@ -101,12 +82,11 @@ def pipeline_counters(servers, tracer=None) -> dict:
         row["channel_requests"] += metrics.requests(PLANE_CHANNEL)
         row["pipeline_errors"] += metrics.errors()
         row["sessions_expired"] += server.container.sessions_expired
-        for key, counters in _FEDERATION_KEYS.items():
-            row[key] += sum(map(server.federation_metrics.get, counters))
-        for key, counter in _DIRECTORY_KEYS.items():
-            row[key] += server.directory_metrics.get(counter)
-        for key, counter in _STORAGE_KEYS.items():
-            row[key] += server.storage_metrics.get(counter)
+        for label, attr in _COLLECTORS.items():
+            collector = getattr(server, attr)
+            for name, key in FOOTER_GROUPS[label]:
+                row[key] += sum(map(collector.get,
+                                    _COUNTERS.get(key, (name,))))
         health = server.health
         for status, n in health.model.status_counts().items():
             row[f"health_{status}"] += n
@@ -125,9 +105,9 @@ def pipeline_counters(servers, tracer=None) -> dict:
     top_requests = -1
     for ledger in ledgers.values():
         totals = ledger.total.as_dict()
-        for dim in _COST_DIMS:
-            row[f"cost_{dim}"] += totals[dim]
-        row["cost_entries"] += len(ledger.entries)
+        for dim, key in FOOTER_GROUPS["costs"]:
+            row[key] += (len(ledger.entries) if key == "cost_entries"
+                         else totals[dim])
         for principal, count, _err in ledger.top("requests", 1):
             if count > top_requests:
                 row["cost_top_principal"], top_requests = principal, count
@@ -136,6 +116,18 @@ def pipeline_counters(servers, tracer=None) -> dict:
         row["traces_recorded"] = len(tracer.store.trace_ids())
         row["spans_dropped"] = tracer.store.dropped
     return row
+
+
+def _single_server_with_app(*, update_period: float = 0.5, **server):
+    """One server (``server`` goes to :func:`build_single_server`) with
+    one registered application the ``bench`` user may steer:
+    ``(collab, app_id)``."""
+    collab = build_single_server(**server)
+    collab.run_bootstrap()
+    (app,) = make_app_farm(collab, 1, user="bench",
+                           update_period=update_period)
+    collab.sim.run(until=collab.sim.now + 2.0)  # app registers
+    return collab, app.app_id
 
 
 def run_app_scalability(n_apps: int, *, duration: float = 30.0,
@@ -198,13 +190,9 @@ def run_client_scalability(n_clients: int, *, duration: float = 30.0,
     clients reproduces §6.1's client limit.  ``server_cpus`` supports the
     vertical-scaling ablation A6.
     """
-    collab = build_single_server(client_hosts=max(4, n_clients // 4),
-                                 cost_model=cost_model,
-                                 server_cpus=server_cpus)
-    collab.run_bootstrap()
-    apps = make_app_farm(collab, 1, user="bench")
-    collab.sim.run(until=collab.sim.now + 2.0)  # app registers
-    app_id = apps[0].app_id
+    collab, app_id = _single_server_with_app(
+        client_hosts=max(4, n_clients // 4), cost_model=cost_model,
+        server_cpus=server_cpus)
     recorder = LatencyRecorder(collab.sim)
     for _ in range(n_clients):
         portal = collab.add_portal(0)
@@ -316,6 +304,465 @@ def run_remote_vs_local(*, remote: bool, duration: float = 20.0,
         "throughput_per_s": stats.count / duration,
         **pipeline_counters(collab.servers.values(),
                             tracer=collab.tracer),
+    }
+
+
+class _Echo:
+    def echo(self, x):
+        return x
+
+
+def _two_hosts(latency: float):
+    """Hosts ``a`` and ``b`` one link apart: ``(sim, net)``."""
+    sim = Simulator()
+    net = Network(sim)
+    net.add_host("a")
+    net.add_host("b")
+    net.add_link("a", "b", latency)
+    return sim, net
+
+
+def _echo_orb(latency: float):
+    """An ORB on each of :func:`_two_hosts` and a reference to an echo
+    servant on ``b``: ``(sim, a's orb, ref)``."""
+    sim, net = _two_hosts(latency)
+    orb = Orb(net.hosts["a"])
+    return sim, orb, Orb(net.hosts["b"]).activate(_Echo(), key="echo")
+
+
+def _corba_ceiling(duration: float, concurrency: int = 8) -> float:
+    """Saturate one ORB server with concurrent invocations; calls/s."""
+    sim, orb, ref = _echo_orb(0.0005)
+    done = {"calls": 0}
+
+    def caller():
+        while sim.now < duration:
+            yield from orb.invoke(ref, "echo", 42)
+            done["calls"] += 1
+
+    for _ in range(concurrency):
+        sim.spawn(caller())
+    sim.run(until=duration)
+    return done["calls"] / duration
+
+
+def run_protocol_asymmetry(*, duration: float = 15.0) -> list:
+    """E3: each protocol's sustainable per-server message ceiling — the
+    custom TCP application channel, CORBA, HTTP+servlets — one row each,
+    beside the per-message service time the cost model charges."""
+    costs = CostModel()
+    # TCP ceiling: push the app channel into saturation and read the
+    # measured message throughput (3 channel messages per update).
+    tcp_row = run_app_scalability(70, duration=duration)
+    # HTTP ceiling: saturated polling clients.
+    http_row = run_client_scalability(40, duration=duration,
+                                      poll_interval=0.05)
+    return [
+        {"protocol": "custom TCP (app channel)",
+         "model_cost_ms": costs.tcp_cost(512) * 1e3,
+         "measured_ceiling_msgs_per_s": tcp_row["throughput_per_s"] * 3},
+        {"protocol": "CORBA (server-to-server)",
+         "model_cost_ms": costs.corba_cost(512) * 1e3,
+         "measured_ceiling_msgs_per_s": _corba_ceiling(duration)},
+        {"protocol": "HTTP+servlet (clients)",
+         "model_cost_ms": costs.http_cost(512) * 1e3,
+         "measured_ceiling_msgs_per_s": http_row["polls"] / duration},
+    ]
+
+
+def run_discovery_overhead(n_domains: int, *, repeats: int = 20) -> dict:
+    """E7 (+A3, the trader on top of naming): a trader query for
+    service-id DISCOVER, a naming resolve of one application id, and an
+    invocation through an already-cached reference, as the number of
+    registered servers grows."""
+    collab = build_collaboratory(n_domains, apps_hosts_per_domain=1,
+                                 client_hosts_per_domain=1)
+    collab.run_bootstrap()
+    apps = make_app_farm(collab, 1, domain_index=0, user="bench")
+    collab.sim.run(until=collab.sim.now + 2.0)
+    app_id = apps[0].app_id
+    server = collab.server_of(min(1, n_domains - 1))
+    recorder = LatencyRecorder(collab.sim)
+
+    def probe():
+        # warm resolution so "cached" is truly cached
+        ref = yield from server.registry.remote_proxy_ref(app_id)
+        for _ in range(repeats):
+            recorder.start("trader_query", 0)
+            yield from server.orb.invoke(server.trader_ref, "query",
+                                         SERVICE_ID)
+            recorder.stop("trader_query", 0)
+            recorder.start("naming_resolve", 0)
+            yield from server.orb.invoke(server.naming_ref, "resolve",
+                                         app_id)
+            recorder.stop("naming_resolve", 0)
+            recorder.start("cached_ref_call", 0)
+            yield from server.orb.invoke(ref, "get_status")
+            recorder.stop("cached_ref_call", 0)
+
+    run_process(collab.sim, probe())
+    return {
+        "n_servers": n_domains,
+        "trader_offers": collab.trader.offer_count(),
+        "trader_query_ms": recorder.stats("trader_query").mean * 1e3,
+        "naming_resolve_ms": recorder.stats("naming_resolve").mean * 1e3,
+        "cached_ref_call_ms": recorder.stats("cached_ref_call").mean * 1e3,
+    }
+
+
+def run_remote_login(n_domains: int, *, use_directory: bool = False,
+                     logins: int = 10) -> dict:
+    """E8 / A5: login latency as the server network grows.  Per §5.2.2
+    login authenticates the client with *every* peer server (the serial
+    fan-out); ``use_directory=True`` is §6.3's GIS-style directory."""
+    collab = build_collaboratory(n_domains, apps_hosts_per_domain=1,
+                                 client_hosts_per_domain=1,
+                                 use_directory=use_directory)
+    collab.run_bootstrap()
+    # one app per domain so the fan-out returns real listings
+    for d in range(n_domains):
+        make_app_farm(collab, 1, domain_index=d, user="bench")
+    collab.sim.run(until=collab.sim.now + 2.0)
+    recorder = LatencyRecorder(collab.sim)
+
+    def login_loop():
+        count = 0
+        for i in range(logins):
+            portal = collab.add_portal(0)
+            recorder.start("login", i)
+            apps = yield from portal.login("bench")
+            recorder.stop("login", i)
+            count = len(apps)
+            yield from portal.logout()
+            portal.close()
+        return count
+
+    apps_listed = run_process(collab.sim, login_loop())
+    stats = recorder.stats("login")
+    return {
+        "auth": "directory" if use_directory else "fan-out",
+        "n_servers": n_domains,
+        "n_peers": n_domains - 1,
+        "apps_listed": apps_listed,
+        "mean_login_ms": stats.mean * 1e3,
+        "p90_login_ms": stats.p90 * 1e3,
+    }
+
+
+def run_network_scalability(n_servers: int, *, apps_per_server: int = 30,
+                            duration: float = 15.0,
+                            single_server: bool = False) -> dict:
+    """E9: ``n_servers`` peers each carrying a healthy ``apps_per_server``
+    applications.  ``single_server=True`` is the strawman — the same
+    total pushed at one server (an E1 run)."""
+    total = n_servers * apps_per_server
+    if single_server:
+        row = run_app_scalability(total, duration=duration)
+        return {
+            "deployment": "single server",
+            "n_servers": 1,
+            "total_apps": total,
+            **{k: row[k] for k in (
+                "mean_lag_ms", "p90_lag_ms", "throughput_per_s", "saturated",
+                "http_requests", "orb_requests", "channel_requests",
+                "pipeline_errors", "sessions_expired")},
+        }
+    collab = build_collaboratory(n_servers, apps_hosts_per_domain=4,
+                                 client_hosts_per_domain=1)
+    collab.run_bootstrap()
+    recorder = LatencyRecorder(collab.sim)
+    for d in range(n_servers):
+        collab.server_of(d).recorder = recorder
+        make_app_farm(collab, apps_per_server, domain_index=d, user="bench")
+    collab.sim.run(until=collab.sim.now + duration)
+    stats = recorder.stats("update_lag")
+    return {
+        "deployment": f"p2p x{n_servers}",
+        "n_servers": n_servers,
+        "total_apps": total,
+        "mean_lag_ms": stats.mean * 1e3,
+        "p90_lag_ms": stats.p90 * 1e3,
+        "throughput_per_s": stats.count / duration,
+        "saturated": stats.mean > 0.5,
+        **pipeline_counters(collab.servers.values()),
+    }
+
+
+def run_lock_relay(*, wan_latency: float = 0.030, ops: int = 20) -> list:
+    """E10: steering-lock acquire/release round trips for a client local
+    to the application's home server and one relayed across the WAN,
+    contending in one run — a row per placement."""
+    spec = LinkSpec(wan_latency=wan_latency)
+    collab = build_collaboratory(2, apps_hosts_per_domain=1,
+                                 client_hosts_per_domain=1, spec=spec)
+    collab.run_bootstrap()
+    apps = make_app_farm(collab, 1, domain_index=0, user="bench")
+    collab.sim.run(until=collab.sim.now + 2.0)
+    app_id = apps[0].app_id
+    recorder = LatencyRecorder(collab.sim)
+    contention = {}
+
+    def cycle(portal, op, start_delay):
+        yield collab.sim.timeout(start_delay)
+        yield from portal.login("bench")
+        session = yield from portal.open(app_id)
+        for i in range(ops):
+            recorder.start(f"{op}_acquire", i)
+            outcome = yield from session.acquire_lock()
+            recorder.stop(f"{op}_acquire", i)
+            contention.setdefault(op, []).append(outcome)
+            if outcome == "granted":
+                recorder.start(f"{op}_release", i)
+                yield from session.release_lock()
+                recorder.stop(f"{op}_release", i)
+            yield collab.sim.timeout(0.05)
+
+    collab.sim.spawn(cycle(collab.add_portal(0), "local", 0.0))
+    collab.sim.spawn(cycle(collab.add_portal(1), "remote", 0.02))
+    collab.sim.run(until=collab.sim.now + 30.0)
+
+    rows = []
+    for op in ("local", "remote"):
+        acq = recorder.stats(f"{op}_acquire")
+        outcomes = contention.get(op, [])
+        rows.append({
+            "placement": op,
+            "acquire_ms": acq.mean * 1e3,
+            "release_ms": recorder.stats(f"{op}_release").mean * 1e3,
+            "acquires": acq.count,
+            "granted": outcomes.count("granted"),
+            "queued": outcomes.count("queued"),
+        })
+    return rows
+
+
+def run_corba_vs_socket(payload_floats: int, *, calls: int = 30,
+                        latency: float = 0.001) -> dict:
+    """E11-corba: the same request/reply payload over the mini-ORB
+    (marshalling + dispatch costs) and over a raw socket-style channel
+    (endpoint send + echo process)."""
+    payload = [float(i) for i in range(payload_floats)]
+
+    def mean_rtt(sim, one_call) -> float:
+        recorder = LatencyRecorder(sim)
+
+        def caller():
+            for i in range(calls):
+                recorder.start("rtt", i)
+                yield from one_call()
+                recorder.stop("rtt", i)
+
+        run_process(sim, caller())
+        return recorder.stats("rtt").mean * 1e3
+
+    sim, orb, ref = _echo_orb(latency)
+    corba = mean_rtt(sim, lambda: orb.invoke(ref, "echo", payload))
+
+    # the lower-level socket system: endpoints + an echo process
+    sim, net = _two_hosts(latency)
+    client = net.hosts["a"].bind(9000)
+    server = net.hosts["b"].bind(9001)
+
+    def echo_server():
+        for _ in range(calls):
+            frame = yield server.recv()
+            msg = frame.payload
+            # raw system still deserializes: charge the cheap TCP cost
+            yield from net.hosts["b"].use_cpu(0.003 + 2e-8 * frame.size)
+            server.send(frame.src_host, frame.src_port,
+                        ResponseMessage(msg.request_id, msg.args["data"]))
+
+    def raw_call():
+        client.send("b", 9001, CommandMessage("echo", {"data": payload}))
+        yield client.recv()
+
+    sim.spawn(echo_server())
+    raw = mean_rtt(sim, raw_call)
+    return {
+        "payload_floats": payload_floats,
+        "payload_kb": payload_floats * 9 / 1024.0,
+        "corba_rtt_ms": corba,
+        "raw_socket_rtt_ms": raw,
+        "overhead_ms": corba - raw,
+        "overhead_pct": 100.0 * (corba - raw) / raw,
+    }
+
+
+def run_archival_replay(history_k: int) -> dict:
+    """E12-replay: a driver builds up ``history_k`` archived
+    interactions; a latecomer then joins and fetches catch-up history and
+    the full replay."""
+    collab, app_id = _single_server_with_app(update_period=0.2)
+    recorder = LatencyRecorder(collab.sim)
+
+    def driver():
+        portal = collab.add_portal(0)
+        yield from portal.login("bench")
+        session = yield from portal.open(app_id)
+        yield from session.acquire_lock()
+        for _ in range(history_k):
+            # archive grows by one interaction per command
+            yield from session.command("get_param", {"name": "gain"})
+            yield collab.sim.timeout(0.01)
+        # let responses drain
+        yield collab.sim.timeout(2.0)
+
+    def latecomer():
+        portal = collab.add_portal(0)
+        yield from portal.login("bench")
+        session = yield from portal.open(app_id)
+        recorder.start("catchup", 0)
+        records = yield from session.catchup(n=history_k)
+        recorder.stop("catchup", 0)
+        recorder.start("full_replay", 0)
+        replay = yield from session.replay_interactions()
+        recorder.stop("full_replay", 0)
+        return (len(records), len(replay))
+
+    run_process(collab.sim, driver())
+    caught, replayed = run_process(collab.sim, latecomer())
+    return {
+        "history_k": history_k,
+        "catchup_records": caught,
+        "replay_records": replayed,
+        "catchup_ms": recorder.stats("catchup").mean * 1e3,
+        "full_replay_ms": recorder.stats("full_replay").mean * 1e3,
+    }
+
+
+def run_poll_interval(poll_interval: float, *, n_clients: int = 8,
+                      duration: float = 20.0) -> dict:
+    """A1: a fixed client population polling at ``poll_interval`` —
+    update staleness against server request load."""
+    collab, app_id = _single_server_with_app()
+    server = collab.server_of(0)
+    recorder = LatencyRecorder(collab.sim)
+    served_before = server.container.requests_served
+    for _ in range(n_clients):
+        portal = collab.add_portal(0)
+        collab.sim.spawn(update_watching_client(
+            portal, app_id, user="bench", duration=duration,
+            poll_interval=poll_interval, recorder=recorder))
+    collab.sim.run(until=collab.sim.now + duration + 1.0)
+    stats = recorder.stats("update_latency")
+    requests = server.container.requests_served - served_before
+    return {
+        "poll_interval_ms": poll_interval * 1e3,
+        "mean_staleness_ms": stats.mean * 1e3,
+        "p90_staleness_ms": stats.p90 * 1e3,
+        "server_requests": requests,
+        "requests_per_s": requests / duration,
+    }
+
+
+def run_fifo_buffers(capacity: float, *, duration: float = 30.0,
+                     slow_poll: float = 3.0,
+                     update_period: float = 0.1) -> dict:
+    """A2: one fast application, one slow client, a per-client FIFO
+    buffer of ``capacity`` messages (``inf`` = unbounded): peak buffer
+    depth against messages dropped."""
+    collab, app_id = _single_server_with_app(
+        update_period=update_period, client_buffer_capacity=capacity)
+    server = collab.server_of(0)
+    recorder = LatencyRecorder(collab.sim)
+    peak = {"depth": 0}
+
+    def watch_buffers():
+        for _ in range(int((duration + 1.0) / 0.1)):
+            for session in server.collab._sessions.values():
+                peak["depth"] = max(peak["depth"], len(session.buffer))
+            yield collab.sim.timeout(0.1)
+
+    collab.sim.spawn(watch_buffers())
+    portal = collab.add_portal(0)
+    collab.sim.spawn(polling_client(
+        portal, app_id, user="bench", duration=duration,
+        poll_interval=slow_poll, recorder=recorder))
+    collab.sim.run(until=collab.sim.now + duration + 1.0)
+    delivered = server.collab.delivered
+    dropped = server.collab.dropped
+    return {
+        "capacity": ("unbounded" if capacity == float("inf")
+                     else int(capacity)),
+        "peak_buffer_depth": peak["depth"],
+        "delivered": delivered,
+        "dropped": dropped,
+        "drop_pct": 100.0 * dropped / max(1, delivered + dropped),
+    }
+
+
+def run_update_mode(update_mode: str, *, poll_interval: float = 0.25,
+                    duration: float = 20.0,
+                    update_period: float = 0.5) -> dict:
+    """A4: server-to-server update propagation by push (§5.2.3's traffic
+    argument) or by poll every ``poll_interval`` (§5.2.3's literal text),
+    watched by two clients in the remote domain."""
+    collab = build_collaboratory(
+        2, apps_hosts_per_domain=1, client_hosts_per_domain=2,
+        spec=LinkSpec(wan_latency=0.060), update_mode=update_mode,
+        update_poll_interval=poll_interval)
+    collab.run_bootstrap()
+    apps = make_app_farm(collab, 1, domain_index=0, user="bench",
+                         update_period=update_period)
+    collab.sim.run(until=collab.sim.now + 2.0)
+    app_id = apps[0].app_id
+    recorder = LatencyRecorder(collab.sim)
+    for _ in range(2):
+        portal = collab.add_portal(1)
+        collab.sim.spawn(update_watching_client(
+            portal, app_id, user="bench", duration=duration,
+            poll_interval=0.25, recorder=recorder))
+    collab.net.trace.reset()
+    collab.sim.run(until=collab.sim.now + duration + 1.0)
+    stats = recorder.stats("update_latency")
+    label = (f"poll@{poll_interval * 1e3:.0f}ms"
+             if update_mode == "poll" else "push")
+    return {
+        "mode": label,
+        "wan_messages": collab.net.trace.wan_messages,
+        "wan_kb": collab.net.trace.wan_bytes / 1024.0,
+        "mean_staleness_ms": stats.mean * 1e3,
+        "updates_seen": stats.count,
+    }
+
+
+def run_remote_access(*, remote_access: str, watchers: int = 0,
+                      duration: float = 20.0,
+                      wan_latency: float = 0.030) -> dict:
+    """A7: remote access by middleware relay or by request redirection
+    (§4.1), for one steering engineer (``watchers=0``) or a group of
+    ``watchers`` update-watching clients at the remote site."""
+    collab = build_collaboratory(2, apps_hosts_per_domain=1,
+                                 client_hosts_per_domain=max(1, watchers),
+                                 spec=LinkSpec(wan_latency=wan_latency),
+                                 remote_access=remote_access)
+    collab.run_bootstrap()
+    app = collab.add_app(1, SyntheticApp, "target", acl={"bench": "write"},
+                         config=INTERACTIVE_APP)
+    collab.sim.run(until=collab.sim.now + 2.0)
+    recorder = LatencyRecorder(collab.sim)
+    collab.net.trace.reset()
+    if watchers:
+        for _ in range(watchers):
+            collab.sim.spawn(update_watching_client(
+                collab.add_portal(0), app.app_id, user="bench",
+                duration=duration, poll_interval=0.25, recorder=recorder))
+    else:
+        collab.sim.spawn(steering_client(
+            collab.add_portal(0), app.app_id, user="bench",
+            duration=duration, command_interval=0.5, recorder=recorder,
+            poll_interval=0.05))
+    collab.sim.run(until=collab.sim.now + duration + 2.0)
+    stats = recorder.stats("update_latency" if watchers else "steer_rtt")
+    return {
+        "workload": f"{watchers} watchers" if watchers else "1 steerer",
+        "mode": remote_access,
+        "mean_steer_rtt_ms": stats.mean * 1e3,
+        "commands": stats.count,
+        "corba_relays": 0 if watchers else sum(
+            s.stats["remote_commands_relayed"]
+            for s in collab.servers.values()),
+        "wan_messages": collab.net.trace.wan_messages,
     }
 
 

@@ -5,7 +5,8 @@
     python -m repro info                      # version + layer map
     python -m repro demo                      # end-to-end steering demo
     python -m repro experiments               # list runnable experiments
-    python -m repro run E2 [--quick]          # regenerate one table
+    python -m repro run E2 [--quick]          # one table + its facts
+    python -m repro run all [--quick]         # every table, in table order
     python -m repro trace                     # trace a cross-server command
     python -m repro trace --view critical-path
     python -m repro trace --chrome trace.json # open in ui.perfetto.dev
@@ -20,9 +21,10 @@
     python -m repro profile --collapsed out.folded  # flamegraph.pl input
     python -m repro profile --chrome prof.json      # ui.perfetto.dev
 
-The full experiment suite (every table, with shape assertions) lives in
-``benchmarks/`` and runs under ``pytest benchmarks/ --benchmark-only -s``;
-this CLI exposes the core sweeps for interactive exploration.
+Every experiment EXPERIMENTS.md names is a row of
+:data:`repro.bench.experiments.EXPERIMENTS`; ``run`` prints its table and
+then enforces its acceptance facts — the paper's claims — exiting 1 with
+each violated fact named on stderr.
 """
 
 from __future__ import annotations
@@ -44,32 +46,40 @@ def cmd_info(_args) -> int:
 
 
 def cmd_experiments(_args) -> int:
-    print("runnable experiments (see benchmarks/ for the full suite):")
+    print("experiments (`run <id>`, or `run all`):")
     for exp_id, entry in EXPERIMENTS.items():
         print(f"  {exp_id}: {entry.claim}")
     return 0
 
 
 def cmd_run(args) -> int:
-    """Print one experiment's table, then enforce its acceptance facts."""
+    """Print each experiment's table, then enforce its acceptance facts."""
     by_upper = {exp_id.upper(): exp_id for exp_id in EXPERIMENTS}
-    exp_id = by_upper.get(args.experiment.upper())
-    if exp_id is None:
-        print(f"unknown experiment {args.experiment.upper()!r}; "
-              f"try `experiments`", file=sys.stderr)
-        return 2
-    entry = EXPERIMENTS[exp_id]
-    rows, _live = entry.run(args.quick)
-    print(format_table(rows, entry.columns,
-                       title=f"{exp_id}: {entry.claim}"))
-    summary = format_pipeline_summary(rows)
-    if summary:
-        print(summary)
-    violated = entry.check(rows)
-    for fact in violated:
-        print(f"{exp_id}: acceptance fact violated: {fact}",
+    wanted = args.experiment.upper()
+    if wanted == "ALL":
+        ids = list(EXPERIMENTS)
+    elif wanted in by_upper:
+        ids = [by_upper[wanted]]
+    else:
+        print(f"unknown experiment {wanted!r}; try `experiments`",
               file=sys.stderr)
-    return 1 if violated else 0
+        return 2
+    status = 0
+    for exp_id in ids:
+        if exp_id != ids[0]:
+            print()
+        entry = EXPERIMENTS[exp_id]
+        rows, _live = entry.run(args.quick)
+        print(format_table(rows, entry.columns,
+                           title=f"{exp_id}: {entry.claim}"))
+        summary = format_pipeline_summary(rows)
+        if summary:
+            print(summary)
+        for fact in entry.check(rows):
+            print(f"{exp_id}: acceptance fact violated: {fact}",
+                  file=sys.stderr)
+            status = 1
+    return status
 
 
 def cmd_trace(args) -> int:
@@ -101,6 +111,11 @@ def cmd_trace(args) -> int:
 
     if args.trace_id is not None:
         trace_id = args.trace_id
+        if trace_id not in store.trace_ids():
+            known = ", ".join(map(str, store.trace_ids()))
+            print(f"unknown trace id {trace_id}; known: {known}",
+                  file=sys.stderr)
+            return 2
     else:
         # default to the client-visible command trace when present
         trace_id = store.trace_of_root("portal.command")
@@ -352,8 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="version and layer map")
     sub.add_parser("demo", help="run the end-to-end steering demo")
     sub.add_parser("experiments", help="list runnable experiments")
-    run_p = sub.add_parser("run", help="run one experiment sweep")
-    run_p.add_argument("experiment", help="experiment id (e.g. E1)")
+    run_p = sub.add_parser(
+        "run", help="print an experiment's table and enforce its facts")
+    run_p.add_argument("experiment",
+                       help="experiment id (e.g. E1), or `all`")
     run_p.add_argument("--quick", action="store_true",
                        help="smaller sweep, shorter virtual duration")
     trace_p = sub.add_parser(

@@ -8,8 +8,8 @@ trace/span ids, so a log line can be joined against the span store
 without any manual correlation.
 
 Records are held in a bounded ring (oldest dropped first) and can also
-be streamed to a sink as JSON lines (``--log-output`` on the wallclock
-bench).  Logging is pure bookkeeping: no events, no messages, no CPU —
+be streamed to a sink as JSON lines (``tools/export_health_artifacts.py``
+writes the E10b fleet's as ``e10_log.jsonl``).  Logging is pure bookkeeping: no events, no messages, no CPU —
 safe to leave on inside golden scenarios.
 """
 

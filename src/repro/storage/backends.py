@@ -86,7 +86,8 @@ class MemoryBackend(StorageBackend):
     The deployment holds the backend and hands it to the replacement
     server on restart — modelling a disk that survives a process crash
     without paying real file I/O inside the simulator hot path (the
-    default, so journaling stays within noise of the wallclock bench).
+    default, so journaling costs no real file I/O unless a run asks for
+    the JSONL backend).
     """
 
     def __init__(self) -> None:

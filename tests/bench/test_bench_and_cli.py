@@ -3,7 +3,9 @@ the CLI."""
 
 import pytest
 
-from repro.bench import format_table, print_experiment
+from repro.bench import format_table
+from repro.bench.experiments import Experiment
+from repro.bench.report import FOOTER_GROUPS, format_pipeline_summary
 from repro.bench.scenarios import run_app_scalability, run_client_scalability
 from repro.cli import EXPERIMENTS, build_parser, main
 
@@ -35,12 +37,34 @@ def test_format_table_widths_accommodate_long_values():
     assert "x" * 30 in out
 
 
-def test_print_experiment_shape(capsys):
-    print_experiment("EX", "a claim", [{"v": 1}], ["v"], finding="done")
-    out = capsys.readouterr().out
-    assert "=== EX ===" in out
-    assert "paper: a claim" in out
-    assert "measured: done" in out
+def test_footer_text_is_pinned():
+    """The footer for a fixed row, byte for byte as it printed before its
+    keys were declared once in ``FOOTER_GROUPS`` (two rows: the counters
+    sum, the detection latency is the worst, the top principal the
+    first)."""
+    keys = [key for entries in FOOTER_GROUPS.values()
+            for _name, key in entries]
+    row = {key: i for i, key in enumerate(keys, 1)}
+    row.update(cost_top_principal="user:alice", detection_latency_s=1.256)
+    assert format_pipeline_summary([row, row]) == (
+        "pipeline: http=2 orb=4 channel=6 errors=8 sessions_expired=10\n"
+        "federation: subscribes=12 unsubscribes=14 invalidations=16 "
+        "poll_failovers=18\n"
+        "health: healthy=22 degraded=24 unhealthy=26 unknown=28 "
+        "alerts_fired=30 alerts_resolved=32 failovers=34 "
+        "detection_latency_s=1.26\n"
+        "directory: lookups=36 locates=38 publishes=40 read_failovers=42 "
+        "write_skips=44 stale_retries=46 stub_hits=48 stub_misses=50\n"
+        "storage: appends=52 snapshots=54 compacted=56 recoveries=58 "
+        "replayed=60\n"
+        "obs: log_records=62 log_dropped=64 ts_series=66 ts_points=68\n"
+        "costs: requests=70 events=72 cpu_us=74 wan_bytes=76 "
+        "dropped_frames=78 dropped_bytes=80 entries=82 "
+        "top_principal=user:alice")
+    # rows from before a plane existed print only the groups they carry
+    assert format_pipeline_summary([{key: row[key] for key in keys[:5]}]) == (
+        "pipeline: http=1 orb=2 channel=3 errors=4 sessions_expired=5")
+    assert format_pipeline_summary([{"v": 1}]) == ""
 
 
 # ------------------------------ scenarios ------------------------------------
@@ -79,6 +103,34 @@ def test_cli_experiments_listing(capsys):
 
 def test_cli_unknown_experiment(capsys):
     assert main(["run", "E99"]) == 2
+
+
+def test_cli_run_all_runs_every_row_and_names_id_and_fact(monkeypatch,
+                                                          capsys):
+    def entry(violated):
+        return Experiment("a claim", ("v",), lambda: ({"v": 1}, None),
+                          quick=({},), full=({},),
+                          check=lambda rows: violated)
+
+    monkeypatch.setattr("repro.cli.EXPERIMENTS",
+                        {"X1": entry([]), "X2": entry([])})
+    assert main(["run", "all", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert out.index("X1: a claim") < out.index("X2: a claim")
+    monkeypatch.setattr("repro.cli.EXPERIMENTS",
+                        {"X1": entry(["v == 2"]), "X2": entry([])})
+    assert main(["run", "all", "--quick"]) == 1
+    captured = capsys.readouterr()
+    assert "X1: acceptance fact violated: v == 2" in captured.err
+    assert "X2: a claim" in captured.out  # a violation does not stop the run
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_cli_trace_unknown_trace_id_exits_2(capsys):
+    assert main(["trace", "--trace-id", "999"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown trace id 999" in err
+    assert "known: 1, 2, 3" in err
 
 
 def test_cli_info(capsys):

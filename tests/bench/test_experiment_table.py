@@ -1,48 +1,106 @@
-"""The experiment table: each drill's quick run satisfies its declared
-acceptance facts, a broken fact is reported by name, and the rows match
-the literals captured before the drills were refactored onto shared
-bodies (id-independent fields only; ``recovery_wall_ms`` is host time).
+"""The experiment table: every experiment's quick run satisfies its
+declared acceptance facts, a broken fact is reported by name, the paper's
+claims fail when the cost model is flattened, the scenario bodies return
+the rows they returned before they moved into ``repro.bench.scenarios``
+(``paper_rows.json``), and the drills' rows match the literals captured
+before they were refactored onto shared bodies (id-independent fields
+only; ``recovery_wall_ms`` is host time).
 """
 
 import copy
 import dataclasses
+import functools
+import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.cli import main
+from repro.net.costs import CostModel
 
-DRILLS = ("E10b", "E11", "E12", "E13", "E14")
+#: rows of every paper experiment whose full run takes under a second
+#: (so ``quick`` is ``full``), captured at the parent of PR 20 — where
+#: each scenario body still sat in its own benchmark file — by calling it
+#: at its full parameters after ``reset_runtime_ids()``, as
+#: ``Experiment.run`` does
+PAPER_ROWS = json.loads(
+    (Path(__file__).parent / "paper_rows.json").read_text())
 
 
 @pytest.fixture(scope="module")
 def quick_rows():
+    """Every experiment's quick rows, run once for the whole module."""
     rows = {}
-    for exp_id in DRILLS:
-        rows[exp_id], live = EXPERIMENTS[exp_id].run(quick=True)
+    for exp_id, entry in EXPERIMENTS.items():
+        rows[exp_id], live = entry.run(quick=True)
         if hasattr(live, "stop"):
             live.stop()
     return rows
 
 
-@pytest.mark.parametrize("exp_id", DRILLS)
+def test_table_ids_are_the_headings_of_experiments_md():
+    text = (Path(__file__).parents[2] / "EXPERIMENTS.md").read_text()
+    headings = re.findall(r"^## ([EA]\d+[\w-]*) — ", text, re.MULTILINE)
+    assert headings == list(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("exp_id", EXPERIMENTS)
 def test_quick_run_satisfies_every_fact(quick_rows, exp_id):
     assert EXPERIMENTS[exp_id].check(quick_rows[exp_id]) == []
 
 
-@pytest.mark.parametrize("exp_id, field, broken", [
-    ("E10b", "victim_status", "healthy"),
-    ("E11", "sessions_failed", 1),
-    ("E12", "lock_preserved", False),
-    ("E13", "breach_delay_s", None),
-    ("E14", "partition_exact", False),
-])
-def test_broken_fact_is_named(quick_rows, exp_id, field, broken):
+@pytest.mark.parametrize("exp_id", PAPER_ROWS)
+def test_rows_are_the_parents_bit_for_bit(quick_rows, exp_id):
+    entry = EXPERIMENTS[exp_id]
+    assert entry.quick == entry.full  # the quick rows are the full rows
+    # through JSON as the capture went: repr round-trips every float
+    assert json.loads(json.dumps(quick_rows[exp_id])) == PAPER_ROWS[exp_id]
+
+
+#: (experiment, row, field, planted value): each breaks exactly one fact
+PLANTED = [
+    ("E10b", 0, "victim_status", "healthy"),
+    ("E11", 0, "sessions_failed", 1),
+    ("E12", 0, "lock_preserved", False),
+    ("E13", 0, "breach_delay_s", None),
+    ("E14", 0, "partition_exact", False),
+    ("E1", 0, "saturated", True),               # at 40 apps
+    ("E2", 0, "mean_rtt_ms", 100.0),            # the 5-client baseline
+    ("E3", 0, "model_cost_ms", 1e9),            # TCP
+    ("E4", 0, "updates_seen", 10 ** 9),         # central
+    ("E5", 0, "mean_update_latency_ms", 1e9),   # central at 20 ms
+    ("E6", 0, "throughput_per_s", 0.0),         # local
+    ("E7", 0, "trader_query_ms", 1e9),          # fewest servers
+    ("E8", 0, "apps_listed", 0),
+    ("E9", 0, "saturated", True),               # p2p x1
+    ("E10", 0, "granted", 0),                   # local
+    ("E11-corba", 0, "corba_rtt_ms", 0.0),
+    ("E12-replay", 0, "catchup_records", 0),
+    ("A1", 0, "server_requests", 0),            # fastest polling
+    ("A2", 0, "dropped", 1),                    # unbounded
+    ("A4", 0, "updates_seen", 0),               # push
+    ("A5", 0, "apps_listed", 99),               # fan-out at 2 servers
+    ("A6", 1, "mean_rtt_ms", 0.0),              # 1 CPU, 30 clients
+    ("A7", 0, "corba_relays", 0),               # 1 steerer, relay
+]
+
+
+@pytest.mark.parametrize(
+    "exp_id, index, field, broken", PLANTED,
+    ids=[f"{exp_id}-{field}-{broken}"
+         for exp_id, _index, field, broken in PLANTED])
+def test_broken_fact_is_named(quick_rows, exp_id, index, field, broken):
     rows = copy.deepcopy(quick_rows[exp_id])
-    rows[0][field] = broken
+    rows[index][field] = broken
     violated = EXPERIMENTS[exp_id].check(rows)
     assert len(violated) == 1, violated
     assert field in violated[0]
+
+
+def test_every_experiment_has_a_planted_row():
+    assert {exp_id for exp_id, *_ in PLANTED} == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("exp_id, fact, column", [
@@ -59,6 +117,28 @@ def test_cli_run_exits_1_and_names_the_violated_fact(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert fact in captured.err
     assert column in captured.out  # the table is printed before the verdict
+
+
+@pytest.mark.parametrize("exp_id, cost, fact", [
+    ("E1", "tcp_message_cost", "saturated is True (n_apps=70)"),
+    ("E2", "http_request_cost", "mean_rtt_ms (n_clients=30) > 2.0 x"),
+])
+def test_a_flattened_knee_fails_the_papers_claim(monkeypatch, capsys,
+                                                 exp_id, cost, fact):
+    """ROADMAP item 7's gate: a tenfold cheaper protocol moves the §6.1
+    saturation knee out of the sweep, and both the table's ``check`` and
+    ``python -m repro run`` say which claim no longer holds."""
+    entry = EXPERIMENTS[exp_id]
+    flattened = CostModel(**{cost: getattr(CostModel(), cost) / 10})
+    rows, _live = entry.run(quick=True, cost_model=flattened)
+    assert [v for v in entry.check(rows) if fact in v]
+    monkeypatch.setitem(
+        EXPERIMENTS, exp_id,
+        dataclasses.replace(entry, drill=functools.partial(
+            entry.drill, cost_model=flattened)))
+    assert main(["run", exp_id, "--quick"]) == 1
+    assert f"{exp_id}: acceptance fact violated: {fact}" in (
+        capsys.readouterr().err)
 
 
 def test_e10b_quick_literals(quick_rows):

@@ -18,7 +18,8 @@ from repro.sim import Simulator
 PLANES = ("directory", "federation", "health", "log", "pipeline", "storage",
           "timeseries")
 
-FOOTER_KEYS = {
+#: in the order a row lists them
+FOOTER_KEYS = [
     "http_requests", "orb_requests", "channel_requests", "pipeline_errors",
     "sessions_expired",
     "fed_subscribes", "fed_unsubscribes", "fed_invalidations",
@@ -34,8 +35,8 @@ FOOTER_KEYS = {
     "cost_requests", "cost_events", "cost_cpu_us", "cost_wan_bytes",
     "cost_dropped_frames", "cost_dropped_bytes", "cost_entries",
     "cost_top_principal",
-}
-TRACER_KEYS = {"spans_recorded", "traces_recorded", "spans_dropped"}
+]
+TRACER_KEYS = ["spans_recorded", "traces_recorded", "spans_dropped"]
 
 
 def standalone_server(**kwargs):
@@ -86,9 +87,9 @@ def test_collaboratory_registry_sources(collab):
 
 def test_pipeline_counters_keys(collab):
     servers = list(collab.servers.values())
-    assert set(pipeline_counters(servers)) == FOOTER_KEYS
-    assert set(pipeline_counters(servers, collab.tracer)) == \
-        FOOTER_KEYS | TRACER_KEYS
+    assert list(pipeline_counters(servers)) == FOOTER_KEYS
+    assert list(pipeline_counters(servers, collab.tracer)) == \
+        FOOTER_KEYS + TRACER_KEYS
 
 
 def test_status_costs_keys(collab):

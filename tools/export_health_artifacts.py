@@ -9,6 +9,9 @@ writes:
 - ``e10_alerts.jsonl`` — every alert fire/resolve record, one per line
 - ``e10_row.json``     — the scenario's measured row (detection latency,
   failover and command counts)
+- ``e10_log.jsonl``    — the fleet's structured log: every server streams
+  into one sink, so the file interleaves their records in event order,
+  sim-time-stamped and trace-correlated
 
 The exposition is round-tripped through :func:`repro.health.
 parse_prometheus` before writing — an exporter that emits text the
@@ -33,7 +36,8 @@ def main(argv) -> int:
     from repro.bench.scenarios import scrape_status
 
     experiment = EXPERIMENTS["E10b"]
-    rows, collab = experiment.run(quick=True)
+    log_lines: list = []  # the scrapes below log too, so written last
+    rows, collab = experiment.run(quick=True, log_sink=log_lines.append)
     violated = experiment.check(rows)
     if violated:
         print("E10b acceptance facts violated: " + "; ".join(violated),
@@ -61,9 +65,12 @@ def main(argv) -> int:
     with open(outdir / "e10_row.json", "w", encoding="utf-8") as fh:
         json.dump(row, fh, indent=1, sort_keys=True, default=str)
         fh.write("\n")
+    (outdir / "e10_log.jsonl").write_text(
+        "".join(line + "\n" for line in log_lines), encoding="utf-8")
     print(f"health artifacts written to {outdir}/ "
           f"({len(samples)} prom samples, "
           f"{len(alerts['history'])} alert records, "
+          f"{len(log_lines)} log records, "
           f"detection {row['detection_latency_s']:.2f}s)")
     return 0
 
