@@ -22,8 +22,8 @@ drill read failover.
 directory plane of a 50-server fleet while the cost-attribution ledger
 (one shared :class:`~repro.obs.RequestCostLedger`) keeps exact
 per-principal books — the drill asserts the per-principal cost vectors
-partition the global totals bit-for-bit and that the space-saving
-sketches surface the flooder within one time-series bucket.
+partition the global totals bit-for-bit and that the flooder tops every
+flood dimension's per-bucket rate within one time-series bucket.
 """
 
 from __future__ import annotations
@@ -365,6 +365,16 @@ def _flood_lookup(server: DiscoverServer, app_id: str,
         counters["flood_errors"] += 1
 
 
+def _top_rate(before, reading, dim: str) -> Optional[str]:
+    """The principal whose ``dim`` grew most between two readings of the
+    ledger's per-principal partition (ties by name, like the ledger's own
+    ranking), or ``None`` when nobody's grew."""
+    rates = {who: getattr(vec, dim) - getattr(before.get(who), dim, 0)
+             for who, vec in reading.items()}
+    top = min(rates, key=lambda who: (-rates[who], who))
+    return top if rates[top] > 0 else None
+
+
 def run_noisy_neighbor_drill(n_servers: int = 50, *,
                              n_sessions: int = 2_000,
                              directory_shards: int = 8,
@@ -377,14 +387,17 @@ def run_noisy_neighbor_drill(n_servers: int = 50, *,
     """E14: one principal floods the fleet; the ledger must name it.
 
     Background load is the E11 session mix spread evenly over the fleet.
-    At ``flood_start`` the *last* server (chosen so sketch tie-breaking
-    can never hand it the top slot for free — ties rank lexicographically
-    and every other principal sorts first) starts hammering the shared
-    directory plane at ``flood_rate`` lookups/s and spraying junk frames
-    at an unbound backbone port, so the dropped-traffic dimensions have a
-    heavy hitter too.  A monitor process samples the ledger's top-1
-    sketch every ``bucket_width`` and records, per dimension, how long
-    the flooder took to surface.
+    At ``flood_start`` the *last* server (chosen so the ranking's
+    tie-break can never hand it the top slot for free — ties rank
+    lexicographically and every other principal sorts first) starts
+    hammering the shared directory plane at ``flood_rate`` lookups/s and
+    spraying junk frames at an unbound backbone port, so the
+    dropped-traffic dimensions have a heavy hitter too.  A monitor
+    process reads the ledger's exact per-principal partition every
+    ``bucket_width`` and records, per dimension, how long the flooder
+    took to top the *per-bucket rate* — the difference of two consecutive
+    readings.  (Cumulative totals name it later: the background
+    principals' head start has to be outrun first.)
 
     The returned row carries the drill's three acceptance facts:
 
@@ -394,8 +407,8 @@ def run_noisy_neighbor_drill(n_servers: int = 50, *,
     - ``flooder_top_all_dims`` — the flooder is the top heavy hitter in
       every :data:`FLOOD_DIMS` dimension by the end of the run.
     - ``detection_latency_s`` — per-dimension time from flood start to
-      the sketch naming the flooder; the E14 acceptance bound is one
-      monitor sampling period (``bucket_width``).
+      the flooder topping that dimension's per-bucket rate; the E14
+      acceptance bound is one monitor sampling period (``bucket_width``).
 
     ``profiler`` (a :class:`~repro.obs.DispatchProfiler`) is installed on
     the kernel for the whole drill when given — the CI artifact path.
@@ -442,14 +455,17 @@ def run_noisy_neighbor_drill(n_servers: int = 50, *,
 
     def monitor():
         yield sim.timeout(flood_start)
+        before = None
         while (sim.now < t0 + duration + 10.0
                and len(detection) < len(FLOOD_DIMS)):
-            for dim in FLOOD_DIMS:
-                if dim in detection:
-                    continue
-                top = ledger.top(dim, 1)
-                if top and top[0][0] == flooder.name:
-                    detection[dim] = round(sim.now - flood_t["start"], 6)
+            reading = ledger.partition_by("principal")
+            if before is not None:
+                for dim in FLOOD_DIMS:
+                    if (dim not in detection
+                            and _top_rate(before, reading, dim)
+                            == flooder.name):
+                        detection[dim] = round(sim.now - flood_t["start"], 6)
+            before = reading
             yield sim.timeout(bucket_width)
 
     sim.spawn(flood(), name="e14-flooder")

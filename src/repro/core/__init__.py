@@ -15,7 +15,7 @@ from repro.core.collaboration import (
     CollaborationManager,
 )
 from repro.core.corba import CorbaProxyServant, DiscoverCorbaServerServant
-from repro.core.daemon import DaemonService, home_server_of
+from repro.core.daemon import DaemonService
 from repro.core.database import Database, DatabaseError, Record, Table
 from repro.core.locking import LockError, LockManager, SteeringLock
 from repro.core.proxy import ApplicationProxy
@@ -55,6 +55,5 @@ __all__ = [
     "SteeringLock",
     "Table",
     "WRITE",
-    "home_server_of",
     "required_privilege",
 ]

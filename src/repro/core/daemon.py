@@ -11,7 +11,8 @@ to be a combination of the server's IP address and a local count of the
 applications on each server ... the server's IP address can be extracted
 from this application identifier, making it very easy to determine if the
 application is a local application or a remote application."  We use
-``<server-name>#a<count>`` and :func:`home_server_of` extracts the server.
+``<server-name>#a<count>`` (:func:`repro.directory.make_app_id`) and
+:func:`repro.directory.home_server_of` extracts the server.
 
 The daemon listens on the custom TCP channel (cheap per-message cost —
 the reason one server supports >40 applications but only ~20 HTTP clients).
@@ -22,10 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.proxy import ApplicationProxy
-from repro.directory import (  # noqa: F401 (re-export)
-    home_server_of,
-    make_app_id,
-)
+from repro.directory import make_app_id
 from repro.pipeline.core import PLANE_CHANNEL, Pipeline, RequestContext
 from repro.steering.application import DAEMON_PORT
 from repro.wire import (

@@ -219,7 +219,7 @@ class StatusServlet(DiscoverServlet):
       ``?series=...[&start=..][&end=..][&q=..]``
     - ``GET /status/costs`` — the cost-attribution ledger: global totals,
       per-(principal, app, plane, operation) entries, and per-dimension
-      heavy hitters (``?top=N`` bounds the sketch listing;
+      heavy hitters (``?top=N`` bounds the ranking's length;
       ``format=prom`` renders the totals as exposition text)
 
     Served through the standard interceptor pipeline like every other

@@ -187,7 +187,8 @@ class DiscoverServer:
                                  server=self.name, tracer=tracer,
                                  sink=log_sink)
         self.container = ServletContainer(
-            host, cost_model=self.costs, pipeline=self._build_pipeline())
+            host, cost_model=self.costs, pipeline=self._build_pipeline(),
+            on_session_expired=self._http_session_expired)
         self.daemon = DaemonService(self, pipeline=self._build_pipeline())
         self.orb = Orb(host, cost_model=self.costs,
                        pipeline=self._build_pipeline(),
@@ -503,6 +504,14 @@ class DiscoverServer:
             # push mode: unsubscribe any remote app this was the last
             # local subscriber of, so its home server stops fanning out
             self.subscriptions.detach_idle(session.apps)
+
+    def _http_session_expired(self, http_session) -> None:
+        """A browser that went away without ``/master/logout``: its HTTP
+        session timing out ends the client's session the same way, or its
+        steering lock and waiter positions would outlive it."""
+        client_id = http_session.get("client_id")
+        if client_id is not None:
+            self.client_logout(client_id)
 
     def visible_apps(self, user: str) -> List[dict]:
         """Local applications ``user`` can access, with privileges."""

@@ -26,7 +26,7 @@ from repro.federation.handles import (
     LocalAppHandle,
     RemoteAppHandle,
 )
-from repro.federation.registry import PeerRegistry, home_server_of
+from repro.federation.registry import PeerRegistry
 from repro.federation.router import AppRouter
 from repro.federation.subscriptions import SubscriptionManager
 
@@ -37,5 +37,4 @@ __all__ = [
     "PeerRegistry",
     "RemoteAppHandle",
     "SubscriptionManager",
-    "home_server_of",
 ]

@@ -4,9 +4,9 @@
 server's IP address and a local count of the applications on each server
 ... the server's IP address can be extracted from this application
 identifier, making it very easy to determine if the application is a local
-application or a remote application."  :func:`home_server_of` implements
-that extraction; everything else here manages *how to reach* the home
-server once it is known.
+application or a remote application."
+:func:`repro.directory.home_server_of` implements that extraction;
+everything here manages *how to reach* the home server once it is known.
 
 The registry owns every cached artifact of the peer network — the
 level-one peer stubs, the level-two ``CorbaProxy`` stubs, and the resolved
@@ -25,17 +25,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.interfaces import CORBA_PROXY, DISCOVER_CORBA_SERVER
-from repro.directory import home_server_of  # noqa: F401 - façade
+from repro.directory import home_server_of
 from repro.orb import CommFailure, ObjectRef, OrbError
 from repro.orb.idl import Stub, make_stub
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics import FederationMetrics
     from repro.orb import Orb
-
-# home_server_of stays importable from here (its historical home), but the
-# extraction itself now lives behind repro.directory's Placement — the
-# directory-boundary lint forbids parsing app ids anywhere else.
 
 
 class PeerRegistry:

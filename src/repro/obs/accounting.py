@@ -3,7 +3,7 @@
 The middleware promises "global access" for large user populations; this
 module answers the operator's first capacity question — *which principal*
 is consuming CPU, wire bytes, and WAL bandwidth, and *which operation* is
-burning it.  Three cooperating pieces:
+burning it.  Two cooperating pieces:
 
 - :class:`RequestCostLedger` — the write-side.  The chain's
   :class:`~repro.obs.interceptor.RecordingInterceptor` brackets every
@@ -16,13 +16,9 @@ burning it.  Three cooperating pieces:
   — join the same vector either through the request's propagated trace
   context (``Frame.trace_ctx``) or through the per-process attribution
   scope the interceptor activates, the same scoping discipline the tracer
-  uses.
-- :class:`SpaceSaving` — a top-K heavy-hitter sketch (Metwally et al.)
-  per modelled cost dimension, keyed by principal, so "who is the noisy
-  neighbor" is answerable in O(K) memory at 10^5-session scale without
-  keeping a counter per principal.  ``wall_us`` has no sketch: host time
-  must not decide which principals a data structure keeps, so its
-  ranking is computed from the entries when read.
+  uses.  "Who is the noisy neighbor" is read from the same entries:
+  :meth:`RequestCostLedger.top` ranks their exact per-principal sums, so
+  every surface reports what the ledger stored.
 - :class:`DispatchProfiler` — a continuous sampling profiler for the real
   time axis.  It rides the kernel dispatch loop: on a wall-clock
   interval it times exactly one callback dispatch and folds the sample
@@ -40,8 +36,8 @@ partition invariant testable bit-for-bit: the per-principal vectors sum
 
 Boundary: the rest of the tree names only :class:`RequestCostLedger`,
 :class:`DispatchProfiler`, and :data:`COST_DIMENSIONS` (through the
-:mod:`repro.obs` facade); the sketch and vector internals stay in this
-module (boundary lint #8).
+:mod:`repro.obs` facade); the vector internals stay in this module
+(boundary lint #8).
 """
 
 from __future__ import annotations
@@ -61,9 +57,8 @@ COST_DIMENSIONS = ("requests", "events", "cpu_us", "lan_bytes", "wan_bytes",
 #: separately (errors only on failures; drops only for shed load)
 EXTRA_DIMENSIONS = ("errors", "dropped_frames", "dropped_bytes")
 ALL_DIMENSIONS = COST_DIMENSIONS + EXTRA_DIMENSIONS
-#: the dimensions that feed a heavy-hitter sketch: every modelled one.
-#: ``wall_us`` is host time, and a sketch's evictions depend on its input
-SKETCHED_DIMENSIONS = tuple(d for d in ALL_DIMENSIONS if d != "wall_us")
+#: how many principals a heavy-hitter listing names unless the reader asks
+DEFAULT_TOP = 8
 
 #: default capacity of the trace-id -> rollup-key LRU binding table
 MAX_TRACE_BINDINGS = 4096
@@ -108,78 +103,16 @@ class CostVector:
         return f"<CostVector {nonzero}>"
 
 
-class SpaceSaving:
-    """Space-saving top-K counter sketch (Metwally et al., 2005).
-
-    Tracks at most ``capacity`` items.  A new item arriving at capacity
-    evicts the current minimum and inherits its count as the new item's
-    over-estimation ``error`` — so for any tracked item,
-    ``count - error <= true count <= count``, and any item whose true
-    count exceeds the minimum tracked count is guaranteed to be present.
-    Deterministic: ties evict the first-inserted minimum.
-    """
-
-    __slots__ = ("capacity", "counters", "errors")
-
-    def __init__(self, capacity: int = 8) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.counters: Dict[Any, int] = {}
-        self.errors: Dict[Any, int] = {}
-
-    def add(self, item: Any, inc: int = 1) -> None:
-        counters = self.counters
-        if item in counters:
-            counters[item] += inc
-        elif len(counters) < self.capacity:
-            counters[item] = inc
-            self.errors[item] = 0
-        else:
-            victim = min(counters, key=counters.__getitem__)
-            floor = counters.pop(victim)
-            del self.errors[victim]
-            counters[item] = floor + inc
-            self.errors[item] = floor
-
-    def top(self, n: Optional[int] = None) -> List[Tuple[Any, int, int]]:
-        """``[(item, count, error)]`` sorted by count desc (ties by item)."""
-        ranked = sorted(self.counters.items(), key=lambda kv: (-kv[1], kv[0]))
-        if n is not None:
-            ranked = ranked[:n]
-        return [(item, count, self.errors[item]) for item, count in ranked]
-
-    def guaranteed_top(self) -> Optional[Any]:
-        """The top item iff its lower bound beats every other upper bound."""
-        ranked = self.top()
-        if not ranked:
-            return None
-        item, count, error = ranked[0]
-        if len(ranked) > 1 and count - error < ranked[1][1]:
-            return None
-        return item
-
-    def merge_from(self, other: "SpaceSaving") -> "SpaceSaving":
-        """Combine sketches (upper bounds add; trimmed back to capacity)."""
-        for item, count in other.counters.items():
-            if item in self.counters:
-                self.counters[item] += count
-                self.errors[item] += other.errors[item]
-            else:
-                self.counters[item] = count
-                self.errors[item] = other.errors[item]
-        if len(self.counters) > self.capacity:
-            kept = self.top(self.capacity)
-            floor = max(c for _i, c, _e in self.top()[self.capacity:])
-            self.counters = {i: c for i, c, _e in kept}
-            self.errors = {i: min(e + floor, c)
-                           for i, c, e in kept}
-        return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"capacity": self.capacity,
-                "top": [[item, count, error]
-                        for item, count, error in self.top()]}
+def _ranked(by_principal: Dict[str, CostVector], dim: str,
+            n: Optional[int]) -> List[Tuple[str, int, int]]:
+    """The ``n`` (default :data:`DEFAULT_TOP`) largest non-zero counts of
+    ``dim`` in a per-principal partition, ties by name."""
+    ranked = sorted(((principal, getattr(vec, dim))
+                     for principal, vec in by_principal.items()
+                     if getattr(vec, dim)),
+                    key=lambda pc: (-pc[1], pc[0]))
+    return [(principal, count, 0) for principal, count
+            in ranked[:DEFAULT_TOP if n is None else n]]
 
 
 class RequestCostLedger:
@@ -192,9 +125,9 @@ class RequestCostLedger:
     dimension, so a fleet-wide "who is spending what" view needs no merge
     step.  Standalone servers create their own.
 
-    The ledger is one store: a charge updates the key's entry, the
-    running total and the dimension's sketch (``wall_us`` has none),
-    nothing else.  Cost history over time is not kept here; the servers'
+    The ledger is one store: a charge updates the key's entry and the
+    running total, nothing else; rankings are computed from the entries
+    when read.  Cost history over time is not kept here; the servers'
     time-series registries carry the per-plane request and WAL counters.
 
     Attribution paths, in order of preference:
@@ -218,7 +151,6 @@ class RequestCostLedger:
     def __init__(self, sim=None, *,
                  scope: Optional[Callable[[], Any]] = None,
                  events_fn: Optional[Callable[[], int]] = None,
-                 top_k: int = 8,
                  max_trace_bindings: int = MAX_TRACE_BINDINGS,
                  wall_clock: Callable[[], int] = time.perf_counter_ns) -> None:
         if sim is not None:
@@ -227,11 +159,8 @@ class RequestCostLedger:
         self._scope = scope or (lambda: None)
         self._events = events_fn or (lambda: 0)
         self._wall = wall_clock
-        self.top_k = top_k
         self.entries: Dict[Tuple[str, str, str, str], CostVector] = {}
         self.total = CostVector()
-        self.sketches: Dict[str, SpaceSaving] = {
-            dim: SpaceSaving(top_k) for dim in SKETCHED_DIMENSIONS}
         self._bindings: "OrderedDict[Any, Tuple[str, str, str, str]]" = \
             OrderedDict()
         self.max_trace_bindings = max_trace_bindings
@@ -249,9 +178,6 @@ class RequestCostLedger:
         setattr(entry, dim, getattr(entry, dim) + n)
         total = self.total
         setattr(total, dim, getattr(total, dim) + n)
-        sketch = self.sketches.get(dim)
-        if sketch is not None:
-            sketch.add(key[0], n)
 
     def charge(self, dim: str, n: int = 1, *, plane: str = "obs",
                operation: str = "charge") -> None:
@@ -282,7 +208,7 @@ class RequestCostLedger:
 
     def close_request(self, ctx: RequestContext) -> None:
         """Book the request ``open_request`` opened: one entry lookup,
-        then entry, total and sketch per non-zero amount."""
+        then entry and total."""
         rec = ctx.cost_open
         if rec is None:
             return
@@ -317,10 +243,6 @@ class RequestCostLedger:
             vec.events += events
             vec.cpu_us += cpu_us
             vec.wall_us += wall_us
-        for dim, n in (("requests", 1), ("errors", errors),
-                       ("events", events), ("cpu_us", cpu_us)):
-            if n:  # a zero amount must not enter a principal in a sketch
-                self.sketches[dim].add(key[0], n)
 
     @contextmanager
     def scoped(self, principal: str, *, plane: str, operation: str):
@@ -357,8 +279,8 @@ class RequestCostLedger:
 
     def account_frame_hop(self, frame: Any, wan: bool) -> None:
         """One traversed link: ``frame.size`` wire bytes, LAN or WAN —
-        one binding lookup, one entry lookup, then entry, total and
-        sketch, the order every charge is booked in."""
+        one binding lookup, one entry lookup, then entry and total, the
+        order every charge is booked in."""
         size = frame.size
         if not size:
             return
@@ -369,11 +291,9 @@ class RequestCostLedger:
         if wan:
             entry.wan_bytes += size
             self.total.wan_bytes += size
-            self.sketches["wan_bytes"].add(key[0], size)
         else:
             entry.lan_bytes += size
             self.total.lan_bytes += size
-            self.sketches["lan_bytes"].add(key[0], size)
 
     def account_dropped(self, frame: Any) -> None:
         """A frame shed at hand-off (unbound port): count it and its bytes
@@ -408,18 +328,11 @@ class RequestCostLedger:
 
     def top(self, dim: str, n: Optional[int] = None) \
             -> List[Tuple[str, int, int]]:
-        """Top principals for one dimension: ``[(principal, count, err)]``
-        — the sketch's estimate, or for ``wall_us`` the exact ranking of
-        the entries."""
-        n = n if n is not None else self.top_k
-        sketch = self.sketches.get(dim)
-        if sketch is not None:
-            return sketch.top(n)
-        ranked = sorted(((principal, getattr(vec, dim)) for principal, vec
-                         in self.partition_by("principal").items()
-                         if getattr(vec, dim)),
-                        key=lambda pc: (-pc[1], pc[0]))
-        return [(principal, count, 0) for principal, count in ranked[:n]]
+        """Top principals for one dimension: ``[(principal, count, 0)]``,
+        the exact ranking of the entries (count descending, ties by name;
+        the third field is the error bound readers of the surfaces expect,
+        and an exact count has none)."""
+        return _ranked(self.partition_by("principal"), dim, n)
 
     def merge_from(self, other: "RequestCostLedger") -> "RequestCostLedger":
         """Fold another ledger in exactly (entries and totals are integer
@@ -430,14 +343,12 @@ class RequestCostLedger:
                 slot = self.entries[key] = CostVector()
             slot.add(vec)
         self.total.add(other.total)
-        for dim, sketch in other.sketches.items():
-            self.sketches[dim].merge_from(sketch)
         return self
 
     @classmethod
-    def merged(cls, ledgers: Iterable["RequestCostLedger"], *,
-               top_k: int = 8) -> "RequestCostLedger":
-        out = cls(top_k=top_k)
+    def merged(cls, ledgers: Iterable["RequestCostLedger"]) \
+            -> "RequestCostLedger":
+        out = cls()
         for ledger in ledgers:
             out.merge_from(ledger)
         return out
@@ -445,6 +356,7 @@ class RequestCostLedger:
     def snapshot(self, *, top: Optional[int] = None) -> dict:
         """Plain-dict view: totals, per-key entries, and per-dimension
         heavy hitters (this is what ``/status/costs`` serves)."""
+        by_principal = self.partition_by("principal")
         return {
             "dimensions": list(ALL_DIMENSIONS),
             "totals": self.total.as_dict(),
@@ -453,8 +365,7 @@ class RequestCostLedger:
                  "operation": key[3], **vec.as_dict()}
                 for key, vec in sorted(self.entries.items())],
             "heavy_hitters": {
-                dim: [[principal, count, error]
-                      for principal, count, error in self.top(dim, top)]
+                dim: [list(hit) for hit in _ranked(by_principal, dim, top)]
                 for dim in ALL_DIMENSIONS},
         }
 
@@ -598,8 +509,7 @@ def format_cost_report(ledger: RequestCostLedger, *, top: int = 5) -> str:
         ranked = ledger.top(dim, top)
         if not ranked or totals[dim] == 0:
             continue
-        parts = [f"{principal}={count}" + (f"(±{error})" if error else "")
-                 for principal, count, error in ranked]
+        parts = [f"{principal}={count}" for principal, count, _err in ranked]
         lines.append(f"  {dim:>14}: " + "  ".join(parts))
     lines.append("per-operation (requests, cpu_us, events):")
     for name, vec in ledger.by_operation().items():

@@ -14,13 +14,13 @@ routes; it must not import ``repro.core.security`` or
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.net.costs import CostModel
 from repro.pipeline.core import PLANE_HTTP, Pipeline, RequestContext
 from repro.web.http import NOT_FOUND, HttpRequest
 from repro.web.servlet import Servlet
-from repro.web.session import SessionManager
+from repro.web.session import HttpSession, SessionManager
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -35,13 +35,19 @@ class ServletContainer:
     def __init__(self, host: "Host", port: int = DEFAULT_HTTP_PORT,
                  cost_model: Optional[CostModel] = None,
                  session_timeout: float = 1800.0,
-                 pipeline: Optional[Pipeline] = None) -> None:
+                 pipeline: Optional[Pipeline] = None,
+                 on_session_expired:
+                 Optional[Callable[[HttpSession], None]] = None) -> None:
         self.host = host
         self.sim = host.sim
         self.port = port
         self.costs = cost_model or CostModel()
         self.endpoint = host.bind(port)
-        self.sessions = SessionManager(timeout=session_timeout)
+        # on_session_expired is told each session that timed out, so its
+        # owner can end whatever the session stood for (a DISCOVER server
+        # logs the client out)
+        self.sessions = SessionManager(timeout=session_timeout,
+                                       on_expire=on_session_expired)
         if pipeline is None:
             # Late import: repro.pipeline.interceptors imports the core
             # managers, which import this module.
@@ -56,8 +62,6 @@ class ServletContainer:
         self._last_sweep = self.sim.now
         #: requests served, for utilisation reports
         self.requests_served = 0
-        #: sessions expired by the amortized sweep
-        self.sessions_expired = 0
 
     # -- configuration ---------------------------------------------------
     def mount(self, path: str, servlet: Servlet) -> Servlet:
@@ -109,7 +113,13 @@ class ServletContainer:
         free of perpetual timers so ``sim.run()`` still terminates)."""
         if self.sim.now - self._last_sweep >= self.sessions.timeout / 4.0:
             self._last_sweep = self.sim.now
-            self.sessions_expired += self.sessions.expire_stale(self.sim.now)
+            self.sessions.expire_stale(self.sim.now)
+
+    @property
+    def sessions_expired(self) -> int:
+        """Sessions that timed out: reaped by the sweep, or found stale
+        when their own cookie came back."""
+        return self.sessions.expired
 
     def _handle(self, frame):
         self._sweep_sessions()

@@ -8,7 +8,7 @@ uses it to maintain information about client-server-application sessions"
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 _session_seq = itertools.count(1)
 
@@ -38,8 +38,15 @@ class HttpSession:
 class SessionManager:
     """Creates, resolves, and expires sessions for one container."""
 
-    def __init__(self, timeout: float = 1800.0) -> None:
+    def __init__(self, timeout: float = 1800.0,
+                 on_expire: Optional[Callable[[HttpSession], None]] = None
+                 ) -> None:
         self.timeout = timeout
+        #: told each session dropped for idleness, once, on either expiry
+        #: path (``invalidate`` is the owner's own doing and tells nobody)
+        self.on_expire = on_expire
+        #: sessions dropped for idleness so far
+        self.expired = 0
         self._sessions: Dict[str, HttpSession] = {}
 
     def create(self, now: float) -> HttpSession:
@@ -55,7 +62,7 @@ class SessionManager:
         if session is None:
             return None
         if now - session.last_access > self.timeout:
-            del self._sessions[cookie]
+            self._expire(cookie)
             return None
         session.last_access = now
         return session
@@ -69,8 +76,14 @@ class SessionManager:
         stale = [sid for sid, s in self._sessions.items()
                  if now - s.last_access > self.timeout]
         for sid in stale:
-            del self._sessions[sid]
+            self._expire(sid)
         return len(stale)
+
+    def _expire(self, sid: str) -> None:
+        session = self._sessions.pop(sid)
+        self.expired += 1
+        if self.on_expire is not None:
+            self.on_expire(session)
 
     def __len__(self) -> int:
         return len(self._sessions)

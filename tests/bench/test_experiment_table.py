@@ -179,3 +179,63 @@ def test_e14_quick_literals_and_determinism(quick_rows):
     (again,), fleet = EXPERIMENTS["E14"].run(quick=True)
     fleet.stop()
     assert again == row
+
+
+def test_cost_top_principal_is_the_argmax_of_the_entries(quick_rows):
+    """Rows on which eight sketch counters over a flat distribution named
+    somebody else (``d0-app0``; ``s8``, ``s7``) before PR 21."""
+    assert quick_rows["E2"][3]["cost_top_principal"] == "d0-client0"
+    assert [row["cost_top_principal"]
+            for row in quick_rows["E11"]] == ["s3", "s9"]
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_e14_detection_is_the_top_per_bucket_rate(monkeypatch):
+    """The monitor's verdict, recomputed from the ledger readings it took:
+    the flooder tops every flood dimension's growth over the first bucket.
+    Ranked by cumulative totals it does not yet lead ``wan_bytes`` there —
+    the background principals' head start — which is why the fact is
+    stated as a rate."""
+    from repro.bench import fleet as fleet_module
+    from repro.obs import RequestCostLedger
+
+    built, readings = [], []
+    build_fleet = fleet_module.build_fleet
+    partition_by = RequestCostLedger.partition_by
+
+    def capturing_build(*args, **kwargs):
+        built.append(build_fleet(*args, **kwargs))
+        return built[-1]
+
+    def recording_partition(self, field="principal"):
+        parts = partition_by(self, field)
+        readings.append((built[-1].sim.now, {
+            who: vec.as_dict() for who, vec in parts.items()}))
+        return parts
+
+    monkeypatch.setattr(fleet_module, "build_fleet", capturing_build)
+    monkeypatch.setattr(RequestCostLedger, "partition_by",
+                        recording_partition)
+    (row,), fleet = EXPERIMENTS["E14"].run(quick=True)
+    fleet.stop()
+    flooder, bucket = row["flooder"], row["bucket_width_s"]
+    t_start = readings[0][0]  # the monitor's first reading: the flood starts
+    monitor = [reading for reading in readings
+               if reading[0] <= t_start + row["detection_latency_max_s"]]
+    assert [t for t, _parts in monitor] == [t_start, t_start + bucket]
+
+    def leader(counts):
+        return min(counts, key=lambda who: (-counts[who], who))
+
+    recomputed = {}
+    for (_t, before), (now, parts) in zip(monitor, monitor[1:]):
+        for dim in fleet_module.FLOOD_DIMS:
+            growth = {who: vec[dim] - before.get(who, {dim: 0})[dim]
+                      for who, vec in parts.items()}
+            if leader(growth) == flooder:
+                recomputed.setdefault(dim, round(now - t_start, 6))
+    assert row["detection_latency_by_dim_s"] == recomputed \
+        == dict.fromkeys(fleet_module.FLOOD_DIMS, bucket)
+    _t, one_bucket_in = monitor[1]
+    assert leader({who: vec["wan_bytes"]
+                   for who, vec in one_bucket_in.items()}) != flooder

@@ -181,6 +181,34 @@ def test_wait_lock_granted_after_release(site):
     assert when >= 3.0  # only after alice released
 
 
+def test_expired_session_hands_its_lock_to_the_waiter(site):
+    """A holder whose browser went away: when her HTTP session times out
+    she is logged out like ``/master/logout`` would, so the waiter drives."""
+    collab, app = site
+    server = collab.server_of(0)
+    server.security.acl_for(app.app_id).grant("bob", "write")
+    alice, bob = collab.add_portal(0), collab.add_portal(0)
+    timeout = server.container.sessions.timeout
+
+    def scenario():
+        yield from alice.login("alice")
+        a_sess = yield from alice.open(app.app_id)
+        assert (yield from a_sess.acquire_lock()) == "granted"
+        yield from bob.login("bob")
+        b_sess = yield from bob.open(app.app_id)
+        assert (yield from b_sess.acquire_lock()) == "queued"
+        # alice goes idle for good; bob keeps polling inside the timeout
+        yield collab.sim.timeout(0.6 * timeout)
+        yield from bob.poll()
+        yield collab.sim.timeout(0.6 * timeout)
+        return (yield from b_sess.lock_holder())  # first request after it
+
+    assert run(collab, scenario()) == bob.client_id
+    assert server.container.sessions_expired == 1
+    assert server.locks.queue_length(app.app_id) == 0
+    assert server.collab.session_count() == 1  # only bob remains
+
+
 def test_error_message_from_bad_parameter(site):
     collab, app = site
     portal = collab.add_portal(0)

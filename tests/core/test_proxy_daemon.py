@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.daemon import home_server_of
 from repro.core.proxy import ApplicationProxy
+from repro.directory import home_server_of
 from repro.steering.lifecycle import COMPUTING, INTERACTING
 from repro.wire import CommandMessage
 

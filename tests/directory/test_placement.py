@@ -42,11 +42,3 @@ def test_set_placement_swaps_the_facade():
         set_placement(original)
     assert home_server_of("s9#a3") == "s9"
 
-
-def test_facades_reexported_from_daemon_and_registry():
-    # the pre-refactor import sites keep working as façades
-    from repro.core.daemon import home_server_of as daemon_home
-    from repro.federation.registry import home_server_of as registry_home
-
-    assert daemon_home("s1#a2") == "s1"
-    assert registry_home("s1#a2") == "s1"

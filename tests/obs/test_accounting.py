@@ -1,5 +1,5 @@
 """The cost-attribution plane: exact per-request accounting, the
-space-saving heavy-hitter sketch, and the dispatch profiler.
+heavy-hitter ranking read from it, and the dispatch profiler.
 
 The load-bearing invariant (mirrored from the PR 9 time-series merge
 tests) is **exact partition**: every charge lands in exactly one rollup
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.metrics.stats import Reservoir
 from repro.net import Network
 from repro.obs import DispatchProfiler, RequestCostLedger
-from repro.obs.accounting import ALL_DIMENSIONS, SpaceSaving
+from repro.obs.accounting import ALL_DIMENSIONS
 from repro.obs.timeseries import LogHistogram
 from repro.pipeline.core import PLANE_HTTP, Interceptor, RequestContext
 from repro.sim import Simulator
@@ -30,57 +30,13 @@ def make_ledger(**kwargs):
                              **kwargs)
 
 
-class TestSpaceSaving:
-    def test_exact_within_capacity(self):
-        sk = SpaceSaving(capacity=4)
-        for item, n in (("a", 5), ("b", 3), ("c", 1)):
-            sk.add(item, n)
-        assert sk.top() == [("a", 5, 0), ("b", 3, 0), ("c", 1, 0)]
-        assert sk.guaranteed_top() == "a"
-
-    def test_eviction_inherits_floor_as_error(self):
-        sk = SpaceSaving(capacity=2)
-        sk.add("a", 10)
-        sk.add("b", 3)
-        sk.add("c", 1)  # evicts b (the minimum), inherits its count
-        (top_item, top_count, _), (item, count, error) = sk.top()
-        assert (top_item, top_count) == ("a", 10)
-        assert (item, count, error) == ("c", 4, 3)
-        # the bound holds: count - error <= true count <= count
-        assert count - error <= 1 <= count
-
-    def test_ties_rank_lexicographically(self):
-        sk = SpaceSaving(capacity=4)
-        sk.add("z", 2)
-        sk.add("a", 2)
-        assert [item for item, _c, _e in sk.top()] == ["a", "z"]
-
-    def test_guaranteed_top_refuses_ambiguity(self):
-        sk = SpaceSaving(capacity=2)
-        sk.add("a", 5)
-        sk.add("b", 4)
-        sk.add("c", 2)  # c's count 6 with error 4 — could be below a
-        assert sk.guaranteed_top() is None
-
-    def test_heavy_hitter_survives_churn(self):
-        # 1 flooder + 200 one-shot principals through a capacity-8 sketch
-        sk = SpaceSaving(capacity=8)
-        for i in range(200):
-            sk.add(f"bg{i}", 1)
-            if i % 2 == 0:
-                sk.add("flood", 3)
-        top_item, count, error = sk.top(1)[0]
-        assert top_item == "flood"
-        assert count >= 300  # upper bound never undercounts
-        assert sk.guaranteed_top() == "flood"
-
-    def test_merge_adds_counts_and_errors(self):
-        a, b = SpaceSaving(capacity=4), SpaceSaving(capacity=4)
-        a.add("x", 5)
-        b.add("x", 7)
-        b.add("y", 2)
-        a.merge_from(b)
-        assert a.top() == [("x", 12, 0), ("y", 2, 0)]
+def exact_ranking(ledger, dim):
+    """``[(principal, count, 0)]`` straight from the partition, count
+    descending and ties by name: what ``top`` is held to."""
+    counts = {who: vec.as_dict()[dim] for who, vec
+              in ledger.partition_by("principal").items()}
+    return [(who, n, 0) for who, n
+            in sorted(counts.items(), key=lambda pc: (-pc[1], pc[0])) if n]
 
 
 class TestLedgerAttribution:
@@ -162,30 +118,20 @@ class TestLedgerAttribution:
 
 
 class TestHostTimeSteersNoSketch:
-    """``wall_us`` is booked in entries and totals only: which principals
-    a sketch keeps may depend on modelled costs, never on the host."""
+    """``wall_us`` is host time: booked in entries and totals like every
+    dimension and ranked from them when read, so no structure's contents
+    depend on the host."""
 
     @staticmethod
     def scripted(wall_clock):
         ledger = RequestCostLedger(scope=lambda: "proc", events_fn=lambda: 0,
-                                   wall_clock=wall_clock, top_k=2)
-        for i in range(12):  # 5 principals through capacity-2 sketches
+                                   wall_clock=wall_clock)
+        for i in range(12):
             ctx = RequestContext(PLANE_HTTP, principal=f"u{i % 5}",
                                  operation="poll", cpu_cost=0.001 * (i % 3))
             ledger.open_request(ctx)
             ledger.close_request(ctx)
         return ledger
-
-    def test_two_wall_clocks_leave_every_sketch_equal(self):
-        steady = itertools.count(0, 5_000)
-        bursty = (n * n * 7_000 for n in itertools.count())
-        a = self.scripted(lambda: next(steady))
-        b = self.scripted(lambda: next(bursty))
-        assert a.total.wall_us != b.total.wall_us  # the clocks did differ
-        assert "wall_us" not in a.sketches
-        for dim, sketch in a.sketches.items():
-            assert sketch.counters == b.sketches[dim].counters, dim
-            assert sketch.errors == b.sketches[dim].errors, dim
 
     def test_wall_us_heavy_hitters_are_the_exact_entry_ranking(self):
         steady = itertools.count(0, 5_000)
@@ -193,7 +139,8 @@ class TestHostTimeSteersNoSketch:
         exact = sorted(((who, vec.wall_us) for who, vec
                         in ledger.partition_by("principal").items()),
                        key=lambda pc: (-pc[1], pc[0]))
-        assert ledger.top("wall_us") == [(who, n, 0) for who, n in exact[:2]]
+        assert ledger.top("wall_us", 2) == [(who, n, 0)
+                                            for who, n in exact[:2]]
         hitters = ledger.snapshot(top=3)["heavy_hitters"]
         assert list(hitters) == list(ALL_DIMENSIONS)
         assert hitters["wall_us"] == [[who, n, 0] for who, n in exact[:3]]
@@ -254,7 +201,7 @@ class TestPartitionInvariants:
         assert summed == ledger.total.as_dict()
 
     @given(st.lists(
-        st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]),
+        st.tuples(st.sampled_from(list("abcdefghijkl")),
                   st.sampled_from(ALL_DIMENSIONS),
                   st.integers(min_value=1, max_value=10**6)),
         min_size=1, max_size=120),
@@ -272,6 +219,10 @@ class TestPartitionInvariants:
                     target.charge(dim, n)
         rng.shuffle(shards)
         merged = RequestCostLedger.merged(shards)
+        n = rng.randint(1, 6)
+        for dim in ALL_DIMENSIONS:  # the ranking is the table, merged or not
+            assert merged.top(dim, n) == combined.top(dim, n) \
+                == exact_ranking(combined, dim)[:n]
         assert merged.total.as_dict() == combined.total.as_dict()
         assert {k: v.as_dict() for k, v in merged.entries.items()} \
             == {k: v.as_dict() for k, v in combined.entries.items()}
@@ -285,6 +236,45 @@ class TestPartitionInvariants:
             for dim, val in vec.items():
                 summed[dim] += val
         assert summed == merged.total.as_dict()
+
+    def test_near_equal_principals_rank_exactly(self):
+        """20 principals a few requests apart, tied in pairs: more than a
+        bounded set of counters can tell apart, and the entries hold every
+        one of them anyway."""
+        ledger = make_ledger()
+        counts = {f"u{i:02d}": 100 + (i * 7) % 10 for i in range(20)}
+        for k in range(max(counts.values())):
+            for who, n in counts.items():
+                if k < n:
+                    ctx = RequestContext(PLANE_HTTP, principal=who,
+                                         operation="poll")
+                    ledger.open_request(ctx)
+                    ledger.close_request(ctx)
+        assert ledger.top("requests", 3) \
+            == [("u07", 109, 0), ("u17", 109, 0), ("u04", 108, 0)]
+        assert ledger.top("requests", 20) == exact_ranking(ledger, "requests")
+
+    def test_cost_gate_names_a_snapshot_that_contradicts_itself(self):
+        import importlib.util
+        from pathlib import Path
+
+        spec = importlib.util.spec_from_file_location(
+            "check_cost_regression", Path(__file__).parents[2] / "tools"
+            / "check_cost_regression.py")
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        ledger = make_ledger()
+        for who, n in (("a", 3), ("b", 5), ("c", 5)):
+            with ledger.scoped(who, plane="orb", operation="op"):
+                ledger.charge("spans", n)
+                ledger.charge("wal_appends", 1)
+        snapshot = ledger.snapshot()
+        assert gate.snapshot_disagreements(snapshot) == []
+        snapshot["heavy_hitters"]["spans"][0] = ["c", 6, 1]
+        snapshot["totals"]["wal_appends"] += 1
+        assert [line.split(":")[0] for line
+                in gate.snapshot_disagreements(snapshot)] \
+            == ["wal_appends", "spans"]
 
     def test_accounting_is_zero_event(self):
         """Ledger bookkeeping schedules nothing and dispatches nothing."""

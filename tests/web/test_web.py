@@ -318,6 +318,30 @@ def test_amortized_sweep_expires_idle_sessions():
     assert len(container.sessions) == 1  # only the fresh client remains
 
 
+def test_both_expiry_paths_tell_the_owner_once_and_count():
+    expired = []
+    sim, net, container, early = make_site()
+    container.sessions.timeout = 100.0
+    container.sessions.on_expire = expired.append
+    container.mount("/echo", EchoServlet())
+    late, fresh = (HttpClient(net.hosts["browser"], "www") for _ in range(2))
+
+    def go():
+        yield from early.get("/echo")
+        yield sim.timeout(15.0)
+        yield from late.get("/echo")
+        yield sim.timeout(90.0)          # early idle 105 s, late 90 s
+        yield from fresh.get("/echo")    # the sweep reaps early only
+        assert len(expired) == 1
+        yield sim.timeout(15.0)          # no sweep is due: late is found
+        yield from late.get("/echo")     # stale when its own cookie returns
+
+    drive(sim, go())
+    assert len({s.session_id for s in expired}) == len(expired) == 2
+    assert container.sessions_expired == 2
+    assert len(container.sessions) == 2  # fresh, and late's new session
+
+
 def test_stale_cookie_gets_new_session():
     sim, net, container, client = make_site()
     container.sessions.timeout = 5.0

@@ -17,8 +17,11 @@ control message, a header field) don't demand a baseline refresh, while
 "locate_app got 20% more expensive" fails CI with the operation named.
 
 Operations present in only one report are listed but never fail the
-gate (new planes must be free to appear).  After an intentional cost
-change, refresh the baseline with::
+gate (new planes must be free to appear).  From the same run the gate
+also holds the exported snapshot (``/status/costs``, ``repro costs
+--export``) to its own entries: every dimension's heavy hitters are the
+ranking of the entries beside them and its total is their sum.  After an
+intentional cost change, refresh the baseline with::
 
     PYTHONPATH=src python tools/check_cost_regression.py --update
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 #: dimensions that are deterministic functions of the workload (wall_us
@@ -40,14 +44,17 @@ GATED_DIMENSIONS = ("requests", "events", "cpu_us", "lan_bytes",
 BASELINE = Path(__file__).resolve().parents[1] / "COSTS_BASELINE.json"
 
 
-def measured_costs() -> dict:
-    """Per-(plane/operation) deterministic cost dims from the quick drill."""
+def measured_costs() -> tuple:
+    """Per-(plane/operation) deterministic cost dims from the quick drill,
+    and the ledger's snapshot with every principal listed."""
     from repro.bench.experiments import EXPERIMENTS
 
     (row,), fleet = EXPERIMENTS["E14"].run(quick=True)
+    ledger = fleet.ledger
     ops = {}
-    for op, dims in fleet.ledger.by_operation().items():
+    for op, dims in ledger.by_operation().items():
         ops[op] = {d: dims.get(d, 0) for d in GATED_DIMENSIONS}
+    snapshot = ledger.snapshot(top=len(ledger.entries))
     fleet.stop()
     return {
         "scenario": "E14 quick (10 servers, 300 sessions, seed 0)",
@@ -55,7 +62,31 @@ def measured_costs() -> dict:
         "operations": ops,
         "drill": {"partition_exact": row["partition_exact"],
                   "flooder_top_all_dims": row["flooder_top_all_dims"]},
-    }
+    }, snapshot
+
+
+def snapshot_disagreements(snapshot: dict) -> list:
+    """One line per dimension on which a ledger snapshot contradicts its
+    own entries (heavy hitters not their ranking, total not their sum)."""
+    lines = []
+    for dim in snapshot["dimensions"]:
+        counts: dict = {}
+        for entry in snapshot["entries"]:
+            who = entry["principal"]
+            counts[who] = counts.get(who, 0) + entry[dim]
+        ranked = [[who, n, 0] for who, n
+                  in sorted(counts.items(), key=lambda pc: (-pc[1], pc[0]))
+                  if n]
+        hitters = snapshot["heavy_hitters"][dim]
+        for listed, exact in zip_longest(hitters, ranked):
+            if listed != exact:
+                lines.append(f"{dim}: heavy hitters list {listed} where "
+                             f"the entries rank {exact}")
+                break
+        if snapshot["totals"][dim] != sum(counts.values()):
+            lines.append(f"{dim}: total {snapshot['totals'][dim]} is not "
+                         f"the entries' sum {sum(counts.values())}")
+    return lines
 
 
 def compare(baseline: dict, candidate: dict, threshold: float) -> int:
@@ -109,9 +140,15 @@ def main(argv=None) -> int:
                         help="rewrite the baseline from this run")
     args = parser.parse_args(argv)
 
-    candidate = measured_costs()
+    candidate, snapshot = measured_costs()
     if not candidate["drill"]["partition_exact"]:
         print("error: drill attribution no longer partitions exactly")
+        return 1
+    disagreements = snapshot_disagreements(snapshot)
+    if disagreements:
+        print("FAIL: the exported snapshot disagrees with its own entries:")
+        for line in disagreements:
+            print(f"  {line}")
         return 1
     if args.update:
         with open(args.baseline, "w", encoding="utf-8") as fh:

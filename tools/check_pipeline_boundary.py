@@ -52,8 +52,8 @@ Eight boundaries, nine rules (the storage boundary has two):
 
 8. **accounting** — cost representation lives in
    :mod:`repro.obs.accounting`.  Outside that one module, naming or
-   importing ``CostVector`` / ``SpaceSaving`` couples a caller to the
-   ledger's internals — callers use the :class:`RequestCostLedger` API.
+   importing ``CostVector`` couples a caller to the ledger's
+   internals — callers use the :class:`RequestCostLedger` API.
 
 Usage: python tools/check_pipeline_boundary.py [repo_root]
 """
@@ -217,8 +217,8 @@ RULES = {
         "time-series boundary OK ({n} modules clean); ",
         owner="src/repro/obs/timeseries.py"),
     "accounting": Rule(
-        (naming("CostVector", "SpaceSaving", imported=True),),
-        "cost-vector/sketch internals stay in repro.obs.accounting; "
+        (naming("CostVector", imported=True),),
+        "cost-vector internals stay in repro.obs.accounting; "
         "callers use the RequestCostLedger facade",
         "accounting boundary OK ({n} modules clean)",
         owner="src/repro/obs/accounting.py"),
