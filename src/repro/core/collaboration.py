@@ -47,6 +47,10 @@ class ClientSession:
         self.collab_enabled = True
         #: remote application summaries gathered at login (app_id → summary)
         self.remote_apps: Dict[str, dict] = {}
+        #: host servers this client asked a steering lock of through this
+        #: server (→ one of the applications asked for); each hears of its
+        #: exit
+        self.remote_locks: Dict[str, str] = {}
         #: messages dropped because the FIFO buffer was full (slow client)
         self.dropped = 0
 

@@ -150,6 +150,12 @@ class CorbaProxyServant:
     def lock_holder(self) -> Optional[str]:
         return self.server.locks.holder_of(self.app_id)
 
+    def drop_client(self, client_id: str) -> list:
+        """A remote client left (logout, or its HTTP session expired at
+        its own server): everything it holds or waits for in this host
+        server's lock table goes, and the next waiter is granted."""
+        return self.server.locks.drop_client(client_id)
+
     def get_updates_since(self, seq: int) -> list:
         """Poll mode (§5.2.3's literal design): updates newer than ``seq``.
 

@@ -51,6 +51,8 @@ CORBA_PROXY = Interface("CorbaProxy", (
               doc="steering-lock acquire, relayed to the host server"),
     Operation("release_lock", ("client_id",), doc="steering-lock release"),
     Operation("lock_holder", (), doc="current driver of the application"),
+    Operation("drop_client", ("client_id",),
+              doc="a remote client left: release / dequeue all it holds here"),
     Operation("get_updates_since", ("seq",),
               doc="poll-mode update retrieval (§5.2.3's polling design)"),
     Operation("subscribe_server", ("server_name",),

@@ -501,9 +501,23 @@ class DiscoverServer:
         self.locks.drop_client(client_id)
         session = self.collab.drop_session(client_id)
         if session is not None:
+            # §5.2.4: a remote application's lock lives at its host server
+            # only, so the exit is relayed there — once per host server,
+            # spawned, so logout never blocks on a WAN hop
+            for home, app_id in session.remote_locks.items():
+                self.sim.spawn(
+                    self._relay_lock_drop(self.router.resolve(app_id),
+                                          client_id),
+                    name=f"unlock-{client_id}@{home}")
             # push mode: unsubscribe any remote app this was the last
             # local subscriber of, so its home server stops fanning out
             self.subscriptions.detach_idle(session.apps)
+
+    def _relay_lock_drop(self, handle, client_id: str):
+        try:
+            yield from handle.drop_client(client_id)
+        except OrbError:
+            pass  # host server gone: revoking for dead peers is not done yet
 
     def _http_session_expired(self, http_session) -> None:
         """A browser that went away without ``/master/logout``: its HTTP
@@ -660,9 +674,11 @@ class DiscoverServer:
     # -- locks -----------------------------------------------------------
     def acquire_lock(self, client_id: str, app_id: str):
         """Generator: acquire the steering lock (relayed if remote)."""
-        self.collab.session(client_id)  # validates
-        return (yield from self.router.resolve(app_id)
-                .acquire_lock(client_id))
+        session = self.collab.session(client_id)  # validates
+        handle = self.router.resolve(app_id)
+        if not handle.is_local:  # client_logout tells the host server
+            session.remote_locks.setdefault(handle.home, app_id)
+        return (yield from handle.acquire_lock(client_id))
 
     def release_lock(self, client_id: str, app_id: str):
         """Generator: release the steering lock (relayed if remote)."""

@@ -223,6 +223,9 @@ class RemoteAppHandle(AppHandle):
     def lock_holder(self):
         return (yield from self._relay("lock_holder"))
 
+    def drop_client(self, client_id: str):
+        return (yield from self._relay("drop_client", client_id))
+
     # -- updates / collaboration -------------------------------------------
     def get_updates_since(self, seq: int):
         return (yield from self._relay("get_updates_since", seq))

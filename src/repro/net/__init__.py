@@ -2,12 +2,14 @@
 
 Hosts exchange :class:`~repro.net.network.Frame` objects over duplex
 :class:`~repro.net.link.Link` objects with explicit propagation latency and
-bandwidth.  Routing is static shortest-path (by latency) over a
-:mod:`networkx` graph.  Every frame is charged its real encoded size (from
-:mod:`repro.wire`), transmission time on each hop, and propagation latency —
-and every hop is counted by the :class:`~repro.net.trace.TrafficTrace`,
-which is how the P2P-versus-centralized traffic experiments (E4/E5)
-measure WAN message and byte counts.
+bandwidth.  Routing is static shortest-path (by latency): the network's
+own Dijkstra over its adjacency map, resolved once per host pair, with
+equal-cost routes settled by the order the topology was built in.  Every
+frame is charged its real encoded size (from :mod:`repro.wire`),
+transmission time on each hop, and propagation latency — and every hop
+is counted by the :class:`~repro.net.trace.TrafficTrace`, which is how
+the P2P-versus-centralized traffic experiments (E4/E5) measure WAN
+message and byte counts.
 
 :class:`~repro.net.costs.CostModel` holds the per-protocol CPU service
 costs (HTTP servlet dispatch vs custom TCP channel vs CORBA marshalling)

@@ -1,7 +1,9 @@
 """The network: topology, routing, and frame delivery.
 
-``Network.send`` computes the (latency-weighted) shortest path once, then
-walks it with a :class:`_Delivery` state machine: each hop is one
+``Network.send`` resolves the (latency-weighted) shortest path once per
+``(src, dst)`` pair — a private Dijkstra over the adjacency map, see
+:meth:`Network._shortest` for the tie rule — then walks it with a
+:class:`_Delivery` state machine: each hop is one
 :meth:`Link.send <repro.net.link.Link.send>` — queueing, transmission and
 propagation fused into one pooled kernel callback at the arrival time —
 and is counted by the traffic trace when it lands.  Frames finally drop
@@ -29,9 +31,8 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import deque
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.net.host import Host
 from repro.net.link import Link
@@ -178,7 +179,8 @@ class Network:
         self.strict_wire = strict_wire
         self.hosts: Dict[str, Host] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
-        self.graph = nx.Graph()
+        #: ``host -> {neighbour: Link}``, neighbours in link insertion order
+        self._adjacent: Dict[str, Dict[str, Link]] = {}
         #: the links of each ``(src, dst)`` pair's route, in order
         self._routes: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
         #: loopback frames awaiting this instant's hand-off sweep
@@ -199,7 +201,7 @@ class Network:
         host = Host(self.sim, name, cpu_capacity=cpu_capacity, domain=domain)
         host.network = self
         self.hosts[name] = host
-        self.graph.add_node(name)
+        self._adjacent[name] = {}
         return host
 
     def add_link(self, a: str, b: str, latency: float,
@@ -213,16 +215,9 @@ class Network:
             raise NetworkError(f"duplicate link {a}<->{b}")
         link = Link(self.sim, a, b, latency, bandwidth, kind)
         self.links[key] = link
-        self.graph.add_edge(a, b, weight=max(latency, 1e-9), link=link)
+        self._adjacent[a][b] = self._adjacent[b][a] = link
         self._routes.clear()
         return link
-
-    def link_between(self, a: str, b: str) -> Link:
-        """The direct link joining ``a`` and ``b``."""
-        try:
-            return self.links[(a, b) if a < b else (b, a)]
-        except KeyError:
-            raise NetworkError(f"no link {a}<->{b}") from None
 
     # -- routing ------------------------------------------------------------
     def _links(self, src: str, dst: str) -> Tuple[Link, ...]:
@@ -230,13 +225,35 @@ class Network:
         key = (src, dst)
         links = self._routes.get(key)
         if links is None:
-            try:
-                path = nx.shortest_path(self.graph, src, dst, weight="weight")
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-                raise NetworkError(f"no route {src} -> {dst}") from exc
-            links = self._routes[key] = tuple(
-                self.link_between(a, b) for a, b in zip(path, path[1:]))
+            links = self._routes[key] = self._shortest(src, dst)
         return links
+
+    def _shortest(self, src: str, dst: str) -> Tuple[Link, ...]:
+        """Dijkstra from ``src``, stopping at ``dst``; a link weighs its
+        latency, at least 1 ns.  Among equal-cost routes the first one
+        found stays: relaxation is strict ``<``, the heap orders by
+        ``(distance, push order)`` and neighbours are visited in link
+        insertion order — so a route depends only on the order the
+        topology was built in."""
+        adjacent = self._adjacent
+        best = {src: 0.0}
+        routes: Dict[str, Tuple[Link, ...]] = {src: ()}
+        heap = [(0.0, 0, src)] if src in adjacent else []  # unknown: no way
+        pushes = 1
+        while heap:
+            dist, _, host = heappop(heap)
+            if host == dst:
+                return routes[host]
+            if dist > best[host]:
+                continue  # a shorter way here was found after this push
+            for peer, link in adjacent[host].items():
+                reach = dist + max(link.latency, 1e-9)
+                if reach < best.get(peer, float("inf")):
+                    best[peer] = reach
+                    routes[peer] = routes[host] + (link,)
+                    heappush(heap, (reach, pushes, peer))
+                    pushes += 1
+        raise NetworkError(f"no route {src} -> {dst}")
 
     def route(self, src: str, dst: str) -> List[str]:
         """Hop sequence (list of host names) from ``src`` to ``dst``."""

@@ -40,7 +40,7 @@ with or without an empty chain).
 
 from __future__ import annotations
 
-import inspect
+from types import GeneratorType
 from typing import Any, Callable, Iterable, Optional
 
 #: plane names carried by :attr:`RequestContext.plane`
@@ -194,7 +194,7 @@ class Pipeline:
         if ctx.error is None and ctx.response is None:
             try:
                 outcome = handler(ctx)
-                if inspect.isgenerator(outcome):
+                if isinstance(outcome, GeneratorType):
                     outcome = yield from outcome
                 ctx.response = outcome
             except Exception as exc:  # noqa: BLE001 - envelope decides

@@ -282,8 +282,12 @@ def test_two_fleets_in_one_process_number_their_frames_alike():
 POLLS = 57
 #: calls into Python functions of repro.wire + repro.net + repro.obs over
 #: the whole run below, counted by cProfile (PR 19: 10 947, its parent
-#: 12 628; PR 21 took the ledger's sketch updates out)
-FRAME_PATH_CALLS = 10_200
+#: 12 628; PR 21 took the ledger's sketch updates out: 10 200.  Route
+#: resolution is inside the window: PR 22's ``Network._shortest`` hands
+#: back the ``Link`` tuple itself, one call where a generator expression
+#: and a ``link_between`` per hop turned networkx's host path into links —
+#: two calls fewer for each of the miniature's ten one-hop routes)
+FRAME_PATH_CALLS = 10_180
 
 
 @pytest.mark.usefixtures("session_ids_kept")
