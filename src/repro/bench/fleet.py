@@ -36,14 +36,17 @@ from repro.bench.traffic import TrafficSpec, constant, exponential, session_plan
 from repro.bench.workload import run_process
 from repro.core.server import DiscoverServer
 from repro.directory import DirectoryPlane, make_app_id
+from repro.health import HealthMonitor
+from repro.metrics import StorageMetrics
 from repro.metrics.stats import Reservoir
 from repro.net import Network
 from repro.net.costs import CostModel, LinkSpec
-from repro.obs import RequestCostLedger
+from repro.obs import RequestCostLedger, TimeSeriesRegistry
 from repro.orb import Orb, OrbError
 from repro.pipeline.interceptors import default_pipeline
 from repro.sim import Simulator
 from repro.sim.rng import DeterministicRNG
+from repro.storage import MemoryBackend, StateJournal
 
 
 @dataclass
@@ -78,13 +81,16 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
     Each edge link carries half the WAN latency, so any server-to-shard
     path costs one WAN RTT — uniform by construction, which keeps the
     fleet-size comparison about the *directory plane*, not topology
-    luck.  Tracing is off and health ticks are slow: at 10⁵ sessions the
-    observability machinery would otherwise dominate the wall clock.
+    luck.
 
-    One shared :class:`~repro.obs.RequestCostLedger` spans the fleet:
-    every server, every shard ORB pipeline, and the network's per-hop
-    byte accounting attribute into the same instance (zero-event
-    bookkeeping — E11's numbers are untouched).
+    The fleet's composition root (the other is ``build_collaboratory``):
+    each server is handed a time-series registry and an in-memory journal
+    of its own, a slow heartbeat and no tracer — at 10⁵ sessions spans
+    and fast ticks would dominate the wall clock.  One shared
+    :class:`~repro.obs.RequestCostLedger` spans the fleet: every server,
+    every shard ORB pipeline, and the network's per-hop byte accounting
+    attribute into the same instance (zero-event bookkeeping — E11's
+    numbers are untouched).
     """
     if n_servers < 2:
         raise ValueError("a fleet needs at least 2 servers")
@@ -115,13 +121,14 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
         host = net.add_host(f"s{i}")
         net.add_link("core", host.name, half_wan, spec.wan_bandwidth,
                      kind="wan")
-        # tracer defaults to SAMPLE_OFF for standalone servers — exactly
-        # what a 10⁵-session run wants
+        timeseries = TimeSeriesRegistry(clock=lambda: sim.now)
+        journal = StateJournal(
+            MemoryBackend(), clock=lambda: sim.now,
+            metrics=StorageMetrics(timeseries, ledger), timeseries=timeseries)
         server = DiscoverServer(
-            host, cost_model=costs,
-            peer_call_timeout=peer_call_timeout,
-            health_period=health_period,
-            ledger=ledger)
+            host, cost_model=costs, peer_call_timeout=peer_call_timeout,
+            ledger=ledger, timeseries=timeseries, journal=journal)
+        server.attach_health(HealthMonitor(server, period=health_period))
         server.attach_directory(plane.client_for(server))
         servers.append(server)
     return Fleet(sim=sim, net=net, servers=servers, plane=plane,

@@ -68,10 +68,10 @@ def pipeline_counters(servers, tracer=None) -> dict:
     records (so overflow is visible, not silent), the size of the
     time-series registries, the cost ledger's totals and distinct rollup
     keys — plus ``cost_top_principal``, the heaviest requester.  A ledger
-    shared by several servers counts once, and servers built with
-    accounting off contribute none.  Passing the deployment's tracer adds
-    the span-store totals (``spans_recorded``, ``traces_recorded``,
-    ``spans_dropped``)."""
+    shared by several servers counts once, and a server handed no ledger
+    or no time-series registry adds nothing there.  Passing the
+    deployment's tracer adds the span-store totals (``spans_recorded``,
+    ``traces_recorded``, ``spans_dropped``)."""
     row = dict.fromkeys((key for label in _ROW_ORDER
                          for _name, key in FOOTER_GROUPS[label]), 0)
     ledgers: dict = {}  # id → ledger: shared deployment ledgers count once
@@ -96,9 +96,10 @@ def pipeline_counters(servers, tracer=None) -> dict:
         row["health_failovers"] += health.counters["failovers"]
         row["log_records"] += len(server.log)
         row["log_dropped"] += server.log.dropped
-        ts_snap = server.timeseries.snapshot()
-        row["ts_series"] += ts_snap["series"]
-        row["ts_points"] += ts_snap["points"]
+        if server.timeseries is not None:
+            ts_snap = server.timeseries.snapshot()
+            row["ts_series"] += ts_snap["series"]
+            row["ts_points"] += ts_snap["points"]
         if server.ledger is not None:
             ledgers[id(server.ledger)] = server.ledger
     row["cost_top_principal"] = "-"

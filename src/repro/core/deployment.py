@@ -14,13 +14,17 @@ from typing import Callable, Dict, List, Optional
 
 from repro.client import DiscoverPortal
 from repro.core.server import DiscoverServer
+from repro.health import HealthMonitor
+from repro.metrics import StorageMetrics
 from repro.net import Network, build_multi_domain
 from repro.net.costs import CostModel, LinkSpec
 from repro.net.topology import Domain
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import (MetricsRegistry, RequestCostLedger,
+                       TimeSeriesRegistry, Tracer)
 from repro.orb import NamingService, Orb, TraderService
 from repro.sim import Simulator
 from repro.steering.application import AppConfig, SteerableApplication
+from repro.storage import DEFAULT_SNAPSHOT_EVERY, MemoryBackend, StateJournal
 
 
 def reset_runtime_ids() -> None:
@@ -65,12 +69,15 @@ def reset_runtime_ids() -> None:
 
 
 class Collaboratory:
-    """A fully wired multi-domain DISCOVER deployment."""
+    """A fully wired multi-domain DISCOVER deployment (made in one
+    place: :func:`build_collaboratory`)."""
 
     def __init__(self, sim: Simulator, net: Network, domains: List[Domain],
                  servers: Dict[str, DiscoverServer], registry_orb: Orb,
-                 naming: NamingService, trader: TraderService,
-                 tracer: Optional[Tracer] = None) -> None:
+                 naming: NamingService, trader: TraderService, *,
+                 tracer: Tracer, ledger: Optional[RequestCostLedger],
+                 directory, storage: Dict[str, object],
+                 make_server: Callable[..., DiscoverServer]) -> None:
         self.sim = sim
         self.net = net
         self.domains = domains
@@ -80,29 +87,20 @@ class Collaboratory:
         self.trader = trader
         #: the deployment-wide tracer shared by every server, portal, and
         #: the network — one trace id space, so cross-server trees join up
-        self.tracer = tracer if tracer is not None else Tracer(sim)
+        self.tracer = tracer
+        #: the RequestCostLedger shared by every server and the network
+        #: (None with ``accounting_enabled=False``)
+        self.ledger = ledger
+        #: the optional §6.3 directory, a sharded
+        #: :class:`repro.directory.DirectoryPlane` (``use_directory=True``)
+        self.directory = directory
         self.apps: List[SteerableApplication] = []
         self.portals: List[DiscoverPortal] = []
-        #: the optional §6.3 directory, deployed as a sharded
-        #: :class:`repro.directory.DirectoryPlane` (set by
-        #: build_collaboratory when ``use_directory=True``)
-        self.directory = None
-        #: registry references (set by build_collaboratory)
-        self.naming_ref = None
-        self.trader_ref = None
-        #: the deployment-wide RequestCostLedger shared by every server
-        #: and the network (set by build_collaboratory; falls back to the
-        #: first server's own ledger otherwise)
-        self.ledger = (next(iter(servers.values())).ledger
-                       if servers else None)
-        #: server name → its durable storage backend (set by
-        #: build_collaboratory) — the medium a crash does not erase,
-        #: handed back to the replacement server in :meth:`restart_server`
-        self.storage: Dict[str, object] = {}
-        #: server name → the DiscoverServer kwargs it was built with
-        #: (minus the backend), so a restart reconstructs an identical
-        #: server on the same host
-        self._server_kwargs: Dict[str, dict] = {}
+        #: server name → its durable storage backend — the medium a crash
+        #: does not erase, which :meth:`restart_server` hands on
+        self.storage = storage
+        #: the builder's own ``make_server(host, backend)``
+        self._make_server = make_server
         self._app_host_rr = {d.name: itertools.cycle(d.app_hosts or
                                                      [d.server])
                              for d in domains}
@@ -168,9 +166,9 @@ class Collaboratory:
         merged bucket-by-bucket (counters/gauges add, histograms merge
         exactly).  ``extra`` adds registries of servers no longer in
         :attr:`servers` — e.g. a killed server's pre-crash telemetry."""
-        from repro.obs import TimeSeriesRegistry
         registries = [self.servers[name].timeseries
-                      for name in sorted(self.servers)]
+                      for name in sorted(self.servers)
+                      if self.servers[name].timeseries is not None]
         registries.extend(extra)
         return TimeSeriesRegistry.merged(registries, clock=lambda:
                                          self.sim.now)
@@ -198,20 +196,19 @@ class Collaboratory:
         """Replace a stopped server with a fresh one on the same host and
         recover its planes from the surviving storage backend.
 
+        The replacement comes out of the closure :func:`build_collaboratory`
+        built the original with: same options, same shared tracer and
+        ledger, a time-series registry, journal and heartbeat of its own.
+
         Returns ``(server, report)`` — the replacement and its
         :class:`~repro.storage.RecoveryReport`.  The caller re-runs
         :meth:`run_bootstrap` (or drives :meth:`bootstrap`) afterwards so
         the replacement rejoins the peer mesh.
         """
-        old = self.servers[name]
-        kwargs = self._server_kwargs.get(name, {})
-        server = DiscoverServer(old.host, storage=self.storage.get(name),
-                                **kwargs)
-        if self.directory is not None:
-            server.attach_directory(self.directory.client_for(server))
+        server = self._make_server(self.servers[name].host,
+                                   self.storage[name])
         self.servers[name] = server
-        report = server.recover()
-        return server, report
+        return server, server.recover()
 
 
 def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
@@ -240,6 +237,15 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                         sim: Optional[Simulator] = None) -> Collaboratory:
     """Build a ready-to-bootstrap multi-domain collaboratory.
 
+    A composition root (:func:`repro.bench.fleet.build_fleet` is the
+    other): planes are constructed here and nowhere below.  The local
+    ``make_server`` closure builds one server's time-series registry,
+    journal and heartbeat from the keyword values, hands them over with
+    the shared tracer and ledger, and stays on the deployment for
+    :meth:`Collaboratory.restart_server`.  ``health_enabled=False`` /
+    ``accounting_enabled=False``: no heartbeat / no ledger is built, and
+    the servers are handed none.
+
     ``trace_sampling`` / ``trace_max_spans`` configure the shared
     :class:`~repro.obs.Tracer` (``"always"``, ``"off"``, or int N for
     1-in-N root sampling).  Tracing is zero-event bookkeeping — it never
@@ -263,15 +269,13 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
         # samples nothing is not attached, so it is not asked
         net.tracer = tracer
     # One cost ledger for the whole deployment: the rollup key carries no
-    # server dimension, so every server's interceptor and the shared
-    # network attribute into the same instance (zero-event bookkeeping).
-    # ``accounting_enabled=False`` removes it entirely — the overhead
-    # bench's control arm.
+    # server dimension, so every server's interceptor, the network and the
+    # tracer (a span joins the cost vector of the request that minted it)
+    # attribute into the same instance (zero-event bookkeeping).
     ledger = None
     if accounting_enabled:
-        from repro.obs import RequestCostLedger
         ledger = RequestCostLedger(sim)
-        net.cost_ledger = ledger
+        net.cost_ledger = tracer.ledger = ledger
 
     # Registry host (naming + trader) on the first domain's LAN — the
     # "centralized directory service like the GIS" of §6.3.
@@ -304,49 +308,43 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                 shard_orb = Orb(shard_host, cost_model=costs, tracer=tracer)
                 directory.add_shard(shard_host.name, shard_orb)
 
-    from repro.storage import DEFAULT_SNAPSHOT_EVERY, MemoryBackend
     snapshot_every = (DEFAULT_SNAPSHOT_EVERY if storage_snapshot_every is None
                       else storage_snapshot_every)
+
+    def make_server(host, backend) -> DiscoverServer:
+        timeseries = TimeSeriesRegistry(
+            clock=lambda: sim.now, bucket_width=timeseries_bucket_width)
+        journal = StateJournal(
+            backend, clock=lambda: sim.now, snapshot_every=snapshot_every,
+            metrics=StorageMetrics(timeseries, ledger), timeseries=timeseries)
+        server = DiscoverServer(
+            host, cost_model=costs, naming_ref=naming_ref,
+            trader_ref=trader_ref, update_mode=update_mode,
+            client_buffer_capacity=client_buffer_capacity,
+            update_poll_interval=update_poll_interval,
+            remote_access=remote_access, tracer=tracer, ledger=ledger,
+            timeseries=timeseries, journal=journal)
+        server.log.sink = log_sink
+        if health_enabled:
+            server.attach_health(HealthMonitor(
+                server, period=health_period,
+                gossip_period=health_gossip_period))
+        if directory is not None:  # after the heartbeat: the client keeps it
+            server.attach_directory(directory.client_for(server))
+        return server
+
     servers: Dict[str, DiscoverServer] = {}
     backends: Dict[str, object] = {}
-    server_kwargs: Dict[str, dict] = {}
     for domain in domains:
         name = domain.server.name
-        backend = (storage_backend_factory(name)
-                   if storage_backend_factory is not None
-                   else MemoryBackend())
-        kwargs = dict(
-            domain=domain.name, cost_model=costs,
-            naming_ref=naming_ref, trader_ref=trader_ref,
-            client_buffer_capacity=client_buffer_capacity,
-            update_mode=update_mode,
-            update_poll_interval=update_poll_interval,
-            remote_access=remote_access,
-            tracer=tracer,
-            health_period=health_period,
-            health_gossip_period=health_gossip_period,
-            health_enabled=health_enabled,
-            log_sink=log_sink,
-            storage_snapshot_every=snapshot_every,
-            timeseries_bucket_width=timeseries_bucket_width,
-            ledger=ledger,
-            accounting_enabled=accounting_enabled)
-        server = DiscoverServer(domain.server, storage=backend, **kwargs)
-        if directory is not None:
-            server.attach_directory(directory.client_for(server))
-        servers[server.name] = server
-        backends[server.name] = backend
-        server_kwargs[server.name] = kwargs
-
-    collab = Collaboratory(sim, net, domains, servers, registry_orb, naming,
-                           trader, tracer=tracer)
-    collab.ledger = ledger
-    collab.directory = directory
-    collab.naming_ref = naming_ref
-    collab.trader_ref = trader_ref
-    collab.storage = backends
-    collab._server_kwargs = server_kwargs
-    return collab
+        backends[name] = (storage_backend_factory(name)
+                          if storage_backend_factory is not None
+                          else MemoryBackend())
+        servers[name] = make_server(domain.server, backends[name])
+    return Collaboratory(sim, net, domains, servers, registry_orb, naming,
+                         trader, tracer=tracer, ledger=ledger,
+                         directory=directory, storage=backends,
+                         make_server=make_server)
 
 
 def build_single_server(*, app_hosts: int = 4, client_hosts: int = 4,

@@ -57,9 +57,7 @@ class MasterServlet(DiscoverServlet):
         if action == "login":
             return self._login(p, session)
         if action == "logout":
-            self.server.client_logout(p["client_id"])
-            session.attributes.pop("client_id", None)
-            return {"ok": True}
+            return self._logout(p["client_id"], session)
         if action == "select":
             return self._select(p)
         return (BAD_REQUEST, {"error": f"unknown action {action!r}"})
@@ -73,9 +71,23 @@ class MasterServlet(DiscoverServlet):
             # pipeline envelope's generic SecurityError mapping is 403.
             return (UNAUTHORIZED, {"error": str(exc)})
         http_session.set("client_id", client_id)
+        self.server.http_sessions[client_id] = http_session.session_id
         return {"client_id": client_id,
                 "server": self.server.name,
                 "apps": self.server.list_applications(client_id)}
+
+    def _logout(self, client_id, http_session):
+        """End ``client_id`` for the HTTP session that logged it in, or
+        for anyone when none is bound to it: it is already gone, or it was
+        recovered after a restart and must still be able to leave."""
+        owner = self.server.http_sessions.get(client_id)
+        if owner not in (None, http_session.session_id):
+            raise SecurityError(f"client {client_id!r} was logged in by "
+                                "another HTTP session")
+        self.server.client_logout(client_id)
+        if http_session.get("client_id") == client_id:
+            del http_session.attributes["client_id"]
+        return {"ok": True}
 
     def _select(self, p):
         info = yield from self.server.select_app(p["client_id"],
@@ -260,6 +272,8 @@ class StatusServlet(DiscoverServlet):
     def _timeseries(self, p):
         """The time-series store over HTTP: summaries or one range dump."""
         ts = self.server.timeseries
+        if ts is None:
+            return {"server": self.server.name, "timeseries": "disabled"}
         name = p.get("series")
         if name is None:
             series = {}

@@ -48,13 +48,7 @@ from repro.net.costs import CostModel
 from repro.pipeline.core import Pipeline
 from repro.orb import ObjectRef, Orb, OrbError, ServiceOffer
 from repro.orb.idl import validate_servant
-from repro.storage import (
-    DEFAULT_SNAPSHOT_EVERY,
-    MemoryBackend,
-    RecoveryReport,
-    StateJournal,
-    StorageBackend,
-)
+from repro.storage import NULL_JOURNAL, RecoveryReport
 from repro.web import ServletContainer
 from repro.wire import (
     CommandMessage,
@@ -72,7 +66,17 @@ SERVICE_ID = "DISCOVER"
 
 
 class DiscoverServer:
-    """A DISCOVER interaction and collaboration server on one host."""
+    """A DISCOVER interaction and collaboration server on one host.
+
+    The first nine keyword arguments are the paper's; the last four are
+    sockets for built objects, handed over by whoever composes the
+    deployment — the server constructs no plane from options.  Left out,
+    ``timeseries`` and ``ledger`` stay ``None`` (every collector already
+    skips an absent sink), ``tracer`` samples nothing and ``journal`` is
+    :data:`~repro.storage.NULL_JOURNAL`; the heartbeat needs the built
+    server and comes through :meth:`attach_health`.  ``DiscoverServer(host)``
+    is the paper's server (§4.1, §5.1).
+    """
 
     def __init__(self, host: "Host", *, domain: Optional[str] = None,
                  cost_model: Optional[CostModel] = None,
@@ -83,16 +87,8 @@ class DiscoverServer:
                  update_mode: str = "push",
                  update_poll_interval: float = 0.5,
                  remote_access: str = "relay",
-                 tracer=None,
-                 health_period: float = 0.5,
-                 health_gossip_period: Optional[float] = None,
-                 health_enabled: bool = True,
-                 log_sink=None,
-                 storage: Optional[StorageBackend] = None,
-                 storage_snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-                 timeseries_bucket_width: float = 0.25,
-                 ledger=None,
-                 accounting_enabled: bool = True) -> None:
+                 tracer=None, ledger=None, timeseries=None,
+                 journal=None) -> None:
         self.host = host
         self.sim = host.sim
         self.name = host.name
@@ -120,42 +116,26 @@ class DiscoverServer:
         if remote_access not in ("relay", "redirect"):
             raise ValueError(f"unknown remote_access {remote_access!r}")
         self.remote_access = remote_access
+        #: client id → the HTTP session that logged it in (the one
+        #: ``/master/logout`` obeys); a recovered client has none
+        self.http_sessions: Dict[str, str] = {}
         self._schedules: Dict[str, Any] = {}
         #: monotonic, so an ended schedule's id is never handed out again
         self._schedule_seq = itertools.count(1)
 
-        # -- time-series telemetry plane (§ DESIGN 4h) ----------------------
-        #: sim-time metric streams every collector sinks into alongside
-        #: its end-of-run snapshot; recording is zero-event bookkeeping
-        #: (no sim events, no CPU charges, no wire bytes)
-        from repro.obs import TimeSeriesRegistry
-        self.timeseries = TimeSeriesRegistry(
-            clock=lambda: self.sim.now,
-            bucket_width=timeseries_bucket_width)
-        self.directory_metrics = DirectoryMetrics(self.timeseries)
-
-        # -- cost-attribution plane (§ DESIGN 4i) ---------------------------
-        #: per-request resource accounting by (principal, app, plane,
-        #: operation).  Deployments pass ONE shared ledger (the rollup key
-        #: carries no server dimension, so fleet-wide attribution needs no
-        #: merge); a standalone server creates its own.  Zero-event.
-        from repro.obs import RequestCostLedger
-        if not accounting_enabled:
-            ledger = None  # overhead-bench control arm: no ledger at all
-        elif ledger is None:
-            ledger = RequestCostLedger(self.sim)
+        # -- collaborators (DESIGN §4i): used as handed over, never built --
+        #: sim-time metric streams every collector below also sinks into
+        #: (a TimeSeriesRegistry), or None
+        self.timeseries = timeseries
+        #: the deployment's one RequestCostLedger, or None
         self.ledger = ledger
-
-        # -- durable state plane (§ DESIGN 4g) ------------------------------
         #: WAL + snapshot journal every stateful plane writes through; the
-        #: backend outlives this server object, so a replacement server
-        #: handed the same backend rebuilds the planes via :meth:`recover`
-        self.storage_metrics = StorageMetrics(self.timeseries, self.ledger)
-        self.journal = StateJournal(
-            storage if storage is not None else MemoryBackend(),
-            clock=lambda: self.sim.now,
-            snapshot_every=storage_snapshot_every,
-            metrics=self.storage_metrics, timeseries=self.timeseries)
+        #: backend outlives it, so a replacement server handed a journal
+        #: over the same backend rebuilds the planes in :meth:`recover`
+        self.journal = journal if journal is not None else NULL_JOURNAL
+        #: the journal's own counters (all zero when nothing journals)
+        self.storage_metrics = self.journal.metrics or StorageMetrics()
+        self.directory_metrics = DirectoryMetrics(timeseries)
 
         # -- components ---------------------------------------------------
         self.security = SecurityManager()
@@ -178,14 +158,11 @@ class DiscoverServer:
             from repro.obs import SAMPLE_OFF, Tracer
             tracer = Tracer(sampling=SAMPLE_OFF, clock=lambda: self.sim.now)
         self.tracer = tracer
-        # spans minted during a request join its cost vector (zero-event)
-        tracer.ledger = self.ledger
         #: structured JSONL event log (sim-time + trace-context stamped);
-        #: replaces the old silent drops in the daemon/federation paths
+        #: ``log.sink`` is the deployment's to set
         from repro.obs import StructuredLog
         self.log = StructuredLog(clock=lambda: self.sim.now,
-                                 server=self.name, tracer=tracer,
-                                 sink=log_sink)
+                                 server=self.name, tracer=tracer)
         self.container = ServletContainer(
             host, cost_model=self.costs, pipeline=self._build_pipeline(),
             on_session_expired=self._http_session_expired)
@@ -206,13 +183,9 @@ class DiscoverServer:
 
         # -- health plane (heartbeats, SLO burn rates, fleet view) ----------
         #: the federation layer reports peer call outcomes here, and
-        #: routing consults it to avoid unhealthy peers (one shared feed —
-        #: the registry and the subscription manager no longer track
-        #: liveness independently)
-        self.health = HealthMonitor(
-            self, period=health_period,
-            gossip_period=health_gossip_period, enabled=health_enabled)
-        self.registry.health = self.health
+        #: routing consults it to avoid unhealthy peers (one shared feed);
+        #: disabled — it folds nothing — until :meth:`attach_health`
+        self.attach_health(HealthMonitor(self, enabled=False))
         self.registry.log = self.log
 
         # -- state -----------------------------------------------------------
@@ -493,11 +466,8 @@ class DiscoverServer:
         return session.client_id
 
     def client_logout(self, client_id: str) -> None:
-        for sid in [s for s in self._schedules
-                    if s.startswith(f"sched-{client_id}-")]:
-            proc = self._schedules.pop(sid, None)
-            if proc is not None and proc.is_alive:
-                proc.interrupt("logout")
+        self._end_schedules(f"sched-{client_id}-")
+        self.http_sessions.pop(client_id, None)
         self.locks.drop_client(client_id)
         session = self.collab.drop_session(client_id)
         if session is not None:
@@ -542,7 +512,7 @@ class DiscoverServer:
         """Everything this client can see: local + cached remote."""
         session = self.collab.session(client_id)
         local = self.visible_apps(session.user)
-        remote = list(getattr(session, "remote_apps", {}).values())
+        remote = list(session.remote_apps.values())
         return local + remote
 
     def select_app(self, client_id: str, app_id: str):
@@ -629,6 +599,14 @@ class DiscoverServer:
             name=schedule_id)
         self._schedules[schedule_id] = proc
         return schedule_id
+
+    def _end_schedules(self, prefix: str = "sched-") -> None:
+        """Interrupt every live schedule whose id starts with ``prefix``
+        (one client's at logout; all of them when the server stops)."""
+        for sid in [s for s in self._schedules if s.startswith(prefix)]:
+            proc = self._schedules.pop(sid)
+            if proc.is_alive:
+                proc.interrupt("ended")
 
     def cancel_schedule(self, client_id: str, schedule_id: str) -> bool:
         """Stop a schedule; returns False if it already ended."""
@@ -772,6 +750,12 @@ class DiscoverServer:
         owner = self.collab.owner_server(client_id)
         self.registry.push_to_client(owner, client_id, msg)
 
+    def attach_health(self, monitor: HealthMonitor) -> None:
+        """Hand over the heartbeat the deployment built around this server
+        (before :meth:`attach_directory`: the client keeps the monitor)."""
+        self.health = monitor
+        self.registry.health = monitor
+
     def attach_directory(self, client) -> None:
         """Wire this server to the sharded directory plane (deployment
         calls this with a per-server ``DirectoryClient``)."""
@@ -819,20 +803,22 @@ class DiscoverServer:
         data source; deployments aggregate across servers instead)."""
         from repro.obs import MetricsRegistry
         registry = MetricsRegistry()
-        registry.register(f"pipeline[{self.name}]", self.pipeline_metrics)
-        registry.register(f"federation[{self.name}]",
-                          self.federation_metrics)
-        registry.register(f"directory[{self.name}]", self.directory_metrics)
-        registry.register(f"storage[{self.name}]", self.storage_metrics)
-        registry.register(f"health[{self.name}]", self.health)
-        registry.register(f"log[{self.name}]", self.log)
-        registry.register(f"timeseries[{self.name}]", self.timeseries)
-        if self.ledger is not None:
-            registry.register(f"costs[{self.name}]", self.ledger)
+        for label, source in (("pipeline", self.pipeline_metrics),
+                              ("federation", self.federation_metrics),
+                              ("directory", self.directory_metrics),
+                              ("storage", self.storage_metrics),
+                              ("health", self.health), ("log", self.log),
+                              ("timeseries", self.timeseries),
+                              ("costs", self.ledger)):
+            if source is not None:
+                registry.register(f"{label}[{self.name}]", source)
         return registry
 
     def stop(self) -> None:
-        """Shut down every component (end of scenario)."""
+        """Shut down every component (end of scenario, or a drill's
+        "kill"): no schedule, poller or heartbeat of its runs on."""
+        self._end_schedules()
+        self.subscriptions.stop()
         self.health.stop()
         self.container.stop()
         self.daemon.stop()

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Iterable
 
 from repro.orb import OrbError
+from repro.sim import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.server import DiscoverServer
@@ -111,45 +112,48 @@ class SubscriptionManager:
         last_seq = 0
         idle_rounds = 0
         skipped = 0
-        while idle_rounds < 3 or server.collab.local_subscribers(app_id):
-            yield self.sim.timeout(server.update_poll_interval)
-            if not server.collab.local_subscribers(app_id):
-                idle_rounds += 1
-                continue
-            idle_rounds = 0
-            if server.health.is_unhealthy_peer(handle.home):
-                # The shared health model (fed by registry pings, relays,
-                # and these poll rounds alike) already marked the home
-                # server down — don't burn a timeout on it each round.
-                # Every few rounds one probe still goes through, so a
-                # recovered home server is re-observed and polling resumes.
-                skipped += 1
-                if skipped % 4 != 0:
-                    self.metrics.count("poll_skipped_unhealthy")
+        try:
+            while idle_rounds < 3 or server.collab.local_subscribers(app_id):
+                yield self.sim.timeout(server.update_poll_interval)
+                if not server.collab.local_subscribers(app_id):
+                    idle_rounds += 1
                     continue
-            else:
-                skipped = 0
-            # Each round roots its own trace — pollers are background
-            # processes, so there is no caller context to join.  The cost
-            # scope attributes the round's spans and WAL writes to the
-            # polling server itself (system load, not a user principal).
-            with _cost_scope(server), \
-                 server.tracer.span("federation.poll_round",
-                                    plane="federation", server=server.name,
-                                    attrs={"app_id": app_id,
-                                           "since_seq": last_seq}):
-                try:
-                    updates = yield from handle.get_updates_since(last_seq)
-                except OrbError as exc:
-                    self.metrics.count("poll_failovers")
-                    server.registry._note_peer_exc(handle.home, exc)
-                    continue
-            self.metrics.count("poll_rounds")
-            server.health.note_peer_success(handle.home)
-            for update in updates:
-                last_seq = max(last_seq, update.seq)
-                self.observe_update(app_id, update)
-                server.collab.broadcast_update(app_id, update)
+                idle_rounds = 0
+                if server.health.is_unhealthy_peer(handle.home):
+                    # The shared health model (fed by registry pings, relays,
+                    # and these poll rounds alike) already marked the home
+                    # server down — don't burn a timeout on it each round.
+                    # Every few rounds one probe still goes through, so a
+                    # recovered home server is re-observed and polling resumes.
+                    skipped += 1
+                    if skipped % 4 != 0:
+                        self.metrics.count("poll_skipped_unhealthy")
+                        continue
+                else:
+                    skipped = 0
+                # Each round roots its own trace — pollers are background
+                # processes, so there is no caller context to join.  The cost
+                # scope attributes the round's spans and WAL writes to the
+                # polling server itself (system load, not a user principal).
+                with _cost_scope(server), \
+                     server.tracer.span("federation.poll_round",
+                                        plane="federation", server=server.name,
+                                        attrs={"app_id": app_id,
+                                               "since_seq": last_seq}):
+                    try:
+                        updates = yield from handle.get_updates_since(last_seq)
+                    except OrbError as exc:
+                        self.metrics.count("poll_failovers")
+                        server.registry._note_peer_exc(handle.home, exc)
+                        continue
+                self.metrics.count("poll_rounds")
+                server.health.note_peer_success(handle.home)
+                for update in updates:
+                    last_seq = max(last_seq, update.seq)
+                    self.observe_update(app_id, update)
+                    server.collab.broadcast_update(app_id, update)
+        except Interrupt:
+            pass  # the server stopped (:meth:`stop`)
         self._pollers.pop(app_id, None)
 
     # -- bookkeeping -------------------------------------------------------
@@ -163,6 +167,12 @@ class SubscriptionManager:
         """The application stopped: drop lifecycle state (pollers exit on
         their own idle logic; nothing to tear down for push mode)."""
         self._pollers.pop(app_id, None)
+
+    def stop(self) -> None:
+        """The server is stopping: interrupt every live poller."""
+        for poller in self._pollers.values():
+            if poller.is_alive:
+                poller.interrupt("server stopped")
 
     def active_pollers(self) -> int:
         return sum(1 for p in self._pollers.values() if p.is_alive)

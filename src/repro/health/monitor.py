@@ -1,9 +1,11 @@
 """Per-server health monitor: heartbeats, folding, gossip, and queries.
 
-One :class:`HealthMonitor` lives on each
-:class:`~repro.core.server.DiscoverServer`.  It runs a heartbeat process
-on the simulated clock that folds every liveness signal the server
-already produces into the :class:`~repro.health.model.HealthModel`:
+One :class:`HealthMonitor` is built around each
+:class:`~repro.core.server.DiscoverServer` by the deployment and attached
+with ``attach_health`` (a server left alone keeps a disabled one).  It
+runs a heartbeat process on the simulated clock that folds every liveness
+signal the server already produces into the
+:class:`~repro.health.model.HealthModel`:
 
 - its own pipeline error rate (a tick with a high error fraction counts
   as a missed self-heartbeat),
@@ -31,8 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.health.model import (DEFAULT_DOWN_AFTER, DEFAULT_UP_AFTER,
-                                HealthModel, STATUS_HEALTHY, STATUS_UNKNOWN)
+from repro.health.model import HealthModel, STATUS_HEALTHY, STATUS_UNKNOWN
 from repro.health.slo import AlertLog, SLOEngine, SLOSpec
 from repro.sim import Interrupt
 
@@ -76,29 +77,22 @@ class HealthMonitor:
 
     def __init__(self, server: "DiscoverServer", *,
                  period: float = DEFAULT_PERIOD,
-                 down_after: int = DEFAULT_DOWN_AFTER,
-                 up_after: int = DEFAULT_UP_AFTER,
                  gossip_period: Optional[float] = None,
-                 error_degrade: float = DEFAULT_ERROR_DEGRADE,
-                 enabled: bool = True,
-                 install_slos=default_slos) -> None:
+                 enabled: bool = True) -> None:
         self.server = server
         self.period = period
         self.gossip_period = gossip_period
-        self.error_degrade = error_degrade
         self.enabled = enabled
         clock = lambda: server.sim.now  # noqa: E731 - tiny closure
-        self.model = HealthModel(clock=clock, down_after=down_after,
-                                 up_after=up_after)
+        self.model = HealthModel(clock=clock)
         self.alerts = AlertLog()
-        #: the server's shared time-series registry (None on bare
-        #: monitors): SLO window series and health gauges land there
-        self.timeseries = getattr(server, "timeseries", None)
+        #: the server's time-series registry, or None: SLO window series
+        #: and health gauges land there
+        self.timeseries = server.timeseries
         self.slos = SLOEngine(clock=clock, log=self.alerts,
                               exemplar_fn=self._exemplars,
                               timeseries=self.timeseries)
-        if install_slos is not None:
-            install_slos(server, self.slos)
+        default_slos(server, self.slos)
         #: peer server → (stamp, statuses) from the last gossip exchange
         self._peer_views: Dict[str, Tuple[float, Dict[str, str]]] = {}
         self.counters: Dict[str, int] = {
@@ -180,7 +174,7 @@ class HealthMonitor:
         d_err = errors - self._last_errors
         self._last_requests, self._last_errors = requests, errors
         key = self.server_key(self.server.name)
-        if d_req > 0 and (d_err / d_req) > self.error_degrade:
+        if d_req > 0 and (d_err / d_req) > DEFAULT_ERROR_DEGRADE:
             self.model.record_failure(key)
         else:
             self.model.record_success(key)
@@ -278,12 +272,8 @@ class HealthMonitor:
     # -- exemplars ---------------------------------------------------------
     def _exemplars(self, window_start: float) -> List[int]:
         """Trace ids of the worst error spans since ``window_start``."""
-        tracer = getattr(self.server, "tracer", None)
-        store = getattr(tracer, "store", None)
-        if store is None:
-            return []
         worst = sorted(
-            (s for s in store.spans()
+            (s for s in self.server.tracer.store.spans()
              if s.status == "error" and s.start >= window_start),
             key=lambda s: (-s.duration, s.trace_id))
         out: List[int] = []

@@ -182,12 +182,18 @@ def default_pipeline(*, clock: Optional[Callable[[], float]] = None,
     :class:`repro.obs.RequestCostLedger`.  The chain is the same on every
     plane: the interceptors read each request's plane from its context.
 
+    A ``tracer`` that samples nothing (``sampling`` is fixed at its
+    construction) counts as not given: nothing describes each request
+    to it only to be answered ``None``.
+
     Bare components (a :class:`~repro.web.ServletContainer` or
     :class:`~repro.orb.Orb` outside a :class:`DiscoverServer`) call this
-    with just a clock and record no metrics;
+    with a clock and at most an off tracer: their chain is the envelope.
     :class:`~repro.core.server.DiscoverServer` passes its shared managers
     so all three planes report into one place.
     """
+    if tracer is not None and not tracer.enabled:
+        tracer = None
     chain = [ErrorEnvelopeInterceptor()]
     if any(sink is not None for sink in (metrics, tracer, accounting)):
         # deferred: repro.obs imports the pipeline package

@@ -4,6 +4,7 @@ import pytest
 
 from repro import AppConfig, PortalError, build_single_server
 from repro.apps import SyntheticApp
+from repro.web.client import HttpError
 
 
 def fast_config():
@@ -207,6 +208,69 @@ def test_expired_session_hands_its_lock_to_the_waiter(site):
     assert server.container.sessions_expired == 1
     assert server.locks.queue_length(app.app_id) == 0
     assert server.collab.session_count() == 1  # only bob remains
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_logout_is_refused_to_a_session_that_did_not_log_the_client_in(site):
+    """A client id is a sequential bearer token (``<server>:cN``): naming
+    the holder's in ``/master/logout`` from another HTTP session must not
+    free her lock — only her own logout hands it on."""
+    collab, app = site
+    server = collab.server_of(0)
+    server.security.acl_for(app.app_id).grant("carol", "write")
+    alice, carol, mallory = (collab.add_portal(0) for _ in range(3))
+
+    def foreign_logout():
+        yield from alice.login("alice")
+        a_sess = yield from alice.open(app.app_id)
+        assert (yield from a_sess.acquire_lock()) == "granted"
+        yield from carol.login("carol")
+        c_sess = yield from carol.open(app.app_id)
+        assert (yield from c_sess.acquire_lock()) == "queued"
+        yield from mallory.login("bob")  # read-only, with its own cookie
+        try:
+            yield from mallory.http.post(
+                "/master/logout", params={"client_id": alice.client_id})
+        except HttpError as exc:
+            return exc.status
+
+    status = run(collab, foreign_logout())
+    alice_id = alice.client_id
+    assert server.locks.holder_of(app.app_id) == alice_id
+    assert server.locks.queue_length(app.app_id) == 1
+    assert status == 403
+    assert server.collab.session(alice_id).user == "alice"
+    assert server.collab.session_count() == 3
+
+    run(collab, alice.logout())
+    assert server.locks.holder_of(app.app_id) == carol.client_id
+    assert server.collab.session_count() == 2
+    # a second logout of a client that no longer exists stays a no-op,
+    # whoever sends it
+    run(collab, mallory.http.post("/master/logout",
+                                  params={"client_id": alice_id}))
+    assert server.collab.session_count() == 2
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_a_recovered_client_can_log_out(site):
+    """Cookies are not journalled: after ``restart_server`` no HTTP session
+    is bound to the recovered holder, and she must still be able to leave."""
+    collab, app = site
+    alice = collab.add_portal(0)
+
+    def hold():
+        yield from alice.login("alice")
+        a_sess = yield from alice.open(app.app_id)
+        assert (yield from a_sess.acquire_lock()) == "granted"
+
+    run(collab, hold())
+    collab.server_of(0).stop()
+    server, _report = collab.restart_server("d0-server")
+    assert server.locks.holder_of(app.app_id) == alice.client_id
+    run(collab, alice.logout())  # her old cookie: a new HTTP session
+    assert server.locks.holder_of(app.app_id) is None
+    assert server.collab.session_count() == 0
 
 
 def test_error_message_from_bad_parameter(site):

@@ -21,6 +21,27 @@ def drive(sim: Simulator, generator):
     return sim.run(until=proc)
 
 
+def equipped_server(host, tracer=None):
+    """A standalone ``DiscoverServer`` handed what a deployment would build
+    for it, the heartbeat apart: a ledger (joined to ``tracer``), a
+    time-series registry and an in-memory journal of its own."""
+    from repro.core.server import DiscoverServer
+    from repro.metrics import StorageMetrics
+    from repro.obs import RequestCostLedger, TimeSeriesRegistry
+    from repro.storage import MemoryBackend, StateJournal
+
+    sim = host.sim
+    ledger = RequestCostLedger(sim)
+    if tracer is not None:
+        tracer.ledger = ledger
+    timeseries = TimeSeriesRegistry(clock=lambda: sim.now)
+    journal = StateJournal(MemoryBackend(), clock=lambda: sim.now,
+                           metrics=StorageMetrics(timeseries, ledger),
+                           timeseries=timeseries)
+    return DiscoverServer(host, tracer=tracer, ledger=ledger,
+                          timeseries=timeseries, journal=journal)
+
+
 def polling_miniature():
     """An E2-shaped miniature — one server, one application, three portals
     polling every 0.25 s for five simulated seconds — run to the end.

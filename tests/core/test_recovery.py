@@ -79,6 +79,34 @@ def test_restart_recovers_from_snapshot_plus_tail():
     collab.stop()
 
 
+@pytest.mark.usefixtures("session_ids_kept")
+def test_replacement_is_built_the_way_the_original_was():
+    """Every option the builder was given reaches the replacement, which
+    shares the deployment's tracer and ledger and gets the surviving
+    backend."""
+    lines = []
+    collab = build_collaboratory(
+        1, timeseries_bucket_width=1.0, storage_snapshot_every=4,
+        health_period=2.0, health_gossip_period=1.0, log_sink=lines.append)
+    collab.run_bootstrap()
+    server = collab.server_of(0)
+    server.stop()
+
+    def options(s):
+        return (s.timeseries.bucket_width, s.journal.snapshot_every,
+                s.health.period, s.health.gossip_period, s.health.enabled,
+                s.log.sink, s.tracer, s.ledger, s.journal.backend)
+
+    server2, _report = collab.restart_server(server.name)
+    assert options(server2) == options(server) == (
+        1.0, 4, 2.0, 1.0, True, lines.append, collab.tracer, collab.ledger,
+        collab.storage[server.name])
+    assert server2.timeseries is not server.timeseries
+    assert server2.journal is not server.journal
+    assert '"event": "server.recovered"' in lines[-1]
+    collab.stop()
+
+
 def test_restarted_server_continues_counter_sequences():
     """Client/app id counters must not collide with pre-crash ids."""
     collab = build_collaboratory(1)

@@ -194,6 +194,37 @@ def test_logout_cancels_schedules(site):
     assert n_after == 0
 
 
+@pytest.mark.usefixtures("session_ids_kept")
+def test_a_stopped_server_fires_no_schedule(site):
+    """``stop()`` is every crash drill's "kill": a schedule left running
+    would go on steering, archiving and journalling into the backend a
+    replacement server recovers from."""
+    collab, app = site
+    portal = collab.add_portal(0)
+    server = collab.server_of(0)
+
+    def scenario():
+        yield from portal.login("alice")
+        session = yield from portal.open(app.app_id)
+        yield from session.schedule("status", {}, period=0.5)
+        yield collab.sim.timeout(1.6)  # three firings
+
+    def reading():
+        return (server.stats["commands_submitted"],
+                server.archive.interaction_count(app.app_id),
+                server.journal.wal.last_lsn)
+
+    run(collab, scenario())
+    procs = list(server._schedules.values())
+    assert reading()[:2] == (3, 3)
+    server.stop()
+    stopped_at = reading()
+    collab.sim.run(until=collab.sim.now + 1.5)  # three more periods
+    assert reading() == stopped_at
+    assert not any(proc.is_alive for proc in procs)
+    assert server._schedules == {}
+
+
 def test_schedule_works_for_remote_app():
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1)

@@ -1,5 +1,7 @@
 """SubscriptionManager: push unsubscribe lifecycle and poll fallback."""
 
+import pytest
+
 from repro import build_collaboratory
 from repro.apps import SyntheticApp
 
@@ -118,3 +120,17 @@ def test_poller_exits_after_idle_rounds():
     # poller exits after three idle rounds once local interest is gone
     collab.sim.run(until=collab.sim.now + 2.0)
     assert s0.subscriptions.active_pollers() == 0
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_a_stopped_server_polls_no_more():
+    collab, app = _poll_collab()
+    s0 = collab.server_of(0)
+    _open_app(collab, app, 0)
+    collab.sim.run(until=collab.sim.now + 1.0)
+    assert s0.subscriptions.active_pollers() == 1
+    s0.stop()
+    rounds = s0.federation_metrics.get("poll_rounds")
+    collab.sim.run(until=collab.sim.now + 2.0)  # ten poll intervals
+    assert s0.subscriptions.active_pollers() == 0
+    assert s0.federation_metrics.get("poll_rounds") == rounds

@@ -286,8 +286,11 @@ POLLS = 57
 #: resolution is inside the window: PR 22's ``Network._shortest`` hands
 #: back the ``Link`` tuple itself, one call where a generator expression
 #: and a ``link_between`` per hop turned networkx's host path into links —
-#: two calls fewer for each of the miniature's ten one-hop routes)
-FRAME_PATH_CALLS = 10_180
+#: two calls fewer for each of the miniature's ten one-hop routes: 10 180.
+#: Set-up is inside the window too: PR 23's ``default_pipeline`` asks
+#: ``Tracer.enabled`` once per chain it builds — the server's three planes
+#: and the registry ORB, four calls, none per request)
+FRAME_PATH_CALLS = 10_184
 
 
 @pytest.mark.usefixtures("session_ids_kept")

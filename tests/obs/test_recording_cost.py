@@ -5,11 +5,14 @@ One completed request is one ``PipelineMetrics.observe``, one
 ``SpanStore.add`` and one ledger entry lookup from ``close_request``;
 every other charge (a span minted, a WAL append, a frame hop) stays its
 own single lookup.  And nobody pays for a collector no surface can read:
-a bare component's chain is the envelope plus at most the recording step.
+a bare component's chain is the envelope alone, and a tracer that samples
+nothing is not one of the recording step's sinks.
 """
 
+import pytest
+
 from repro.core.daemon import DaemonService
-from repro.core.server import DiscoverServer
+from repro.core.deployment import build_collaboratory
 from repro.net import Network
 from repro.obs import RecordingInterceptor, Tracer
 from repro.orb import Orb
@@ -18,7 +21,7 @@ from repro.sim import Simulator
 from repro.steering.application import DAEMON_PORT
 from repro.web import ServletContainer
 from repro.wire import RegisterMessage
-from tests.conftest import drive
+from tests.conftest import drive, equipped_server
 
 
 class CountingEntries(dict):
@@ -42,8 +45,7 @@ def make_server():
     net.add_host("peer")
     net.add_link("solo", "peer", 0.001)
     tracer = Tracer(sim)
-    server = DiscoverServer(net.hosts["solo"], tracer=tracer,
-                            health_enabled=False)
+    server = equipped_server(net.hosts["solo"], tracer)
     net.cost_ledger = server.ledger
     return sim, net, server
 
@@ -73,11 +75,32 @@ def test_bare_components_record_no_metrics():
             DaemonService(server, port=DAEMON_PORT + 1))
     for component in bare:
         chain = component.pipeline.interceptors
-        assert len(chain) <= 2
         assert isinstance(chain[0], ErrorEnvelopeInterceptor)
-        assert not any("metrics" in sinks(i) for i in chain)
+        # no recording step: a bare ORB's own tracer samples nothing
+        assert [sinks(i) for i in chain] == [{}] * len(chain)
+    assert [i.name for i in bare[0].pipeline.interceptors] == [
+        "error-envelope"]
     chain = default_pipeline(clock=lambda: sim.now).interceptors
     assert [i.name for i in chain] == ["error-envelope"]
+    traced = Orb(net.hosts["solo"], port=9000, tracer=server.tracer)
+    assert [sinks(i) for i in traced.pipeline.interceptors] == [
+        {}, {"tracer": server.tracer}]
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_an_off_tracer_is_not_a_sink_of_the_recording_step():
+    collab = build_collaboratory(1, apps_hosts_per_domain=1,
+                                 client_hosts_per_domain=1,
+                                 trace_sampling="off")
+    server = collab.server_of(0)
+    assert server.tracer is collab.tracer and not server.tracer.enabled
+    for component in (server.container, server.daemon, server.orb):
+        chain = component.pipeline.interceptors
+        assert [i.name for i in chain] == [
+            "error-envelope", "recording", "security", "admission"]
+        assert sinks(chain[1]) == {"metrics": server.pipeline_metrics,
+                                   "ledger": server.ledger}
+    collab.stop()
 
 
 def test_one_request_writes_each_store_once():

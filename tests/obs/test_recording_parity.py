@@ -13,7 +13,6 @@ merge moved no counter, span, ledger entry or time-series point.
 import pytest
 
 from repro.core.policies import ResourcePolicy
-from repro.core.server import DiscoverServer
 from repro.net import Network
 from repro.obs import Tracer
 from repro.orb import Orb, OrbError, RemoteException
@@ -23,6 +22,7 @@ from repro.steering.application import DAEMON_PORT
 from repro.web import HttpError
 from repro.web.client import HttpClient
 from repro.wire import ControlMessage, RegisterMessage
+from tests.conftest import equipped_server
 
 
 class CachedAnswer(Interceptor):
@@ -43,8 +43,7 @@ def run_mix():
     net.add_link("solo", "peer", 0.001)
     net.add_link("solo", "flood", 0.001)
     tracer = Tracer(sim)
-    server = DiscoverServer(net.hosts["solo"], tracer=tracer,
-                            health_enabled=False)
+    server = equipped_server(net.hosts["solo"], tracer)
     server.security.app_tokens["guarded"] = "s3cret"
     server.policies.set_policy(
         "flood", ResourcePolicy(max_requests_per_s=1.0, burst_seconds=1.0))

@@ -13,7 +13,10 @@ from repro.apps import SyntheticApp
 from repro.bench.scenarios import pipeline_counters, scrape_status
 from repro.core.server import DiscoverServer
 from repro.net import Network
+from repro.obs import TimeSeriesRegistry
 from repro.sim import Simulator
+from repro.web.client import HttpClient
+from tests.conftest import drive, equipped_server
 
 PLANES = ("directory", "federation", "health", "log", "pipeline", "storage",
           "timeseries")
@@ -39,19 +42,44 @@ FOOTER_KEYS = [
 TRACER_KEYS = ["spans_recorded", "traces_recorded", "spans_dropped"]
 
 
-def standalone_server(**kwargs):
-    return DiscoverServer(Network(Simulator()).add_host("solo"), **kwargs)
+def solo_host():
+    return Network(Simulator()).add_host("solo")
 
 
 def test_server_registry_sources():
-    assert standalone_server().metrics_registry().sources() == sorted(
+    server = equipped_server(solo_host())
+    assert server.metrics_registry().sources() == sorted(
         [f"{plane}[solo]" for plane in PLANES] + ["costs[solo]"])
 
 
 def test_server_registry_sources_without_accounting():
-    server = standalone_server(accounting_enabled=False)
+    server = DiscoverServer(solo_host(), timeseries=TimeSeriesRegistry())
     assert server.metrics_registry().sources() == [
         f"{plane}[solo]" for plane in PLANES]
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_surfaces_of_a_server_handed_no_registry_and_no_ledger():
+    """What is absent is left out under no new label, answers like
+    ``/status/costs`` always did without a ledger, and counts zero."""
+    server = DiscoverServer(solo_host())
+    assert server.timeseries is None and server.ledger is None
+    assert server.metrics_registry().sources() == [
+        f"{plane}[solo]" for plane in PLANES if plane != "timeseries"]
+    http = HttpClient(server.host, "solo")
+    assert drive(server.sim, http.get("/status/timeseries")) == {
+        "server": "solo", "timeseries": "disabled"}
+    assert drive(server.sim, http.get("/status/costs")) == {
+        "server": "solo", "accounting": "disabled"}
+    prom = drive(server.sim, http.get("/status", {"format": "prom"}))
+    assert "repro_pipeline" in prom and "_bucket" not in prom
+    row = pipeline_counters([server])
+    assert list(row) == FOOTER_KEYS
+    assert row["http_requests"] == 3
+    assert row["ts_series"] == row["ts_points"] == 0
+    assert row["cost_requests"] == row["cost_entries"] == 0
+    assert row["cost_top_principal"] == "-"
+    server.stop()
 
 
 @pytest.fixture(scope="module")
