@@ -42,10 +42,28 @@ def mount_all(server: "DiscoverServer") -> None:
 
 
 class DiscoverServlet(Servlet):
-    """Base: holds the server; error mapping lives in the pipeline."""
+    """Base: holds the server; error mapping lives in the pipeline.
+
+    A request names only its own client.  A client id is sequential
+    (``<server>:cN``), so on every servlet the ``client_id`` a request
+    names must be the one its own HTTP session logged in — or be bound to
+    no session at all: it is already gone, or it was recovered after a
+    restart (cookies are not journalled) and must keep working and still
+    be able to leave.  Anything else is a SecurityError, 403 through the
+    envelope.
+    """
 
     def __init__(self, server: "DiscoverServer") -> None:
         self.server = server
+
+    def service(self, request, session):
+        client_id = request.params.get("client_id")
+        if client_id is not None:
+            owner = self.server.http_sessions.get(client_id)
+            if owner not in (None, session.session_id):
+                raise SecurityError(f"client {client_id!r} was logged in "
+                                    "by another HTTP session")
+        return super().service(request, session)
 
 
 class MasterServlet(DiscoverServlet):
@@ -77,13 +95,6 @@ class MasterServlet(DiscoverServlet):
                 "apps": self.server.list_applications(client_id)}
 
     def _logout(self, client_id, http_session):
-        """End ``client_id`` for the HTTP session that logged it in, or
-        for anyone when none is bound to it: it is already gone, or it was
-        recovered after a restart and must still be able to leave."""
-        owner = self.server.http_sessions.get(client_id)
-        if owner not in (None, http_session.session_id):
-            raise SecurityError(f"client {client_id!r} was logged in by "
-                                "another HTTP session")
         self.server.client_logout(client_id)
         if http_session.get("client_id") == client_id:
             del http_session.attributes["client_id"]

@@ -52,6 +52,16 @@ class LatencyRecorder:
         self._open.clear()
 
 
+class _SeriesNames(dict):
+    """plane -> its (requests, latency, errors) series names, built once."""
+
+    def __missing__(self, plane: str) -> tuple:
+        names = self[plane] = (f"pipeline.requests.{plane}",
+                               f"pipeline.latency.{plane}",
+                               f"pipeline.errors.{plane}")
+        return names
+
+
 class PipelineMetrics:
     """Per-plane request counters and latency histograms.
 
@@ -80,6 +90,7 @@ class PipelineMetrics:
         self._latencies: Dict[str, Reservoir] = defaultdict(Reservoir)
         #: optional TimeSeriesRegistry sink
         self.timeseries = timeseries
+        self._series = _SeriesNames()
 
     def observe(self, plane: str, latency: Optional[float] = None,
                 error_type: Optional[str] = None,
@@ -94,12 +105,12 @@ class PipelineMetrics:
             by_type[error_type] += 1
         ts = self.timeseries
         if ts is not None:
-            ts.inc(f"pipeline.requests.{plane}")
+            names = self._series[plane]
+            ts.inc(names[0])
             if latency is not None:
-                ts.observe(f"pipeline.latency.{plane}", latency,
-                           exemplar=exemplar)
+                ts.observe(names[1], latency, exemplar=exemplar)
             if error_type is not None:
-                ts.inc(f"pipeline.errors.{plane}")
+                ts.inc(names[2])
 
     # -- reduction --------------------------------------------------------
     def requests(self, plane: Optional[str] = None) -> int:

@@ -141,17 +141,23 @@ class _Delivery:
             self.at = at = link.other(self.at)
             links[idx].send(at, frame.size, _Delivery._arrive, self)
             return
-        if net.tracer is not None and frame.trace_ctx is not None:
+        tracer = net.tracer
+        if tracer is not None and frame.trace_ctx is not None:
             # Post-hoc bookkeeping: the transit already happened, the span
             # just records it (zero-event — no scheduling, no wire bytes).
-            # The label is interned: the retained hop spans of a host pair
-            # share one string, not one each.
-            net.tracer.record_span(
-                "net.hop", frame.sent_at, net.sim.now, plane="net",
-                server=sys.intern(f"{frame.src_host}->{frame.dst_host}"),
-                parent=frame.trace_ctx,
-                attrs={"wan": self.wan, "channel": frame.channel,
-                       "bytes": frame.size})
+            if tracer.store.room:
+                # The label is interned: the retained hop spans of a host
+                # pair share one string, not one each.
+                tracer.record_span(
+                    "net.hop", frame.sent_at, net.sim.now, plane="net",
+                    server=sys.intern(
+                        f"{frame.src_host}->{frame.dst_host}"),
+                    parent=frame.trace_ctx,
+                    attrs={"wan": self.wan, "channel": frame.channel,
+                           "bytes": frame.size})
+            else:  # a full store keeps the span's number and its charge
+                tracer.record_span("net.hop", frame.sent_at, net.sim.now,
+                                   parent=frame.trace_ctx)
         net._hand_off(frame)
 
 

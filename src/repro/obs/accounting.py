@@ -14,11 +14,11 @@ burning it.  Two cooperating pieces:
   rollup key ``(principal, app, plane, operation)``.  Costs observed away
   from the dispatch path — per-hop wire bytes, WAL appends, span minting
   — join the same vector either through the request's propagated trace
-  context (``Frame.trace_ctx``) or through the per-process attribution
-  scope the interceptor activates, the same scoping discipline the tracer
-  uses.  "Who is the noisy neighbor" is read from the same entries:
-  :meth:`RequestCostLedger.top` ranks their exact per-principal sums, so
-  every surface reports what the ledger stored.
+  context (``Frame.trace_ctx``) or through the attribution scope the
+  interceptor opens on the handling process, the slot beside the
+  tracer's and the same discipline.  "Who is the noisy neighbor" is read
+  from the same entries: :meth:`RequestCostLedger.top` ranks their exact
+  per-principal sums, so every surface reports what the ledger stored.
 - :class:`DispatchProfiler` — a continuous sampling profiler for the real
   time axis.  It rides the kernel dispatch loop: on a wall-clock
   interval it times exactly one callback dispatch and folds the sample
@@ -47,6 +47,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.tracer import Standalone
 from repro.pipeline.core import RequestContext
 
 #: the core per-request cost dimensions (every E14 heavy-hitter assertion
@@ -103,6 +104,10 @@ class CostVector:
         return f"<CostVector {nonzero}>"
 
 
+#: where a span minted under no request scope is charged
+_NO_SCOPE_SPAN = ("-", "-", "obs", "span")
+
+
 def _ranked(by_principal: Dict[str, CostVector], dim: str,
             n: Optional[int]) -> List[Tuple[str, int, int]]:
     """The ``n`` (default :data:`DEFAULT_TOP`) largest non-zero counts of
@@ -133,8 +138,9 @@ class RequestCostLedger:
     Attribution paths, in order of preference:
 
     1. **Interceptor scope** — ``open_request``/``close_request`` bracket
-       each dispatched request and activate the rollup key for the
-       handling process, so charges made *during* handling (WAL appends,
+       each dispatched request: until it closes its rollup key rides on
+       the handling process (``scope_cost_key``; the simulator's when no
+       process runs), so charges made *during* handling (WAL appends,
        span minting) attribute to the request that caused them.
        ``close_request`` books the request itself — requests, errors,
        events, CPU, wall time — with one entry update.
@@ -153,19 +159,15 @@ class RequestCostLedger:
                  events_fn: Optional[Callable[[], int]] = None,
                  max_trace_bindings: int = MAX_TRACE_BINDINGS,
                  wall_clock: Callable[[], int] = time.perf_counter_ns) -> None:
-        if sim is not None:
-            scope = scope or (lambda: sim.active_process)
-            events_fn = events_fn or (lambda: sim.events_dispatched)
-        self._scope = scope or (lambda: None)
-        self._events = events_fn or (lambda: 0)
+        # without a simulator (tests), ``scope()`` returns a carrier or None
+        self._sim = (sim if sim is not None
+                     else Standalone(scope=scope, events_fn=events_fn))
         self._wall = wall_clock
         self.entries: Dict[Tuple[str, str, str, str], CostVector] = {}
         self.total = CostVector()
         self._bindings: "OrderedDict[Any, Tuple[str, str, str, str]]" = \
             OrderedDict()
         self.max_trace_bindings = max_trace_bindings
-        #: per-process stacks of active rollup keys (attribution scope)
-        self._active: Dict[Any, List[Tuple[str, str, str, str]]] = {}
 
     # -- the one write path -------------------------------------------------
     def _charge_key(self, key: Tuple[str, str, str, str], dim: str,
@@ -183,9 +185,19 @@ class RequestCostLedger:
                operation: str = "charge") -> None:
         """Attribute ``n`` units of ``dim`` to the active request scope
         (or the fallback key when no request is being handled)."""
-        stack = self._active.get(self._scope())
-        self._charge_key(stack[-1] if stack
-                         else ("-", "-", plane, operation), dim, n)
+        sim = self._sim
+        self._charge_key((sim.active_process or sim).scope_cost_key
+                         or ("-", "-", plane, operation), dim, n)
+
+    def charge_span(self, carrier: Any) -> None:
+        """``charge("spans", operation="span")`` for the tracer, which
+        holds the carrier already: one entry lookup."""
+        key = carrier.scope_cost_key or _NO_SCOPE_SPAN
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = CostVector()
+        entry.spans += 1
+        self.total.spans += 1
 
     # -- request lifecycle (interceptor) ------------------------------------
     @staticmethod
@@ -201,37 +213,32 @@ class RequestCostLedger:
     def open_request(self, ctx: RequestContext) -> None:
         key = (ctx.principal or "-", self._app_of(ctx), ctx.plane,
                ctx.operation or "-")
-        ctx.cost_open = (key, self._events(), self._wall())
-        self._active.setdefault(self._scope(), []).append(key)
+        sim = self._sim
+        carrier = sim.active_process or sim
+        ctx.cost_open = (key, carrier, carrier.scope_cost_key,
+                         sim.events_dispatched, self._wall())
+        carrier.scope_cost_key = key
         if ctx.trace_ctx is not None:
             self.bind_trace(ctx.trace_ctx.trace_id, key)
 
     def close_request(self, ctx: RequestContext) -> None:
-        """Book the request ``open_request`` opened: one entry lookup,
-        then entry and total."""
+        """Book the request ``open_request`` opened: the carrier's scope
+        goes back to what it was (scopes nest: closing any but the
+        innermost is a programming error), then one entry lookup, entry
+        and total."""
         rec = ctx.cost_open
         if rec is None:
             return
+        key, carrier, enclosing, events0, wall0 = rec
+        assert carrier.scope_cost_key is key, "request closed out of order"
+        carrier.scope_cost_key = enclosing
         ctx.cost_open = None
-        key, events0, wall0 = rec
-        scope_key = self._scope()
-        stack = self._active.get(scope_key)
-        if stack:
-            if stack[-1] == key:
-                stack.pop()
-            else:  # defensive: out-of-order unwind
-                try:
-                    stack.remove(key)
-                except ValueError:
-                    pass
-            if not stack:
-                del self._active[scope_key]
         errors = 0 if ctx.error_type is None else 1
         # +1: the kernel counts the event that *delivered* this request
         # before its callbacks (and hence this window) run — attribute it
         # here, so a synchronous handler still costs the one dispatch it
         # consumed and the events dimension partitions exactly.
-        events = self._events() - events0 + 1
+        events = self._sim.events_dispatched - events0 + 1
         cpu_us = int(round(ctx.cpu_cost * 1e6))
         wall_us = (self._wall() - wall0) // 1000
         entry = self.entries.get(key)
@@ -249,24 +256,23 @@ class RequestCostLedger:
         """Attribute charges in this block to a background activity (a
         federation poller, a health gossip round) instead of a request."""
         key = (principal, "-", plane, operation)
-        scope_key = self._scope()
-        self._active.setdefault(scope_key, []).append(key)
+        sim = self._sim
+        carrier = sim.active_process or sim
+        enclosing, carrier.scope_cost_key = carrier.scope_cost_key, key
         try:
             yield key
         finally:
-            stack = self._active.get(scope_key)
-            if stack and stack[-1] == key:
-                stack.pop()
-                if not stack:
-                    del self._active[scope_key]
+            assert carrier.scope_cost_key is key, "scope left out of order"
+            carrier.scope_cost_key = enclosing
 
     # -- trace-context joins (network plane) --------------------------------
     def bind_trace(self, trace_id: Any,
                    key: Tuple[str, str, str, str]) -> None:
+        """Frames of ``trace_id`` now attribute to ``key``.  Eviction is
+        by first binding: an id bound again keeps its place in line."""
         bindings = self._bindings
         bindings[trace_id] = key
-        bindings.move_to_end(trace_id)
-        while len(bindings) > self.max_trace_bindings:
+        if len(bindings) > self.max_trace_bindings:
             bindings.popitem(last=False)
 
     def _frame_key(self, frame: Any) -> Tuple[str, str, str, str]:

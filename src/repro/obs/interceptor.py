@@ -10,17 +10,19 @@ cannot meter principals you refuse to see.
 The :class:`~repro.pipeline.core.RequestContext` is the completion
 record; each store is written from it once:
 
-- ``before`` opens one span named after the plane's operation (servlet
-  path, ORB operation, channel message type), parented on
-  ``ctx.trace_parent``, and activates it as the handling process's
-  current span so everything the handler does — nested peer calls,
-  frames it sends — joins the same trace.  Then it opens the ledger
-  window.  Span first: minting it is charged to whatever scope encloses
-  the request, not to the request itself.
+- ``before`` is one call into each plane.  ``Tracer.enter`` opens one
+  span named after the plane's operation (servlet path, ORB operation,
+  channel message type), parented on ``ctx.trace_parent``, and makes it
+  the handling process's current span so everything the handler does —
+  nested peer calls, frames it sends — joins the same trace.  Then
+  ``open_request`` opens the ledger window.  Span first: minting it is
+  charged to whatever scope encloses the request, not to the request
+  itself.
 - Completion (``after`` and ``on_error`` alike — ``ctx.error_type`` says
-  which) closes the ledger window with one entry update, finishes the
-  span, and makes one :meth:`PipelineMetrics.observe` with the span id
-  as the latency bucket's exemplar.
+  which) is one call into each again: ``close_request`` books the
+  request with one entry update, ``Tracer.finish`` deactivates and
+  retains the span; then one :meth:`PipelineMetrics.observe` with the
+  span id as the latency bucket's exemplar.
 
 Each sink is optional: a bare ORB has only a tracer, a directory shard
 only a ledger, a :class:`~repro.core.server.DiscoverServer` all three.
@@ -46,15 +48,15 @@ class RecordingInterceptor(Interceptor):
 
     def before(self, ctx: RequestContext) -> None:
         if self.tracer is not None:
-            span = self.tracer.start_span(
+            token = self.tracer.enter(
                 ctx.operation or ctx.plane, plane=ctx.plane,
                 server=self.server, parent=ctx.trace_parent,
                 attrs={"request_id": ctx.request_id,
                        "principal": ctx.principal,
                        "bytes": ctx.size})
-            if span is not None:
-                ctx.span = span
-                ctx.span_token = self.tracer.activate(span)
+            if token is not None:
+                ctx.span_token = token
+                ctx.span = span = token[0]
                 ctx.trace_ctx = span.context()
         if self.ledger is not None:
             self.ledger.open_request(ctx)
@@ -64,8 +66,7 @@ class RecordingInterceptor(Interceptor):
             self.ledger.close_request(ctx)
         span = ctx.span
         if span is not None:
-            self.tracer.deactivate(ctx.span_token)
-            self.tracer.finish(span, error=ctx.error)
+            self.tracer.finish(span, error=ctx.error, token=ctx.span_token)
         if self.metrics is not None:
             self.metrics.observe(ctx.plane, latency=ctx.elapsed,
                                  error_type=ctx.error_type,

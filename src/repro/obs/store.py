@@ -1,19 +1,21 @@
 """SpanStore: bounded span retention, tree reconstruction, critical path.
 
-The store is deliberately dumb on the write path (append to a list, index
-by trace id) so recording stays cheap inside dispatch loops; all analysis
-— tree assembly, per-plane latency reduction, critical-path extraction —
-happens on demand at read time.
+The store is deliberately dumb on the write path (one append to a list)
+so recording stays cheap inside dispatch loops; all analysis — the
+by-trace index, tree assembly, per-plane latency reduction, critical-path
+extraction — happens on demand at read time.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.metrics.stats import SummaryStats, summarize
 from repro.obs.span import Span
 
-#: default retention; at ~200 bytes/span this bounds the store near 10 MB
+#: default retention; a retained request span reads ≈415 bytes under
+#: tracemalloc (span, attrs dict and its values), so a full store is ≈20 MB
 DEFAULT_MAX_SPANS = 50_000
 
 
@@ -56,8 +58,12 @@ class SpanStore:
 
     def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
         self.max_spans = max_spans
+        #: how many more spans the store takes (0: full, the rest refused)
+        self.room = max_spans
         self._spans: List[Span] = []
-        self._by_trace: Dict[int, List[Span]] = {}
+        #: trace id -> its spans, over the first ``_indexed`` of ``_spans``
+        self._index: Dict[int, List[Span]] = {}
+        self._indexed = 0
         #: spans rejected because the store was full
         self.dropped = 0
 
@@ -67,34 +73,45 @@ class SpanStore:
     # -- write path --------------------------------------------------------
     def add(self, span: Span) -> bool:
         """Retain a finished span; False (and counted) once full."""
-        if len(self._spans) >= self.max_spans:
+        if not self.room:
             self.dropped += 1
             return False
+        self.room -= 1
         self._spans.append(span)
-        self._by_trace.setdefault(span.trace_id, []).append(span)
         return True
 
     def clear(self) -> None:
         self._spans.clear()
-        self._by_trace.clear()
+        self._index.clear()
+        self._indexed = 0
+        self.room = self.max_spans
         self.dropped = 0
 
     # -- lookup ------------------------------------------------------------
+    def _by_trace(self) -> Dict[int, List[Span]]:
+        """The index, caught up with the spans added since the last read."""
+        index, spans = self._index, self._spans
+        for span in spans[self._indexed:]:
+            index.setdefault(span.trace_id, []).append(span)
+        self._indexed = len(spans)
+        return index
+
     def spans(self, trace_id: Optional[int] = None) -> List[Span]:
         if trace_id is None:
             return list(self._spans)
-        return list(self._by_trace.get(trace_id, ()))
+        return list(self._by_trace().get(trace_id, ()))
 
     def trace_ids(self) -> List[int]:
-        return sorted(self._by_trace)
+        # not off the index: the end-of-run counters ask this of stores
+        # nobody reads by trace, and would be all the index was built for
+        return [trace_id for trace_id, _ in groupby(
+            sorted([span.trace_id for span in self._spans]))]
 
     def trace_of_root(self, op: str) -> Optional[int]:
         """The first trace whose root span runs ``op`` (None if absent)."""
-        for trace_id in self.trace_ids():
-            for span in self._by_trace[trace_id]:
-                if span.parent_id is None and span.op == op:
-                    return trace_id
-        return None
+        return min((span.trace_id for span in self._spans
+                    if span.parent_id is None and span.op == op),
+                   default=None)
 
     # -- tree reconstruction -----------------------------------------------
     def tree(self, trace_id: int) -> List[SpanNode]:
@@ -105,7 +122,7 @@ class SpanStore:
         disappearing.
         """
         nodes = {span.span_id: SpanNode(span)
-                 for span in self._by_trace.get(trace_id, ())}
+                 for span in self._by_trace().get(trace_id, ())}
         roots: List[SpanNode] = []
         for node in nodes.values():
             parent = nodes.get(node.span.parent_id)
@@ -121,7 +138,7 @@ class SpanStore:
     def servers(self, trace_id: int) -> List[str]:
         """Distinct non-empty server names a trace touched."""
         return sorted({span.server
-                       for span in self._by_trace.get(trace_id, ())
+                       for span in self._by_trace().get(trace_id, ())
                        if span.server})
 
     # -- critical path -----------------------------------------------------
@@ -184,7 +201,7 @@ class SpanStore:
         """Plain-dict summary (durations in ms) for the metrics registry."""
         out = {
             "spans": len(self._spans),
-            "traces": len(self._by_trace),
+            "traces": len(self.trace_ids()),
             "dropped": self.dropped,
         }
         by_plane = {}

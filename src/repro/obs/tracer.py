@@ -6,6 +6,10 @@ tracer handles sampling, id minting, the per-process "current span" used
 for in-process propagation, and retention in the shared
 :class:`~repro.obs.store.SpanStore`.
 
+The current span rides on its *carrier*, ``sim.active_process or sim``
+(the ``scope_span`` slot): opening a scope keeps the slot's previous value
+in its token, closing puts it back (DESIGN §4c).
+
 Tracing is **zero-event**: every method is a plain call off the clock
 (``sim.now``) — nothing here schedules simulator events, takes virtual
 time, or changes a wire size, so the golden experiment tables are
@@ -16,13 +20,30 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.obs.span import Span, TraceContext
 from repro.obs.store import DEFAULT_MAX_SPANS, SpanStore
 
 SAMPLE_ALWAYS = "always"
 SAMPLE_OFF = "off"
+
+
+class Standalone:
+    """Read in a simulator's place by a tracer or ledger built without one
+    (unit tests): its three attributes, answered by the callables given,
+    and the scope slots — so ``scope()`` may return one for a process."""
+
+    scope_span = scope_cost_key = None
+
+    def __init__(self, clock=None, scope=None, events_fn=None) -> None:
+        self._clock = clock or (lambda: 0.0)
+        self._scope = scope or (lambda: None)
+        self._events = events_fn or (lambda: 0)
+
+    now = property(lambda self: self._clock())
+    active_process = property(lambda self: self._scope())
+    events_dispatched = property(lambda self: self._events())
 
 
 class Tracer:
@@ -33,10 +54,11 @@ class Tracer:
     so sampled traces stay complete trees).  Sampling decisions are
     counter-based, never random — a traced run is reproducible.
 
-    The "current span" is tracked per simulation process (keyed by
+    The "current span" is tracked per simulation process (it rides on
     ``sim.active_process``), so interleaved processes on one simulator
     cannot leak context into each other.  Pass explicit ``clock`` /
-    ``scope`` callables to use the tracer without a simulator (tests).
+    ``scope`` callables to use the tracer without a simulator (tests);
+    ``scope()`` returns a carrier (e.g. a :class:`Standalone`) or None.
     """
 
     def __init__(self, sim=None, *,
@@ -44,18 +66,12 @@ class Tracer:
                  scope: Optional[Callable[[], Any]] = None,
                  sampling: Union[str, int] = SAMPLE_ALWAYS,
                  max_spans: int = DEFAULT_MAX_SPANS) -> None:
-        if sim is not None:
-            clock = clock or (lambda: sim.now)
-            scope = scope or (lambda: sim.active_process)
-        self._clock = clock or (lambda: 0.0)
-        self._scope = scope or (lambda: None)
+        self._sim = sim if sim is not None else Standalone(clock, scope)
         self.sampling = self._check_sampling(sampling)
         self.store = SpanStore(max_spans)
         self._trace_seq = itertools.count(1)
         self._span_seq = itertools.count(1)
         self._roots_seen = 0
-        #: per-process stacks of active spans (in-process propagation)
-        self._active: Dict[Any, List[Span]] = {}
         #: optional RequestCostLedger — every minted span is charged to the
         #: active request's cost vector ("spans" dimension, zero-event)
         self.ledger = None
@@ -75,10 +91,12 @@ class Tracer:
         return self.sampling != SAMPLE_OFF
 
     # -- span lifecycle ----------------------------------------------------
-    def start_span(self, op: str, *, plane: str = "", server: str = "",
-                   parent: Optional[Any] = None,
-                   attrs: Optional[dict] = None) -> Optional[Span]:
-        """Open a span; None when sampled out (all APIs accept None).
+    def enter(self, op: str, *, plane: str = "", server: str = "",
+              parent: Optional[Any] = None,
+              attrs: Optional[dict] = None) -> Optional[tuple]:
+        """Open a span and make it the calling process's current span;
+        returns the token to hand to :meth:`finish` (``token[0]`` is the
+        span), or None when sampled out.
 
         ``parent`` is a :class:`TraceContext`, a :class:`Span`, or None —
         None falls back to the calling process's current span, and a root
@@ -86,8 +104,12 @@ class Tracer:
         """
         if self.sampling == SAMPLE_OFF:
             return None
+        sim = self._sim
+        carrier = sim.active_process or sim
+        enclosing = carrier.scope_span
         if parent is None:
-            parent = self.current_context()
+            if enclosing is not None:
+                parent = enclosing.context()
         elif isinstance(parent, Span):
             parent = parent.context()
         if parent is None:
@@ -99,17 +121,33 @@ class Tracer:
         else:
             trace_id, parent_id = parent.trace_id, parent.span_id
         if self.ledger is not None:
-            self.ledger.charge("spans", 1, plane="obs", operation="span")
-        return Span(trace_id, next(self._span_seq), parent_id, op,
-                    plane=plane, server=server, start=self._clock(),
-                    attrs=attrs)
+            self.ledger.charge_span(carrier)  # to the enclosing scope
+        span = carrier.scope_span = Span(
+            trace_id, next(self._span_seq), parent_id, op, plane=plane,
+            server=server, start=sim.now, attrs=attrs)
+        return (span, carrier, enclosing)
 
-    def finish(self, span: Optional[Span], *,
-               error: Optional[Any] = None) -> None:
-        """Close a span at the current clock and retain it."""
+    def start_span(self, op: str, *, plane: str = "", server: str = "",
+                   parent: Optional[Any] = None,
+                   attrs: Optional[dict] = None) -> Optional[Span]:
+        """:meth:`enter` without the activation; None when sampled out
+        (all APIs accept None)."""
+        token = self.enter(op, plane=plane, server=server, parent=parent,
+                           attrs=attrs)
+        self.deactivate(token)
+        return None if token is None else token[0]
+
+    def finish(self, span: Optional[Span], *, error: Optional[Any] = None,
+               token: Optional[tuple] = None) -> None:
+        """Close a span at the current clock and retain it; given the
+        ``token`` of its activation, :meth:`deactivate` it first."""
         if span is None:
             return
-        span.end = self._clock()
+        if token is not None:
+            _span, carrier, enclosing = token
+            assert carrier.scope_span is span, "span closed out of order"
+            carrier.scope_span = enclosing
+        span.end = self._sim.now
         span._context = None  # a stored span keeps no context alive
         if error is not None:
             span.status = "error"
@@ -128,16 +166,23 @@ class Tracer:
                     status: str = "ok") -> Optional[Span]:
         """Retain an already-completed span (e.g. a network hop observed
         at hand-off).  Requires a sampled parent context — hop spans never
-        start traces of their own."""
+        start traces of their own.  One a full store would refuse is
+        numbered, charged and counted as dropped, but not built."""
         if self.sampling == SAMPLE_OFF or parent is None:
             return None
+        span_id = next(self._span_seq)
         if self.ledger is not None:
-            self.ledger.charge("spans", 1, plane="obs", operation="span")
-        span = Span(parent.trace_id, next(self._span_seq), parent.span_id,
-                    op, plane=plane, server=server, start=start, attrs=attrs)
+            sim = self._sim
+            self.ledger.charge_span(sim.active_process or sim)
+        store = self.store
+        if not store.room:
+            store.dropped += 1
+            return None
+        span = Span(parent.trace_id, span_id, parent.span_id, op,
+                    plane=plane, server=server, start=start, attrs=attrs)
         span.end = end
         span.status = status
-        self.store.add(span)
+        store.add(span)
         return span
 
     # -- in-process context propagation -------------------------------------
@@ -146,43 +191,37 @@ class Tracer:
         token for :meth:`deactivate` (always pair them, try/finally)."""
         if span is None:
             return None
-        key = self._scope()
-        self._active.setdefault(key, []).append(span)
-        return (key, span)
+        sim = self._sim
+        carrier = sim.active_process or sim
+        token = (span, carrier, carrier.scope_span)
+        carrier.scope_span = span
+        return token
 
     def deactivate(self, token) -> None:
-        """Undo one :meth:`activate`; pops the process's stack entry."""
-        if token is None:
-            return
-        key, span = token
-        stack = self._active.get(key)
-        if not stack:
-            return
-        if stack[-1] is span:
-            stack.pop()
-        else:  # out-of-order unwind (defensive; should not happen)
-            try:
-                stack.remove(span)
-            except ValueError:
-                pass
-        if not stack:
-            del self._active[key]
+        """Undo one :meth:`activate`: the carrier gets back the span it
+        had before.  Scopes nest: undoing any but the innermost is a
+        programming error."""
+        if token is not None:
+            span, carrier, enclosing = token
+            assert carrier.scope_span is span, "span closed out of order"
+            carrier.scope_span = enclosing
 
     def current_span(self) -> Optional[Span]:
-        stack = self._active.get(self._scope())
-        return stack[-1] if stack else None
+        sim = self._sim
+        return (sim.active_process or sim).scope_span
 
-    def active_span_of(self, scope_key: Any) -> Optional[Span]:
-        """The active span of an arbitrary scope key (another process) —
-        the dispatch profiler's tag lookup, read-only."""
-        stack = self._active.get(scope_key)
-        return stack[-1] if stack else None
+    def active_span_of(self, carrier: Any) -> Optional[Span]:
+        """The active span of an arbitrary carrier (another process; None
+        for "no process") — the dispatch profiler's tag lookup, read-only."""
+        return getattr(self._sim if carrier is None else carrier,
+                       "scope_span", None)
 
     def current_context(self) -> Optional[TraceContext]:
         """The propagatable context of the calling process's current span
         (what frames and GIOP service-context slots carry)."""
-        stack = self._active.get(self._scope())
-        return stack[-1].context() if stack else None
+        sim = self._sim
+        span = (sim.active_process or sim).scope_span
+        return span.context() if span is not None else None
 
     @staticmethod
     def context_of(span: Optional[Span]) -> Optional[TraceContext]:
@@ -192,24 +231,20 @@ class Tracer:
     @contextmanager
     def span(self, op: str, *, plane: str = "", server: str = "",
              parent: Optional[Any] = None, attrs: Optional[dict] = None):
-        """Context manager: start + activate, finish + deactivate.
-
-        Safe around ``yield from`` bodies inside simulation processes —
-        the scope key is the process itself, so the context survives
-        suspension and errors propagate into the span's status.
-        """
-        span = self.start_span(op, plane=plane, server=server,
-                               parent=parent, attrs=attrs)
-        token = self.activate(span)
+        """Context manager: :meth:`enter`, then :meth:`finish`.  Safe
+        around ``yield from`` bodies inside simulation processes — the
+        scope rides on the process itself, so the context survives
+        suspension and errors propagate into the span's status."""
+        token = self.enter(op, plane=plane, server=server, parent=parent,
+                           attrs=attrs)
+        span = token[0] if token is not None else None
         try:
             yield span
         except BaseException as exc:
-            self.finish(span, error=exc)
+            self.finish(span, error=exc, token=token)
             raise
         else:
-            self.finish(span)
-        finally:
-            self.deactivate(token)
+            self.finish(span, token=token)
 
     # -- reduction ---------------------------------------------------------
     def snapshot(self) -> dict:

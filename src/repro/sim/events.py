@@ -125,7 +125,7 @@ class Timeout(SimEvent):
             sim._bucket_normal.append(self)
         else:
             sim._seq += 1
-            heapq.heappush(sim._heap, (sim._now + delay, 1, sim._seq, self))
+            heapq.heappush(sim._heap, (sim.now + delay, 1, sim._seq, self))
 
 
 class _Condition(SimEvent):

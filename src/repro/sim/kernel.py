@@ -114,7 +114,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: current virtual time.  Only the kernel writes it; assigning it
+        #: from outside is not supported (scheduled entries keep their
+        #: absolute times)
+        self.now = float(start_time)
         #: far-future overflow: (time, priority, seq, event) tuples
         self._heap: List[Tuple[float, int, int, SimEvent]] = []
         self._seq = 0
@@ -123,7 +126,13 @@ class Simulator:
         self._bucket_normal: Deque[SimEvent] = deque()
         #: free list of recycled internal callback events
         self._cb_pool: List[_PooledCallback] = []
-        self._active_process: Optional[Process] = None
+        #: the process currently executing, if any (``Process._resume``
+        #: writes it around each resumption)
+        self.active_process: Optional[Process] = None
+        #: the scope slots of code running outside any process — the two a
+        #: :class:`Process` carries.  The kernel never looks inside;
+        #: ``repro.obs`` reads them off ``sim.active_process or sim``
+        self.scope_span = self.scope_cost_key = None
         #: events whose callbacks the kernel ran (step() and run()); heap
         #: entries dropped because nobody listened are not in it.  The cost
         #: ledger reads deltas of this to attribute "sim events" per request
@@ -131,17 +140,6 @@ class Simulator:
         #: optional repro.obs.DispatchProfiler — when set (before run()),
         #: every event dispatch is routed through it for interval sampling
         self.profiler = None
-
-    # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event creation -----------------------------------------------------
     def event(self) -> SimEvent:
@@ -161,10 +159,10 @@ class Simulator:
 
     def call_at(self, time: float, fn: Callable[[], None]) -> SimEvent:
         """Run ``fn()`` at absolute virtual ``time`` (>= now)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"call_at({time}) is in the past (now={self._now})")
-        ev = self.timeout(time - self._now)
+                f"call_at({time}) is in the past (now={self.now})")
+        ev = self.timeout(time - self.now)
         ev.callbacks.append(_ScheduledCall(fn))
         return ev
 
@@ -187,7 +185,7 @@ class Simulator:
         else:
             self._seq += 1
             heapq.heappush(self._heap,
-                           (self._now + delay, priority, self._seq, event))
+                           (self.now + delay, priority, self._seq, event))
 
     def schedule_fn(self, delay: float, fn: Callable[[Any], None],
                     arg: Any = None, priority: int = NORMAL) -> None:
@@ -215,18 +213,18 @@ class Simulator:
         (a link hop: transmission, then propagation) keeps every simulated
         time bit-for-bit only by passing the sum it computed itself.
         """
-        if when > self._now:
+        if when > self.now:
             pool = self._cb_pool
             ev = pool.pop() if pool else _PooledCallback(self)
             ev.fn = fn
             ev.arg = arg
             self._seq += 1
             heapq.heappush(self._heap, (when, priority, self._seq, ev))
-        elif when == self._now:
+        elif when == self.now:
             self.schedule_fn(0.0, fn, arg, priority)
         else:
             raise SimulationError(
-                f"schedule_at({when}) is in the past (now={self._now})")
+                f"schedule_at({when}) is in the past (now={self.now})")
 
     # -- running -------------------------------------------------------------
     def peek(self) -> float:
@@ -236,7 +234,7 @@ class Simulator:
         attaches to them first, the kernel drops them unrun.
         """
         if self._bucket_urgent or self._bucket_normal:
-            return self._now
+            return self.now
         return min((item[0] for item in self._heap
                     if item[3].callbacks or not item[3]._ok),
                    default=float("inf"))
@@ -250,7 +248,7 @@ class Simulator:
         if not heap:
             return False
         when = heap[0][0]
-        self._now = when
+        self.now = when
         pop = heapq.heappop
         urgent, normal = self._bucket_urgent, self._bucket_normal
         while heap and heap[0][0] == when:
@@ -306,11 +304,11 @@ class Simulator:
             stop_event.callbacks.append(self._stop_on_event)
         else:
             at = float(until)
-            if at < self._now:
+            if at < self.now:
                 raise SimulationError(
-                    f"run(until={at}) is in the past (now={self._now})")
+                    f"run(until={at}) is in the past (now={self.now})")
             # A plain marker event at the stop time.
-            marker = self.timeout(at - self._now)
+            marker = self.timeout(at - self.now)
             stop_event = marker
             marker.callbacks.append(self._stop_on_event)
 
@@ -332,7 +330,7 @@ class Simulator:
                     # the next instant, so cross-tier ordering matches a
                     # single global heap; drop the ones nobody waits on.
                     when = heap[0][0]
-                    self._now = when
+                    self.now = when
                     while heap and heap[0][0] == when:
                         item = pop(heap)
                         event = item[3]

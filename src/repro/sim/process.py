@@ -37,7 +37,8 @@ class Process(SimEvent):
     so the kernel surfaces an error nobody waited for.
     """
 
-    __slots__ = ("generator", "name", "pid", "_waiting_on")
+    __slots__ = ("generator", "name", "pid", "_waiting_on",
+                 "scope_span", "scope_cost_key")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: Optional[str] = None) -> None:
@@ -48,6 +49,9 @@ class Process(SimEvent):
         self.pid = next(_ids)
         self.name = name or getattr(generator, "__name__", f"process-{self.pid}")
         self._waiting_on: Optional[SimEvent] = None
+        #: innermost open scope (the tracer's span, the ledger's roll-up
+        #: key; ``repro.obs`` owns them): none, whatever the spawner has open
+        self.scope_span = self.scope_cost_key = None
         # Kick off at the current instant (urgent so spawn order is preserved
         # relative to other same-time events).
         boot = SimEvent(sim)
@@ -91,7 +95,7 @@ class Process(SimEvent):
     # -- kernel ----------------------------------------------------------
     def _resume(self, event: SimEvent) -> None:
         self._waiting_on = None
-        prev, self.sim._active_process = self.sim._active_process, self
+        prev, self.sim.active_process = self.sim.active_process, self
         try:
             while True:
                 try:
@@ -135,7 +139,7 @@ class Process(SimEvent):
                 self._waiting_on = target
                 return
         finally:
-            self.sim._active_process = prev
+            self.sim.active_process = prev
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "dead" if self.triggered else "alive"

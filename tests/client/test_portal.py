@@ -252,6 +252,55 @@ def test_logout_is_refused_to_a_session_that_did_not_log_the_client_in(site):
     assert server.collab.session_count() == 2
 
 
+FOREIGN_REQUESTS = {
+    "/command/submit": ("post", {"command": "set_param",
+                                 "args": {"name": "gain", "value": 2.0}}),
+    "/command/lock": ("post", {"action": "release"}),
+    "/collab/poll": ("get", {}),
+    "/collab/chat": ("post", {"text": "it was alice"}),
+    "/archive/interactions": ("get", {}),
+    "/archive/applog": ("get", {}),
+    "/archive/catchup": ("get", {}),
+}
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+@pytest.mark.parametrize("path", sorted(FOREIGN_REQUESTS))
+def test_a_request_names_only_its_own_client(site, path):
+    """Every servlet trusted ``client_id`` the way ``/master/logout`` did:
+    mallory's read-only session naming alice's ``d0-server:c1`` steered,
+    took or gave up her lock, drained her buffer, spoke and read the
+    archive as her.  It is 403 on each, and nothing of alice's moves."""
+    collab, app = site
+    server = collab.server_of(0)
+    alice, mallory = collab.add_portal(0), collab.add_portal(0)
+    method, params = FOREIGN_REQUESTS[path]
+
+    def as_alice():
+        yield from alice.login("alice")
+        a_sess = yield from alice.open(app.app_id)
+        assert (yield from a_sess.acquire_lock()) == "granted"
+        yield from mallory.login("bob")  # read-only, with its own cookie
+        yield from mallory.open(app.app_id)
+        buffered = len(server.collab.session(alice.client_id).buffer)
+        try:
+            yield from getattr(mallory.http, method)(path, params=dict(
+                params, client_id=alice.client_id, app_id=app.app_id))
+        except HttpError as exc:
+            assert len(server.collab.session(
+                alice.client_id).buffer) >= buffered
+            return exc.status
+
+    assert run(collab, as_alice()) == 403
+    assert alice.client_id != mallory.client_id
+    assert server.locks.holder_of(app.app_id) == alice.client_id
+    assert server.pipeline_metrics.error_types("http") == {
+        "SecurityError": 1}
+    # her own session still may
+    run(collab, getattr(alice.http, method)(path, params=dict(
+        params, client_id=alice.client_id, app_id=app.app_id)))
+
+
 @pytest.mark.usefixtures("session_ids_kept")
 def test_a_recovered_client_can_log_out(site):
     """Cookies are not journalled: after ``restart_server`` no HTTP session
@@ -268,7 +317,11 @@ def test_a_recovered_client_can_log_out(site):
     collab.server_of(0).stop()
     server, _report = collab.restart_server("d0-server")
     assert server.locks.holder_of(app.app_id) == alice.client_id
-    run(collab, alice.logout())  # her old cookie: a new HTTP session
+    # her old cookie: a new HTTP session, bound to nobody — she keeps
+    # working (403 if the check took "unbound" for "not hers") and leaves
+    run(collab, alice.http.get("/collab/poll",
+                               params={"client_id": alice.client_id}))
+    run(collab, alice.logout())
     assert server.locks.holder_of(app.app_id) is None
     assert server.collab.session_count() == 0
 

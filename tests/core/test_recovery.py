@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps import SyntheticApp
 from repro.bench.scenarios import run_recovery_drill
-from repro.core.deployment import build_collaboratory
+from repro.core.deployment import build_collaboratory, reset_runtime_ids
 from repro.storage import JsonlBackend
 
 
@@ -206,10 +206,14 @@ def test_drill_surfaces_storage_counters(drill_run):
     assert row["recovery_wall_ms"] > 0.0
 
 
+@pytest.mark.usefixtures("session_ids_kept")
 def test_drill_is_deterministic():
-    """Same parameters, fresh sim → identical row (modulo wall clock)."""
+    """Same parameters, fresh sim, ids re-seeded (their digits are wire
+    bytes) → identical row (modulo wall clock)."""
+    reset_runtime_ids()
     row_a, collab_a = run_recovery_drill(n_commands=5, settle=2.0)
     collab_a.stop()
+    reset_runtime_ids()
     row_b, collab_b = run_recovery_drill(n_commands=5, settle=2.0)
     collab_b.stop()
     row_a.pop("recovery_wall_ms")

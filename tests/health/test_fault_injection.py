@@ -12,6 +12,7 @@ The acceptance sequence, all inside one deterministic virtual run:
 import pytest
 
 from repro.bench.scenarios import run_fault_injection, scrape_status
+from repro.core.deployment import reset_runtime_ids
 from repro.health import STATUS_UNHEALTHY, parse_prometheus
 
 #: generous but meaningful: a few gossip/relay timeouts past the
@@ -77,10 +78,14 @@ def test_prom_endpoint_valid_after_fault(fault_run):
     assert samples[("repro_alerts_fired", ())] >= 1.0
 
 
+@pytest.mark.usefixtures("session_ids_kept")
 def test_deterministic_replay():
-    """Same parameters, fresh sim → bit-identical measured row."""
+    """Same parameters, fresh sim, ids re-seeded (their digits are wire
+    bytes) → bit-identical measured row."""
+    reset_runtime_ids()
     row_a, collab_a = run_fault_injection(duration=12.0, kill_at=4.0)
     collab_a.stop()
+    reset_runtime_ids()
     row_b, collab_b = run_fault_injection(duration=12.0, kill_at=4.0)
     collab_b.stop()
     assert row_a == row_b

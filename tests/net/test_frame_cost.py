@@ -289,8 +289,15 @@ POLLS = 57
 #: two calls fewer for each of the miniature's ten one-hop routes: 10 180.
 #: Set-up is inside the window too: PR 23's ``default_pipeline`` asks
 #: ``Tracer.enabled`` once per chain it builds — the server's three planes
-#: and the registry ORB, four calls, none per request)
-FRAME_PATH_CALLS = 10_184
+#: and the registry ORB, four calls, none per request.  PR 24 carries a
+#: request's scope on its process — 1 807 calls fewer: the ledger's
+#: ``scope`` / ``events`` lambdas 666 and the tracer's ``clock`` / ``scope``
+#: lambdas 590, all gone; ``activate`` + ``deactivate`` 121 each, folded
+#: into ``Tracer.enter`` (121, where ``start_span`` was) and ``finish``;
+#: ``current_context`` 115, which a span without an explicit parent no
+#: longer calls; and ``_charge_key`` 194, because each of the 194 spans
+#: minted is charged by ``charge_span`` in ``charge``'s place: 8 377)
+FRAME_PATH_CALLS = 8_377
 
 
 @pytest.mark.usefixtures("session_ids_kept")

@@ -25,8 +25,7 @@ from repro.sim import Simulator
 
 def make_ledger(**kwargs):
     """A ledger with inert clocks — pure bookkeeping, no simulator."""
-    return RequestCostLedger(scope=lambda: "proc",
-                             events_fn=lambda: 0, wall_clock=lambda: 0,
+    return RequestCostLedger(events_fn=lambda: 0, wall_clock=lambda: 0,
                              **kwargs)
 
 
@@ -57,8 +56,7 @@ class TestLedgerAttribution:
 
     def test_request_lifecycle_charges_request_and_events(self):
         events = {"n": 0}
-        ledger = RequestCostLedger(scope=lambda: "p",
-                                   events_fn=lambda: events["n"],
+        ledger = RequestCostLedger(events_fn=lambda: events["n"],
                                    wall_clock=lambda: 0)
         ctx = RequestContext(PLANE_HTTP, principal="bob",
                              operation="poll", cpu_cost=0.0015)
@@ -124,7 +122,7 @@ class TestHostTimeSteersNoSketch:
 
     @staticmethod
     def scripted(wall_clock):
-        ledger = RequestCostLedger(scope=lambda: "proc", events_fn=lambda: 0,
+        ledger = RequestCostLedger(events_fn=lambda: 0,
                                    wall_clock=wall_clock)
         for i in range(12):
             ctx = RequestContext(PLANE_HTTP, principal=f"u{i % 5}",

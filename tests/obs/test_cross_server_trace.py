@@ -5,6 +5,7 @@ tentpole acceptance scenario for the observability layer."""
 import pytest
 
 from repro.bench.scenarios import run_traced_remote_command
+from repro.core.deployment import reset_runtime_ids
 
 WAN_LATENCY = 0.060
 
@@ -85,9 +86,16 @@ def test_exporter_round_trips_the_real_trace(traced_run, tmp_path):
                 == tree_signature(store, trace_id))
 
 
+@pytest.mark.usefixtures("session_ids_kept")
 def test_sampling_off_records_nothing_and_changes_nothing():
+    # The process-global id counters put their digits on the wire: without
+    # a re-seed before each run, one of them gaining a digit between the
+    # two builds moves ``virtual_time_s`` by a wire byte (seen after
+    # ``pytest tests/sim tests/obs tests/net``, not in tier-1 order).
+    reset_runtime_ids()
     row_on, tracer_on, _reg_on = run_traced_remote_command(
         wan_latency=WAN_LATENCY)
+    reset_runtime_ids()
     row_off, tracer_off, _reg_off = run_traced_remote_command(
         wan_latency=WAN_LATENCY, sampling="off")
 

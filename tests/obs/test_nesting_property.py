@@ -41,7 +41,7 @@ def run_workload(tracer, clock, node, depth=0):
 @given(workload=workloads)
 def test_nesting_invariants(workload):
     clock = {"now": 0.0}
-    tracer = Tracer(clock=lambda: clock["now"], scope=lambda: "p")
+    tracer = Tracer(clock=lambda: clock["now"])
     run_workload(tracer, clock, workload)
 
     spans = tracer.store.spans()

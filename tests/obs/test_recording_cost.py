@@ -6,8 +6,14 @@ One completed request is one ``PipelineMetrics.observe``, one
 every other charge (a span minted, a WAL append, a frame hop) stays its
 own single lookup.  And nobody pays for a collector no surface can read:
 a bare component's chain is the envelope alone, and a tracer that samples
-nothing is not one of the recording step's sinks.
+nothing is not one of the recording step's sinks.  The last test is the
+whole recording path as one exact call count (in the style of
+tests/net/test_frame_cost.py).
 """
+
+import cProfile
+import gc
+import pstats
 
 import pytest
 
@@ -20,7 +26,7 @@ from repro.pipeline import ErrorEnvelopeInterceptor, default_pipeline
 from repro.sim import Simulator
 from repro.steering.application import DAEMON_PORT
 from repro.web import ServletContainer
-from repro.wire import RegisterMessage
+from repro.wire import ControlMessage, RegisterMessage
 from tests.conftest import drive, equipped_server
 
 
@@ -144,3 +150,60 @@ def test_one_request_writes_each_store_once():
         assert entries.lookups - before["lookups"] == (
             1 + (after["spans"] - before["spans"]) + wal_appends
             + (calls["hops"] - before["hops"]))
+
+
+#: calls into Python functions of repro.obs + repro.metrics for one channel
+#: request, every plane on: the frame's hop 2 (``account_frame_hop``,
+#: ``_frame_key``); the interceptor's ``before`` / ``after`` 2, each one
+#: call into each plane — ``Tracer.enter`` / ``finish`` 2, with the span,
+#: its context and ``SpanStore.add`` 4; the ledger's ``open_request``
+#: (``_app_of``, ``bind_trace``), ``close_request`` and the span's
+#: ``charge_span`` 5; ``PipelineMetrics.observe`` and its reservoir 2; the
+#: two time series it writes 8.  The parent read 38: the tracer's clock and
+#: scope lambdas 4 and the ledger's scope and events lambdas 5 are gone,
+#: ``activate`` / ``deactivate`` / ``current_context`` 3 are inside
+#: ``enter`` / ``finish``, and ``charge`` → ``_charge_key`` became
+#: ``charge_span`` 1.
+RECORDED_REQUEST_CALLS = 25
+
+
+def test_one_channel_request_recording_path_calls():
+    sim, net, server = make_server()
+    channel = net.hosts["peer"].bind(5000)
+
+    def register():
+        channel.send("solo", DAEMON_PORT, RegisterMessage(
+            "app", "", {}, {"alice": "write"}), channel="main")
+        return (yield channel.recv()).payload.info
+
+    app_id = drive(sim, register())
+    assert app_id in server.local_proxies
+
+    def phase_change():
+        channel.send("solo", DAEMON_PORT, ControlMessage(
+            "phase", app_id=app_id, detail="compute"), channel="main")
+        yield sim.timeout(0.01)
+
+    drive(sim, phase_change())  # the entry, the series and this bucket exist
+    before = dict(server.ledger.total.as_dict(),
+                  observed=server.pipeline_metrics.requests(),
+                  stored=len(server.tracer.store))
+    profiler = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    try:
+        profiler.enable()
+        drive(sim, phase_change())
+        profiler.disable()
+    finally:
+        gc.enable()
+    total = server.ledger.total.as_dict()
+    assert server.pipeline_metrics.requests() - before["observed"] == 1
+    assert len(server.tracer.store) - before["stored"] == 1
+    assert total["requests"] - before["requests"] == 1
+    assert total["spans"] - before["spans"] == 1
+    calls = sum(
+        row[1] for (filename, _line, _name), row
+        in pstats.Stats(profiler).stats.items()
+        if "/repro/obs/" in filename or "/repro/metrics/" in filename)
+    assert calls == RECORDED_REQUEST_CALLS

@@ -14,7 +14,7 @@ from repro.obs import (
 
 def make_clock_tracer():
     clock = {"now": 0.0}
-    tracer = Tracer(clock=lambda: clock["now"], scope=lambda: "p")
+    tracer = Tracer(clock=lambda: clock["now"])
     return tracer, clock
 
 
@@ -71,7 +71,7 @@ def test_trace_of_root_and_servers():
 
 
 def test_store_bounds_spans_and_counts_drops():
-    tracer = Tracer(clock=lambda: 0.0, scope=lambda: "p", max_spans=3)
+    tracer = Tracer(clock=lambda: 0.0, max_spans=3)
     for i in range(5):
         tracer.finish(tracer.start_span(f"op-{i}"))
     assert len(tracer.store) == 3

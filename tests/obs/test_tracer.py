@@ -3,12 +3,13 @@
 import pytest
 
 from repro.obs import SAMPLE_OFF, Tracer
+from repro.obs.tracer import Standalone
 from repro.sim import Simulator
 
 
 def make_tracer(**kwargs):
     clock = {"now": 0.0}
-    tracer = Tracer(clock=lambda: clock["now"], scope=lambda: "p1", **kwargs)
+    tracer = Tracer(clock=lambda: clock["now"], **kwargs)
     return tracer, clock
 
 
@@ -102,11 +103,11 @@ def test_span_context_manager_captures_errors():
 
 
 def test_per_process_stacks_do_not_leak_context():
-    scopes = {"current": "p1"}
+    scopes = {"current": Standalone()}  # a carrier: anything with the slot
     tracer = Tracer(clock=lambda: 0.0, scope=lambda: scopes["current"])
     a = tracer.start_span("a")
     tracer.activate(a)
-    scopes["current"] = "p2"
+    scopes["current"] = Standalone()
     assert tracer.current_span() is None
     b = tracer.start_span("b")
     assert b.parent_id is None

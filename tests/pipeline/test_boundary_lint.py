@@ -125,3 +125,36 @@ def test_core_file_io_lint(tmp_path):
         "    journal.append('db.insert', state)\n"
         "    session = mgr.open_session()\n")  # method named open is fine
     assert lint.leaks("core-io", ok) == []
+
+
+def test_scope_lint_catches_the_slots_outside_their_owners(tmp_path):
+    """The ambient scope is two slots on the running process; only
+    repro.sim, the tracer and the ledger may name them — a layer that
+    wrote one would have made the scope its global variable."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import check_pipeline_boundary as lint
+    finally:
+        sys.path.pop(0)
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def handle(sim, key):\n"
+        "    proc = sim.active_process or sim\n"
+        "    proc.scope_cost_key = key\n"
+        "    return proc.scope_span\n")
+    hits = lint.leaks("scope", bad)
+    assert sorted(what for _, what in hits) == [
+        "uses 'scope_cost_key'", "uses 'scope_span'"]
+    ok = tmp_path / "ok.py"
+    ok.write_text(
+        "def handle(server):\n"
+        "    with server.ledger.scoped(server.name, plane='federation',\n"
+        "                              operation='poll_round'):\n"
+        "        return server.tracer.current_span()\n")
+    assert lint.leaks("scope", ok) == []
+    rule = lint.RULES["scope"]
+    assert not rule.applies("src/repro/sim/process.py")
+    assert not rule.applies("src/repro/obs/tracer.py")
+    assert not rule.applies("src/repro/obs/accounting.py")
+    assert rule.applies("src/repro/obs/interceptor.py")
+    assert rule.applies("src/repro/net/network.py")

@@ -5,7 +5,7 @@ One rule table (:data:`RULES`), one AST walker (:func:`leaks`).  A rule
 says *where* it applies (``only`` these paths, or everywhere outside the
 ``owner`` package/module), *what* it matches (a tuple of node matchers
 from the small vocabulary below) and the ``advice`` printed with a hit.
-Eight boundaries, nine rules (the storage boundary has two):
+Nine boundaries, ten rules (the storage boundary has two):
 
 1. **pipeline** — the three dispatch planes (``repro.web.container``,
    ``repro.orb.core``, ``repro.core.daemon``) route requests;
@@ -54,6 +54,14 @@ Eight boundaries, nine rules (the storage boundary has two):
    :mod:`repro.obs.accounting`.  Outside that one module, naming or
    importing ``CostVector`` couples a caller to the ledger's
    internals — callers use the :class:`RequestCostLedger` API.
+
+9. **scope** — a request's ambient scope rides on its process: the
+   ``scope_span`` / ``scope_cost_key`` slots of ``Process`` and
+   ``Simulator``.  Only :mod:`repro.sim` (which declares them),
+   :mod:`repro.obs.tracer` and :mod:`repro.obs.accounting` (which own
+   what is in them) may name the slots; everyone else goes through the
+   ``Tracer`` / ``RequestCostLedger`` API, so the scope cannot turn into
+   a global variable other layers write.
 
 Usage: python tools/check_pipeline_boundary.py [repo_root]
 """
@@ -154,8 +162,8 @@ class Rule:
     summary: str
     #: path prefixes the rule is confined to ...
     only: tuple = ()
-    #: ... or the one package (``dir/``) or module it exempts
-    owner: str = ""
+    #: ... or the package (``dir/``) or module it exempts (or a tuple)
+    owner: "str | tuple" = ""
 
     def applies(self, rel: str) -> bool:
         if self.only:
@@ -220,8 +228,15 @@ RULES = {
         (naming("CostVector", imported=True),),
         "cost-vector internals stay in repro.obs.accounting; "
         "callers use the RequestCostLedger facade",
-        "accounting boundary OK ({n} modules clean)",
+        "accounting boundary OK ({n} modules clean); ",
         owner="src/repro/obs/accounting.py"),
+    "scope": Rule(
+        (naming("scope_span", "scope_cost_key"),),
+        "the scope slots belong to repro.sim, the Tracer and the "
+        "RequestCostLedger; read and open scopes through their API",
+        "scope boundary OK ({n} modules clean)",
+        owner=("src/repro/sim/", "src/repro/obs/tracer.py",
+               "src/repro/obs/accounting.py")),
 }
 
 
