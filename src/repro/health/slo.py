@@ -14,7 +14,11 @@ With samples taken at bucket-aligned times (the monitor period is a
 multiple of the bucket width) this is bit-for-bit the same arithmetic
 as a private sample deque — the left window edge is the last sample at
 or before the cutoff, so the window delta is exactly the increments
-recorded strictly after it.  An alert
+recorded strictly after it.  E13 breaks this, unfixed: 0.25 s ticks
+into 1 s buckets, so its "1 s" window holds one tick on a bucket
+boundary and four at ``.75``, and its page alert flaps on boundaries
+where a width-0.25 engine fed the same samples holds (EXPERIMENTS E13).
+An alert
 fires when *both* the short and the long window of a pair burn the
 error budget faster than the pair's factor, and resolves when the pair
 clears.  Two pairs are evaluated per spec — a fast pair (page: short
@@ -32,16 +36,18 @@ so an alert links straight to a cross-server trace of the damage.
 Like the rest of the health plane, evaluation is plain bookkeeping:
 no events, no messages, no CPU charges.
 
-What a tick costs the host: per spec, eight window sums (two pairs ×
-two windows × total/bad), each reading the buckets inside its window
-plus one per tier — the store keeps every tier's buckets in time order
-and a sum stops at the first one at or before the cutoff — so O(window)
-buckets however long the server has been up; a latency spec adds one
-call of its sample function (the monitor's default reads one quantile
-of the pipeline's latency reservoir, recomputed only if a request
-arrived since the last tick).  Trace exemplars (a walk over the span
-store) are gathered when a pair starts firing, not while it keeps
-firing.  tests/obs/test_timeseries_cost.py pins the bucket counts.
+What a tick costs the host: per spec, a total and a bad sum for each
+distinct window of its two pairs (six with the defaults: 1, 5, 20 s),
+each reading the buckets inside its window plus one per tier — the
+store keeps every tier's buckets in time order and a sum stops at the
+first one at or before the cutoff — so O(window) buckets however long
+the server has been up; a latency spec adds one call of its sample
+function (the monitor's default reads the http reservoir's p99, which
+costs the samples that changed since the last tick, not a sort of all
+1 024, and nothing if no request arrived).  Trace exemplars (a walk
+over the span store) are gathered when a pair starts firing, not while
+it keeps firing.  tests/obs/test_timeseries_cost.py pins the bucket
+counts, tests/health/test_monitor.py the tick's reservoir read.
 """
 
 from __future__ import annotations
@@ -250,8 +256,9 @@ class SLOEngine:
         self.timeseries = (timeseries if timeseries is not None
                            else TimeSeriesRegistry(clock=clock,
                                                    bucket_width=bucket_width))
-        #: spec name → (spec, sample_fn)
-        self._specs: Dict[str, Tuple[SLOSpec, Callable[[], Any]]] = {}
+        #: spec name → (spec, sample_fn, (total series, bad series))
+        self._specs: Dict[str, Tuple[SLOSpec, Callable[[], Any],
+                                     Tuple[str, str]]] = {}
         #: spec name → last cumulative (total, bad); None until baselined
         self._last: Dict[str, Optional[Tuple[float, float]]] = {}
 
@@ -259,18 +266,20 @@ class SLOEngine:
         """Register a spec with its cumulative-sample source."""
         if spec.name in self._specs:
             raise ValueError(f"SLO {spec.name!r} already registered")
-        self._specs[spec.name] = (spec, sample_fn)
+        self._specs[spec.name] = (spec, sample_fn,
+                                  (f"slo.{spec.name}.total",
+                                   f"slo.{spec.name}.bad"))
         self._last[spec.name] = None
         return spec
 
     def specs(self) -> List[SLOSpec]:
-        return [spec for spec, _fn in self._specs.values()]
+        return [spec for spec, _fn, _series in self._specs.values()]
 
     # -- sampling ----------------------------------------------------------
     def observe(self) -> None:
         """Take one sample of every spec and re-evaluate its windows."""
         now = self._clock()
-        for name, (spec, sample_fn) in self._specs.items():
+        for name, (spec, sample_fn, series) in self._specs.items():
             prev = self._last[name]
             total, bad = self._cumulative(spec, sample_fn, prev)
             self._last[name] = (float(total), float(bad))
@@ -278,10 +287,10 @@ class SLOEngine:
                 d_total = float(total) - prev[0]
                 d_bad = float(bad) - prev[1]
                 if d_total:
-                    self.timeseries.inc(f"slo.{name}.total", d_total)
+                    self.timeseries.inc(series[0], d_total)
                 if d_bad:
-                    self.timeseries.inc(f"slo.{name}.bad", d_bad)
-            self._evaluate(spec, now)
+                    self.timeseries.inc(series[1], d_bad)
+            self._evaluate(spec, series, now)
 
     def _cumulative(self, spec: SLOSpec, sample_fn, prev):
         if spec.kind == "error_rate":
@@ -302,27 +311,32 @@ class SLOEngine:
         by the error budget: 1.0 means the budget is being spent exactly
         at the sustainable rate, ``k`` means ``k``× too fast.
         """
-        spec, _fn = self._specs[name]
-        return self._burn(spec, self._clock(), window)
+        spec, _fn, series = self._specs[name]
+        return self._burn(spec, series, self._clock(), window)
 
-    def _window(self, name: str, now: float,
+    def _window(self, series: Tuple[str, str], now: float,
                 window: float) -> Tuple[float, float]:
         """(total, bad) increments in the trailing ``window``."""
         cutoff = now - window
-        return (self.timeseries.window_sum(f"slo.{name}.total", cutoff),
-                self.timeseries.window_sum(f"slo.{name}.bad", cutoff))
+        return (self.timeseries.window_sum(series[0], cutoff),
+                self.timeseries.window_sum(series[1], cutoff))
 
-    def _burn(self, spec: SLOSpec, now: float, window: float) -> float:
-        total, bad = self._window(spec.name, now, window)
+    def _burn(self, spec: SLOSpec, series: Tuple[str, str], now: float,
+              window: float) -> float:
+        total, bad = self._window(series, now, window)
         if total <= 0:
             return 0.0
         return (bad / total) / spec.budget
 
-    def _evaluate(self, spec: SLOSpec, now: float) -> None:
+    def _evaluate(self, spec: SLOSpec, series: Tuple[str, str],
+                  now: float) -> None:
+        # each distinct window is summed once: with the default pairs the
+        # fast pair's long window is the slow pair's short one
+        burns = {window: self._burn(spec, series, now, window)
+                 for window in {*spec.fast[:2], *spec.slow[:2]}}
         for severity, (short, long_, factor) in (
                 (SEVERITY_PAGE, spec.fast), (SEVERITY_TICKET, spec.slow)):
-            burn_short = self._burn(spec, now, short)
-            burn_long = self._burn(spec, now, long_)
+            burn_short, burn_long = burns[short], burns[long_]
             firing = burn_short >= factor and burn_long >= factor
             if firing:
                 # gathered for a new fire only: a pair already firing is
@@ -342,17 +356,17 @@ class SLOEngine:
         """Per-spec compliance over the slow-long window (the widest)."""
         now = self._clock()
         out = {}
-        for name, (spec, _fn) in sorted(self._specs.items()):
+        for name, (spec, _fn, series) in sorted(self._specs.items()):
             window = max(spec.fast[1], spec.slow[1])
-            total, bad = self._window(name, now, window)
+            total, bad = self._window(series, now, window)
             sli = 1.0 - (bad / total) if total > 0 else 1.0
             out[name] = {
                 "kind": spec.kind,
                 "objective": spec.objective,
                 "sli": sli,
                 "compliant": sli >= spec.objective or total == 0,
-                "burn_fast": self._burn(spec, now, spec.fast[0]),
-                "burn_slow": self._burn(spec, now, spec.slow[0]),
+                "burn_fast": self._burn(spec, series, now, spec.fast[0]),
+                "burn_slow": self._burn(spec, series, now, spec.slow[0]),
                 "window_total": total,
                 "window_bad": bad,
             }

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -49,10 +50,16 @@ class Reservoir:
     sample.  Randomness is a private seeded :class:`random.Random` —
     it never touches the simulation's determinism, and two identical
     runs produce identical reservoirs.
+
+    Once asked for a :meth:`percentile`, a reservoir keeps its samples
+    in order too (a ``bisect`` delete and an ``insort`` per replaced
+    slot); one never asked pays nothing.  Samples are finite latencies,
+    differences of two ``sim.now`` values: never NaN, never -0.0, so a
+    bisect finds the value a slot held.
     """
 
     __slots__ = ("capacity", "count", "total", "minimum", "maximum",
-                 "_samples", "_rng", "_percentile_memo")
+                 "_samples", "_ordered", "_rng", "_percentile_memo")
 
     def __init__(self, capacity: int = DEFAULT_RESERVOIR_CAPACITY,
                  seed: int = 0x5EED) -> None:
@@ -64,6 +71,8 @@ class Reservoir:
         self.minimum = float("inf")
         self.maximum = float("-inf")
         self._samples: List[float] = []
+        #: ``sorted(_samples)``, from the first percentile() on
+        self._ordered: Optional[List[float]] = None
         self._rng = random.Random(seed)
         #: (percent, count when computed, value) of the last percentile()
         self._percentile_memo = (None, 0, 0.0)
@@ -76,11 +85,17 @@ class Reservoir:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
+        ordered = self._ordered
         if len(self._samples) < self.capacity:
             self._samples.append(value)
+            if ordered is not None:
+                insort(ordered, value)
         else:
             slot = self._rng.randrange(self.count)
             if slot < self.capacity:
+                if ordered is not None:
+                    del ordered[bisect_left(ordered, self._samples[slot])]
+                    insort(ordered, value)
                 self._samples[slot] = value
 
     def merge(self, other: "Reservoir") -> "Reservoir":
@@ -92,7 +107,8 @@ class Reservoir:
         combination — when both sets fit they concatenate; otherwise
         each side keeps a share of slots proportional to its *observed*
         count, so the merged percentile estimate weights each source by
-        how much traffic it actually saw.
+        how much traffic it actually saw.  The ordered copy is dropped;
+        the next :meth:`percentile` rebuilds it.
         """
         merged_count = self.count + other.count
         self.total += other.total
@@ -109,6 +125,7 @@ class Reservoir:
             k_other = min(len(other._samples), self.capacity - k_self)
             self._samples = (self._samples[:k_self]
                              + other._samples[:k_other])
+        self._ordered = None
         self.count = merged_count
         return self
 
@@ -124,16 +141,19 @@ class Reservoir:
         """One sampled percentile — ``stats().p99`` for ``percent=99``,
         bit for bit, without the rest of the summary (empty → 0.0).
 
-        A periodic reader (the latency SLO, once per heartbeat) pays
-        nothing while no observation arrived: the value is recomputed
-        only when ``count`` moved since the last call.
+        The first call sorts the samples into the ordered copy ``add``
+        keeps current; a call after that interpolates two neighbours of
+        it the way numpy's ``linear`` method does, so a periodic reader
+        (the latency SLO, once per heartbeat) pays for the samples that
+        changed, and nothing while ``count`` has not moved.
         """
         memo = self._percentile_memo
         if memo[0] != percent or memo[1] != self.count:
-            value = (float(np.percentile(
-                np.asarray(self._samples, dtype=float), percent))
-                if self.count else 0.0)
-            memo = self._percentile_memo = (percent, self.count, value)
+            ordered = self._ordered
+            if ordered is None:
+                ordered = self._ordered = sorted(self._samples)
+            memo = self._percentile_memo = (
+                percent, self.count, _linear_percentile(ordered, percent))
         return memo[2]
 
     def stats(self) -> SummaryStats:
@@ -155,6 +175,24 @@ class Reservoir:
 
     def __len__(self) -> int:
         return len(self._samples)
+
+
+def _linear_percentile(ordered: List[float], percent: float) -> float:
+    """``float(np.percentile(ordered, percent))`` of an ascending list,
+    bit for bit (empty → 0.0): numpy's index ``(n - 1) * q`` and its
+    ``_lerp``, which interpolates from the nearer neighbour."""
+    n = len(ordered)
+    if n == 0:
+        return 0.0
+    v = (n - 1) * (percent / 100)
+    if v >= n - 1:
+        return float(ordered[-1])
+    i = int(v)
+    t = v - i
+    a, b = ordered[i], ordered[i + 1]
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
 
 
 def summarize(samples: Sequence[float]) -> SummaryStats:

@@ -66,6 +66,60 @@ class TestHeartbeat:
         assert all(not p.is_alive for p in procs)
 
 
+def test_a_tick_reads_the_p99_from_the_kept_order(monkeypatch):
+    """A heartbeat costs what changed: with a full http reservoir that
+    keeps taking samples (so slots are replaced), a tick after the first
+    neither calls ``np.percentile`` nor re-sorts, and the p99 the latency
+    SLO compares is still numpy's p99 of the samples at that tick."""
+    import random
+
+    import numpy as np
+
+    from repro.health import HealthMonitor
+    from repro.net import Network
+    from repro.sim import Simulator
+    from tests.conftest import equipped_server
+
+    server = equipped_server(Network(Simulator()).add_host("solo"))
+    monitor = HealthMonitor(server, period=0.5)
+    server.attach_health(monitor)
+    metrics = server.pipeline_metrics
+    rng = random.Random(25)
+
+    def traffic(n):
+        for _ in range(n):
+            metrics.observe("http", latency=rng.uniform(0.0, 0.6))
+
+    read = []
+    real_read = metrics.latency_percentile
+    metrics.latency_percentile = (
+        lambda plane, percent: read.append(real_read(plane, percent))
+        or read[-1])
+    traffic(1500)  # past the 1 024 slots
+    monitor.tick()
+    reservoir = metrics._latencies["http"]
+    ordered = reservoir._ordered
+    assert ordered is not None
+
+    real_percentile = np.percentile
+
+    def no_numpy(*_a, **_kw):
+        raise AssertionError("a tick called np.percentile")
+
+    monkeypatch.setattr(np, "percentile", no_numpy)
+    moved = 0
+    for tick in range(40):
+        before = reservoir.samples()
+        traffic(1 + tick % 7)
+        moved += reservoir.samples() != before
+        monitor.tick()
+        assert reservoir._ordered is ordered == sorted(reservoir.samples())
+        assert read[-1] == float(real_percentile(reservoir.samples(), 99))
+    assert moved >= 30  # slots were replaced on most ticks
+    assert len(read) == 41
+    assert monitor.counters["heartbeats"] == 41
+
+
 class TestGossip:
     def test_exchange_merges_and_answers(self, collab):
         server = collab.server_of(0)

@@ -1,6 +1,8 @@
 """Reservoir: bounded memory with exact aggregates (the fix for the
 unbounded collector growth in PipelineMetrics / FederationMetrics)."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,19 +138,89 @@ def test_percentile_is_the_summary_field_bit_for_bit():
 
 
 def test_percentile_recomputed_only_when_count_moved(monkeypatch):
+    """A reservoir never asked for a percentile keeps no ordered copy;
+    one that was asked keeps it current through replacements, reads it
+    without numpy, and re-reads only when ``count`` moved."""
     from repro.metrics import stats
 
-    calls = []
-    real = stats.np.percentile
-    monkeypatch.setattr(stats.np, "percentile",
-                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    never_asked = Reservoir(capacity=16)
+    for i in range(200):
+        never_asked.add(float(i % 23))
+    assert never_asked._ordered is None
+
+    reads = []
+    real = stats._linear_percentile
+    monkeypatch.setattr(stats, "_linear_percentile",
+                        lambda *a: reads.append(1) or real(*a))
     res = Reservoir(capacity=16)
     res.add(1.0)
     first = [res.percentile(99) for _ in range(5)]
-    assert first == [1.0] * 5 and len(calls) == 1
-    res.add(3.0)
-    assert res.percentile(99) == res.stats().p99
-    assert len(calls) == 2 + 3  # one more read, then the full summary's three
+    assert first == [1.0] * 5 and len(reads) == 1
+    ordered = res._ordered
+
+    def no_numpy(*_a, **_kw):
+        raise AssertionError("np.percentile called")
+
+    monkeypatch.setattr(stats.np, "percentile", no_numpy)
+    for i in range(200):  # past capacity: slots are replaced
+        res.add(0.01 * (i * 37 % 101))
+        res.percentile(99)
+    assert len(reads) == 1 + 200
+    assert res._ordered is ordered == sorted(res.samples())
+    value = res.percentile(99)
+    monkeypatch.undo()
+    assert value == res.stats().p99
+
+
+PERCENTS = (0, 1, 37.5, 50, 90, 99, 99.9, 100)
+latencies = st.floats(min_value=0.0, max_value=1e3, allow_nan=False,
+                      allow_infinity=False).map(abs)  # never -0.0
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("add"), latencies),
+    st.tuples(st.just("merge"), st.lists(latencies, max_size=12)),
+    st.tuples(st.just("read"), st.sampled_from(PERCENTS))),
+    max_size=120))
+@settings(max_examples=200, deadline=None)
+def test_ordered_copy_reads_numpy_percentile_bit_for_bit(ops):
+    res = Reservoir(capacity=8)
+    for op, arg in ops:
+        if op == "add":
+            res.add(arg)
+        elif op == "merge":
+            other = Reservoir(capacity=8, seed=len(arg))
+            for v in arg:
+                other.add(v)
+            res.merge(other)
+        else:
+            res.percentile(arg)
+        if res._ordered is not None:
+            assert res._ordered == sorted(res.samples())
+    for percent in PERCENTS:
+        expected = (float(np.percentile(res.samples(), percent))
+                    if res.count else 0.0)
+        assert res.percentile(percent) == expected
+    assert res._ordered == sorted(res.samples())
+
+
+@pytest.mark.parametrize("values", [
+    [2.5],                                    # one sample
+    [0.125] * 40,                             # all samples equal
+    [0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 7.5],  # many duplicates
+    [float(i) for i in range(101)],           # p lands on an index
+    [0.1, 0.2, 0.3, 0.4, 0.5],                # 25% steps: on an index too
+])
+def test_percentile_edge_cases_match_numpy(values):
+    res = Reservoir(capacity=len(values))
+    assert res.percentile(99) == 0.0  # asked empty: every add is an insort
+    for v in reversed(values):
+        res.add(v)
+    assert res._ordered == values
+    for percent in PERCENTS + (25, 75):
+        assert res.percentile(percent) == float(np.percentile(values,
+                                                              percent))
+    assert res.percentile(50) == res.stats().p50
 
 
 def test_pipeline_metrics_single_percentile_matches_the_summary():

@@ -122,9 +122,10 @@ def test_slo_evaluation_reads_the_same_at_100_and_at_1000_seconds():
     long_, _ = slo_reads_after(1000.0)
     assert short == long_
     # per series: the tick's new bucket pushes one out of each full tier
-    # (a few keys), then each of the four default windows reads its own
-    # ticks plus the bucket it stops at in either tier
-    windows = (1.0, 5.0, 5.0, 20.0)
+    # (a few keys), then each distinct default window reads its own ticks
+    # plus the bucket it stops at in either tier — the 5 s window, both
+    # the page pair's long and the ticket pair's short one, is read once
+    windows = (1.0, 5.0, 20.0)
     per_series = 4 + sum(w / TICK + 2 for w in windows)
     assert 0 < short <= n_series * per_series
     assert per_series < 2 * SLO_RING  # the all-buckets scan it replaces
