@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.faults import LoseShard, inject
 from repro.bench.scenarios import pipeline_counters
 from repro.bench.traffic import TrafficSpec, constant, exponential, session_plans
 from repro.bench.workload import run_process
@@ -248,7 +249,7 @@ def _drive_sessions(fleet: Fleet, tag: str, *, n_apps: int, n_users: int,
     not popularity — a zipf mix (via ``traffic=``) shows hot-app skew
     concentrating on single shards, a finding EXPERIMENTS records.
     Nothing past the publish has run when this returns, so processes the
-    caller spawns next (a shard killer, a flooder) also start at ``t0``.
+    caller spawns next (the fault injector, a flooder) also start at ``t0``.
     """
     sim = fleet.sim
     rng = DeterministicRNG(seed, tag)
@@ -290,8 +291,9 @@ def run_fleet_directory(n_servers: int = 50, *, n_sessions: int = 20_000,
     modeled ORB dispatch per read, ~3 reads per session), so scaling
     ``n_sessions`` or the fleet never silently saturates the plane —
     saturation is a *finding* (pass a denser ``traffic=``).  With
-    ``kill_shard_at`` the first ring node crashes at that offset and the
-    run doubles as the failover drill.
+    ``kill_shard_at`` the first ring node is lost at that offset
+    (:class:`~repro.bench.faults.LoseShard`) and the run doubles as the
+    failover drill.
     """
     n_apps = n_apps or max(8, 4 * n_servers)
     n_users = n_users or max(100, n_sessions // 20)
@@ -306,10 +308,7 @@ def run_fleet_directory(n_servers: int = 50, *, n_sessions: int = 20_000,
                            seed=seed, traffic=traffic)
     publish_loads = dict(fleet.plane.per_shard_load())
     if kill_shard_at is not None:
-        def killer():
-            yield sim.timeout(kill_shard_at)
-            fleet.plane.kill_shard(fleet.plane.ring.nodes[0])
-        sim.spawn(killer(), name="e11-killer")
+        inject(fleet, (LoseShard(fleet.plane.ring.nodes[0], kill_shard_at),))
     load.wait()
     counters = load.counters
 

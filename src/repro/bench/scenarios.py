@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps import SyntheticApp
+from repro.bench.faults import Kill, Restart, inject
 from repro.bench.report import FOOTER_GROUPS
 from repro.bench.workload import (
     INTERACTIVE_APP,
@@ -809,21 +810,24 @@ def run_traced_remote_command(*, wan_latency: float = 0.060,
     return row, tracer, collab.metrics_registry()
 
 
-def _start_kill_drill(app_name: str, *, duration: float, kill_at: float,
-                      response_timeout: float,
-                      heartbeat_period: float = 0.25,
-                      gossip_period: float = 0.5,
-                      peer_call_timeout: float = 0.5, **deployment):
-    """The set-up E10b and E13 share, up to (not including) the first tick.
-
-    Three domains; the steered application is homed in domain 1 with a
-    same-named replica in domain 2.  A resilient client in domain 0
-    steers through its local server for ``duration``; a fault-injector
-    process stops the domain-1 server cold at ``kill_at`` (its ports
-    unbind, so in-flight and later frames are dropped like TCP RSTs).
-    Returns ``(collab, victim, t0, counts, kill_time)`` —
-    ``kill_time["t"]`` is set when the kill lands.
+def _run_kill_drill(app_name: str, *, duration: float, kill_at: float,
+                    response_timeout: float, outage: Optional[float] = None,
+                    heartbeat_period: float = 0.25,
+                    gossip_period: float = 0.5,
+                    peer_call_timeout: float = 0.5, **deployment):
+    """The run E10b and E13 share: three domains, the steered app homed in
+    domain 1 with a same-named replica in domain 2, a resilient client in
+    domain 0 steering for ``duration``.  The domain-1 server is killed at
+    ``kill_at`` and, given an ``outage``, restarted that much later; a
+    fault not before the run's end (``duration + 2.0``) is a ValueError.
+    Returns ``(collab, victim, t0, counts, kill_t)``: the killed server
+    object and the instant the kill landed among them.
     """
+    last = kill_at if outage is None else kill_at + outage
+    if not last < duration + 2.0:
+        named = "kill_at" if outage is None else "kill_at + outage"
+        raise ValueError(f"{named} = {last} s does not land before the "
+                         f"run's end (duration + 2.0 = {duration + 2.0} s)")
     collab = build_collaboratory(3, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1,
                                  health_period=heartbeat_period,
@@ -846,22 +850,19 @@ def _start_kill_drill(app_name: str, *, duration: float, kill_at: float,
         portal, primary.app_id, user="bench", duration=duration,
         command_interval=0.5, counts=counts,
         response_timeout=response_timeout))
-    kill_time = {}
-
-    def killer():
-        yield collab.sim.timeout(kill_at)
-        kill_time["t"] = collab.sim.now
-        victim.stop()
-
-    collab.sim.spawn(killer(), name="fault-injector")
-    return collab, victim, t0, counts, kill_time
+    kill = Kill(victim.name, kill_at)
+    faults = (kill,) if outage is None else (
+        kill, Restart(victim.name, kill_at + outage))
+    _process, landed = inject(collab, faults)
+    collab.sim.run(until=t0 + duration + 2.0)
+    return collab, victim, t0, counts, landed[kill][0]
 
 
 def run_fault_injection(*, duration: float = 30.0, kill_at: float = 10.0,
                         log_sink=None, **probe_cadence):
     """E10b: kill a server mid-run; measure detection, failover, alerting.
 
-    On top of :func:`_start_kill_drill`, the health plane on the
+    On top of :func:`_run_kill_drill`, the health plane on the
     surviving servers must (a) mark ``server:srvB`` unhealthy within the
     hysteresis bound, (b) fail the client's commands over to the replica,
     (c) fire an SLO burn-rate alert on the client-facing server with
@@ -874,15 +875,13 @@ def run_fault_injection(*, duration: float = 30.0, kill_at: float = 10.0,
     so callers (the status CLI, the CI artifact exporter) can scrape
     ``GET /status?format=prom`` from it afterwards.
     """
-    collab, victim, t0, counts, kill_time = _start_kill_drill(
+    collab, victim, _t0, counts, kill_t = _run_kill_drill(
         "fault-target", duration=duration, kill_at=kill_at,
         response_timeout=5.0, log_sink=log_sink, **probe_cadence)
-    collab.sim.run(until=t0 + duration + 2.0)
 
     client_server = collab.server_of(0)
     victim_key = client_server.health.server_key(victim.name)
-    detection = client_server.health.detection_latency(
-        victim.name, kill_time.get("t", t0 + kill_at))
+    detection = client_server.health.detection_latency(victim.name, kill_t)
     survivors = [s for s in collab.servers.values() if s is not victim]
     exemplars = sorted({tid for a in client_server.health.alerts.history()
                         for tid in a.exemplars})
@@ -909,9 +908,9 @@ def run_recovery_drill(*, n_commands: int = 10,
     Two domains; the steered application is homed in domain 1.  A driver
     client joins a sub-group, takes the steering lock, and issues
     ``n_commands`` mutating commands; a second client queues behind the
-    lock.  Then the domain-1 server is stopped cold and — after
-    ``outage`` virtual seconds — replaced via
-    :meth:`~repro.core.deployment.Collaboratory.restart_server`, which
+    lock.  Then the domain-1 server is stopped cold (``Kill``) and — after
+    ``outage`` virtual seconds — replaced (``Restart``, through
+    :meth:`~repro.core.deployment.Collaboratory.restart_server`), which
     rebuilds sessions, proxies, lock tables, group membership, and the
     archive from the surviving in-memory backend's ``snapshot + WAL
     tail`` (the on-disk :class:`~repro.storage.JsonlBackend` restart is
@@ -972,13 +971,13 @@ def run_recovery_drill(*, n_commands: int = 10,
     wal_appends = victim.storage_metrics.get("wal_appends")
     pre_snapshots = victim.storage_metrics.get("snapshots")
 
-    # -- crash, outage, restart, recovery ---------------------------------
-    victim.stop()
-    collab.sim.run(until=collab.sim.now + outage)
-    server2, report = collab.restart_server(victim_name)
-    collab.run_bootstrap()
+    # -- crash, outage, restart, recovery; settle once it has rejoined ----
+    restart = Restart(victim_name, outage)
+    injector, landed = inject(collab, (Kill(victim_name, 0.0), restart))
+    collab.sim.run(until=injector)
     collab.sim.run(until=collab.sim.now + settle)
-    post = planes_of(server2)
+    _instant, report = landed[restart]
+    post = planes_of(collab.servers[victim_name])
 
     # -- latecomer catch-up across the WAN from the recovered archive -----
     late = collab.add_portal(0)
@@ -1024,7 +1023,7 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
                         warmup: float = 2.0):
     """E13: kill-and-recover, observed entirely through the telemetry plane.
 
-    The E10b fault shape (:func:`_start_kill_drill`) plus the E12
+    The E10b fault shape (:func:`_run_kill_drill`) plus the E12
     recovery (the victim restarts after ``outage`` and rejoins), but
     every headline number is *queried from the time-series store* rather
     than read off live collectors — the drill that proves the plane
@@ -1051,23 +1050,14 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
     # id-counter digits feed wire sizes, so the ledger's byte totals are
     # only run-deterministic if every drill starts from the same seeds
     reset_runtime_ids()
-    collab, victim, t0, counts, kill_time = _start_kill_drill(
-        "drill-target", duration=duration, kill_at=kill_at,
-        response_timeout=2.0, timeseries_bucket_width=bucket_width)
-    victim_name = victim.name
-
     # crash → outage → restart → recovery, with the client steering
-    # through all of it; the victim's pre-kill series are captured before
-    # restart_server swaps in a fresh registry
-    collab.sim.run(until=t0 + kill_at + outage)
-    victim_history = victim.timeseries
-    collab.restart_server(victim_name)
-    collab.run_bootstrap()
-    collab.sim.run(until=t0 + duration + 2.0)
+    # through all of it; the killed server object keeps its registry, so
+    # its pre-kill series join the merge beside its replacement's
+    collab, victim, t0, counts, kill_t = _run_kill_drill(
+        "drill-target", duration=duration, kill_at=kill_at, outage=outage,
+        response_timeout=2.0, timeseries_bucket_width=bucket_width)
     end = collab.sim.now
-
-    merged = collab.merged_timeseries(extra=[victim_history])
-    kill_t = kill_time.get("t", t0 + kill_at)
+    merged = collab.merged_timeseries(extra=[victim.timeseries])
 
     # detection: first bucket whose fleet error fraction breaches the
     # fast-burn threshold
@@ -1102,7 +1092,7 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
         "bucket_width_s": bucket_width,
         "kill_at_s": round(kill_t - t0, 3),
         "outage_s": outage,
-        "victim": victim_name,
+        "victim": victim.name,
         "breach_delay_s": (None if breach_start is None
                            else round(breach_start - kill_t, 3)),
         "p99_baseline_ms": round(p99_baseline * 1e3, 3),

@@ -2,12 +2,11 @@
 
 A :class:`DirectoryPlane` owns the ring, the shard servants, and the
 live ``shard -> ObjectRef`` table that every :class:`DirectoryClient`
-shares.  It is control-plane machinery: adding or removing a shard is a
-deployment action (bump the ring epoch, push it to the surviving
-servants, let client caches invalidate themselves), while *killing* a
-shard is a fault (the node stays on the ring and clients fail over to
-the remaining replicas — exactly what the E11 kill-replica drill
-asserts).
+shares.  It is control-plane machinery: adding a shard is a deployment
+action (bump the ring epoch, push it to the servants, let client caches
+invalidate themselves), while *killing* a shard is a fault (the node
+stays on the ring and clients fail over to the remaining replicas —
+exactly what the E11 kill-replica drill asserts).
 
 The plane also aggregates per-shard load and store sizes for the
 :class:`~repro.obs.registry.MetricsRegistry` (``snapshot()``) and keeps
@@ -50,16 +49,6 @@ class DirectoryPlane:
         self.orbs[name] = orb
         self.refs[name] = ref
         self.ring.add_node(name)
-        self._sync_epochs()
-
-    def remove_shard(self, name: str) -> None:
-        """Gracefully retire a shard (membership change, epoch bump)."""
-        self.ring.remove_node(name)
-        servant = self.servants.pop(name)
-        orb = self.orbs.pop(name)
-        self.refs.pop(name, None)
-        self._killed.discard(name)
-        orb.deactivate(f"DirectoryShard:{servant.name}")
         self._sync_epochs()
 
     def _sync_epochs(self) -> None:

@@ -4,7 +4,9 @@ claims fail when the cost model is flattened, the scenario bodies return
 the rows they returned before they moved into ``repro.bench.scenarios``
 (``paper_rows.json``), and the drills' rows match the literals captured
 before they were refactored onto shared bodies (id-independent fields
-only; ``recovery_wall_ms`` is host time).
+only; ``recovery_wall_ms`` is host time) and every other field of their
+quick rows as captured before their faults became data
+(``drill_rows.json``).
 """
 
 import copy
@@ -27,6 +29,11 @@ from repro.net.costs import CostModel
 #: ``Experiment.run`` does
 PAPER_ROWS = json.loads(
     (Path(__file__).parent / "paper_rows.json").read_text())
+#: the E10b, E11, E12 and E13 drills' quick rows, ``recovery_wall_ms``
+#: (host time) left out, captured by ``Experiment.run(quick=True)`` before
+#: their faults became :mod:`repro.bench.faults` records
+DRILL_ROWS = json.loads(
+    (Path(__file__).parent / "drill_rows.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,13 @@ def test_rows_are_the_parents_bit_for_bit(quick_rows, exp_id):
     assert entry.quick == entry.full  # the quick rows are the full rows
     # through JSON as the capture went: repr round-trips every float
     assert json.loads(json.dumps(quick_rows[exp_id])) == PAPER_ROWS[exp_id]
+
+
+@pytest.mark.parametrize("exp_id", DRILL_ROWS)
+def test_drill_rows_are_pinned_bit_for_bit(quick_rows, exp_id):
+    rows = [{key: value for key, value in row.items()
+             if key != "recovery_wall_ms"} for row in quick_rows[exp_id]]
+    assert json.loads(json.dumps(rows)) == DRILL_ROWS[exp_id]
 
 
 #: (experiment, row, field, planted value): each breaks exactly one fact

@@ -75,6 +75,16 @@ def test_merged_registry_round_trips(drill):
             == merged.query("pipeline.latency.http", "quantile", q=0.99))
 
 
+@pytest.mark.usefixtures("session_ids_kept")
+def test_a_fault_after_the_run_is_refused():
+    """The kill (and so the restart after the outage) must land before the
+    run ends; past it the drill refuses with the parameters named."""
+    with pytest.raises(ValueError, match="kill_at \\+ outage"):
+        run_telemetry_drill(duration=6.0, kill_at=20.0)
+    with pytest.raises(ValueError, match="kill_at \\+ outage"):
+        run_telemetry_drill(duration=6.0, kill_at=6.5, outage=1.5)
+
+
 def test_drill_is_deterministic(drill):
     row, _collab, _merged = drill
     again, collab2, _merged2 = run_telemetry_drill()

@@ -78,6 +78,14 @@ def test_prom_endpoint_valid_after_fault(fault_run):
     assert samples[("repro_alerts_fired", ())] >= 1.0
 
 
+def test_a_kill_after_the_run_is_refused():
+    """A kill the run cannot reach is refused, not reported: a row with
+    ``kill_at_s`` 20 and a healthy victim would describe a kill that
+    never happened."""
+    with pytest.raises(ValueError, match="kill_at"):
+        run_fault_injection(duration=6.0, kill_at=20.0)
+
+
 @pytest.mark.usefixtures("session_ids_kept")
 def test_deterministic_replay():
     """Same parameters, fresh sim, ids re-seeded (their digits are wire

@@ -302,8 +302,11 @@ POLLS = 57
 #: pair's short one — so each of the 16 heartbeats asks the registry's
 #: ``window_sum`` two times fewer per spec, 64 calls, and the series'
 #: own ``window_sum`` 30 times fewer over the run (a series no tick has
-#: written yet is not asked): 8 283)
-FRAME_PATH_CALLS = 8_283
+#: written yet is not asked): 8 283.  The traffic trace keeps no per-trace
+#: table any more — a trace's bytes are its ``net.hop`` spans — so each of
+#: the 73 traced hops makes one ``TrafficTrace._trace_counter`` call fewer:
+#: 8 210)
+FRAME_PATH_CALLS = 8_210
 
 
 @pytest.mark.usefixtures("session_ids_kept")

@@ -1,8 +1,8 @@
-"""Frame-level trace propagation: auto-stamping, hop spans, per-trace
-traffic counters (the replacement for the old last_request_id hack)."""
+"""Frame-level trace propagation: auto-stamping, hop spans, a trace's
+traffic read off its hop spans (the replacement for the old
+last_request_id hack)."""
 
 from repro.net import Network
-from repro.net.trace import MAX_TRACE_IDS, TrafficTrace
 from repro.obs import Tracer
 from repro.sim import Simulator
 
@@ -77,23 +77,11 @@ def test_per_trace_traffic_counters():
 
     sim.spawn(proc())
     sim.run()
-    counter = net.trace.for_trace(ids["trace"])
-    assert counter.messages == 2
-    assert counter.bytes == ids["bytes"]
+    # a trace's traffic is its hop spans: one per traced frame, its bytes
+    hops = [s for s in tracer.store.spans()
+            if s.op == "net.hop" and s.trace_id == ids["trace"]]
+    assert len(hops) == 2
+    assert sum(s.attrs["bytes"] for s in hops) == ids["bytes"]
+    # the untraced frame is in the totals and in no trace
     assert net.trace.total.messages == 3
-    assert net.trace.snapshot()["traced_trace_ids"] == 1
-    # unknown trace ids read as zero, not KeyError
-    assert net.trace.for_trace(999999).messages == 0
-
-
-def test_per_trace_table_is_lru_bounded():
-    trace = TrafficTrace()
-    for trace_id in range(MAX_TRACE_IDS + 50):
-        counter = trace._trace_counter(trace_id)
-        counter.messages += 1
-    assert len(trace.per_trace) == MAX_TRACE_IDS
-    # oldest evicted, newest retained
-    assert trace.for_trace(0).messages == 0
-    assert trace.for_trace(MAX_TRACE_IDS + 49).messages == 1
-    trace.reset()
-    assert len(trace.per_trace) == 0
+    assert len([s for s in tracer.store.spans() if s.op == "net.hop"]) == 2
