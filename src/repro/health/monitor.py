@@ -86,12 +86,11 @@ class HealthMonitor:
         clock = lambda: server.sim.now  # noqa: E731 - tiny closure
         self.model = HealthModel(clock=clock)
         self.alerts = AlertLog()
-        #: the server's time-series registry, or None: SLO window series
-        #: and health gauges land there
+        #: the server's time-series registry, or None: the health gauges
+        #: land there
         self.timeseries = server.timeseries
         self.slos = SLOEngine(clock=clock, log=self.alerts,
-                              exemplar_fn=self._exemplars,
-                              timeseries=self.timeseries)
+                              exemplar_fn=self._exemplars)
         default_slos(server, self.slos)
         #: peer server → (stamp, statuses) from the last gossip exchange
         self._peer_views: Dict[str, Tuple[float, Dict[str, str]]] = {}

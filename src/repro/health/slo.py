@@ -4,24 +4,16 @@ An :class:`SLOSpec` states an objective over a service-level indicator —
 ``error_rate``: the fraction of failed requests stays under the error
 budget (``1 - objective``); ``latency``: a latency quantile stays under
 ``threshold`` sim-seconds.  The :class:`SLOEngine` samples each spec's
-cumulative counters on the monitor's heartbeat tick, records the
-per-tick *increments* into ``slo.<name>.total`` / ``slo.<name>.bad``
-counter series in a :class:`~repro.obs.TimeSeriesRegistry`, and
-evaluates the classic multi-window burn-rate rule (Google SRE
-workbook) by *querying the store*: a window's (total, bad) is the sum
-of the counter buckets that start strictly after ``now - window``.
-With samples taken at bucket-aligned times (the monitor period is a
-multiple of the bucket width) this is bit-for-bit the same arithmetic
-as a private sample deque — the left window edge is the last sample at
-or before the cutoff, so the window delta is exactly the increments
-recorded strictly after it.  E13 breaks this, unfixed: 0.25 s ticks
-into 1 s buckets, so its "1 s" window holds one tick on a bucket
-boundary and four at ``.75``, and its page alert flaps on boundaries
-where a width-0.25 engine fed the same samples holds (EXPERIMENTS E13).
-An alert
-fires when *both* the short and the long window of a pair burn the
-error budget faster than the pair's factor, and resolves when the pair
-clears.  Two pairs are evaluated per spec — a fast pair (page: short
+cumulative counters on the monitor's heartbeat tick into a bounded deque
+of ``(t, total, bad)`` samples of its own, and evaluates the classic
+multi-window burn-rate rule (Google SRE workbook) over it: a window's
+(total, bad) is the newest sample minus the last one at or before
+``now - window`` (the first sample, a baseline, until the window has
+filled).  That is exact for any heartbeat period and any phase — a
+server restarted at an odd instant reads the same windows as one that
+ticked from zero.  An alert fires when *both* the short and the long
+window of a pair burn the error budget faster than the pair's factor,
+and resolves when the pair clears.  Two pairs are evaluated per spec — a fast pair (page: short
 outage, steep burn) and a slow pair (ticket: slow leak) — with window
 lengths expressed in *sim* seconds so scenarios can compress "5m/1h"
 into a tractable virtual run.
@@ -36,30 +28,23 @@ so an alert links straight to a cross-server trace of the damage.
 Like the rest of the health plane, evaluation is plain bookkeeping:
 no events, no messages, no CPU charges.
 
-What a tick costs the host: per spec, a total and a bad sum for each
-distinct window of its two pairs (six with the defaults: 1, 5, 20 s),
-each reading the buckets inside its window plus one per tier — the
-store keeps every tier's buckets in time order and a sum stops at the
-first one at or before the cutoff — so O(window) buckets however long
-the server has been up; a latency spec adds one call of its sample
-function (the monitor's default reads the http reservoir's p99, which
-costs the samples that changed since the last tick, not a sort of all
-1 024, and nothing if no request arrived).  Trace exemplars (a walk
+What a tick costs the host: per spec, one sample appended (a latency
+spec adds one call of its sample function — the monitor's default reads
+the http reservoir's p99, which costs the samples that changed since the
+last tick, not a sort of all 1 024) and, for each distinct window of its
+two pairs (three with the defaults: 1, 5, 20 s), a walk back from the
+newest sample to the window's edge.  Samples older than the edge of the
+longest window are dropped, so a spec holds at most longest ÷ period + 2
+of them however long the server has been up.  Trace exemplars (a walk
 over the span store) are gathered when a pair starts firing, not while
-it keeps firing.  tests/obs/test_timeseries_cost.py pins the bucket
-counts, tests/health/test_monitor.py the tick's reservoir read.
+it keeps firing.  tests/obs/test_timeseries_cost.py pins the retention,
+tests/health/test_monitor.py the tick's reservoir read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
-
-from repro.obs import TimeSeriesRegistry
-
-#: bucket width of a private SLO store, sim-seconds; monitor periods
-#: are multiples of this, keeping window sums exact (see module doc)
-DEFAULT_BUCKET_WIDTH = 0.25
 
 #: default fast pair: (short window, long window, burn factor) — the
 #: "page" rule; sim-seconds, scaled for runs tens of seconds long
@@ -106,10 +91,15 @@ class SLOSpec:
         self.objective = objective
         self.threshold = threshold
         self.description = description
-        #: (short, long, factor) window pairs; the long window also sets
-        #: how much history the engine retains for the spec
+        #: (short, long, factor) window pairs
         self.fast = fast
         self.slow = slow
+
+    @property
+    def longest(self) -> float:
+        """The widest window: the compliance window, and how much history
+        the engine retains for the spec."""
+        return max(self.fast[1], self.slow[1])
 
     @property
     def budget(self) -> float:
@@ -230,109 +220,97 @@ class AlertLog:
                 "deduplicated": self.deduplicated}
 
 
-class SLOEngine:
-    """Evaluates registered SLO specs over store-backed sliding windows.
+#: one cumulative sample of a spec: (sim time, total, bad)
+Sample = Tuple[float, float, float]
 
-    Each spec owns two counter series in the time-series registry —
-    ``slo.<name>.total`` and ``slo.<name>.bad`` — holding the per-tick
-    increments of its cumulative sample.  The first sample is a
-    baseline and records nothing, so every window query ("buckets
-    starting strictly after the cutoff") reproduces the sample-deque
-    arithmetic exactly.
-    """
+
+class SLOEngine:
+    """Evaluates registered SLO specs over sliding windows of its own
+    cumulative samples (see the module doc for the window rule)."""
 
     def __init__(self, *, clock: Callable[[], float],
                  log: Optional[AlertLog] = None,
-                 exemplar_fn: Optional[Callable[[float], List[int]]] = None,
-                 timeseries: Optional[TimeSeriesRegistry] = None,
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
+                 exemplar_fn: Optional[Callable[[float], List[int]]] = None
+                 ) -> None:
         self._clock = clock
         self.log = log if log is not None else AlertLog()
         #: ``exemplar_fn(window_start) -> [trace_id, ...]`` — supplied by
         #: the monitor, which can reach the deployment's span store
         self.exemplar_fn = exemplar_fn
-        #: the backing store; a server passes its shared registry so SLO
-        #: series land next to the emitters', else we keep a private one
-        self.timeseries = (timeseries if timeseries is not None
-                           else TimeSeriesRegistry(clock=clock,
-                                                   bucket_width=bucket_width))
-        #: spec name → (spec, sample_fn, (total series, bad series))
+        #: spec name → (spec, sample_fn, samples, oldest first)
         self._specs: Dict[str, Tuple[SLOSpec, Callable[[], Any],
-                                     Tuple[str, str]]] = {}
-        #: spec name → last cumulative (total, bad); None until baselined
-        self._last: Dict[str, Optional[Tuple[float, float]]] = {}
+                                     Deque[Sample]]] = {}
 
     def add(self, spec: SLOSpec, sample_fn: Callable[[], Any]) -> SLOSpec:
         """Register a spec with its cumulative-sample source."""
         if spec.name in self._specs:
             raise ValueError(f"SLO {spec.name!r} already registered")
-        self._specs[spec.name] = (spec, sample_fn,
-                                  (f"slo.{spec.name}.total",
-                                   f"slo.{spec.name}.bad"))
-        self._last[spec.name] = None
+        self._specs[spec.name] = (spec, sample_fn, deque())
         return spec
 
     def specs(self) -> List[SLOSpec]:
-        return [spec for spec, _fn, _series in self._specs.values()]
+        return [spec for spec, _fn, _samples in self._specs.values()]
 
     # -- sampling ----------------------------------------------------------
     def observe(self) -> None:
         """Take one sample of every spec and re-evaluate its windows."""
         now = self._clock()
-        for name, (spec, sample_fn, series) in self._specs.items():
-            prev = self._last[name]
-            total, bad = self._cumulative(spec, sample_fn, prev)
-            self._last[name] = (float(total), float(bad))
-            if prev is not None:
-                d_total = float(total) - prev[0]
-                d_bad = float(bad) - prev[1]
-                if d_total:
-                    self.timeseries.inc(series[0], d_total)
-                if d_bad:
-                    self.timeseries.inc(series[1], d_bad)
-            self._evaluate(spec, series, now)
-
-    def _cumulative(self, spec: SLOSpec, sample_fn, prev):
-        if spec.kind == "error_rate":
-            total, bad = sample_fn()
-            return total, bad
-        # latency: one observation per tick, bad when over threshold
-        value = sample_fn()
-        prev_total, prev_bad = prev if prev is not None else (0.0, 0.0)
-        bad = 1.0 if (value is not None
-                      and value > spec.threshold) else 0.0
-        return prev_total + 1.0, prev_bad + bad
+        for spec, sample_fn, samples in self._specs.values():
+            if spec.kind == "error_rate":
+                total, bad = sample_fn()
+            else:
+                # latency: one observation per tick, bad when over threshold
+                value = sample_fn()
+                _t, total, bad = samples[-1] if samples else (now, 0.0, 0.0)
+                total += 1.0
+                if value is not None and value > spec.threshold:
+                    bad += 1.0
+            samples.append((now, float(total), float(bad)))
+            # keep the longest window's edge sample and everything after it
+            horizon = now - spec.longest
+            while len(samples) > 1 and samples[1][0] <= horizon:
+                samples.popleft()
+            self._evaluate(spec, samples, now)
 
     # -- evaluation --------------------------------------------------------
     def burn_rate(self, name: str, window: float) -> float:
-        """Burn rate of one spec over the trailing ``window`` sim-seconds.
+        """Burn rate of one spec over the trailing ``window`` sim-seconds
+        (at most the spec's longest window).
 
         The burn rate is the bad fraction observed in the window divided
         by the error budget: 1.0 means the budget is being spent exactly
         at the sustainable rate, ``k`` means ``k``× too fast.
         """
-        spec, _fn, series = self._specs[name]
-        return self._burn(spec, series, self._clock(), window)
+        spec, _fn, samples = self._specs[name]
+        return self._burn(spec, samples, self._clock(), window)
 
-    def _window(self, series: Tuple[str, str], now: float,
+    @staticmethod
+    def _window(samples: Deque[Sample], now: float,
                 window: float) -> Tuple[float, float]:
-        """(total, bad) increments in the trailing ``window``."""
+        """(total, bad) counted in the trailing ``window``."""
+        if not samples:
+            return 0.0, 0.0
         cutoff = now - window
-        return (self.timeseries.window_sum(series[0], cutoff),
-                self.timeseries.window_sum(series[1], cutoff))
+        edge = samples[0]  # the baseline, until the window has filled
+        for sample in reversed(samples):
+            if sample[0] <= cutoff:
+                edge = sample
+                break
+        newest = samples[-1]
+        return newest[1] - edge[1], newest[2] - edge[2]
 
-    def _burn(self, spec: SLOSpec, series: Tuple[str, str], now: float,
+    def _burn(self, spec: SLOSpec, samples: Deque[Sample], now: float,
               window: float) -> float:
-        total, bad = self._window(series, now, window)
+        total, bad = self._window(samples, now, window)
         if total <= 0:
             return 0.0
         return (bad / total) / spec.budget
 
-    def _evaluate(self, spec: SLOSpec, series: Tuple[str, str],
+    def _evaluate(self, spec: SLOSpec, samples: Deque[Sample],
                   now: float) -> None:
-        # each distinct window is summed once: with the default pairs the
+        # each distinct window is read once: with the default pairs the
         # fast pair's long window is the slow pair's short one
-        burns = {window: self._burn(spec, series, now, window)
+        burns = {window: self._burn(spec, samples, now, window)
                  for window in {*spec.fast[:2], *spec.slow[:2]}}
         for severity, (short, long_, factor) in (
                 (SEVERITY_PAGE, spec.fast), (SEVERITY_TICKET, spec.slow)):
@@ -356,17 +334,16 @@ class SLOEngine:
         """Per-spec compliance over the slow-long window (the widest)."""
         now = self._clock()
         out = {}
-        for name, (spec, _fn, series) in sorted(self._specs.items()):
-            window = max(spec.fast[1], spec.slow[1])
-            total, bad = self._window(series, now, window)
+        for name, (spec, _fn, samples) in sorted(self._specs.items()):
+            total, bad = self._window(samples, now, spec.longest)
             sli = 1.0 - (bad / total) if total > 0 else 1.0
             out[name] = {
                 "kind": spec.kind,
                 "objective": spec.objective,
                 "sli": sli,
                 "compliant": sli >= spec.objective or total == 0,
-                "burn_fast": self._burn(spec, series, now, spec.fast[0]),
-                "burn_slow": self._burn(spec, series, now, spec.slow[0]),
+                "burn_fast": self._burn(spec, samples, now, spec.fast[0]),
+                "burn_slow": self._burn(spec, samples, now, spec.slow[0]),
                 "window_total": total,
                 "window_bad": bad,
             }

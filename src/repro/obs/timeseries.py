@@ -211,9 +211,9 @@ class TimeSeries:
     recording or eviction and keeps them so (also under a clock that
     steps backwards); ``merge_from`` and ``from_dict`` restore the order
     afterwards.  Readers lean on it: the oldest bucket is the first key,
-    the newest the last, and a window or range read scans a tier from
-    its newest bucket and stops at the first one out of range — its
-    cost follows the window asked for, not the history retained.
+    the newest the last, and a range read scans a tier from its newest
+    bucket and stops at the first one out of range — its cost follows
+    the range asked for, not the history retained.
     """
 
     __slots__ = ("name", "kind", "width", "max_buckets", "tiers", "points")
@@ -320,26 +320,6 @@ class TimeSeries:
                     out.append((t0, w, value))
         out.sort(key=lambda item: item[0])
         return out
-
-    def window_sum(self, cutoff: float) -> float:
-        """Sum of counter buckets whose start lies strictly after ``cutoff``.
-
-        This is the SLO engine's window rule: with observations recorded
-        at bucket-aligned times, "bucket start > cutoff" is exactly
-        "observation time > cutoff" (see repro.health.slo).  Each tier
-        is read from its newest bucket back to the first one at or
-        before the cutoff, so a call touches the window's buckets plus
-        one per tier, however long the series is; the fold is therefore
-        newest first (exact for integer-valued counts).
-        """
-        total = 0.0
-        for t, tier in enumerate(self.tiers):
-            w = self.width * (1 << t)
-            for index, value in reversed(tier.items()):
-                if index * w <= cutoff:
-                    break
-                total += value
-        return total
 
     def merged_histogram(self, start: float, end: float) -> LogHistogram:
         merged = LogHistogram()
@@ -538,16 +518,6 @@ class TimeSeriesRegistry:
             value = latest[1]
             return value.quantile(q) if series.kind == HISTOGRAM else value
         raise ValueError(f"unknown query fn: {fn!r}")
-
-    def window_sum(self, name: str, cutoff: float) -> float:
-        """Counter sum over buckets starting strictly after ``cutoff``
-        (an unknown series sums to 0.0; a histogram has no such sum)."""
-        series = self._series.get(name)
-        if series is None:
-            return 0.0
-        if series.kind == HISTOGRAM:
-            raise ValueError(f"series {name!r} is a histogram")
-        return series.window_sum(cutoff)
 
     def histogram_summary(self, name: str, *, start: Optional[float] = None,
                           end: Optional[float] = None) -> Dict[str, float]:

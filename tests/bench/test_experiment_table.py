@@ -26,7 +26,9 @@ from repro.net.costs import CostModel
 #: (so ``quick`` is ``full``), captured at the parent of PR 20 — where
 #: each scenario body still sat in its own benchmark file — by calling it
 #: at its full parameters after ``reset_runtime_ids()``, as
-#: ``Experiment.run`` does
+#: ``Experiment.run`` does; ``ts_series`` / ``ts_points`` (here and in
+#: the drills' rows) and E13's ``merged_*`` have since dropped by exactly
+#: the ``slo.*`` series and points the SLO engine no longer writes
 PAPER_ROWS = json.loads(
     (Path(__file__).parent / "paper_rows.json").read_text())
 #: the E10b, E11, E12 and E13 drills' quick rows, ``recovery_wall_ms``
@@ -37,14 +39,21 @@ DRILL_ROWS = json.loads(
 
 
 @pytest.fixture(scope="module")
-def quick_rows():
-    """Every experiment's quick rows, run once for the whole module."""
-    rows = {}
+def quick_runs():
+    """Every experiment's quick rows and live object, run once for the
+    whole module."""
+    runs = {}
     for exp_id, entry in EXPERIMENTS.items():
-        rows[exp_id], live = entry.run(quick=True)
+        rows, live = entry.run(quick=True)
         if hasattr(live, "stop"):
             live.stop()
-    return rows
+        runs[exp_id] = rows, live
+    return runs
+
+
+@pytest.fixture(scope="module")
+def quick_rows(quick_runs):
+    return {exp_id: rows for exp_id, (rows, _live) in quick_runs.items()}
 
 
 def test_table_ids_are_the_headings_of_experiments_md():
@@ -71,6 +80,24 @@ def test_drill_rows_are_pinned_bit_for_bit(quick_rows, exp_id):
     rows = [{key: value for key, value in row.items()
              if key != "recovery_wall_ms"} for row in quick_rows[exp_id]]
     assert json.loads(json.dumps(rows)) == DRILL_ROWS[exp_id]
+
+
+def test_the_ledger_and_the_traffic_trace_count_the_same_bytes(quick_runs):
+    """Each frame hop is booked twice — by the network's traffic trace and
+    by the cost ledger's principal — and wherever a quick run leaves a
+    ledger the two totals agree to the byte, delivered and dropped."""
+    checked = []
+    for exp_id, (_rows, live) in quick_runs.items():
+        ledger = getattr(live, "ledger", None)
+        if ledger is None:
+            continue
+        trace = live.net.trace
+        assert ledger.total.wan_bytes > 0, exp_id
+        assert (ledger.total.lan_bytes, ledger.total.wan_bytes,
+                ledger.total.dropped_bytes) == (
+            trace.lan_bytes, trace.wan_bytes, trace.dropped.bytes), exp_id
+        checked.append(exp_id)
+    assert checked == ["E10b", "E14"]
 
 
 #: (experiment, row, field, planted value): each breaks exactly one fact
@@ -182,7 +209,7 @@ def test_e13_quick_literals(quick_rows):
     (row,) = quick_rows["E13"]
     assert row["breach_delay_s"] == -0.29
     assert row["p99_ratio"] == 1.0
-    assert (row["merged_series"], row["merged_points"]) == (20, 2711)
+    assert (row["merged_series"], row["merged_points"]) == (16, 2240)
 
 
 def test_e14_quick_literals_and_determinism(quick_rows):

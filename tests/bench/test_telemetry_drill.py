@@ -85,6 +85,38 @@ def test_a_fault_after_the_run_is_refused():
         run_telemetry_drill(duration=6.0, kill_at=6.5, outage=1.5)
 
 
+def test_each_alert_pair_fires_once_per_outage(drill):
+    """The full drill's 0.25 s ticks into 1 s buckets: the request page
+    holds from the first failed tick until the 1 s window has cleared,
+    with no resolve and re-fire on a bucket boundary in between."""
+    row, collab, _merged = drill
+    log = collab.servers["d0-server"].health.alerts.history()
+    pairs = [(alert.slo, alert.severity) for alert in log]
+    assert len(pairs) == len(set(pairs)) == 4
+    lifetimes = {(alert.slo, alert.severity):
+                 (alert.fired_at, alert.resolved_at) for alert in log}
+    assert lifetimes[("request_error_rate", "page")] == (13.25, 15.25)
+    assert lifetimes[("request_error_rate", "ticket")] == (13.25, 19.25)
+    assert (row["alerts_fired"], row["alerts_resolved"]) == (4, 4)
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_alert_log_does_not_depend_on_the_bucket_width():
+    """The 0.25 s heartbeat ticks into 0.25, 0.5 and 1 s buckets; the SLO
+    windows are the engine's own samples, so every alert record — fire
+    and resolve times, both burn rates, the exemplars — is the same."""
+    logs = []
+    for width in (0.25, 0.5, 1.0):
+        _row, collab, _merged = run_telemetry_drill(
+            duration=15.0, kill_at=5.0, bucket_width=width)
+        collab.stop()
+        logs.append([alert.to_record() for alert in
+                     collab.servers["d0-server"].health.alerts.history()])
+    assert logs[0]
+    assert logs[1] == logs[0]
+    assert logs[2] == logs[0]
+
+
 def test_drill_is_deterministic(drill):
     row, _collab, _merged = drill
     again, collab2, _merged2 = run_telemetry_drill()

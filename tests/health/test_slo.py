@@ -238,100 +238,11 @@ class TestAlertLog:
         assert record["exemplars"] == [3]
 
 
-class TestStoreBackedParity:
-    """The engine's windows are *queries* over the shared time-series
-    store; burn rates and page/ticket decisions must match what the raw
-    bucket series hand-compute — and what the private-accumulator tests
-    above established."""
-
-    def make_store_engine(self):
-        from repro.obs import TimeSeriesRegistry
-
-        clock = Clock()
-        ts = TimeSeriesRegistry(clock=clock, bucket_width=0.25)
-        engine = SLOEngine(clock=clock, timeseries=ts)
-        source = Source()
-        spec = SLOSpec("err", objective=0.9,
-                       fast=(1.0, 2.0, 5.0), slow=(2.0, 4.0, 2.0))
-        engine.add(spec, source)
-        return clock, engine, source, ts, spec
-
-    def test_burn_rates_match_hand_computed_bucket_sums(self):
-        clock, engine, source, ts, spec = self.make_store_engine()
-        for t, good, bad in ((0.0, 10, 0), (1.0, 5, 5), (2.0, 10, 0)):
-            clock.now = t
-            source.add(good, bad=bad)
-            engine.observe()
-
-        def burn_from_buckets(window):
-            cutoff = clock.now - window
-            total = ts.window_sum("slo.err.total", cutoff)
-            bad = ts.window_sum("slo.err.bad", cutoff)
-            return (bad / total) / spec.budget if total else 0.0
-
-        for window in (1.0, 2.0, 4.0):
-            assert engine.burn_rate("err", window) == burn_from_buckets(window)
-        # and the PR 5 hand-computed expectations still hold exactly
-        assert engine.burn_rate("err", 1.0) == 0.0
-        assert engine.burn_rate("err", 2.0) == pytest.approx(2.5)
-
-    def test_decisions_match_synthetic_bucket_series(self):
-        clock, engine, source, ts, spec = self.make_store_engine()
-        source.add(10)
-        engine.observe()
-        clock.now = 1.0
-        source.add(0, bad=10)
-        engine.observe()
-
-        # hand-evaluate the multi-window rule from the raw bucket dump
-        totals = {p["t"]: p["value"]
-                  for p in ts.query("slo.err.total", "points")}
-        bads = {p["t"]: p["value"]
-                for p in ts.query("slo.err.bad", "points")}
-
-        def burn(window):
-            total = sum(v for t, v in totals.items()
-                        if t > clock.now - window)
-            bad = sum(v for t, v in bads.items() if t > clock.now - window)
-            return (bad / total) / spec.budget if total else 0.0
-
-        page = (burn(spec.fast[0]) >= spec.fast[2]
-                and burn(spec.fast[1]) >= spec.fast[2])
-        ticket = (burn(spec.slow[0]) >= spec.slow[2]
-                  and burn(spec.slow[1]) >= spec.slow[2])
-        assert page and ticket
-        assert [(a.slo, a.severity) for a in engine.log.active()] == [
-            ("err", SEVERITY_PAGE), ("err", SEVERITY_TICKET)]
-        assert engine.log.active()[0].burn_short == pytest.approx(10.0)
-
-    def test_store_backed_engine_matches_private_engine_bitwise(self):
-        """Same input stream -> identical burn rates and alert history,
-        whether the engine writes to a shared fleet registry or its own
-        private one."""
-        clock_a, engine_a, source_a = make_engine()
-        clock_b, engine_b, source_b, _ts, _spec = self.make_store_engine()
-        schedule = [(0.0, 10, 0), (0.5, 3, 1), (1.0, 0, 10), (1.5, 0, 5),
-                    (3.0, 100, 0), (4.5, 100, 0), (6.0, 100, 0),
-                    (8.0, 100, 0)]
-        for t, good, bad in schedule:
-            for clock, engine, source in ((clock_a, engine_a, source_a),
-                                          (clock_b, engine_b, source_b)):
-                clock.now = t
-                source.add(good, bad=bad)
-                engine.observe()
-            for window in (1.0, 2.0, 4.0):
-                assert (engine_a.burn_rate("err", window)
-                        == engine_b.burn_rate("err", window))
-        hist_a = [a.to_record() for a in engine_a.log.history()]
-        hist_b = [a.to_record() for a in engine_b.log.history()]
-        assert hist_a == hist_b
-        assert engine_a.compliance() == engine_b.compliance()
-
-
 class DequeReference:
-    """The private-accumulator engine the store replaced: cumulative
-    ``(t, total, bad)`` samples in a deque, a window's delta taken
-    against the last sample at or before its left edge."""
+    """The window rule, kept apart from the engine: cumulative
+    ``(t, total, bad)`` samples in a deque that is never trimmed, a
+    window's delta taken against the last sample at or before its left
+    edge."""
 
     def __init__(self, spec):
         from collections import deque
@@ -371,11 +282,12 @@ class DequeReference:
                 del self.active[severity]
 
 
-def test_long_run_alert_log_matches_the_sample_deque_exactly():
-    """2 000 ticks (1 000 sim-s, 15x the 64 s tier 0 keeps): buckets fold
-    through every tier and finally drop, with bad bursts before and after
-    each of those moments.  Fire/resolve times and both burn rates equal
-    the deque arithmetic bit for bit."""
+def run_against_reference(period, start=0.0, until=1000.0):
+    """Tick an engine and the reference every ``period`` sim-seconds from
+    ``start`` to ``until``: bad bursts, and between 600 and 640 s a slow
+    leak that only the ticket pair catches.  Returns the engine's alert
+    records and the reference's, checking on every tick that the engine
+    holds at most longest ÷ period + 2 samples."""
     import random
 
     clock = Clock()
@@ -383,13 +295,12 @@ def test_long_run_alert_log_matches_the_sample_deque_exactly():
     source = Source()
     spec = engine.add(SLOSpec("err", objective=0.99), source)
     reference = DequeReference(spec)
-    # tier 0 starts folding at 64 s, tier 1 at 192 s, tier 2 at 448 s and
-    # the coarsest tier drops from 960 s on; the 600 s stretch is a slow
-    # leak that only the ticket pair catches
+    _spec, _fn, held = engine._specs["err"]
     bursts = [(20, 26), (58, 70), (186, 198), (440, 455), (952, 968)]
     rng = random.Random(15)
-    for tick in range(2000):
-        now = clock.now = tick * 0.5
+    tick = 0
+    while start + tick * period < until:
+        now = clock.now = start + tick * period
         bad = 0
         if any(lo <= now < hi for lo, hi in bursts):
             bad = rng.randint(0, 12)
@@ -398,9 +309,27 @@ def test_long_run_alert_log_matches_the_sample_deque_exactly():
         source.add(rng.randint(5, 20), bad=bad)
         engine.observe()
         reference.observe(now, source.total, source.bad)
+        assert len(held) <= spec.longest / period + 2
+        tick += 1
     records = [a.to_record() for a in engine.log.history()]
     assert records == reference.records
     severities = {r["severity"] for r in records}
     assert severities == {SEVERITY_PAGE, SEVERITY_TICKET}
     assert len(records) >= 2 * len(bursts)
     assert all(r["resolved_at"] is not None for r in records)
+    return records
+
+
+def test_long_run_alert_log_matches_the_sample_deque_exactly():
+    """2 000 ticks of 0.5 s from 0 (1 000 sim-s): fire/resolve times and
+    both burn rates equal the untrimmed deque's arithmetic bit for bit."""
+    run_against_reference(0.5)
+
+
+@pytest.mark.parametrize("period, start", [(0.3, 0.0), (0.25, 7.13)],
+                         ids=["0.3s-ticks", "0.25s-ticks-from-7.13"])
+def test_alert_log_matches_the_sample_deque_at_any_period_and_phase(
+        period, start):
+    """No tick lands on a round instant: a period that divides no window
+    edge, and a heartbeat started at a restart instant."""
+    run_against_reference(period, start)

@@ -305,8 +305,13 @@ POLLS = 57
 #: written yet is not asked): 8 283.  The traffic trace keeps no per-trace
 #: table any more — a trace's bytes are its ``net.hop`` spans — so each of
 #: the 73 traced hops makes one ``TrafficTrace._trace_counter`` call fewer:
-#: 8 210)
-FRAME_PATH_CALLS = 8_210
+#: 8 210.  The SLO engine keeps its windows in its own samples, not in
+#: ``slo.*`` series of the registry — 406 calls fewer: the registry's
+#: ``window_sum`` 192 (16 heartbeats × 2 specs × 3 windows × 2 series) and
+#: the series' own 90; the 30 increments the ticks wrote, each a registry
+#: ``inc``, ``_get``, series ``inc`` and ``_open``, 120; and the two series
+#: they created, a ``TimeSeries.__init__`` and its tier list each, 4: 7 804)
+FRAME_PATH_CALLS = 7_804
 
 
 @pytest.mark.usefixtures("session_ids_kept")

@@ -137,6 +137,5 @@ def test_status_timeseries_series_names(collab):
         "health.status.healthy",
         "pipeline.latency.channel", "pipeline.latency.http",
         "pipeline.requests.channel", "pipeline.requests.http",
-        "slo.deliver_command_p99.total", "slo.request_error_rate.total",
         "storage.wal_append_us", "storage.wal_appends",
     }

@@ -257,21 +257,6 @@ class TestRegistryQueries:
             reg.query("c", "median")
         with pytest.raises(ValueError):
             reg.observe("c", 1.0)  # kind mismatch
-        assert reg.window_sum("nope", 0.0) == 0.0
-
-    def test_window_sum_rejects_histograms(self):
-        reg, _ = self.make()
-        reg.observe("lat", 0.05)
-        with pytest.raises(ValueError, match="'lat'"):
-            reg.window_sum("lat", -1.0)
-
-    def test_window_sum_is_strict(self):
-        reg, clock = self.make(width=0.25)
-        for now in (0.25, 0.5, 0.75):
-            clock["now"] = now
-            reg.inc("c")
-        assert reg.window_sum("c", 0.25) == 2.0  # bucket at 0.25 excluded
-        assert reg.window_sum("c", 0.0) == 3.0
 
     def test_exemplars_surface_through_registry(self):
         reg, clock = self.make()
@@ -406,9 +391,6 @@ def assert_ordered_and_consistent(reg, cutoffs):
                 newest = (t0, value)
         assert series.latest() == newest
         for cutoff in cutoffs:
-            if series.kind == "counter":
-                assert reg.window_sum(name, cutoff) == sum(
-                    v for t0, _, v in buckets if t0 > cutoff)
             if series.kind != "gauge":
                 expected = sum(
                     v.count if series.kind == "histogram" else v
@@ -429,8 +411,8 @@ def assert_ordered_and_consistent(reg, cutoffs):
 def test_tier_keys_stay_ascending_and_reads_match_brute_force(ops, rng):
     """Interleaved inc / set_gauge / observe under a clock that can step
     backwards, fleet merges in shuffled order and a dump round trip all
-    keep every tier's keys strictly ascending; ``window_sum``, ``latest``
-    and ``query(..., "sum")`` agree with a fold over every bucket."""
+    keep every tier's keys strictly ascending; ``latest`` and
+    ``query(..., "sum")`` agree with a fold over every bucket."""
     clock = {"now": 10.0}
 
     def make():

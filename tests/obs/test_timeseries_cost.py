@@ -1,9 +1,9 @@
-"""What a window read, an eviction and an SLO evaluation cost follows the
-window asked for, not the history retained — as counts of buckets read,
-with no timing (in the spirit of tests/storage/test_snapshot_cost.py)."""
+"""What a range read, an eviction and an SLO evaluation cost follows the
+window asked for, not the history retained — as counts of buckets read
+and of samples held, with no timing (in the spirit of
+tests/storage/test_snapshot_cost.py)."""
 
 from repro.health import SLOEngine, SLOSpec
-from repro.obs import TimeSeriesRegistry
 from repro.obs.timeseries import TimeSeries
 
 WIDTH = 0.25
@@ -68,14 +68,16 @@ def counter_with_history(seconds):
     return series
 
 
-def test_window_sum_reads_the_window_not_the_history():
+def test_a_range_read_reads_the_range_not_the_history():
     window = 20.0
     for history in (10 * window, 100 * window):
         series = counter_with_history(history)
         assert series.tiers[1]  # history reaches past tier 0
         reads = count_reads(series)
-        assert series.window_sum(history - window) == window / WIDTH
-        assert reads[0] <= window / WIDTH + N_TIERS
+        buckets = series.buckets_between(history - window, history + WIDTH)
+        assert sum(value for _t0, _w, value in buckets) == window / WIDTH + 1
+        # the range's buckets, plus the one each tier stops at
+        assert reads[0] <= window / WIDTH + 1 + N_TIERS
 
 
 def test_evicting_a_bucket_reads_a_constant_number_of_keys():
@@ -87,45 +89,32 @@ def test_evicting_a_bucket_reads_a_constant_number_of_keys():
 
 
 TICK = 0.5
-SLO_RING = 64  # buckets per tier: both tiers are full after 96 sim-s
 
 
-def slo_reads_after(seconds):
-    """Run an engine for ``seconds`` of ticks, then count the buckets
-    one more ``observe()`` reads."""
+def slo_samples_after(seconds):
+    """Run an engine for ``seconds`` of ticks; the samples each spec holds."""
     clock = {"now": 0.0}
-    store = TimeSeriesRegistry(clock=lambda: clock["now"], bucket_width=WIDTH,
-                               max_buckets=SLO_RING, n_tiers=2)
-    engine = SLOEngine(clock=lambda: clock["now"], timeseries=store)
+    engine = SLOEngine(clock=lambda: clock["now"])
     source = {"total": 0, "bad": 0}
     engine.add(SLOSpec("err"), lambda: (source["total"], source["bad"]))
     engine.add(SLOSpec("lat", kind="latency", threshold=0.5), lambda: 0.1)
-
-    def tick(k):
+    for k in range(int(seconds / TICK) + 1):
         clock["now"] = k * TICK
         source["total"] += 10
         source["bad"] += 1
         engine.observe()
-
-    ticks = int(seconds / TICK)
-    for k in range(ticks):
-        tick(k)
-    series = [store.series(name) for name in store.names()]
-    assert all(len(tier) == SLO_RING for one in series for tier in one.tiers)
-    reads = count_reads(*series)
-    tick(ticks)
-    return reads[0], len(series)
+    return {name: len(samples)
+            for name, (_spec, _fn, samples) in engine._specs.items()}
 
 
 def test_slo_evaluation_reads_the_same_at_100_and_at_1000_seconds():
-    short, n_series = slo_reads_after(100.0)
-    long_, _ = slo_reads_after(1000.0)
-    assert short == long_
-    # per series: the tick's new bucket pushes one out of each full tier
-    # (a few keys), then each distinct default window reads its own ticks
-    # plus the bucket it stops at in either tier — the 5 s window, both
-    # the page pair's long and the ticket pair's short one, is read once
-    windows = (1.0, 5.0, 20.0)
-    per_series = 4 + sum(w / TICK + 2 for w in windows)
-    assert 0 < short <= n_series * per_series
-    assert per_series < 2 * SLO_RING  # the all-buckets scan it replaces
+    """An evaluation walks back over the samples a spec holds, and the
+    engine drops those older than its longest window's edge: at most
+    longest ÷ period + 2 of them (42 at the defaults), however long the
+    server has been up."""
+    bound = SLOSpec("x").longest / TICK + 2
+    assert bound == 42
+    short = slo_samples_after(100.0)
+    assert short == slo_samples_after(1000.0)
+    assert set(short) == {"err", "lat"}
+    assert all(0 < held <= bound for held in short.values())
