@@ -150,6 +150,27 @@ class Simulator:
         """Create an event that fires after ``delay`` virtual time units."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A :class:`Timeout` that fires at absolute virtual time ``when``
+        (>= now): the waitable sibling of :meth:`schedule_at`, same ``seq``
+        tiebreak, and there for the same two-addition reason — a process
+        that accumulated ``when`` over several steps keeps it bit-for-bit
+        only by handing over the sum, not a delay.  ``when == now`` lands
+        in the current-instant bucket, as ``timeout(0.0)`` does.
+        """
+        if when > self.now:
+            ev = Timeout.__new__(Timeout)
+            SimEvent.__init__(ev, self)
+            ev.delay = when - self.now
+            ev._value = value
+            self._seq += 1
+            heapq.heappush(self._heap, (when, NORMAL, self._seq, ev))
+            return ev
+        if when == self.now:
+            return Timeout(self, 0.0, value)
+        raise SimulationError(
+            f"timeout_at({when}) is in the past (now={self.now})")
+
     def spawn(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process driven by ``generator``."""
         return Process(self, generator, name=name)

@@ -8,6 +8,17 @@ not lost while the application is busy computing" (§4.1) — so the
 application announces its phase transitions on the control channel, and the
 server flushes buffered commands only while the application is interacting.
 
+Since nothing outside the application can see inside a compute phase, a
+compute phase is one timer.  Its steps run back to back at the phase's
+start, adding ``step_time`` to the phase's end instant once per step (the
+sum a chain of per-step timers would reach, bit for bit), and the phase
+waits once, on :meth:`~repro.sim.Simulator.timeout_at` of that instant.
+Lifecycle requests take effect at phase boundaries: pause, resume and stop
+arrive through the :class:`InteractionAgent` in the interaction phase, and
+an out-of-band :meth:`request_stop` (``CogJobService.cancel_job``) lets the
+current phase finish — the final update and the deregistration go out at
+its end instant.  A ``step_time`` of 0 makes one zero-delay timer.
+
 Channel protocol over the custom TCP channel (application → home server's
 daemon port):
 
@@ -215,12 +226,13 @@ class SteerableApplication:
     def _compute_phase(self):
         self.state = COMPUTING
         self._send(ControlMessage("phase", detail=COMPUTING))
+        step_time = self.config.step_time
+        when = self.sim.now
         for _ in range(self.config.steps_per_phase):
             self.step(self.step_index)
             self.step_index += 1
-            yield self.sim.timeout(self.config.step_time)
-            if self.state in (PAUSED, STOPPED):
-                break
+            when += step_time
+        yield self.sim.timeout_at(when)
 
     def _send_update(self) -> None:
         self.update_seq += 1

@@ -28,7 +28,9 @@ from repro.net.costs import CostModel
 #: at its full parameters after ``reset_runtime_ids()``, as
 #: ``Experiment.run`` does; ``ts_series`` / ``ts_points`` (here and in
 #: the drills' rows) and E13's ``merged_*`` have since dropped by exactly
-#: the ``slo.*`` series and points the SLO engine no longer writes
+#: the ``slo.*`` series and points the SLO engine no longer writes, and
+#: E4/E5's ``cost_events`` by exactly the non-final compute-step timers
+#: each request window saw before a compute phase became one timer
 PAPER_ROWS = json.loads(
     (Path(__file__).parent / "paper_rows.json").read_text())
 #: the E10b, E11, E12 and E13 drills' quick rows, ``recovery_wall_ms``

@@ -8,9 +8,10 @@ schedule further events mid-dispatch included.  This property test drives
 both schedulers with the same randomized workload and compares the full
 dispatch sequences.
 
-Entries reach the schedule the four ways the kernel offers — a pooled
+Entries reach the schedule the ways the kernel offers — a pooled
 callback by delay (``schedule_fn``) or by absolute time (``schedule_at``),
-and a ``Timeout`` somebody listens to or one whose listener went away
+and a ``Timeout``, by delay (``timeout``) or by absolute time
+(``timeout_at``), that somebody listens to or whose listener went away
 before it fired.  The kernel drops the last kind unrun, so the contract
 is: the survivors dispatch in exactly the reference's order with the
 abandoned entries deleted, and ``events_dispatched`` counts the survivors.
@@ -31,7 +32,8 @@ from repro.sim.kernel import NORMAL, URGENT
 #: schedule grows while it is being drained, like real processes do)
 _delays = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 1e6])
 _priorities = st.sampled_from([NORMAL, NORMAL, NORMAL, URGENT])
-_kinds = st.sampled_from(["delay", "delay", "absolute", "timer", "abandoned"])
+_kinds = st.sampled_from(["delay", "delay", "absolute", "timer", "abandoned",
+                          "timer_at", "abandoned_at"])
 _child = st.tuples(_delays, _priorities, _kinds)
 _entry = st.tuples(_delays, _priorities, _kinds, st.lists(_child, max_size=3))
 _workload = st.lists(_entry, min_size=1, max_size=30)
@@ -40,10 +42,10 @@ _workload = st.lists(_entry, min_size=1, max_size=30)
 def _as_scheduled(delay, priority, kind):
     """A timeout is always NORMAL, and one due this instant is already in
     the bucket, where nothing is dropped: it counts as listened to."""
-    if kind in ("timer", "abandoned"):
+    if kind.startswith(("timer", "abandoned")):
         priority = NORMAL
         if delay == 0.0:
-            kind = "timer"
+            kind = kind.replace("abandoned", "timer")
     return delay, priority, kind
 
 
@@ -83,9 +85,10 @@ def _dispatch_with_simulator(workload, *, stepwise: bool) -> list:
         else:
             def listener(_event):
                 fire(label)
-            timer = sim.timeout(delay)
+            timer = (sim.timeout_at(sim.now + delay) if kind.endswith("_at")
+                     else sim.timeout(delay))
             timer.callbacks.append(listener)
-            if kind == "abandoned":
+            if kind.startswith("abandoned"):
                 timer.callbacks.remove(listener)
 
     def fire(label):
@@ -110,7 +113,7 @@ def _dispatch_with_reference(workload) -> list:
 
     def push(entry, label):
         delay, priority, kind = _as_scheduled(*entry)
-        if kind != "abandoned":
+        if not kind.startswith("abandoned"):
             ref.push(delay, priority, label)
 
     def on_fire(_sched, label):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimEvent, SimulationError, Simulator
+from repro.sim import AnyOf, SimEvent, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -116,6 +116,65 @@ def test_call_at_in_past_rejected():
     sim = Simulator(start_time=5.0)
     with pytest.raises(SimulationError):
         sim.call_at(1.0, lambda: None)
+
+
+def test_timeout_at_fires_at_the_accumulated_instant():
+    """Three steps of 0.1 from 0.03 sum to 0.33, but the delay round trip
+    ``now + (when - now)`` lands one ulp later: only the absolute instant
+    keeps the sum."""
+    sim = Simulator(start_time=0.03)
+    when = sim.now
+    for _ in range(3):
+        when += 0.1
+    assert sim.now + (when - sim.now) != when  # the two-addition rule
+    fired = []
+
+    def waiter():
+        value = yield sim.timeout_at(when, "done")
+        fired.append((sim.now, value))
+
+    sim.spawn(waiter())
+    sim.run()
+    assert fired == [(when, "done")]
+
+
+def test_timeout_at_in_past_rejected():
+    sim = Simulator(start_time=5.0)
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.timeout_at(4.9)
+
+
+def test_timeout_at_now_dispatches_in_the_current_instant():
+    sim = Simulator(start_time=2.0)
+    order = []
+    for label, ev in (("a", sim.timeout(0.0)), ("b", sim.timeout_at(2.0)),
+                      ("c", sim.timeout(0.0))):
+        ev.callbacks.append(lambda _ev, label=label: order.append(label))
+    assert sim.peek() == 2.0
+    sim.run()
+    assert order == ["a", "b", "c"] and sim.now == 2.0
+    assert sim.events_dispatched == 3
+
+
+def test_abandoned_timeout_at_is_dropped():
+    """The loser of an ``AnyOf`` race is an entry nobody listens to, as
+    it is for a relative timeout: the clock visits it, nothing runs."""
+    sim = Simulator()
+    answer, expiry = sim.event(), sim.timeout_at(30.0)
+    outcome = []
+
+    def caller():
+        fired = yield AnyOf(sim, [answer, expiry])
+        outcome.append((answer in fired, sim.now))
+
+    sim.spawn(caller())
+    sim.call_at(1.0, lambda: answer.succeed("reply"))
+    sim.run(until=2.0)
+    assert outcome == [(True, 1.0)] and expiry.callbacks == []
+    before = sim.events_dispatched
+    sim.run()
+    assert sim.events_dispatched == before and sim.now == 30.0
+    assert expiry.processed
 
 
 def test_manual_event_succeed():
