@@ -102,7 +102,7 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
     costs = cost_model or CostModel()
     net = Network(sim)
     ledger = RequestCostLedger(sim)
-    net.cost_ledger = ledger
+    net.trace.ledger = ledger
     half_wan = spec.wan_latency / 2
     net.add_host("core")
     plane = DirectoryPlane(replicas=directory_replicas)

@@ -1030,10 +1030,11 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
     supports post-hoc fleet-wide analysis:
 
     - **detection**: the fleet-merged per-bucket error rate
-      (``pipeline.errors.http`` over ``pipeline.requests.http``) first
-      breaches ``breach_threshold`` — the default is the request SLO's
-      fast burn threshold, 10x a 0.1% error budget — within one bucket
-      width of the kill instant.
+      (``pipeline.errors.http`` over the ``count`` of the bucket's
+      ``pipeline.latency.http`` point) first breaches
+      ``breach_threshold`` — the default is the request SLO's fast burn
+      threshold, 10x a 0.1% error budget — within one bucket width of
+      the kill instant.
     - **recovery**: the fleet-merged ``pipeline.latency.http`` p99 over
       the post-recovery window returns to within one log-bucket
       (~9.05% < 10%) of the pre-kill baseline.  The baseline window
@@ -1060,9 +1061,9 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
     merged = collab.merged_timeseries(extra=[victim.timeseries])
 
     # detection: first bucket whose fleet error fraction breaches the
-    # fast-burn threshold
-    requests = {p["t"]: p["value"]
-                for p in merged.query("pipeline.requests.http", "points",
+    # fast-burn threshold; a bucket's requests are its latency count
+    requests = {p["t"]: p["count"]
+                for p in merged.query("pipeline.latency.http", "points",
                                       start=t0, end=end)}
     try:
         errors = merged.query("pipeline.errors.http", "points",

@@ -275,7 +275,7 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
     ledger = None
     if accounting_enabled:
         ledger = RequestCostLedger(sim)
-        net.cost_ledger = tracer.ledger = ledger
+        net.trace.ledger = tracer.ledger = ledger
 
     # Registry host (naming + trader) on the first domain's LAN — the
     # "centralized directory service like the GIS" of §6.3.

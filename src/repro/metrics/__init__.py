@@ -2,8 +2,9 @@
 
 - :class:`LatencyRecorder` — collects per-operation latencies and reduces
   them to summary statistics (mean / percentiles).
-- :class:`PipelineMetrics` — per-plane request/error counters and latency
-  histograms fed by the request pipeline's metrics interceptor.
+- :class:`PipelineMetrics` — per plane, one latency sample per request
+  (the sample count is the request count) and an error-type tally per
+  failure, fed by the request pipeline's recording interceptor.
 - :class:`FederationMetrics` — peer-cache invalidation, subscription
   lifecycle, and per-app staleness counters fed by the federation layer.
 - :class:`DirectoryMetrics` — directory-plane read/write counters, replica

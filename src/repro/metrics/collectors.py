@@ -52,18 +52,8 @@ class LatencyRecorder:
         self._open.clear()
 
 
-class _SeriesNames(dict):
-    """plane -> its (requests, latency, errors) series names, built once."""
-
-    def __missing__(self, plane: str) -> tuple:
-        names = self[plane] = (f"pipeline.requests.{plane}",
-                               f"pipeline.latency.{plane}",
-                               f"pipeline.errors.{plane}")
-        return names
-
-
 class PipelineMetrics:
-    """Per-plane request counters and latency histograms.
+    """Per-plane latency samples and error tallies, one record a request.
 
     Fed by :class:`~repro.obs.RecordingInterceptor` as every request on
     any plane (http / orb / channel) unwinds its interceptor chain; one
@@ -73,55 +63,53 @@ class PipelineMetrics:
     the pipeline (dispatch + handler), excluding the transport costs
     charged before the chain starts.
 
-    Latency samples are reservoir-bounded per plane (count and mean stay
-    exact over every request; percentiles are estimated from the
-    reservoir), so a long-running server's metrics use O(1) memory.
+    A request is counted once, as one latency sample in its plane's
+    reservoir: the reservoir's exact count is the plane's request count
+    and its exact mean the mean latency, while percentiles are estimated
+    from the bounded sample, so a long-running server's metrics use O(1)
+    memory.  A failed request also bumps its error type's tally, and the
+    plane's errors are the sum of those.
 
     Given a time-series registry (``timeseries``), every observation is
-    also recorded as sim-time series — ``pipeline.requests.<plane>`` /
-    ``pipeline.errors.<plane>`` counters and a ``pipeline.latency.<plane>`` histogram whose buckets
-    carry span-id exemplars — alongside the end-of-run snapshot path.
+    also one point of the ``pipeline.latency.<plane>`` histogram — its
+    buckets carry span-id exemplars, and each bucket's ``count`` is the
+    requests it saw — plus, on failure, one ``pipeline.errors.<plane>``
+    counter increment.
     """
 
     def __init__(self, timeseries=None) -> None:
-        self._requests: Dict[str, int] = defaultdict(int)
-        self._errors: Dict[str, int] = defaultdict(int)
         self._error_types: Dict[str, Dict[str, int]] = {}
         self._latencies: Dict[str, Reservoir] = defaultdict(Reservoir)
         #: optional TimeSeriesRegistry sink
         self.timeseries = timeseries
-        self._series = _SeriesNames()
 
-    def observe(self, plane: str, latency: Optional[float] = None,
+    def observe(self, plane: str, latency: float,
                 error_type: Optional[str] = None,
                 exemplar: Optional[int] = None) -> None:
         """Record one completed request on ``plane``."""
-        self._requests[plane] += 1
-        if latency is not None:
-            self._latencies[plane].add(latency)
-        if error_type is not None:
-            self._errors[plane] += 1
-            by_type = self._error_types.setdefault(plane, defaultdict(int))
-            by_type[error_type] += 1
+        self._latencies[plane].add(latency)
         ts = self.timeseries
         if ts is not None:
-            names = self._series[plane]
-            ts.inc(names[0])
-            if latency is not None:
-                ts.observe(names[1], latency, exemplar=exemplar)
-            if error_type is not None:
-                ts.inc(names[2])
+            ts.observe(f"pipeline.latency.{plane}", latency,
+                       exemplar=exemplar)
+        if error_type is not None:
+            by_type = self._error_types.setdefault(plane, defaultdict(int))
+            by_type[error_type] += 1
+            if ts is not None:
+                ts.inc(f"pipeline.errors.{plane}")
 
     # -- reduction --------------------------------------------------------
     def requests(self, plane: Optional[str] = None) -> int:
         if plane is None:
-            return sum(self._requests.values())
-        return self._requests.get(plane, 0)
+            return sum(r.count for r in self._latencies.values())
+        reservoir = self._latencies.get(plane)
+        return reservoir.count if reservoir is not None else 0
 
     def errors(self, plane: Optional[str] = None) -> int:
         if plane is None:
-            return sum(self._errors.values())
-        return self._errors.get(plane, 0)
+            return sum(sum(by_type.values())
+                       for by_type in self._error_types.values())
+        return sum(self._error_types.get(plane, {}).values())
 
     def error_types(self, plane: str) -> Dict[str, int]:
         return dict(self._error_types.get(plane, ()))
@@ -137,7 +125,7 @@ class PipelineMetrics:
         return reservoir.percentile(percent) if reservoir is not None else 0.0
 
     def planes(self) -> List[str]:
-        return sorted(self._requests)
+        return sorted(self._latencies)
 
     def snapshot(self) -> dict:
         """Plain-dict summary (latencies in milliseconds) for reports."""
@@ -145,16 +133,14 @@ class PipelineMetrics:
         for plane in self.planes():
             stats = self.latency_stats(plane).scaled(1e3)
             out[plane] = {
-                "requests": self._requests[plane],
-                "errors": self._errors.get(plane, 0),
+                "requests": stats.count,
+                "errors": self.errors(plane),
                 "mean_latency_ms": stats.mean,
                 "p90_latency_ms": stats.p90,
             }
         return out
 
     def clear(self) -> None:
-        self._requests.clear()
-        self._errors.clear()
         self._error_types.clear()
         self._latencies.clear()
 
@@ -247,10 +233,6 @@ class DirectoryMetrics(CounterMetrics):
 
     def read_stats(self) -> SummaryStats:
         return self._read_latency.stats()
-
-    def read_samples(self) -> List[float]:
-        """The reservoir's retained samples (for cross-server merging)."""
-        return self._read_latency.samples()
 
     def read_reservoir(self) -> Reservoir:
         """The latency reservoir itself, for exact cross-server merges."""

@@ -107,9 +107,9 @@ class _Delivery:
     The instance is the only per-frame allocation; the links it walks are
     the route's, resolved once per ``(src, dst)`` pair.
 
-    A hop that lands is written down by three bookkeepers, in this order:
-    the traffic trace (:meth:`TrafficTrace.record`), the cost ledger
-    (``account_frame_hop``, when one is attached), and — once, at the last
+    A hop that lands is written down by two bookkeepers, in this order:
+    the traffic trace (:meth:`TrafficTrace.record`, which also charges
+    the hop to the cost ledger attached to it), and — once, at the last
     hop of a frame that carries a trace context — the tracer's ``net.hop``
     span.  Then the frame is handed off.
     """
@@ -130,11 +130,8 @@ class _Delivery:
     def _arrive(self) -> None:
         net, frame, links, idx = self.net, self.frame, self.links, self.idx
         link = links[idx]
-        wan = link.kind == "wan"
         net.trace.record(link, frame)
-        if net.cost_ledger is not None:
-            net.cost_ledger.account_frame_hop(frame, wan)
-        if wan:
+        if link.kind == "wan":
             self.wan = True
         self.idx = idx = idx + 1
         if idx < len(links):
@@ -173,10 +170,6 @@ class Network:
         #: asked on every send, so a tracer that samples nothing is left
         #: unattached (``build_collaboratory``)
         self.tracer = None
-        #: optional repro.obs.RequestCostLedger — per-hop wire bytes
-        #: (LAN/WAN) and dropped frames attributed back to the request
-        #: that sent them (via Frame.trace_ctx) or to the source host
-        self.cost_ledger = None
         #: per-frame framing overhead in bytes (headers: TCP/IP + protocol)
         self.frame_overhead = frame_overhead
         #: round-trip every payload through encode/decode at hand-off.
@@ -193,10 +186,9 @@ class Network:
         self._loopback_batch: List[Frame] = []
         self._loopback_scheduled = False
         #: the most recent frames that arrived at unbound ports (bounded —
-        #: undeliverable traffic must not grow memory without limit)
+        #: undeliverable traffic must not grow memory without limit; the
+        #: total is ``trace.dropped``)
         self.dropped: Deque[Frame] = deque(maxlen=DROPPED_HISTORY)
-        #: total frames ever dropped (also mirrored into the traffic trace)
-        self.dropped_count = 0
 
     # -- construction ------------------------------------------------------
     def add_host(self, name: str, cpu_capacity: int = 1,
@@ -319,10 +311,7 @@ class Network:
             # layers see it as a timeout. A bounded window stays visible
             # for diagnosability; the counters record the full total.
             self.dropped.append(frame)
-            self.dropped_count += 1
             self.trace.record_dropped(frame)
-            if self.cost_ledger is not None:
-                self.cost_ledger.account_dropped(frame)
             return
         if self.strict_wire:
             # Parity mode: materialize the bytes the reference codec would

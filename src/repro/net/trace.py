@@ -28,9 +28,13 @@ class LinkCounter:
 class TrafficTrace:
     """Aggregates per-link, per-kind, and per-channel traffic totals.
 
-    A traced request's own hops and wire bytes are not counted here: they
-    are its ``net.hop`` spans (``bytes`` attribute) in the tracer's store,
-    and its principal's lan/wan bytes in the cost ledger.
+    The one book a hop is written into: :meth:`record` (and, for a frame
+    shed at an unbound port, :meth:`record_dropped`) counts the frame and
+    then charges the same bytes to the attached cost ``ledger``, if any,
+    so the two can never disagree.  A traced request's own hops are
+    not split out here: they are its ``net.hop`` spans (``bytes``
+    attribute) in the tracer's store, and its principal's lan/wan bytes
+    in the ledger.
     """
 
     def __init__(self) -> None:
@@ -40,25 +44,35 @@ class TrafficTrace:
         self.total = LinkCounter()
         #: frames that reached an unbound destination port
         self.dropped = LinkCounter()
+        #: optional repro.obs.RequestCostLedger — each counted hop's bytes
+        #: (LAN/WAN) and each dropped frame, charged to the request that
+        #: sent it (via ``Frame.trace_ctx``) or to the source host
+        self.ledger = None
         #: each link seen so far -> its ``per_link`` and ``per_kind``
-        #: counters, so a hop derives neither key again
-        self._of_link: Dict["Link", Tuple[LinkCounter, LinkCounter]] = {}
+        #: counters and whether it is a WAN link, so a hop derives none of
+        #: them again
+        self._of_link: Dict["Link",
+                            Tuple[LinkCounter, LinkCounter, bool]] = {}
 
     def record_dropped(self, frame: "Frame") -> None:
-        """Count one undeliverable frame (destination port unbound)."""
+        """Count one undeliverable frame (destination port unbound), then
+        charge it to the ledger."""
         self.dropped.messages += 1
         self.dropped.bytes += frame.size
+        if self.ledger is not None:
+            self.ledger.account_dropped(frame)
 
     def record(self, link: "Link", frame: "Frame") -> None:
         """Count one frame crossing one link: one message and
         ``frame.size`` bytes into the link's, its kind's and the
-        channel's counters and the total."""
+        channel's counters and the total; then the same bytes into the
+        ledger."""
         resolved = self._of_link.get(link)
         if resolved is None:
             resolved = self._of_link[link] = (
                 self.per_link[tuple(sorted(link.ends))],
-                self.per_kind[link.kind])
-        on_link, on_kind = resolved
+                self.per_kind[link.kind], link.kind == "wan")
+        on_link, on_kind, wan = resolved
         on_channel = self.per_channel[frame.channel]
         total = self.total
         size = frame.size
@@ -70,6 +84,8 @@ class TrafficTrace:
         on_channel.bytes += size
         total.messages += 1
         total.bytes += size
+        if self.ledger is not None:
+            self.ledger.account_frame_hop(frame, wan)
 
     # -- convenience views used by the benchmarks -------------------------
     @property

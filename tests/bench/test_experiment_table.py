@@ -29,6 +29,8 @@ from repro.net.costs import CostModel
 #: ``Experiment.run`` does; ``ts_series`` / ``ts_points`` (here and in
 #: the drills' rows) and E13's ``merged_*`` have since dropped by exactly
 #: the ``slo.*`` series and points the SLO engine no longer writes, and
+#: again by exactly the ``pipeline.requests.<plane>`` series and points
+#: (one per request) that repeated the latency histograms' counts, and
 #: E4/E5's ``cost_events`` by exactly the non-final compute-step timers
 #: each request window saw before a compute phase became one timer
 PAPER_ROWS = json.loads(
@@ -85,9 +87,10 @@ def test_drill_rows_are_pinned_bit_for_bit(quick_rows, exp_id):
 
 
 def test_the_ledger_and_the_traffic_trace_count_the_same_bytes(quick_runs):
-    """Each frame hop is booked twice — by the network's traffic trace and
-    by the cost ledger's principal — and wherever a quick run leaves a
-    ledger the two totals agree to the byte, delivered and dropped."""
+    """Each frame hop is booked once, by the network's traffic trace,
+    which charges the same bytes to the cost ledger's principal in that
+    call — so wherever a quick run leaves a ledger the two totals agree to
+    the byte, delivered and dropped."""
     checked = []
     for exp_id, (_rows, live) in quick_runs.items():
         ledger = getattr(live, "ledger", None)
@@ -211,7 +214,8 @@ def test_e13_quick_literals(quick_rows):
     (row,) = quick_rows["E13"]
     assert row["breach_delay_s"] == -0.29
     assert row["p99_ratio"] == 1.0
-    assert (row["merged_series"], row["merged_points"]) == (16, 2240)
+    # a request is one latency point: no pipeline.requests.<plane> series
+    assert (row["merged_series"], row["merged_points"]) == (13, 1461)
 
 
 def test_e14_quick_literals_and_determinism(quick_rows):

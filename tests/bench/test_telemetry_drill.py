@@ -97,6 +97,8 @@ def test_each_alert_pair_fires_once_per_outage(drill):
                  (alert.fired_at, alert.resolved_at) for alert in log}
     assert lifetimes[("request_error_rate", "page")] == (13.25, 15.25)
     assert lifetimes[("request_error_rate", "ticket")] == (13.25, 19.25)
+    assert lifetimes[("deliver_command_p99", "ticket")] == (14.5, 30.75)
+    assert lifetimes[("deliver_command_p99", "page")] == (14.75, 26.75)
     assert (row["alerts_fired"], row["alerts_resolved"]) == (4, 4)
 
 

@@ -189,7 +189,9 @@ def test_expired_session_hands_its_lock_to_the_waiter(site):
     server = collab.server_of(0)
     server.security.acl_for(app.app_id).grant("bob", "write")
     alice, bob = collab.add_portal(0), collab.add_portal(0)
-    timeout = server.container.sessions.timeout
+    # the sweep reads the timeout live: a minute covers the same hand-off
+    # path as the default half hour in a fraction of the simulated time
+    server.container.sessions.timeout = timeout = 60.0
 
     def scenario():
         yield from alice.login("alice")

@@ -103,7 +103,7 @@ def test_soak_no_frames_dropped(soaked):
     collab, apps, outcomes, monitors = soaked
     # frames to unbound ports would indicate routing/lifecycle bugs
     assert not collab.net.dropped
-    assert collab.net.dropped_count == 0
+    assert collab.net.trace.dropped.messages == 0
 
 
 def test_soak_no_client_buffer_overflow(soaked):

@@ -66,6 +66,30 @@ def test_alert_fires_with_exemplars_and_resolves(fault_run):
                                for a in error_pages)
 
 
+#: every record of the client-facing server's alert log, as
+#: ``(slo, severity, fired_at, resolved_at, burn_short, burn_long)``
+ALERT_LOG = [
+    ("request_error_rate", "page", 13.25, 15.25,
+     333.33333333333303, 18.5185185185185),
+    ("request_error_rate", "ticket", 13.25, 19.25,
+     18.5185185185185, 7.142857142857136),
+    ("deliver_command_p99", "ticket", 14.5, 30.75,
+     9.999999999999991, 3.508771929824558),
+    ("deliver_command_p99", "page", 14.75, 26.75,
+     74.99999999999993, 14.999999999999986),
+]
+
+
+def test_alert_log_is_pinned(fault_run):
+    """Both SLOs' lifetimes and burn rates, to the bit: the error-rate
+    pair fires on the first failed tick, the latency pair once the
+    timeouts reach the p99, and all four resolve."""
+    _row, collab = fault_run
+    log = collab.server_of(0).health.alerts.history()
+    assert [(a.slo, a.severity, a.fired_at, a.resolved_at, a.burn_short,
+             a.burn_long) for a in log] == ALERT_LOG
+
+
 def test_prom_endpoint_valid_after_fault(fault_run):
     row, collab = fault_run
     text = scrape_status(collab, params={"format": "prom"})

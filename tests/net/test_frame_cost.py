@@ -4,8 +4,9 @@ spirit of tests/sim/test_event_budget.py and tests/obs/test_recording_cost.py).
 Every operation of every workload sizes a payload, builds a ``Frame``,
 walks a route, counts the hop and hands the frame off.  Since PR 19 a
 frozen size is one weak reference (no finalizer object), a span hands out
-one context, a hop is one traffic-trace update, one ledger charge and one
-``net.hop`` span, and a tracer that samples nothing is not asked at all.
+one context, a hop is one traffic-trace call (which makes the hop's one
+ledger charge) and one ``net.hop`` span, and a tracer that samples
+nothing is not asked at all.
 The counts below are the budget; the parent's are in the comments.
 """
 
@@ -43,7 +44,7 @@ def traced_line(*hosts, latency=0.001):
     tracer = Tracer(sim)
     ledger = RequestCostLedger(sim)
     net.tracer = tracer
-    net.cost_ledger = tracer.ledger = ledger
+    net.trace.ledger = tracer.ledger = ledger
     sender = net.hosts[hosts[0]].bind(1)
     receiver = net.hosts[hosts[-1]].bind(1)
     got = []
@@ -160,8 +161,9 @@ def test_a_span_builds_one_context_however_often_it_is_read(monkeypatch):
 # -- the hop's bookkeepers ----------------------------------------------------------
 
 def spy_on_bookkeepers(net, log):
-    """Instance-level wrappers that note each bookkeeper's call."""
-    record, hop = net.trace.record, net.cost_ledger.account_frame_hop
+    """Instance-level wrappers that note each bookkeeper's call; the
+    ledger's is made from inside the trace's."""
+    record, hop = net.trace.record, net.trace.ledger.account_frame_hop
     record_span = net.tracer.record_span
 
     def spy_record(link, frame):
@@ -177,7 +179,7 @@ def spy_on_bookkeepers(net, log):
         return record_span(op, start, end, **kwargs)
 
     net.trace.record = spy_record
-    net.cost_ledger.account_frame_hop = spy_hop
+    net.trace.ledger.account_frame_hop = spy_hop
     net.tracer.record_span = spy_span
 
 
@@ -228,7 +230,7 @@ def test_two_hops_are_counted_twice_and_spanned_once():
     step = [("trace", frame.frame_id), ("ledger", frame.frame_id)]
     assert log == step + step + [("net.hop", frame.trace_ctx)]
     assert net.trace.total.messages == 2
-    assert net.cost_ledger.total.lan_bytes == 2 * frame.size
+    assert net.trace.ledger.total.lan_bytes == 2 * frame.size
 
 
 # -- a tracer that is off is not asked -------------------------------------------------
@@ -310,8 +312,13 @@ POLLS = 57
 #: ``window_sum`` 192 (16 heartbeats × 2 specs × 3 windows × 2 series) and
 #: the series' own 90; the 30 increments the ticks wrote, each a registry
 #: ``inc``, ``_get``, series ``inc`` and ``_open``, 120; and the two series
-#: they created, a ``TimeSeries.__init__`` and its tier list each, 4: 7 804)
-FRAME_PATH_CALLS = 7_804
+#: they created, a ``TimeSeries.__init__`` and its tier list each, 4: 7 804.
+#: A request is one latency point, not also a ``pipeline.requests.<plane>``
+#: increment — 392 calls fewer for the miniature's 112 requests: the
+#: registry's and the series' ``inc`` 224, the registry's ``_get`` 112,
+#: the 52 buckets those series opened (``_open``) and the two series
+#: themselves, a ``TimeSeries.__init__`` and its tier list each, 4: 7 412)
+FRAME_PATH_CALLS = 7_412
 
 
 @pytest.mark.usefixtures("session_ids_kept")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Network, TrafficTrace, build_multi_domain
+from repro.net import Network, build_multi_domain
 from repro.sim import Simulator
 from repro.wire import freeze_size
 
@@ -52,7 +52,7 @@ def test_every_frame_delivered_exactly_once(sends):
     assert len({f.frame_id for f in received}) == sent
     assert all(f.latency is not None and f.latency >= 0 for f in received)
     assert not net.dropped
-    assert net.dropped_count == 0
+    assert net.trace.dropped.messages == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,18 +95,13 @@ def test_trace_bytes_include_frame_overhead():
 
 # -- one callback per hop lands where two did (PR 18) ---------------------------
 
-class _HopLog(TrafficTrace):
-    """A traffic trace that also keeps the order it was called in; doubles
-    as the cost ledger's hop hook."""
+class _HopLog:
+    """A cost ledger that keeps the order the traffic trace charged it
+    in."""
 
     def __init__(self, sim):
-        super().__init__()
         self.sim = sim
-        self.traced, self.charged = [], []
-
-    def record(self, link, frame):
-        super().record(link, frame)
-        self.traced.append((frame.payload, link.kind, self.sim.now))
+        self.charged = []
 
     def account_frame_hop(self, frame, wan):
         self.charged.append((frame.payload, "wan" if wan else "lan",
@@ -148,11 +143,12 @@ _WHEN = st.sampled_from(["same_instant", "at_completion", "ulp_after",
 def test_hop_arrivals_equal_the_two_step_reference(latency, bandwidth, plan):
     """Random (send time, size, direction) sequences: every frame reaches
     the far inbox at exactly the float the two-step design produced, and
-    trace and ledger see each hop once, in arrival order."""
+    the trace books each hop once, charging the ledger in the same call,
+    in arrival order."""
     sim = Simulator()
     log = _HopLog(sim)
-    net = Network(sim, trace=log, frame_overhead=64)
-    net.cost_ledger = log
+    net = Network(sim, frame_overhead=64)
+    net.trace.ledger = log
     net.add_host("a")
     net.add_host("b")
     net.add_link("a", "b", latency=latency, bandwidth=bandwidth)
@@ -196,11 +192,12 @@ def test_hop_arrivals_equal_the_two_step_reference(latency, bandwidth, plan):
         arrived = [i for (i, _b), _s, _r in delivered if sends[i][1] == src]
         assert arrived == sorted(arrived)
     assert [at for _p, _s, at in delivered] == sorted(expected)
-    # trace and ledger: one call per hop, at the arrival, in arrival order
-    assert log.traced == log.charged
-    assert sorted(log.traced) == [((i, bytes(n)), "lan", expected[i])
-                                  for i, (_w, _s, n) in enumerate(plan)]
-    hop_times = [at for _payload, _kind, at in log.traced]
+    # one booking per hop — the trace's, charging the ledger in the same
+    # call — at the arrival, in arrival order
+    assert net.trace.total.messages == len(plan)
+    assert sorted(log.charged) == [((i, bytes(n)), "lan", expected[i])
+                                   for i, (_w, _s, n) in enumerate(plan)]
+    hop_times = [at for _payload, _kind, at in log.charged]
     assert hop_times == sorted(hop_times)
 
 

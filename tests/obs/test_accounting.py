@@ -151,13 +151,13 @@ class TestDroppedFrameAccounting:
         sim = Simulator()
         net = Network(sim)
         ledger = RequestCostLedger(sim)
-        net.cost_ledger = ledger
+        net.trace.ledger = ledger
         net.add_host("a")
         net.add_host("b")
         net.add_link("a", "b", latency=0.001)
         net.send("a", 1, "b", 9, {"junk": "x"})  # port 9 never bound
         sim.run()
-        assert net.dropped_count == 1
+        assert net.trace.dropped.messages == 1
         totals = ledger.total.as_dict()
         assert totals["dropped_frames"] == 1
         assert totals["dropped_bytes"] > 0
@@ -415,7 +415,7 @@ class TestInterceptorSeam:
             ErrorEnvelopeInterceptor(),
             RecordingInterceptor(metrics=metrics, tracer=tracer,
                                  ledger=ledger),
-            self.Shed()])
+            self.Shed()], clock=lambda: 0.0)  # metrics take a latency
         ctx = RequestContext(PLANE_HTTP, principal="mallory",
                              operation="flood")
         with pytest.raises(StopIteration):  # absorbed: a 500 reply

@@ -52,7 +52,7 @@ def make_server():
     net.add_link("solo", "peer", 0.001)
     tracer = Tracer(sim)
     server = equipped_server(net.hosts["solo"], tracer)
-    net.cost_ledger = server.ledger
+    net.trace.ledger = server.ledger
     return sim, net, server
 
 
@@ -159,12 +159,16 @@ def test_one_request_writes_each_store_once():
 #: its context and ``SpanStore.add`` 4; the ledger's ``open_request``
 #: (``_app_of``, ``bind_trace``), ``close_request`` and the span's
 #: ``charge_span`` 5; ``PipelineMetrics.observe`` and its reservoir 2; the
-#: two time series it writes 8.  The parent read 38: the tracer's clock and
-#: scope lambdas 4 and the ledger's scope and events lambdas 5 are gone,
-#: ``activate`` / ``deactivate`` / ``current_context`` 3 are inside
-#: ``enter`` / ``finish``, and ``charge`` → ``_charge_key`` became
-#: ``charge_span`` 1.
-RECORDED_REQUEST_CALLS = 25
+#: one latency point it writes 5 (the registry's ``observe`` and ``_get``,
+#: the series' ``observe``, the histogram's ``add`` and ``bucket_index``).
+#: Before a request's scope rode on its process this read 38: the
+#: tracer's clock and scope lambdas 4 and the ledger's scope and events
+#: lambdas 5 went, ``activate`` / ``deactivate`` /
+#: ``current_context`` 3 moved inside ``enter`` / ``finish``, and
+#: ``charge`` → ``_charge_key`` became ``charge_span`` 1: 25.  The request
+#: is no longer also a ``pipeline.requests.<plane>`` increment — the
+#: registry's ``inc`` and ``_get`` and the series' ``inc``, 3 fewer: 22.
+RECORDED_REQUEST_CALLS = 22
 
 
 def test_one_channel_request_recording_path_calls():

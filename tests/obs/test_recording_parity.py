@@ -7,7 +7,11 @@ by a ``before`` short-circuit, oneway (no reply path) — and the expected
 values below were captured at the commit *before* the three
 observability interceptors became one
 :class:`~repro.obs.RecordingInterceptor`; the test passes on both, so the
-merge moved no counter, span, ledger entry or time-series point.
+merge moved no counter, span, ledger entry or time-series point.  Since
+a request became one latency point, the ``pipeline.requests.<plane>``
+series that repeated each bucket's ``count`` is no longer written, and
+its three entries are gone from ``SERIES``; every other value is as
+captured.
 """
 
 import pytest
@@ -110,6 +114,8 @@ def run_mix():
     return {
         "outcomes": outcomes,
         "metrics": metrics.snapshot(),
+        "counted": {plane: (metrics.requests(plane), metrics.errors(plane))
+                    for plane in metrics.planes()},
         "error_types": {plane: metrics.error_types(plane)
                         for plane in metrics.planes()},
         "ledger_totals": {dim: n for dim, n in ledger["totals"].items()
@@ -276,9 +282,6 @@ SERIES = {'pipeline.errors.channel': {'0': 1.0},
                                          'min': 0.0,
                                          'total': 0.0,
                                          'zero': 2}},
-          'pipeline.requests.channel': {'0': 3.0},
-          'pipeline.requests.http': {'0': 4.0, '2': 4.0},
-          'pipeline.requests.orb': {'0': 4.0, '2': 2.0},
           'storage.wal_appends': {'0': 2.0, '2': 1.0}}
 
 
@@ -308,3 +311,25 @@ def test_span_list(mix):
 
 def test_time_series_points(mix):
     assert mix["series"] == SERIES
+
+
+def test_every_book_counts_each_request_once(mix):
+    """The metrics, the latency histogram, the ledger and the server-side
+    spans each write a request down once, so their counts agree per plane;
+    errors agree across the metrics, the error series and the ledger."""
+    requests, errors, series = {}, {}, mix["series"]
+    for plane, (n_requests, n_errors) in mix["counted"].items():
+        ledger = [vec for key, vec in mix["ledger_entries"].items()
+                  if key.split("|")[2] == plane]
+        requests[plane] = {
+            n_requests,
+            sum(bucket["count"] for bucket
+                in series[f"pipeline.latency.{plane}"].values()),
+            sum(vec.get("requests", 0) for vec in ledger),
+            sum(1 for span in mix["spans"] if span[1] == plane)}
+        errors[plane] = {
+            n_errors,
+            sum(series.get(f"pipeline.errors.{plane}", {}).values()),
+            sum(vec.get("errors", 0) for vec in ledger)}
+    assert requests == {"http": {8}, "orb": {6}, "channel": {3}}
+    assert errors == {"http": {3}, "orb": {4}, "channel": {1}}

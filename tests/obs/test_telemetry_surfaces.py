@@ -136,6 +136,5 @@ def test_status_timeseries_series_names(collab):
     assert set(body["series"]) == {
         "health.status.healthy",
         "pipeline.latency.channel", "pipeline.latency.http",
-        "pipeline.requests.channel", "pipeline.requests.http",
         "storage.wal_append_us", "storage.wal_appends",
     }
