@@ -639,7 +639,7 @@ def run_poll_interval(poll_interval: float, *, n_clients: int = 8,
     collab, app_id = _single_server_with_app()
     server = collab.server_of(0)
     recorder = LatencyRecorder(collab.sim)
-    served_before = server.container.requests_served
+    served_before = server.pipeline_metrics.requests(PLANE_HTTP)
     for _ in range(n_clients):
         portal = collab.add_portal(0)
         collab.sim.spawn(update_watching_client(
@@ -647,7 +647,7 @@ def run_poll_interval(poll_interval: float, *, n_clients: int = 8,
             poll_interval=poll_interval, recorder=recorder))
     collab.sim.run(until=collab.sim.now + duration + 1.0)
     stats = recorder.stats("update_latency")
-    requests = server.container.requests_served - served_before
+    requests = server.pipeline_metrics.requests(PLANE_HTTP) - served_before
     return {
         "poll_interval_ms": poll_interval * 1e3,
         "mean_staleness_ms": stats.mean * 1e3,

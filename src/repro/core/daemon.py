@@ -64,7 +64,6 @@ class DaemonService:
         self.pipeline = pipeline
         self._proc = self.sim.spawn(self._listen(),
                                     name=f"daemon@{server.name}")
-        self.messages_handled = 0
 
     def stop(self) -> None:
         if self._proc.is_alive:
@@ -110,7 +109,6 @@ class DaemonService:
                 # custom-TCP-channel service cost on the server CPU
                 cpu_cost = costs.tcp_cost(frame.size)
                 yield from self.server.host.use_cpu(cpu_cost)
-                self.messages_handled += 1
                 ctx = RequestContext(PLANE_CHANNEL, request_id=msg.msg_id,
                                      principal=frame.src_host,
                                      operation=type(msg).__name__,

@@ -39,10 +39,6 @@ class SteeringLock:
         #: total grants, for reporting
         self.grants = 0
 
-    @property
-    def is_held(self) -> bool:
-        return self.holder is not None
-
 
 class LockManager:
     """All steering locks homed at one server.

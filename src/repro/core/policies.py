@@ -1,4 +1,4 @@
-"""Resource-usage accounting and access policies — the paper's §6.3 sketch.
+"""Access policies — the paper's §6.3 sketch.
 
 "Currently, the system does not track the use of resources.  It is,
 however, possible to add control mechanisms by creating access policies for
@@ -8,50 +8,19 @@ like number of requests per second, or the data bytes being transferred to
 each server per second."
 
 :class:`ResourcePolicy` implements exactly those two metrics as token
-buckets (requests/s and bytes/s), and :class:`UsageLedger` does the
-tracking the paper says was missing.  The server applies a policy to each
-peer's incoming ORB traffic when one is installed.
+buckets (requests/s and bytes/s).  The tracking the paper says was missing
+is :class:`repro.obs.RequestCostLedger`: per principal, its requests,
+errors (policy rejections among them) and LAN/WAN bytes.  Every plane's
+admission step applies a principal's policy when one is installed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
 class PolicyViolation(Exception):
     """A peer exceeded its resource policy (request rejected)."""
-
-
-@dataclass
-class UsageRecord:
-    """Cumulative usage by one principal (peer server or client)."""
-
-    requests: int = 0
-    bytes: int = 0
-    rejected: int = 0
-
-
-class UsageLedger:
-    """Per-principal usage accounting."""
-
-    def __init__(self) -> None:
-        self._records: Dict[str, UsageRecord] = {}
-
-    def record(self, principal: str, nbytes: int = 0) -> UsageRecord:
-        rec = self._records.setdefault(principal, UsageRecord())
-        rec.requests += 1
-        rec.bytes += nbytes
-        return rec
-
-    def record_rejection(self, principal: str) -> None:
-        self._records.setdefault(principal, UsageRecord()).rejected += 1
-
-    def usage(self, principal: str) -> UsageRecord:
-        return self._records.get(principal, UsageRecord())
-
-    def principals(self) -> list:
-        return sorted(self._records)
 
 
 class TokenBucket:
@@ -65,13 +34,21 @@ class TokenBucket:
         self._tokens = burst
         self._last = 0.0
 
-    def try_take(self, now: float, amount: float = 1.0) -> bool:
-        """Consume ``amount`` tokens if available at virtual time ``now``."""
+    def refill(self, now: float) -> float:
+        """Add the tokens earned up to virtual time ``now``; the level."""
         elapsed = max(0.0, now - self._last)
         self._last = now
         self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-        if self._tokens >= amount:
-            self._tokens -= amount
+        return self._tokens
+
+    def take(self, amount: float) -> None:
+        """Spend ``amount`` tokens the last :meth:`refill` showed."""
+        self._tokens -= amount
+
+    def try_take(self, now: float, amount: float = 1.0) -> bool:
+        """Consume ``amount`` tokens if available at virtual time ``now``."""
+        if self.refill(now) >= amount:
+            self.take(amount)
             return True
         return False
 
@@ -98,35 +75,37 @@ class ResourcePolicy:
                              if max_bytes_per_s else None)
 
     def admit(self, now: float, nbytes: int = 0) -> bool:
-        """True if one request of ``nbytes`` is within policy at ``now``."""
-        if self._req_bucket is not None:
-            if not self._req_bucket.try_take(now, 1.0):
-                return False
-        if self._byte_bucket is not None and nbytes > 0:
-            if not self._byte_bucket.try_take(now, float(nbytes)):
-                return False
+        """True if one request of ``nbytes`` is within policy at ``now``.
+
+        Both buckets refill to ``now`` and give tokens only if both hold
+        enough, so a request one bucket refuses spends nothing from the
+        other.
+        """
+        req, byte = self._req_bucket, self._byte_bucket
+        req_ok = req is None or req.refill(now) >= 1.0
+        byte_ok = byte is None or byte.refill(now) >= nbytes
+        if not (req_ok and byte_ok):
+            return False
+        if req is not None:
+            req.take(1.0)
+        if byte is not None:
+            byte.take(float(nbytes))
         return True
 
 
 class PolicyManager:
-    """Installs policies per principal and enforces them with accounting."""
+    """Installs policies per principal and enforces them."""
 
     def __init__(self) -> None:
         self._policies: Dict[str, ResourcePolicy] = {}
-        self._default: Optional[ResourcePolicy] = None
-        self.ledger = UsageLedger()
 
     def set_policy(self, principal: str, policy: ResourcePolicy) -> None:
         self._policies[principal] = policy
 
-    def set_default_policy(self, policy: Optional[ResourcePolicy]) -> None:
-        self._default = policy
-
     def check(self, principal: str, now: float, nbytes: int = 0) -> None:
-        """Account the request; raise :class:`PolicyViolation` if denied."""
-        policy = self._policies.get(principal, self._default)
+        """Raise :class:`PolicyViolation` if ``principal``'s policy
+        refuses one request of ``nbytes`` at ``now``."""
+        policy = self._policies.get(principal)
         if policy is not None and not policy.admit(now, nbytes):
-            self.ledger.record_rejection(principal)
             raise PolicyViolation(
                 f"{principal!r} exceeded its resource policy")
-        self.ledger.record(principal, nbytes)

@@ -146,8 +146,8 @@ class DiscoverServer:
             journal=self.journal)
         self.db = Database(journal=self.journal)
         self.archive = SessionArchive(self.sim, self.db)
-        #: §6.3 resource accounting + access policies — enforced at every
-        #: plane's front door by its pipeline's admission interceptor
+        #: §6.3 access policies — enforced at every plane's front door by
+        #: its pipeline's admission interceptor (usage is the ledger's)
         self.policies = PolicyManager()
         #: per-plane request counters/latencies shared by all three chains
         self.pipeline_metrics = PipelineMetrics(self.timeseries)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.health.model import HealthModel, STATUS_HEALTHY, STATUS_UNKNOWN
+from repro.health.model import HealthModel, STATUS_UNKNOWN
 from repro.health.slo import AlertLog, SLOEngine, SLOSpec
 from repro.sim import Interrupt
 
@@ -260,9 +260,6 @@ class HealthMonitor:
         """Routing predicate: should calls to this peer be avoided?"""
         return self.enabled and self.model.is_unhealthy(
             self.server_key(name))
-
-    def is_healthy_peer(self, name: str) -> bool:
-        return self.peer_status(name) == STATUS_HEALTHY
 
     def detection_latency(self, name: str, since: float) -> Optional[float]:
         """Sim seconds from ``since`` until peer ``name`` was detected down."""

@@ -56,10 +56,6 @@ class ObjectAdapter:
         return ObjectRef(self.host_name, self.port, key,
                          type(servant).__name__)
 
-    @property
-    def active_keys(self) -> list:
-        return sorted(self._servants)
-
     def __contains__(self, key: str) -> bool:
         return key in self._servants
 

@@ -6,8 +6,9 @@ Each class wraps code that previously lived inline in one dispatch path:
   dispatch boundary (the daemon's pre-assigned application token check,
   §4.1) and the seam for per-plane ACL enforcement (§5.2.2).
 - :class:`AdmissionInterceptor` — §6.3 resource policies: per-principal
-  token buckets (requests/s, bytes/s) plus :class:`UsageLedger`
-  accounting, formerly the ORB-only ``admission`` attribute.
+  token buckets (requests/s, bytes/s), formerly the ORB-only
+  ``admission`` attribute.  It keeps no book: a principal's requests,
+  bytes and rejections are the recording step's (below).
 - :class:`ErrorEnvelopeInterceptor` — one error envelope per plane,
   absorbing the per-servlet ``_error`` helpers and the ad-hoc try/except
   blocks the planes used to carry.
@@ -80,11 +81,13 @@ class SecurityInterceptor(Interceptor):
 class AdmissionInterceptor(Interceptor):
     """§6.3 resource policies at every plane's front door.
 
-    Accounts each request against the principal's :class:`UsageLedger`
-    record and rejects it with :class:`PolicyViolation` when a token
-    bucket (requests/s or bytes/s) is exhausted.  Replaces the ORB-only
-    ``admission`` attribute, so oneway ORB calls, HTTP requests, and
-    channel messages all drain the same buckets.
+    Rejects a request with :class:`PolicyViolation` when its principal's
+    token bucket (requests/s or bytes/s) is exhausted, and counts
+    nothing: recording sits outside it, so an admitted or shed request is
+    one ledger entry and one :class:`repro.metrics.PipelineMetrics`
+    observation (a shed one with the error type ``PolicyViolation``).
+    Replaces the ORB-only ``admission`` attribute, so oneway ORB calls,
+    HTTP requests, and channel messages all drain the same buckets.
     """
 
     name = "admission"

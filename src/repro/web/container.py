@@ -60,8 +60,6 @@ class ServletContainer:
                                         name=f"http@{host.name}")
         self._stopped = False
         self._last_sweep = self.sim.now
-        #: requests served, for utilisation reports
-        self.requests_served = 0
 
     # -- configuration ---------------------------------------------------
     def mount(self, path: str, servlet: Servlet) -> Servlet:
@@ -148,7 +146,6 @@ class ServletContainer:
         response = Servlet.normalize(request, result)
         if new_session:
             response.set_cookie = session.session_id
-        self.requests_served += 1
         self.endpoint.send(frame.src_host, frame.src_port, response,
                            channel="response",
                            trace_ctx=ctx.trace_ctx)

@@ -10,8 +10,9 @@ from repro.core.policies import (
     PolicyViolation,
     ResourcePolicy,
     TokenBucket,
-    UsageLedger,
 )
+from repro.obs.accounting import CostVector
+from repro.pipeline import PLANE_ORB
 
 
 def cfg():
@@ -142,27 +143,35 @@ def test_resource_policy_unlimited():
     assert all(p.admit(0.0, nbytes=10 ** 6) for _ in range(100))
 
 
-def test_usage_ledger_tracks():
-    ledger = UsageLedger()
-    ledger.record("peer-1", nbytes=100)
-    ledger.record("peer-1", nbytes=50)
-    ledger.record_rejection("peer-1")
-    u = ledger.usage("peer-1")
-    assert (u.requests, u.bytes, u.rejected) == (2, 150, 1)
-    assert ledger.usage("ghost").requests == 0
-    assert ledger.principals() == ["peer-1"]
+def test_resource_policy_refusal_spends_nothing():
+    # The byte bucket refuses a 100-byte request; the request bucket must
+    # keep its one token, so a 1-byte request at the same instant fits.
+    p = ResourcePolicy(max_requests_per_s=1.0, max_bytes_per_s=10.0,
+                       burst_seconds=1.0)
+    assert not p.admit(0.0, nbytes=100)
+    assert p.admit(0.0, nbytes=1)
+    assert not p.admit(0.0, nbytes=1)  # now the request token is spent
 
 
 def test_policy_manager_default_and_specific():
     mgr = PolicyManager()
-    mgr.check("anyone", 0.0)  # no policy: always admitted, but accounted
-    assert mgr.ledger.usage("anyone").requests == 1
+    mgr.check("anyone", 0.0)  # no policy: always admitted
+    mgr.check("anyone", 0.0)
     mgr.set_policy("peer-1", ResourcePolicy(max_requests_per_s=1.0,
                                             burst_seconds=1.0))
     mgr.check("peer-1", 0.0)
     with pytest.raises(PolicyViolation):
         mgr.check("peer-1", 0.0)
-    assert mgr.ledger.usage("peer-1").rejected == 1
+    mgr.check("anyone", 0.0)  # one principal's policy binds no other
+
+
+def peer_usage(collab, peer, operation):
+    """The cost ledger's ORB-plane usage of ``operation`` by ``peer``'s host."""
+    total = CostVector()
+    for (principal, _app, plane, op), vec in collab.ledger.entries.items():
+        if (principal, plane, op) == (peer.host.name, PLANE_ORB, operation):
+            total.add(vec)
+    return total
 
 
 def test_server_enforces_peer_policy_end_to_end():
@@ -193,8 +202,12 @@ def test_server_enforces_peer_policy_end_to_end():
     ok, denied = run(collab, hammer())
     assert ok >= 1
     assert denied >= 1
-    usage = s0.policies.ledger.usage(s1.host.name)
-    assert usage.rejected == denied
+    # the rejections are counted where every request is: s0's pipeline
+    # metrics and the deployment's cost ledger
+    assert s0.pipeline_metrics.error_types(PLANE_ORB)["PolicyViolation"] \
+        == denied
+    vec = peer_usage(collab, s1, "get_active_applications")
+    assert (vec.requests, vec.errors) == (ok + denied, denied)
 
 
 def test_server_accounts_peer_usage_by_default():
@@ -207,7 +220,7 @@ def test_server_accounts_peer_usage_by_default():
         yield from s1.orb.invoke(s1.peers[s0.name], "ping")
 
     run(collab, probe())
-    assert s0.policies.ledger.usage(s1.host.name).requests >= 1
+    assert peer_usage(collab, s1, "ping").requests >= 1
 
 
 # --------------------------- poll-mode updates -------------------------------

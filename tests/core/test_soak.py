@@ -12,6 +12,7 @@ import pytest
 from repro import AppConfig, build_collaboratory
 from repro.apps import Heat2DApp, SyntheticApp
 from repro.client import PortalError
+from repro.pipeline import PLANE_ORB
 
 DURATION = 40.0
 
@@ -139,9 +140,10 @@ def test_soak_traffic_accounting_consistent(soaked):
 
 def test_soak_usage_ledger_populated(soaked):
     collab, apps, outcomes, monitors = soaked
-    # peer-to-peer traffic was accounted per §6.3
+    # peer-to-peer traffic was accounted per §6.3, in the cost ledger
+    peer_hosts = {server.host.name for server in collab.servers.values()}
     total_peer_requests = sum(
-        server.policies.ledger.usage(p).requests
-        for server in collab.servers.values()
-        for p in server.policies.ledger.principals())
+        vec.requests
+        for (principal, _app, plane, _op), vec in collab.ledger.entries.items()
+        if principal in peer_hosts and plane == PLANE_ORB)
     assert total_peer_requests > 0

@@ -170,8 +170,18 @@ def test_one_request_writes_each_store_once():
 #: registry's ``inc`` and ``_get`` and the series' ``inc``, 3 fewer: 22.
 RECORDED_REQUEST_CALLS = 22
 
+#: calls into Python functions of repro.core.policies, and into the
+#: dataclass ``__init__``\ s they build, for one admitted channel request
+#: with no policy installed: ``PolicyManager.check`` 1, a dict lookup.
+#: While admission also kept a book of its own (``UsageLedger``) this
+#: read 3: ``check``, ``UsageLedger.record`` and the ``UsageRecord()``
+#: ``setdefault`` built on every call, new principal or not.
+ADMISSION_CALLS = 1
 
-def test_one_channel_request_recording_path_calls():
+
+def profile_one_channel_request():
+    """One channel request to an equipped server, every plane on, under
+    cProfile: ``(server, totals before it, pstats of it)``."""
     sim, net, server = make_server()
     channel = net.hosts["peer"].bind(5000)
 
@@ -201,13 +211,33 @@ def test_one_channel_request_recording_path_calls():
         profiler.disable()
     finally:
         gc.enable()
+    return server, before, pstats.Stats(profiler).stats
+
+
+def test_one_channel_request_recording_path_calls():
+    server, before, stats = profile_one_channel_request()
     total = server.ledger.total.as_dict()
     assert server.pipeline_metrics.requests() - before["observed"] == 1
     assert len(server.tracer.store) - before["stored"] == 1
     assert total["requests"] - before["requests"] == 1
     assert total["spans"] - before["spans"] == 1
     calls = sum(
-        row[1] for (filename, _line, _name), row
-        in pstats.Stats(profiler).stats.items()
+        row[1] for (filename, _line, _name), row in stats.items()
         if "/repro/obs/" in filename or "/repro/metrics/" in filename)
     assert calls == RECORDED_REQUEST_CALLS
+
+
+def test_one_admitted_channel_request_admission_calls():
+    server, before, stats = profile_one_channel_request()
+    assert server.ledger.total.as_dict()["errors"] == before["errors"]
+    policies = "/repro/core/policies.py"
+    calls = sum(row[1] for (filename, _line, _name), row in stats.items()
+                if filename.endswith(policies))
+    # pstats keys every generated dataclass __init__ as one <string>
+    # function: count only the calls policies.py made into it
+    calls += sum(
+        count[0] for (filename, _line, _name), row in stats.items()
+        if filename == "<string>"
+        for (caller, *_), count in row[4].items()
+        if caller.endswith(policies))
+    assert calls == ADMISSION_CALLS

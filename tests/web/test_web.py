@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.metrics import PipelineMetrics
 from repro.net import Network
+from repro.pipeline import PLANE_HTTP, default_pipeline
 from repro.sim import Simulator
 from repro.web import (
     HttpClient,
@@ -284,7 +286,12 @@ def test_requests_queue_on_single_cpu():
 
 
 def test_requests_served_counter():
+    # The container keeps no count of its own: the metrics sink of the
+    # pipeline it dispatches through counts every request it serves.
     sim, net, container, client = make_site()
+    metrics = PipelineMetrics()
+    container.pipeline = default_pipeline(clock=lambda: sim.now,
+                                          metrics=metrics)
     container.mount("/echo", EchoServlet())
 
     def go():
@@ -292,7 +299,8 @@ def test_requests_served_counter():
         yield from client.get("/echo")
 
     drive(sim, go())
-    assert container.requests_served == 2
+    assert metrics.requests(PLANE_HTTP) == 2
+    assert metrics.requests() == 2
 
 
 def test_amortized_sweep_expires_idle_sessions():
