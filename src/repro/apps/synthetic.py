@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.steering import (
     Actuator,
     Sensor,
@@ -60,6 +62,9 @@ class SyntheticApp(SteerableApplication):
 
     def update_payload(self) -> dict:
         payload = super().update_payload()
-        payload["series"] = [float(self.counter + i)
-                             for i in range(self.payload_floats)]
+        # an integer range cast once: exact, where arange(dtype=float64)
+        # is not past 2**53
+        payload["series"] = np.arange(
+            self.counter, self.counter + self.payload_floats
+        ).astype(np.float64).tolist()
         return payload

@@ -2,7 +2,8 @@
 
 A :class:`Host` is a named machine with a CPU and a set of ports.  Binding a
 port yields an :class:`Endpoint` — the socket-like object all higher layers
-(channels, ORB, HTTP) are built on.
+(channels, ORB, HTTP) are built on.  A port is a function: the network hands
+each arriving frame to the one callable bound there (:meth:`Host.bind`).
 
 The CPU is a fused counted FIFO rather than a :class:`~repro.sim.Resource`:
 an uncontended ``use_cpu`` yields exactly one timeout (the service time)
@@ -15,7 +16,7 @@ unchanged.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional
 
 from repro.sim import SimEvent, Store
 
@@ -41,22 +42,30 @@ class Host:
         self._cpu_free = cpu_capacity
         #: FIFO of grant events for jobs waiting on a busy CPU
         self._cpu_waiters: Deque[SimEvent] = deque()
-        self.ports: Dict[int, Store] = {}
+        #: ``port -> deliver(frame)``: what the network calls on arrival
+        self.ports: Dict[int, Callable[["Frame"], Any]] = {}
         self.network: Optional["Network"] = None
         #: cumulative busy-time accounting, for utilisation reports
         self.busy_time = 0.0
 
-    def bind(self, port: int) -> "Endpoint":
-        """Reserve ``port`` and return its endpoint."""
+    def bind(self, port: int,
+             handler: Optional[Callable[["Frame"], Any]] = None
+             ) -> "Endpoint":
+        """Reserve ``port`` and return its endpoint.
+
+        Without ``handler`` the port is queued: arriving frames wait in the
+        endpoint's inbox for ``recv``.  With one, each arriving frame is
+        handed to ``handler(frame)`` in its arrival slot and the endpoint
+        has no inbox.
+        """
         if port in self.ports:
             raise ValueError(f"port {port} already bound on {self.name}")
-        inbox = Store(self.sim)
-        self.ports[port] = inbox
-        return Endpoint(self, port, inbox)
-
-    def unbind(self, port: int) -> None:
-        """Release a bound port."""
-        self.ports.pop(port, None)
+        inbox = None
+        if handler is None:
+            inbox = Store(self.sim)
+            handler = inbox.try_put  # unbounded, so never refused
+        self.ports[port] = handler
+        return Endpoint(self, port, handler, inbox)
 
     def use_cpu(self, duration: float):
         """Process: occupy one CPU slot for ``duration`` of service time.
@@ -100,15 +109,19 @@ class Host:
 
 
 class Endpoint:
-    """A bound (host, port) pair with a receive queue.
+    """A bound (host, port) pair.
 
     ``send`` is fire-and-forget (delivery is handled by the network);
-    ``recv`` blocks the calling process until a frame arrives.
+    ``recv`` blocks the calling process until a frame arrives — on a queued
+    port only: a handler port's endpoint has no ``inbox``.
     """
 
-    def __init__(self, host: Host, port: int, inbox: Store) -> None:
+    def __init__(self, host: Host, port: int,
+                 deliver: Callable[["Frame"], Any],
+                 inbox: Optional[Store]) -> None:
         self.host = host
         self.port = port
+        self.deliver = deliver
         self.inbox = inbox
 
     @property
@@ -139,8 +152,10 @@ class Endpoint:
         return len(self.inbox)
 
     def close(self) -> None:
-        """Unbind the port."""
-        self.host.unbind(self.port)
+        """Unbind the port, unless it is bound anew already (closing twice
+        never releases a successor's port)."""
+        if self.host.ports.get(self.port) is self.deliver:
+            del self.host.ports[self.port]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Endpoint {self.host.name}:{self.port}>"

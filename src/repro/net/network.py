@@ -6,9 +6,11 @@
 :class:`_Delivery` state machine: each hop is one
 :meth:`Link.send <repro.net.link.Link.send>` — queueing, transmission and
 propagation fused into one pooled kernel callback at the arrival time —
-and is counted by the traffic trace when it lands.  Frames finally drop
-into the destination endpoint's inbox without an event of their own (a
-waiting receiver's ``get`` is the only one).  Compared to the
+and is counted by the traffic trace when it lands.  At the last hop the
+frame is handed to the destination port's deliver callable, without an
+event of its own: a queued port's ``Store.try_put`` (a waiting receiver's
+``get`` is then the only event), or a handler port's handler, which runs
+in the arrival slot and schedules whatever it starts.  Compared to the
 generator-process-per-frame design this replaces, a single-hop delivery
 schedules one pooled event instead of spawning a process (boot event,
 resource grant, two timeouts, process-completion event) — and no per-frame
@@ -303,10 +305,9 @@ class Network:
             hand_off(frame)
 
     def _hand_off(self, frame: Frame) -> None:
-        host = self.hosts[frame.dst_host]
-        inbox = host.ports.get(frame.dst_port)
+        deliver = self.hosts[frame.dst_host].ports.get(frame.dst_port)
         frame.delivered_at = self.sim.now
-        if inbox is None:
+        if deliver is None:
             # Port not bound: the frame is dropped, like a TCP RST. Higher
             # layers see it as a timeout. A bounded window stays visible
             # for diagnosability; the counters record the full total.
@@ -317,4 +318,4 @@ class Network:
             # Parity mode: materialize the bytes the reference codec would
             # put on the wire and hand the decoded copy to the receiver.
             frame.payload = decode(encode(frame.payload))
-        inbox.try_put(frame)  # unbounded, so never refused
+        deliver(frame)

@@ -1,8 +1,8 @@
 """The ORB: invocation engine and request dispatcher.
 
-One :class:`Orb` per participating host.  It binds a port, runs a dispatcher
-process that demultiplexes incoming :class:`GiopRequest` / :class:`GiopReply`
-frames, and offers :meth:`invoke` — a generator helper callers drive with
+One :class:`Orb` per participating host.  It binds a handler port that
+demultiplexes each :class:`GiopRequest` / :class:`GiopReply` frame as it
+arrives, and offers :meth:`invoke` — a generator helper callers drive with
 ``yield from`` inside their own simulation processes::
 
     result = yield from orb.invoke(ref, "get_status")
@@ -57,7 +57,7 @@ class Orb:
         self.sim = host.sim
         self.port = port
         self.costs = cost_model or CostModel()
-        self.endpoint = host.bind(port)
+        self.endpoint = host.bind(port, self._receive)
         self.adapter = ObjectAdapter(host.name, port)
         self._pending: Dict[int, Any] = {}
         self._req_seq = itertools.count(1)
@@ -78,18 +78,11 @@ class Orb:
         #: interceptor chain every incoming request (two-way *and* oneway)
         #: dispatches through — §6.3 admission plugs in here
         self.pipeline = pipeline
-        self._dispatcher_proc = self.sim.spawn(
-            self._dispatcher(), name=f"orb@{host.name}")
-        self._shut_down = False
 
     # -- lifecycle -----------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop dispatching and release the port."""
-        if self._shut_down:
-            return
-        self._shut_down = True
-        if self._dispatcher_proc.is_alive:
-            self._dispatcher_proc.interrupt("orb shutdown")
+        """Stop dispatching: release the port, so a later frame is
+        dropped."""
         self.endpoint.close()
 
     # -- servant side ----------------------------------------------------------
@@ -178,24 +171,19 @@ class Orb:
         raise RemoteException(reply.exc_type, reply.exc_message)
 
     # -- dispatcher ------------------------------------------------------------
-    def _dispatcher(self):
-        from repro.sim import Interrupt
-        try:
-            while True:
-                frame = yield self.endpoint.recv()
-                payload = frame.payload
-                if isinstance(payload, GiopReply):
-                    waiter = self._pending.get(payload.request_id)
-                    if waiter is not None and not waiter.triggered:
-                        waiter.succeed(payload)
-                    # Late replies (after timeout) are dropped silently.
-                elif isinstance(payload, GiopRequest):
-                    self.sim.spawn(
-                        self._serve(payload, frame.size, frame.src_host),
-                        name=f"serve-{payload.object_key}.{payload.operation}")
-                # Anything else on the ORB port is ignored (port scan etc.)
-        except Interrupt:
-            return
+    def _receive(self, frame) -> None:
+        # the port's handler
+        payload = frame.payload
+        if isinstance(payload, GiopReply):
+            waiter = self._pending.get(payload.request_id)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(payload)
+            # Late replies (after timeout) are dropped silently.
+        elif isinstance(payload, GiopRequest):
+            self.sim.spawn(
+                self._serve(payload, frame.size, frame.src_host),
+                name=f"serve-{payload.object_key}.{payload.operation}")
+        # Anything else on the ORB port is ignored (port scan etc.)
 
     def _serve(self, req: GiopRequest, size: int, src_host: str = ""):
         # Server-side dispatch occupies the host CPU.

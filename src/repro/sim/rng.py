@@ -9,6 +9,7 @@ standard trick for reproducible parallel-system simulations.
 from __future__ import annotations
 
 import hashlib
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -32,7 +33,16 @@ class DeterministicRNG:
 
     # -- draws ------------------------------------------------------------
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(self._gen.uniform(low, high))
+        """``Generator.uniform(low, high)`` bit for bit — the same
+        ``low + (high - low) * u`` on the same draw ``u`` — without numpy's
+        per-call argument conversion, and with its two refusals."""
+        low = float(low)
+        span = float(high) - low
+        if not isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if span < 0:
+            raise ValueError("high - low < 0")
+        return low + span * self._gen.random()
 
     def exponential(self, mean: float) -> float:
         return float(self._gen.exponential(mean))

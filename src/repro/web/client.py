@@ -39,30 +39,21 @@ class HttpClient:
         self.sim = host.sim
         self.server_host = server_host
         self.server_port = server_port
-        self.endpoint = host.bind(next(_client_ports))
+        self.endpoint = host.bind(next(_client_ports), self._receive)
         self.cookie = ""
         self._pending: Dict[int, Any] = {}
-        self._reader = self.sim.spawn(self._read_loop(),
-                                      name=f"httpclient@{host.name}")
 
     def close(self) -> None:
-        """Stop the reader and release the port."""
-        if self._reader.is_alive:
-            self._reader.interrupt("client close")
+        """Release the port: a later response is dropped."""
         self.endpoint.close()
 
-    def _read_loop(self):
-        from repro.sim import Interrupt
-        try:
-            while True:
-                frame = yield self.endpoint.recv()
-                resp = frame.payload
-                if isinstance(resp, HttpResponse):
-                    waiter = self._pending.pop(resp.request_id, None)
-                    if waiter is not None and not waiter.triggered:
-                        waiter.succeed(resp)
-        except Interrupt:
-            return
+    def _receive(self, frame) -> None:
+        # the port's handler: a response wakes the request waiting on it
+        resp = frame.payload
+        if isinstance(resp, HttpResponse):
+            waiter = self._pending.pop(resp.request_id, None)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(resp)
 
     # -- request helpers -------------------------------------------------
     def request(self, method: str, path: str,

@@ -42,7 +42,7 @@ class ServletContainer:
         self.sim = host.sim
         self.port = port
         self.costs = cost_model or CostModel()
-        self.endpoint = host.bind(port)
+        self.endpoint = host.bind(port, self._accept)
         # on_session_expired is told each session that timed out, so its
         # owner can end whatever the session stood for (a DISCOVER server
         # logs the client out)
@@ -56,9 +56,6 @@ class ServletContainer:
         #: interceptor chain every request dispatches through
         self.pipeline = pipeline
         self._servlets: Dict[str, Servlet] = {}
-        self._acceptor = self.sim.spawn(self._accept_loop(),
-                                        name=f"http@{host.name}")
-        self._stopped = False
         self._last_sweep = self.sim.now
 
     # -- configuration ---------------------------------------------------
@@ -84,26 +81,16 @@ class ServletContainer:
         return best
 
     def stop(self) -> None:
-        """Shut the container down and release the port."""
-        if self._stopped:
-            return
-        self._stopped = True
-        if self._acceptor.is_alive:
-            self._acceptor.interrupt("container stop")
+        """Shut the container down: release the port, so a later request
+        is dropped unanswered."""
         self.endpoint.close()
 
     # -- request handling ---------------------------------------------------
-    def _accept_loop(self):
-        from repro.sim import Interrupt
-        try:
-            while True:
-                frame = yield self.endpoint.recv()
-                if isinstance(frame.payload, HttpRequest):
-                    self.sim.spawn(
-                        self._handle(frame),
-                        name=f"req-{frame.payload.request_id}")
-        except Interrupt:
-            return
+    def _accept(self, frame) -> None:
+        # the port's handler: a request starts its process on arrival
+        if isinstance(frame.payload, HttpRequest):
+            self.sim.spawn(self._handle(frame),
+                           name=f"req-{frame.payload.request_id}")
 
     def _sweep_sessions(self) -> None:
         """Amortized expiry: sweep stale sessions at most every quarter

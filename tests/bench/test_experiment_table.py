@@ -32,12 +32,31 @@ from repro.net.costs import CostModel
 #: again by exactly the ``pipeline.requests.<plane>`` series and points
 #: (one per request) that repeated the latency histograms' counts, and
 #: E4/E5's ``cost_events`` by exactly the non-final compute-step timers
-#: each request window saw before a compute phase became one timer
+#: each request window saw before a compute phase became one timer.
+#: Since the HTTP container, the HTTP clients and the ORBs bind handler
+#: ports, E4/E5/E6's ``cost_events`` have dropped by the listener events
+#: (a ``StoreGet`` per frame those loops took) each request window saw —
+#: and the p2p rows by one more per login fan-out window
+#: (``authenticate_and_list``) that opened in an instant which also
+#: booted a spawned ``_serve``, a boot the handler port now runs before
+#: the window opens (E4 row 1: 4; E5 rows 1, 3 and 5: 5, 4 and 4).  Two
+#: rows moved by a same-instant CPU tie the handler port takes the other
+#: way (DESIGN §4e "Ports"): A1's 0.25 s row, ``p90_staleness_ms``
+#: 252.47184290910357 → 252.04759600004277 and ``mean_staleness_ms``
+#: 149.27625743181267 → 149.17055092044984, and E5's central row at
+#: 120 ms, ``mean_update_latency_ms`` 329.54958806356206 →
+#: 329.5169799650937
 PAPER_ROWS = json.loads(
     (Path(__file__).parent / "paper_rows.json").read_text())
 #: the E10b, E11, E12 and E13 drills' quick rows, ``recovery_wall_ms``
 #: (host time) left out, captured by ``Experiment.run(quick=True)`` before
-#: their faults became :mod:`repro.bench.faults` records
+#: their faults became :mod:`repro.bench.faults` records; E10b's, E12's
+#: and E13's ``cost_events`` have since dropped by the listener events
+#: the handler ports removed (1 422 → 1 348, 382 → 366, 1 837 → 1 733),
+#: E10b's and E13's less two: an ``exchange_health`` ``_serve`` the ORB's
+#: handler boots ahead of a same-instant CPU release on ``d0-server``
+#: queues and is granted by one gate event, inside two nested login
+#: windows, where it used to find the CPU free
 DRILL_ROWS = json.loads(
     (Path(__file__).parent / "drill_rows.json").read_text())
 

@@ -317,8 +317,13 @@ POLLS = 57
 #: increment — 392 calls fewer for the miniature's 112 requests: the
 #: registry's and the series' ``inc`` 224, the registry's ``_get`` 112,
 #: the 52 buckets those series opened (``_open``) and the two series
-#: themselves, a ``TimeSeries.__init__`` and its tier list each, 4: 7 412)
-FRAME_PATH_CALLS = 7_412
+#: themselves, a ``TimeSeries.__init__`` and its tier list each, 4: 7 412.
+#: The HTTP container, the HTTP clients and the ORBs bind handler ports,
+#: so no listener loop calls ``Endpoint.recv`` — 138 calls fewer, one per
+#: frame the six loops took (132) and one each to start (6) — and no
+#: loop's locals hold the last frame it took until the run's end, so six
+#: more frozen payloads die inside the window, six ``_thaw`` calls: 7 280)
+FRAME_PATH_CALLS = 7_280
 
 
 @pytest.mark.usefixtures("session_ids_kept")

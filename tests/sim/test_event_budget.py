@@ -195,8 +195,12 @@ def test_step_walks_past_instants_of_abandoned_timers():
 POLLS = 57
 #: 1 460 before the kernel's event diet; 974 before a compute phase became
 #: one timer — the 144 gone are exactly the non-final compute-step timers
-#: the application's 16 phases of 10 steps dispatched (16 x 9)
-EVENTS = 830
+#: the application's 16 phases of 10 steps dispatched (16 x 9).  830
+#: before the HTTP container, the HTTP clients and the ORBs bound handler
+#: ports: the 138 gone are their six listener processes' boot events and
+#: the 132 ``StoreGet`` events those loops took frames with (126 HTTP
+#: requests and responses, 6 GIOP requests and replies)
+EVENTS = 692
 
 
 def test_client_polling_miniature_total():

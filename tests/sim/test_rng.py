@@ -76,3 +76,37 @@ def test_jitter_bounds(value, fraction):
     rng = DeterministicRNG(5)
     out = rng.jitter(value, fraction)
     assert value * (1 - fraction) - 1e-9 <= out <= value * (1 + fraction) + 1e-9
+
+
+#: mixed ranges: the unit default, the clients' ±20% jitter, negative and
+#: straddling ones, integer bounds, a degenerate one and a huge finite one
+UNIFORM_RANGES = [(0.0, 1.0), (0.8, 1.2), (-5.0, -1.5), (-3.0, 7.25),
+                  (0, 10), (2.5, 2.5), (1e-300, 3e-300), (-1e307, 1e307)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_uniform_is_numpys_draw_bit_for_bit(seed):
+    ours = DeterministicRNG(seed)
+    numpys = DeterministicRNG(seed)._gen  # the same stream, drawn by numpy
+    for _ in range(25):
+        for low, high in UNIFORM_RANGES:
+            assert ours.uniform(low, high) == float(numpys.uniform(low, high))
+    assert ours.uniform() == float(numpys.uniform())
+
+
+@pytest.mark.parametrize("low, high", [(1.0, 0.0), (0.0, -1e-300)])
+def test_uniform_refuses_a_negative_range_as_numpy_does(low, high):
+    with pytest.raises(ValueError):
+        DeterministicRNG(0)._gen.uniform(low, high)
+    with pytest.raises(ValueError):
+        DeterministicRNG(0).uniform(low, high)
+
+
+@pytest.mark.parametrize("low, high", [
+    (0.0, float("inf")), (float("-inf"), 0.0), (float("nan"), 1.0),
+    (0.0, float("nan")), (-1e308, 1e308)])
+def test_uniform_refuses_a_non_finite_range_as_numpy_does(low, high):
+    with pytest.raises(OverflowError):
+        DeterministicRNG(0)._gen.uniform(low, high)
+    with pytest.raises(OverflowError):
+        DeterministicRNG(0).uniform(low, high)
