@@ -107,6 +107,10 @@ class CorbaProxyServant:
             raise ObjectNotFound(f"application {self.app_id!r} gone")
         return proxy
 
+    def _handle(self):
+        """The home-side handle, whose archival reads this servant serves."""
+        return self.server.router.resolve(self.app_id)
+
     # -- queries ----------------------------------------------------------
     def get_interface(self, user: str) -> dict:
         """Second-level authentication + the customized steering interface
@@ -190,24 +194,14 @@ class CorbaProxyServant:
     def replay_interactions(self, user: str, since: float = 0.0,
                             limit: Optional[int] = None):
         """A remote user's readable interaction history (relayed read)."""
-        records = self.server.archive.replay_interactions(
-            self.app_id, user, since, limit)
-        yield from self.server.host.use_cpu(
-            self.server.costs.log_read_cost * max(1, len(records)))
-        return records
+        return (yield from self._handle().replay_interactions(user, since,
+                                                             limit))
 
     def replay_app_log(self, user: str, since: float = 0.0,
                        limit: Optional[int] = None):
         """The application's archived history, served to a remote server."""
-        records = self.server.archive.replay_app_log(
-            self.app_id, user, since, limit)
-        yield from self.server.host.use_cpu(
-            self.server.costs.log_read_cost * max(1, len(records)))
-        return records
+        return (yield from self._handle().replay_app_log(user, since, limit))
 
     def latecomer_catchup(self, user: str, n: int = 20):
         """Recent interactions for a remote late joiner."""
-        records = self.server.archive.latecomer_catchup(self.app_id, user, n)
-        yield from self.server.host.use_cpu(
-            self.server.costs.log_read_cost * max(1, len(records)))
-        return records
+        return (yield from self._handle().latecomer_catchup(user, n))

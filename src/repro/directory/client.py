@@ -12,29 +12,25 @@ invoked it directly.  A :class:`DirectoryClient` instead:
   monitor are routed around up-front, and a replica that times out
   mid-read is skipped with a ``note_failover`` — the read succeeds as
   long as any replica answers,
-- keeps a **bounded stub cache** (LRU by shard) that is invalidated
-  wholesale whenever the ring epoch changes, and per-entry when a
-  shard's ref changes or an invocation fails,
+- keeps a **stub cache** keyed by shard (so the ring bounds it) that is
+  invalidated wholesale whenever the ring epoch changes, and per-entry
+  when a shard's ref changes or an invocation fails,
 - stamps every call with the ring epoch it routed under and transparently
   retries once when a servant rejects the call as ``StaleRingEpoch``.
 
-Liveness accounting follows the federation convention: only
-:class:`~repro.orb.errors.CommFailure` counts as a miss — any other
-reply, including a remote exception, proves the replica is alive.
+Each shard call is booked once, in :meth:`DirectoryClient._call`, by the
+health plane's liveness rule (``HealthMonitor.note_call``): only a
+``CommFailure`` is a miss — any other reply proves the replica alive.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.directory.ring import HashRing
 from repro.directory.shard import DIRECTORY_SHARD, STALE_EPOCH
 from repro.orb.errors import CommFailure, OrbError, RemoteException
 from repro.orb.idl import Stub, make_stub
-
-#: default bound on cached shard stubs per client
-DEFAULT_STUB_CACHE = 32
 
 
 class DirectoryClient:
@@ -44,7 +40,6 @@ class DirectoryClient:
                  server_name: str = "", replicas: int = 1,
                  health=None, metrics=None, log=None,
                  call_timeout: float = 30.0,
-                 stub_cache_size: int = DEFAULT_STUB_CACHE,
                  refresh: Optional[Callable[[], HashRing]] = None) -> None:
         self.orb = orb
         self.ring = ring
@@ -56,15 +51,14 @@ class DirectoryClient:
         self.refs = refs
         self.server_name = server_name
         self.replicas = max(1, replicas)
-        #: duck-typed health hooks (``HealthMonitor`` satisfies this):
-        #: is_unhealthy_peer / note_peer_success / note_peer_failure /
-        #: note_failover — optional, all guarded.
+        #: the server's ``HealthMonitor`` or None: each shard call is
+        #: booked with its ``note_call``, reads route around its
+        #: ``is_unhealthy_peer`` and count failovers with ``note_failover``
         self.health = health
         self.metrics = metrics
         self.log = log
         self.call_timeout = call_timeout
-        self.stub_cache_size = max(1, stub_cache_size)
-        self._stubs: "OrderedDict[str, Stub]" = OrderedDict()
+        self._stubs: Dict[str, Stub] = {}
         self._seen_epoch = ring.epoch
 
     # -- bookkeeping -------------------------------------------------------
@@ -87,30 +81,11 @@ class DirectoryClient:
         stub = self._stubs.get(shard)
         if stub is not None and stub.ref is ref:
             self._count("stub_cache_hits")
-            self._stubs.move_to_end(shard)
             return stub
         self._count("stub_cache_misses")
-        stub = make_stub(self.orb, ref, DIRECTORY_SHARD,
-                         timeout=self.call_timeout)
-        self._stubs[shard] = stub
-        self._stubs.move_to_end(shard)
-        while len(self._stubs) > self.stub_cache_size:
-            self._stubs.popitem(last=False)
-            self._count("stub_evictions")
+        stub = self._stubs[shard] = make_stub(
+            self.orb, ref, DIRECTORY_SHARD, timeout=self.call_timeout)
         return stub
-
-    def _invalidate(self, shard: str) -> None:
-        self._stubs.pop(shard, None)
-
-    def _note_outcome(self, shard: str, exc: Optional[OrbError]) -> None:
-        """Fold one call's outcome into the health plane (CommFailure-only
-        misses — a remote exception is an answer, i.e. proof of life)."""
-        if self.health is None:
-            return
-        if exc is None or not isinstance(exc, CommFailure):
-            self.health.note_peer_success(shard)
-        else:
-            self.health.note_peer_failure(shard)
 
     def _unhealthy(self, shard: str) -> bool:
         return (self.health is not None
@@ -119,28 +94,39 @@ class DirectoryClient:
     # -- low-level call with stale-epoch retry -----------------------------
     def _call(self, shard: str, op: str, *args):
         """Invoke ``op`` on ``shard``, stamping the ring epoch; retries
-        once after refreshing when the servant reports a stale epoch."""
-        for attempt in (0, 1):
-            self._epoch_guard()
-            stub = self._stub(shard)
-            if stub is None:
-                raise CommFailure(f"no ref for directory shard {shard!r}")
-            try:
-                result = yield from getattr(stub, op)(*args, self.ring.epoch)
-            except RemoteException as exc:
-                if exc.exc_type == STALE_EPOCH and attempt == 0:
-                    # servant moved ahead of the epoch we stamped — refresh
-                    # the ring view, drop caches, re-route
+        once after refreshing when the servant reports a stale epoch.
+
+        The outcome is booked once: an :class:`OrbError` drops the shard's
+        stub and is booked before it propagates; an answer is proof of life.
+        """
+        try:
+            for attempt in (0, 1):
+                self._epoch_guard()
+                stub = self._stub(shard)
+                if stub is None:
+                    raise CommFailure(f"no ref for directory shard {shard!r}")
+                try:
+                    result = yield from getattr(stub, op)(*args,
+                                                          self.ring.epoch)
+                    break
+                except RemoteException as exc:
+                    if exc.exc_type != STALE_EPOCH or attempt:
+                        raise
+                    # servant moved ahead of the epoch we stamped —
+                    # refresh the ring view, drop caches, re-route
                     self._count("stale_epoch_retries")
                     if self.refresh is not None:
                         self.ring = self.refresh()
                     self._stubs.clear()
                     self._seen_epoch = self.ring.epoch
-                    continue
-                raise
-            return result
-        raise OrbError(f"shard {shard!r} kept rejecting epoch "
-                       f"{self.ring.epoch}")  # pragma: no cover - defensive
+        except OrbError as exc:
+            self._stubs.pop(shard, None)
+            if self.health is not None:
+                self.health.note_call(shard, exc)
+            raise
+        if self.health is not None:
+            self.health.note_call(shard)
+        return result
 
     # -- replicated write / read -------------------------------------------
     def _write(self, key: str, op: str, *args) -> Any:
@@ -158,15 +144,12 @@ class DirectoryClient:
             try:
                 value = yield from self._call(shard, op, *args)
             except OrbError as exc:
-                self._note_outcome(shard, exc)
-                self._invalidate(shard)
                 self._count("write_skips")
                 last_exc = exc
                 if self.log is not None:
                     self.log.warn("dir_write_skipped", shard=shard,
                                   op=op, error=type(exc).__name__)
                 continue
-            self._note_outcome(shard, None)
             if not wrote:
                 result = value
                 wrote = True
@@ -198,11 +181,8 @@ class DirectoryClient:
             try:
                 value = yield from self._call(shard, op, *args)
             except OrbError as exc:
-                self._note_outcome(shard, exc)
-                self._invalidate(shard)
                 last_exc = exc
                 continue
-            self._note_outcome(shard, None)
             if self.metrics is not None:
                 self.metrics.observe_read(self.orb.sim.now - started)
             return value
@@ -268,11 +248,8 @@ class DirectoryClient:
         for shard in list(self.ring.nodes):
             try:
                 app_ids = yield from self._call(shard, "drop_server", server)
-            except OrbError as exc:
-                self._note_outcome(shard, exc)
-                self._invalidate(shard)
+            except OrbError:
                 self._count("write_skips")
                 continue
-            self._note_outcome(shard, None)
             dropped.update(app_ids)
         return len(dropped)

@@ -136,42 +136,30 @@ class RemoteAppHandle(AppHandle):
         from repro.directory import home_server_of
         self.home = home_server_of(app_id)
 
-    def _stub(self):
-        """Generator: the (cached) level-two stub for the application.
-
-        Fails eagerly when the health model has already marked the home
+    def _failfast(self) -> None:
+        """Fail eagerly when the health model has already marked the home
         server unhealthy — an immediate error the caller (or the router's
         replica failover) can act on, instead of a full call timeout.
-        """
+        Nothing was contacted, so nothing is booked."""
         if self.registry.peer_unhealthy(self.home):
             self.server.federation_metrics.count("eager_failfast")
             raise OrbError(f"peer {self.home!r} marked unhealthy "
                            f"(eager failover at {self.server.name})")
-        return (yield from self.registry.remote_proxy_stub(self.app_id))
 
     def _relay(self, op: str, *args, **kwargs):
-        """Generator: one stub call, with cache invalidation on failure.
+        """Generator: one traced call on the application's level-two proxy.
 
-        An :class:`OrbError` means the cached reference (or the peer
-        itself) can no longer be trusted — drop both caches so the next
-        call re-resolves, then let the error propagate to the pipeline's
-        error envelope.
+        The registry drops the stale caches and books the outcome; an
+        :class:`OrbError` propagates to the pipeline's error envelope.
         """
         with self.server.tracer.span(f"federation.relay.{op}",
                                      plane="federation",
                                      server=self.server.name,
                                      attrs={"app_id": self.app_id,
                                             "home": self.home}):
-            stub = yield from self._stub()
-            try:
-                result = yield from getattr(stub, op)(*args, **kwargs)
-            except OrbError as exc:
-                self.registry.invalidate_app(self.app_id)
-                self.registry.invalidate_peer(self.home)
-                self.registry._note_peer_exc(self.home, exc)
-                raise
-            self.registry._note_peer(self.home, True)
-            return result
+            self._failfast()
+            return (yield from self.registry.call(
+                self.home, op, *args, app_id=self.app_id, **kwargs))
 
     def open(self, user: str):
         """Generator: relay the §5.2.2 select — or, in the §4.1
@@ -200,18 +188,11 @@ class RemoteAppHandle(AppHandle):
                                      attrs={"app_id": self.app_id,
                                             "command": command,
                                             "home": self.home}):
-            stub = yield from self._stub()
+            self._failfast()
             self.server.stats["remote_commands_relayed"] += 1
-            try:
-                result = yield from stub.deliver_command(
-                    session.user, session.client_id, command, args)
-            except OrbError as exc:
-                self.registry.invalidate_app(self.app_id)
-                self.registry.invalidate_peer(self.home)
-                self.registry._note_peer_exc(self.home, exc)
-                raise
-            self.registry._note_peer(self.home, True)
-            return result
+            return (yield from self.registry.call(
+                self.home, "deliver_command", session.user,
+                session.client_id, command, args, app_id=self.app_id))
 
     # -- lock protocol (relayed; host server stays authoritative) ----------
     def acquire_lock(self, client_id: str):

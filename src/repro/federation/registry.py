@@ -9,15 +9,19 @@ application or a remote application."
 everything here manages *how to reach* the home server once it is known.
 
 The registry owns every cached artifact of the peer network — the
-level-one peer stubs, the level-two ``CorbaProxy`` stubs, and the resolved
-``CorbaProxy`` references — together with their invalidation rules:
+level-one peer stubs and the level-two ``CorbaProxy`` stubs (each carries
+its resolved reference) — together with their invalidation rules:
 
-- an ``app_stopped`` notice drops the application's proxy stub + ref;
+- an ``app_stopped`` notice drops the application's proxy stub;
 - an :class:`~repro.orb.OrbError` from a peer call drops the peer's stub
-  (and the proxy caches of applications homed there), so a restarted peer
+  (and the proxy stubs of applications homed there), so a restarted peer
   or re-registered application is re-resolved instead of served stale;
 - re-registration always resolves fresh (application ids are never
   reused, but the rule keeps the cache honest under replays).
+
+:meth:`PeerRegistry.call` is the one place a peer call is made: it applies
+those rules and books the outcome with the health model exactly once, so
+callers keep only their spans, logs and counters.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.interfaces import CORBA_PROXY, DISCOVER_CORBA_SERVER
 from repro.directory import home_server_of
-from repro.orb import CommFailure, ObjectRef, OrbError
+from repro.orb import ObjectRef, OrbError
 from repro.orb.idl import Stub, make_stub
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,31 +55,42 @@ class PeerRegistry:
         #: peer server name → level-one DiscoverCorbaServer reference
         self.peers: Dict[str, ObjectRef] = {}
         self._peer_stubs: Dict[str, Stub] = {}
-        self._proxy_stubs: Dict[str, Stub] = {}
-        #: app_id → resolved CorbaProxy reference (level-two cache)
-        self._proxy_refs: Dict[str, ObjectRef] = {}
-        #: the server's HealthMonitor — every peer call outcome feeds it,
-        #: so liveness is judged in one place (set by DiscoverServer)
+        #: app_id → CorbaProxy stub (level-two cache; ``stub.ref`` is the
+        #: resolved reference)
+        self._proxies: Dict[str, Stub] = {}
+        #: the server's HealthMonitor — :meth:`call` books every peer call
+        #: outcome with it (set by DiscoverServer)
         self.health = None
         #: the server's StructuredLog (set by DiscoverServer)
         self.log = None
 
-    # -- health feed -------------------------------------------------------
-    def _note_peer(self, name: str, ok: bool) -> None:
-        if self.health is not None:
-            if ok:
-                self.health.note_peer_success(name)
-            else:
-                self.health.note_peer_failure(name)
+    # -- the peer call -----------------------------------------------------
+    def call(self, peer: str, op: str, *args, app_id: Optional[str] = None,
+             **kwargs):
+        """Generator: one call to ``peer``, its outcome booked once.
 
-    def _note_peer_exc(self, name: str, exc: OrbError) -> None:
-        """Fold a failed peer call into the health model.
-
-        Only a :class:`CommFailure` counts as a liveness miss — any other
-        ORB error (a :class:`RemoteException`, say) is an *answer*, which
-        is proof the peer is alive even though the call failed.
+        Without ``app_id`` the call goes to the peer's level-one server;
+        with it, to that application's level-two ``CorbaProxy`` (resolved
+        through the cache).  An :class:`OrbError` from the wire drops the
+        caches the call touched (the app's, then the peer's), is booked
+        and propagates; an answer is booked as proof of life.  An error
+        raised before anything was sent (an unknown peer) is not booked.
         """
-        self._note_peer(name, not isinstance(exc, CommFailure))
+        stub = (self.peer_stub(peer) if app_id is None
+                else (yield from self.remote_proxy_stub(app_id)))
+        method = getattr(stub, op)
+        try:
+            result = yield from method(*args, **kwargs)
+        except OrbError as exc:
+            if app_id is not None:
+                self.invalidate_app(app_id)
+            self.invalidate_peer(peer)
+            if self.health is not None:
+                self.health.note_call(peer, exc)
+            raise
+        if self.health is not None:
+            self.health.note_call(peer)
+        return result
 
     def peer_unhealthy(self, name: str) -> bool:
         """Routing predicate: the health model says avoid this peer."""
@@ -124,14 +139,10 @@ class PeerRegistry:
     def check_peer(self, name: str):
         """Generator: liveness probe; False (and caches dropped) if dead."""
         try:
-            answer = yield from self.peer_stub(name).ping()
-        except OrbError as exc:
-            self.invalidate_peer(name)
-            self._note_peer_exc(name, exc)
+            answer = yield from self.call(name, "ping")
+        except OrbError:
             return False
-        ok = answer == name
-        self._note_peer(name, ok)
-        return ok
+        return answer == name
 
     def exchange_health(self, peer: str, view: dict):
         """Generator: gossip one health view with a peer; returns the
@@ -142,17 +153,13 @@ class PeerRegistry:
         :class:`repro.health.HealthMonitor`).
         """
         try:
-            answer = yield from self.peer_stub(peer).exchange_health(
-                self.server_name, view)
+            return (yield from self.call(peer, "exchange_health",
+                                         self.server_name, view))
         except OrbError as exc:
-            self.invalidate_peer(peer)
-            self._note_peer_exc(peer, exc)
             if self.log is not None:
                 self.log.warn("federation.gossip_failed", peer=peer,
                               error=str(exc))
             return None
-        self._note_peer(peer, True)
-        return answer
 
     # -- typed stubs -------------------------------------------------------
     def peer_stub(self, name: str) -> Stub:
@@ -169,46 +176,30 @@ class PeerRegistry:
             self._peer_stubs[name] = stub
         return stub
 
-    def proxy_stub(self, app_id: str, ref: ObjectRef) -> Stub:
-        """Typed level-two stub for a remote application's CorbaProxy."""
-        stub = self._proxy_stubs.get(app_id)
-        if stub is None or stub.ref != ref:
-            stub = make_stub(self.orb, ref, CORBA_PROXY,
-                             timeout=self.call_timeout)
-            self._proxy_stubs[app_id] = stub
-        return stub
-
-    def remote_proxy_ref(self, app_id: str):
-        """Generator: resolve (and cache) a remote app's CorbaProxy ref."""
-        ref = self._proxy_refs.get(app_id)
-        if ref is not None:
-            return ref
+    def remote_proxy_stub(self, app_id: str):
+        """Generator: resolved, cached level-two stub for a remote app."""
+        stub = self._proxies.get(app_id)
+        if stub is not None:
+            return stub
         home = home_server_of(app_id)
         with self.orb.tracer.span("federation.resolve_proxy",
                                   plane="federation",
                                   server=self.server_name,
                                   attrs={"app_id": app_id, "home": home}):
-            try:
-                ref = yield from self.peer_stub(home).get_corba_proxy(app_id)
-            except OrbError as exc:
-                self.invalidate_peer(home)
-                self._note_peer_exc(home, exc)
-                raise
-        self._note_peer(home, True)
-        self._proxy_refs[app_id] = ref
-        return ref
+            ref = yield from self.call(home, "get_corba_proxy", app_id)
+        stub = self._proxies[app_id] = make_stub(
+            self.orb, ref, CORBA_PROXY, timeout=self.call_timeout)
+        return stub
 
-    def remote_proxy_stub(self, app_id: str):
-        """Generator: resolved, cached level-two stub for a remote app."""
-        ref = yield from self.remote_proxy_ref(app_id)
-        return self.proxy_stub(app_id, ref)
+    def remote_proxy_ref(self, app_id: str):
+        """Generator: resolve (and cache) a remote app's CorbaProxy ref."""
+        return (yield from self.remote_proxy_stub(app_id)).ref
 
     # -- invalidation ------------------------------------------------------
     def invalidate_app(self, app_id: str) -> None:
-        """Drop the level-two caches of one application."""
-        dropped = (self._proxy_stubs.pop(app_id, None) is not None)
-        dropped = (self._proxy_refs.pop(app_id, None) is not None) or dropped
-        if dropped and self.metrics is not None:
+        """Drop the level-two cache entry of one application."""
+        if (self._proxies.pop(app_id, None) is not None
+                and self.metrics is not None):
             self.metrics.count("app_invalidations")
 
     def invalidate_peer(self, name: str) -> None:
@@ -219,20 +210,16 @@ class PeerRegistry:
         through the same reference, or re-discovery replaces it.
         """
         dropped = self._peer_stubs.pop(name, None) is not None
-        for app_id in [a for a in self._proxy_refs
+        for app_id in [a for a in self._proxies
                        if home_server_of(a) == name]:
-            self._proxy_refs.pop(app_id, None)
-            dropped = True
-        for app_id in [a for a in self._proxy_stubs
-                       if home_server_of(a) == name]:
-            self._proxy_stubs.pop(app_id, None)
+            del self._proxies[app_id]
             dropped = True
         if dropped and self.metrics is not None:
             self.metrics.count("peer_invalidations")
 
     def cached_apps(self) -> List[str]:
         """App ids with a live level-two cache entry (for tests/inspection)."""
-        return sorted(set(self._proxy_refs) | set(self._proxy_stubs))
+        return sorted(self._proxies)
 
     # -- level-one fan-out helpers ----------------------------------------
     def collect_remote_apps(self, user: str) -> dict:
@@ -248,17 +235,14 @@ class PeerRegistry:
                                   peer=peer, op="authenticate_and_list")
                 continue
             try:
-                apps = yield from self.peer_stub(peer).authenticate_and_list(
-                    user)
+                apps = yield from self.call(peer, "authenticate_and_list",
+                                            user)
             except OrbError as exc:
                 # peer down — availability "determined at runtime"
-                self.invalidate_peer(peer)
-                self._note_peer_exc(peer, exc)
                 if self.log is not None:
                     self.log.warn("federation.peer_unreachable", peer=peer,
                                   op="authenticate_and_list", error=str(exc))
                 continue
-            self._note_peer(peer, True)
             for summary in apps:
                 found[summary["app_id"]] = summary
         return found

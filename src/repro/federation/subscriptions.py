@@ -11,7 +11,9 @@ A4 compares them).  This manager owns both:
   leaves**, so home servers do not fan out to dead subscribers forever.
 - ``poll`` mode: one poller process per remote application, exiting after
   a few idle rounds once local interest is gone, and failing over through
-  the registry's cache invalidation when the home server restarts.
+  the registry's cache invalidation when the home server restarts.  It
+  books nothing itself (the registry books each poll's relay); while the
+  home is unhealthy, every fourth round is one ``check_peer`` probe.
 
 Per-app staleness and failover counters are recorded into
 :class:`repro.metrics.FederationMetrics`.
@@ -105,8 +107,8 @@ class SubscriptionManager:
         """Poll the remote CorbaProxy for updates while local clients care.
 
         An :class:`OrbError` invalidates the handle's caches (inside the
-        relay), so the next round re-resolves the reference — the failover
-        path when the home server restarts.
+        registry's call), so the next round re-resolves the reference —
+        the failover path when the home server restarts.
         """
         server, app_id = self.server, handle.app_id
         last_seq = 0
@@ -120,17 +122,19 @@ class SubscriptionManager:
                     continue
                 idle_rounds = 0
                 if server.health.is_unhealthy_peer(handle.home):
-                    # The shared health model (fed by registry pings, relays,
-                    # and these poll rounds alike) already marked the home
-                    # server down — don't burn a timeout on it each round.
-                    # Every few rounds one probe still goes through, so a
-                    # recovered home server is re-observed and polling resumes.
+                    # The shared health model already marked the home server
+                    # down — don't burn a timeout on it each round.  Every
+                    # fourth round is one real liveness probe (booked by the
+                    # registry), so a recovered home server is re-observed
+                    # and polling resumes.
                     skipped += 1
                     if skipped % 4 != 0:
                         self.metrics.count("poll_skipped_unhealthy")
                         continue
-                else:
-                    skipped = 0
+                    with _cost_scope(server):
+                        yield from server.registry.check_peer(handle.home)
+                    continue
+                skipped = 0
                 # Each round roots its own trace — pollers are background
                 # processes, so there is no caller context to join.  The cost
                 # scope attributes the round's spans and WAL writes to the
@@ -142,12 +146,10 @@ class SubscriptionManager:
                                                "since_seq": last_seq}):
                     try:
                         updates = yield from handle.get_updates_since(last_seq)
-                    except OrbError as exc:
+                    except OrbError:
                         self.metrics.count("poll_failovers")
-                        server.registry._note_peer_exc(handle.home, exc)
                         continue
                 self.metrics.count("poll_rounds")
-                server.health.note_peer_success(handle.home)
                 for update in updates:
                     last_seq = max(last_seq, update.seq)
                     self.observe_update(app_id, update)

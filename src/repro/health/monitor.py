@@ -11,10 +11,10 @@ signal the server already produces into the
   as a missed self-heartbeat),
 - each local :class:`~repro.core.proxy.ApplicationProxy` (active →
   heartbeat, stopped → miss),
-- peer call outcomes reported passively by the federation layer
-  (``note_peer_success`` / ``note_peer_failure`` from `PeerRegistry`
-  pings, relays, and `SubscriptionManager` poll rounds — the unified
-  feed that fixes the old split-brain between the two subsystems),
+- peer call outcomes, booked once per call through :meth:`note_call` —
+  the one liveness rule — by `PeerRegistry.call` (pings, relays, poll
+  rounds, gossip alike), by `DirectoryClient` for its shard replicas,
+  and by the gossip servant :meth:`exchange`,
 - daemon/channel frame drops (``note_channel_failure``).
 
 On the same tick the :class:`~repro.health.slo.SLOEngine` samples its
@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.health.model import HealthModel, STATUS_UNKNOWN
 from repro.health.slo import AlertLog, SLOEngine, SLOSpec
+from repro.orb import CommFailure
 from repro.sim import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -178,14 +179,18 @@ class HealthMonitor:
         else:
             self.model.record_success(key)
 
-    # -- passive liveness hooks (fed by federation / daemon) ---------------
-    def note_peer_success(self, name: str) -> None:
-        if self.enabled:
-            self.model.record_success(self.server_key(name))
-
-    def note_peer_failure(self, name: str) -> None:
-        if self.enabled:
+    # -- passive liveness (fed by federation / directory / daemon) ---------
+    def note_call(self, name: str, exc: Optional[Exception] = None) -> None:
+        """Book one call to peer ``name`` — the liveness rule, written once:
+        a :class:`CommFailure` is a miss; no error, or any other ORB error
+        (a remote exception is an *answer*), is proof of life.  A disabled
+        monitor records nothing."""
+        if not self.enabled:
+            return
+        if isinstance(exc, CommFailure):
             self.model.record_failure(self.server_key(name))
+        else:
+            self.model.record_success(self.server_key(name))
 
     def note_channel_failure(self) -> None:
         """A daemon/channel frame was dropped or malformed."""
@@ -230,7 +235,7 @@ class HealthMonitor:
         Receiving gossip from a peer is itself proof of its liveness.
         """
         self.merge_peer_view(peer, view)
-        self.note_peer_success(peer)
+        self.note_call(peer)
         return self.local_view()
 
     def fleet_view(self) -> Dict[str, str]:

@@ -119,17 +119,6 @@ def test_stale_epoch_rejected_then_retried_after_refresh():
     assert client.ring is plane.ring  # refresh adopted the live ring
 
 
-def test_stub_cache_is_bounded_and_counts_evictions():
-    sim, net, plane, orb, _ = make_plane(n_shards=4, replicas=1)
-    metrics = DirectoryMetrics()
-    client = DirectoryClient(orb, plane.ring, plane.refs,
-                             metrics=metrics, stub_cache_size=2)
-    for shard in plane.ring.nodes:
-        assert client._stub(shard) is not None
-    assert len(client._stubs) == 2
-    assert metrics.get("stub_evictions") == 2
-
-
 def test_stub_cache_counts_hits_and_misses():
     sim, net, plane, orb, _ = make_plane(n_shards=2, replicas=1)
     metrics = DirectoryMetrics()

@@ -4,6 +4,8 @@ import pytest
 
 from repro import build_collaboratory
 from repro.apps import SyntheticApp
+from repro.bench.faults import Kill, Restart, inject
+from repro.health import STATUS_HEALTHY, STATUS_UNHEALTHY
 
 from tests.federation.conftest import cfg, run
 
@@ -131,6 +133,43 @@ def test_a_stopped_server_polls_no_more():
     assert s0.subscriptions.active_pollers() == 1
     s0.stop()
     rounds = s0.federation_metrics.get("poll_rounds")
-    collab.sim.run(until=collab.sim.now + 2.0)  # ten poll intervals
+    collab.sim.run(until=collab.sim.now + 2.0)
     assert s0.subscriptions.active_pollers() == 0
     assert s0.federation_metrics.get("poll_rounds") == rounds
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_poll_outcomes_are_booked_once_and_a_dead_home_stays_down():
+    """The poller books nothing itself: a round is its relay's one booking.
+    While the home is down it skips three rounds in four and spends the
+    fourth on a real ping, so the dead home never reads healthy again
+    (an eager fail-fast, raised without contacting anyone, is no proof
+    of life) — and a restarted home is re-admitted by those pings."""
+    collab, app = _poll_collab()
+    s0, home = collab.server_of(0), collab.server_of(1).name
+    _open_app(collab, app, 0)
+    peer = s0.health.model.component(s0.health.server_key(home))
+    metrics = s0.federation_metrics
+
+    rounds, successes = metrics.get("poll_rounds"), peer.successes
+    collab.sim.run(until=collab.sim.now + 2.0)
+    polled = metrics.get("poll_rounds") - rounds
+    assert polled >= 5
+    assert peer.successes - successes == polled
+
+    injector, landed = inject(collab, [Kill(home, at=1.0),
+                                       Restart(home, at=14.0)])
+    collab.sim.run(until=injector)
+    killed = landed[Kill(home, at=1.0)][0]
+    restarted = landed[Restart(home, at=14.0)][0]
+    down = [(when, old, new) for when, old, new in peer.transitions
+            if killed <= when <= restarted]
+    assert (STATUS_UNHEALTHY in [new for _, _, new in down])
+    assert not [t for t in down if t[1:] == (STATUS_UNHEALTHY,
+                                             STATUS_HEALTHY)], down
+    assert peer.status == STATUS_UNHEALTHY
+
+    rounds = metrics.get("poll_rounds")
+    collab.sim.run(until=collab.sim.now + 6.0)
+    assert s0.health.peer_status(home) == STATUS_HEALTHY
+    assert metrics.get("poll_rounds") > rounds

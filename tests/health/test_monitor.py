@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.deployment import build_collaboratory, build_single_server
 from repro.health import STATUS_HEALTHY, STATUS_UNHEALTHY, STATUS_UNKNOWN
+from repro.orb import CommFailure
 
 
 @pytest.fixture()
@@ -51,8 +52,10 @@ class TestHeartbeat:
         assert server.health.counters["heartbeats"] == 0
         key = server.health.server_key(server.name)
         assert server.health.status_of(key) == STATUS_UNKNOWN
-        server.health.note_peer_failure("ghost")  # no-op when disabled
+        for _ in range(3):  # a disabled monitor books nothing
+            server.health.note_call("ghost", CommFailure("down"))
         assert not server.health.is_unhealthy_peer("ghost")
+        assert server.health.model.components() == []
         c.stop()
 
     def test_stop_interrupts_processes(self, collab):

@@ -25,9 +25,9 @@ def pair():
 
 def test_registry_failures_visible_to_poll_routing(pair):
     a, b = pair.server_of(0), pair.server_of(1)
-    # the relay/ping path records CommFailures with the registry...
+    # the relay/ping path books CommFailures through the one rule...
     for _ in range(3):
-        a.registry._note_peer_exc(b.name, CommFailure("link down"))
+        a.health.note_call(b.name, CommFailure("link down"))
     # ...and BOTH consumers see the same verdict: the registry's own
     # routing gate and the health monitor the poll loop consults.
     assert a.registry.peer_unhealthy(b.name)
@@ -36,13 +36,13 @@ def test_registry_failures_visible_to_poll_routing(pair):
 
 def test_poll_failures_visible_to_registry_routing(pair):
     a, b = pair.server_of(0), pair.server_of(1)
-    # the poll loop reports through the same _note_peer_exc hook
+    # a poll round's relay is booked through the same note_call rule
     for _ in range(3):
-        a.registry._note_peer_exc(b.name, CommFailure("poll timeout"))
+        a.health.note_call(b.name, CommFailure("poll timeout"))
     assert a.registry.peer_unhealthy(b.name)
     # recovery via ANY subsystem (here: a poll success) restores both
-    a.health.note_peer_success(b.name)
-    a.health.note_peer_success(b.name)
+    a.health.note_call(b.name)
+    a.health.note_call(b.name)
     assert not a.registry.peer_unhealthy(b.name)
     assert not a.health.is_unhealthy_peer(b.name)
     assert a.health.peer_status(b.name) == STATUS_HEALTHY
@@ -53,10 +53,9 @@ def test_remote_exceptions_are_proof_of_liveness(pair):
     count toward marking the peer dead (the false-positive that used to
     flip routing away from healthy peers)."""
     a, b = pair.server_of(0), pair.server_of(1)
-    a.health.note_peer_success(b.name)
+    a.health.note_call(b.name)
     for _ in range(10):
-        a.registry._note_peer_exc(
-            b.name, RemoteException("LockError", "app busy"))
+        a.health.note_call(b.name, RemoteException("LockError", "app busy"))
     assert not a.registry.peer_unhealthy(b.name)
     assert a.health.peer_status(b.name) == STATUS_HEALTHY
 

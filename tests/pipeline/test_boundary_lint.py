@@ -17,6 +17,7 @@ def test_dispatch_modules_do_not_import_security_or_policies():
     assert "federation boundary OK" in proc.stdout
     assert "obs boundary OK" in proc.stdout
     assert "storage boundary OK" in proc.stdout
+    assert "peer-outcome boundary OK" in proc.stdout
 
 
 def test_federation_lint_catches_stub_usage(tmp_path):
@@ -158,3 +159,35 @@ def test_scope_lint_catches_the_slots_outside_their_owners(tmp_path):
     assert not rule.applies("src/repro/obs/accounting.py")
     assert rule.applies("src/repro/obs/interceptor.py")
     assert rule.applies("src/repro/net/network.py")
+
+
+def test_peer_outcome_lint_catches_a_second_booking(tmp_path):
+    """A peer call is booked once, where it is made: naming note_call
+    outside the registry, the directory client and repro.health (a poller
+    booking its relay's outcome again, say) is flagged."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import check_pipeline_boundary as lint
+    finally:
+        sys.path.pop(0)
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def poll(server, handle, seq):\n"
+        "    try:\n"
+        "        return (yield from handle.get_updates_since(seq))\n"
+        "    except OrbError as exc:\n"
+        "        server.health.note_call(handle.home, exc)\n"
+        "        raise\n")
+    hits = lint.leaks("peer-outcome", bad)
+    assert [what for _, what in hits] == ["uses 'note_call'"]
+    ok = tmp_path / "ok.py"
+    ok.write_text(
+        "def poll(server, handle):\n"
+        "    return (yield from server.registry.check_peer(handle.home))\n")
+    assert lint.leaks("peer-outcome", ok) == []
+    rule = lint.RULES["peer-outcome"]
+    assert not rule.applies("src/repro/federation/registry.py")
+    assert not rule.applies("src/repro/directory/client.py")
+    assert not rule.applies("src/repro/health/monitor.py")
+    assert rule.applies("src/repro/federation/subscriptions.py")
+    assert rule.applies("src/repro/federation/handles.py")

@@ -5,7 +5,7 @@ One rule table (:data:`RULES`), one AST walker (:func:`leaks`).  A rule
 says *where* it applies (``only`` these paths, or everywhere outside the
 ``owner`` package/module), *what* it matches (a tuple of node matchers
 from the small vocabulary below) and the ``advice`` printed with a hit.
-Nine boundaries, ten rules (the storage boundary has two):
+Ten boundaries, eleven rules (the storage boundary has two):
 
 1. **pipeline** — the three dispatch planes (``repro.web.container``,
    ``repro.orb.core``, ``repro.core.daemon``) route requests;
@@ -62,6 +62,14 @@ Nine boundaries, ten rules (the storage boundary has two):
    what is in them) may name the slots; everyone else goes through the
    ``Tracer`` / ``RequestCostLedger`` API, so the scope cannot turn into
    a global variable other layers write.
+
+10. **peer-outcome** — a peer call's outcome is booked once, by the one
+    liveness rule ``HealthMonitor.note_call``.  Only the two places that
+    make peer calls (``PeerRegistry.call`` in
+    :mod:`repro.federation.registry` and ``DirectoryClient._call`` in
+    :mod:`repro.directory.client`) and :mod:`repro.health` itself may
+    name it; a poller or handle that books an outcome again would count
+    one call twice.
 
 Usage: python tools/check_pipeline_boundary.py [repo_root]
 """
@@ -234,9 +242,16 @@ RULES = {
         (naming("scope_span", "scope_cost_key"),),
         "the scope slots belong to repro.sim, the Tracer and the "
         "RequestCostLedger; read and open scopes through their API",
-        "scope boundary OK ({n} modules clean)",
+        "scope boundary OK ({n} modules clean); ",
         owner=("src/repro/sim/", "src/repro/obs/tracer.py",
                "src/repro/obs/accounting.py")),
+    "peer-outcome": Rule(
+        (naming("note_call", defs=True),),
+        "a peer call is booked once, by PeerRegistry.call or "
+        "DirectoryClient._call; do not book its outcome again",
+        "peer-outcome boundary OK ({n} modules clean)",
+        owner=("src/repro/federation/registry.py",
+               "src/repro/directory/client.py", "src/repro/health/")),
 }
 
 
