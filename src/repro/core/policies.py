@@ -52,10 +52,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def available(self) -> float:
-        return self._tokens
-
 
 class ResourcePolicy:
     """Both §6.3 metrics for one principal class.

@@ -11,7 +11,8 @@ codebase.  This package scales both out:
   owns app-id minting and ``app_id -> home server`` resolution.  The
   process-wide instance backs the ``home_server_of`` façade that
   federation and the daemon import; *no other module may parse app ids*
-  (AST-lint enforced by ``tools/check_pipeline_boundary.py``).
+  (the directory owner of the facade rule in
+  ``tools/check_pipeline_boundary.py`` rejects ``.split("#")``).
 - :mod:`repro.directory.shard` — the ORB servant holding one shard of
   the user-directory + app-location maps (the storage half of the old
   ``UserDirectoryService``).
@@ -22,10 +23,10 @@ codebase.  This package scales both out:
   servants onto hosts, owns the live ref table and the ring, hands out
   per-server clients, kills/restarts replicas for fault drills.
 
-Everything outside this package goes through the façade below.
+Everything outside this package goes through the façade below; its
+``__all__`` is the boundary (ring and shard internals are not in it).
 """
 
-from repro.directory.ring import HashRing
 from repro.directory.placement import (
     Placement,
     PrefixPlacement,
@@ -34,20 +35,16 @@ from repro.directory.placement import (
     home_server_of,
     make_app_id,
 )
-from repro.directory.shard import DIRECTORY_SHARD, DirectoryShardServant
 from repro.directory.client import DirectoryClient
 from repro.directory.plane import DirectoryPlane
 
 __all__ = [
-    "HashRing",
     "Placement",
     "PrefixPlacement",
     "get_placement",
     "set_placement",
     "home_server_of",
     "make_app_id",
-    "DIRECTORY_SHARD",
-    "DirectoryShardServant",
     "DirectoryClient",
     "DirectoryPlane",
 ]

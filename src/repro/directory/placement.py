@@ -10,8 +10,8 @@ touching federation or the daemon.
 ``home_server_of`` stays importable from ``repro.federation.registry``
 and ``repro.core.daemon`` as a façade over this module — but the *only*
 code allowed to parse an app id is :class:`PrefixPlacement` here (the
-directory-boundary lint in ``tools/check_pipeline_boundary.py`` rejects
-``.split("#")`` anywhere else under ``src/repro``).
+facade rule of ``tools/check_pipeline_boundary.py`` rejects
+``.split("#")`` outside :mod:`repro.directory`).
 """
 
 from __future__ import annotations

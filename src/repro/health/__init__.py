@@ -13,15 +13,14 @@ Prometheus text format and the ``/status`` servlet.
 Boundary: other ``repro`` packages interact with the health plane only
 through this facade and the :class:`HealthMonitor` query API
 (``status_of`` / ``is_unhealthy_peer`` / ``fleet_view`` / ``snapshot``).
-Status enums and hysteresis internals stay inside ``repro.health`` —
-enforced by the health-boundary lint in
-``tools/check_pipeline_boundary.py``.
+Hysteresis internals (``ComponentHealth``, ``HealthModel``) stay inside
+``repro.health``: this facade's ``__all__`` is the boundary, which the
+facade rule of ``tools/check_pipeline_boundary.py`` enforces.
 """
 
-from repro.health.model import (ComponentHealth, HealthModel, STATUS_CODES,
-                                STATUS_DEGRADED, STATUS_HEALTHY,
-                                STATUS_ORDER, STATUS_UNHEALTHY,
-                                STATUS_UNKNOWN)
+from repro.health.model import (STATUS_CODES, STATUS_DEGRADED,
+                                STATUS_HEALTHY, STATUS_ORDER,
+                                STATUS_UNHEALTHY, STATUS_UNKNOWN)
 from repro.health.monitor import HealthMonitor, default_slos
 from repro.health.prometheus import parse_prometheus, to_prometheus
 from repro.health.slo import (Alert, AlertLog, SLOEngine, SLOSpec,
@@ -30,8 +29,6 @@ from repro.health.slo import (Alert, AlertLog, SLOEngine, SLOSpec,
 __all__ = [
     "Alert",
     "AlertLog",
-    "ComponentHealth",
-    "HealthModel",
     "HealthMonitor",
     "SEVERITY_PAGE",
     "SEVERITY_TICKET",

@@ -27,8 +27,8 @@ perturbing a single experiment table.
 
 This module is internal to :mod:`repro.health` — callers use the
 :class:`~repro.health.monitor.HealthMonitor` query API via the package
-facade (the health-boundary lint in ``tools/check_pipeline_boundary.py``
-enforces it).
+facade (these classes are not in ``repro.health.__all__``, which
+``tools/check_pipeline_boundary.py`` reads).
 """
 
 from __future__ import annotations

@@ -248,9 +248,6 @@ class SLOEngine:
         self._specs[spec.name] = (spec, sample_fn, deque())
         return spec
 
-    def specs(self) -> List[SLOSpec]:
-        return [spec for spec, _fn, _samples in self._specs.values()]
-
     # -- sampling ----------------------------------------------------------
     def observe(self) -> None:
         """Take one sample of every spec and re-evaluate its windows."""

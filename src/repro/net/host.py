@@ -124,11 +124,6 @@ class Endpoint:
         self.deliver = deliver
         self.inbox = inbox
 
-    @property
-    def address(self) -> tuple:
-        """The ``(host_name, port)`` address of this endpoint."""
-        return (self.host.name, self.port)
-
     def send(self, dst_host: str, dst_port: int, payload: Any,
              channel: str = "main", trace_ctx: Any = None) -> "Frame":
         """Hand ``payload`` to the network for delivery (returns the frame)."""

@@ -59,11 +59,11 @@ class Frame:
 
     A plain ``__slots__`` record that :meth:`Network.send` builds
     positionally, one per message.  ``trace_ctx`` is the propagated trace
-    context (:class:`repro.obs.TraceContext`), carried as frame metadata
-    only — never encoded, so wire sizes are trace-invariant.  ``frame_id``
-    comes from the module's ``_frame_ids`` sequence, looked up when the
-    frame is built, because ``core.deployment.reset_runtime_ids()`` rebinds
-    the name.
+    context (a ``TraceContext``, internal to :mod:`repro.obs`: not in its
+    ``__all__``), carried as frame metadata only — never encoded, so wire
+    sizes are trace-invariant.  ``frame_id`` comes from the module's
+    ``_frame_ids`` sequence, looked up when the frame is built, because
+    ``core.deployment.reset_runtime_ids()`` rebinds the name.
     """
 
     __slots__ = ("src_host", "src_port", "dst_host", "dst_port", "payload",

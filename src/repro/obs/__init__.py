@@ -6,9 +6,11 @@ in-process through the interceptor pipeline and across servers through
 frame metadata / GIOP service contexts, and the :class:`SpanStore`
 reconstructs cross-server request trees and their critical paths.
 
-Everything outside this package goes through this facade — the obs
-boundary lint (``tools/check_pipeline_boundary.py``) rejects imports of
-the submodules and direct span construction elsewhere.
+Everything outside this package goes through this facade, and its
+``__all__`` is the boundary: the facade rule of
+``tools/check_pipeline_boundary.py`` rejects submodule imports and any
+use of a name the package defines but does not export (``Span``,
+``TraceContext``, ``SpanNode``, ...) elsewhere.
 """
 
 from repro.obs.accounting import (COST_DIMENSIONS, DispatchProfiler,
@@ -21,8 +23,7 @@ from repro.obs.log import StructuredLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.render import (format_critical_path, format_trace_summary,
                               format_trace_tree)
-from repro.obs.span import Span, TraceContext
-from repro.obs.store import PathSegment, SpanNode, SpanStore
+from repro.obs.store import PathSegment, SpanStore
 from repro.obs.timeseries import TimeSeriesRegistry, to_chrome_counters
 from repro.obs.tracer import SAMPLE_ALWAYS, SAMPLE_OFF, Tracer
 
@@ -35,12 +36,9 @@ __all__ = [
     "RequestCostLedger",
     "SAMPLE_ALWAYS",
     "SAMPLE_OFF",
-    "Span",
-    "SpanNode",
     "SpanStore",
     "StructuredLog",
     "TimeSeriesRegistry",
-    "TraceContext",
     "Tracer",
     "export_chrome",
     "export_jsonl",

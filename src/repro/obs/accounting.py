@@ -36,8 +36,8 @@ partition invariant testable bit-for-bit: the per-principal vectors sum
 
 Boundary: the rest of the tree names only :class:`RequestCostLedger`,
 :class:`DispatchProfiler`, and :data:`COST_DIMENSIONS` (through the
-:mod:`repro.obs` facade); the vector internals stay in this module
-(boundary lint #8).
+:mod:`repro.obs` facade); the vector internals stay in this module,
+outside its ``__all__``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import Standalone
 from repro.pipeline.core import RequestContext
+
+__all__ = [
+    "COST_DIMENSIONS",
+    "DispatchProfiler",
+    "RequestCostLedger",
+    "format_cost_report",
+]
 
 #: the core per-request cost dimensions (every E14 heavy-hitter assertion
 #: quantifies over these)

@@ -2,7 +2,7 @@
 
 Kept inside :mod:`repro.obs` so span internals never leak into the CLI —
 callers hand over a :class:`~repro.obs.store.SpanStore` and get text back
-(the obs boundary lint enforces the split).
+(span internals are not in ``repro.obs.__all__``).
 """
 
 from __future__ import annotations

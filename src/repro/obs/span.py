@@ -7,8 +7,8 @@ never encoded onto the wire, so recording them cannot perturb a
 simulation's schedule (the golden-table invariant).
 
 Only :mod:`repro.obs` constructs these classes; every other module goes
-through the :class:`~repro.obs.tracer.Tracer` API (enforced by the obs
-boundary lint in ``tools/check_pipeline_boundary.py``).
+through the :class:`~repro.obs.tracer.Tracer` API (they are not in
+``repro.obs.__all__``, which ``tools/check_pipeline_boundary.py`` reads).
 """
 
 from __future__ import annotations

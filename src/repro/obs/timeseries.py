@@ -17,8 +17,9 @@ Recording is zero-event bookkeeping: nothing here schedules simulator
 events, charges CPU, or moves wire bytes.  The golden experiment tables
 are bit-for-bit unaffected by the plane being enabled.
 
-Everything outside ``repro.obs`` goes through the ``TimeSeriesRegistry``
-facade (boundary lint #7); ``LogHistogram``/``TimeSeries`` are internal.
+Everything outside this module goes through the ``TimeSeriesRegistry``
+facade: ``__all__`` is the boundary, and ``LogHistogram``/``TimeSeries``
+are not in it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "LogHistogram",
-    "TimeSeries",
     "TimeSeriesRegistry",
     "to_chrome_counters",
 ]
@@ -408,9 +407,9 @@ def _relay(tier: Dict[int, Any], items: Iterable[Tuple[int, Any]]) -> None:
 class TimeSeriesRegistry:
     """Facade over a set of named series sharing one sim clock.
 
-    This is the only type the rest of the tree may name (boundary lint
-    #7): emitters call ``inc``/``set_gauge``/``observe`` and readers use
-    ``query``/``merged``/``to_dict``.
+    This is the only type the rest of the tree may name (see this
+    module's ``__all__``): emitters call ``inc``/``set_gauge``/``observe``
+    and readers use ``query``/``merged``/``to_dict``.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None, *,

@@ -1,10 +1,10 @@
 """The Tracer: the one write API for causal tracing over simulated time.
 
-Components never construct spans themselves (the obs boundary lint
-enforces it) — they ask the tracer to start/finish/record them, and the
-tracer handles sampling, id minting, the per-process "current span" used
-for in-process propagation, and retention in the shared
-:class:`~repro.obs.store.SpanStore`.
+Components never construct spans themselves (``Span`` is not in
+``repro.obs.__all__``) — they ask the tracer to start/finish/record
+them, and the tracer handles sampling, id minting, the per-process
+"current span" used for in-process propagation, and retention in the
+shared :class:`~repro.obs.store.SpanStore`.
 
 The current span rides on its *carrier*, ``sim.active_process or sim``
 (the ``scope_span`` slot): opening a scope keeps the slot's previous value

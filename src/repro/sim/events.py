@@ -94,10 +94,6 @@ class SimEvent:
         """Mark a failed event as handled even if nobody waits on it."""
         self._defused = True
 
-    @property
-    def defused(self) -> bool:
-        return self._defused
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

@@ -57,10 +57,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     def put(self, item: Any) -> StorePut:
         """Queue ``item``; the returned event fires once it is buffered."""
         ev = StorePut(self, item)
@@ -145,10 +141,6 @@ class PriorityStore(Store):
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._heap) >= self.capacity
 
     def _dispatch(self) -> None:
         progress = True

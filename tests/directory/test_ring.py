@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.directory import HashRing
+from repro.directory.ring import HashRing
 
 node_counts = st.integers(min_value=2, max_value=8)
 

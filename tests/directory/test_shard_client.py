@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.directory import DirectoryClient, DirectoryPlane, HashRing
+from repro.directory import DirectoryClient, DirectoryPlane
+from repro.directory.ring import HashRing
 from repro.metrics import DirectoryMetrics
 from repro.net import Network
 from repro.orb import CommFailure, Orb

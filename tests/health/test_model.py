@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.health import (
-    ComponentHealth,
-    HealthModel,
     STATUS_DEGRADED,
     STATUS_HEALTHY,
     STATUS_UNHEALTHY,
     STATUS_UNKNOWN,
 )
+from repro.health.model import ComponentHealth, HealthModel
 
 DOWN_AFTER = 3
 UP_AFTER = 2

@@ -158,8 +158,10 @@ def test_paused_app_still_serves_interaction():
         # even paused, queries are served (paused interaction loop)
         value = yield from session.get_param("gain")
         yield from session.resume()
+        assert app.state != PAUSED
+        yield from session.stop_app()
         return value
 
     value = collab.sim.run(until=collab.sim.spawn(scenario()))
     assert value == 1.0
-    assert app.state != PAUSED
+    assert app.state == STOPPED

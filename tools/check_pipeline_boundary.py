@@ -1,75 +1,18 @@
 #!/usr/bin/env python
 """Lint: architectural boundaries the refactors carved out must hold.
 
-One rule table (:data:`RULES`), one AST walker (:func:`leaks`).  A rule
-says *where* it applies (``only`` these paths, or everywhere outside the
-``owner`` package/module), *what* it matches (a tuple of node matchers
-from the small vocabulary below) and the ``advice`` printed with a hit.
-Ten boundaries, eleven rules (the storage boundary has two):
+Each rule of :data:`RULES` says *where* it applies (``only`` these paths,
+or everywhere outside its ``owner``), *what* it matches (matchers from
+the vocabulary below, each tagged with the node types it inspects) and
+*why*, in the advice printed with a hit.  :func:`scan` walks a file once
+and offers each node to the rules that apply there.
 
-1. **pipeline** — the three dispatch planes (``repro.web.container``,
-   ``repro.orb.core``, ``repro.core.daemon``) route requests;
-   cross-cutting concerns live in :mod:`repro.pipeline.interceptors`.
-   Importing ``repro.core.security`` or ``repro.core.policies`` from a
-   dispatch module re-inlines a concern the pipeline refactor pulled out.
-
-2. **federation** — location/routing concerns live in
-   :mod:`repro.federation`.  Referencing ``is_local_app`` / ``peer_stub``
-   / ``proxy_stub`` anywhere else (attribute, bare name or definition —
-   exact names only, so ``remote_proxy_stub`` stays legal) re-inlines the
-   local-vs-remote branching collapsed into ``router.resolve(app_id)``.
-
-3. **obs** — only :mod:`repro.obs` may construct spans or read span
-   internals; everything else goes through the ``Tracer`` API (the facade
-   ``from repro.obs import ...`` is fine).  Importing an obs *submodule*
-   or naming ``Span`` / ``TraceContext`` / ``SpanNode`` outside the
-   package couples callers to the span representation.
-
-4. **health** — status folding lives in :mod:`repro.health`; callers
-   consult the :class:`HealthMonitor` query API, never the hysteresis
-   machinery.  No health *submodule* imports, no ``ComponentHealth`` /
-   ``HealthModel`` outside the package.
-
-5. **directory** — key→shard routing and app-id structure live in
-   :mod:`repro.directory`.  Outside the package: no directory *submodule*
-   imports, no ring/shard internals (``HashRing`` / ``shard_of`` / ...),
-   and no ``.split("#")`` — parsing an app id anywhere else re-inlines
-   the placement policy ``home_server_of`` made pluggable.
-
-6. **storage** — WAL/snapshot internals live in :mod:`repro.storage`.
-   Outside the package: no storage *submodule* imports and no naming of
-   ``WriteAheadLog`` / ``WalRecord`` — planes journal through
-   :class:`StateJournal` and recover through ``recover()``.  Its second
-   rule, **core-io**: ``repro.core`` must not ``open()`` files at all
-   (nor ``io.open``) — durability is the storage backend's business, so
-   direct file I/O from a core plane is a WAL bypass.
-
-7. **timeseries** — metric bucketing lives in
-   :mod:`repro.obs.timeseries`.  Outside that one module, naming or
-   importing ``LogHistogram`` / ``TimeSeries`` couples emitters to the
-   storage representation — they record through the
-   :class:`TimeSeriesRegistry` facade and read through ``query()``.
-
-8. **accounting** — cost representation lives in
-   :mod:`repro.obs.accounting`.  Outside that one module, naming or
-   importing ``CostVector`` couples a caller to the ledger's
-   internals — callers use the :class:`RequestCostLedger` API.
-
-9. **scope** — a request's ambient scope rides on its process: the
-   ``scope_span`` / ``scope_cost_key`` slots of ``Process`` and
-   ``Simulator``.  Only :mod:`repro.sim` (which declares them),
-   :mod:`repro.obs.tracer` and :mod:`repro.obs.accounting` (which own
-   what is in them) may name the slots; everyone else goes through the
-   ``Tracer`` / ``RequestCostLedger`` API, so the scope cannot turn into
-   a global variable other layers write.
-
-10. **peer-outcome** — a peer call's outcome is booked once, by the one
-    liveness rule ``HealthMonitor.note_call``.  Only the two places that
-    make peer calls (``PeerRegistry.call`` in
-    :mod:`repro.federation.registry` and ``DirectoryClient._call`` in
-    :mod:`repro.directory.client`) and :mod:`repro.health` itself may
-    name it; a poller or handle that books an outcome again would count
-    one call twice.
+The **facade** rule reads each owner's boundary from its ``__all__``
+(:data:`FACADES`).  Outside the owner, code imports no submodule of it,
+imports from it only names in ``__all__``, and names (bare, attribute or
+from-import) no public top-level name the owner defines but does not
+export, so a new internal is private with no lint edit.  Each owner is a
+boundary of its own, so the six rules print eleven boundaries OK.
 
 Usage: python tools/check_pipeline_boundary.py [repo_root]
 """
@@ -81,97 +24,94 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+
 #: dispatch-plane modules, relative to the repo root
-DISPATCH_MODULES = (
-    "src/repro/web/container.py",
-    "src/repro/orb/core.py",
-    "src/repro/core/daemon.py",
-)
+DISPATCH_MODULES = ("src/repro/web/container.py", "src/repro/orb/core.py",
+                    "src/repro/core/daemon.py")
+IMPORTS, NAMES = (ast.Import, ast.ImportFrom), (ast.Name, ast.Attribute)
 
 
 # -- matchers: each maps one AST node to the leaks it shows ("what" strings)
 
+def on(*types):
+    """Tag a matcher with the node types :func:`scan` offers it."""
+    def tag(match):
+        match.types = types
+        return match
+    return tag
+
+
 def imports_of(*banned):
     """``import m`` / ``from m import`` of a banned module or below it."""
+    @on(*IMPORTS)
+    def match(node):
+        modules = ([alias.name for alias in node.names]
+                   if isinstance(node, ast.Import) else [node.module or ""])
+        return [f"imports {module}" for module in modules
+                if any(module == b or module.startswith(b + ".")
+                       for b in banned)]
+    return match
+
+
+def naming(*names, defs=False):
+    """Exact names, bare or attribute (with ``defs``, also a def's name)."""
+    names = frozenset(names)
+    @on(*NAMES, *((ast.FunctionDef, ast.AsyncFunctionDef) if defs else ()))
+    def match(node):
+        found = getattr(node, "id", None) or getattr(node, "attr", None) \
+            or node.name
+        return (f"uses {found!r}",) if found in names else ()
+    return match
+
+
+def facade(owner, exported, internal):
+    """Outside ``owner``: no submodule import, no ``from owner import``
+    of a name outside ``exported``, no use of an ``internal`` name."""
+    below, uses = owner + ".", naming(*internal)
+    @on(*IMPORTS, *NAMES)
     def match(node):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
-        else:
-            return
-        for module in modules:
-            if any(module == b or module.startswith(b + ".") for b in banned):
-                yield f"imports {module}"
+            return [f"imports {alias.name}" for alias in node.names
+                    if alias.name.startswith(below)]
+        if not isinstance(node, ast.ImportFrom):
+            return uses(node)
+        module = node.module or ""
+        hits = [f"imports from {module}"] if module.startswith(below) else []
+        return hits + [f"imports {alias.name}" for alias in node.names
+                       if alias.name in internal
+                       or (module == owner and alias.name not in exported)]
     return match
 
 
-def submodules_of(package):
-    """Importing below the facade: ``repro.obs.span``, not ``repro.obs``."""
-    def match(node):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith(package + "."):
-                    yield f"imports {alias.name}"
-        elif (isinstance(node, ast.ImportFrom)
-                and (node.module or "").startswith(package + ".")):
-            yield f"imports from {node.module}"
-    return match
+@on(ast.Call)
+def app_id_split(node):
+    if (isinstance(node.func, ast.Attribute) and node.func.attr == "split"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "#"):
+        return ('calls .split("#")',)
+    return ()
 
 
-def naming(*names, defs=False, imported=False):
-    """Exact names as a bare name or attribute — with ``defs`` also as a
-    function definition, with ``imported`` also in a ``from`` import."""
-    def match(node):
-        if isinstance(node, ast.Name):
-            found = [node.id]
-        elif isinstance(node, ast.Attribute):
-            found = [node.attr]
-        elif defs and isinstance(node, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef)):
-            found = [node.name]
-        elif imported and isinstance(node, ast.ImportFrom):
-            yield from (f"imports {alias.name}" for alias in node.names
-                        if alias.name in names)
-            return
-        else:
-            return
-        yield from (f"uses {name!r}" for name in found if name in names)
-    return match
-
-
-def split_on(separator):
-    def match(node):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "split" and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value == separator):
-            yield f'calls .split("{separator}")'
-    return match
-
-
+@on(ast.Call)
 def file_open(node):
-    if not isinstance(node, ast.Call):
-        return
     func = node.func
     if isinstance(func, ast.Name) and func.id == "open":
-        yield "calls open()"
-    elif (isinstance(func, ast.Attribute) and func.attr == "open"
+        return ("calls open()",)
+    if (isinstance(func, ast.Attribute) and func.attr == "open"
             and isinstance(func.value, ast.Name) and func.value.id == "io"):
-        yield "calls io.open()"
+        return ("calls io.open()",)
+    return ()
 
 
 @dataclass(frozen=True)
 class Rule:
     matchers: tuple
     advice: str
-    #: the summary clause printed when the rule is clean (``{n}`` modules)
-    summary: str
     #: path prefixes the rule is confined to ...
     only: tuple = ()
-    #: ... or the package (``dir/``) or module it exempts (or a tuple)
-    owner: "str | tuple" = ""
+    #: ... or the packages (``dir/``) and modules it exempts
+    owner: tuple = ()
 
     def applies(self, rel: str) -> bool:
         if self.only:
@@ -179,114 +119,127 @@ class Rule:
         return not rel.startswith(self.owner)
 
 
-def _facade(package, internals, advice, *extra, end="); "):
-    """The common shape: outside ``package`` neither import its
-    submodules nor name its ``internals``."""
-    name = package.rpartition(".")[2]
-    return Rule((submodules_of(package), naming(*internals), *extra), advice,
-                f"{name} boundary OK ({{n}} modules clean{end}",
-                owner=f"src/{package.replace('.', '/')}/")
-
+#: the facade rule's owners, each bounded by its ``__all__`` -> extra matchers
+FACADES = {
+    "repro.obs": (),
+    "repro.obs.timeseries": (),
+    "repro.obs.accounting": (),
+    "repro.health": (),
+    # only the directory routes keys and parses app ids (home_server_of)
+    "repro.directory": (naming("shard_of", "replicas_of", "StaleRingEpoch"),
+                        app_id_split),
+    "repro.storage": (),
+}
 
 RULES = {
     "pipeline": Rule(
         (imports_of("repro.core.security", "repro.core.policies"),),
         "security/policy code must flow through repro.pipeline interceptors",
-        "pipeline boundary OK ({n} dispatch modules clean); ",
         only=DISPATCH_MODULES),
     "federation": Rule(
         (naming("is_local_app", "peer_stub", "proxy_stub", defs=True),),
         "local-vs-remote routing must flow through repro.federation "
         "(router.resolve)",
-        "federation boundary OK ({n} modules clean); ",
-        owner="src/repro/federation/"),
-    "obs": _facade(
-        "repro.obs", ("Span", "TraceContext", "SpanNode"),
-        "span internals stay in repro.obs; use the Tracer API via the "
-        "facade"),
-    "health": _facade(
-        "repro.health", ("ComponentHealth", "HealthModel"),
-        "status folding stays in repro.health; use the HealthMonitor "
-        "query API"),
-    "directory": _facade(
-        "repro.directory",
-        ("HashRing", "DirectoryShardServant", "DIRECTORY_SHARD",
-         "StaleRingEpoch", "shard_of", "replicas_of"),
-        "ring/placement internals stay in repro.directory; use "
-        "DirectoryClient / home_server_of",
-        split_on("#")),
-    "storage": _facade(
-        "repro.storage", ("WriteAheadLog", "WalRecord"),
-        "WAL/snapshot internals stay in repro.storage; journal through "
-        "StateJournal and recover()",
-        end=", "),  # the core-io clause closes the parenthesis
+        owner=("src/repro/federation/",)),
+    "facade": FACADES,
     "core-io": Rule(
         (file_open,),
         "no direct file I/O in repro.core; durable bytes go through a "
         "repro.storage backend",
-        "{n} core modules I/O-free); ",
         only=("src/repro/core/",)),
-    "timeseries": Rule(
-        (naming("LogHistogram", "TimeSeries", imported=True),),
-        "bucket/series internals stay in repro.obs.timeseries; emitters "
-        "use the TimeSeriesRegistry facade",
-        "time-series boundary OK ({n} modules clean); ",
-        owner="src/repro/obs/timeseries.py"),
-    "accounting": Rule(
-        (naming("CostVector", imported=True),),
-        "cost-vector internals stay in repro.obs.accounting; "
-        "callers use the RequestCostLedger facade",
-        "accounting boundary OK ({n} modules clean); ",
-        owner="src/repro/obs/accounting.py"),
     "scope": Rule(
         (naming("scope_span", "scope_cost_key"),),
         "the scope slots belong to repro.sim, the Tracer and the "
         "RequestCostLedger; read and open scopes through their API",
-        "scope boundary OK ({n} modules clean); ",
         owner=("src/repro/sim/", "src/repro/obs/tracer.py",
                "src/repro/obs/accounting.py")),
     "peer-outcome": Rule(
         (naming("note_call", defs=True),),
         "a peer call is booked once, by PeerRegistry.call or "
         "DirectoryClient._call; do not book its outcome again",
-        "peer-outcome boundary OK ({n} modules clean)",
         owner=("src/repro/federation/registry.py",
                "src/repro/directory/client.py", "src/repro/health/")),
 }
 
 
-def _walk(rule: Rule, tree: ast.AST) -> list:
-    return [(node.lineno, what)
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def owner_rule(root: Path, owner: str, extra: tuple) -> Rule:
+    """The facade rule for ``owner``: its ``__all__`` is exported, and
+    every other public top-level name its files define is internal."""
+    home = root / "src" / Path(*owner.split("."))
+    home = home if home.is_dir() else home.with_suffix(".py")
+    front = home / "__init__.py" if home.is_dir() else home
+    exported, defined = set(), set()
+    for file in home.rglob("*.py") if home.is_dir() else [front]:
+        for node in parse(file).body if file.exists() else ():
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = {n.id for t in getattr(node, "targets", ())
+                         or [node.target] for n in ast.walk(t)
+                         if isinstance(n, ast.Name)}
+                if file == front and names == {"__all__"}:
+                    exported = set(ast.literal_eval(node.value))
+                defined |= names
+    internal = {n for n in defined - exported if not n.startswith("_")}
+    return Rule((facade(owner, exported, internal), *extra),
+                f"internal to {owner}; use what its __all__ exports",
+                owner=(home.relative_to(root).as_posix()
+                       + "/" * home.is_dir(),))
+
+
+def boundaries(root: Path = ROOT, keys=RULES) -> dict:
+    """Boundary -> Rule for ``keys``; each facade owner is a boundary."""
+    rules = {}
+    for key in keys:
+        rules.update({owner.rpartition(".")[2]: owner_rule(root, owner, extra)
+                      for owner, extra in FACADES.items()}
+                     if key == "facade" else {key: RULES[key]})
+    return rules
+
+
+def scan(tree: ast.AST, rules: dict) -> list:
+    """(lineno, what, boundary) of every hit of ``rules``: one walk."""
+    by_type = {}
+    for name, rule in rules.items():
+        for match in rule.matchers:
+            for node_type in match.types:
+                by_type.setdefault(node_type, []).append((name, match))
+    return [(node.lineno, what, name)
             for node in ast.walk(tree)
-            for match in rule.matchers
+            for name, match in by_type.get(type(node), ())
             for what in match(node)]
 
 
-def leaks(rule: str, path: Path) -> list:
-    """(lineno, what) for every node of ``path`` the named rule matches."""
-    return _walk(RULES[rule], ast.parse(path.read_text(), filename=str(path)))
+def leaks(rule: str, path: Path, rel: str = "", root: Path = ROOT) -> list:
+    """Sorted (lineno, what) hits of ``rule`` in ``path`` (at ``rel``)."""
+    rules = {name: r for name, r in boundaries(root, [rule]).items()
+             if not rel or r.applies(rel)}
+    return sorted({hit[:2] for hit in scan(parse(path), rules)})
 
 
 def main(argv) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
-    failures = [f"{rel}: dispatch module missing"
-                for rel in DISPATCH_MODULES if not (root / rel).exists()]
-    checked = dict.fromkeys(RULES, 0)
+    root = Path(argv[1]) if len(argv) > 1 else ROOT
+    rules = boundaries(root)
+    failures = [f"{rel}: missing" for rule in rules.values()
+                for rel in rule.only + rule.owner if not (root / rel).exists()]
+    checked = dict.fromkeys(rules, 0)
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for name, rule in RULES.items():
-            if rule.applies(rel):
-                checked[name] += 1
-                failures.extend(f"{rel}:{lineno}: {what} — {rule.advice}"
-                                for lineno, what in _walk(rule, tree))
+        applying = {n: rule for n, rule in rules.items() if rule.applies(rel)}
+        for name in applying:
+            checked[name] += 1
+        failures.extend(f"{rel}:{lineno}: {what} — {rules[name].advice}"
+                        for lineno, what, name in scan(parse(path), applying))
     if failures:
-        print("pipeline boundary violations:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
+        print("boundary violations:", *failures, sep="\n  ", file=sys.stderr)
         return 1
-    print("".join(rule.summary.format(n=checked[name])
-                  for name, rule in RULES.items()))
+    print("; ".join(f"{name} boundary OK ({n} modules clean)"
+                    for name, n in checked.items()))
     return 0
 
 
