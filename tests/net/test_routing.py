@@ -60,7 +60,9 @@ def connected_edges(draw):
     """2–25 hosts: a random spanning tree plus random chords, linked in a
     random order.  The latencies are distinct powers of two (fewer than
     53 of them), so every sum of a set of links is exact and no two
-    different sets sum alike: each pair has one shortest route."""
+    different sets sum alike: each pair has one shortest route.  The
+    smallest is 2**-29 s, above the 1 ns floor a link weighs at least:
+    two links under the floor would weigh alike and could tie."""
     n = draw(st.integers(2, 25))
     pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
     pairs |= draw(st.sets(
@@ -68,7 +70,7 @@ def connected_edges(draw):
         .filter(lambda pair: pair[0] < pair[1]), max_size=25))
     pairs = draw(st.permutations(sorted(pairs)))
     exponents = draw(st.permutations(range(len(pairs))))
-    return [(f"h{a}", f"h{b}", 2.0 ** -k)
+    return [(f"h{a}", f"h{b}", 2.0 ** (19 - k))
             for (a, b), k in zip(pairs, exponents)]
 
 
