@@ -16,7 +16,7 @@ from repro.core.collaboration import (
 )
 from repro.core.corba import CorbaProxyServant, DiscoverCorbaServerServant
 from repro.core.daemon import DaemonService
-from repro.core.database import Database, DatabaseError, Record, Table
+from repro.core.database import Database, Record, Table
 from repro.core.locking import LockError, LockManager, SteeringLock
 from repro.core.proxy import ApplicationProxy
 from repro.core.security import (
@@ -40,7 +40,6 @@ __all__ = [
     "DEFAULT_GROUP",
     "DaemonService",
     "Database",
-    "DatabaseError",
     "DiscoverCorbaServerServant",
     "DiscoverServer",
     "LockError",

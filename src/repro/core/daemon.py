@@ -71,7 +71,7 @@ class DaemonService:
         self.endpoint.close()
 
     def next_app_id(self) -> str:
-        """Mint via the process-wide Placement (§5.2.1 by default)."""
+        """Mint the next app id by the §5.2.1 convention."""
         self._app_count += 1
         self.server.journal.append("daemon.seq", {"n": self._app_count})
         return make_app_id(self.server.name, self._app_count)

@@ -19,14 +19,10 @@ re-applying the journal's archive region and then the WAL tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.storage import NULL_JOURNAL
-
-
-class DatabaseError(Exception):
-    """Unknown table, or a read denied by record ownership."""
 
 
 class _Sequence:
@@ -49,15 +45,31 @@ class _Sequence:
 _record_seq = _Sequence(1)
 
 
-@dataclass
+@dataclass(init=False)
 class Record:
-    """One stored row."""
+    """One stored row.
+
+    ``__init__`` is written out because it runs once per insert: a
+    profile keys a function by (file, line, name), every generated
+    dataclass ``__init__`` is ``("<string>", 2, "__init__")``, and
+    ``pstats`` keeps only one of those, so a generated one here would
+    merge with :class:`~repro.storage.wal.WalRecord`'s and which survives
+    would follow the code objects' addresses.
+    """
 
     record_id: int
     owner: str
     created_at: float
     data: dict
-    readers: Set[str] = field(default_factory=set)
+    readers: Set[str]
+
+    def __init__(self, record_id: int, owner: str, created_at: float,
+                 data: dict, readers: Set[str]) -> None:
+        self.record_id = record_id
+        self.owner = owner
+        self.created_at = created_at
+        self.data = data
+        self.readers = readers
 
     def readable_by(self, user: str) -> bool:
         """Owners always read their records; others need reader rights."""

@@ -247,9 +247,9 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
     the servers are handed none.
 
     ``trace_sampling`` / ``trace_max_spans`` configure the shared
-    :class:`~repro.obs.Tracer` (``"always"``, ``"off"``, or int N for
-    1-in-N root sampling).  Tracing is zero-event bookkeeping — it never
-    changes virtual time or wire sizes, whatever the knob says.
+    :class:`~repro.obs.Tracer` (``"always"`` or ``"off"``).  Tracing is
+    zero-event bookkeeping — it never changes virtual time or wire sizes,
+    whatever the knob says.
 
     ``storage_backend_factory`` maps a server name to its durable
     :class:`~repro.storage.StorageBackend` (default: a fresh

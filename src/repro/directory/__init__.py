@@ -7,11 +7,10 @@ codebase.  This package scales both out:
 - :mod:`repro.directory.ring` — consistent-hash ring with virtual nodes
   and an explicit epoch, mapping directory keys (user names, app ids)
   to shard servers.
-- :mod:`repro.directory.placement` — the ``Placement`` abstraction that
-  owns app-id minting and ``app_id -> home server`` resolution.  The
-  process-wide instance backs the ``home_server_of`` façade that
-  federation and the daemon import; *no other module may parse app ids*
-  (the directory owner of the facade rule in
+- :mod:`repro.directory.placement` — the §5.2.1 app-id convention:
+  ``make_app_id`` (the daemon mints) and ``home_server_of`` (federation
+  resolves ``app_id -> home server``); *no other module may parse app
+  ids* (the directory owner of the facade rule in
   ``tools/check_pipeline_boundary.py`` rejects ``.split("#")``).
 - :mod:`repro.directory.shard` — the ORB servant holding one shard of
   the user-directory + app-location maps (the storage half of the old
@@ -27,22 +26,11 @@ Everything outside this package goes through the façade below; its
 ``__all__`` is the boundary (ring and shard internals are not in it).
 """
 
-from repro.directory.placement import (
-    Placement,
-    PrefixPlacement,
-    get_placement,
-    set_placement,
-    home_server_of,
-    make_app_id,
-)
+from repro.directory.placement import home_server_of, make_app_id
 from repro.directory.client import DirectoryClient
 from repro.directory.plane import DirectoryPlane
 
 __all__ = [
-    "Placement",
-    "PrefixPlacement",
-    "get_placement",
-    "set_placement",
     "home_server_of",
     "make_app_id",
     "DirectoryClient",

@@ -5,12 +5,11 @@ port yields an :class:`Endpoint` — the socket-like object all higher layers
 (channels, ORB, HTTP) are built on.  A port is a function: the network hands
 each arriving frame to the one callable bound there (:meth:`Host.bind`).
 
-The CPU is a fused counted FIFO rather than a :class:`~repro.sim.Resource`:
-an uncontended ``use_cpu`` yields exactly one timeout (the service time)
-instead of a request-grant round trip followed by a timeout, halving the
-process resumptions on the single hottest service point in every scenario.
-Queueing behaviour — FIFO grants, ``cpu_capacity`` concurrent slots — is
-unchanged.
+The CPU is a fused counted FIFO kept on the host, not a kernel primitive:
+an uncontended ``use_cpu`` yields exactly one timeout (the service time),
+with no request-grant round trip before it — the single hottest service
+point in every scenario.  Contended claims queue FIFO for ``cpu_capacity``
+concurrent slots.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.obs.span import Span, TraceContext
 from repro.obs.store import DEFAULT_MAX_SPANS, SpanStore
@@ -49,10 +49,8 @@ class Standalone:
 class Tracer:
     """Mints, activates, and records spans against one shared store.
 
-    ``sampling`` is the memory knob: ``"always"``, ``"off"``, or an int N
-    for 1-in-N root sampling (children of a sampled root are always kept,
-    so sampled traces stay complete trees).  Sampling decisions are
-    counter-based, never random — a traced run is reproducible.
+    ``sampling`` is ``"always"`` (every span kept) or ``"off"`` (none:
+    every method is a no-op and :attr:`enabled` is false).
 
     The "current span" is tracked per simulation process (it rides on
     ``sim.active_process``), so interleaved processes on one simulator
@@ -64,27 +62,23 @@ class Tracer:
     def __init__(self, sim=None, *,
                  clock: Optional[Callable[[], float]] = None,
                  scope: Optional[Callable[[], Any]] = None,
-                 sampling: Union[str, int] = SAMPLE_ALWAYS,
+                 sampling: str = SAMPLE_ALWAYS,
                  max_spans: int = DEFAULT_MAX_SPANS) -> None:
         self._sim = sim if sim is not None else Standalone(clock, scope)
         self.sampling = self._check_sampling(sampling)
         self.store = SpanStore(max_spans)
         self._trace_seq = itertools.count(1)
         self._span_seq = itertools.count(1)
-        self._roots_seen = 0
         #: optional RequestCostLedger — every minted span is charged to the
         #: active request's cost vector ("spans" dimension, zero-event)
         self.ledger = None
 
     @staticmethod
-    def _check_sampling(sampling: Union[str, int]) -> Union[str, int]:
+    def _check_sampling(sampling: str) -> str:
         if sampling in (SAMPLE_ALWAYS, SAMPLE_OFF):
             return sampling
-        if isinstance(sampling, int) and sampling >= 1:
-            return sampling
-        raise ValueError(f"sampling must be {SAMPLE_ALWAYS!r}, "
-                         f"{SAMPLE_OFF!r}, or a positive int, "
-                         f"not {sampling!r}")
+        raise ValueError(f"sampling must be {SAMPLE_ALWAYS!r} or "
+                         f"{SAMPLE_OFF!r}, not {sampling!r}")
 
     @property
     def enabled(self) -> bool:
@@ -100,7 +94,7 @@ class Tracer:
 
         ``parent`` is a :class:`TraceContext`, a :class:`Span`, or None —
         None falls back to the calling process's current span, and a root
-        is minted when there is none (subject to the sampling knob).
+        is minted when there is none.
         """
         if self.sampling == SAMPLE_OFF:
             return None
@@ -113,10 +107,6 @@ class Tracer:
         elif isinstance(parent, Span):
             parent = parent.context()
         if parent is None:
-            self._roots_seen += 1
-            if (self.sampling != SAMPLE_ALWAYS
-                    and (self._roots_seen - 1) % self.sampling != 0):
-                return None
             trace_id, parent_id = next(self._trace_seq), None
         else:
             trace_id, parent_id = parent.trace_id, parent.span_id

@@ -14,9 +14,10 @@ from scratch so the repository is self-contained:
 - :class:`Process` — a generator driven by the simulator; itself an event
   that fires when the generator terminates (so processes can be joined).
 - :class:`Timeout` — an event that fires after a virtual delay.
-- :class:`Store` — FIFO buffer with blocking get/put (message queues).
-- :class:`Resource` — counted capacity with FIFO queueing (server CPUs).
-- :class:`AnyOf` / :class:`AllOf` — composite wait conditions.
+- :class:`Store` — FIFO buffer with a blocking get and a refusing put
+  (message queues, per-client output buffers).
+- :class:`AnyOf` — waits for the first of several events (a reply raced
+  against its timeout).
 
 Everything is deterministic: ties in the event heap are broken by insertion
 order, and randomness is only available through seeded generators from
@@ -24,20 +25,17 @@ order, and randomness is only available through seeded generators from
 """
 
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
-from repro.sim.events import AllOf, AnyOf, SimEvent, Timeout
+from repro.sim.events import AnyOf, SimEvent, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import DeterministicRNG
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "DeterministicRNG",
     "Interrupt",
-    "PriorityStore",
     "Process",
-    "Resource",
     "SimEvent",
     "SimulationError",
     "Simulator",

@@ -124,50 +124,46 @@ class Timeout(SimEvent):
             heapq.heappush(sim._heap, (sim.now + delay, 1, sim._seq, self))
 
 
-class _Condition(SimEvent):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite waits.
+class AnyOf(SimEvent):
+    """Fires as soon as *any* member event fires; fails if that one failed.
 
-    A condition listens to its members only until it is decided: the moment
-    it fires or fails it takes its callback back from the members that have
-    not fired.  The loser of a race — the 30 s ``expiry`` timer of a call
-    that was answered in 2 ms — is then an event nobody listens to, which
-    the kernel drops when the clock reaches it instead of dispatching it.
+    The value is a dict ``{member: value}`` with exactly one entry: the
+    first of ``events`` already processed when the condition is made, or
+    else the first member whose callbacks run after that.
+
+    The condition listens to its members only until it is decided: the
+    moment it fires or fails it takes its callback back from the members
+    that have not fired.  The loser of a race — the 30 s ``expiry`` timer
+    of a call that was answered in 2 ms — is then an event nobody listens
+    to, which the kernel drops when the clock reaches it instead of
+    dispatching it.
     """
 
-    __slots__ = ("events", "_fired")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[SimEvent]) -> None:
         super().__init__(sim)
         self.events: List[SimEvent] = list(events)
-        self._fired: List[SimEvent] = []
         for ev in self.events:
             if ev.sim is not sim:
                 raise SimulationError("cannot mix events from different simulators")
-        # Register interest; events already processed are counted immediately.
+        # Register interest; a member already processed decides at once.
         for ev in self.events:
             if ev.processed:
                 self._on_fire(ev)
             elif self._value is PENDING:
                 ev.callbacks.append(self._on_fire)
-        if not self.events and not self.triggered:
-            # Degenerate empty condition fires immediately.
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict:
-        """Map each member event that has actually occurred to its value."""
-        return {ev: ev.value for ev in self._fired}
+        if not self.events:
+            self.succeed({})  # nothing to wait for: decided at once
 
     def _on_fire(self, event: SimEvent) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
-        if not event.ok:
+        if event.ok:
+            self.succeed({event: event.value})
+        else:
             event.defuse()
             self.fail(event.value)
-        else:
-            self._fired.append(event)
-            if not self._satisfied():
-                return
-            self.succeed(self._collect())
         on_fire = self._on_fire
         for ev in self.events:
             if ev.callbacks is not None:
@@ -175,29 +171,3 @@ class _Condition(SimEvent):
                     ev.callbacks.remove(on_fire)
                 except ValueError:
                     pass
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as *any* member event fires.
-
-    Value is a dict ``{event: value}`` of the events fired so far (there may
-    be more than one if several fire at the same instant before callbacks
-    run).
-    """
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return len(self._fired) >= 1
-
-
-class AllOf(_Condition):
-    """Fires once *all* member events have fired.  Value maps all events."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return len(self._fired) >= len(self.events)

@@ -106,7 +106,7 @@ class Simulator:
         def producer(sim, store):
             for i in range(3):
                 yield sim.timeout(1.0)
-                yield store.put(i)
+                store.try_put(i)
 
         store = Store(sim)
         sim.spawn(producer(sim, store))

@@ -6,8 +6,8 @@ fires, then resumes with the event's value (``yield`` evaluates to it).  If
 the event failed, its exception is thrown into the generator instead.
 
 A :class:`Process` is itself an event that fires when the generator
-terminates, so processes can be joined (``yield other_process``) and composed
-with :class:`AnyOf` / :class:`AllOf`.
+terminates, so processes can be joined (``yield other_process``) and raced
+with :class:`AnyOf`.
 """
 
 from __future__ import annotations

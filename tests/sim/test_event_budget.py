@@ -11,7 +11,7 @@ are the budget, the parent's are in the comments.
 import pytest
 
 from repro.net import Network
-from repro.sim import AnyOf, PriorityStore, SimulationError, Simulator, Store
+from repro.sim import AnyOf, SimulationError, Simulator, Store
 from tests.conftest import polling_miniature
 
 
@@ -72,10 +72,9 @@ def test_two_hops_are_three_events():
 
 # -- puts -------------------------------------------------------------------------
 
-@pytest.mark.parametrize("store_type", [Store, PriorityStore])
-def test_try_put_costs_the_getters_event_or_nothing(store_type):
+def test_try_put_costs_the_getters_event_or_nothing():
     sim = Simulator()
-    store = store_type(sim)
+    store = Store(sim)
     assert store.try_put(3) is True
     assert spent(sim) == 0  # parent: 1, a StorePut with no callback
     assert len(store) == 1 and store.try_get() == 3
@@ -94,12 +93,13 @@ def test_try_put_costs_the_getters_event_or_nothing(store_type):
 
 def test_try_put_still_refuses_a_full_store_and_keeps_put_order():
     sim = Simulator()
-    store = Store(sim, capacity=1)
-    assert store.try_put("a") is True
-    blocked = store.put("b")
-    assert store.try_put("c") is False  # full, and "b" is ahead of it
+    store = Store(sim, capacity=2)
+    assert store.try_put("a") is True and store.try_put("b") is True
+    assert store.try_put("c") is False  # full: refused, not queued
     assert store.try_get() == "a"
-    assert blocked.triggered and store.try_get() == "b"
+    assert store.try_put("d") is True
+    assert [store.try_get(), store.try_get(), store.try_get()] == ["b", "d", None]
+    assert spent(sim) == 0  # nobody waited: no event either way
 
 
 # -- process exits ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
+from repro.sim import AnyOf, Interrupt, SimulationError, Simulator
 
 
 def test_process_return_value_via_join():
@@ -187,32 +187,37 @@ def test_anyof_fires_on_first():
     assert results == [(1.0, ["fast"])]
 
 
-def test_allof_waits_for_all():
+def test_anyof_empty_fires_immediately():
     sim = Simulator()
     results = []
 
     def waiter(sim):
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(4.0, value="b")
-        fired = yield AllOf(sim, [t1, t2])
-        results.append((sim.now, sorted(fired.values())))
+        fired = yield AnyOf(sim, [])
+        results.append((sim.now, fired))
 
     sim.spawn(waiter(sim))
     sim.run()
-    assert results == [(4.0, ["a", "b"])]
+    assert results == [(0.0, {})]
 
 
-def test_allof_empty_fires_immediately():
+def test_anyof_value_is_the_first_member_only():
+    """Members firing at one instant, or already processed, still give a
+    one-entry value: the first member the condition saw fire."""
     sim = Simulator()
     results = []
 
-    def waiter(sim):
-        yield AllOf(sim, [])
-        results.append(sim.now)
+    def waiter(sim, events):
+        fired = yield AnyOf(sim, events)
+        results.append(list(fired.items()))
 
-    sim.spawn(waiter(sim))
+    a, b = sim.timeout(1.0, value="a"), sim.timeout(1.0, value="b")
+    sim.spawn(waiter(sim, [b, a]))  # same instant: a's callbacks run first
     sim.run()
-    assert results == [0.0]
+    assert results == [[(a, "a")]]
+    assert a.processed and b.processed
+    sim.spawn(waiter(sim, [b, a]))  # both processed: the first listed
+    sim.run()
+    assert results[1] == [(b, "b")]
 
 
 def test_condition_propagates_failure():
@@ -221,7 +226,7 @@ def test_condition_propagates_failure():
 
     def waiter(sim, ev):
         try:
-            yield AllOf(sim, [ev, sim.timeout(10.0)])
+            yield AnyOf(sim, [sim.timeout(10.0), ev])
         except RuntimeError as exc:
             caught.append(str(exc))
 

@@ -1,8 +1,8 @@
-"""Tests for Store, PriorityStore, and Resource."""
+"""Tests for Store: FIFO order, getter wake-up, refusal when full."""
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, SimulationError, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 def test_store_put_then_get():
@@ -13,7 +13,7 @@ def test_store_put_then_get():
     def consumer(sim, store):
         got.append((yield store.get()))
 
-    store.put("msg")
+    store.try_put("msg")
     sim.spawn(consumer(sim, store))
     sim.run()
     assert got == ["msg"]
@@ -30,7 +30,7 @@ def test_store_get_blocks_until_put():
 
     def producer(sim, store):
         yield sim.timeout(5.0)
-        yield store.put("late-item")
+        store.try_put("late-item")
 
     sim.spawn(consumer(sim, store))
     sim.spawn(producer(sim, store))
@@ -48,7 +48,7 @@ def test_store_fifo_order():
             got.append((yield store.get()))
 
     for i in range(3):
-        store.put(i)
+        store.try_put(i)
     sim.spawn(consumer(sim, store))
     sim.run()
     assert got == [0, 1, 2]
@@ -67,42 +67,20 @@ def test_store_multiple_getters_fifo():
 
     def producer(sim, store):
         yield sim.timeout(1.0)
-        yield store.put("a")
+        store.try_put("a")
         yield sim.timeout(1.0)
-        yield store.put("b")
+        store.try_put("b")
 
     sim.spawn(producer(sim, store))
     sim.run()
     assert got == [("first", "a"), ("second", "b")]
 
 
-def test_bounded_store_put_blocks_when_full():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer(sim, store):
-        yield store.put("one")
-        events.append(("put-one", sim.now))
-        yield store.put("two")
-        events.append(("put-two", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(10.0)
-        item = yield store.get()
-        events.append(("got", item, sim.now))
-
-    sim.spawn(producer(sim, store))
-    sim.spawn(consumer(sim, store))
-    sim.run()
-    assert events == [("put-one", 0.0), ("got", "one", 10.0), ("put-two", 10.0)]
-
-
 def test_store_try_get():
     sim = Simulator()
     store = Store(sim)
     assert store.try_get() is None
-    store.put("x")
+    store.try_put("x")
     sim.run()
     assert store.try_get() == "x"
     assert store.try_get() is None
@@ -121,8 +99,8 @@ def test_store_len():
     sim = Simulator()
     store = Store(sim)
     assert len(store) == 0
-    store.put(1)
-    store.put(2)
+    store.try_put(1)
+    store.try_put(2)
     sim.run()
     assert len(store) == 2
 
@@ -131,136 +109,3 @@ def test_store_capacity_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         Store(sim, capacity=0)
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    got = []
-
-    def consumer(sim, store):
-        for _ in range(3):
-            got.append((yield store.get()))
-
-    store.put((5, "low"))
-    store.put((1, "high"))
-    store.put((3, "mid"))
-    sim.spawn(consumer(sim, store))
-    sim.run()
-    assert got == [(1, "high"), (3, "mid"), (5, "low")]
-
-
-def test_priority_store_try_get():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    store.put((2, "b"))
-    store.put((1, "a"))
-    sim.run()
-    assert store.try_get() == (1, "a")
-
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    active = []
-    peak = []
-
-    def worker(sim, res, tag):
-        req = res.request()
-        yield req
-        active.append(tag)
-        peak.append(len(active))
-        yield sim.timeout(10.0)
-        active.remove(tag)
-        res.release(req)
-
-    for tag in range(4):
-        sim.spawn(worker(sim, res, tag))
-    sim.run()
-    assert max(peak) == 2
-    assert sim.now == 20.0  # two batches of two
-
-
-def test_resource_fifo_within_priority():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def worker(sim, res, tag):
-        req = res.request()
-        yield req
-        order.append(tag)
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    for tag in ("a", "b", "c"):
-        sim.spawn(worker(sim, res, tag))
-    sim.run()
-    assert order == ["a", "b", "c"]
-
-
-def test_resource_priority_preempts_queue_order():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def holder(sim, res):
-        req = res.request()
-        yield req
-        yield sim.timeout(5.0)
-        res.release(req)
-
-    def worker(sim, res, tag, prio, delay):
-        yield sim.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    sim.spawn(holder(sim, res))
-    sim.spawn(worker(sim, res, "normal", 5, 1.0))
-    sim.spawn(worker(sim, res, "urgent", 0, 2.0))
-    sim.run()
-    assert order == ["urgent", "normal"]
-
-
-def test_resource_release_cancels_queued_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    holder = res.request()
-    assert holder.triggered
-    queued = res.request()
-    assert not queued.triggered
-    res.release(queued)  # cancel while still queued
-    assert res.queue_length == 0
-    res.release(holder)
-
-
-def test_resource_release_unknown_rejected():
-    sim = Simulator()
-    res1 = Resource(sim, capacity=1)
-    res2 = Resource(sim, capacity=1)
-    req = res1.request()
-    with pytest.raises(SimulationError):
-        res2.release(req)
-
-
-def test_resource_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_counters():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    assert res.count == 1
-    assert res.queue_length == 1
-    res.release(r1)
-    assert res.count == 1  # r2 promoted
-    assert res.queue_length == 0
-    res.release(r2)
-    assert res.count == 0

@@ -10,7 +10,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import PriorityStore, Simulator, Store
+from repro.sim import Simulator, Store
 
 ops = st.lists(
     st.one_of(
@@ -32,7 +32,7 @@ def test_store_matches_fifo_model(sequence):
 
     for op, value in sequence:
         if op == "put":
-            store.put(value)
+            assert store.try_put(value)
             model.append(value)
         else:
             item = store.try_get()
@@ -50,30 +50,13 @@ def test_bounded_store_never_exceeds_capacity(sequence, capacity):
     store = Store(sim, capacity=capacity)
     for op, value in sequence:
         if op == "put":
-            store.try_put(value)
+            room = len(store) < capacity
+            assert store.try_put(value) is room  # refused exactly when full
         else:
             store.try_get()
         assert len(store) <= capacity
     sim.run()
     assert len(store) <= capacity
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 1000)),
-                max_size=50))
-def test_priority_store_always_pops_minimum(items):
-    sim = Simulator()
-    store = PriorityStore(sim)
-    for item in items:
-        store.put(item)
-    sim.run()
-    popped = []
-    while True:
-        item = store.try_get()
-        if item is None:
-            break
-        popped.append(item)
-    assert popped == sorted(items)
 
 
 @settings(max_examples=100, deadline=None)
@@ -94,7 +77,7 @@ def test_blocking_getters_receive_everything_in_order(values):
     def producer():
         for v in values:
             yield sim.timeout(1.0)
-            yield store.put(v)
+            store.try_put(v)
 
     sim.spawn(producer())
     sim.run()
@@ -111,6 +94,6 @@ def test_cancel_preserves_items_for_later_getters(n_cancelled):
     events = [store.get() for _ in range(n_cancelled)]
     for ev in events:
         store.cancel(ev)
-    store.put("survivor")
+    store.try_put("survivor")
     sim.run()
     assert store.try_get() == "survivor"

@@ -2,7 +2,10 @@
 """List (and exit 1 on) each def or class under ``src/`` whose name no
 bare name, attribute, import or string constant (servants and getattr
 dispatch by string) under :data:`DIRS` mentions.  Dunders and the
-getattr-dispatched ``_cmd_*`` agent handlers are exempt by pattern.
+getattr-dispatched ``_cmd_*`` agent handlers are exempt by pattern.  A
+package's ``__init__`` re-exporting its own submodule's name (the import
+alias and the ``__all__`` string) is not a use: a class only its package
+re-exports is still unreferenced.
 
 Usage: python tools/check_unreferenced.py [repo_root]
 """
@@ -16,12 +19,33 @@ DIRS = ("src", "tests", "tools", "perf", "examples")
 EXEMPT = re.compile(r"__\w+__|_cmd_\w+")
 
 
+def own_reexports(tree: ast.Module, package: str) -> set:
+    """The alias and ``__all__`` string nodes by which a package's
+    ``__init__`` re-exports names from itself or its submodules."""
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or f"{node.module}.".startswith(f"{package}.")):
+            skip.update(node.names)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            skip.update(ast.walk(node.value))
+    return skip
+
+
 def main(argv) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parents[1]
     defined, referenced = [], set()
     for path in sorted(p for d in DIRS for p in (root / d).rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), filename=rel)):
+        tree = ast.parse(path.read_text(), filename=rel)
+        skip = set()
+        if path.name == "__init__.py":
+            parts = path.parent.relative_to(root).parts
+            skip = own_reexports(tree, ".".join(parts[parts[0] == "src":]))
+        for node in ast.walk(tree):
+            if node in skip:
+                continue
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 if rel.startswith("src/"):

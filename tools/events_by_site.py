@@ -32,10 +32,9 @@ class SiteCounter:
     """A ``Simulator.profiler``: runs the callbacks, counts the site."""
 
     def __init__(self) -> None:
-        from repro.sim.events import _Condition
-        from repro.sim.process import Process
+        from repro.sim import AnyOf, Process
 
-        self._condition, self._process = _Condition, Process
+        self._condition, self._process = AnyOf, Process
         self.sites: Counter = Counter()
 
     def _waiter(self, cb) -> str:
