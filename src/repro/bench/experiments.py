@@ -549,7 +549,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "snapshot + WAL",
         ("victim", "pre_sessions", "recovered_sessions", "lock_preserved",
          "groups_preserved", "recovered_interactions", "wal_replayed",
-         "catchup_records", "recovery_wall_ms"),
+         "catchup_records"),
         _recovery_drill,
         quick=(dict(n_commands=10),),
         full=(dict(n_commands=25),),

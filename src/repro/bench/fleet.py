@@ -75,8 +75,7 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
                 spec: Optional[LinkSpec] = None,
                 cost_model: Optional[CostModel] = None,
                 peer_call_timeout: float = 3.0,
-                health_period: float = 5.0,
-                sim: Optional[Simulator] = None) -> Fleet:
+                health_period: float = 5.0) -> Fleet:
     """N servers + M shard hosts in a star through a ``core`` backbone.
 
     Each edge link carries half the WAN latency, so any server-to-shard
@@ -97,7 +96,7 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
         raise ValueError("a fleet needs at least 2 servers")
     from repro.core.deployment import reset_runtime_ids
     reset_runtime_ids()
-    sim = sim or Simulator()
+    sim = Simulator()
     spec = spec or LinkSpec()
     costs = cost_model or CostModel()
     net = Network(sim)
@@ -125,7 +124,7 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
         timeseries = TimeSeriesRegistry(clock=lambda: sim.now)
         journal = StateJournal(
             MemoryBackend(), clock=lambda: sim.now,
-            metrics=StorageMetrics(timeseries, ledger), timeseries=timeseries)
+            metrics=StorageMetrics(timeseries, ledger))
         server = DiscoverServer(
             host, cost_model=costs, peer_call_timeout=peer_call_timeout,
             ledger=ledger, timeseries=timeseries, journal=journal)

@@ -219,8 +219,6 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                         server_cpus: int = 1,
                         client_buffer_capacity: float = float("inf"),
                         use_directory: bool = False,
-                        directory_shards: int = 1,
-                        directory_replicas: int = 1,
                         update_mode: str = "push",
                         update_poll_interval: float = 0.5,
                         remote_access: str = "relay",
@@ -233,8 +231,7 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                         log_sink=None,
                         storage_backend_factory=None,
                         storage_snapshot_every: Optional[int] = None,
-                        timeseries_bucket_width: float = 0.25,
-                        sim: Optional[Simulator] = None) -> Collaboratory:
+                        timeseries_bucket_width: float = 0.25) -> Collaboratory:
     """Build a ready-to-bootstrap multi-domain collaboratory.
 
     A composition root (:func:`repro.bench.fleet.build_fleet` is the
@@ -257,7 +254,7 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
     is restartable via :meth:`Collaboratory.restart_server`).
     ``storage_snapshot_every`` overrides the journal's snapshot cadence.
     """
-    sim = sim or Simulator()
+    sim = Simulator()
     spec = spec or LinkSpec()
     costs = cost_model or CostModel()
     net, domains = build_multi_domain(
@@ -289,24 +286,12 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
     trader_ref = registry_orb.activate(trader, key=TraderService.OBJECT_KEY)
     directory = None
     if use_directory:
-        # §6.3's GIS-style user directory, scaled out into a consistent-
-        # hash ring of shard servants (repro.directory).  The default
-        # single shard is co-hosted with the registry — the paper's exact
-        # deployment shape — while ``directory_shards > 1`` spreads the
-        # ring over dedicated hosts on the registry LAN with
-        # ``directory_replicas``-way replication.
+        # §6.3's GIS-style user directory: one shard co-hosted with the
+        # registry, the paper's exact deployment shape (a sharded,
+        # replicated ring is the fleet's: repro.bench.fleet.build_fleet)
         from repro.directory import DirectoryPlane
-        directory = DirectoryPlane(replicas=directory_replicas)
-        if directory_shards <= 1:
-            directory.add_shard(registry_host.name, registry_orb)
-        else:
-            for i in range(directory_shards):
-                shard_host = net.add_host(f"dir{i}", domain=domains[0].name)
-                net.add_link(shard_host.name, domains[0].server.name,
-                             spec.lan_latency, spec.lan_bandwidth,
-                             kind="lan")
-                shard_orb = Orb(shard_host, cost_model=costs, tracer=tracer)
-                directory.add_shard(shard_host.name, shard_orb)
+        directory = DirectoryPlane()
+        directory.add_shard(registry_host.name, registry_orb)
 
     snapshot_every = (DEFAULT_SNAPSHOT_EVERY if storage_snapshot_every is None
                       else storage_snapshot_every)
@@ -316,7 +301,7 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
             clock=lambda: sim.now, bucket_width=timeseries_bucket_width)
         journal = StateJournal(
             backend, clock=lambda: sim.now, snapshot_every=snapshot_every,
-            metrics=StorageMetrics(timeseries, ledger), timeseries=timeseries)
+            metrics=StorageMetrics(timeseries, ledger))
         server = DiscoverServer(
             host, cost_model=costs, naming_ref=naming_ref,
             trader_ref=trader_ref, update_mode=update_mode,
@@ -351,11 +336,11 @@ def build_single_server(*, app_hosts: int = 4, client_hosts: int = 4,
                         cost_model: Optional[CostModel] = None,
                         server_cpus: int = 1,
                         spec: Optional[LinkSpec] = None,
-                        client_buffer_capacity: float = float("inf"),
-                        sim: Optional[Simulator] = None) -> Collaboratory:
+                        client_buffer_capacity: float = float("inf")) \
+        -> Collaboratory:
     """The single-domain configuration used by experiments E1–E3."""
     return build_collaboratory(
         1, apps_hosts_per_domain=app_hosts,
         client_hosts_per_domain=client_hosts, cost_model=cost_model,
         server_cpus=server_cpus, spec=spec,
-        client_buffer_capacity=client_buffer_capacity, sim=sim)
+        client_buffer_capacity=client_buffer_capacity)

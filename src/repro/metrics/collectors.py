@@ -256,15 +256,11 @@ class StorageMetrics(CounterMetrics):
     Fed by the server's :class:`~repro.storage.StateJournal` —
     ``wal_appends`` (journaled mutations), ``snapshots`` /
     ``records_compacted`` (snapshot + compaction passes),
-    ``recoveries`` / ``records_replayed`` (restart recovery), with
-    ``last_recovery_ms`` the real (wall) milliseconds the most recent
-    :meth:`~repro.storage.StateJournal.recover` took — reported in the
-    E12 recovery-time table, never asserted bit-for-bit.
+    ``recoveries`` / ``records_replayed`` (restart recovery).
     """
 
     def __init__(self, timeseries=None, ledger=None) -> None:
         super().__init__(timeseries)
-        self.last_recovery_ms = 0.0
         #: optional RequestCostLedger — WAL appends made while a request
         #: is being handled join that request's cost vector
         self.ledger = ledger
@@ -278,10 +274,4 @@ class StorageMetrics(CounterMetrics):
                                plane="storage", operation="append")
 
     def snapshot(self) -> dict:
-        out = dict(self._counters)
-        out["last_recovery_ms"] = self.last_recovery_ms
-        return out
-
-    def clear(self) -> None:
-        super().clear()
-        self.last_recovery_ms = 0.0
+        return dict(self._counters)

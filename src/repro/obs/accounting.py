@@ -10,7 +10,7 @@ burning it.  Two cooperating pieces:
   request on all three planes with ``open_request`` / ``close_request``,
   which attribute a per-request **cost vector** (requests, sim
   events dispatched, modeled CPU µs, wire bytes split LAN/WAN, WAL
-  appends, spans minted, real wall-µs, dropped frames/bytes) to the
+  appends, spans minted, dropped frames/bytes) to the
   rollup key ``(principal, app, plane, operation)``.  Costs observed away
   from the dispatch path — per-hop wire bytes, WAL appends, span minting
   — join the same vector either through the request's propagated trace
@@ -29,8 +29,8 @@ burning it.  Two cooperating pieces:
 Everything here is **zero-event**: attribution is plain bookkeeping off
 the clock — no simulator events, no virtual CPU, no wire bytes — so the
 golden experiment tables are bit-for-bit identical with accounting on or
-off.  All vector fields are integers (virtual costs are exact by
-construction; wall time is truncated to µs), which is what makes the
+off.  Every vector field is an integer count of modelled work (host time
+is the profiler's, never a dimension), which is what makes the
 partition invariant testable bit-for-bit: the per-principal vectors sum
 *exactly* to the ledger's running totals, in any merge order.
 
@@ -60,7 +60,7 @@ __all__ = [
 #: the core per-request cost dimensions (every E14 heavy-hitter assertion
 #: quantifies over these)
 COST_DIMENSIONS = ("requests", "events", "cpu_us", "lan_bytes", "wan_bytes",
-                   "wal_appends", "spans", "wall_us")
+                   "wal_appends", "spans")
 #: bookkeeping dimensions carried in the same vector but asserted
 #: separately (errors only on failures; drops only for shed load)
 EXTRA_DIMENSIONS = ("errors", "dropped_frames", "dropped_bytes")
@@ -150,7 +150,7 @@ class RequestCostLedger:
        process runs), so charges made *during* handling (WAL appends,
        span minting) attribute to the request that caused them.
        ``close_request`` books the request itself — requests, errors,
-       events, CPU, wall time — with one entry update.
+       events, CPU — with one entry update.
     2. **Trace binding** — ``open_request`` binds the request's trace id
        to its key (LRU-bounded); frames stamped with that context
        (``Frame.trace_ctx``) attribute their per-hop wire bytes to the
@@ -164,12 +164,10 @@ class RequestCostLedger:
     def __init__(self, sim=None, *,
                  scope: Optional[Callable[[], Any]] = None,
                  events_fn: Optional[Callable[[], int]] = None,
-                 max_trace_bindings: int = MAX_TRACE_BINDINGS,
-                 wall_clock: Callable[[], int] = time.perf_counter_ns) -> None:
+                 max_trace_bindings: int = MAX_TRACE_BINDINGS) -> None:
         # without a simulator (tests), ``scope()`` returns a carrier or None
         self._sim = (sim if sim is not None
                      else Standalone(scope=scope, events_fn=events_fn))
-        self._wall = wall_clock
         self.entries: Dict[Tuple[str, str, str, str], CostVector] = {}
         self.total = CostVector()
         self._bindings: "OrderedDict[Any, Tuple[str, str, str, str]]" = \
@@ -223,7 +221,7 @@ class RequestCostLedger:
         sim = self._sim
         carrier = sim.active_process or sim
         ctx.cost_open = (key, carrier, carrier.scope_cost_key,
-                         sim.events_dispatched, self._wall())
+                         sim.events_dispatched)
         carrier.scope_cost_key = key
         if ctx.trace_ctx is not None:
             self.bind_trace(ctx.trace_ctx.trace_id, key)
@@ -236,7 +234,7 @@ class RequestCostLedger:
         rec = ctx.cost_open
         if rec is None:
             return
-        key, carrier, enclosing, events0, wall0 = rec
+        key, carrier, enclosing, events0 = rec
         assert carrier.scope_cost_key is key, "request closed out of order"
         carrier.scope_cost_key = enclosing
         ctx.cost_open = None
@@ -247,7 +245,6 @@ class RequestCostLedger:
         # consumed and the events dimension partitions exactly.
         events = self._sim.events_dispatched - events0 + 1
         cpu_us = int(round(ctx.cpu_cost * 1e6))
-        wall_us = (self._wall() - wall0) // 1000
         entry = self.entries.get(key)
         if entry is None:
             entry = self.entries[key] = CostVector()
@@ -256,7 +253,6 @@ class RequestCostLedger:
             vec.errors += errors
             vec.events += events
             vec.cpu_us += cpu_us
-            vec.wall_us += wall_us
 
     @contextmanager
     def scoped(self, principal: str, *, plane: str, operation: str):

@@ -478,7 +478,6 @@ class TimeSeriesRegistry:
           ``value``; histograms carry count/mean/quantile/max).
         - ``sum``: total over the range (counter buckets add; histogram
           buckets contribute their counts).
-        - ``rate``: ``sum`` divided by the queried span.
         - ``quantile``: quantile ``q`` of the merged histogram.
         - ``instant``: the newest bucket (value, or quantile ``q``).
         """
@@ -501,11 +500,6 @@ class TimeSeriesRegistry:
             for _, _, value in series.buckets_between(start, end):
                 total += value.count if series.kind == HISTOGRAM else value
             return total
-        if fn == "rate":
-            span = end - start
-            if not math.isfinite(span) or span <= 0:
-                return 0.0
-            return self.query(name, "sum", start=start, end=end) / span
         if fn == "quantile":
             if series.kind != HISTOGRAM:
                 raise ValueError(f"series {name!r} is not a histogram")

@@ -48,8 +48,8 @@ class RecoveryReport:
     replayed: int = 0
     #: WAL-tail records replayed per plane name
     planes: Dict[str, int] = field(default_factory=dict)
-    #: real (wall) milliseconds recovery took — non-deterministic,
-    #: reported for the E12 recovery-time table, never asserted exactly
+    #: real (wall) milliseconds recovery took — host time, read by the
+    #: ``crash_recovery`` benchmark and never recorded by the simulation
     wall_ms: float = 0.0
 
 
@@ -68,16 +68,12 @@ class StateJournal:
     def __init__(self, backend: StorageBackend, *,
                  clock: Optional[Callable[[], float]] = None,
                  snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-                 metrics=None, timeseries=None) -> None:
+                 metrics=None) -> None:
         self.wal = WriteAheadLog(backend)
         self.clock = clock or (lambda: 0.0)
         #: 0 disables automatic snapshots (explicit take_snapshot only)
         self.snapshot_every = snapshot_every
         self.metrics = metrics
-        #: optional TimeSeriesRegistry sink: WAL append wall-clock cost
-        #: lands in a ``storage.wal_append_us`` histogram (real
-        #: microseconds — telemetry, never asserted)
-        self.timeseries = timeseries
         self.recovering = False
         self._planes: Dict[str, _Plane] = {}
         self._since_snapshot = 0
@@ -105,12 +101,7 @@ class StateJournal:
         re-journal the history it is reading)."""
         if self.recovering:
             return None
-        ts = self.timeseries
-        t0 = time.perf_counter() if ts is not None else 0.0
         record = self.wal.append(kind, data, at=self.clock())
-        if ts is not None:
-            ts.observe("storage.wal_append_us",
-                       (time.perf_counter() - t0) * 1e6)
         self._count("wal_appends")
         self._since_snapshot += 1
         if self.snapshot_every and self._since_snapshot >= self.snapshot_every:
@@ -180,8 +171,6 @@ class StateJournal:
         report.wall_ms = (time.perf_counter() - t0) * 1e3
         self._count("recoveries")
         self._count("records_replayed", report.replayed)
-        if self.metrics is not None:
-            self.metrics.last_recovery_ms = report.wall_ms
         return report
 
 

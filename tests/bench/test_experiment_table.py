@@ -4,9 +4,9 @@ claims fail when the cost model is flattened, the scenario bodies return
 the rows they returned before they moved into ``repro.bench.scenarios``
 (``paper_rows.json``), and the drills' rows match the literals captured
 before they were refactored onto shared bodies (id-independent fields
-only; ``recovery_wall_ms`` is host time) and every other field of their
-quick rows as captured before their faults became data
-(``drill_rows.json``).
+only) and every field of their quick rows as captured before their faults
+became data (``drill_rows.json``).  A row holds no host time, so every
+row is compared whole.
 """
 
 import copy
@@ -31,6 +31,9 @@ from repro.net.costs import CostModel
 #: the ``slo.*`` series and points the SLO engine no longer writes, and
 #: again by exactly the ``pipeline.requests.<plane>`` series and points
 #: (one per request) that repeated the latency histograms' counts, and
+#: again by exactly the ``storage.wal_append_us`` series (one per
+#: journaling server) and points (one per WAL append, the row's
+#: ``storage_appends``) that held each append's host time, and
 #: E4/E5's ``cost_events`` by exactly the non-final compute-step timers
 #: each request window saw before a compute phase became one timer.
 #: Since the HTTP container, the HTTP clients and the ORBs bind handler
@@ -48,9 +51,10 @@ from repro.net.costs import CostModel
 #: 329.5169799650937
 PAPER_ROWS = json.loads(
     (Path(__file__).parent / "paper_rows.json").read_text())
-#: the E10b, E11, E12 and E13 drills' quick rows, ``recovery_wall_ms``
-#: (host time) left out, captured by ``Experiment.run(quick=True)`` before
-#: their faults became :mod:`repro.bench.faults` records; E10b's, E12's
+#: the E10b, E11, E12 and E13 drills' quick rows, captured by
+#: ``Experiment.run(quick=True)`` before their faults became
+#: :mod:`repro.bench.faults` records (E12's host-time ``recovery_wall_ms``
+#: left out, a field the row no longer has); E10b's, E12's
 #: and E13's ``cost_events`` have since dropped by the listener events
 #: the handler ports removed (1 422 → 1 348, 382 → 366, 1 837 → 1 733),
 #: E10b's and E13's less two: an ``exchange_health`` ``_serve`` the ORB's
@@ -100,9 +104,7 @@ def test_rows_are_the_parents_bit_for_bit(quick_rows, exp_id):
 
 @pytest.mark.parametrize("exp_id", DRILL_ROWS)
 def test_drill_rows_are_pinned_bit_for_bit(quick_rows, exp_id):
-    rows = [{key: value for key, value in row.items()
-             if key != "recovery_wall_ms"} for row in quick_rows[exp_id]]
-    assert json.loads(json.dumps(rows)) == DRILL_ROWS[exp_id]
+    assert json.loads(json.dumps(quick_rows[exp_id])) == DRILL_ROWS[exp_id]
 
 
 def test_the_ledger_and_the_traffic_trace_count_the_same_bytes(quick_runs):
@@ -233,8 +235,9 @@ def test_e13_quick_literals(quick_rows):
     (row,) = quick_rows["E13"]
     assert row["breach_delay_s"] == -0.29
     assert row["p99_ratio"] == 1.0
-    # a request is one latency point: no pipeline.requests.<plane> series
-    assert (row["merged_series"], row["merged_points"]) == (13, 1461)
+    # a request is one latency point: no pipeline.requests.<plane> series;
+    # a WAL append is no host-time point: no storage.wal_append_us series
+    assert (row["merged_series"], row["merged_points"]) == (12, 1272)
 
 
 def test_e14_quick_literals_and_determinism(quick_rows):

@@ -36,8 +36,7 @@ def equipped_server(host, tracer=None):
         tracer.ledger = ledger
     timeseries = TimeSeriesRegistry(clock=lambda: sim.now)
     journal = StateJournal(MemoryBackend(), clock=lambda: sim.now,
-                           metrics=StorageMetrics(timeseries, ledger),
-                           timeseries=timeseries)
+                           metrics=StorageMetrics(timeseries, ledger))
     return DiscoverServer(host, tracer=tracer, ledger=ledger,
                           timeseries=timeseries, journal=journal)
 

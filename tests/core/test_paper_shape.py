@@ -31,28 +31,27 @@ PAPER_ARGUMENTS = [
 COLLABORATORS = ["tracer", "ledger", "timeseries", "journal"]
 
 INF = float("inf")
-#: parameter names and defaults, captured at the parent of PR 23
+#: parameter names and defaults as captured before the planes became
+#: objects, less the builders' unused ``sim`` keyword and
+#: ``build_collaboratory``'s directory sharding, which is the fleet's
 BUILDERS = {
     build_collaboratory: {
         "apps_hosts_per_domain": 4, "client_hosts_per_domain": 4,
         "names": None, "spec": None, "cost_model": None, "server_cpus": 1,
         "client_buffer_capacity": INF, "use_directory": False,
-        "directory_shards": 1, "directory_replicas": 1,
         "update_mode": "push", "update_poll_interval": 0.5,
         "remote_access": "relay", "trace_sampling": "always",
         "trace_max_spans": 50_000, "health_period": 0.5,
         "health_gossip_period": None, "health_enabled": True,
         "accounting_enabled": True, "log_sink": None,
         "storage_backend_factory": None, "storage_snapshot_every": None,
-        "timeseries_bucket_width": 0.25, "sim": None},
+        "timeseries_bucket_width": 0.25},
     build_single_server: {
         "app_hosts": 4, "client_hosts": 4, "cost_model": None,
-        "server_cpus": 1, "spec": None, "client_buffer_capacity": INF,
-        "sim": None},
+        "server_cpus": 1, "spec": None, "client_buffer_capacity": INF},
     build_fleet: {
         "directory_shards": 4, "directory_replicas": 2, "spec": None,
-        "cost_model": None, "peer_call_timeout": 3.0, "health_period": 5.0,
-        "sim": None},
+        "cost_model": None, "peer_call_timeout": 3.0, "health_period": 5.0},
 }
 
 

@@ -7,7 +7,6 @@ entry, all fields are integers, so any grouping of the entries sums back
 to the ledger's running totals bit-for-bit, in any merge order.
 """
 
-import itertools
 import math
 
 import pytest
@@ -24,9 +23,9 @@ from repro.sim import Simulator
 
 
 def make_ledger(**kwargs):
-    """A ledger with inert clocks — pure bookkeeping, no simulator."""
-    return RequestCostLedger(events_fn=lambda: 0, wall_clock=lambda: 0,
-                             **kwargs)
+    """A ledger with an inert event count — pure bookkeeping, no
+    simulator."""
+    return RequestCostLedger(events_fn=lambda: 0, **kwargs)
 
 
 def exact_ranking(ledger, dim):
@@ -56,8 +55,7 @@ class TestLedgerAttribution:
 
     def test_request_lifecycle_charges_request_and_events(self):
         events = {"n": 0}
-        ledger = RequestCostLedger(events_fn=lambda: events["n"],
-                                   wall_clock=lambda: 0)
+        ledger = RequestCostLedger(events_fn=lambda: events["n"])
         ctx = RequestContext(PLANE_HTTP, principal="bob",
                              operation="poll", cpu_cost=0.0015)
         ledger.open_request(ctx)
@@ -113,35 +111,6 @@ class TestLedgerAttribution:
             ledger.bind_trace(i, ("p", "-", "orb", "op"))
         assert len(ledger._bindings) == 10
         assert 24 in ledger._bindings and 0 not in ledger._bindings
-
-
-class TestHostTimeSteersNoSketch:
-    """``wall_us`` is host time: booked in entries and totals like every
-    dimension and ranked from them when read, so no structure's contents
-    depend on the host."""
-
-    @staticmethod
-    def scripted(wall_clock):
-        ledger = RequestCostLedger(events_fn=lambda: 0,
-                                   wall_clock=wall_clock)
-        for i in range(12):
-            ctx = RequestContext(PLANE_HTTP, principal=f"u{i % 5}",
-                                 operation="poll", cpu_cost=0.001 * (i % 3))
-            ledger.open_request(ctx)
-            ledger.close_request(ctx)
-        return ledger
-
-    def test_wall_us_heavy_hitters_are_the_exact_entry_ranking(self):
-        steady = itertools.count(0, 5_000)
-        ledger = self.scripted(lambda: next(steady))
-        exact = sorted(((who, vec.wall_us) for who, vec
-                        in ledger.partition_by("principal").items()),
-                       key=lambda pc: (-pc[1], pc[0]))
-        assert ledger.top("wall_us", 2) == [(who, n, 0)
-                                            for who, n in exact[:2]]
-        hitters = ledger.snapshot(top=3)["heavy_hitters"]
-        assert list(hitters) == list(ALL_DIMENSIONS)
-        assert hitters["wall_us"] == [[who, n, 0] for who, n in exact[:3]]
 
 
 class TestDroppedFrameAccounting:

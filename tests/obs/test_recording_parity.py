@@ -20,6 +20,7 @@ import pytest
 from repro.core.policies import ResourcePolicy
 from repro.net import Network
 from repro.obs import Tracer
+from repro.obs.accounting import ALL_DIMENSIONS
 from repro.orb import Orb, OrbError, RemoteException
 from repro.pipeline import Interceptor
 from repro.sim import Simulator
@@ -108,8 +109,7 @@ def run_mix():
     spans = tracer.store.spans()
     op_of = {span.span_id: span.op for span in spans}
     series = {doc["name"]: doc
-              for doc in server.timeseries.to_dict()["series"]
-              if doc["name"] != "storage.wal_append_us"}  # host time
+              for doc in server.timeseries.to_dict()["series"]}
     assert all(doc["width"] == 0.25 and not any(doc["tiers"][1:])
                for doc in series.values())
     return {
@@ -119,17 +119,16 @@ def run_mix():
                     for plane in metrics.planes()},
         "error_types": {plane: metrics.error_types(plane)
                         for plane in metrics.planes()},
+        "ledger_dimensions": ledger["dimensions"],
         "ledger_totals": {dim: n for dim, n in ledger["totals"].items()
-                          if n and dim != "wall_us"},
+                          if n},
         "ledger_entries": {
             "|".join(entry[field] for field in
                      ("principal", "app", "plane", "operation")):
-            {dim: entry[dim] for dim in ledger["dimensions"]
-             if entry[dim] and dim != "wall_us"}
+            {dim: entry[dim] for dim in ledger["dimensions"] if entry[dim]}
             for entry in ledger["entries"]},
         "heavy_hitters": {dim: top for dim, top
-                          in ledger["heavy_hitters"].items()
-                          if top and dim != "wall_us"},
+                          in ledger["heavy_hitters"].items() if top},
         "spans": [(span.op, span.plane, span.status, span.error,
                    op_of.get(span.parent_id)) for span in spans],
         # tier 0 of every series, bucket index -> value
@@ -307,7 +306,10 @@ def test_pipeline_metrics_snapshot_and_error_types(mix):
     assert mix["error_types"] == ERROR_TYPES
 
 
-def test_ledger_snapshot_apart_from_wall_us(mix):
+def test_ledger_snapshot(mix):
+    """The whole snapshot: every dimension is modelled work, so nothing
+    is left out (the literals omit only zero counts)."""
+    assert mix["ledger_dimensions"] == list(ALL_DIMENSIONS)
     assert mix["ledger_totals"] == LEDGER_TOTALS
     assert mix["ledger_entries"] == LEDGER_ENTRIES
     assert mix["heavy_hitters"] == HEAVY_HITTERS

@@ -60,7 +60,7 @@ class ScopeMachine(RuleBasedStateMachine):
         super().__init__()
         self.sim = Simulator()
         self.tracer = Tracer(self.sim)
-        self.ledger = RequestCostLedger(self.sim, wall_clock=lambda: 0)
+        self.ledger = RequestCostLedger(self.sim)
         self.tracer.ledger = self.ledger
         self.recording = RecordingInterceptor(
             tracer=self.tracer, ledger=self.ledger, server="s")
@@ -220,7 +220,7 @@ TestScopeRidesOnItsProcess = ScopeMachine.TestCase
 def traced():
     sim = Simulator()
     tracer = Tracer(sim)
-    ledger = tracer.ledger = RequestCostLedger(sim, wall_clock=lambda: 0)
+    ledger = tracer.ledger = RequestCostLedger(sim)
     return tracer, ledger
 
 

@@ -126,7 +126,7 @@ def test_status_costs_keys(collab):
                          "server", "time"}
     assert body["dimensions"] == [
         "requests", "events", "cpu_us", "lan_bytes", "wan_bytes",
-        "wal_appends", "spans", "wall_us", "errors", "dropped_frames",
+        "wal_appends", "spans", "errors", "dropped_frames",
         "dropped_bytes"]
 
 
@@ -136,5 +136,5 @@ def test_status_timeseries_series_names(collab):
     assert set(body["series"]) == {
         "health.status.healthy",
         "pipeline.latency.channel", "pipeline.latency.http",
-        "storage.wal_append_us", "storage.wal_appends",
+        "storage.wal_appends",
     }

@@ -34,8 +34,7 @@ import sys
 from itertools import zip_longest
 from pathlib import Path
 
-#: dimensions that are deterministic functions of the workload (wall_us
-#: is real time and spans can depend on sampling — both excluded)
+#: every dimension but spans, which depend on the tracer's sampling
 GATED_DIMENSIONS = ("requests", "events", "cpu_us", "lan_bytes",
                     "wan_bytes", "wal_appends", "errors",
                     "dropped_frames", "dropped_bytes")
