@@ -22,25 +22,18 @@ from repro.sim.rng import DeterministicRNG
 class Dist:
     """One scalar distribution, declared as data.
 
-    ``kind`` ∈ {"constant", "uniform", "exponential", "lognormal"};
-    integer draws round via :meth:`sample_int` (minimum 1).
+    ``kind`` ∈ {"constant", "exponential"}; integer draws round via
+    :meth:`sample_int` (minimum 1).
     """
 
     kind: str
     mean: float = 0.0
-    low: float = 0.0
-    high: float = 0.0
-    sigma: float = 1.0
 
     def sample(self, rng: DeterministicRNG) -> float:
         if self.kind == "constant":
             return self.mean
-        if self.kind == "uniform":
-            return rng.uniform(self.low, self.high)
         if self.kind == "exponential":
             return rng.exponential(self.mean)
-        if self.kind == "lognormal":
-            return rng.lognormal(self.mean, self.sigma)
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     def sample_int(self, rng: DeterministicRNG) -> int:
@@ -55,36 +48,28 @@ def exponential(mean: float) -> Dist:
     return Dist("exponential", mean=mean)
 
 
-def uniform(low: float, high: float) -> Dist:
-    return Dist("uniform", low=low, high=high)
-
-
 @dataclass(frozen=True)
 class TrafficSpec:
     """A whole workload, declared as data.
 
     ``total_sessions`` sessions arrive over ``duration`` virtual seconds
-    (Poisson arrivals unless ``arrival`` overrides the gap distribution);
-    each session logs in at an edge server, performs ``ops_per_session``
-    directory locates separated by ``think_time``, and logs out.  The
-    per-op application is drawn from the app population either uniformly
-    or Zipf-weighted (``app_mix="zipf"``, skew ``zipf_s``) — popular apps
-    concentrating load is exactly what the consistent-hash ring must
-    flatten.
+    (Poisson arrivals); each session logs in at an edge server, performs
+    ``ops_per_session`` directory locates separated by ``think_time``, and
+    logs out.  The per-op application is drawn from the app population
+    either uniformly or Zipf-weighted (``app_mix="zipf"``, skew
+    ``zipf_s``) — popular apps concentrating load is exactly what the
+    consistent-hash ring must flatten.
     """
 
     total_sessions: int
     duration: float
     ops_per_session: Dist = field(default_factory=lambda: constant(2))
     think_time: Dist = field(default_factory=lambda: exponential(0.1))
-    arrival: Optional[Dist] = None
     app_mix: str = "uniform"
     zipf_s: float = 1.1
     seed: int = 0
 
     def arrival_gap(self) -> Dist:
-        if self.arrival is not None:
-            return self.arrival
         return exponential(self.duration / max(1, self.total_sessions))
 
 

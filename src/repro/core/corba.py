@@ -13,7 +13,7 @@ Both are plain ORB servants; generator methods run in virtual time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.orb import ObjectNotFound, ObjectRef
 from repro.wire import Message
@@ -33,10 +33,6 @@ class DiscoverCorbaServerServant:
     def ping(self) -> str:
         """Liveness probe; returns the server's name."""
         return self.server.name
-
-    def authenticate(self, user: str) -> bool:
-        """Level-one authentication of a remote user."""
-        return self.server.security.authenticate_user(user)
 
     def authenticate_and_list(self, user: str) -> List[dict]:
         """Authenticate ``user`` and return the applications here they can

@@ -19,8 +19,6 @@ from repro.orb.idl import Interface, Operation
 #: Level one — the server's gateway for all other DISCOVER servers (§5.1.1)
 DISCOVER_CORBA_SERVER = Interface("DiscoverCorbaServer", (
     Operation("ping", (), doc="liveness probe; returns the server name"),
-    Operation("authenticate", ("user",),
-              doc="level-one authentication of a remote user"),
     Operation("authenticate_and_list", ("user",),
               doc="authenticate + list applications the user can access"),
     Operation("get_active_applications", (),

@@ -10,13 +10,13 @@ exactly what the E11 kill-replica drill asserts).
 
 The plane also aggregates per-shard load and store sizes for the
 :class:`~repro.obs.registry.MetricsRegistry` (``snapshot()``) and keeps
-the old single-servant conveniences (``app_count``, ``known_users``)
-alive for deployments and tests that held a ``collab.directory``.
+the old single-servant convenience ``app_count`` alive for deployments
+and tests that held a ``collab.directory``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.directory.client import DirectoryClient
 from repro.directory.ring import DEFAULT_VNODES, HashRing
@@ -93,12 +93,6 @@ class DirectoryPlane:
         for servant in self.servants.values():
             apps |= servant.app_ids()
         return len(apps)
-
-    def known_users(self) -> List[str]:
-        users: Set[str] = set()
-        for servant in self.servants.values():
-            users.update(servant.known_users())
-        return sorted(users)
 
     def per_shard_load(self, live_only: bool = False) -> Dict[str, int]:
         """``{shard: requests served}`` — the E11 flatness metric."""

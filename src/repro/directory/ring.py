@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 #: default virtual-node count per server — enough that 1000 keys over a
 #: handful of shards balance within ~2x of ideal (property-tested).
@@ -85,12 +85,6 @@ class HashRing:
     def nodes(self) -> List[str]:
         return sorted(self._nodes)
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._nodes
-
     # -- key placement -----------------------------------------------------
     def shard_of(self, key: str) -> str:
         """Primary owner of ``key`` (first node point clockwise)."""
@@ -128,8 +122,3 @@ class HashRing:
         for key in keys:
             counts[self.shard_of(key)] += 1
         return counts
-
-    def describe(self) -> List[Tuple[str, int]]:
-        """``(node, vnode_count)`` pairs, sorted — for docs/CLI dumps."""
-        return [(node, len(points))
-                for node, points in sorted(self._nodes.items())]

@@ -178,6 +178,3 @@ class DirectoryShardServant:
 
     def app_ids(self) -> Set[str]:
         return set(self._apps)
-
-    def known_users(self) -> List[str]:
-        return sorted(self._by_user)

@@ -181,15 +181,6 @@ class HealthModel:
             counts[entry.status] += 1
         return counts
 
-    def transitions(self) -> List[Tuple[float, str, str, str]]:
-        """Every ``(time, component, old, new)`` transition, time-ordered."""
-        out = []
-        for key, entry in self._components.items():
-            for when, old, new in entry.transitions:
-                out.append((when, key, old, new))
-        out.sort()
-        return out
-
     def detection_latency(self, key: str, since: float) -> Optional[float]:
         """Sim seconds from ``since`` until ``key`` first went unhealthy
         at or after ``since`` (None if it never did)."""

@@ -140,10 +140,6 @@ class PipelineMetrics:
             }
         return out
 
-    def clear(self) -> None:
-        self._error_types.clear()
-        self._latencies.clear()
-
 
 class CounterMetrics:
     """Named integer counters plus an optional time-series sink — what the
@@ -159,9 +155,6 @@ class CounterMetrics:
 
     def get(self, name: str) -> int:
         return self._counters.get(name, 0)
-
-    def clear(self) -> None:
-        self._counters.clear()
 
 
 class FederationMetrics(CounterMetrics):
@@ -203,10 +196,6 @@ class FederationMetrics(CounterMetrics):
                 self.staleness_stats(app_id).scaled(1e3).mean)
         return out
 
-    def clear(self) -> None:
-        super().clear()
-        self._staleness.clear()
-
 
 class DirectoryMetrics(CounterMetrics):
     """Counters and lookup latency for one server's ``DirectoryClient``.
@@ -244,10 +233,6 @@ class DirectoryMetrics(CounterMetrics):
         out["read_latency_ms"] = {"count": stats.count, "mean": stats.mean,
                                   "p50": stats.p50, "p99": stats.p99}
         return out
-
-    def clear(self) -> None:
-        super().clear()
-        self._read_latency = Reservoir()
 
 
 class StorageMetrics(CounterMetrics):

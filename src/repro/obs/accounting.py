@@ -93,19 +93,6 @@ class CostVector:
     def as_dict(self) -> Dict[str, int]:
         return {dim: getattr(self, dim) for dim in ALL_DIMENSIONS}
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, int]) -> "CostVector":
-        vec = cls()
-        for dim in ALL_DIMENSIONS:
-            setattr(vec, dim, int(doc.get(dim, 0)))
-        return vec
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CostVector):
-            return NotImplemented
-        return all(getattr(self, d) == getattr(other, d)
-                   for d in ALL_DIMENSIONS)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nonzero = {d: v for d, v in self.as_dict().items() if v}
         return f"<CostVector {nonzero}>"

@@ -80,13 +80,6 @@ class SpanStore:
         self._spans.append(span)
         return True
 
-    def clear(self) -> None:
-        self._spans.clear()
-        self._index.clear()
-        self._indexed = 0
-        self.room = self.max_spans
-        self.dropped = 0
-
     # -- lookup ------------------------------------------------------------
     def _by_trace(self) -> Dict[int, List[Span]]:
         """The index, caught up with the spans added since the last read."""

@@ -55,9 +55,3 @@ class ObjectAdapter:
         servant = self.servant(key)
         return ObjectRef(self.host_name, self.port, key,
                          type(servant).__name__)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._servants
-
-    def __len__(self) -> int:
-        return len(self._servants)

@@ -107,11 +107,6 @@ class RequestContext:
         self.cost_open: Optional[tuple] = None
 
     @property
-    def trace_id(self) -> str:
-        """Plane-qualified request id, for end-to-end correlation."""
-        return f"{self.plane}-{self.request_id}"
-
-    @property
     def elapsed(self) -> Optional[float]:
         """Virtual seconds spent in the pipeline (None without a clock)."""
         if self.started_at is None or self.finished_at is None:
@@ -120,7 +115,8 @@ class RequestContext:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "error" if self.error is not None else "ok"
-        return (f"<RequestContext {self.trace_id} {self.operation!r} "
+        return (f"<RequestContext {self.plane}-{self.request_id} "
+                f"{self.operation!r} "
                 f"from {self.principal!r} [{state}]>")
 
 

@@ -47,12 +47,6 @@ class DeterministicRNG:
     def exponential(self, mean: float) -> float:
         return float(self._gen.exponential(mean))
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        return float(self._gen.normal(mean, std))
-
-    def lognormal(self, mean: float, sigma: float) -> float:
-        return float(self._gen.lognormal(mean, sigma))
-
     def integers(self, low: int, high: Optional[int] = None) -> int:
         return int(self._gen.integers(low, high))
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.sim import AnyOf
 from repro.steering.agents import InteractionAgent
@@ -94,8 +94,8 @@ class AppConfig:
 class SteerableApplication:
     """Base class for applications steered through DISCOVER.
 
-    Subclasses override :meth:`setup` (register parameters/sensors/
-    actuators on ``self.control``) and :meth:`step` (one numerical step).
+    Subclasses define ``setup()`` (register parameters/sensors/actuators
+    on ``self.control``) and ``step(index)`` (one numerical step).
     """
 
     def __init__(self, host: "Host", name: str, server_host: str, *,
@@ -122,13 +122,6 @@ class SteerableApplication:
         self.setup()
 
     # -- subclass surface ---------------------------------------------------
-    def setup(self) -> None:
-        """Register steering hooks on ``self.control`` (override)."""
-
-    def step(self, index: int) -> None:
-        """Advance the numerical state by one step (override)."""
-        raise NotImplementedError
-
     def update_payload(self) -> dict:
         """Payload of each periodic update: monitored sensors + status."""
         payload = self.control.monitored_views()

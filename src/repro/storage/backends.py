@@ -24,47 +24,27 @@ class StorageError(Exception):
 class StorageBackend:
     """Interface every storage medium implements.
 
-    The WAL region is append-only between compactions; ``reset_wal``
-    atomically replaces it (the compaction rewrite).  The archive region
-    is written once and then only read: entries are appended behind a
-    known prefix and never rewritten.  The snapshot slot holds at most
-    one document and is atomically replaced on save.
+    WAL region: ``append(entry)``, ``entries()`` and ``reset_wal(entries)``.
+    It is append-only between compactions; ``reset_wal`` atomically
+    replaces it (the compaction rewrite).
+
+    Archive region: ``archive_append(entries, after)`` leaves the archive
+    holding its first ``after`` entries followed by ``entries``.  Anything
+    beyond ``after`` was appended by a snapshot that crashed before its
+    document was saved, so no snapshot covers it and it is overwritten.
+    ``archive_entries(count)`` returns the first ``count`` entries, oldest
+    first; fewer on the medium than a snapshot covers is a
+    :class:`StorageError`.  Otherwise the region is written once and then
+    only read.
+
+    Snapshot slot: ``save_snapshot(doc)`` and ``load_snapshot()`` (None
+    when empty).  It holds at most one document and is atomically
+    replaced on save.
     """
-
-    # -- WAL region -----------------------------------------------------
-    def append(self, entry: Dict) -> None:
-        raise NotImplementedError
-
-    def entries(self) -> List[Dict]:
-        raise NotImplementedError
-
-    def reset_wal(self, entries: Iterable[Dict]) -> None:
-        raise NotImplementedError
 
     def wal_len(self) -> int:
         return len(self.entries())
 
-    # -- archive region -------------------------------------------------
-    def archive_append(self, entries: List[Dict], after: int) -> None:
-        """Leave the archive holding its first ``after`` entries followed
-        by ``entries``.  Anything beyond ``after`` was appended by a
-        snapshot that crashed before its document was saved, so no
-        snapshot covers it and it is overwritten here."""
-        raise NotImplementedError
-
-    def archive_entries(self, count: int) -> List[Dict]:
-        """The first ``count`` archive entries, oldest first; fewer on
-        the medium than a snapshot covers is a :class:`StorageError`."""
-        raise NotImplementedError
-
-    # -- snapshot slot --------------------------------------------------
-    def save_snapshot(self, snapshot: Dict) -> None:
-        raise NotImplementedError
-
-    def load_snapshot(self) -> Optional[Dict]:
-        raise NotImplementedError
-
-    # -- lifecycle ------------------------------------------------------
     def clear(self) -> None:
         """Wipe all three regions (tests / fresh deployments)."""
         self.reset_wal(())
@@ -72,7 +52,7 @@ class StorageBackend:
         self.save_snapshot({})
 
     def close(self) -> None:
-        pass
+        """Release the medium; nothing to release in memory."""
 
 
 def _missing(count: int, held: int) -> StorageError:

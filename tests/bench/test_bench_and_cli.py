@@ -148,3 +148,37 @@ def test_cli_demo(capsys):
     assert main(["demo"]) == 0
     out = capsys.readouterr().out
     assert "steered gain -> 2.5" in out
+
+
+#: each command ``main`` runs in-process, and a line its output must hold
+CLI_KEY_LINES = {
+    "status --quick": "status of d0-server at sim-time",
+    "status --quick --prom": "# TYPE repro_alerts_active gauge",
+    "alerts --quick": "scenario: alerts_fired=",
+    "costs": "per-operation (requests, cpu_us, events):",
+    "profile --scenario e14": "profiled E14 drill: sessions_done=",
+    "profile --scenario e1": "profiled E1 run: n_apps=20",
+    "trace": "dominant contributors:",  # the critical-path view
+    "trace --view summary --metrics": "unified metrics snapshot:",
+    "trace --view dump": "portal.command  [client@d0-client0]",
+}
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+@pytest.mark.parametrize("command", list(CLI_KEY_LINES))
+def test_cli_command_runs_in_process(capsys, command):
+    """Each command exits 0 and prints its key line."""
+    assert main(command.split()) == 0
+    assert CLI_KEY_LINES[command] in capsys.readouterr().out
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_cli_tsdb_export_then_load_one_series(capsys, tmp_path):
+    path = str(tmp_path / "tsdb.json")
+    assert main(["tsdb", "--quick", "--export", path]) == 0
+    assert "round-trip verified" in capsys.readouterr().out
+    assert main(["tsdb", "--input", path,
+                 "--series", "pipeline.latency.http"]) == 0
+    out = capsys.readouterr().out
+    assert "loaded 12 series from" in out
+    assert "pipeline.latency.http (histogram, q=0.99)" in out

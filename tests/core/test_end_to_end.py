@@ -244,21 +244,40 @@ def test_chat_between_clients(single):
     assert chats == [("alice", "hello bob")]
 
 
-def test_replay_interactions(single):
-    app = single.add_app(0, SyntheticApp, "wave", acl={"alice": "write"},
-                         config=fast_config())
-    single.sim.run(until=2.0)
-    portal = single.add_portal(0)
+@pytest.mark.usefixtures("session_ids_kept")
+@pytest.mark.parametrize("relayed", [False, True], ids=["local", "relayed"])
+def test_replay_interactions(relayed):
+    """§5.2.5: a client reads an application's archive the same way whether
+    the application is homed on its own server or, relayed through the
+    peer's CorbaProxy, on another domain's."""
+    if relayed:
+        collab = build_collaboratory(2, apps_hosts_per_domain=1,
+                                     client_hosts_per_domain=1)
+    else:
+        collab = build_single_server()
+    collab.run_bootstrap()
+    app = collab.add_app(1 if relayed else 0, SyntheticApp, "wave",
+                         acl={"alice": "write"}, config=fast_config())
+    collab.sim.run(until=3.0)
+    portal = collab.add_portal(0)
 
     def scenario():
         yield from portal.login("alice")
         session = yield from portal.open(app.app_id)
+        assert session.http is portal.http  # no redirect: d0 serves it
         yield from session.acquire_lock()
         yield from session.set_param("gain", 2.0)
         yield from session.get_param("gain")
+        joined = yield from session.join_group("viz")
+        left = yield from session.leave_group("viz")
         records = yield from session.replay_interactions()
-        return [r["command"] for r in records]
+        app_log = yield from session.replay_app_log()
+        return [r["command"] for r in records], app_log, joined, left
 
-    commands = run(single, scenario())
-    assert "set_param" in commands
-    assert "get_param" in commands
+    home = collab.domains[1 if relayed else 0].server
+    assert app.app_id.startswith(f"{home.name}#")
+    commands, app_log, joined, left = run(collab, scenario())
+    assert commands == ["set_param", "get_param"]
+    assert app_log
+    assert joined == [portal.client_id]
+    assert left == []

@@ -185,3 +185,19 @@ def test_http_session_cookie_issued_once(site):
     first, later = run(collab, scenario())
     assert first.startswith("JSESSIONID-")
     assert later == first  # the same session is reused, not re-issued
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+@pytest.mark.parametrize("path", ["/status", "/archive/interactions"])
+def test_post_to_a_get_only_servlet_is_400_naming_its_mount(site, path):
+    collab, app, client = site
+
+    def go():
+        try:
+            yield from client.post(path, params={})
+        except HttpError as exc:
+            return exc.status, exc.body
+
+    status, body = run(collab, go())
+    mount = "/" + path.split("/")[1]
+    assert (status, body) == (400, {"error": f"POST not supported on {mount}"})

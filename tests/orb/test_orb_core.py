@@ -283,3 +283,20 @@ def test_orb_shutdown_releases_port():
     assert 683 not in net.hosts["server-host"].ports
     # idempotent
     sorb.shutdown()
+
+
+def test_equal_refs_and_trace_contexts_hash_alike():
+    """Both define ``__eq__`` by value, so equal values must hash alike and
+    find each other as dict keys."""
+    from repro.obs.span import TraceContext
+    from repro.orb import ObjectRef
+
+    pairs = [(ObjectRef("h", 683, "calc", "Calc"),
+              ObjectRef("h", 683, "calc")),
+             (TraceContext(7, 3), TraceContext(7, 3))]
+    for a, b in pairs:
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+    assert ObjectRef("h", 683, "calc") != ObjectRef("h", 684, "calc")
+    assert TraceContext(7, 3) != TraceContext(7, 4)

@@ -9,12 +9,10 @@ from repro.storage import JsonlBackend, MemoryBackend, StorageError
 
 @pytest.fixture(params=["memory", "jsonl"])
 def backend(request, tmp_path):
-    if request.param == "memory":
-        yield MemoryBackend()
-    else:
-        b = JsonlBackend(tmp_path)
-        yield b
-        b.close()
+    b = (MemoryBackend() if request.param == "memory"
+         else JsonlBackend(tmp_path))
+    yield b
+    b.close()  # every medium closes, the in-memory one as a no-op
 
 
 # ------------------------- interface contract ------------------------------

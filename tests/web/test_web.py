@@ -44,6 +44,13 @@ class SlowServlet(Servlet):
         return {"slow": True}
 
 
+class SubmitServlet(Servlet):
+    """POST-only: GET falls through to the base servlet's answer."""
+
+    def do_post(self, request, session):
+        return {"accepted": True}
+
+
 class CrashServlet(Servlet):
     def do_get(self, request, session):
         raise RuntimeError("servlet exploded")
@@ -157,6 +164,20 @@ def test_unknown_path_is_404():
             return exc.status
 
     assert drive(sim, go()) == 404
+
+
+@pytest.mark.usefixtures("session_ids_kept")
+def test_get_on_a_post_only_servlet_is_400_naming_its_mount():
+    sim, net, container, client = make_site()
+    container.mount("/submit", SubmitServlet())
+
+    def go():
+        try:
+            yield from client.get("/submit")
+        except HttpError as exc:
+            return (exc.status, exc.body)
+
+    assert drive(sim, go()) == (400, {"error": "GET not supported on /submit"})
 
 
 def test_servlet_exception_is_500():
