@@ -62,7 +62,7 @@ class ComponentHealth:
     """Hysteresis state machine for one monitored component."""
 
     __slots__ = ("component", "down_after", "up_after", "status",
-                 "since", "last_seen", "_fail_streak", "_ok_streak",
+                 "since", "_fail_streak", "_ok_streak",
                  "successes", "failures", "transitions")
 
     def __init__(self, component: str, *,
@@ -76,8 +76,6 @@ class ComponentHealth:
         self.status = STATUS_UNKNOWN
         #: sim time of the last status change (0.0 until first observed)
         self.since = 0.0
-        #: sim time of the last successful observation
-        self.last_seen: Optional[float] = None
         self._fail_streak = 0
         self._ok_streak = 0
         self.successes = 0
@@ -95,7 +93,6 @@ class ComponentHealth:
     def record_success(self, now: float) -> str:
         """One good observation (heartbeat arrived, call succeeded)."""
         self.successes += 1
-        self.last_seen = now
         self._ok_streak += 1
         self._fail_streak = 0
         if self.status in (STATUS_UNKNOWN, STATUS_DEGRADED):
@@ -155,10 +152,6 @@ class HealthModel:
     def record_failure(self, key: str) -> str:
         return self.component(key).record_failure(self._clock())
 
-    def forget(self, key: str) -> None:
-        """Drop a component (e.g. a deregistered application)."""
-        self._components.pop(key, None)
-
     # -- queries -----------------------------------------------------------
     def status_of(self, key: str) -> str:
         entry = self._components.get(key)
@@ -166,9 +159,6 @@ class HealthModel:
 
     def is_unhealthy(self, key: str) -> bool:
         return self.status_of(key) == STATUS_UNHEALTHY
-
-    def components(self) -> List[str]:
-        return sorted(self._components)
 
     def statuses(self) -> Dict[str, str]:
         return {key: entry.status

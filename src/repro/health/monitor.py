@@ -258,9 +258,6 @@ class HealthMonitor:
             return STATUS_UNKNOWN
         return self.model.status_of(key)
 
-    def peer_status(self, name: str) -> str:
-        return self.status_of(self.server_key(name))
-
     def is_unhealthy_peer(self, name: str) -> bool:
         """Routing predicate: should calls to this peer be avoided?"""
         return self.enabled and self.model.is_unhealthy(

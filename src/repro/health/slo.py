@@ -270,17 +270,6 @@ class SLOEngine:
             self._evaluate(spec, samples, now)
 
     # -- evaluation --------------------------------------------------------
-    def burn_rate(self, name: str, window: float) -> float:
-        """Burn rate of one spec over the trailing ``window`` sim-seconds
-        (at most the spec's longest window).
-
-        The burn rate is the bad fraction observed in the window divided
-        by the error budget: 1.0 means the budget is being spent exactly
-        at the sustainable rate, ``k`` means ``k``× too fast.
-        """
-        spec, _fn, samples = self._specs[name]
-        return self._burn(spec, samples, self._clock(), window)
-
     @staticmethod
     def _window(samples: Deque[Sample], now: float,
                 window: float) -> Tuple[float, float]:
@@ -298,6 +287,10 @@ class SLOEngine:
 
     def _burn(self, spec: SLOSpec, samples: Deque[Sample], now: float,
               window: float) -> float:
+        """Burn rate over the trailing ``window`` sim-seconds: the bad
+        fraction observed in it divided by the error budget.  1.0 spends
+        the budget exactly at the sustainable rate, ``k`` ``k``× too
+        fast."""
         total, bad = self._window(samples, now, window)
         if total <= 0:
             return 0.0

@@ -44,13 +44,6 @@ class LatencyRecorder:
     def stats(self, op: str) -> SummaryStats:
         return summarize(self._samples.get(op, ()))
 
-    def operations(self) -> List[str]:
-        return sorted(self._samples)
-
-    def clear(self) -> None:
-        self._samples.clear()
-        self._open.clear()
-
 
 class PipelineMetrics:
     """Per-plane latency samples and error tallies, one record a request.
@@ -164,36 +157,35 @@ class FederationMetrics(CounterMetrics):
     cache invalidations (``app_invalidations`` / ``peer_invalidations``)
     and the :class:`SubscriptionManager` counts subscription lifecycle
     events (``subscribes`` / ``unsubscribes`` / ``pollers_started`` /
-    ``poll_rounds`` / ``poll_failovers``).  Staleness samples are virtual
-    seconds from an application stamping an update to this server
-    receiving it over the peer network (push or poll); they are
-    reservoir-bounded per application (exact count/mean, sampled
-    percentiles) so long collaborations cannot grow memory without limit.
+    ``poll_rounds`` / ``poll_failovers``).  Staleness is virtual seconds
+    from an application stamping an update to this server receiving it
+    over the peer network (push or poll).  Its mean per application is
+    all a report reads, so each application keeps a running
+    ``[count, total]`` — two numbers however long the collaboration
+    runs; the distribution is the ``federation.staleness`` histogram.
     """
 
     def __init__(self, timeseries=None) -> None:
         super().__init__(timeseries)
-        self._staleness: Dict[str, Reservoir] = defaultdict(Reservoir)
+        #: app id -> [updates observed, their summed staleness in seconds]
+        self._staleness: Dict[str, list] = {}
 
     def observe_staleness(self, app_id: str, lag: float) -> None:
         """Record one remote update's age on arrival."""
-        self._staleness[app_id].add(lag)
+        entry = self._staleness.get(app_id)
+        if entry is None:
+            entry = self._staleness[app_id] = [0, 0.0]
+        entry[0] += 1
+        entry[1] += lag
         if self.timeseries is not None:
             self.timeseries.observe("federation.staleness", lag)
 
-    def staleness_stats(self, app_id: str) -> SummaryStats:
-        reservoir = self._staleness.get(app_id)
-        return reservoir.stats() if reservoir is not None else summarize(())
-
-    def apps_observed(self) -> List[str]:
-        return sorted(self._staleness)
-
     def snapshot(self) -> dict:
-        """Plain-dict summary (staleness in milliseconds) for reports."""
+        """Plain-dict summary (mean staleness in milliseconds) for
+        reports."""
         out = dict(self._counters)
-        for app_id in self.apps_observed():
-            out[f"staleness_ms[{app_id}]"] = (
-                self.staleness_stats(app_id).scaled(1e3).mean)
+        for app_id, (count, total) in sorted(self._staleness.items()):
+            out[f"staleness_ms[{app_id}]"] = total / count * 1e3
         return out
 
 

@@ -33,12 +33,6 @@ class SummaryStats:
                             self.p50 * factor, self.p90 * factor,
                             self.p99 * factor, self.maximum * factor)
 
-    def row(self, ndigits: int = 2) -> str:
-        """One human-readable table row."""
-        return (f"n={self.count:5d}  mean={self.mean:9.{ndigits}f}  "
-                f"p50={self.p50:9.{ndigits}f}  p90={self.p90:9.{ndigits}f}  "
-                f"p99={self.p99:9.{ndigits}f}  max={self.maximum:9.{ndigits}f}")
-
 
 class Reservoir:
     """Bounded sample store: exact count/mean/min/max, sampled percentiles.

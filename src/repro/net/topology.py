@@ -9,7 +9,7 @@ joined by WAN links.  :func:`build_multi_domain` reproduces that shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.net.costs import LinkSpec
 from repro.net.network import Network
@@ -82,19 +82,3 @@ def build_multi_domain(sim: "Simulator", n_domains: int, apps_per_domain: int,
                          spec.wan_latency, spec.wan_bandwidth, kind="wan")
     return net, domains
 
-
-def build_star(sim: "Simulator", n_leaves: int, latency: float = 0.0005,
-               bandwidth: float = float("inf"),
-               hub_cpus: int = 1) -> tuple:
-    """A hub host with ``n_leaves`` leaf hosts — the single-server scenarios.
-
-    Returns ``(network, hub, [leaf, ...])``.
-    """
-    net = Network(sim)
-    hub = net.add_host("hub", cpu_capacity=hub_cpus)
-    leaves = []
-    for i in range(n_leaves):
-        leaf = net.add_host(f"leaf{i}")
-        net.add_link("hub", leaf.name, latency, bandwidth, kind="lan")
-        leaves.append(leaf)
-    return net, hub, leaves

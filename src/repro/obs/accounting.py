@@ -32,7 +32,7 @@ golden experiment tables are bit-for-bit identical with accounting on or
 off.  Every vector field is an integer count of modelled work (host time
 is the profiler's, never a dimension), which is what makes the
 partition invariant testable bit-for-bit: the per-principal vectors sum
-*exactly* to the ledger's running totals, in any merge order.
+*exactly* to the ledger's running totals.
 
 Boundary: the rest of the tree names only :class:`RequestCostLedger`,
 :class:`DispatchProfiler`, and :data:`COST_DIMENSIONS` (through the
@@ -45,7 +45,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import Standalone
 from repro.pipeline.core import RequestContext
@@ -329,25 +329,6 @@ class RequestCostLedger:
         the third field is the error bound readers of the surfaces expect,
         and an exact count has none)."""
         return _ranked(self.partition_by("principal"), dim, n)
-
-    def merge_from(self, other: "RequestCostLedger") -> "RequestCostLedger":
-        """Fold another ledger in exactly (entries and totals are integer
-        sums, so the result is merge-order-independent bit-for-bit)."""
-        for key, vec in other.entries.items():
-            slot = self.entries.get(key)
-            if slot is None:
-                slot = self.entries[key] = CostVector()
-            slot.add(vec)
-        self.total.add(other.total)
-        return self
-
-    @classmethod
-    def merged(cls, ledgers: Iterable["RequestCostLedger"]) \
-            -> "RequestCostLedger":
-        out = cls()
-        for ledger in ledgers:
-            out.merge_from(ledger)
-        return out
 
     def snapshot(self, *, top: Optional[int] = None) -> dict:
         """Plain-dict view: totals, per-key entries, and per-dimension

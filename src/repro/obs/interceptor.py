@@ -20,8 +20,8 @@ record; each store is written from it once:
   itself.
 - Completion (``after`` and ``on_error`` alike — ``ctx.error_type`` says
   which) is one call into each again: ``close_request`` books the
-  request with one entry update, ``Tracer.finish`` deactivates and
-  retains the span; then one :meth:`PipelineMetrics.observe` with the
+  request with one entry update, ``Tracer.finish`` closes the span's
+  scope and retains it; then one :meth:`PipelineMetrics.observe` with the
   span id as the latency bucket's exemplar.
 
 Each sink is optional: a bare ORB has only a tracer, a directory shard

@@ -3,14 +3,15 @@
 A :class:`StructuredLog` replaces ad-hoc ``print`` calls and silent
 drops with machine-readable records: every ``event()`` call produces one
 dict auto-stamped with the simulated time, the owning server's id, and
-— when a span is active on the tracer's activation stack — the current
+— when the calling process has a current span on the tracer — its
 trace/span ids, so a log line can be joined against the span store
 without any manual correlation.
 
 Records are held in a bounded ring (oldest dropped first) and can also
-be streamed to a sink as JSON lines (``tools/export_health_artifacts.py``
-writes the E10b fleet's as ``e10_log.jsonl``).  Logging is pure bookkeeping: no events, no messages, no CPU —
-safe to leave on inside golden scenarios.
+be streamed to a ``sink`` as JSON lines, which is how
+``tools/export_health_artifacts.py`` writes the E10b fleet's as
+``e10_log.jsonl``.  Logging is pure bookkeeping: no events, no messages,
+no CPU — safe to leave on inside golden scenarios.
 """
 
 from __future__ import annotations
@@ -80,17 +81,8 @@ class StructuredLog:
             out = [r for r in out if r["level"] == level]
         return out
 
-    def counts(self) -> Dict[str, int]:
-        """``{event: occurrences}`` over the log's lifetime."""
-        return dict(self._counts)
-
     def __len__(self) -> int:
         return len(self._records)
-
-    def export_jsonl(self) -> str:
-        """Every retained record as JSON lines (CI artifacts)."""
-        return "\n".join(json.dumps(r, sort_keys=True, default=str)
-                         for r in self._records)
 
     def snapshot(self) -> dict:
         return {"records": len(self._records), "dropped": self.dropped,

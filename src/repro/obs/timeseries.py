@@ -540,16 +540,6 @@ class TimeSeriesRegistry:
         merged = series.merged_histogram(s, e)
         return merged.cumulative(), merged.total, merged.count
 
-    def histogram_exemplars(self, name: str, *, start: Optional[float] = None,
-                            end: Optional[float] = None) -> List[Any]:
-        """Exemplars (e.g. span ids) attached to buckets in the range."""
-        series = self._series.get(name)
-        if series is None or series.kind != HISTOGRAM:
-            return []
-        s, e = self._range(start, end)
-        merged = series.merged_histogram(s, e)
-        return [merged.exemplars[k] for k in sorted(merged.exemplars)]
-
     # -- fleet aggregation -------------------------------------------
 
     def merge_from(self, other: "TimeSeriesRegistry") -> "TimeSeriesRegistry":

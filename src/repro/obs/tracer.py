@@ -1,14 +1,16 @@
 """The Tracer: the one write API for causal tracing over simulated time.
 
 Components never construct spans themselves (``Span`` is not in
-``repro.obs.__all__``) — they ask the tracer to start/finish/record
-them, and the tracer handles sampling, id minting, the per-process
-"current span" used for in-process propagation, and retention in the
-shared :class:`~repro.obs.store.SpanStore`.
+``repro.obs.__all__``) — they ask the tracer to open
+(:meth:`Tracer.enter`, or the :meth:`Tracer.span` context manager),
+finish or record them, and the tracer handles sampling, id minting, the
+per-process "current span" used for in-process propagation, and
+retention in the shared :class:`~repro.obs.store.SpanStore`.
 
 The current span rides on its *carrier*, ``sim.active_process or sim``
-(the ``scope_span`` slot): opening a scope keeps the slot's previous value
-in its token, closing puts it back (DESIGN §4c).
+(the ``scope_span`` slot): ``enter`` keeps the slot's previous value in
+the token it returns, ``finish(span, token=token)`` puts it back
+(DESIGN §4c).
 
 Tracing is **zero-event**: every method is a plain call off the clock
 (``sim.now``) — nothing here schedules simulator events, takes virtual
@@ -47,7 +49,7 @@ class Standalone:
 
 
 class Tracer:
-    """Mints, activates, and records spans against one shared store.
+    """Mints, scopes, and records spans against one shared store.
 
     ``sampling`` is ``"always"`` (every span kept) or ``"off"`` (none:
     every method is a no-op and :attr:`enabled` is false).
@@ -117,20 +119,12 @@ class Tracer:
             server=server, start=sim.now, attrs=attrs)
         return (span, carrier, enclosing)
 
-    def start_span(self, op: str, *, plane: str = "", server: str = "",
-                   parent: Optional[Any] = None,
-                   attrs: Optional[dict] = None) -> Optional[Span]:
-        """:meth:`enter` without the activation; None when sampled out
-        (all APIs accept None)."""
-        token = self.enter(op, plane=plane, server=server, parent=parent,
-                           attrs=attrs)
-        self.deactivate(token)
-        return None if token is None else token[0]
-
     def finish(self, span: Optional[Span], *, error: Optional[Any] = None,
                token: Optional[tuple] = None) -> None:
         """Close a span at the current clock and retain it; given the
-        ``token`` of its activation, :meth:`deactivate` it first."""
+        ``token`` :meth:`enter` returned, the carrier first gets back the
+        span it had before.  Scopes nest: closing any but the innermost
+        is a programming error."""
         if span is None:
             return
         if token is not None:
@@ -176,26 +170,6 @@ class Tracer:
         return span
 
     # -- in-process context propagation -------------------------------------
-    def activate(self, span: Optional[Span]):
-        """Make ``span`` the calling process's current span; returns a
-        token for :meth:`deactivate` (always pair them, try/finally)."""
-        if span is None:
-            return None
-        sim = self._sim
-        carrier = sim.active_process or sim
-        token = (span, carrier, carrier.scope_span)
-        carrier.scope_span = span
-        return token
-
-    def deactivate(self, token) -> None:
-        """Undo one :meth:`activate`: the carrier gets back the span it
-        had before.  Scopes nest: undoing any but the innermost is a
-        programming error."""
-        if token is not None:
-            span, carrier, enclosing = token
-            assert carrier.scope_span is span, "span closed out of order"
-            carrier.scope_span = enclosing
-
     def current_span(self) -> Optional[Span]:
         sim = self._sim
         return (sim.active_process or sim).scope_span

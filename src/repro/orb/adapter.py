@@ -49,9 +49,3 @@ class ObjectAdapter:
             return self._servants[key]
         except KeyError:
             raise ObjectNotFound(f"no active object {key!r}") from None
-
-    def ref_for(self, key: str) -> ObjectRef:
-        """Build a fresh reference for an already-active key."""
-        servant = self.servant(key)
-        return ObjectRef(self.host_name, self.port, key,
-                         type(servant).__name__)

@@ -61,8 +61,6 @@ class Orb:
         self.adapter = ObjectAdapter(host.name, port)
         self._pending: Dict[int, Any] = {}
         self._req_seq = itertools.count(1)
-        #: bootstrap references (e.g. "NameService", "TradingService")
-        self.initial_references: Dict[str, ObjectRef] = {}
         if tracer is None:
             # Bare ORBs trace nothing; a disabled tracer keeps the
             # invoke/serve paths free of None checks.
@@ -94,13 +92,6 @@ class Orb:
     def deactivate(self, key: str) -> None:
         """Withdraw a servant."""
         self.adapter.deactivate(key)
-
-    def resolve_initial(self, name: str) -> ObjectRef:
-        """Look up a bootstrap reference configured at deployment time."""
-        try:
-            return self.initial_references[name]
-        except KeyError:
-            raise ObjectNotFound(f"no initial reference {name!r}") from None
 
     # -- client side -------------------------------------------------------------
     def invoke(self, ref: ObjectRef, operation: str, *args: Any,

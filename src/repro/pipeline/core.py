@@ -75,7 +75,7 @@ class RequestContext:
 
     The recording interceptor (:mod:`repro.obs.interceptor`) fills
     ``trace_ctx`` — this request's own span context, which the dispatch
-    site stamps on the reply — and keeps its open span, activation token
+    site stamps on the reply — and keeps its open span, scope token
     and ledger window in ``span`` / ``span_token`` / ``cost_open`` until
     completion.
     """
@@ -155,17 +155,6 @@ class Pipeline:
         #: zero-arg callable returning the current (virtual) time; used to
         #: stamp ``started_at`` / ``finished_at`` on every context
         self.clock = clock
-
-    def find(self, cls: type) -> Optional[Interceptor]:
-        """First interceptor of ``cls`` in the chain, or None."""
-        for interceptor in self.interceptors:
-            if isinstance(interceptor, cls):
-                return interceptor
-        return None
-
-    def extended(self, *extra: Interceptor) -> "Pipeline":
-        """A new pipeline with ``extra`` interceptors appended."""
-        return Pipeline(self.interceptors + tuple(extra), clock=self.clock)
 
     def execute(self, ctx: RequestContext,
                 handler: Callable[[RequestContext], Any]):

@@ -55,8 +55,8 @@ URGENT = 0
 class _ScheduledCall:
     """Adapter turning a zero-arg function into an event callback.
 
-    Used by :meth:`Simulator.call_at` / :meth:`Simulator.call_later` instead
-    of a per-call lambda (no closure cell, one slotted instance).
+    Used by :meth:`Simulator.call_later` instead of a per-call lambda (no
+    closure cell, one slotted instance).
     """
 
     __slots__ = ("fn",)
@@ -174,18 +174,6 @@ class Simulator:
     def spawn(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process driven by ``generator``."""
         return Process(self, generator, name=name)
-
-    # alias matching SimPy vocabulary
-    process = spawn
-
-    def call_at(self, time: float, fn: Callable[[], None]) -> SimEvent:
-        """Run ``fn()`` at absolute virtual ``time`` (>= now)."""
-        if time < self.now:
-            raise SimulationError(
-                f"call_at({time}) is in the past (now={self.now})")
-        ev = self.timeout(time - self.now)
-        ev.callbacks.append(_ScheduledCall(fn))
-        return ev
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> SimEvent:
         """Run ``fn()`` after ``delay`` virtual time units."""

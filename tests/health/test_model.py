@@ -28,7 +28,7 @@ class TestComponentHealth:
         c = make()
         assert c.record_success(1.0) == STATUS_HEALTHY
         assert c.since == 1.0
-        assert c.last_seen == 1.0
+        assert c.successes == 1
 
     def test_single_failure_degrades_but_not_down(self):
         c = make()
@@ -187,9 +187,3 @@ class TestHealthModel:
         assert model.detection_latency("server:b", 10.0) == 1.0
         assert model.detection_latency("server:b", 12.0) is None
         assert model.detection_latency("server:ghost", 0.0) is None
-
-    def test_forget(self):
-        model = HealthModel(clock=lambda: 0.0)
-        model.record_success("app:x")
-        model.forget("app:x")
-        assert model.components() == []

@@ -55,7 +55,7 @@ class TestHeartbeat:
         for _ in range(3):  # a disabled monitor books nothing
             server.health.note_call("ghost", CommFailure("down"))
         assert not server.health.is_unhealthy_peer("ghost")
-        assert server.health.model.components() == []
+        assert server.health.model.statuses() == {}
         c.stop()
 
     def test_stop_interrupts_processes(self, collab):
@@ -135,7 +135,8 @@ class TestGossip:
         # the gossiped component appears in the fleet view
         assert server.health.fleet_view()["server:far"] == STATUS_UNHEALTHY
         # receiving gossip proves the sender alive
-        assert server.health.peer_status("peer-x") == STATUS_HEALTHY
+        assert (server.health.status_of(server.health.server_key("peer-x"))
+                == STATUS_HEALTHY)
 
     def test_local_observation_wins_over_gossip(self, collab):
         server = collab.server_of(0)

@@ -45,7 +45,7 @@ def test_poll_failures_visible_to_registry_routing(pair):
     a.health.note_call(b.name)
     assert not a.registry.peer_unhealthy(b.name)
     assert not a.health.is_unhealthy_peer(b.name)
-    assert a.health.peer_status(b.name) == STATUS_HEALTHY
+    assert a.health.status_of(a.health.server_key(b.name)) == STATUS_HEALTHY
 
 
 def test_remote_exceptions_are_proof_of_liveness(pair):
@@ -57,7 +57,7 @@ def test_remote_exceptions_are_proof_of_liveness(pair):
     for _ in range(10):
         a.health.note_call(b.name, RemoteException("LockError", "app busy"))
     assert not a.registry.peer_unhealthy(b.name)
-    assert a.health.peer_status(b.name) == STATUS_HEALTHY
+    assert a.health.status_of(a.health.server_key(b.name)) == STATUS_HEALTHY
 
 
 def test_dead_peer_detected_through_live_traffic(pair):

@@ -245,9 +245,13 @@ def test_pipeline_metrics_latencies_are_bounded():
 
 def test_federation_metrics_staleness_is_bounded():
     metrics = FederationMetrics()
+    reservoir = Reservoir()
     for i in range(5000):
         metrics.observe_staleness("app-1", float(i) * 1e-3)
-    stats = metrics.staleness_stats("app-1")
-    assert stats.count == 5000
-    assert len(metrics._staleness["app-1"]) <= 1024
-    assert metrics.staleness_stats("other").count == 0
+        reservoir.add(float(i) * 1e-3)
+    assert metrics._staleness == {"app-1": [5000, reservoir.total]}
+    mean_ms = metrics.snapshot()["staleness_ms[app-1]"]
+    assert mean_ms == pytest.approx(2499.5)
+    # bit for bit the mean a reservoir of every sample reports
+    assert mean_ms == reservoir.stats().scaled(1e3).mean
+    assert "staleness_ms[other]" not in metrics.snapshot()

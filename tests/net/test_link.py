@@ -99,8 +99,8 @@ def test_arrival_times_are_the_parents_floats(name):
     link = Link(sim, "a", "b", latency, bandwidth)
     arrived = []
     for i, (at, src, size) in enumerate(sends):
-        # from time zero ``call_at`` lands on ``at`` exactly
-        sim.call_at(at, lambda i=i, src=src, size=size: link.send(
+        # from time zero ``call_later`` lands on ``at`` exactly
+        sim.call_later(at, lambda i=i, src=src, size=size: link.send(
             src, size, lambda i: arrived.append((i, repr(sim.now))), i))
     sim.run()
     assert arrived == expected

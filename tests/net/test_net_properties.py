@@ -179,8 +179,8 @@ def test_hop_arrivals_equal_the_two_step_reference(latency, bandwidth, plan):
         sends.append((now, src, size))
         done_of[src] = max(now, done_of[src]) + transfer
         other = "b" if src == "a" else "a"
-        sim.call_at(now, lambda src=src, other=other, payload=payload:
-                    ends[src].send(other, 1, payload))
+        sim.call_later(now, lambda src=src, other=other, payload=payload:
+                       ends[src].send(other, 1, payload))
     sim.run(until=now + 60.0 + 25 * 9100 / 1e3)
 
     expected = _reference_arrivals(latency, bandwidth, sends)
@@ -229,8 +229,8 @@ def test_lan_wan_lan_route_arrives_at_the_parents_floats():
         for i, n in enumerate((2000, 5)):
             right.send("c1", 1, "y" * n + f"#{i}")
 
-    sim.call_at(0.2, burst)
-    sim.call_at(0.2 + 0.001, lambda: left.send("c2", 1, "late"))
+    sim.call_later(0.2, burst)
+    sim.call_later(0.2 + 0.001, lambda: left.send("c2", 1, "late"))
     sim.run(until=5.0)
     assert got == [
         ("c2", "xxxx#0", "0.23127776000000003"),

@@ -2,20 +2,10 @@
 
 import pytest
 
-from repro.net import CostModel, TrafficTrace, build_lan, build_multi_domain, build_star
+from repro.net import CostModel, TrafficTrace, build_lan, build_multi_domain
 from repro.net.costs import LinkSpec
 from repro.net.network import Network
 from repro.sim import Simulator
-
-
-def test_build_star_shape():
-    sim = Simulator()
-    net, hub, leaves = build_star(sim, n_leaves=5)
-    assert hub.name == "hub"
-    assert len(leaves) == 5
-    assert len(net.links) == 5
-    for leaf in leaves:
-        assert net.route(leaf.name, "hub") == [leaf.name, "hub"]
 
 
 def test_build_lan_names_and_links():

@@ -9,6 +9,8 @@ numbered, charged and counted: the span ids of the requests after them
 ``spans_dropped`` are those of a run whose store had room for everything.
 """
 
+import math
+
 import pytest
 
 from repro import build_collaboratory
@@ -16,6 +18,7 @@ from repro.bench.workload import make_app_farm, polling_client
 from repro.core.deployment import reset_runtime_ids
 from repro.metrics import LatencyRecorder
 from repro.obs import span as span_module
+from repro.obs.timeseries import TimeSeries
 
 ROOM = 20
 
@@ -36,10 +39,13 @@ def polling_run(max_spans):
                                  poll_interval=0.25, recorder=recorder))
     sim.run(until=sim.now + 3.0)
     server, store = collab.server_of(0), collab.tracer.store
-    exemplars = {
-        name: server.timeseries.histogram_exemplars(name)
-        for name in server.timeseries.names()
-        if name.startswith("pipeline.latency.")}
+    exemplars = {}
+    for doc in server.timeseries.to_dict()["series"]:
+        if doc["name"].startswith("pipeline.latency."):
+            merged = TimeSeries.from_dict(doc).merged_histogram(-math.inf,
+                                                                math.inf)
+            exemplars[doc["name"]] = [merged.exemplars[k]
+                                      for k in sorted(merged.exemplars)]
     ledger = server.ledger
     return {
         "spans": [span.to_dict() for span in store.spans()],

@@ -22,7 +22,7 @@ from repro.net import Network
 from repro.obs import Tracer
 from repro.obs.accounting import ALL_DIMENSIONS
 from repro.orb import Orb, OrbError, RemoteException
-from repro.pipeline import Interceptor
+from repro.pipeline import Interceptor, Pipeline
 from repro.sim import Simulator
 from repro.steering.application import DAEMON_PORT
 from repro.web import HttpError
@@ -53,8 +53,9 @@ def run_mix():
     server.security.app_tokens["guarded"] = "s3cret"
     server.policies.set_policy(
         "flood", ResourcePolicy(max_requests_per_s=1.0, burst_seconds=1.0))
-    server.container.pipeline = server.container.pipeline.extended(
-        CachedAnswer())
+    chain = server.container.pipeline
+    server.container.pipeline = Pipeline(
+        chain.interceptors + (CachedAnswer(),), clock=chain.clock)
 
     http = HttpClient(net.hosts["peer"], "solo")
     flood_http = HttpClient(net.hosts["flood"], "solo")

@@ -127,13 +127,13 @@ class ScopeMachine(RuleBasedStateMachine):
 
     @rule()
     def enter_span(self):
-        manager = self.tracer.span("step", plane="test")
-        span = manager.__enter__()
+        token = self.tracer.enter("step", plane="test")
+        span = token[0]
         self.span_opened(span)
         owner = self.current
 
         def close():
-            manager.__exit__(None, None, None)
+            self.tracer.finish(span, token=token)
             self.spans.pop(owner, span)
         self.opener(close)
 
@@ -231,9 +231,10 @@ def test_finishing_an_outer_span_first_raises_and_moves_nothing():
     with pytest.raises(AssertionError, match="out of order"):
         tracer.finish(outer[0], token=outer)
     with pytest.raises(AssertionError, match="out of order"):
-        tracer.deactivate(outer)
+        tracer.finish(outer[0], error="late", token=outer)
     assert tracer.current_span() is inner[0]
     assert len(tracer.store) == 0 and outer[0].end is None
+    assert outer[0].status == "ok" and not outer[0].error
     tracer.finish(inner[0], token=inner)
     tracer.finish(outer[0], token=outer)
     assert tracer.current_span() is None

@@ -20,12 +20,11 @@ def make_clock_tracer():
 
 def test_tree_reconstruction_orders_children_by_start():
     tracer, clock = make_clock_tracer()
-    root = tracer.start_span("root")
-    b = tracer.record_span("B", 6.0, 9.0, parent=root.context())
-    tracer.record_span("A", 1.0, 4.0, parent=root.context())
-    tracer.record_span("g", 6.5, 8.5, parent=b.context())
-    clock["now"] = 10.0
-    tracer.finish(root)
+    with tracer.span("root") as root:
+        b = tracer.record_span("B", 6.0, 9.0, parent=root.context())
+        tracer.record_span("A", 1.0, 4.0, parent=root.context())
+        tracer.record_span("g", 6.5, 8.5, parent=b.context())
+        clock["now"] = 10.0
 
     (tree,) = tracer.store.tree(root.trace_id)
     assert tree.span.op == "root"
@@ -37,12 +36,11 @@ def test_tree_reconstruction_orders_children_by_start():
 
 def test_critical_path_attributes_gaps_to_parent():
     tracer, clock = make_clock_tracer()
-    root = tracer.start_span("root")
-    tracer.record_span("A", 1.0, 4.0, parent=root.context())
-    b = tracer.record_span("B", 6.0, 9.0, parent=root.context())
-    tracer.record_span("g", 6.5, 8.5, parent=b.context())
-    clock["now"] = 10.0
-    tracer.finish(root)
+    with tracer.span("root") as root:
+        tracer.record_span("A", 1.0, 4.0, parent=root.context())
+        b = tracer.record_span("B", 6.0, 9.0, parent=root.context())
+        tracer.record_span("g", 6.5, 8.5, parent=b.context())
+        clock["now"] = 10.0
 
     path = tracer.store.critical_path(root.trace_id)
     assert [(seg.span.op, seg.start, seg.end) for seg in path] == [
@@ -60,10 +58,9 @@ def test_critical_path_attributes_gaps_to_parent():
 
 def test_trace_of_root_and_servers():
     tracer, clock = make_clock_tracer()
-    root = tracer.start_span("portal.command", server="client0")
-    tracer.record_span("hop", 0.0, 1.0, parent=root.context(),
-                       server="client0->s1")
-    tracer.finish(root)
+    with tracer.span("portal.command", server="client0") as root:
+        tracer.record_span("hop", 0.0, 1.0, parent=root.context(),
+                           server="client0->s1")
     store = tracer.store
     assert store.trace_of_root("portal.command") == root.trace_id
     assert store.trace_of_root("hop") is None  # not a root op
@@ -73,7 +70,8 @@ def test_trace_of_root_and_servers():
 def test_store_bounds_spans_and_counts_drops():
     tracer = Tracer(clock=lambda: 0.0, max_spans=3)
     for i in range(5):
-        tracer.finish(tracer.start_span(f"op-{i}"))
+        with tracer.span(f"op-{i}"):
+            pass
     assert len(tracer.store) == 3
     assert tracer.store.dropped == 2
     assert tracer.store.snapshot()["dropped"] == 2
@@ -81,14 +79,13 @@ def test_store_bounds_spans_and_counts_drops():
 
 def test_jsonl_round_trip_preserves_the_tree(tmp_path):
     tracer, clock = make_clock_tracer()
-    root = tracer.start_span("root", plane="http", server="s1",
-                             attrs={"request_id": 7})
-    b = tracer.record_span("B", 6.0, 9.0, parent=root.context(),
-                           plane="orb", server="s2")
-    tracer.record_span("g", 6.5, 8.5, parent=b.context(), plane="proxy",
-                       server="s2", attrs={"wan": True})
-    clock["now"] = 10.0
-    tracer.finish(root)
+    with tracer.span("root", plane="http", server="s1",
+                     attrs={"request_id": 7}) as root:
+        b = tracer.record_span("B", 6.0, 9.0, parent=root.context(),
+                               plane="orb", server="s2")
+        tracer.record_span("g", 6.5, 8.5, parent=b.context(), plane="proxy",
+                           server="s2", attrs={"wan": True})
+        clock["now"] = 10.0
 
     path = tmp_path / "trace.jsonl"
     assert export_jsonl(tracer.store, str(path)) == 3
@@ -103,11 +100,10 @@ def test_jsonl_round_trip_preserves_the_tree(tmp_path):
 
 def test_chrome_trace_layout(tmp_path):
     tracer, clock = make_clock_tracer()
-    root = tracer.start_span("root", plane="http", server="s1")
-    tracer.record_span("B", 0.25, 0.75, parent=root.context(),
-                       plane="orb", server="s2")
-    clock["now"] = 1.0
-    tracer.finish(root)
+    with tracer.span("root", plane="http", server="s1") as root:
+        tracer.record_span("B", 0.25, 0.75, parent=root.context(),
+                           plane="orb", server="s2")
+        clock["now"] = 1.0
 
     doc = to_chrome_trace(tracer.store)
     events = [ev for ev in doc["traceEvents"] if ev["ph"] == "X"]

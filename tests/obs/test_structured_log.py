@@ -79,7 +79,7 @@ class TestSinkAndRetention:
         assert log.dropped == 2
         assert [r["i"] for r in log.records()] == [2, 3, 4]
         # counts survive the drop — they are lifetime totals
-        assert log.counts() == {"e": 5}
+        assert log.snapshot()["events"] == {"e": 5}
 
     def test_records_filtering(self):
         log = StructuredLog()
@@ -91,11 +91,15 @@ class TestSinkAndRetention:
         assert len(log.records(event="a", level="warning")) == 1
 
     def test_export_jsonl_parses(self):
-        log = StructuredLog()
+        """What ``tools/export_health_artifacts.py`` writes: the sink's
+        lines, nested payloads included, one JSON document each."""
+        lines = []
+        log = StructuredLog(sink=lines.append)
         log.event("a", payload={"deep": [1, 2]})
         log.event("b")
-        lines = log.export_jsonl().splitlines()
-        assert [json.loads(line)["event"] for line in lines] == ["a", "b"]
+        parsed = [json.loads(line) for line in "\n".join(lines).splitlines()]
+        assert [r["event"] for r in parsed] == ["a", "b"]
+        assert parsed[0]["payload"] == {"deep": [1, 2]}
 
     def test_snapshot(self):
         log = StructuredLog()

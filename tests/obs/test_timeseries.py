@@ -262,8 +262,15 @@ class TestRegistryQueries:
         reg.observe("lat", 0.05, exemplar="span-1")
         clock["now"] = 3.0
         reg.observe("lat", 0.05, exemplar="span-9")
-        assert reg.histogram_exemplars("lat") == ["span-9"]
-        assert reg.histogram_exemplars("missing") == []
+        (doc,) = reg.to_dict()["series"]
+        per_bucket = [hist["exemplars"] for tier in doc["tiers"]
+                      for hist in tier.values()]
+        # each time bucket keeps its own; the export carries them all
+        assert [list(ex.values()) for ex in per_bucket] == [["span-1"],
+                                                            ["span-9"]]
+        merged = TimeSeries.from_dict(doc).merged_histogram(-math.inf,
+                                                            math.inf)
+        assert list(merged.exemplars.values()) == ["span-9"]
 
 
 class TestFleetMerge:

@@ -1,4 +1,4 @@
-"""Tracer unit behaviour: minting, sampling, activation, error capture."""
+"""Tracer unit behaviour: minting, sampling, scopes, error capture."""
 
 import pytest
 
@@ -15,9 +15,12 @@ def make_tracer(**kwargs):
 
 def test_span_lifecycle_records_virtual_times():
     tracer, clock = make_tracer()
-    span = tracer.start_span("op", plane="http", server="s1")
+    token = tracer.enter("op", plane="http", server="s1")
+    span = token[0]
+    assert tracer.current_span() is span
     clock["now"] = 1.5
-    tracer.finish(span)
+    tracer.finish(span, token=token)
+    assert tracer.current_span() is None
     assert span.start == 0.0
     assert span.end == 1.5
     assert span.duration == 1.5
@@ -27,38 +30,38 @@ def test_span_lifecycle_records_virtual_times():
 
 def test_ids_are_unique_and_children_inherit_trace_id():
     tracer, _clock = make_tracer()
-    root = tracer.start_span("root")
-    token = tracer.activate(root)
-    child = tracer.start_span("child")
-    tracer.finish(child)
-    tracer.deactivate(token)
-    tracer.finish(root)
+    token = tracer.enter("root")
+    root = token[0]
+    with tracer.span("child") as child:
+        pass
+    tracer.finish(root, token=token)
     assert child.trace_id == root.trace_id
     assert child.parent_id == root.span_id
     assert child.span_id != root.span_id
-    other = tracer.start_span("other-root")
+    with tracer.span("other-root") as other:
+        assert other.parent_id is None
     assert other.trace_id != root.trace_id
 
 
 def test_explicit_parent_context_beats_current_span():
     tracer, _clock = make_tracer()
-    a = tracer.start_span("a")
-    b = tracer.start_span("b")
-    token = tracer.activate(b)
-    child = tracer.start_span("child", parent=a.context())
-    tracer.deactivate(token)
-    assert child.trace_id == a.trace_id
+    with tracer.span("a") as a:
+        pass
+    with tracer.span("b") as b:
+        with tracer.span("child", parent=a.context()) as child:
+            pass
+    assert child.trace_id == a.trace_id != b.trace_id
     assert child.parent_id == a.span_id
 
 
 def test_sampling_off_is_a_noop():
     tracer, _clock = make_tracer(sampling=SAMPLE_OFF)
-    span = tracer.start_span("op")
-    assert span is None
+    token = tracer.enter("op")
+    assert token is None
     # every API tolerates the sampled-out None
-    tracer.annotate(span, key="value")
-    tracer.finish(span)
-    assert tracer.activate(span) is None
+    tracer.annotate(None, key="value")
+    tracer.finish(None, token=token)
+    assert tracer.current_span() is None
     assert tracer.current_context() is None
     with tracer.span("ctx") as s:
         assert s is None
@@ -90,11 +93,10 @@ def test_span_context_manager_captures_errors():
 def test_per_process_stacks_do_not_leak_context():
     scopes = {"current": Standalone()}  # a carrier: anything with the slot
     tracer = Tracer(clock=lambda: 0.0, scope=lambda: scopes["current"])
-    a = tracer.start_span("a")
-    tracer.activate(a)
+    a = tracer.enter("a")[0]
     scopes["current"] = Standalone()
     assert tracer.current_span() is None
-    b = tracer.start_span("b")
+    b = tracer.enter("b")[0]
     assert b.parent_id is None
     assert b.trace_id != a.trace_id
 
@@ -102,7 +104,7 @@ def test_per_process_stacks_do_not_leak_context():
 def test_record_span_requires_parent_context():
     tracer, _clock = make_tracer()
     assert tracer.record_span("hop", 0.0, 1.0, parent=None) is None
-    root = tracer.start_span("root")
+    root = tracer.enter("root")[0]
     hop = tracer.record_span("hop", 0.0, 1.0, parent=root.context(),
                              plane="net")
     assert hop.trace_id == root.trace_id
@@ -116,10 +118,11 @@ def test_simulator_clock_and_scope_integration():
     seen = {}
 
     def proc():
-        span = tracer.start_span("step")
+        token = tracer.enter("step")
         yield sim.timeout(2.5)
-        tracer.finish(span)
-        seen["span"] = span
+        assert tracer.current_span() is token[0]
+        tracer.finish(token[0], token=token)
+        seen["span"] = token[0]
 
     sim.spawn(proc())
     sim.run()

@@ -228,28 +228,19 @@ def test_deactivate_then_invoke_fails():
     assert drive(sim, caller()) == "gone"
 
 
-def test_initial_references():
-    sim, net, corb, sorb = make_pair()
-    ref = sorb.activate(Calculator(), key="calc")
-    corb.initial_references["Calc"] = ref
-    assert corb.resolve_initial("Calc") == ref
-    with pytest.raises(ObjectNotFound):
-        corb.resolve_initial("Nope")
-
-
 def test_refs_can_cross_the_wire():
     """A servant can hand out references to other servants."""
     sim, net, corb, sorb = make_pair()
 
     class Directory:
-        def __init__(self, orb):
-            self.orb = orb
+        def __init__(self, calc_ref):
+            self.calc_ref = calc_ref
 
         def get_calc(self):
-            return self.orb.adapter.ref_for("calc")
+            return self.calc_ref
 
-    sorb.activate(Calculator(), key="calc")
-    dref = sorb.activate(Directory(sorb), key="dir")
+    calc = sorb.activate(Calculator(), key="calc")
+    dref = sorb.activate(Directory(calc), key="dir")
 
     def caller():
         calc_ref = yield from corb.invoke(dref, "get_calc")

@@ -162,20 +162,3 @@ def test_clock_stamps_timings():
     assert ctx.started_at == 10.0
     assert ctx.finished_at == 12.5
     assert ctx.elapsed == 2.5
-
-
-def test_find_and_extended():
-    class A(Interceptor):
-        pass
-
-    class B(Interceptor):
-        pass
-
-    a, b = A(), B()
-    pipeline = Pipeline([a])
-    assert pipeline.find(A) is a
-    assert pipeline.find(B) is None
-    longer = pipeline.extended(b)
-    assert longer.find(B) is b
-    assert pipeline.find(B) is None  # original untouched
-    assert [type(i) for i in longer.interceptors] == [A, B]

@@ -150,7 +150,7 @@ def race(sim, answered_at=None):
 
     sim.spawn(caller())
     if answered_at is not None:
-        sim.call_at(answered_at, lambda: waiter.succeed("reply"))
+        sim.call_later(answered_at, lambda: waiter.succeed("reply"))
     return expiry, outcome
 
 
@@ -178,7 +178,7 @@ def test_step_walks_past_instants_of_abandoned_timers():
     sim.run(until=2.0)
     sim.timeout(5.0)  # one more that nobody listens to
     fired = []
-    sim.call_at(40.0, lambda: fired.append(sim.now))
+    sim.schedule_at(40.0, lambda _arg: fired.append(sim.now))
     assert sim.peek() == 40.0
     before = sim.events_dispatched
     sim.step()

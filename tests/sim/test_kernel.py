@@ -103,19 +103,19 @@ def test_run_until_event_that_never_fires_raises():
         sim.run(until=ev)
 
 
-def test_call_later_and_call_at():
+def test_call_later_and_schedule_at():
     sim = Simulator()
     hits = []
     sim.call_later(2.0, lambda: hits.append(("later", sim.now)))
-    sim.call_at(1.0, lambda: hits.append(("at", sim.now)))
+    sim.schedule_at(1.0, lambda _arg: hits.append(("at", sim.now)))
     sim.run()
     assert hits == [("at", 1.0), ("later", 2.0)]
 
 
-def test_call_at_in_past_rejected():
+def test_schedule_at_in_past_rejected():
     sim = Simulator(start_time=5.0)
     with pytest.raises(SimulationError):
-        sim.call_at(1.0, lambda: None)
+        sim.schedule_at(1.0, lambda _arg: None)
 
 
 def test_timeout_at_fires_at_the_accumulated_instant():
@@ -168,7 +168,7 @@ def test_abandoned_timeout_at_is_dropped():
         outcome.append((answer in fired, sim.now))
 
     sim.spawn(caller())
-    sim.call_at(1.0, lambda: answer.succeed("reply"))
+    sim.call_later(1.0, lambda: answer.succeed("reply"))
     sim.run(until=2.0)
     assert outcome == [(True, 1.0)] and expiry.callbacks == []
     before = sim.events_dispatched
@@ -298,5 +298,5 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == float("inf")
     sim.timeout(2.5)  # nobody listens: it will be dropped, not run
     assert sim.peek() == float("inf")
-    sim.call_at(7.5, lambda: None)
+    sim.call_later(7.5, lambda: None)
     assert sim.peek() == 7.5

@@ -45,7 +45,7 @@ class SiteCounter:
         if isinstance(target, self._condition):
             state = "already fired" if target.triggered else "waiting"
             return f"{type(target).__name__} ({state})"
-        fn = getattr(cb, "fn", None)  # pooled callbacks, call_at adapters
+        fn = getattr(cb, "fn", None)  # pooled callbacks, call_later adapters
         return getattr(fn or cb, "__qualname__", type(cb).__name__)
 
     def dispatch(self, event, callbacks) -> None:
