@@ -44,8 +44,6 @@ class Host:
         #: ``port -> deliver(frame)``: what the network calls on arrival
         self.ports: Dict[int, Callable[["Frame"], Any]] = {}
         self.network: Optional["Network"] = None
-        #: cumulative busy-time accounting, for utilisation reports
-        self.busy_time = 0.0
 
     def bind(self, port: int,
              handler: Optional[Callable[["Frame"], Any]] = None
@@ -92,7 +90,6 @@ class Host:
         try:
             if duration > 0:
                 yield self.sim.timeout(duration)
-            self.busy_time += duration
         finally:
             self._cpu_release()
 

@@ -16,10 +16,6 @@ schedules one pooled event instead of spawning a process (boot event,
 resource grant, two timeouts, process-completion event) — and no per-frame
 process name is ever built.
 
-Loopback delivery is fused further: same-host frames are appended to a
-per-instant batch and handed off by one two-stage sweep, so a fan-out of N
-local sends schedules one callback chain, not N delivery processes.
-
 Payloads cross the simulated wire **by reference** — ``encode()`` is never
 called on the send path; byte accounting comes from the allocation-free
 size visitor (``freeze_size``), and ndarray payloads are therefore
@@ -184,9 +180,6 @@ class Network:
         self._adjacent: Dict[str, Dict[str, Link]] = {}
         #: the links of each ``(src, dst)`` pair's route, in order
         self._routes: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
-        #: loopback frames awaiting this instant's hand-off sweep
-        self._loopback_batch: List[Frame] = []
-        self._loopback_scheduled = False
         #: the most recent frames that arrived at unbound ports (bounded —
         #: undeliverable traffic must not grow memory without limit; the
         #: total is ``trace.dropped``)
@@ -281,28 +274,11 @@ class Network:
         frame = Frame(src_host, src_port, dst_host, dst_port, payload, size,
                       channel, self.sim.now, None, trace_ctx)
         if src_host == dst_host:
-            # Loopback: no links, no transmission — joined to this
-            # instant's batched same-tick hand-off sweep.
-            self._loopback_batch.append(frame)
-            if not self._loopback_scheduled:
-                self._loopback_scheduled = True
-                self.sim.schedule_fn(0.0, Network._loopback_boot, self,
-                                     priority=0)
+            # Loopback: no links, no transmission — handed off this instant
+            self.sim.schedule_fn(0.0, self._hand_off, frame)
         else:
             _Delivery(self, frame, self._links(src_host, dst_host))
         return frame
-
-    def _loopback_boot(self) -> None:
-        # Two-stage chain mirroring the old per-frame boot (urgent) +
-        # zero-timeout (normal) ordering, once per instant for the batch.
-        self.sim.schedule_fn(0.0, Network._loopback_sweep, self)
-
-    def _loopback_sweep(self) -> None:
-        batch, self._loopback_batch = self._loopback_batch, []
-        self._loopback_scheduled = False
-        hand_off = self._hand_off
-        for frame in batch:
-            hand_off(frame)
 
     def _hand_off(self, frame: Frame) -> None:
         deliver = self.hosts[frame.dst_host].ports.get(frame.dst_port)

@@ -19,14 +19,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(slots=True)
 class LinkCounter:
-    """Per-link totals."""
+    """Message and byte totals."""
 
     messages: int = 0
     bytes: int = 0
 
 
 class TrafficTrace:
-    """Aggregates per-link, per-kind, and per-channel traffic totals.
+    """Aggregates per-kind and per-channel traffic totals.
 
     The one book a hop is written into: :meth:`record` (and, for a frame
     shed at an unbound port, :meth:`record_dropped`) counts the frame and
@@ -38,7 +38,6 @@ class TrafficTrace:
     """
 
     def __init__(self) -> None:
-        self.per_link: Dict[Tuple[str, str], LinkCounter] = defaultdict(LinkCounter)
         self.per_kind: Dict[str, LinkCounter] = defaultdict(LinkCounter)
         self.per_channel: Dict[str, LinkCounter] = defaultdict(LinkCounter)
         self.total = LinkCounter()
@@ -48,11 +47,9 @@ class TrafficTrace:
         #: (LAN/WAN) and each dropped frame, charged to the request that
         #: sent it (via ``Frame.trace_ctx``) or to the source host
         self.ledger = None
-        #: each link seen so far -> its ``per_link`` and ``per_kind``
-        #: counters and whether it is a WAN link, so a hop derives none of
-        #: them again
-        self._of_link: Dict["Link",
-                            Tuple[LinkCounter, LinkCounter, bool]] = {}
+        #: each link seen so far -> its ``per_kind`` counter and whether it
+        #: is a WAN link, so a hop derives neither again
+        self._of_link: Dict["Link", Tuple[LinkCounter, bool]] = {}
 
     def record_dropped(self, frame: "Frame") -> None:
         """Count one undeliverable frame (destination port unbound), then
@@ -64,20 +61,16 @@ class TrafficTrace:
 
     def record(self, link: "Link", frame: "Frame") -> None:
         """Count one frame crossing one link: one message and
-        ``frame.size`` bytes into the link's, its kind's and the
-        channel's counters and the total; then the same bytes into the
-        ledger."""
+        ``frame.size`` bytes into its kind's and the channel's counters
+        and the total; then the same bytes into the ledger."""
         resolved = self._of_link.get(link)
         if resolved is None:
-            resolved = self._of_link[link] = (
-                self.per_link[tuple(sorted(link.ends))],
-                self.per_kind[link.kind], link.kind == "wan")
-        on_link, on_kind, wan = resolved
+            resolved = self._of_link[link] = (self.per_kind[link.kind],
+                                              link.kind == "wan")
+        on_kind, wan = resolved
         on_channel = self.per_channel[frame.channel]
         total = self.total
         size = frame.size
-        on_link.messages += 1
-        on_link.bytes += size
         on_kind.messages += 1
         on_kind.bytes += size
         on_channel.messages += 1
@@ -106,7 +99,6 @@ class TrafficTrace:
 
     def reset(self) -> None:
         """Zero all counters (between benchmark phases)."""
-        self.per_link.clear()
         self.per_kind.clear()
         self.per_channel.clear()
         self.total = LinkCounter()

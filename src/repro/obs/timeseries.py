@@ -1,10 +1,9 @@
 """Sim-time-native time-series telemetry store.
 
 Counters, gauges, and latency histograms are recorded continuously into
-fixed-width sim-time buckets.  Retention is a ring per tier: when tier 0
-(finest) exceeds its bucket budget, the oldest bucket is downsampled
-into tier 1 (bucket width doubles per tier), and so on — long runs stay
-bounded while recent history keeps full resolution.
+fixed-width sim-time buckets.  Retention is one ring per series: once it
+holds ``RING_BUCKETS`` buckets, opening a new one drops the oldest, so
+long runs stay bounded and the retained window keeps full resolution.
 
 Latency distributions use log-bucketed histograms (8 buckets per octave,
 ~9.05% relative bucket width).  Bucket counts are plain integers keyed
@@ -39,9 +38,8 @@ BUCKETS_PER_OCTAVE = 8
 _INV_LOG_GROWTH = BUCKETS_PER_OCTAVE / math.log(2.0)
 _GROWTH = 2.0 ** (1.0 / BUCKETS_PER_OCTAVE)
 
-DEFAULT_BUCKET_WIDTH = 0.25  # sim-seconds per tier-0 bucket
-DEFAULT_MAX_BUCKETS = 256  # ring budget per tier
-DEFAULT_TIERS = 4  # tier t bucket width = width * 2**t
+DEFAULT_BUCKET_WIDTH = 0.25  # sim-seconds per bucket
+RING_BUCKETS = 256  # buckets a series retains: 64 s at the default width
 
 COUNTER = "counter"
 GAUGE = "gauge"
@@ -198,105 +196,77 @@ class LogHistogram:
 class TimeSeries:
     """One named metric stream bucketed by sim time.
 
-    ``tiers[t]`` maps ``bucket_index -> value`` where the bucket covers
-    ``[index * width * 2**t, (index + 1) * width * 2**t)``.  New points
-    land in tier 0; when a tier exceeds ``max_buckets`` its oldest
-    bucket is folded into the parent bucket (``index // 2``) one tier
-    up, so tiers never overlap in time and a range query is just the
-    concatenation of every tier's in-range buckets.
+    ``buckets`` maps ``bucket_index -> value`` where the bucket covers
+    ``[index * width, (index + 1) * width)``.  It is a ring: a point in
+    a new bucket opens it at the newest end, and once more than
+    ``RING_BUCKETS`` are held the oldest is dropped.
 
-    Invariant: every tier's keys are strictly ascending in insertion
-    order.  ``_open`` is the only way a bucket enters a tier during
-    recording or eviction and keeps them so (also under a clock that
-    steps backwards); ``merge_from`` and ``from_dict`` restore the order
+    Invariant: the keys are strictly ascending in insertion order.  The
+    simulator clock never steps back, so ``_open`` refuses a bucket
+    behind the newest; ``merge_from`` and ``from_dict`` restore the order
     afterwards.  Readers lean on it: the oldest bucket is the first key,
-    the newest the last, and a range read scans a tier from its newest
-    bucket and stops at the first one out of range — its cost follows
-    the range asked for, not the history retained.
+    the newest the last, and a range read scans from the newest bucket
+    and stops at the first one out of range — its cost follows the range
+    asked for, not the history retained.
     """
 
-    __slots__ = ("name", "kind", "width", "max_buckets", "tiers", "points")
+    __slots__ = ("name", "kind", "width", "buckets", "points")
 
     def __init__(self, name: str, kind: str, *,
-                 width: float = DEFAULT_BUCKET_WIDTH,
-                 max_buckets: int = DEFAULT_MAX_BUCKETS,
-                 n_tiers: int = DEFAULT_TIERS) -> None:
+                 width: float = DEFAULT_BUCKET_WIDTH) -> None:
         if kind not in _KINDS:
             raise ValueError(f"unknown series kind: {kind!r}")
         self.name = name
         self.kind = kind
         self.width = float(width)
-        self.max_buckets = int(max_buckets)
-        self.tiers: List[Dict[int, Any]] = [{} for _ in range(n_tiers)]
+        self.buckets: Dict[int, Any] = {}
         self.points = 0  # observations recorded (not buckets retained)
 
     # -- recording ---------------------------------------------------
 
     def inc(self, now: float, n: float = 1.0) -> None:
-        tier = self.tiers[0]
         index = int(now // self.width)
-        prior = tier.get(index)
+        prior = self.buckets.get(index)
         if prior is None:
-            self._open(0, index, 0.0 + n)
+            self._open(index, 0.0 + n)
         else:
-            tier[index] = prior + n
+            self.buckets[index] = prior + n
         self.points += 1
 
     def set(self, now: float, value: float) -> None:
-        tier = self.tiers[0]
         index = int(now // self.width)
-        if index in tier:
-            tier[index] = value
+        if index in self.buckets:
+            self.buckets[index] = value
         else:
-            self._open(0, index, value)
+            self._open(index, value)
         self.points += 1
 
     def observe(self, now: float, value: float, exemplar: Any = None) -> None:
         index = int(now // self.width)
-        hist = self.tiers[0].get(index)
+        hist = self.buckets.get(index)
         if hist is None:
-            # filled before it is placed: a bucket older than a full
-            # tier's oldest is folded upward by the very call placing it
             hist = LogHistogram()
-            hist.add(value, exemplar)
-            self._open(0, index, hist)
-        else:
-            hist.add(value, exemplar)
+            self._open(index, hist)
+        hist.add(value, exemplar)
         self.points += 1
 
-    def _open(self, t: int, index: int, value: Any) -> None:
-        """Add the new bucket ``index`` to tier ``t``, keys kept ascending,
-        and fold the tier's overflow upward."""
-        tier = self.tiers[t]
-        if tier and index < next(reversed(tier)):
-            # older than the tier's newest bucket (a clock that stepped
-            # back, or a fold landing behind one): re-lay the tier
-            _relay(tier, [*tier.items(), (index, value)])
-        else:
-            tier[index] = value
-        if len(tier) > self.max_buckets:
-            self._evict(t)
+    def _open(self, index: int, value: Any) -> None:
+        """Add the new bucket ``index`` at the newest end of the ring."""
+        buckets = self.buckets
+        if buckets:
+            newest = next(reversed(buckets))
+            if index < newest:
+                raise ValueError(
+                    f"series {self.name!r}: bucket {index} opens behind "
+                    f"the newest, {newest}")
+        buckets[index] = value
+        if len(buckets) > RING_BUCKETS:
+            del buckets[next(iter(buckets))]
 
-    def _evict(self, t: int) -> None:
-        """Downsample the oldest bucket of tier ``t`` into tier ``t+1``."""
-        tier = self.tiers[t]
-        while len(tier) > self.max_buckets:
-            oldest = next(iter(tier))
-            value = tier.pop(oldest)
-            if t + 1 >= len(self.tiers):
-                continue  # beyond the coarsest tier: drop
-            parent = self.tiers[t + 1]
-            pidx = oldest // 2
-            prior = parent.get(pidx)
-            if prior is None:
-                self._open(t + 1, pidx, value)
-            elif self.kind == COUNTER:
-                parent[pidx] = prior + value
-            elif self.kind == GAUGE:
-                # evicting in ascending order, the later child wins
-                parent[pidx] = value
-            else:
-                prior.merge(value)
+    def _lay(self, items: Iterable[Tuple[int, Any]]) -> None:
+        """Refill the ring from ``items``: ascending keys, newest kept."""
+        self.buckets = dict(
+            sorted(items, key=lambda item: item[0])[-RING_BUCKETS:])
 
     # -- querying ----------------------------------------------------
 
@@ -304,20 +274,18 @@ class TimeSeries:
                         end: float) -> List[Tuple[float, float, Any]]:
         """``(bucket_start, bucket_width, value)`` overlapping [start, end).
 
-        Sorted by bucket start; tiers are disjoint by construction.
-        Each tier is read from its newest bucket back to the first one
-        that ends at or before ``start``.
+        Sorted by bucket start; read from the newest bucket back to the
+        first one that ends at or before ``start``.
         """
         out: List[Tuple[float, float, Any]] = []
-        for t, tier in enumerate(self.tiers):
-            w = self.width * (1 << t)
-            for index, value in reversed(tier.items()):
-                t0 = index * w
-                if t0 + w <= start:
-                    break
-                if t0 < end:
-                    out.append((t0, w, value))
-        out.sort(key=lambda item: item[0])
+        w = self.width
+        for index, value in reversed(self.buckets.items()):
+            t0 = index * w
+            if t0 + w <= start:
+                break
+            if t0 < end:
+                out.append((t0, w, value))
+        out.reverse()
         return out
 
     def merged_histogram(self, start: float, end: float) -> LogHistogram:
@@ -328,16 +296,10 @@ class TimeSeries:
 
     def latest(self) -> Optional[Tuple[float, Any]]:
         """``(bucket_start, value)`` of the most recent bucket, if any."""
-        best: Optional[Tuple[float, Any]] = None
-        for t, tier in enumerate(self.tiers):
-            if not tier:
-                continue
-            w = self.width * (1 << t)
-            index = next(reversed(tier))
-            t0 = index * w
-            if best is None or t0 > best[0]:
-                best = (t0, tier[index])
-        return best
+        if not self.buckets:
+            return None
+        index = next(reversed(self.buckets))
+        return index * self.width, self.buckets[index]
 
     # -- merge / serialization ---------------------------------------
 
@@ -353,55 +315,39 @@ class TimeSeries:
                 f"width={other.width}) into {self.name!r} "
                 f"({self.kind}, width={self.width})")
         self.points += other.points
-        for t, tier in enumerate(other.tiers):
-            if t >= len(self.tiers):
-                self.tiers.append({})
-            mine = self.tiers[t]
-            for index, value in tier.items():
-                prior = mine.get(index)
-                if self.kind == HISTOGRAM:
-                    if prior is None:
-                        mine[index] = value.copy()
-                    else:
-                        prior.merge(value)
-                elif prior is None:
-                    mine[index] = value
+        mine = self.buckets
+        for index, value in other.buckets.items():
+            prior = mine.get(index)
+            if self.kind == HISTOGRAM:
+                if prior is None:
+                    mine[index] = value.copy()
                 else:
-                    mine[index] = prior + value
-            _relay(mine, mine.items())
+                    prior.merge(value)
+            elif prior is None:
+                mine[index] = value
+            else:
+                mine[index] = prior + value
+        self._lay(mine.items())
         return self
 
     def to_dict(self) -> Dict[str, Any]:
-        tiers: List[Dict[str, Any]] = []
-        for tier in self.tiers:
-            if self.kind == HISTOGRAM:
-                tiers.append({str(k): v.to_dict() for k, v in tier.items()})
-            else:
-                tiers.append({str(k): v for k, v in tier.items()})
+        if self.kind == HISTOGRAM:
+            buckets = {str(k): v.to_dict() for k, v in self.buckets.items()}
+        else:
+            buckets = {str(k): v for k, v in self.buckets.items()}
         return {"name": self.name, "kind": self.kind, "width": self.width,
-                "max_buckets": self.max_buckets, "points": self.points,
-                "tiers": tiers}
+                "points": self.points, "buckets": buckets}
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "TimeSeries":
-        out = cls(doc["name"], doc["kind"], width=doc["width"],
-                  max_buckets=doc["max_buckets"],
-                  n_tiers=max(1, len(doc["tiers"])))
+        out = cls(doc["name"], doc["kind"], width=doc["width"])
         out.points = int(doc["points"])
-        for t, tier in enumerate(doc["tiers"]):
-            if out.kind == HISTOGRAM:
-                _relay(out.tiers[t], ((int(k), LogHistogram.from_dict(v))
-                                      for k, v in tier.items()))
-            else:
-                _relay(out.tiers[t], ((int(k), v) for k, v in tier.items()))
+        if out.kind == HISTOGRAM:
+            out._lay((int(k), LogHistogram.from_dict(v))
+                     for k, v in doc["buckets"].items())
+        else:
+            out._lay((int(k), v) for k, v in doc["buckets"].items())
         return out
-
-
-def _relay(tier: Dict[int, Any], items: Iterable[Tuple[int, Any]]) -> None:
-    """Refill ``tier`` from ``items`` in ascending key order (in place)."""
-    items = sorted(items, key=lambda item: item[0])
-    tier.clear()
-    tier.update(items)
 
 
 class TimeSeriesRegistry:
@@ -413,13 +359,9 @@ class TimeSeriesRegistry:
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None, *,
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH,
-                 max_buckets: int = DEFAULT_MAX_BUCKETS,
-                 n_tiers: int = DEFAULT_TIERS) -> None:
+                 bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
         self._clock = clock or (lambda: 0.0)
         self.bucket_width = float(bucket_width)
-        self.max_buckets = int(max_buckets)
-        self.n_tiers = int(n_tiers)
         self._series: Dict[str, TimeSeries] = {}
 
     # -- series management -------------------------------------------
@@ -428,8 +370,7 @@ class TimeSeriesRegistry:
         series = self._series.get(name)
         if series is None:
             series = self._series[name] = TimeSeries(
-                name, kind, width=self.bucket_width,
-                max_buckets=self.max_buckets, n_tiers=self.n_tiers)
+                name, kind, width=self.bucket_width)
         elif series.kind != kind:
             raise ValueError(
                 f"series {name!r} is a {series.kind}, not a {kind}")

@@ -6,10 +6,11 @@
   error envelope, security, admission (recording is
   :class:`repro.obs.RecordingInterceptor`).
 
-The interceptor re-exports below are lazy (PEP 562): dispatch modules
-import :mod:`repro.pipeline.core` while this package initializes, so the
-package ``__init__`` must not pull in :mod:`repro.pipeline.interceptors`
-(which imports the core managers, which import the dispatch modules).
+The interceptors are imported from :mod:`repro.pipeline.interceptors`
+itself: dispatch modules import :mod:`repro.pipeline.core` while this
+package initializes, so the package ``__init__`` must not pull in the
+interceptors (which import the core managers, which import the dispatch
+modules).
 """
 
 from repro.pipeline.core import (
@@ -22,13 +23,6 @@ from repro.pipeline.core import (
     RequestContext,
 )
 
-_INTERCEPTOR_EXPORTS = (
-    "AdmissionInterceptor",
-    "ErrorEnvelopeInterceptor",
-    "SecurityInterceptor",
-    "default_pipeline",
-)
-
 __all__ = [
     "PLANES",
     "PLANE_CHANNEL",
@@ -37,13 +31,4 @@ __all__ = [
     "Interceptor",
     "Pipeline",
     "RequestContext",
-    *_INTERCEPTOR_EXPORTS,
 ]
-
-
-def __getattr__(name):
-    if name in _INTERCEPTOR_EXPORTS:
-        from repro.pipeline import interceptors
-
-        return getattr(interceptors, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,8 +14,7 @@ from repro.net.trace import LinkCounter, TrafficTrace
 
 class ReferenceTrace(TrafficTrace):
     def record(self, link, frame):
-        key = tuple(sorted(link.ends))
-        counters = [self.per_link[key], self.per_kind[link.kind],
+        counters = [self.per_kind[link.kind],
                     self.per_channel[frame.channel], self.total]
         for counter in counters:
             counter.messages += 1
@@ -48,7 +47,6 @@ def views(trace):
     them (read before ``snapshot()``, whose ``wan_*`` / ``lan_*``
     properties may add an empty kind)."""
     taken = {
-        "per_link": list(trace.per_link.items()),
         "per_kind": list(trace.per_kind.items()),
         "per_channel": list(trace.per_channel.items()),
         "total": trace.total,
@@ -95,8 +93,6 @@ def test_record_reset_record_counts_from_zero_on_every_view():
     assert views(trace) == views(TrafficTrace())
     trace.record(LINKS[0], FakeFrame("main", 100, 7))
     trace.record(LINKS[2], FakeFrame("corba", 50, None))
-    assert trace.per_link == {("a", "b"): LinkCounter(1, 100),
-                              ("c", "d"): LinkCounter(1, 50)}
     assert trace.per_kind == {"lan": LinkCounter(1, 100),
                               "wan": LinkCounter(1, 50)}
     assert trace.per_channel == {"main": LinkCounter(1, 100),

@@ -362,7 +362,7 @@ class TestInterceptorSeam:
     def test_rejected_request_reaches_every_store_with_one_error_type(self):
         from repro.metrics import PipelineMetrics
         from repro.obs import RecordingInterceptor, Tracer
-        from repro.pipeline import ErrorEnvelopeInterceptor
+        from repro.pipeline.interceptors import ErrorEnvelopeInterceptor
         from repro.pipeline.core import Pipeline
 
         ledger, metrics, tracer = make_ledger(), PipelineMetrics(), Tracer()

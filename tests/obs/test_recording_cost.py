@@ -22,7 +22,8 @@ from repro.core.deployment import build_collaboratory
 from repro.net import Network
 from repro.obs import RecordingInterceptor, Tracer
 from repro.orb import Orb
-from repro.pipeline import ErrorEnvelopeInterceptor, default_pipeline
+from repro.pipeline.interceptors import (ErrorEnvelopeInterceptor,
+                                         default_pipeline)
 from repro.sim import Simulator
 from repro.steering.application import DAEMON_PORT
 from repro.web import ServletContainer

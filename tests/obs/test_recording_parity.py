@@ -111,8 +111,7 @@ def run_mix():
     op_of = {span.span_id: span.op for span in spans}
     series = {doc["name"]: doc
               for doc in server.timeseries.to_dict()["series"]}
-    assert all(doc["width"] == 0.25 and not any(doc["tiers"][1:])
-               for doc in series.values())
+    assert all(doc["width"] == 0.25 for doc in series.values())
     return {
         "outcomes": outcomes,
         "metrics": metrics.snapshot(),
@@ -132,8 +131,8 @@ def run_mix():
                           in ledger["heavy_hitters"].items() if top},
         "spans": [(span.op, span.plane, span.status, span.error,
                    op_of.get(span.parent_id)) for span in spans],
-        # tier 0 of every series, bucket index -> value
-        "series": {name: doc["tiers"][0] for name, doc in series.items()},
+        # every series, bucket index -> value
+        "series": {name: doc["buckets"] for name, doc in series.items()},
     }
 
 

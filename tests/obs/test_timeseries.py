@@ -1,4 +1,4 @@
-"""The time-series telemetry store: log-bucket histograms, tiered
+"""The time-series telemetry store: log-bucket histograms, ring
 retention, range queries, and exact fleet-wide merges."""
 
 import math
@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import TimeSeriesRegistry, to_chrome_counters
-from repro.obs.timeseries import BUCKETS_PER_OCTAVE, LogHistogram, TimeSeries
+from repro.obs.timeseries import (BUCKETS_PER_OCTAVE, RING_BUCKETS,
+                                   LogHistogram, TimeSeries)
 
 #: one log bucket spans a 2^(1/8) ratio, so any boundary readout is
 #: within this factor of the exact sample value
@@ -139,73 +140,86 @@ def test_merge_partition_invariance(values, n_parts):
     assert merged.quantile(0.99) == combined.quantile(0.99)
 
 
-class TestTimeSeriesRetention:
-    def test_counter_sum_survives_downsampling(self):
-        # 100 tier-0 buckets against a 16-bucket ring: eviction must fold
-        # them upward without losing a single count (total tier capacity
-        # 16 * (1+2+4+8) = 240 bucket widths, so nothing falls off)
-        series = TimeSeries("c", "counter", width=1.0, max_buckets=16,
-                            n_tiers=4)
-        for t in range(100):
-            series.inc(float(t), 2.0)
-        total = sum(v for _, _, v in
-                    series.buckets_between(-math.inf, math.inf))
-        assert total == 200.0
-        # retention stays bounded per tier, and downsampling happened
-        assert all(len(tier) <= 16 for tier in series.tiers)
-        assert any(series.tiers[t] for t in range(1, 4))
+RECORD = {"counter": "inc", "gauge": "set", "histogram": "observe"}
 
-    def test_tiers_are_time_disjoint(self):
-        series = TimeSeries("c", "counter", width=1.0, max_buckets=8,
-                            n_tiers=3)
-        for t in range(200):
-            series.inc(float(t))
-        spans = [(t0, t0 + w) for t0, w, _ in
-                 series.buckets_between(-math.inf, math.inf)]
-        spans.sort()
-        for (_, end), (start, _) in zip(spans, spans[1:]):
-            assert start >= end
 
-    def test_histogram_count_survives_downsampling(self):
-        series = TimeSeries("h", "histogram", width=1.0, max_buckets=8,
-                            n_tiers=5)
-        for t in range(100):
-            series.observe(float(t), 0.01 * (1 + t % 7))
-        merged = series.merged_histogram(-math.inf, math.inf)
-        assert merged.count == 100
-        assert merged.maximum == 0.07
-        assert any(series.tiers[t] for t in range(1, 5))
+def expected_bucket(kind, values):
+    """What one bucket holds after ``values`` were recorded into it."""
+    if kind == "counter":
+        return sum(values)
+    if kind == "gauge":
+        return values[-1]
+    hist = LogHistogram()
+    for v in values:
+        hist.add(v)
+    return hist.to_dict()
 
-    def test_late_observation_older_than_a_full_tier_is_kept(self):
-        # the bucket opened for t=4.5 is older than everything tier 0
-        # holds, so placing it folds it straight into a tier-1 bucket
-        # that already exists — the observation must ride along
-        series = TimeSeries("h", "histogram", width=1.0, max_buckets=2,
-                            n_tiers=2)
-        for t in (4.0, 5.0, 6.0, 7.0, 4.5):
-            series.observe(t, 0.01)
-        assert list(series.tiers[0]) == [6, 7]
-        assert list(series.tiers[1]) == [2]
-        assert series.merged_histogram(-math.inf, math.inf).count == 5
 
-    def test_gauge_downsample_keeps_latest_child(self):
-        series = TimeSeries("g", "gauge", width=1.0, max_buckets=4,
-                            n_tiers=2)
-        for t in range(20):
-            series.set(float(t), float(t))
-        buckets = series.buckets_between(-math.inf, math.inf)
-        # every retained parent bucket carries its later child's value
-        for t0, w, value in buckets:
-            if w == 2.0:
-                assert value == t0 + 1.0
+def plain(kind, value):
+    return value.to_dict() if kind == "histogram" else value
 
-    def test_beyond_coarsest_tier_drops(self):
-        series = TimeSeries("c", "counter", width=1.0, max_buckets=2,
-                            n_tiers=2)
-        for t in range(100):
-            series.inc(float(t))
-        assert len(series.tiers) == 2
-        assert all(len(tier) <= 2 for tier in series.tiers)
+
+@pytest.mark.parametrize("kind", sorted(RECORD))
+def test_the_ring_keeps_the_newest_buckets_exactly(kind):
+    """Three rings' worth of buckets, 1–3 points each: the newest
+    ``RING_BUCKETS`` survive with the values an unbounded reference
+    holds, ``points`` counts every observation, and a range read, a
+    dump round trip and a reload of a dump with shuffled keys all agree
+    with the reference."""
+    width = 0.5
+    series = TimeSeries("s", kind, width=width)
+    record = getattr(series, RECORD[kind])
+    reference = {}  # bucket index -> every value recorded into it
+    for k in range(3 * RING_BUCKETS):
+        for j in range(1 + k % 3):
+            value = float(1 + (7 * k + j) % 11)
+            record((k + j / 4) * width, value)
+            reference.setdefault(k, []).append(value)
+    kept = list(range(2 * RING_BUCKETS, 3 * RING_BUCKETS))
+    assert list(series.buckets) == kept
+    assert {k: plain(kind, v) for k, v in series.buckets.items()} == {
+        k: expected_bucket(kind, reference[k]) for k in kept}
+    assert series.points == sum(len(values) for values in reference.values())
+
+    start, end = (kept[0] + 10.5) * width, (kept[-1] - 20) * width
+    assert [(t0, w, plain(kind, v))
+            for t0, w, v in series.buckets_between(start, end)] == [
+        (k * width, width, expected_bucket(kind, reference[k]))
+        for k in kept if (k + 1) * width > start and k * width < end]
+
+    doc = series.to_dict()
+    assert TimeSeries.from_dict(doc).to_dict() == doc
+    items = list(doc["buckets"].items())
+    random.Random(kind).shuffle(items)
+    doc["buckets"] = dict(items)
+    reloaded = TimeSeries.from_dict(doc)
+    assert list(reloaded.buckets) == kept
+    assert reloaded.to_dict() == series.to_dict()
+
+    with pytest.raises(ValueError, match="behind the newest"):
+        record((kept[0] - 1) * width, 1.0)
+    assert list(series.buckets) == kept
+    assert series.points == sum(len(values) for values in reference.values())
+    record((kept[-1] + 2) * width, 1.0)  # leaves one bucket empty
+    with pytest.raises(ValueError, match="behind the newest"):
+        record((kept[-1] + 1) * width, 1.0)
+
+
+def test_a_merge_or_a_reload_keeps_the_newest_ring():
+    """Two servers' rings that together span two rings' worth of
+    buckets merge into the newest ``RING_BUCKETS``; so does a dump
+    from outside that holds more."""
+    old, new = (TimeSeries("c", "counter", width=1.0) for _ in range(2))
+    for k in range(RING_BUCKETS):
+        old.inc(float(k))
+        new.inc(float(RING_BUCKETS + k), 2.0)
+    merged = TimeSeries("c", "counter", width=1.0).merge_from(old)
+    merged.merge_from(new)
+    assert merged.buckets == new.buckets
+    assert merged.points == 2 * RING_BUCKETS
+    doc = old.to_dict()
+    doc["buckets"].update(new.to_dict()["buckets"])
+    assert TimeSeries.from_dict(doc).buckets == new.buckets
 
 
 class TestRegistryQueries:
@@ -263,8 +277,7 @@ class TestRegistryQueries:
         clock["now"] = 3.0
         reg.observe("lat", 0.05, exemplar="span-9")
         (doc,) = reg.to_dict()["series"]
-        per_bucket = [hist["exemplars"] for tier in doc["tiers"]
-                      for hist in tier.values()]
+        per_bucket = [hist["exemplars"] for hist in doc["buckets"].values()]
         # each time bucket keeps its own; the export carries them all
         assert [list(ex.values()) for ex in per_bucket] == [["span-1"],
                                                             ["span-9"]]
@@ -281,8 +294,9 @@ class TestFleetMerge:
                                       bucket_width=1.0) for _ in range(20)]
         single = TimeSeriesRegistry(clock=lambda: clock["now"],
                                     bucket_width=1.0)
-        for _ in range(2000):
-            clock["now"] = rng.uniform(0.0, 50.0)
+        # the sim clock only moves forward
+        for now in sorted(rng.uniform(0.0, 50.0) for _ in range(2000)):
+            clock["now"] = now
             server = rng.choice(servers)
             v = rng.expovariate(10.0)
             server.inc("reqs")
@@ -374,61 +388,51 @@ class TestSerialization:
 SERIES_OPS = {"c": "inc", "g": "set_gauge", "h": "observe"}
 
 
-def all_buckets(series):
-    """Every retained ``(t0, width, value)``, tier by tier — no reliance
-    on key order."""
-    return [(index * series.width * (1 << t), series.width * (1 << t), value)
-            for t, tier in enumerate(series.tiers)
-            for index, value in tier.items()]
-
-
 def assert_ordered_and_consistent(reg, cutoffs):
-    """Each tier's keys ascend, and the reads that lean on that equal a
+    """Each ring's keys ascend, and the reads that lean on that equal a
     fold over all buckets."""
     for name in reg.names():
         series = reg.series(name)
-        for tier in series.tiers:
-            keys = list(tier)
-            assert all(a < b for a, b in zip(keys, keys[1:])), (name, keys)
-        buckets = all_buckets(series)
-        newest = None
-        for t0, _, value in buckets:
-            if newest is None or t0 > newest[0]:
-                newest = (t0, value)
+        keys = list(series.buckets)
+        assert all(a < b for a, b in zip(keys, keys[1:])), (name, keys)
+        assert len(keys) <= RING_BUCKETS
+        buckets = [(index * series.width, value)
+                   for index, value in series.buckets.items()]
+        newest = max(buckets, key=lambda item: item[0], default=None)
         assert series.latest() == newest
         for cutoff in cutoffs:
             if series.kind != "gauge":
                 expected = sum(
                     v.count if series.kind == "histogram" else v
-                    for t0, w, v in buckets
-                    if t0 < cutoff + 7.0 and t0 + w > cutoff)
+                    for t0, v in buckets
+                    if t0 < cutoff + 7.0 and t0 + series.width > cutoff)
                 assert reg.query(name, "sum", start=cutoff,
                                  end=cutoff + 7.0) == expected
 
 
 @given(st.lists(st.tuples(st.sampled_from(sorted(SERIES_OPS)),
-                          # mostly forward, sometimes a step backwards
-                          st.integers(min_value=-6, max_value=9),
+                          # the sim clock stands still or moves forward,
+                          # now and then past a whole ring
+                          st.sampled_from([0, 0, 1, 1, 2, 5, 9, 300]),
                           st.integers(min_value=1, max_value=5),
                           st.integers(min_value=0, max_value=2)),
                 min_size=1, max_size=120),
        st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_tier_keys_stay_ascending_and_reads_match_brute_force(ops, rng):
-    """Interleaved inc / set_gauge / observe under a clock that can step
-    backwards, fleet merges in shuffled order and a dump round trip all
-    keep every tier's keys strictly ascending; ``latest`` and
+def test_ring_keys_stay_ascending_and_reads_match_brute_force(ops, rng):
+    """Interleaved inc / set_gauge / observe, fleet merges in shuffled
+    order and a dump round trip with shuffled keys all keep every ring's
+    keys strictly ascending and within budget; ``latest`` and
     ``query(..., "sum")`` agree with a fold over every bucket."""
     clock = {"now": 10.0}
 
     def make():
-        # small rings, so a short run folds buckets through every tier
         return TimeSeriesRegistry(clock=lambda: clock["now"],
-                                  bucket_width=0.5, max_buckets=4, n_tiers=3)
+                                  bucket_width=0.5)
 
     single, parts = make(), [make() for _ in range(3)]
     for name, step, value, part in ops:
-        clock["now"] = max(0.0, clock["now"] + step * 0.25)
+        clock["now"] += step * 0.25
         for reg in (single, parts[part]):
             getattr(reg, SERIES_OPS[name])(name, float(value))
     cutoffs = [clock["now"] - w for w in (0.0, 0.5, 2.0, 5.0, 40.0)]
@@ -442,10 +446,9 @@ def test_tier_keys_stay_ascending_and_reads_match_brute_force(ops, rng):
 
     doc = fleet.to_dict()
     for series_doc in doc["series"]:  # a dump whose keys lost their order
-        for t, tier in enumerate(series_doc["tiers"]):
-            items = list(tier.items())
-            rng.shuffle(items)
-            series_doc["tiers"][t] = dict(items)
+        items = list(series_doc["buckets"].items())
+        rng.shuffle(items)
+        series_doc["buckets"] = dict(items)
     reloaded = TimeSeriesRegistry.from_dict(doc)
     assert_ordered_and_consistent(reloaded, cutoffs)
     assert reloaded.to_dict() == fleet.to_dict()

@@ -4,21 +4,20 @@ and of samples held, with no timing (in the spirit of
 tests/storage/test_snapshot_cost.py)."""
 
 from repro.health import SLOEngine, SLOSpec
-from repro.obs.timeseries import TimeSeries
+from repro.obs.timeseries import RING_BUCKETS, TimeSeries
 
 WIDTH = 0.25
-N_TIERS = 4
 
 
-class CountingTier(dict):
-    """A tier that counts every bucket an iteration hands out, forwards
+class CountingRing(dict):
+    """A ring that counts every bucket an iteration hands out, forwards
     or backwards, over keys, values or items.  Keyed access (``get``,
-    ``[]``, ``in``, ``pop``) touches one bucket by construction and is
+    ``[]``, ``in``, ``del``) touches one bucket by construction and is
     not counted."""
 
     def __init__(self, reads, items=()):
         super().__init__(items)
-        self.reads = reads  # one-element list shared by a series' tiers
+        self.reads = reads  # one-element list
 
     def _counted(self, iterator):
         for item in iterator:
@@ -42,27 +41,26 @@ class CountingTier(dict):
 
 
 class _CountingView:
-    def __init__(self, tier, view):
-        self._tier, self._view = tier, view
+    def __init__(self, ring, view):
+        self._ring, self._view = ring, view
 
     def __iter__(self):
-        return self._tier._counted(iter(self._view))
+        return self._ring._counted(iter(self._view))
 
     def __reversed__(self):
-        return self._tier._counted(reversed(self._view))
+        return self._ring._counted(reversed(self._view))
 
 
-def count_reads(*series):
-    """Swap counting tiers in under the series; returns their counter."""
+def count_reads(series):
+    """Swap a counting ring in under the series; returns its counter."""
     reads = [0]
-    for one in series:
-        one.tiers = [CountingTier(reads, tier.items()) for tier in one.tiers]
+    series.buckets = CountingRing(reads, series.buckets.items())
     return reads
 
 
 def counter_with_history(seconds):
     """A counter incremented every bucket width for ``seconds``."""
-    series = TimeSeries("c", "counter", width=WIDTH, n_tiers=N_TIERS)
+    series = TimeSeries("c", "counter", width=WIDTH)
     for k in range(int(seconds / WIDTH) + 1):
         series.inc(k * WIDTH)
     return series
@@ -72,20 +70,27 @@ def test_a_range_read_reads_the_range_not_the_history():
     window = 20.0
     for history in (10 * window, 100 * window):
         series = counter_with_history(history)
-        assert series.tiers[1]  # history reaches past tier 0
+        assert len(series.buckets) == RING_BUCKETS  # the ring is full
         reads = count_reads(series)
         buckets = series.buckets_between(history - window, history + WIDTH)
         assert sum(value for _t0, _w, value in buckets) == window / WIDTH + 1
-        # the range's buckets, plus the one each tier stops at
-        assert reads[0] <= window / WIDTH + 1 + N_TIERS
+        # the range's buckets, plus the one the read stops at
+        assert reads[0] <= window / WIDTH + 2
 
 
 def test_evicting_a_bucket_reads_a_constant_number_of_keys():
-    series = counter_with_history(1000.0)  # every tier full
-    reads = count_reads(series)
-    series.inc(1000.0 + WIDTH)  # a new bucket: tier 0 overflows
-    # the oldest key of the overflowing tier and the newest of its parent
-    assert 0 < reads[0] <= 2 * N_TIERS
+    """Opening a bucket reads the newest key; dropping the oldest once
+    the ring is full reads one more, however long the history."""
+    short = counter_with_history(10 * WIDTH)  # the ring has room
+    reads = count_reads(short)
+    short.inc(11 * WIDTH)
+    assert reads[0] == 1
+    for seconds in (100.0, 1000.0):  # the ring is full
+        series = counter_with_history(seconds)
+        reads = count_reads(series)
+        series.inc(seconds + WIDTH)
+        assert reads[0] == 2
+        assert len(series.buckets) == RING_BUCKETS
 
 
 TICK = 0.5

@@ -5,8 +5,9 @@ from repro.metrics import PipelineMetrics
 from repro.net import Network
 from repro.obs import RequestCostLedger
 from repro.orb import Orb, RemoteException
-from repro.pipeline import (PLANE_ORB, AdmissionInterceptor, Interceptor,
-                            Pipeline, default_pipeline)
+from repro.pipeline import PLANE_ORB, Interceptor, Pipeline
+from repro.pipeline.interceptors import (AdmissionInterceptor,
+                                         default_pipeline)
 from repro.sim import Simulator
 from tests.conftest import drive
 

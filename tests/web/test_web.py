@@ -4,7 +4,8 @@ import pytest
 
 from repro.metrics import PipelineMetrics
 from repro.net import Network
-from repro.pipeline import PLANE_HTTP, default_pipeline
+from repro.pipeline import PLANE_HTTP
+from repro.pipeline.interceptors import default_pipeline
 from repro.sim import Simulator
 from repro.web import (
     HttpClient,
