@@ -24,7 +24,15 @@ class SyntheticApp(SteerableApplication):
 
     ``payload_floats`` controls the size of each periodic update (a list of
     floats), so the wire cost of the MainChannel is a free experimental
-    variable.
+    variable.  Each update's ``series`` is ``[float(counter + i) for i in
+    range(payload_floats)]``.
+
+    Receivers keep what they are sent, and successive series overlap in
+    all but the values the counter moved past, so a new series reuses the
+    float objects of the previous one where their values coincide: only
+    its list and the new values are allocated.  The previous series is
+    kept as a private tuple (``_window``), never the list handed out, so
+    a receiver that mutates its list cannot change the next update.
     """
 
     def __init__(self, host, name, server_host, *, payload_floats: int = 16,
@@ -32,6 +40,9 @@ class SyntheticApp(SteerableApplication):
         self.payload_floats = payload_floats
         self.counter = 0
         self.marks: list = []
+        # the last series sent, as ``float(_window_start + i)`` at index i
+        self._window: tuple = ()
+        self._window_start = 0
         super().__init__(host, name, server_host, **kwargs)
 
     def setup(self) -> None:
@@ -62,9 +73,19 @@ class SyntheticApp(SteerableApplication):
 
     def update_payload(self) -> dict:
         payload = super().update_payload()
-        # an integer range cast once: exact, where arange(dtype=float64)
-        # is not past 2**53
-        payload["series"] = np.arange(
-            self.counter, self.counter + self.payload_floats
-        ).astype(np.float64).tolist()
+        payload["series"] = self._series()
         return payload
+
+    def _series(self) -> list:
+        start, n = self.counter, self.payload_floats
+        window, shift = self._window, start - self._window_start
+        if len(window) == n and 0 <= shift < n:
+            # the window's tail, then the values it does not reach
+            series = list(window[shift:])
+            series += map(float, range(self._window_start + n, start + n))
+        else:
+            # built fresh in one numpy pass: an integer range cast once
+            # is exact, where arange(dtype=float64) is not past 2**53
+            series = np.arange(start, start + n).astype(np.float64).tolist()
+        self._window, self._window_start = tuple(series), start
+        return series

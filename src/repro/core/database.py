@@ -20,7 +20,8 @@ re-applying the journal's archive region and then the WAL tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Tuple)
 
 from repro.storage import NULL_JOURNAL
 
@@ -44,10 +45,20 @@ class _Sequence:
 
 _record_seq = _Sequence(1)
 
+#: an interning table of reader sets: each set → itself, sorted as a list
+ReaderSets = Dict[FrozenSet[str], Tuple[FrozenSet[str], List[str]]]
+
 
 @dataclass(init=False)
 class Record:
     """One stored row.
+
+    A record has no per-instance ``__dict__`` (``__slots__``) and its
+    ``data`` is the one copy :meth:`Table.insert` made of the caller's
+    dict, the same dict its ``db.insert`` journal payload holds: nothing
+    mutates either after the insert.  ``readers`` is a ``frozenset``
+    interned per :class:`Database`, so records with equal reader sets
+    share one.
 
     ``__init__`` is written out because it runs once per insert: a
     profile keys a function by (file, line, name), every generated
@@ -57,14 +68,16 @@ class Record:
     would follow the code objects' addresses.
     """
 
+    __slots__ = ("record_id", "owner", "created_at", "data", "readers")
+
     record_id: int
     owner: str
     created_at: float
     data: dict
-    readers: Set[str]
+    readers: FrozenSet[str]
 
     def __init__(self, record_id: int, owner: str, created_at: float,
-                 data: dict, readers: Set[str]) -> None:
+                 data: dict, readers: FrozenSet[str]) -> None:
         self.record_id = record_id
         self.owner = owner
         self.created_at = created_at
@@ -77,22 +90,38 @@ class Record:
 
 
 class Table:
-    """An append-only table of records."""
+    """An append-only table of records.
 
-    def __init__(self, name: str, journal=NULL_JOURNAL) -> None:
+    ``reader_sets`` interns reader sets (each ``frozenset`` → itself and
+    its sorted list, the journal's form); a :class:`Database` hands all
+    its tables one.
+    """
+
+    def __init__(self, name: str, journal=NULL_JOURNAL,
+                 reader_sets: Optional[ReaderSets] = None) -> None:
         self.name = name
         self.journal = journal
+        self._reader_sets = {} if reader_sets is None else reader_sets
         self._records: List[Record] = []
+
+    def _interned(self, readers: Optional[Iterable[str]]
+                  ) -> Tuple[FrozenSet[str], List[str]]:
+        key = frozenset(readers or ())
+        pair = self._reader_sets.get(key)
+        if pair is None:
+            pair = self._reader_sets[key] = (key, sorted(key))
+        return pair
 
     def insert(self, owner: str, data: dict, created_at: float,
                readers: Optional[Iterable[str]] = None) -> Record:
-        rec = Record(_record_seq.take(), owner, created_at, dict(data),
-                     set(readers or ()))
+        readers, listed = self._interned(readers)
+        data = dict(data)
+        rec = Record(_record_seq.take(), owner, created_at, data, readers)
         self._records.append(rec)
         self.journal.append("db.insert", {
             "table": self.name, "record_id": rec.record_id,
-            "owner": rec.owner, "created_at": rec.created_at,
-            "data": dict(rec.data), "readers": sorted(rec.readers)})
+            "owner": owner, "created_at": created_at,
+            "data": data, "readers": listed})
         return rec
 
     def restore(self, record_id: int, owner: str, data: dict,
@@ -100,7 +129,7 @@ class Table:
                 readers: Optional[Iterable[str]] = None) -> Record:
         """Re-insert a journaled record under its original id."""
         rec = Record(record_id, owner, created_at, dict(data),
-                     set(readers or ()))
+                     self._interned(readers)[0])
         self._records.append(rec)
         _record_seq.advance_past(record_id)
         return rec
@@ -152,12 +181,14 @@ class Database:
     def __init__(self, journal=NULL_JOURNAL) -> None:
         self.journal = journal
         self._tables: Dict[str, Table] = {}
+        self._reader_sets: ReaderSets = {}
 
     def table(self, name: str) -> Table:
         """Get (creating on first use) a table."""
         tbl = self._tables.get(name)
         if tbl is None:
-            tbl = self._tables[name] = Table(name, journal=self.journal)
+            tbl = self._tables[name] = Table(name, journal=self.journal,
+                                             reader_sets=self._reader_sets)
         return tbl
 
     def table_names(self) -> List[str]:

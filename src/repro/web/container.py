@@ -28,6 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: conventional HTTP port
 DEFAULT_HTTP_PORT = 80
 
+#: request paths whose servlet a container remembers; the portals name a
+#: few dozen, so only a caller inventing paths ever fills it
+ROUTE_CACHE_SIZE = 1024
+
 
 class ServletContainer:
     """A web server hosting mounted servlets."""
@@ -56,6 +60,8 @@ class ServletContainer:
         #: interceptor chain every request dispatches through
         self.pipeline = pipeline
         self._servlets: Dict[str, Servlet] = {}
+        # request path -> its longest-prefix servlet; mount() clears it
+        self._routes: Dict[str, Optional[Servlet]] = {}
         self._last_sweep = self.sim.now
 
     # -- configuration ---------------------------------------------------
@@ -67,17 +73,26 @@ class ServletContainer:
             raise ValueError(f"path {path!r} already mounted")
         servlet.mount_path = path
         self._servlets[path] = servlet
+        self._routes.clear()
         servlet.init(self)
         return servlet
 
     def servlet_for(self, path: str) -> Optional[Servlet]:
-        """Longest-prefix match over mounted servlets."""
+        """Longest-prefix match over mounted servlets, resolved once per
+        path (at most :data:`ROUTE_CACHE_SIZE` paths are remembered)."""
+        try:
+            return self._routes[path]
+        except KeyError:
+            pass
         best = None
         best_len = -1
         for prefix, servlet in self._servlets.items():
             if path == prefix or path.startswith(prefix.rstrip("/") + "/"):
                 if len(prefix) > best_len:
                     best, best_len = servlet, len(prefix)
+        if len(self._routes) >= ROUTE_CACHE_SIZE:
+            self._routes.clear()  # a caller naming ever new paths
+        self._routes[path] = best
         return best
 
     def stop(self) -> None:

@@ -1,10 +1,14 @@
 """Unit tests for the record store and the session archive."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.archival import SessionArchive
 from repro.core.database import Database, Record, Table
 from repro.sim import Simulator
+from repro.storage import JsonlBackend, MemoryBackend, StateJournal
 
 
 # ------------------------------- database ----------------------------------
@@ -68,6 +72,121 @@ def test_database_creates_tables_on_demand():
     assert db.table("x") is t1
     db.table("y")
     assert db.table_names() == ["x", "y"]
+
+
+# ------------------------- what a record retains ---------------------------
+
+ACL = ["alice", "bob", "carol"]
+
+
+def journaled_db(backend, clock=lambda: 0.0):
+    journal = StateJournal(backend, clock=clock, snapshot_every=0)
+    db = Database(journal=journal)
+    journal.register_plane("db", apply=db.apply_event)
+    return db, journal
+
+
+def test_an_app_log_record_retains_at_most_900_bytes(sim):
+    """Record, data dict, journal payload and WAL entry together: one
+    copy of the data, one shared reader set (1 376 B per record when the
+    record kept a ``__dict__``, two data dicts and its own reader set)."""
+    db, _journal = journaled_db(MemoryBackend())
+    archive = SessionArchive(sim, db)
+    archive.log_app_record("app-0", "owner", "update", {"seq": -1},
+                           readers=list(ACL))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20_000):
+            archive.log_app_record("app-0", "owner", "update",
+                                   {"seq": i, "timestamp": i * 0.5},
+                                   readers=list(ACL))
+        gc.collect()
+        per_record = (tracemalloc.get_traced_memory()[0] - before) / 20_000
+    finally:
+        tracemalloc.stop()
+    assert per_record <= 900, per_record
+
+
+def test_record_has_no_instance_dict():
+    rec = Table("t").insert("alice", {"v": 1}, created_at=0.0)
+    assert not hasattr(rec, "__dict__")
+    assert rec == Record(rec.record_id, "alice", 0.0, {"v": 1}, frozenset())
+
+
+def test_equal_reader_sets_share_one_frozenset_per_database():
+    db = Database()
+    a = db.table("x").insert("o", {}, 0.0, readers=["bob", "alice"])
+    b = db.table("y").insert("o", {}, 0.0, readers=("alice", "bob", "bob"))
+    c = db.table("x").insert("o", {}, 0.0, readers=["carol"])
+    assert a.readers == frozenset({"alice", "bob"})
+    assert a.readers is b.readers
+    assert c.readers == frozenset({"carol"}) and c.readers is not a.readers
+    assert (db.table("x").insert("o", {}, 0.0).readers
+            is db.table("y").insert("o", {}, 0.0, readers=[]).readers)
+    other = Database().table("x").insert("o", {}, 0.0, readers=["alice",
+                                                                "bob"])
+    assert other.readers == a.readers and other.readers is not a.readers
+
+
+def test_the_callers_dict_is_copied_once_for_record_and_journal():
+    db, journal = journaled_db(MemoryBackend())
+    data = {"v": 1}
+    rec = db.table("t").insert("alice", data, created_at=0.0,
+                               readers=["bob"])
+    (entry,) = journal.backend.entries()
+    payload = entry["data"]
+    assert payload["data"] is rec.data and rec.data is not data
+    data["v"] = 2
+    data["extra"] = True
+    assert rec.data == {"v": 1} and payload["data"] == {"v": 1}
+
+
+def test_a_fixed_insert_writes_the_same_wal_line(tmp_path):
+    db, _journal = journaled_db(JsonlBackend(tmp_path), clock=lambda: 2.5)
+    rec = db.table("app_log").insert(
+        "owner", {"app_id": "app-1", "kind": "update", "seq": 7,
+                  "timestamp": 2.25},
+        created_at=2.5, readers=["carol", "alice", "bob", "alice"])
+    assert (tmp_path / "wal.jsonl").read_text() == (
+        '{"lsn":1,"kind":"db.insert","at":2.5,"data":{"table":"app_log",'
+        f'"record_id":{rec.record_id},"owner":"owner","created_at":2.5,'
+        '"data":{"app_id":"app-1","kind":"update","seq":7,'
+        '"timestamp":2.25},"readers":["alice","bob","carol"]}}\n')
+
+
+@pytest.mark.parametrize("medium", ["memory", "jsonl"])
+def test_recover_rebuilds_equal_records(tmp_path, medium):
+    backend = (MemoryBackend() if medium == "memory"
+               else JsonlBackend(tmp_path))
+    db, journal = journaled_db(backend)
+    originals = []
+    for i, readers in enumerate([ACL, None, ["*"], ACL[::-1], ["bob"]]):
+        table = db.table("app_log" if i % 2 else "interactions")
+        originals.append(table.insert(f"u{i}", {"seq": i, "at": i / 4},
+                                      created_at=i / 2, readers=readers))
+        if i == 2:  # the first three leave the WAL for the archive
+            journal.take_snapshot()
+    if medium == "jsonl":
+        backend.close()
+        backend = JsonlBackend(tmp_path)
+    again, journal = journaled_db(backend)
+    journal.recover()
+    # each original has an owner of its own: what they read is their record
+    rebuilt = {rec.record_id: rec for orig in originals
+               for name in again.table_names()
+               for rec in again.table(name).select(orig.owner)
+               if rec.owner == orig.owner}
+    assert sorted(rebuilt) == [rec.record_id for rec in originals]
+    for rec in originals:
+        got = rebuilt[rec.record_id]
+        assert (got.record_id, got.owner, got.created_at, got.data,
+                got.readers) == (rec.record_id, rec.owner, rec.created_at,
+                                 rec.data, rec.readers)
+        assert type(got.readers) is frozenset
+    assert rebuilt[originals[0].record_id].readers is rebuilt[
+        originals[3].record_id].readers
 
 
 # ------------------------------- archive -----------------------------------

@@ -262,6 +262,33 @@ def test_longest_prefix_routing():
     assert drive(sim, go()) == ("A", "AB", "AB")
 
 
+def test_servlet_for_resolves_each_path_once_until_a_mount():
+    sim, net, container, client = make_site()
+    a, ab = container.mount("/a", EchoServlet()), EchoServlet()
+    for _ in range(2):  # the second round is answered from the route memo
+        assert container.servlet_for("/a") is a       # exact
+        assert container.servlet_for("/a/b/x") is a   # sub-path
+        assert container.servlet_for("/ab") is None   # a prefix, no segment
+        assert container.servlet_for("/zzz") is None  # unmatched
+    # a mount after the first requests re-resolves what it now covers
+    container.mount("/a/b", ab)
+    assert container.servlet_for("/a/b/x") is ab
+    assert container.servlet_for("/a") is a
+    assert container.servlet_for("/zzz") is None
+    container.mount("/zzz", EchoServlet())
+    assert container.servlet_for("/zzz") is container._servlets["/zzz"]
+
+
+def test_route_memo_is_bounded():
+    from repro.web.container import ROUTE_CACHE_SIZE
+
+    sim, net, container, client = make_site()
+    a = container.mount("/a", EchoServlet())
+    for i in range(ROUTE_CACHE_SIZE + 5):
+        assert container.servlet_for(f"/a/{i}") is a
+    assert len(container._routes) <= ROUTE_CACHE_SIZE
+
+
 def test_mount_validation():
     sim, net, container, client = make_site()
     with pytest.raises(ValueError):
