@@ -270,14 +270,12 @@ class HealthMonitor:
     # -- exemplars ---------------------------------------------------------
     def _exemplars(self, window_start: float) -> List[int]:
         """Trace ids of the worst error spans since ``window_start``."""
-        worst = sorted(
-            (s for s in self.server.tracer.store.spans()
-             if s.status == "error" and s.start >= window_start),
-            key=lambda s: (-s.duration, s.trace_id))
+        worst = sorted(self.server.tracer.store.errors_since(window_start),
+                       key=lambda row: (-row[1], row[0]))
         out: List[int] = []
-        for span in worst:
-            if span.trace_id not in out:
-                out.append(span.trace_id)
+        for trace_id, _duration in worst:
+            if trace_id not in out:
+                out.append(trace_id)
             if len(out) >= EXEMPLAR_LIMIT:
                 break
         return out

@@ -27,7 +27,6 @@ tests.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
@@ -140,19 +139,14 @@ class _Delivery:
         if tracer is not None and frame.trace_ctx is not None:
             # Post-hoc bookkeeping: the transit already happened, the span
             # just records it (zero-event — no scheduling, no wire bytes).
-            if tracer.store.room:
-                # The label is interned: the retained hop spans of a host
-                # pair share one string, not one each.
-                tracer.record_span(
-                    "net.hop", frame.sent_at, net.sim.now, plane="net",
-                    server=sys.intern(
-                        f"{frame.src_host}->{frame.dst_host}"),
-                    parent=frame.trace_ctx,
-                    attrs={"wan": self.wan, "channel": frame.channel,
-                           "bytes": frame.size})
-            else:  # a full store keeps the span's number and its charge
-                tracer.record_span("net.hop", frame.sent_at, net.sim.now,
-                                   parent=frame.trace_ctx)
+            # The store keeps the row's label in the kind it shares with
+            # the other hops of the host pair, and refuses it when full.
+            tracer.record_span(
+                "net.hop", frame.sent_at, net.sim.now, plane="net",
+                server=f"{frame.src_host}->{frame.dst_host}",
+                parent=frame.trace_ctx,
+                attrs={"wan": self.wan, "channel": frame.channel,
+                       "bytes": frame.size})
         net._hand_off(frame)
 
 

@@ -41,15 +41,13 @@ def export_jsonl(source: Union[SpanStore, Iterable[Span]],
 
 def load_jsonl(path: str) -> SpanStore:
     """Reload a JSONL export into a fresh (unbounded-enough) store."""
-    spans = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                spans.append(Span.from_dict(json.loads(line)))
-    store = SpanStore(max_spans=max(len(spans), 1))
-    for span in spans:
-        store.add(span)
+        rows = [json.loads(line) for line in fh if line.strip()]
+    store = SpanStore(max_spans=max(len(rows), 1))
+    for row in rows:
+        store.add(row["trace_id"], row["span_id"], row["parent_id"],
+                  row["start"], row["end"], row["op"], row["plane"],
+                  row["server"], row["status"], row["error"], row["attrs"])
     return store
 
 

@@ -8,13 +8,12 @@ callers hand over a :class:`~repro.obs.store.SpanStore` and get text back
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional
 
 from repro.obs.store import SpanStore
 
 
-def _ms(seconds: Optional[float]) -> str:
-    return "?" if seconds is None else f"{seconds * 1e3:.2f}"
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.2f}"
 
 
 def format_trace_summary(store: SpanStore) -> str:
@@ -27,7 +26,7 @@ def format_trace_summary(store: SpanStore) -> str:
         lines.append(
             f"{trace_id:5d}  {root.op[:24]:<24}  {len(spans):5d}  "
             f"{len(store.servers(trace_id)):7d}  "
-            f"{_ms(root.duration if root.end is not None else None):>11}")
+            f"{_ms(root.duration):>11}")
     if len(lines) == 1:
         lines.append("(no traces recorded)")
     return "\n".join(lines)

@@ -54,8 +54,10 @@ class Span:
                  "server", "start", "end", "status", "error", "attrs",
                  "_context")
 
+    # positional: a class call passes keywords as a dict, and every
+    # request builds one span
     def __init__(self, trace_id: int, span_id: int,
-                 parent_id: Optional[int], op: str, *, plane: str = "",
+                 parent_id: Optional[int], op: str, plane: str = "",
                  server: str = "", start: float = 0.0,
                  attrs: Optional[Dict[str, Any]] = None) -> None:
         self.trace_id = trace_id
@@ -79,10 +81,10 @@ class Span:
         return self.end - self.start
 
     def context(self) -> TraceContext:
-        """The span's propagatable identity: one shared instance while the
-        span is open, built on first use.  :meth:`Tracer.finish` lets go
-        of it, so a retained span does not keep a context alive (frames
-        and requests that carry it hold their own reference)."""
+        """The span's propagatable identity: one shared instance, built
+        on first use.  The store keeps a finished span as a row, so no
+        retained span keeps a context alive (frames and requests that
+        carry it hold their own reference)."""
         ctx = self._context
         if ctx is None:
             ctx = self._context = TraceContext(self.trace_id, self.span_id)
@@ -104,17 +106,14 @@ class Span:
             "attrs": self.attrs,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        span = cls(data["trace_id"], data["span_id"], data.get("parent_id"),
-                   data.get("op", ""), plane=data.get("plane", ""),
-                   server=data.get("server", ""),
-                   start=data.get("start", 0.0),
-                   attrs=dict(data.get("attrs") or {}))
-        span.end = data.get("end")
-        span.status = data.get("status", "ok")
-        span.error = data.get("error", "")
-        return span
+    def __eq__(self, other: object) -> bool:
+        """Value equality: a store read builds a fresh span equal to the
+        one that was finished, not the same object."""
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    __hash__ = None  # mutable while open
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Span {self.trace_id}:{self.span_id} {self.op!r} "

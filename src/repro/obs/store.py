@@ -1,22 +1,34 @@
 """SpanStore: bounded span retention, tree reconstruction, critical path.
 
-The store is deliberately dumb on the write path (one append to a list)
-so recording stays cheap inside dispatch loops; all analysis — the
-by-trace index, tree assembly, per-plane latency reduction, critical-path
-extraction — happens on demand at read time.
+A finished span is kept as one *row* of columns, not as an object: its
+three ids in one ``array("q")``, its start and end in one ``array("d")``,
+the strings a row shares with many others — op, plane, server, status,
+error and the attr keys — as one interned *kind*, and its attr values in
+one flat list.  Writing a row is a kind lookup and one append per
+column, cheap inside dispatch loops.  Reads that hand out spans
+(:meth:`SpanStore.spans`, :meth:`~SpanStore.tree`,
+:meth:`~SpanStore.critical_path`) build :class:`Span` objects on demand;
+the scans (trace ids, planes, latency stats, servers, error rows) read
+the columns and build none.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Dict, List, NamedTuple, Optional
+from array import array
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.metrics.stats import SummaryStats, summarize
 from repro.obs.span import Span
 
-#: default retention; a retained request span reads ≈415 bytes under
-#: tracemalloc (span, attrs dict and its values), so a full store is ≈20 MB
+#: default retention; under tracemalloc a retained request span reads
+#: ≈135 bytes as a row and a hop span ≈103, so a full store is ≈7 MB
 DEFAULT_MAX_SPANS = 50_000
+
+#: the parent-id column's "no parent" (span ids count from 1)
+NO_PARENT = -1
+
+#: a kind is ``(op, plane, server, status, error, *attr_keys)``
+_OP, _PLANE, _SERVER, _STATUS, _ATTR_KEYS = 0, 1, 2, 3, 5
 
 
 class SpanNode:
@@ -54,57 +66,125 @@ class PathSegment(NamedTuple):
 
 
 class SpanStore:
-    """Bounded storage of finished spans, indexed by trace."""
+    """Bounded storage of finished spans, one row each, indexed by trace."""
 
     def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
         self.max_spans = max_spans
         #: how many more spans the store takes (0: full, the rest refused)
         self.room = max_spans
-        self._spans: List[Span] = []
-        #: trace id -> its spans, over the first ``_indexed`` of ``_spans``
-        self._index: Dict[int, List[Span]] = {}
-        self._indexed = 0
+        #: per row: trace id, span id, parent id (NO_PARENT for a root)
+        self._ids = array("q")
+        #: per row: start, end (virtual seconds, read back as floats)
+        self._times = array("d")
+        #: per row: its kind's index in ``_kinds``
+        self._kind_of = array("i")
+        #: every row's attr values, one after another
+        self._values: List[Any] = []
+        #: the distinct kinds, and each one's index
+        self._kinds: List[tuple] = []
+        self._kind_index: Dict[tuple, int] = {}
+        # read side, caught up on the first read after a write
+        #: row -> where its attr values start in ``_values`` (one more
+        #: entry than rows caught up: the last is where the next starts)
+        self._offsets = array("q", [0])
+        #: trace id -> its rows
+        self._index: Dict[int, List[int]] = {}
         #: spans rejected because the store was full
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._kind_of)
 
     # -- write path --------------------------------------------------------
-    def add(self, span: Span) -> bool:
-        """Retain a finished span; False (and counted) once full."""
+    def add(self, trace_id: int, span_id: int, parent_id: Optional[int],
+            start: float, end: float, op: str, plane: str, server: str,
+            status: str, error: str, attrs: Dict[str, Any]) -> bool:
+        """Retain one finished span as a row; False (and counted) once
+        full.  Nothing of ``attrs`` but its keys and values is kept."""
         if not self.room:
             self.dropped += 1
             return False
         self.room -= 1
-        self._spans.append(span)
+        key = (op, plane, server, status, error, *attrs)
+        kind = self._kind_index.get(key)
+        if kind is None:
+            kind = self._kind_index[key] = len(self._kinds)
+            self._kinds.append(key)
+        # fromlist: one call per column, where extend() would walk a
+        # tuple through the generic iterator protocol
+        self._ids.fromlist(
+            [trace_id, span_id, NO_PARENT if parent_id is None else parent_id])
+        self._times.fromlist([start, end])
+        self._kind_of.append(kind)
+        self._values.extend(attrs.values())
         return True
 
     # -- lookup ------------------------------------------------------------
-    def _by_trace(self) -> Dict[int, List[Span]]:
-        """The index, caught up with the spans added since the last read."""
-        index, spans = self._index, self._spans
-        for span in spans[self._indexed:]:
-            index.setdefault(span.trace_id, []).append(span)
-        self._indexed = len(spans)
-        return index
+    def _catch_up(self) -> None:
+        """Extend the by-trace index and the attr offsets over the rows
+        added since the last read."""
+        index, ids, offsets = self._index, self._ids, self._offsets
+        kinds, kind_of = self._kinds, self._kind_of
+        at = offsets[-1]
+        for row in range(len(offsets) - 1, len(kind_of)):
+            index.setdefault(ids[3 * row], []).append(row)
+            at += len(kinds[kind_of[row]]) - _ATTR_KEYS
+            offsets.append(at)
+
+    def _span(self, row: int) -> Span:
+        """A caught-up row as a fresh :class:`Span`, equal to the one
+        that was finished."""
+        op, plane, server, status, error, *keys = self._kinds[
+            self._kind_of[row]]
+        trace_id, span_id, parent_id = self._ids[3 * row:3 * row + 3]
+        start, end = self._times[2 * row:2 * row + 2]
+        at, to = self._offsets[row:row + 2]
+        span = Span(trace_id, span_id,
+                    None if parent_id == NO_PARENT else parent_id, op,
+                    plane, server, start,
+                    dict(zip(keys, self._values[at:to])))
+        span.end = end
+        span.status = status
+        span.error = error
+        return span
+
+    def _rows_of(self, trace_id: int) -> List[int]:
+        self._catch_up()
+        return self._index.get(trace_id, [])
+
+    def _kinds_of(self, field: int, value: str) -> set:
+        """Indexes of the kinds whose ``field`` is ``value``."""
+        return {k for k, kind in enumerate(self._kinds)
+                if kind[field] == value}
 
     def spans(self, trace_id: Optional[int] = None) -> List[Span]:
-        if trace_id is None:
-            return list(self._spans)
-        return list(self._by_trace().get(trace_id, ()))
+        self._catch_up()
+        rows = (range(len(self)) if trace_id is None
+                else self._index.get(trace_id, []))
+        return [self._span(row) for row in rows]
 
     def trace_ids(self) -> List[int]:
         # not off the index: the end-of-run counters ask this of stores
         # nobody reads by trace, and would be all the index was built for
-        return [trace_id for trace_id, _ in groupby(
-            sorted([span.trace_id for span in self._spans]))]
+        return sorted(set(self._ids[0::3]))
 
     def trace_of_root(self, op: str) -> Optional[int]:
         """The first trace whose root span runs ``op`` (None if absent)."""
-        return min((span.trace_id for span in self._spans
-                    if span.parent_id is None and span.op == op),
+        kinds, ids = self._kinds_of(_OP, op), self._ids
+        return min((ids[3 * row] for row, kind in enumerate(self._kind_of)
+                    if kind in kinds and ids[3 * row + 2] == NO_PARENT),
                    default=None)
+
+    def errors_since(self, start: float) -> Iterator[Tuple[int, float]]:
+        """``(trace_id, duration)`` of each error row that started at or
+        after ``start``, in the order they were retained."""
+        kinds = self._kinds_of(_STATUS, "error")
+        if not kinds:
+            return
+        ids, times = self._ids, self._times
+        for row, kind in enumerate(self._kind_of):
+            if kind in kinds and times[2 * row] >= start:
+                yield ids[3 * row], times[2 * row + 1] - times[2 * row]
 
     # -- tree reconstruction -----------------------------------------------
     def tree(self, trace_id: int) -> List[SpanNode]:
@@ -115,7 +195,7 @@ class SpanStore:
         disappearing.
         """
         nodes = {span.span_id: SpanNode(span)
-                 for span in self._by_trace().get(trace_id, ())}
+                 for span in self.spans(trace_id)}
         roots: List[SpanNode] = []
         for node in nodes.values():
             parent = nodes.get(node.span.parent_id)
@@ -130,9 +210,9 @@ class SpanStore:
 
     def servers(self, trace_id: int) -> List[str]:
         """Distinct non-empty server names a trace touched."""
-        return sorted({span.server
-                       for span in self._by_trace().get(trace_id, ())
-                       if span.server})
+        kinds, kind_of = self._kinds, self._kind_of
+        return sorted({kinds[kind_of[row]][_SERVER]
+                       for row in self._rows_of(trace_id)} - {""})
 
     # -- critical path -----------------------------------------------------
     def critical_path(self, trace_id: int) -> List[PathSegment]:
@@ -150,7 +230,7 @@ class SpanStore:
             return []
         root = roots[0]
         segments: List[PathSegment] = []
-        self._walk_critical(root, root.span.end or root.span.start, segments)
+        self._walk_critical(root, root.span.end, segments)
         segments.reverse()
         return [seg for seg in segments if seg.duration > 0.0]
 
@@ -158,16 +238,14 @@ class SpanStore:
                        segments: List[PathSegment]) -> None:
         # Appends segments in reverse-chronological order (caller reverses).
         span = node.span
-        end = span.end if span.end is not None else span.start
-        t = min(end, bound_end)
+        t = min(span.end, bound_end)
         for child in sorted(node.children,
-                            key=lambda n: (n.span.end or n.span.start),
+                            key=lambda n: n.span.end,
                             reverse=True):
             c = child.span
-            c_end = c.end if c.end is not None else c.start
-            if c.start >= t or c_end <= span.start:
+            if c.start >= t or c.end <= span.start:
                 continue  # outside the remaining window (e.g. reply hops)
-            c_end = min(c_end, t)
+            c_end = min(c.end, t)
             if c_end < t:
                 segments.append(PathSegment(span, c_end, t))
             self._walk_critical(child, c_end, segments)
@@ -180,20 +258,23 @@ class SpanStore:
     # -- reduction ---------------------------------------------------------
     def latency_stats(self, plane: Optional[str] = None,
                       op: Optional[str] = None) -> SummaryStats:
-        """Duration stats over finished spans, filtered by plane/op."""
-        samples = [span.duration for span in self._spans
-                   if span.end is not None
-                   and (plane is None or span.plane == plane)
-                   and (op is None or span.op == op)]
-        return summarize(samples)
+        """Duration stats over the retained spans, filtered by plane/op."""
+        kinds = {k for k, kind in enumerate(self._kinds)
+                 if (plane is None or kind[_PLANE] == plane)
+                 and (op is None or kind[_OP] == op)}
+        times = self._times
+        return summarize([times[2 * row + 1] - times[2 * row]
+                          for row, kind in enumerate(self._kind_of)
+                          if kind in kinds])
 
     def planes(self) -> List[str]:
-        return sorted({span.plane for span in self._spans if span.plane})
+        kinds = self._kinds
+        return sorted({kinds[k][_PLANE] for k in set(self._kind_of)} - {""})
 
     def snapshot(self) -> dict:
         """Plain-dict summary (durations in ms) for the metrics registry."""
         out = {
-            "spans": len(self._spans),
+            "spans": len(self),
             "traces": len(self.trace_ids()),
             "dropped": self.dropped,
         }

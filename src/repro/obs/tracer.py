@@ -115,29 +115,31 @@ class Tracer:
         if self.ledger is not None:
             self.ledger.charge_span(carrier)  # to the enclosing scope
         span = carrier.scope_span = Span(
-            trace_id, next(self._span_seq), parent_id, op, plane=plane,
-            server=server, start=sim.now, attrs=attrs)
+            trace_id, next(self._span_seq), parent_id, op, plane, server,
+            sim.now, attrs)
         return (span, carrier, enclosing)
 
     def finish(self, span: Optional[Span], *, error: Optional[Any] = None,
                token: Optional[tuple] = None) -> None:
-        """Close a span at the current clock and retain it; given the
-        ``token`` :meth:`enter` returned, the carrier first gets back the
-        span it had before.  Scopes nest: closing any but the innermost
-        is a programming error."""
+        """Close a span at the current clock and copy it into a store row
+        (the object is not kept); given the ``token`` :meth:`enter`
+        returned, the carrier first gets back the span it had before.
+        Scopes nest: closing any but the innermost is a programming
+        error."""
         if span is None:
             return
         if token is not None:
             _span, carrier, enclosing = token
             assert carrier.scope_span is span, "span closed out of order"
             carrier.scope_span = enclosing
-        span.end = self._sim.now
-        span._context = None  # a stored span keeps no context alive
+        span.end = end = self._sim.now
         if error is not None:
             span.status = "error"
             span.error = (error if isinstance(error, str)
                           else f"{type(error).__name__}: {error}")
-        self.store.add(span)
+        self.store.add(span.trace_id, span.span_id, span.parent_id,
+                       span.start, end, span.op, span.plane, span.server,
+                       span.status, span.error, span.attrs)
 
     def annotate(self, span: Optional[Span], **attrs: Any) -> None:
         """Attach attributes to an open span (no-op when sampled out)."""
@@ -147,27 +149,19 @@ class Tracer:
     def record_span(self, op: str, start: float, end: float, *,
                     parent: Optional[TraceContext], plane: str = "",
                     server: str = "", attrs: Optional[dict] = None,
-                    status: str = "ok") -> Optional[Span]:
+                    status: str = "ok") -> None:
         """Retain an already-completed span (e.g. a network hop observed
-        at hand-off).  Requires a sampled parent context — hop spans never
-        start traces of their own.  One a full store would refuse is
-        numbered, charged and counted as dropped, but not built."""
+        at hand-off) as a store row; no :class:`Span` is built.  Requires
+        a sampled parent context — hop spans never start traces of their
+        own.  One a full store refuses is still numbered and charged."""
         if self.sampling == SAMPLE_OFF or parent is None:
-            return None
+            return
         span_id = next(self._span_seq)
         if self.ledger is not None:
             sim = self._sim
             self.ledger.charge_span(sim.active_process or sim)
-        store = self.store
-        if not store.room:
-            store.dropped += 1
-            return None
-        span = Span(parent.trace_id, span_id, parent.span_id, op,
-                    plane=plane, server=server, start=start, attrs=attrs)
-        span.end = end
-        span.status = status
-        store.add(span)
-        return span
+        self.store.add(parent.trace_id, span_id, parent.span_id, start, end,
+                       op, plane, server, status, "", attrs or {})
 
     # -- in-process context propagation -------------------------------------
     def current_span(self) -> Optional[Span]:

@@ -18,10 +18,16 @@ def make_clock_tracer():
     return tracer, clock
 
 
+def last_span(tracer):
+    """The span recorded last (``record_span`` builds none to return)."""
+    return tracer.store.spans()[-1]
+
+
 def test_tree_reconstruction_orders_children_by_start():
     tracer, clock = make_clock_tracer()
     with tracer.span("root") as root:
-        b = tracer.record_span("B", 6.0, 9.0, parent=root.context())
+        tracer.record_span("B", 6.0, 9.0, parent=root.context())
+        b = last_span(tracer)
         tracer.record_span("A", 1.0, 4.0, parent=root.context())
         tracer.record_span("g", 6.5, 8.5, parent=b.context())
         clock["now"] = 10.0
@@ -38,7 +44,8 @@ def test_critical_path_attributes_gaps_to_parent():
     tracer, clock = make_clock_tracer()
     with tracer.span("root") as root:
         tracer.record_span("A", 1.0, 4.0, parent=root.context())
-        b = tracer.record_span("B", 6.0, 9.0, parent=root.context())
+        tracer.record_span("B", 6.0, 9.0, parent=root.context())
+        b = last_span(tracer)
         tracer.record_span("g", 6.5, 8.5, parent=b.context())
         clock["now"] = 10.0
 
@@ -81,8 +88,9 @@ def test_jsonl_round_trip_preserves_the_tree(tmp_path):
     tracer, clock = make_clock_tracer()
     with tracer.span("root", plane="http", server="s1",
                      attrs={"request_id": 7}) as root:
-        b = tracer.record_span("B", 6.0, 9.0, parent=root.context(),
-                               plane="orb", server="s2")
+        tracer.record_span("B", 6.0, 9.0, parent=root.context(),
+                           plane="orb", server="s2")
+        b = last_span(tracer)
         tracer.record_span("g", 6.5, 8.5, parent=b.context(), plane="proxy",
                            server="s2", attrs={"wan": True})
         clock["now"] = 10.0

@@ -105,8 +105,9 @@ def test_record_span_requires_parent_context():
     tracer, _clock = make_tracer()
     assert tracer.record_span("hop", 0.0, 1.0, parent=None) is None
     root = tracer.enter("root")[0]
-    hop = tracer.record_span("hop", 0.0, 1.0, parent=root.context(),
-                             plane="net")
+    assert tracer.record_span("hop", 0.0, 1.0, parent=root.context(),
+                              plane="net") is None  # a row, no span built
+    (hop,) = tracer.store.spans()
     assert hop.trace_id == root.trace_id
     assert hop.parent_id == root.span_id
     assert hop.end == 1.0
