@@ -55,7 +55,6 @@ from repro.bench.scenarios import (
     run_telemetry_drill,
     run_update_mode,
 )
-from repro.core.deployment import reset_runtime_ids
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,6 @@ class Experiment:
     def run(self, quick: bool = False, **overrides):
         """Run every parameter set; ``overrides`` (``log_sink=``,
         ``profiler=``, ``cost_model=``) pass through to the drill."""
-        # id-counter digits reach the wire (and so bytes and latencies):
-        # a table run starts from a fresh interpreter's seeds, so its rows
-        # depend on its parameters and not on what ran before it
-        reset_runtime_ids()
         rows, live = [], None
         for params in (self.quick if quick else self.full):
             out, live = self.drill(**params, **overrides)

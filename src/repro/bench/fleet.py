@@ -94,8 +94,6 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
     """
     if n_servers < 2:
         raise ValueError("a fleet needs at least 2 servers")
-    from repro.core.deployment import reset_runtime_ids
-    reset_runtime_ids()
     sim = Simulator()
     spec = spec or LinkSpec()
     costs = cost_model or CostModel()

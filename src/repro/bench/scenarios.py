@@ -25,11 +25,7 @@ from repro.bench.workload import (
     update_watching_client,
 )
 from repro.client import DiscoverPortal
-from repro.core.deployment import (
-    build_collaboratory,
-    build_single_server,
-    reset_runtime_ids,
-)
+from repro.core.deployment import build_collaboratory, build_single_server
 from repro.core.server import SERVICE_ID
 from repro.metrics import LatencyRecorder
 from repro.net import Network
@@ -572,10 +568,12 @@ def run_corba_vs_socket(payload_floats: int, *, calls: int = 30,
             # raw system still deserializes: charge the cheap TCP cost
             yield from net.hosts["b"].use_cpu(0.003 + 2e-8 * frame.size)
             server.send(frame.src_host, frame.src_port,
-                        ResponseMessage(msg.request_id, msg.args["data"]))
+                        ResponseMessage(msg.request_id, msg.args["data"],
+                                        msg_id=sim.next_id("msg")))
 
     def raw_call():
-        client.send("b", 9001, CommandMessage("echo", {"data": payload}))
+        client.send("b", 9001, CommandMessage("echo", {"data": payload},
+                                              msg_id=sim.next_id("msg")))
         yield client.recv()
 
     sim.spawn(echo_server())
@@ -1047,9 +1045,6 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
     ``merged`` is the fleet-merged
     :class:`~repro.obs.TimeSeriesRegistry` for further queries.
     """
-    # id-counter digits feed wire sizes, so the ledger's byte totals are
-    # only run-deterministic if every drill starts from the same seeds
-    reset_runtime_ids()
     # crash → outage → restart → recovery, with the client steering
     # through all of it; the killed server object keeps its registry, so
     # its pre-kill series join the merge beside its replacement's

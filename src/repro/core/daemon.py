@@ -120,10 +120,13 @@ class DaemonService:
                     return self._dispatch(frame, msg)
 
                 reply = yield from self.pipeline.execute(ctx, dispatch)
-                if isinstance(reply, Message):
-                    self.endpoint.send(frame.src_host, frame.src_port,
-                                       reply, channel="response",
-                                       trace_ctx=ctx.trace_ctx)
+                if reply is None:
+                    continue
+                if isinstance(reply, str):  # the envelope refused it
+                    reply = AckMessage(msg.msg_id, ok=False, info=reply,
+                                       msg_id=self.sim.next_id("msg"))
+                self.endpoint.send(frame.src_host, frame.src_port, reply,
+                                   channel="response", trace_ctx=ctx.trace_ctx)
         except Interrupt:
             return
 
@@ -160,7 +163,8 @@ class DaemonService:
             owner=self._owner_from_acl(msg.acl),
             forward=self.forward_command)
         self.server.on_app_register(proxy)
-        return AckMessage(msg.msg_id, ok=True, info=app_id)
+        return AckMessage(msg.msg_id, ok=True, info=app_id,
+                          msg_id=self.sim.next_id("msg"))
 
     @staticmethod
     def _owner_from_acl(acl: dict) -> str:

@@ -27,47 +27,6 @@ from repro.steering.application import AppConfig, SteerableApplication
 from repro.storage import DEFAULT_SNAPSHOT_EVERY, MemoryBackend, StateJournal
 
 
-def reset_runtime_ids() -> None:
-    """Re-seed the module-global id counters used across the runtime.
-
-    Message ids, session ids, ports, and similar identifiers ride the
-    wire as strings, so a deployment's encoded byte totals depend on how
-    many digits these process-global counters have grown to.  Without a
-    reset, two identical drills run back-to-back in one process charge
-    slightly different ``wan_bytes`` into the cost ledger — breaking the
-    bit-for-bit determinism E13/E14 assert.  The determinism-checked
-    drills (``build_fleet``, ``run_telemetry_drill``) re-seed before
-    building; within a single deployment the counters still advance
-    normally, so uniqueness is untouched.  ``build_collaboratory`` itself
-    does *not* reset: the pre-pipeline golden seed
-    (tests/pipeline/golden_seed.json) was captured with scenarios run
-    back-to-back in one process, so its E4 byte totals bake in the
-    counter state E1/E2 left behind.
-    """
-    from repro.net import network as _network
-    from repro.orb import adapter as _adapter
-    from repro.orb import trader as _trader
-    from repro.sim import process as _process
-    from repro.steering import application as _application
-    from repro.web import client as _webclient
-    from repro.web import http as _http
-    from repro.web import session as _websession
-    from repro.wire import messages as _messages
-
-    from repro.core import services as _services
-
-    _network._frame_ids = itertools.count(1)
-    _adapter._auto_keys = itertools.count(1)
-    _trader._offer_seq = itertools.count(1)
-    _process._ids = itertools.count(1)
-    _application._app_ports = itertools.count(20000)
-    _webclient._client_ports = itertools.count(40000)
-    _http._request_ids = itertools.count(1)
-    _websession._session_seq = itertools.count(1)
-    _messages._msg_ids = itertools.count(1)
-    _services._job_seq = itertools.count(1)
-
-
 class Collaboratory:
     """A fully wired multi-domain DISCOVER deployment (made in one
     place: :func:`build_collaboratory`)."""
@@ -253,6 +212,11 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
     :class:`~repro.storage.MemoryBackend` per server, so every deployment
     is restartable via :meth:`Collaboratory.restart_server`).
     ``storage_snapshot_every`` overrides the journal's snapshot cadence.
+
+    Every id the deployment puts on the wire (frames, processes, messages,
+    ports, sessions, offers, jobs) is drawn from its own fresh
+    :class:`~repro.sim.Simulator`, so two builds with equal arguments run
+    byte for byte alike, whatever ran before them in the process.
     """
     sim = Simulator()
     spec = spec or LinkSpec()

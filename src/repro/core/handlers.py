@@ -187,11 +187,13 @@ class CollaborationServlet(DiscoverServlet):
             return {"ok": True}
         if action == "chat":
             return (yield from self._publish(
-                p, ChatMessage(self._user(p), p["text"])))
+                p, ChatMessage(self._user(p), p["text"],
+                               msg_id=self.server.sim.next_id("msg"))))
         if action == "whiteboard":
             return (yield from self._publish(
                 p, WhiteboardMessage(self._user(p), p["shape"],
-                                     p.get("points", []))))
+                                     p.get("points", []),
+                                     msg_id=self.server.sim.next_id("msg"))))
         if action == "share":
             return self._share(p)
         return (BAD_REQUEST, {"error": f"unknown action {action!r}"})
@@ -220,7 +222,8 @@ class CollaborationServlet(DiscoverServlet):
     def _share(self, p):
         """Explicit view share — works with collaboration disabled (§4.1)."""
         view = UpdateMessage(payload=p.get("view"),
-                             client_id=p["client_id"])
+                             client_id=p["client_id"],
+                             msg_id=self.server.sim.next_id("msg"))
         view.app_id = p["app_id"]
         delivered = self.server.collab.share_view(
             p["client_id"], p["app_id"], p.get("group", DEFAULT_GROUP), view)

@@ -236,7 +236,8 @@ class DiscoverServer:
         """Generator: export this server's offer to the trader (§5.2.1)."""
         if self.trader_ref is None:
             return None
-        offer = ServiceOffer(SERVICE_ID, self.corba_ref,
+        offer = ServiceOffer(self.sim.next_id("offer"), SERVICE_ID,
+                             self.corba_ref,
                              {"server": self.name, "domain": self.domain})
         return (yield from self.orb.invoke(
             self.trader_ref, "export", offer, timeout=self.peer_call_timeout))
@@ -401,7 +402,8 @@ class DiscoverServer:
             self.sim.spawn(self._withdraw_from_directory(app_id),
                            name=f"undir-{app_id}")
         note = ControlMessage("app_stopped", detail=app_id, app_id=app_id,
-                              sender=self.name)
+                              sender=self.name,
+                              msg_id=self.sim.next_id("msg"))
         self.collab.broadcast_update(app_id, note)
         for peer in proxy.remote_subscribers:
             self.registry.push_update(peer, app_id, note)
@@ -567,7 +569,8 @@ class DiscoverServer:
                     f"{app_id!r} to run {command!r}")
             cmd = CommandMessage(command, args, request_id=request_id,
                                  client_id=client_id, app_id=app_id,
-                                 sender=self.name)
+                                 sender=self.name,
+                                 msg_id=self.sim.next_id("msg"))
             self.archive.log_interaction(app_id, user, "command",
                                          {"command": command,
                                           "request_id": cmd.request_id},
@@ -641,7 +644,8 @@ class DiscoverServer:
                         client_id,
                         ErrorMessage(0, f"schedule {schedule_id} stopped: "
                                         f"{exc}", code="SCHEDULE",
-                                     app_id=app_id, client_id=client_id))
+                                     app_id=app_id, client_id=client_id,
+                                     msg_id=self.sim.next_id("msg")))
                     break
                 fired += 1
         except Interrupt:
@@ -669,7 +673,7 @@ class DiscoverServer:
 
     def _on_lock_grant(self, app_id: str, client_id: str) -> None:
         msg = LockMessage("granted", holder=client_id, app_id=app_id,
-                          sender=self.name)
+                          sender=self.name, msg_id=self.sim.next_id("msg"))
         self._route_to_client(client_id, msg)
 
     # -- collaboration -----------------------------------------------------
@@ -831,7 +835,8 @@ class DiscoverServer:
         for app_id, proxy in list(self.local_proxies.items()):
             proxy.mark_stopped()
             note = ControlMessage("app_stopped", detail=app_id,
-                                  app_id=app_id, sender=self.name)
+                                  app_id=app_id, sender=self.name,
+                                  msg_id=self.sim.next_id("msg"))
             self.collab.broadcast_update(app_id, note)
             for peer in proxy.remote_subscribers:
                 self.registry.push_update(peer, app_id, note)

@@ -26,7 +26,6 @@ This module implements both:
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.orb import ObjectNotFound, OrbError, ServiceOffer
@@ -36,8 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Collaboratory
     from repro.net.host import Host
     from repro.orb.core import Orb
-
-_job_seq = itertools.count(1)
 
 
 class ServicePool:
@@ -186,7 +183,7 @@ class CorbaCoGKit:
                                  f"CoG catalogue")
         host = self._allocate_host(domain_index)
         self._host_load[host.name] = self._host_load.get(host.name, 0) + 1
-        job = JobRecord(f"job-{next(_job_seq)}", name, host.name,
+        job = JobRecord(f"job-{self.sim.next_id('job')}", name, host.name,
                         self.collab.domains[domain_index].name)
         self._jobs[job.job_id] = job
         # staging: shipping the executable + input deck to the host
@@ -246,12 +243,12 @@ def deploy_pool_services(collab: "Collaboratory",
     mon_ref = orb.activate(monitoring, key="MonitoringService")
     cog_ref = orb.activate(cog, key="CorbaCoGKit")
     viz_ref = orb.activate(viz, key="VisualizationService")
-    collab.trader.export(ServiceOffer(MonitoringService.SERVICE_ID, mon_ref,
-                                      {"host": "registry"}))
-    collab.trader.export(ServiceOffer(CorbaCoGKit.SERVICE_ID, cog_ref,
-                                      {"host": "registry"}))
-    collab.trader.export(ServiceOffer(VisualizationService.SERVICE_ID,
-                                      viz_ref, {"host": "registry"}))
+    for service_id, ref in ((MonitoringService.SERVICE_ID, mon_ref),
+                            (CorbaCoGKit.SERVICE_ID, cog_ref),
+                            (VisualizationService.SERVICE_ID, viz_ref)):
+        collab.trader.export(ServiceOffer(collab.sim.next_id("offer"),
+                                          service_id, ref,
+                                          {"host": "registry"}))
 
     def heartbeater(server):
         while True:

@@ -26,7 +26,6 @@ tests.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
@@ -38,8 +37,6 @@ from repro.wire import decode, encode, freeze_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
-
-_frame_ids = itertools.count(1)
 
 #: how many recently dropped frames are kept around for debugging
 DROPPED_HISTORY = 64
@@ -56,17 +53,16 @@ class Frame:
     positionally, one per message.  ``trace_ctx`` is the propagated trace
     context (a ``TraceContext``, internal to :mod:`repro.obs`: not in its
     ``__all__``), carried as frame metadata only — never encoded, so wire
-    sizes are trace-invariant.  ``frame_id`` comes from the module's
-    ``_frame_ids`` sequence, looked up when the frame is built, because
-    ``core.deployment.reset_runtime_ids()`` rebinds the name.
+    sizes are trace-invariant.  ``frame_id`` is the network's simulator's
+    ``"frame"`` id, drawn by :meth:`Network.send`.
     """
 
     __slots__ = ("src_host", "src_port", "dst_host", "dst_port", "payload",
                  "size", "channel", "sent_at", "delivered_at", "trace_ctx",
                  "frame_id")
 
-    def __init__(self, src_host: str, src_port: int, dst_host: str,
-                 dst_port: int, payload: Any, size: int,
+    def __init__(self, frame_id: int, src_host: str, src_port: int,
+                 dst_host: str, dst_port: int, payload: Any, size: int,
                  channel: str = "main", sent_at: float = 0.0,
                  delivered_at: Optional[float] = None,
                  trace_ctx: Any = None) -> None:
@@ -80,7 +76,7 @@ class Frame:
         self.sent_at = sent_at
         self.delivered_at = delivered_at
         self.trace_ctx = trace_ctx
-        self.frame_id = next(_frame_ids)
+        self.frame_id = frame_id
 
     @property
     def latency(self) -> Optional[float]:
@@ -265,8 +261,9 @@ class Network:
         size = freeze_size(payload) + self.frame_overhead
         if trace_ctx is None and self.tracer is not None:
             trace_ctx = self.tracer.current_context()
-        frame = Frame(src_host, src_port, dst_host, dst_port, payload, size,
-                      channel, self.sim.now, None, trace_ctx)
+        frame = Frame(self.sim.next_id("frame"), src_host, src_port,
+                      dst_host, dst_port, payload, size, channel,
+                      self.sim.now, None, trace_ctx)
         if src_host == dst_host:
             # Loopback: no links, no transmission — handed off this instant
             self.sim.schedule_fn(0.0, self._hand_off, frame)

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.orb.errors import ObjectNotFound, OrbError
 from repro.orb.reference import ObjectRef
-
-_auto_keys = itertools.count(1)
 
 
 class ObjectAdapter:
@@ -25,11 +22,8 @@ class ObjectAdapter:
         self.port = port
         self._servants: Dict[str, Any] = {}
 
-    def activate(self, servant: Any, key: Optional[str] = None,
-                 type_id: str = "") -> ObjectRef:
-        """Register ``servant`` and return its reference."""
-        if key is None:
-            key = f"obj-{next(_auto_keys)}"
+    def activate(self, servant: Any, key: str, type_id: str = "") -> ObjectRef:
+        """Register ``servant`` under ``key`` and return its reference."""
         if key in self._servants:
             raise OrbError(f"object key {key!r} already active")
         self._servants[key] = servant

@@ -84,9 +84,8 @@ class Orb:
         self.endpoint.close()
 
     # -- servant side ----------------------------------------------------------
-    def activate(self, servant: Any, key: Optional[str] = None,
-                 type_id: str = "") -> ObjectRef:
-        """Expose ``servant`` through this ORB; returns its reference."""
+    def activate(self, servant: Any, key: str, type_id: str = "") -> ObjectRef:
+        """Expose ``servant`` under ``key``; returns its reference."""
         return self.adapter.activate(servant, key, type_id)
 
     def deactivate(self, key: str) -> None:

@@ -15,7 +15,6 @@ constraints.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.orb.errors import ObjectNotFound
@@ -26,20 +25,21 @@ from repro.wire.serialize import register_codec
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
-_offer_seq = itertools.count(1)
-
 
 @register_codec
 class ServiceOffer:
-    """A service-offer pair: reference + name-value property list."""
+    """A service-offer pair: reference + name-value property list.
 
-    def __init__(self, service_id: str, ref: ObjectRef,
-                 properties: Optional[dict] = None,
-                 offer_id: str = "") -> None:
+    Its exporter numbers it: ``offer_id`` is ``offer-<seq>``, ``seq`` the
+    exporter's simulation's next ``"offer"`` id.
+    """
+
+    def __init__(self, seq: int, service_id: str, ref: ObjectRef,
+                 properties: Optional[dict] = None) -> None:
         self.service_id = service_id
         self.ref = ref
         self.properties = properties or {}
-        self.offer_id = offer_id or f"offer-{next(_offer_seq)}"
+        self.offer_id = f"offer-{seq}"
 
     def matches(self, constraints: Optional[dict]) -> bool:
         """True if every constraint name-value pair equals a property."""

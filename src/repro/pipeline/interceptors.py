@@ -51,7 +51,7 @@ from repro.web.http import (
     NOT_FOUND,
     SERVER_ERROR,
 )
-from repro.wire import AckMessage, RegisterMessage
+from repro.wire import RegisterMessage
 
 
 class SecurityInterceptor(Interceptor):
@@ -114,9 +114,10 @@ class ErrorEnvelopeInterceptor(Interceptor):
       KeyError/ValueError→400, anything else→500).
     - ORB: a :class:`GiopReply` — CORBA system exceptions for the ORB's
       own failures, user exceptions for everything a servant raised.
-    - channel: a negative :class:`AckMessage` for registrations; other
-      channel messages have no reply path, so the error is absorbed
-      silently (the daemon listener must never die on a bad message).
+    - channel: for a registration, the refusal's text, which the daemon
+      sends back as a negative :class:`AckMessage`; other channel
+      messages have no reply path, so the error is absorbed silently (the
+      daemon listener must never die on a bad message).
     """
 
     name = "error-envelope"
@@ -134,8 +135,7 @@ class ErrorEnvelopeInterceptor(Interceptor):
                                      type(exc).__name__, str(exc))
         elif ctx.plane == PLANE_CHANNEL:
             if isinstance(ctx.request, RegisterMessage):
-                ctx.response = AckMessage(ctx.request.msg_id, ok=False,
-                                          info=str(exc))
+                ctx.response = str(exc)
         else:
             ctx.response = (self.http_status(exc),
                             {"error": self.http_message(exc)})

@@ -39,8 +39,10 @@ tuple per occurrence.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Generator, Iterator, List,
+                    Optional, Tuple)
 
 from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import SimEvent, Timeout
@@ -140,6 +142,24 @@ class Simulator:
         #: optional repro.obs.DispatchProfiler — when set (before run()),
         #: every event dispatch is routed through it for interval sampling
         self.profiler = None
+        #: one id sequence per kind, made at the kind's first draw
+        self._id_seqs: Dict[str, Iterator[int]] = {}
+
+    # -- ids ---------------------------------------------------------------
+    def next_id(self, kind: str, start: int = 1) -> int:
+        """The next id of ``kind`` in this simulation: ``start`` at the
+        kind's first draw, then one more at each.
+
+        Frames, processes, messages, ports and the rest each draw from
+        their own kind; the kernel knows none of them.  Ids ride the wire
+        as digits, so a run's bytes depend on its own draws only, never on
+        what ran before it in the process.
+        """
+        try:
+            return next(self._id_seqs[kind])
+        except KeyError:
+            seq = self._id_seqs[kind] = itertools.count(start)
+            return next(seq)
 
     # -- event creation -----------------------------------------------------
     def event(self) -> SimEvent:

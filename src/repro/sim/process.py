@@ -12,7 +12,6 @@ with :class:`AnyOf`.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.errors import Interrupt, SimulationError
@@ -20,8 +19,6 @@ from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-
-_ids = itertools.count(1)
 
 
 class Process(SimEvent):
@@ -46,7 +43,7 @@ class Process(SimEvent):
             raise TypeError(f"Process needs a generator, got {generator!r}")
         super().__init__(sim)
         self.generator = generator
-        self.pid = next(_ids)
+        self.pid = sim.next_id("process")
         self.name = name or getattr(generator, "__name__", f"process-{self.pid}")
         self._waiting_on: Optional[SimEvent] = None
         #: innermost open scope (the tracer's span, the ledger's roll-up

@@ -38,7 +38,6 @@ Server → application: :class:`~repro.wire.CommandMessage` (CommandChannel).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -67,8 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: the port DISCOVER daemons listen on for application connections
 DAEMON_PORT = 7070
-
-_app_ports = itertools.count(20000)
 
 
 @dataclass
@@ -112,7 +109,7 @@ class SteerableApplication:
         self.config = config or AppConfig()
         self.control = ControlNetwork()
         self.agent = InteractionAgent(self)
-        self.endpoint = host.bind(next(_app_ports))
+        self.endpoint = host.bind(self.sim.next_id("app_port", 20000))
         self.state = REGISTERING
         self.app_id: Optional[str] = None
         self.step_index = 0
@@ -192,12 +189,14 @@ class SteerableApplication:
             if self.state == STOPPED:
                 break
             yield from self._interaction_phase()
-        self._send(ControlMessage("deregister"))
+        self._send(ControlMessage("deregister",
+                                  msg_id=self.sim.next_id("msg")))
         self._send_update()  # final state so portals see "stopped"
 
     def _register(self):
         reg = RegisterMessage(self.name, self.auth_token,
-                              self.control.interface_descriptor(), self.acl)
+                              self.control.interface_descriptor(), self.acl,
+                              msg_id=self.sim.next_id("msg"))
         self._send(reg)
         expiry = self.sim.timeout(self.config.register_timeout)
         while True:
@@ -218,7 +217,8 @@ class SteerableApplication:
 
     def _compute_phase(self):
         self.state = COMPUTING
-        self._send(ControlMessage("phase", detail=COMPUTING))
+        self._send(ControlMessage("phase", detail=COMPUTING,
+                                  msg_id=self.sim.next_id("msg")))
         step_time = self.config.step_time
         when = self.sim.now
         for _ in range(self.config.steps_per_phase):
@@ -230,13 +230,15 @@ class SteerableApplication:
     def _send_update(self) -> None:
         self.update_seq += 1
         self._send(UpdateMessage(self.update_payload(), seq=self.update_seq,
-                                 timestamp=self.sim.now))
+                                 timestamp=self.sim.now,
+                                 msg_id=self.sim.next_id("msg")))
 
     def _interaction_phase(self):
         paused = self.state == PAUSED
         if not paused:
             self.state = INTERACTING
-        self._send(ControlMessage("phase", detail=INTERACTING))
+        self._send(ControlMessage("phase", detail=INTERACTING,
+                                  msg_id=self.sim.next_id("msg")))
         window = (self.config.paused_poll if paused
                   else self.config.interaction_window)
         deadline = self.sim.now + window
@@ -264,8 +266,10 @@ class SteerableApplication:
         try:
             result = self.agent.handle(msg.command, msg.args)
             reply = ResponseMessage(msg.request_id, result,
-                                    client_id=msg.client_id)
+                                    client_id=msg.client_id,
+                                    msg_id=self.sim.next_id("msg"))
         except SteeringError as exc:
             reply = ErrorMessage(msg.request_id, str(exc), code="STEERING",
-                                 client_id=msg.client_id)
+                                 client_id=msg.client_id,
+                                 msg_id=self.sim.next_id("msg"))
         self._send(reply)

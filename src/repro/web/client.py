@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.sim import AnyOf
@@ -10,8 +9,6 @@ from repro.web.http import GET, POST, HttpRequest, HttpResponse
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
-
-_client_ports = itertools.count(40000)
 
 
 class HttpError(Exception):
@@ -39,7 +36,8 @@ class HttpClient:
         self.sim = host.sim
         self.server_host = server_host
         self.server_port = server_port
-        self.endpoint = host.bind(next(_client_ports), self._receive)
+        self.endpoint = host.bind(self.sim.next_id("client_port", 40000),
+                                  self._receive)
         self.cookie = ""
         self._pending: Dict[int, Any] = {}
 
@@ -63,7 +61,8 @@ class HttpClient:
 
         Raises :class:`HttpError` on non-2xx status or timeout (status 0).
         """
-        req = HttpRequest(method, path, params, body, cookie=self.cookie)
+        req = HttpRequest(self.sim.next_id("http_request"), method, path,
+                          params, body, cookie=self.cookie)
         waiter = self.sim.event()
         self._pending[req.request_id] = waiter
         self.endpoint.send(self.server_host, self.server_port, req,

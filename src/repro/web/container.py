@@ -127,7 +127,8 @@ class ServletContainer:
         session = self.sessions.resolve(request.cookie, self.sim.now)
         new_session = session is None
         if new_session:
-            session = self.sessions.create(self.sim.now)
+            session = self.sessions.create(
+                self.sim.now, f"JSESSIONID-{self.sim.next_id('session')}")
         # Accept + servlet-engine dispatch cost on this host's CPU.
         cpu_cost = self.costs.http_cost(frame.size, new_session=new_session)
         yield from self.host.use_cpu(cpu_cost)

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
 
 from repro.wire.serialize import register_codec
-
-_request_ids = itertools.count(1)
 
 GET = "GET"
 POST = "POST"
@@ -38,14 +35,16 @@ class HttpRequest:
     ``params`` carries query/form parameters; ``body`` carries a serialized
     object for POSTs (the paper moves Java objects in POST bodies).  The
     ``cookie`` holds the session id once the server has issued one.
+    ``request_id`` is the sender's simulation's next ``"http_request"``
+    id; the response echoes it.
     """
 
-    def __init__(self, method: str, path: str,
+    def __init__(self, request_id: int, method: str, path: str,
                  params: Optional[Dict[str, Any]] = None, body: Any = None,
                  cookie: str = "") -> None:
         if method not in (GET, POST):
             raise ValueError(f"unsupported method {method!r}")
-        self.request_id = next(_request_ids)
+        self.request_id = request_id
         self.method = method
         self.path = path
         self.params = params or {}

@@ -7,10 +7,7 @@ uses it to maintain information about client-server-application sessions"
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, Optional
-
-_session_seq = itertools.count(1)
 
 
 class HttpSession:
@@ -49,11 +46,10 @@ class SessionManager:
         self.expired = 0
         self._sessions: Dict[str, HttpSession] = {}
 
-    def create(self, now: float) -> HttpSession:
-        """Create a fresh session."""
-        sid = f"JSESSIONID-{next(_session_seq)}"
-        session = HttpSession(sid, now)
-        self._sessions[sid] = session
+    def create(self, now: float, session_id: str) -> HttpSession:
+        """Create a fresh session under the cookie ``session_id``."""
+        session = HttpSession(session_id, now)
+        self._sessions[session_id] = session
         return session
 
     def resolve(self, cookie: str, now: float) -> Optional[HttpSession]:

@@ -13,12 +13,9 @@ network is the size of their actual encoded content.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
 
 from repro.wire.serialize import register_codec
-
-_msg_ids = itertools.count(1)
 
 
 class Message:
@@ -27,7 +24,10 @@ class Message:
     Attributes
     ----------
     msg_id:
-        Unique id, for request/response correlation and archival.
+        Unique id, for request/response correlation and archival: the
+        sender's simulation's next ``"msg"`` id, drawn by whoever builds
+        the message (every constructor takes it as the ``msg_id``
+        keyword).
     sender / destination:
         Endpoint names (host or logical endpoint id).
     channel:
@@ -37,10 +37,11 @@ class Message:
         Optional ids tying the message to an application or client session.
     """
 
-    def __init__(self, sender: str = "", destination: str = "",
-                 channel: str = "main", app_id: Optional[str] = None,
+    def __init__(self, *, msg_id: int, sender: str = "",
+                 destination: str = "", channel: str = "main",
+                 app_id: Optional[str] = None,
                  client_id: Optional[str] = None) -> None:
-        self.msg_id = next(_msg_ids)
+        self.msg_id = msg_id
         self.sender = sender
         self.destination = destination
         self.channel = channel

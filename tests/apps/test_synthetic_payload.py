@@ -35,7 +35,6 @@ def shared(a, b):
     return sum(id(value) in ids for value in b)
 
 
-@pytest.mark.usefixtures("session_ids_kept")  # an app takes a port id
 @pytest.mark.parametrize("counter", [0, 12_345, 2 ** 53 + 1, 2 ** 60])
 @pytest.mark.parametrize("payload_floats", [0, 1, 16, 4096])
 def test_series_is_the_comprehensions_list(counter, payload_floats):
@@ -46,7 +45,6 @@ def test_series_is_the_comprehensions_list(counter, payload_floats):
     assert all(type(value) is float for value in series)
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 @pytest.mark.parametrize("start", [0, 2 ** 53 - 5, 2 ** 60])
 @pytest.mark.parametrize("payload_floats", [0, 1, 16, 4096])
 def test_successive_series_share_all_but_the_step(start, payload_floats):
@@ -65,7 +63,6 @@ def test_successive_series_share_all_but_the_step(start, payload_floats):
         previous = series
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 @pytest.mark.parametrize("mutate", [
     lambda s: s.append(-1.0),
     lambda s: s.__setitem__(slice(None), [-1.0] * len(s)),
@@ -83,7 +80,6 @@ def test_a_receiver_mutating_its_list_cannot_change_the_next(
         assert app.update_payload()["series"] == reference(app.counter, n)
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_retained_4096_float_update_costs_its_list_and_the_step():
     """Thirty portals keep every update they pull; sixty retained series a
     step of ten apart cost a list of pointers and ten floats each, not

@@ -125,7 +125,6 @@ def test_cli_run_all_runs_every_row_and_names_id_and_fact(monkeypatch,
     assert "X2: a claim" in captured.out  # a violation does not stop the run
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_cli_trace_unknown_trace_id_exits_2(capsys):
     assert main(["trace", "--trace-id", "999"]) == 2
     err = capsys.readouterr().err
@@ -164,7 +163,6 @@ CLI_KEY_LINES = {
 }
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 @pytest.mark.parametrize("command", list(CLI_KEY_LINES))
 def test_cli_command_runs_in_process(capsys, command):
     """Each command exits 0 and prints its key line."""
@@ -172,7 +170,6 @@ def test_cli_command_runs_in_process(capsys, command):
     assert CLI_KEY_LINES[command] in capsys.readouterr().out
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_cli_tsdb_export_then_load_one_series(capsys, tmp_path):
     path = str(tmp_path / "tsdb.json")
     assert main(["tsdb", "--quick", "--export", path]) == 0

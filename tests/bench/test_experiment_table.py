@@ -25,8 +25,8 @@ from repro.net.costs import CostModel
 #: rows of every paper experiment whose full run takes under a second
 #: (so ``quick`` is ``full``), captured at the parent of PR 20 — where
 #: each scenario body still sat in its own benchmark file — by calling it
-#: at its full parameters after ``reset_runtime_ids()``, as
-#: ``Experiment.run`` does; ``ts_series`` / ``ts_points`` (here and in
+#: at its full parameters with the id counters re-seeded first, as
+#: ``Experiment.run`` then did; ``ts_series`` / ``ts_points`` (here and in
 #: the drills' rows) and E13's ``merged_*`` have since dropped by exactly
 #: the ``slo.*`` series and points the SLO engine no longer writes, and
 #: again by exactly the ``pipeline.requests.<plane>`` series and points
@@ -48,7 +48,9 @@ from repro.net.costs import CostModel
 #: 252.47184290910357 → 252.04759600004277 and ``mean_staleness_ms``
 #: 149.27625743181267 → 149.17055092044984, and E5's central row at
 #: 120 ms, ``mean_update_latency_ms`` 329.54958806356206 →
-#: 329.5169799650937
+#: 329.5169799650937.  Each parameter set now numbers its ids from 1, so
+#: E4, E5, E7, E8, A1, A5 and A7 were re-pinned: every moved value is the
+#: earlier code's with its ids re-seeded before each parameter set
 PAPER_ROWS = json.loads(
     (Path(__file__).parent / "paper_rows.json").read_text())
 #: the E10b, E11, E12 and E13 drills' quick rows, captured by
@@ -100,6 +102,18 @@ def test_rows_are_the_parents_bit_for_bit(quick_rows, exp_id):
     assert entry.quick == entry.full  # the quick rows are the full rows
     # through JSON as the capture went: repr round-trips every float
     assert json.loads(json.dumps(quick_rows[exp_id])) == PAPER_ROWS[exp_id]
+
+
+@pytest.mark.parametrize("exp_id", ["E5", "A1"])
+def test_a_parameter_set_run_alone_gives_its_row(quick_rows, exp_id):
+    """A row is a function of its parameter set: each quick parameter set
+    of E5 and A1 — two tables whose rows move with the width of the ids
+    on the wire — run on its own, last first, gives its row of the table
+    run."""
+    entry = EXPERIMENTS[exp_id]
+    for index in reversed(range(len(entry.quick))):
+        row, _live = entry.drill(**entry.quick[index])
+        assert row == quick_rows[exp_id][index], entry.quick[index]
 
 
 @pytest.mark.parametrize("exp_id", DRILL_ROWS)
@@ -258,7 +272,6 @@ def test_cost_top_principal_is_the_argmax_of_the_entries(quick_rows):
             for row in quick_rows["E11"]] == ["s3", "s9"]
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_e14_detection_is_the_top_per_bucket_rate(monkeypatch):
     """The monitor's verdict, recomputed from the ledger readings it took:
     the flooder tops every flood dimension's growth over the first bucket.

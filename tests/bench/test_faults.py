@@ -9,8 +9,6 @@ from repro.core.deployment import build_collaboratory
 from repro.core.server import DiscoverServer
 from repro.storage import RecoveryReport
 
-pytestmark = pytest.mark.usefixtures("session_ids_kept")
-
 
 @pytest.fixture
 def collab():

@@ -12,7 +12,6 @@ import pytest
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.scenarios import run_recovery_drill, scrape_status
-from repro.core.deployment import reset_runtime_ids
 
 #: E10b's scrapes: the Prometheus text, the ledger, the time-series store
 SCRAPES = (("/status", {"format": "prom"}), ("/status/costs", None),
@@ -38,12 +37,10 @@ def telemetry_drill():
 
 def recovery_drill():
     """E12's quick run, scraped at the restarted server (domain 1)."""
-    reset_runtime_ids()
     row, collab = run_recovery_drill(**EXPERIMENTS["E12"].quick[0])
     return observed([row], collab, SCRAPES[:1], domain_index=1)
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 @pytest.mark.parametrize("drill", [telemetry_drill, recovery_drill],
                          ids=["E10b", "E12"])
 def test_two_runs_are_byte_identical(drill):

@@ -75,7 +75,6 @@ def test_merged_registry_round_trips(drill):
             == merged.query("pipeline.latency.http", "quantile", q=0.99))
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_fault_after_the_run_is_refused():
     """The kill (and so the restart after the outage) must land before the
     run ends; past it the drill refuses with the parameters named."""
@@ -102,7 +101,6 @@ def test_each_alert_pair_fires_once_per_outage(drill):
     assert (row["alerts_fired"], row["alerts_resolved"]) == (4, 4)
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_alert_log_does_not_depend_on_the_bucket_width():
     """The 0.25 s heartbeat ticks into 0.25, 0.5 and 1 s buckets; the SLO
     windows are the engine's own samples, so every alert record — fire

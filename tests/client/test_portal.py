@@ -212,7 +212,6 @@ def test_expired_session_hands_its_lock_to_the_waiter(site):
     assert server.collab.session_count() == 1  # only bob remains
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_logout_is_refused_to_a_session_that_did_not_log_the_client_in(site):
     """A client id is a sequential bearer token (``<server>:cN``): naming
     the holder's in ``/master/logout`` from another HTTP session must not
@@ -266,7 +265,6 @@ FOREIGN_REQUESTS = {
 }
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 @pytest.mark.parametrize("path", sorted(FOREIGN_REQUESTS))
 def test_a_request_names_only_its_own_client(site, path):
     """Every servlet trusted ``client_id`` the way ``/master/logout`` did:
@@ -303,7 +301,6 @@ def test_a_request_names_only_its_own_client(site, path):
         params, client_id=alice.client_id, app_id=app.app_id)))
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_recovered_client_can_log_out(site):
     """Cookies are not journalled: after ``restart_server`` no HTTP session
     is bound to the recovered holder, and she must still be able to leave."""

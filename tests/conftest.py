@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-import itertools
-import sys
-
 import pytest
 
 from repro.sim import Simulator
@@ -61,23 +57,6 @@ def polling_miniature():
                                  poll_interval=0.25, recorder=recorder))
     sim.run(until=sim.now + 6.0)
     return collab, recorder
-
-
-@pytest.fixture
-def session_ids_kept():
-    """Put the process-global id counters back after a test that builds a
-    deployment (or re-seeds them: ``build_fleet`` → ``reset_runtime_ids``).
-    Their digits reach the wire, and tests that compare two back-to-back
-    runs break when a counter crosses a power of ten between them — so a
-    new test must leave the ids the later ones would have seen."""
-    kept = [(module, name, copy.copy(value))  # a count at the same state
-            for module in list(sys.modules.values())
-            if getattr(module, "__name__", "").startswith("repro.")
-            for name, value in vars(module).items()
-            if isinstance(value, itertools.count)]
-    yield
-    for module, name, value in kept:
-        setattr(module, name, value)
 
 
 @pytest.fixture

@@ -48,7 +48,7 @@ def test_broadcast_sizes_payload_exactly_once(walk_counts):
 
     grid = np.arange(16 * 16, dtype=np.float64).reshape(16, 16)
     msg = UpdateMessage(payload={"grid": grid, "seq": 7}, seq=7,
-                        timestamp=1.0, app_id="app-1")
+                        timestamp=1.0, app_id="app-1", msg_id=1)
     assert mgr.broadcast_update("app-1", msg) == n_subscribers
     assert walk_counts[id(msg)] == 1  # frozen on first push only
 
@@ -77,7 +77,8 @@ def test_distinct_updates_each_walked_once(walk_counts):
     for s in sessions:
         mgr.subscribe(s.client_id, "app-1")
 
-    msgs = [UpdateMessage(payload={"seq": i}, seq=i) for i in range(10)]
+    msgs = [UpdateMessage(payload={"seq": i}, seq=i, msg_id=i + 1)
+            for i in range(10)]
     for m in msgs:
         mgr.broadcast_update("app-1", m)
     for s in sessions:

@@ -95,7 +95,7 @@ def test_broadcast_update_reaches_subscribers_only(mgr):
     mgr.subscribe(a.client_id, "app-1")
     mgr.subscribe(b.client_id, "app-1")
     mgr.subscribe(c.client_id, "app-2")
-    msg = UpdateMessage(payload={"x": 1}, app_id="app-1")
+    msg = UpdateMessage(payload={"x": 1}, app_id="app-1", msg_id=1)
     assert mgr.broadcast_update("app-1", msg) == 2
     assert len(a.buffer) == 1
     assert len(b.buffer) == 1
@@ -107,7 +107,7 @@ def test_broadcast_group_excludes_sender(mgr):
     b = mgr.create_session("bob")
     for s in (a, b):
         mgr.subscribe(s.client_id, "app-1")
-    msg = ChatMessage("alice", "hi")
+    msg = ChatMessage("alice", "hi", msg_id=1)
     delivered = mgr.broadcast_group("app-1", DEFAULT_GROUP, msg,
                                     exclude=a.client_id)
     assert delivered == 1
@@ -120,7 +120,7 @@ def test_deliver_response_shares_with_group_when_enabled(mgr):
     b = mgr.create_session("bob")
     for s in (a, b):
         mgr.subscribe(s.client_id, "app-1")
-    msg = UpdateMessage(payload="result", app_id="app-1")
+    msg = UpdateMessage(payload="result", app_id="app-1", msg_id=1)
     count = mgr.deliver_response(a.client_id, msg, app_id="app-1")
     assert count == 2  # requester + group member
     assert len(a.buffer) == 1 and len(b.buffer) == 1
@@ -132,7 +132,7 @@ def test_deliver_response_private_when_collab_disabled(mgr):
     for s in (a, b):
         mgr.subscribe(s.client_id, "app-1")
     mgr.set_collaboration(a.client_id, False)
-    msg = UpdateMessage(payload="private", app_id="app-1")
+    msg = UpdateMessage(payload="private", app_id="app-1", msg_id=1)
     count = mgr.deliver_response(a.client_id, msg, app_id="app-1")
     assert count == 1
     assert len(a.buffer) == 1 and len(b.buffer) == 0
@@ -144,13 +144,14 @@ def test_share_view_works_with_collab_disabled(mgr):
     for s in (a, b):
         mgr.subscribe(s.client_id, "app-1")
     mgr.set_collaboration(a.client_id, False)
-    msg = UpdateMessage(payload="explicit-share", app_id="app-1")
+    msg = UpdateMessage(payload="explicit-share", app_id="app-1",
+                        msg_id=1)
     assert mgr.share_view(a.client_id, "app-1", DEFAULT_GROUP, msg) == 1
     assert len(b.buffer) == 1
 
 
 def test_push_to_unknown_client_is_noop(mgr):
-    msg = UpdateMessage(payload=1)
+    msg = UpdateMessage(payload=1, msg_id=1)
     assert mgr.push_to_client("srv:c404", msg) is False
 
 
@@ -160,7 +161,8 @@ def test_bounded_buffers_count_drops(sim):
     mgr.subscribe(s.client_id, "app-1")
     for i in range(5):
         mgr.broadcast_update("app-1", UpdateMessage(payload=i,
-                                                    app_id="app-1"))
+                                                    app_id="app-1",
+                                                    msg_id=i + 1))
     assert len(s.buffer) == 2
     assert s.dropped == 3
     assert mgr.dropped == 3

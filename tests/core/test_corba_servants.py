@@ -171,7 +171,8 @@ def test_deliver_to_client_cross_server(pair):
 
     def push():
         from repro.wire import ControlMessage
-        note = ControlMessage("custom_event", detail=42)
+        note = ControlMessage("custom_event", detail=42,
+                              msg_id=collab.sim.next_id("msg"))
         ok = yield from s0.orb.invoke(
             s0.peers[s1.name], "deliver_to_client", session.client_id, note)
         return ok

@@ -244,7 +244,6 @@ def test_chat_between_clients(single):
     assert chats == [("alice", "hello bob")]
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 @pytest.mark.parametrize("relayed", [False, True], ids=["local", "relayed"])
 def test_replay_interactions(relayed):
     """§5.2.5: a client reads an application's archive the same way whether

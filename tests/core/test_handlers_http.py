@@ -187,7 +187,6 @@ def test_http_session_cookie_issued_once(site):
     assert later == first  # the same session is reused, not re-issued
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 @pytest.mark.parametrize("path", ["/status", "/archive/interactions"])
 def test_post_to_a_get_only_servlet_is_400_naming_its_mount(site, path):
     collab, app, client = site

@@ -3,23 +3,24 @@ builders keep their public spelling, and the planes are additive: with no
 plane at all the paper's tables come out to the bit.
 
 The replay patches the composition under ``tests/`` — there is no option
-in ``src/`` that builds a plane-less deployment — in one subprocess, in
-the golden capture's order (process-global ids reach the wire).
+in ``src/`` that builds a plane-less deployment — for the length of one
+fixture.  Each deployment draws its ids from its own simulator, so the
+replay runs in this process and in any order.
 """
 
 import inspect
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.fleet import build_fleet
 from repro.bench.scenarios import pipeline_counters
+from repro.core import deployment
 from repro.core.deployment import build_collaboratory, build_single_server
 from repro.core.server import DiscoverServer
-from tests.pipeline.test_parity_golden import CAPTURE_SCRIPT, GOLDEN
+from tests.pipeline.test_parity_golden import GOLDEN, capture_rows
 
 ROOT = Path(__file__).parents[2]
 PAPER_ROWS = json.loads((ROOT / "tests/bench/paper_rows.json").read_text())
@@ -78,23 +79,9 @@ def test_the_builders_keep_their_keywords_and_defaults(builder):
 
 # -- no planes, same paper ---------------------------------------------------
 
-PLANELESS = """\
-from repro.core import deployment
-from repro.core.server import DiscoverServer
-
 def paper_server(host, *, tracer, ledger, timeseries, journal, **paper):
     return DiscoverServer(host, **paper)
 
-deployment.DiscoverServer = paper_server
-deployment.HealthMonitor = lambda server, **options: server.health
-"""
-
-PAPER_EXPERIMENTS = """
-from repro.bench.experiments import EXPERIMENTS
-print()
-json.dump({exp_id: EXPERIMENTS[exp_id].run(quick=True)[0]
-           for exp_id in sys.argv[1:]}, sys.stdout)
-"""
 
 #: the keys ``pipeline_counters`` adds to a row: what the planes report
 #: about themselves, not what the experiment measured
@@ -106,14 +93,14 @@ FOOTER = set(pipeline_counters(())) | {
 def planeless():
     """``(golden rows, paper rows)`` of deployments whose servers were
     handed no tracer, ledger, registry or journal and no heartbeat."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         PLANELESS + CAPTURE_SCRIPT + PAPER_EXPERIMENTS, *PAPER_ROWS],
-        capture_output=True, text=True, timeout=300, cwd=str(ROOT),
-        env={"PYTHONPATH": "src"})
-    assert proc.returncode == 0, proc.stderr
-    golden, paper = map(json.loads, proc.stdout.splitlines())
-    return golden, paper
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deployment, "DiscoverServer", paper_server)
+        patch.setattr(deployment, "HealthMonitor",
+                      lambda server, **options: server.health)
+        golden = capture_rows()
+        paper = {exp_id: EXPERIMENTS[exp_id].run(quick=True)[0]
+                 for exp_id in PAPER_ROWS}
+    return golden, json.loads(json.dumps(paper))
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))

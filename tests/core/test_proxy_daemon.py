@@ -24,7 +24,7 @@ def test_commands_buffer_during_compute():
     sent = []
     proxy = make_proxy(sent)
     assert proxy.phase == COMPUTING
-    cmd = CommandMessage("get_param", {"name": "x"})
+    cmd = CommandMessage("get_param", {"name": "x"}, msg_id=1)
     assert proxy.deliver_command(cmd) is False
     assert sent == []
     assert proxy.commands_buffered == 1
@@ -35,7 +35,7 @@ def test_commands_forward_during_interaction():
     sent = []
     proxy = make_proxy(sent)
     proxy.on_phase(INTERACTING)
-    cmd = CommandMessage("get_param", {"name": "x"})
+    cmd = CommandMessage("get_param", {"name": "x"}, msg_id=1)
     assert proxy.deliver_command(cmd) is True
     assert len(sent) == 1
     host, port, forwarded = sent[0]
@@ -46,8 +46,8 @@ def test_commands_forward_during_interaction():
 def test_phase_transition_flushes_buffer_in_order():
     sent = []
     proxy = make_proxy(sent)
-    c1 = CommandMessage("a")
-    c2 = CommandMessage("b")
+    c1 = CommandMessage("a", msg_id=1)
+    c2 = CommandMessage("b", msg_id=2)
     proxy.deliver_command(c1)
     proxy.deliver_command(c2)
     flushed = proxy.on_phase(INTERACTING)
@@ -56,24 +56,24 @@ def test_phase_transition_flushes_buffer_in_order():
     assert len(proxy.pending) == 0
     # back to compute: buffering resumes
     proxy.on_phase(COMPUTING)
-    proxy.deliver_command(CommandMessage("c"))
+    proxy.deliver_command(CommandMessage("c", msg_id=3))
     assert len(proxy.pending) == 1
 
 
 def test_stopped_proxy_rejects_commands():
     proxy = make_proxy([])
-    proxy.deliver_command(CommandMessage("x"))
+    proxy.deliver_command(CommandMessage("x", msg_id=1))
     proxy.mark_stopped()
     assert len(proxy.pending) == 0  # cleared
     with pytest.raises(RuntimeError):
-        proxy.deliver_command(CommandMessage("y"))
+        proxy.deliver_command(CommandMessage("y", msg_id=2))
 
 
 def test_on_update_tracks_latest():
     from repro.wire import UpdateMessage
     proxy = make_proxy([])
-    u1 = UpdateMessage(payload=1, seq=1)
-    u2 = UpdateMessage(payload=2, seq=2)
+    u1 = UpdateMessage(payload=1, seq=1, msg_id=1)
+    u2 = UpdateMessage(payload=2, seq=2, msg_id=2)
     proxy.on_update(u1)
     proxy.on_update(u2)
     assert proxy.last_update is u2

@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps import SyntheticApp
 from repro.bench.scenarios import run_recovery_drill
-from repro.core.deployment import build_collaboratory, reset_runtime_ids
+from repro.core.deployment import build_collaboratory
 from repro.storage import JsonlBackend
 
 
@@ -79,7 +79,6 @@ def test_restart_recovers_from_snapshot_plus_tail():
     collab.stop()
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_replacement_is_built_the_way_the_original_was():
     """Every option the builder was given reaches the replacement, which
     shares the deployment's tracer and ledger and gets the surviving
@@ -205,14 +204,11 @@ def test_drill_surfaces_storage_counters(drill_run):
     assert row["storage_replayed"] == row["wal_replayed"]
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_drill_is_deterministic():
-    """Same parameters, fresh sim, ids re-seeded (their digits are wire
-    bytes) → identical row."""
-    reset_runtime_ids()
+    """Same parameters, fresh sim (and so fresh ids, whose digits are
+    wire bytes) → identical row."""
     row_a, collab_a = run_recovery_drill(n_commands=5, settle=2.0)
     collab_a.stop()
-    reset_runtime_ids()
     row_b, collab_b = run_recovery_drill(n_commands=5, settle=2.0)
     collab_b.stop()
     assert row_a == row_b

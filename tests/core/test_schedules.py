@@ -194,7 +194,6 @@ def test_logout_cancels_schedules(site):
     assert n_after == 0
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_stopped_server_fires_no_schedule(site):
     """``stop()`` is every crash drill's "kill": a schedule left running
     would go on steering, archiving and journalling into the backend a

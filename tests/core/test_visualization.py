@@ -94,7 +94,7 @@ def test_render_over_the_orb_saves_bytes():
     collab.run_bootstrap()
     svc = VisualizationService()
     ref = collab.registry_orb.activate(svc, key="Viz")
-    collab.trader.export(ServiceOffer(VisualizationService.SERVICE_ID, ref))
+    collab.trader.export(ServiceOffer(1, VisualizationService.SERVICE_ID, ref))
     server = collab.server_of(0)
     field = np.random.default_rng(0).normal(size=(64, 64))
 

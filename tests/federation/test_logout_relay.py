@@ -14,8 +14,6 @@ from repro.directory import home_server_of
 
 from tests.federation.conftest import cfg, run
 
-pytestmark = pytest.mark.usefixtures("session_ids_kept")
-
 
 def journalled(server, kind):
     return [r for r in server.journal.wal.tail(0) if r.kind == kind]

@@ -17,7 +17,6 @@ from tests.federation.conftest import run
 GRANT_BOUND = 30.0
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 @pytest.mark.xfail(strict=True,
                    reason="ROADMAP item 2: a lock outlives its dead relay")
 def test_a_dead_relays_lock_passes_to_the_waiter(pair):

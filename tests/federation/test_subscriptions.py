@@ -1,7 +1,5 @@
 """SubscriptionManager: push unsubscribe lifecycle and poll fallback."""
 
-import pytest
-
 from repro import build_collaboratory
 from repro.apps import SyntheticApp
 from repro.bench.faults import Kill, Restart, inject
@@ -128,7 +126,6 @@ def test_poller_exits_after_idle_rounds():
     assert s0.subscriptions.active_pollers() == 0
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_stopped_server_polls_no_more():
     collab, app = _poll_collab()
     s0 = collab.server_of(0)
@@ -142,7 +139,6 @@ def test_a_stopped_server_polls_no_more():
     assert s0.federation_metrics.get("poll_rounds") == rounds
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_poll_outcomes_are_booked_once_and_a_dead_home_stays_down():
     """The poller books nothing itself: a round is its relay's one booking.
     While the home is down it skips three rounds in four and spends the

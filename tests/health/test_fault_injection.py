@@ -12,7 +12,6 @@ The acceptance sequence, all inside one deterministic virtual run:
 import pytest
 
 from repro.bench.scenarios import run_fault_injection, scrape_status
-from repro.core.deployment import reset_runtime_ids
 from repro.health import STATUS_UNHEALTHY, parse_prometheus
 
 #: generous but meaningful: a few gossip/relay timeouts past the
@@ -110,14 +109,11 @@ def test_a_kill_after_the_run_is_refused():
         run_fault_injection(duration=6.0, kill_at=20.0)
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_deterministic_replay():
-    """Same parameters, fresh sim, ids re-seeded (their digits are wire
-    bytes) → bit-identical measured row."""
-    reset_runtime_ids()
+    """Same parameters, fresh sim (and so fresh ids, whose digits are
+    wire bytes) → bit-identical measured row."""
     row_a, collab_a = run_fault_injection(duration=12.0, kill_at=4.0)
     collab_a.stop()
-    reset_runtime_ids()
     row_b, collab_b = run_fault_injection(duration=12.0, kill_at=4.0)
     collab_b.stop()
     assert row_a == row_b

@@ -16,8 +16,6 @@ import pstats
 import weakref
 from collections import Counter
 
-import pytest
-
 from repro import build_collaboratory
 from repro.bench.fleet import build_fleet
 from repro.bench.workload import make_app_farm
@@ -60,7 +58,8 @@ def traced_line(*hosts, latency=0.001):
 
 def fresh_messages(n=N):
     return [ControlMessage("evt", detail={"i": i, "text": "x" * (i % 7)},
-                           sender="a", destination="b") for i in range(n)]
+                           sender="a", destination="b", msg_id=i + 1)
+            for i in range(n)]
 
 
 # -- the size memo ----------------------------------------------------------------
@@ -221,7 +220,7 @@ def test_two_hops_are_counted_twice_and_spanned_once():
 
     def request():
         with net.tracer.span("request", plane="test", server="a"):
-            sender.send("b", 1, ControlMessage("evt"))
+            sender.send("b", 1, ControlMessage("evt", msg_id=1))
         yield sim.timeout(0.0)
 
     sim.spawn(request())
@@ -235,7 +234,6 @@ def test_two_hops_are_counted_twice_and_spanned_once():
 
 # -- a tracer that is off is not asked -------------------------------------------------
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_tracer_that_samples_nothing_is_not_attached(monkeypatch):
     asked = Counter()
     for name in ("current_context", "current_span", "record_span"):
@@ -259,11 +257,9 @@ def test_a_tracer_that_samples_nothing_is_not_attached(monkeypatch):
 
 # -- frame ids ----------------------------------------------------------------------
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_two_fleets_in_one_process_number_their_frames_alike():
-    """``build_fleet`` re-seeds the process-global id counters by rebinding
-    module names (``reset_runtime_ids``); a ``Frame`` has to look its
-    counter up when it is built, not when the class was."""
+    """A ``Frame`` takes its id from the fleet's own simulator, so a second
+    fleet built in the same process numbers its frames as the first did."""
     def first_frames():
         fleet = build_fleet(2, directory_shards=1, directory_replicas=1)
         fleet.net.hosts["s1"].bind(1)
@@ -339,7 +335,6 @@ POLLS = 57
 FRAME_PATH_CALLS = 7_040
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_client_polling_miniature_frame_path_calls():
     """One server, one application, three portals polling for five
     simulated seconds (the miniature tests/sim/test_event_budget.py

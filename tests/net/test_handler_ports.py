@@ -42,7 +42,6 @@ def test_a_handler_ports_endpoint_has_no_inbox():
     assert net.hosts["b"].bind(10).inbox is not None  # a queued port
 
 
-@pytest.mark.usefixtures("session_ids_kept")  # a client takes a port id
 @pytest.mark.parametrize("build", [
     lambda host: ServletContainer(host),
     lambda host: HttpClient(host, "b"),
@@ -61,17 +60,15 @@ def send_late(sim, net, port, payload):
     return frame
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_request_to_a_stopped_container_is_dropped():
     sim, net = pair()
     container = ServletContainer(net.hosts["a"])
     container.stop()
     container.stop()  # idempotent
-    frame = send_late(sim, net, container.port, HttpRequest("GET", "/"))
+    frame = send_late(sim, net, container.port, HttpRequest(1, "GET", "/"))
     assert net.trace.dropped.messages == 1 and net.dropped[-1] is frame
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_response_to_a_closed_client_is_dropped():
     sim, net = pair()
     client = HttpClient(net.hosts["a"], "b")

@@ -134,7 +134,6 @@ def test_star_routes_equal_the_oracles():
     assert_every_route_is_the_oracles(net)
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_collaboratory_routes_equal_the_oracles():
     collab = build_collaboratory(3, apps_hosts_per_domain=2,
                                  client_hosts_per_domain=2,
@@ -143,7 +142,6 @@ def test_collaboratory_routes_equal_the_oracles():
     collab.stop()
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_fleet_routes_equal_the_oracles():
     fleet = build_fleet(6, directory_shards=2, directory_replicas=2)
     assert_every_route_is_the_oracles(fleet.net)

@@ -37,7 +37,7 @@ def test_loopback_send_never_encodes(encode_calls):
     sim, net, inbox = _loopback_net()
     grid = np.arange(16, dtype=np.float64)
     msg = UpdateMessage(payload={"grid": grid, "label": "step"}, seq=1,
-                        timestamp=0.0)
+                        timestamp=0.0, msg_id=1)
     net.send("h", 1, "h", 9, msg)
     sim.run()
     frame = inbox.inbox.try_get()
@@ -50,7 +50,7 @@ def test_loopback_send_never_encodes(encode_calls):
 
 def test_loopback_fanout_sized_not_encoded(encode_calls):
     sim, net, inbox = _loopback_net()
-    msg = UpdateMessage(payload={"x": 1.0}, seq=1, timestamp=0.0)
+    msg = UpdateMessage(payload={"x": 1.0}, seq=1, timestamp=0.0, msg_id=1)
     frames = [net.send("h", 1, "h", 9, msg) for _ in range(10)]
     sim.run()
     assert encode_calls == []
@@ -65,7 +65,7 @@ def test_strict_wire_round_trips_bytes(encode_calls):
     inbox = net.hosts["h"].bind(9)
     grid = np.arange(16, dtype=np.float64)
     msg = UpdateMessage(payload={"grid": grid, "label": "step"}, seq=7,
-                        timestamp=0.0)
+                        timestamp=0.0, msg_id=1)
     net.send("h", 1, "h", 9, msg)
     sim.run()
     frame = inbox.inbox.try_get()
@@ -86,7 +86,7 @@ def test_strict_wire_size_matches_reference_codec(encode_calls):
     net.add_host("h")
     net.hosts["h"].bind(9)
     msg = UpdateMessage(payload={"a": [1, 2.5, "three"]}, seq=1,
-                        timestamp=1.0)
+                        timestamp=1.0, msg_id=1)
     frame = net.send("h", 1, "h", 9, msg)
     sim.run()
     set_encode_hook(None)

@@ -12,11 +12,8 @@ everything.
 
 import math
 
-import pytest
-
 from repro import build_collaboratory
 from repro.bench.workload import make_app_farm, polling_client
-from repro.core.deployment import reset_runtime_ids
 from repro.metrics import LatencyRecorder
 from repro.obs import span as span_module
 from repro.obs.timeseries import TimeSeries
@@ -28,7 +25,6 @@ def polling_run(max_spans, built):
     """One server, one app, two portals polling for two simulated seconds;
     returns what the planes recorded.  ``built`` collects the ops of the
     spans built."""
-    reset_runtime_ids()
     collab = build_collaboratory(1, trace_max_spans=max_spans)
     collab.run_bootstrap()
     sim = collab.sim
@@ -62,7 +58,6 @@ def polling_run(max_spans, built):
     }
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_a_full_store_changes_only_what_is_retained(monkeypatch):
     plain = span_module.Span.__init__
 

@@ -15,8 +15,6 @@ import cProfile
 import gc
 import pstats
 
-import pytest
-
 from repro.core.daemon import DaemonService
 from repro.core.deployment import build_collaboratory
 from repro.net import Network
@@ -94,7 +92,6 @@ def test_bare_components_record_no_metrics():
         {}, {"tracer": server.tracer}]
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_an_off_tracer_is_not_a_sink_of_the_recording_step():
     collab = build_collaboratory(1, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1,
@@ -135,7 +132,8 @@ def test_one_request_writes_each_store_once():
 
     def register():
         channel.send("solo", DAEMON_PORT, RegisterMessage(
-            "app", "", {}, {"alice": "write"}), channel="main")
+            "app", "", {}, {"alice": "write"}, msg_id=sim.next_id("msg")),
+            channel="main")
         yield channel.recv()  # the ack
 
     for request, wal_appends in ((ping, 0), (register, 2)):
@@ -188,7 +186,8 @@ def profile_one_channel_request():
 
     def register():
         channel.send("solo", DAEMON_PORT, RegisterMessage(
-            "app", "", {}, {"alice": "write"}), channel="main")
+            "app", "", {}, {"alice": "write"}, msg_id=sim.next_id("msg")),
+            channel="main")
         return (yield channel.recv()).payload.info
 
     app_id = drive(sim, register())
@@ -196,7 +195,8 @@ def profile_one_channel_request():
 
     def phase_change():
         channel.send("solo", DAEMON_PORT, ControlMessage(
-            "phase", app_id=app_id, detail="compute"), channel="main")
+            "phase", app_id=app_id, detail="compute",
+            msg_id=sim.next_id("msg")), channel="main")
         yield sim.timeout(0.01)
 
     drive(sim, phase_change())  # the entry, the series and this bucket exist

@@ -87,9 +87,11 @@ def run_mix():
         # message with no reply path
         for token in ("s3cret", "wrong"):
             channel.send("solo", DAEMON_PORT, RegisterMessage(
-                "guarded", token, {}, {"alice": "write"}), channel="main")
+                "guarded", token, {}, {"alice": "write"},
+                msg_id=sim.next_id("msg")), channel="main")
         channel.send("solo", DAEMON_PORT,
-                     ControlMessage("phase", "compute", app_id="solo#a1"),
+                     ControlMessage("phase", "compute", app_id="solo#a1",
+                                    msg_id=sim.next_id("msg")),
                      channel="control")
         yield sim.timeout(0.5)
         # a handler that takes virtual time: non-zero latency, an exemplar

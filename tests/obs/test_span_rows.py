@@ -14,7 +14,6 @@ import pytest
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.scenarios import run_traced_remote_command, scrape_status
-from repro.core.deployment import reset_runtime_ids
 from repro.obs import Tracer, export_jsonl, load_jsonl, tree_signature
 from repro.obs import span as span_module
 from repro.obs.tracer import Standalone
@@ -81,7 +80,6 @@ def test_a_retained_span_costs_at_most_200_bytes(write):
 @pytest.fixture(scope="module")
 def traced_run():
     """The cross-server steer ``python -m repro trace`` runs."""
-    reset_runtime_ids()
     _row, tracer, _registry = run_traced_remote_command()
     return tracer.store
 
@@ -180,7 +178,6 @@ def test_the_scans_build_no_span(traced_run, spans_built):
 
 
 def test_picking_exemplars_builds_no_span(spans_built, monkeypatch):
-    reset_runtime_ids()
     _rows, collab = EXPERIMENTS["E10b"].run(quick=True)
     server = collab.server_of(0)
     ok_only = Tracer(clock=lambda: 1.0)
@@ -199,7 +196,6 @@ def test_picking_exemplars_builds_no_span(spans_built, monkeypatch):
 
 
 def test_e10b_alert_exemplars_are_unchanged():
-    reset_runtime_ids()
     _rows, collab = EXPERIMENTS["E10b"].run(quick=True)
     alerts = scrape_status(collab, path="/status/alerts")["history"]
     assert [(a["slo"], a["severity"], a["fired_at"], a["exemplars"])

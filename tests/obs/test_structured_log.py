@@ -143,7 +143,8 @@ class TestServerIntegration:
         server = collab.server_of(0)
         ep = collab.domains[0].app_hosts[0].bind(12345)
         ep.send(server.host.name, DAEMON_PORT,
-                ControlMessage("unheard-of", app_id="a#1"),
+                ControlMessage("unheard-of", app_id="a#1",
+                               msg_id=collab.sim.next_id("msg")),
                 channel="control")
         collab.sim.run(until=collab.sim.now + 1.0)
         (record,) = server.log.records(event="daemon.unknown_control_event")

@@ -58,7 +58,6 @@ def test_server_registry_sources_without_accounting():
         f"{plane}[solo]" for plane in PLANES]
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_surfaces_of_a_server_handed_no_registry_and_no_ledger():
     """What is absent is left out under no new label, answers like
     ``/status/costs`` always did without a ledger, and counts zero."""

@@ -71,7 +71,7 @@ def test_list_names_prefix():
 def test_trader_export_and_query():
     ns = NamingService()
     trader = TraderService(ns)
-    offer = ServiceOffer("DISCOVER", ref("srv-1"), {"domain": "rutgers"})
+    offer = ServiceOffer(1, "DISCOVER", ref("srv-1"), {"domain": "rutgers"})
     oid = trader.export(offer)
     found = trader.query_now("DISCOVER")
     assert [o.offer_id for o in found] == [oid]
@@ -81,7 +81,7 @@ def test_trader_stores_offers_through_naming():
     """The paper's layering: trader offers are visible as naming bindings."""
     ns = NamingService()
     trader = TraderService(ns)
-    offer = ServiceOffer("DISCOVER", ref("srv-1"))
+    offer = ServiceOffer(1, "DISCOVER", ref("srv-1"))
     trader.export(offer)
     bound = ns.list_names("trader/DISCOVER/")
     assert bound == [f"trader/DISCOVER/{offer.offer_id}"]
@@ -91,8 +91,8 @@ def test_trader_stores_offers_through_naming():
 def test_trader_query_filters_by_service_id():
     ns = NamingService()
     trader = TraderService(ns)
-    trader.export(ServiceOffer("DISCOVER", ref("srv-1")))
-    trader.export(ServiceOffer("ARCHIVE", ref("arch-1")))
+    trader.export(ServiceOffer(1, "DISCOVER", ref("srv-1")))
+    trader.export(ServiceOffer(2, "ARCHIVE", ref("arch-1")))
     assert len(trader.query_now("DISCOVER")) == 1
     assert len(trader.query_now("ARCHIVE")) == 1
     assert trader.query_now("NOPE") == []
@@ -101,10 +101,10 @@ def test_trader_query_filters_by_service_id():
 def test_trader_query_property_constraints():
     ns = NamingService()
     trader = TraderService(ns)
-    trader.export(ServiceOffer("DISCOVER", ref("s1"), {"domain": "rutgers",
-                                                       "ssl": True}))
-    trader.export(ServiceOffer("DISCOVER", ref("s2"), {"domain": "caltech",
-                                                       "ssl": True}))
+    trader.export(ServiceOffer(1, "DISCOVER", ref("s1"), {"domain": "rutgers",
+                                                          "ssl": True}))
+    trader.export(ServiceOffer(2, "DISCOVER", ref("s2"), {"domain": "caltech",
+                                                          "ssl": True}))
     hit = trader.query_now("DISCOVER", {"domain": "rutgers"})
     assert [o.ref.object_key for o in hit] == ["s1"]
     both = trader.query_now("DISCOVER", {"ssl": True})
@@ -116,7 +116,7 @@ def test_trader_query_property_constraints():
 def test_trader_withdraw():
     ns = NamingService()
     trader = TraderService(ns)
-    offer = ServiceOffer("DISCOVER", ref("s1"))
+    offer = ServiceOffer(1, "DISCOVER", ref("s1"))
     oid = trader.export(offer)
     trader.withdraw(oid)
     assert trader.query_now("DISCOVER") == []
@@ -128,9 +128,9 @@ def test_trader_withdraw():
 def test_trader_offer_count():
     ns = NamingService()
     trader = TraderService(ns)
-    trader.export(ServiceOffer("DISCOVER", ref("s1")))
-    trader.export(ServiceOffer("DISCOVER", ref("s2")))
-    trader.export(ServiceOffer("OTHER", ref("o1")))
+    trader.export(ServiceOffer(1, "DISCOVER", ref("s1")))
+    trader.export(ServiceOffer(2, "DISCOVER", ref("s2")))
+    trader.export(ServiceOffer(3, "OTHER", ref("o1")))
     assert trader.offer_count() == 3
     assert trader.offer_count("DISCOVER") == 2
 
@@ -139,7 +139,7 @@ def test_trader_timed_query_charges_per_offer(sim):
     ns = NamingService()
     trader = TraderService(ns, sim=sim, match_cost=0.01)
     for i in range(10):
-        trader.export(ServiceOffer("DISCOVER", ref(f"s{i}")))
+        trader.export(ServiceOffer(i, "DISCOVER", ref(f"s{i}")))
 
     def run_query():
         matches = yield from trader.query("DISCOVER")
@@ -169,7 +169,7 @@ def test_naming_and_trader_as_remote_servants():
     def peer_process():
         # Export my offer remotely, then discover myself.
         my_ref = ObjectRef("peer", 683, "DiscoverCorbaServer")
-        offer = ServiceOffer("DISCOVER", my_ref, {"domain": "peer-domain"})
+        offer = ServiceOffer(1, "DISCOVER", my_ref, {"domain": "peer-domain"})
         yield from peer_orb.invoke(tr_ref, "export", offer)
         offers = yield from peer_orb.invoke(tr_ref, "query", "DISCOVER")
         resolved = yield from peer_orb.invoke(

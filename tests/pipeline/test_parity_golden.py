@@ -2,52 +2,46 @@
 
 ``golden_seed.json`` was captured from the tree *before* the dispatch
 planes were refactored onto :mod:`repro.pipeline`, by running E1, E2 and
-both E4 modes sequentially in one process.  Interceptor hooks are plain
-function calls — they schedule no simulator events and touch no wire
-payloads — so every scenario metric must match the seed exactly, down to
-the last float bit.
+both E4 modes.  Interceptor hooks are plain function calls — they schedule
+no simulator events and touch no wire payloads — so every scenario metric
+must match the seed exactly, down to the last float bit.  The E4 rows were
+re-pinned once, when ids became the simulation's: each scenario numbers
+its frames, messages and requests from 1, so shorter ids ride the wire.
 
-The scenarios re-run in a single subprocess, in the capture order:
-``HttpRequest`` draws request ids from a process-global counter that
-feeds wire sizes, so both outside test traffic and scenario reordering
-would perturb the numbers.
+Every id a scenario puts on the wire is drawn from its own simulator, so
+a row is a function of the scenario's arguments alone: the replay runs in
+this process, after whatever other tests ran before it.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-HERE = Path(__file__).parent
-GOLDEN = json.loads((HERE / "golden_seed.json").read_text())
-
-CAPTURE_SCRIPT = """\
-import json, sys
 from repro.bench.scenarios import (run_app_scalability,
                                    run_client_scalability,
                                    run_collab_scenario)
-rows = {
-    "E1": run_app_scalability(8, duration=4.0),
-    "E2": run_client_scalability(6, duration=4.0),
-    "E4_central": run_collab_scenario(mode="central", duration=4.0,
+
+HERE = Path(__file__).parent
+GOLDEN = json.loads((HERE / "golden_seed.json").read_text())
+
+
+def capture_rows():
+    """The seed's four scenarios, through JSON as the capture went."""
+    rows = {
+        "E1": run_app_scalability(8, duration=4.0),
+        "E2": run_client_scalability(6, duration=4.0),
+        "E4_central": run_collab_scenario(mode="central", duration=4.0,
+                                          wan_latency=0.060),
+        "E4_p2p": run_collab_scenario(mode="p2p", duration=4.0,
                                       wan_latency=0.060),
-    "E4_p2p": run_collab_scenario(mode="p2p", duration=4.0,
-                                  wan_latency=0.060),
-}
-json.dump(rows, sys.stdout, default=str)
-"""
+    }
+    return json.loads(json.dumps(rows, default=str))
 
 
 @pytest.fixture(scope="module")
 def replay():
-    proc = subprocess.run([sys.executable, "-c", CAPTURE_SCRIPT],
-                          capture_output=True, text=True, timeout=300,
-                          cwd=str(HERE.parents[1]),
-                          env={"PYTHONPATH": "src"})
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return capture_rows()
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))

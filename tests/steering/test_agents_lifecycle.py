@@ -134,7 +134,8 @@ def test_update_payload_contains_monitored_sensors():
 def test_register_message_carries_interface_and_acl():
     app = standalone_app()
     reg = RegisterMessage(app.name, app.auth_token,
-                          app.control.interface_descriptor(), app.acl)
+                          app.control.interface_descriptor(), app.acl,
+                          msg_id=1)
     assert reg.app_name == "unit"
     assert "parameters" in reg.interface
 

@@ -13,8 +13,6 @@ from repro.steering import COMPUTING, STOPPED
 from repro.steering.application import DAEMON_PORT
 from repro.wire import AckMessage, ControlMessage, RegisterMessage
 
-pytestmark = pytest.mark.usefixtures("session_ids_kept")
-
 
 def noting_sends(app, on_compute):
     """Wrap ``app._send``: every message goes into the returned list as
@@ -90,7 +88,8 @@ def cycle_events(steps_per_phase: int) -> int:
             frame = yield daemon.recv()
             if isinstance(frame.payload, RegisterMessage):
                 daemon.send(frame.src_host, frame.src_port,
-                            AckMessage(frame.payload.msg_id, info="app-1"))
+                            AckMessage(frame.payload.msg_id, info="app-1",
+                                       msg_id=sim.next_id("msg")))
 
     sim.spawn(ack_registrations())
     app = SyntheticApp(net.hosts["apphost"], "cycler", "srv",

@@ -16,7 +16,7 @@ from repro.web import (
     ServletContainer,
     SessionManager,
 )
-from repro.web.http import GET, NOT_FOUND, OK, POST
+from repro.web.http import NOT_FOUND, OK
 from tests.conftest import drive
 
 
@@ -52,6 +52,11 @@ class SubmitServlet(Servlet):
         return {"accepted": True}
 
 
+class RequestIdServlet(Servlet):
+    def do_get(self, request, session):
+        return {"request_id": request.request_id}
+
+
 class CrashServlet(Servlet):
     def do_get(self, request, session):
         raise RuntimeError("servlet exploded")
@@ -72,7 +77,7 @@ def make_site(latency=0.001, cpus=1):
 
 def test_http_request_validation():
     with pytest.raises(ValueError):
-        HttpRequest("DELETE", "/x")
+        HttpRequest(1, "DELETE", "/x")
 
 
 def test_http_response_ok_and_reason():
@@ -83,16 +88,23 @@ def test_http_response_ok_and_reason():
 
 
 def test_request_ids_increase():
-    a = HttpRequest(GET, "/")
-    b = HttpRequest(GET, "/")
-    assert b.request_id > a.request_id
+    sim, net, container, client = make_site()
+    container.mount("/id", RequestIdServlet())
+
+    def go():
+        a = yield from client.get("/id")
+        b = yield from client.get("/id")
+        return a["request_id"], b["request_id"]
+
+    a, b = drive(sim, go())
+    assert b > a
 
 
 # ------------------------------ sessions ----------------------------------
 
 def test_session_create_resolve():
     mgr = SessionManager()
-    s = mgr.create(now=0.0)
+    s = mgr.create(0.0, "JSESSIONID-1")
     assert mgr.resolve(s.session_id, now=10.0) is s
     assert s.last_access == 10.0
 
@@ -104,29 +116,29 @@ def test_session_unknown_cookie():
 
 def test_session_timeout():
     mgr = SessionManager(timeout=100.0)
-    s = mgr.create(now=0.0)
+    s = mgr.create(0.0, "JSESSIONID-1")
     assert mgr.resolve(s.session_id, now=101.0) is None
     assert len(mgr) == 0
 
 
 def test_session_invalidate():
     mgr = SessionManager()
-    s = mgr.create(now=0.0)
+    s = mgr.create(0.0, "JSESSIONID-1")
     mgr.invalidate(s.session_id)
     assert mgr.resolve(s.session_id, now=1.0) is None
 
 
 def test_expire_stale_bulk():
     mgr = SessionManager(timeout=10.0)
-    s1 = mgr.create(now=0.0)
-    mgr.create(now=5.0)
+    s1 = mgr.create(0.0, "JSESSIONID-1")
+    mgr.create(5.0, "JSESSIONID-2")
     assert mgr.expire_stale(now=12.0) == 1
     assert len(mgr) == 1
 
 
 def test_session_attributes():
     mgr = SessionManager()
-    s = mgr.create(0.0)
+    s = mgr.create(0.0, "JSESSIONID-1")
     s.set("user", "alice")
     assert s.get("user") == "alice"
     assert "user" in s
@@ -167,7 +179,6 @@ def test_unknown_path_is_404():
     assert drive(sim, go()) == 404
 
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_get_on_a_post_only_servlet_is_400_naming_its_mount():
     sim, net, container, client = make_site()
     container.mount("/submit", SubmitServlet())

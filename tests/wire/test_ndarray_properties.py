@@ -67,7 +67,7 @@ def test_encoded_size_tracks_payload(n):
 def test_array_inside_message_roundtrips():
     from repro.wire import UpdateMessage
     field = np.linspace(0, 1, 37).reshape(1, 37)
-    msg = UpdateMessage(payload={"field": field}, seq=3)
+    msg = UpdateMessage(payload={"field": field}, seq=3, msg_id=1)
     out = decode(encode(msg))
     assert np.array_equal(out.payload["field"], field)
     assert out.seq == 3

@@ -34,7 +34,8 @@ def test_a_recycled_id_never_brings_a_dead_size_back():
     for i in range(4000):
         # sizes differ from one message to the next, so a stale entry
         # under a reused id could not go unnoticed
-        msg = ControlMessage("evt", detail="x" * (i % 97), sender="s")
+        msg = ControlMessage("evt", detail="x" * (i % 97), sender="s",
+                             msg_id=i + 1)
         if i % 3 == 0:
             msg = GiopReply(i, result="y" * (i % 89))
         if id(msg) in seen:
@@ -49,7 +50,8 @@ def test_a_recycled_id_never_brings_a_dead_size_back():
 
 
 def test_a_copy_is_not_frozen():
-    msg = UpdateMessage(payload={"grid": [1.0, 2.0]}, seq=1, timestamp=0.5)
+    msg = UpdateMessage(payload={"grid": [1.0, 2.0]}, seq=1, timestamp=0.5,
+                        msg_id=1)
     frozen = freeze_size(msg)
     for clone in (copy.deepcopy(msg), copy.copy(msg), decode(encode(msg))):
         assert id(clone) not in serialize._FROZEN_SIZES
@@ -92,7 +94,6 @@ def test_a_class_that_cannot_be_weakly_referenced_is_sized_every_time():
 
 # -- frozen means frozen -----------------------------------------------------------
 
-@pytest.mark.usefixtures("session_ids_kept")
 def test_no_memo_hit_of_a_polling_run_is_stale(monkeypatch):
     """One server, one application, three portals: every time a frozen
     size is read, walk the object again and compare."""
@@ -143,7 +144,8 @@ def test_a_run_of_floats_is_sized_like_the_encoder(length, kind):
     run = kind(i * 0.37 for i in range(length))
     assert encoded_size(run) == len(encode(run))
     assert encoded_size({"series": run}) == len(encode({"series": run}))
-    msg = UpdateMessage(payload={"series": run}, seq=1, timestamp=0.0)
+    msg = UpdateMessage(payload={"series": run}, seq=1, timestamp=0.0,
+                        msg_id=1)
     assert freeze_size(msg) == len(encode(msg))
     assert encoded_size(HttpResponse(1, body=[msg])) == \
         len(encode(HttpResponse(1, body=[msg])))

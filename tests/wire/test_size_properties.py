@@ -63,12 +63,13 @@ def values():
 
 
 def messages():
+    msg_ids = st.integers(1, 10**9)
     return st.one_of(
         st.builds(UpdateMessage, payload=values(), seq=st.integers(0, 999),
-                  timestamp=st.floats(allow_nan=False)),
+                  timestamp=st.floats(allow_nan=False), msg_id=msg_ids),
         st.builds(CommandMessage, command=st.text(max_size=20),
                   args=st.dictionaries(st.text(max_size=8), scalars(),
-                                       max_size=4)),
+                                       max_size=4), msg_id=msg_ids),
     )
 
 
