@@ -111,7 +111,7 @@ def pipeline_counters(servers, tracer=None) -> dict:
                 row["cost_top_principal"], top_requests = principal, count
     if tracer is not None:
         row["spans_recorded"] = len(tracer.store)
-        row["traces_recorded"] = len(tracer.store.trace_ids())
+        row["traces_recorded"] = tracer.store.trace_count()
         row["spans_dropped"] = tracer.store.dropped
     return row
 

@@ -98,7 +98,7 @@ def cmd_trace(args) -> int:
     if args.input:
         store = load_jsonl(args.input)
         print(f"loaded {len(store)} spans "
-              f"({len(store.trace_ids())} traces) from {args.input}")
+              f"({store.trace_count()} traces) from {args.input}")
     else:
         from repro.bench.scenarios import run_traced_remote_command
         row, tracer, registry = run_traced_remote_command(

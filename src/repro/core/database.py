@@ -55,7 +55,8 @@ class Record:
 
     A record has no per-instance ``__dict__`` (``__slots__``) and its
     ``data`` is the one copy :meth:`Table.insert` made of the caller's
-    dict, the same dict its ``db.insert`` journal payload holds: nothing
+    dict, the same dict its ``db.insert`` journal payload holds (a
+    restored record's is the payload's as recovery decoded it): nothing
     mutates either after the insert.  ``readers`` is a ``frozenset``
     interned per :class:`Database`, so records with equal reader sets
     share one.
@@ -127,8 +128,9 @@ class Table:
     def restore(self, record_id: int, owner: str, data: dict,
                 created_at: float,
                 readers: Optional[Iterable[str]] = None) -> Record:
-        """Re-insert a journaled record under its original id."""
-        rec = Record(record_id, owner, created_at, dict(data),
+        """Re-insert a journaled record under its original id; it adopts
+        ``data``, its journal payload's dict."""
+        rec = Record(record_id, owner, created_at, data,
                      self._interned(readers)[0])
         self._records.append(rec)
         _record_seq.advance_past(record_id)

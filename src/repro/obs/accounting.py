@@ -43,7 +43,7 @@ outside its ``__all__``.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -68,7 +68,7 @@ ALL_DIMENSIONS = COST_DIMENSIONS + EXTRA_DIMENSIONS
 #: how many principals a heavy-hitter listing names unless the reader asks
 DEFAULT_TOP = 8
 
-#: default capacity of the trace-id -> rollup-key LRU binding table
+#: default capacity of the trace-id -> rollup-key binding table
 MAX_TRACE_BINDINGS = 4096
 
 
@@ -76,14 +76,18 @@ class CostVector:
     """One exact, integer-valued resource vector (internal to this module).
 
     Addition is component-wise and exact, so any partition of the
-    attribution stream sums back to the same totals bit-for-bit.
+    attribution stream sums back to the same totals bit-for-bit.  A
+    ledger entry also holds its rollup key: the one tuple of that key the
+    ledger keeps past a request (its trace bindings).
     """
 
-    __slots__ = ALL_DIMENSIONS
+    __slots__ = ALL_DIMENSIONS + ("key",)
 
-    def __init__(self) -> None:
+    def __init__(self, key: Optional[Tuple[str, str, str, str]] = None
+                 ) -> None:
         for dim in ALL_DIMENSIONS:
             setattr(self, dim, 0)
+        self.key = key
 
     def add(self, other: "CostVector") -> "CostVector":
         for dim in ALL_DIMENSIONS:
@@ -139,9 +143,10 @@ class RequestCostLedger:
        ``close_request`` books the request itself — requests, errors,
        events, CPU — with one entry update.
     2. **Trace binding** — ``open_request`` binds the request's trace id
-       to its key (LRU-bounded); frames stamped with that context
-       (``Frame.trace_ctx``) attribute their per-hop wire bytes to the
-       originating request even after it finished (reply frames).
+       to its key (the last ``max_trace_bindings`` ids bound); frames
+       stamped with that context (``Frame.trace_ctx``) attribute their
+       per-hop wire bytes to the originating request even after it
+       finished (reply frames).
     3. **Fallback** — unbound frames attribute to
        ``(src_host, "-", "net", channel)`` and scopeless charges to
        ``("-", "-", plane, operation)``; every cost lands in exactly one
@@ -157,8 +162,9 @@ class RequestCostLedger:
                      else Standalone(scope=scope, events_fn=events_fn))
         self.entries: Dict[Tuple[str, str, str, str], CostVector] = {}
         self.total = CostVector()
-        self._bindings: "OrderedDict[Any, Tuple[str, str, str, str]]" = \
-            OrderedDict()
+        #: trace id -> rollup key, and the ids in the order first bound
+        self._bindings: Dict[Any, Tuple[str, str, str, str]] = {}
+        self._bound: deque = deque()
         self.max_trace_bindings = max_trace_bindings
 
     # -- the one write path -------------------------------------------------
@@ -168,7 +174,7 @@ class RequestCostLedger:
             return
         entry = self.entries.get(key)
         if entry is None:
-            entry = self.entries[key] = CostVector()
+            entry = self.entries[key] = CostVector(key)
         setattr(entry, dim, getattr(entry, dim) + n)
         total = self.total
         setattr(total, dim, getattr(total, dim) + n)
@@ -187,7 +193,7 @@ class RequestCostLedger:
         key = carrier.scope_cost_key or _NO_SCOPE_SPAN
         entry = self.entries.get(key)
         if entry is None:
-            entry = self.entries[key] = CostVector()
+            entry = self.entries[key] = CostVector(key)
         entry.spans += 1
         self.total.spans += 1
 
@@ -203,6 +209,8 @@ class RequestCostLedger:
         return app if isinstance(app, str) and app else "-"
 
     def open_request(self, ctx: RequestContext) -> None:
+        """Open the request's scope under a key tuple of its own, so
+        nested requests of one key are told apart by identity."""
         key = (ctx.principal or "-", self._app_of(ctx), ctx.plane,
                ctx.operation or "-")
         sim = self._sim
@@ -217,7 +225,9 @@ class RequestCostLedger:
         """Book the request ``open_request`` opened: the carrier's scope
         goes back to what it was (scopes nest: closing any but the
         innermost is a programming error), then one entry lookup, entry
-        and total."""
+        and total.  A trace binding still holding the request's own key
+        tuple takes the entry's instead: bindings outlive requests, and
+        so keep one tuple per rollup key."""
         rec = ctx.cost_open
         if rec is None:
             return
@@ -234,12 +244,17 @@ class RequestCostLedger:
         cpu_us = int(round(ctx.cpu_cost * 1e6))
         entry = self.entries.get(key)
         if entry is None:
-            entry = self.entries[key] = CostVector()
+            entry = self.entries[key] = CostVector(key)
         for vec in (entry, self.total):
             vec.requests += 1
             vec.errors += errors
             vec.events += events
             vec.cpu_us += cpu_us
+        trace_ctx = ctx.trace_ctx
+        if trace_ctx is not None:
+            bindings = self._bindings
+            if bindings.get(trace_ctx.trace_id) is key:
+                bindings[trace_ctx.trace_id] = entry.key
 
     @contextmanager
     def scoped(self, principal: str, *, plane: str, operation: str):
@@ -261,9 +276,13 @@ class RequestCostLedger:
         """Frames of ``trace_id`` now attribute to ``key``.  Eviction is
         by first binding: an id bound again keeps its place in line."""
         bindings = self._bindings
+        held = len(bindings)
         bindings[trace_id] = key
-        if len(bindings) > self.max_trace_bindings:
-            bindings.popitem(last=False)
+        if len(bindings) > held:
+            bound = self._bound
+            bound.append(trace_id)
+            if len(bound) > self.max_trace_bindings:
+                del bindings[bound.popleft()]
 
     def _frame_key(self, frame: Any) -> Tuple[str, str, str, str]:
         trace_ctx = frame.trace_ctx
@@ -283,7 +302,7 @@ class RequestCostLedger:
         key = self._frame_key(frame)
         entry = self.entries.get(key)
         if entry is None:
-            entry = self.entries[key] = CostVector()
+            entry = self.entries[key] = CostVector(key)
         if wan:
             entry.wan_bytes += size
             self.total.wan_bytes += size

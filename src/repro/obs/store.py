@@ -2,33 +2,59 @@
 
 A finished span is kept as one *row* of columns, not as an object: its
 three ids in one ``array("q")``, its start and end in one ``array("d")``,
-the strings a row shares with many others — op, plane, server, status,
-error and the attr keys — as one interned *kind*, and its attr values in
-one flat list.  Writing a row is a kind lookup and one append per
-column, cheap inside dispatch loops.  Reads that hand out spans
+what a row shares with many others — op, plane, server, status, error,
+the attr keys and the type of each attr value — as one interned *kind*,
+its plain ``int`` attr values in one ``array("q")`` and its other attr
+values in one flat list.  The kind decides which value goes to which
+column, so writing a row is a kind lookup and one append per column,
+cheap inside dispatch loops.  Reads that hand out spans
 (:meth:`SpanStore.spans`, :meth:`~SpanStore.tree`,
 :meth:`~SpanStore.critical_path`) build :class:`Span` objects on demand;
-the scans (trace ids, planes, latency stats, servers, error rows) read
-the columns and build none.
+the scans (trace ids and their count, planes, latency stats, servers,
+error rows) read the columns and build none.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import compress, repeat
+from operator import is_, not_
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.metrics.stats import SummaryStats, summarize
 from repro.obs.span import Span
 
 #: default retention; under tracemalloc a retained request span reads
-#: ≈135 bytes as a row and a hop span ≈103, so a full store is ≈7 MB
+#: ≈71 bytes as a row (its int attrs in the int column) and a hop span
+#: ≈72, so a full store is ≈3.6 MB
 DEFAULT_MAX_SPANS = 50_000
 
 #: the parent-id column's "no parent" (span ids count from 1)
 NO_PARENT = -1
 
-#: a kind is ``(op, plane, server, status, error, *attr_keys)``
-_OP, _PLANE, _SERVER, _STATUS, _ATTR_KEYS = 0, 1, 2, 3, 5
+#: what the int column holds: a value of type ``int`` (not ``bool``,
+#: not a subclass) within int64; a wider one is kept as an object
+_INT64 = range(-2**63, 2**63)
+
+
+class _Kind(NamedTuple):
+    """What every row of one kind shares."""
+
+    op: str
+    plane: str
+    server: str
+    status: str
+    error: str
+    #: the attr keys, in the span's order
+    keys: tuple
+    #: per key, whether its value is in the int column; None when none is
+    in_ints: Optional[tuple]
+    #: per key, whether its value is in the object list
+    in_values: tuple
+    #: how many of a row's values the int column holds
+    n_ints: int
 
 
 class SpanNode:
@@ -78,15 +104,20 @@ class SpanStore:
         self._times = array("d")
         #: per row: its kind's index in ``_kinds``
         self._kind_of = array("i")
-        #: every row's attr values, one after another
+        #: every row's int attr values, one after another
+        self._ints = array("q")
+        #: every row's other attr values, one after another
         self._values: List[Any] = []
-        #: the distinct kinds, and each one's index
-        self._kinds: List[tuple] = []
+        #: the distinct kinds, and each one's index by its key, which is
+        #: ``(op, plane, server, status, error, *attr_keys, *value_types)``
+        self._kinds: List[_Kind] = []
         self._kind_index: Dict[tuple, int] = {}
         # read side, caught up on the first read after a write
-        #: row -> where its attr values start in ``_values`` (one more
-        #: entry than rows caught up: the last is where the next starts)
+        #: row -> where its attr values start in ``_values`` and in
+        #: ``_ints`` (one more entry than rows caught up: the last is
+        #: where the next row's values start)
         self._offsets = array("q", [0])
+        self._int_offsets = array("q", [0])
         #: trace id -> its rows
         self._index: Dict[int, List[int]] = {}
         #: spans rejected because the store was full
@@ -105,57 +136,103 @@ class SpanStore:
             self.dropped += 1
             return False
         self.room -= 1
-        key = (op, plane, server, status, error, *attrs)
+        values = attrs.values()
+        key = (op, plane, server, status, error, *attrs, *map(type, values))
         kind = self._kind_index.get(key)
         if kind is None:
-            kind = self._kind_index[key] = len(self._kinds)
-            self._kinds.append(key)
+            kind = self._new_kind(key)
+        spec = self._kinds[kind]
+        if spec.in_ints is None:
+            self._values.extend(values)
+        else:
+            ints = self._ints
+            mark = len(ints)
+            try:
+                ints.extend(compress(values, spec.in_ints))
+            except OverflowError:
+                del ints[mark:]
+                kind, spec = self._wide(key, values)
+            self._values.extend(compress(values, spec.in_values))
         # fromlist: one call per column, where extend() would walk a
         # tuple through the generic iterator protocol
         self._ids.fromlist(
             [trace_id, span_id, NO_PARENT if parent_id is None else parent_id])
         self._times.fromlist([start, end])
         self._kind_of.append(kind)
-        self._values.extend(attrs.values())
         return True
+
+    def _new_kind(self, key: tuple) -> int:
+        """Intern the kind of a :meth:`add` key; its index."""
+        n = (len(key) - 5) // 2
+        in_ints = tuple(map(is_, key[5 + n:], repeat(int)))
+        n_ints = sum(in_ints)
+        kind = self._kind_index[key] = len(self._kinds)
+        self._kinds.append(_Kind(*key[:5], key[5:5 + n],
+                                 in_ints if n_ints else None,
+                                 tuple(map(not_, in_ints)), n_ints))
+        return kind
+
+    def _wide(self, key: tuple, values) -> Tuple[int, _Kind]:
+        """The write path for attrs with an int past int64: the kind that
+        keeps each such int as an object, its ints appended."""
+        n = len(values)
+        key = key[:5 + n] + tuple(
+            object if t is int and v not in _INT64 else t
+            for t, v in zip(key[5 + n:], values))
+        kind = self._kind_index.get(key)
+        if kind is None:
+            kind = self._new_kind(key)
+        spec = self._kinds[kind]
+        if spec.in_ints is not None:
+            self._ints.extend(compress(values, spec.in_ints))
+        return kind, spec
 
     # -- lookup ------------------------------------------------------------
     def _catch_up(self) -> None:
         """Extend the by-trace index and the attr offsets over the rows
         added since the last read."""
         index, ids, offsets = self._index, self._ids, self._offsets
+        int_offsets = self._int_offsets
         kinds, kind_of = self._kinds, self._kind_of
-        at = offsets[-1]
+        at, int_at = offsets[-1], int_offsets[-1]
         for row in range(len(offsets) - 1, len(kind_of)):
             index.setdefault(ids[3 * row], []).append(row)
-            at += len(kinds[kind_of[row]]) - _ATTR_KEYS
+            spec = kinds[kind_of[row]]
+            at += len(spec.keys) - spec.n_ints
+            int_at += spec.n_ints
             offsets.append(at)
+            int_offsets.append(int_at)
 
     def _span(self, row: int) -> Span:
         """A caught-up row as a fresh :class:`Span`, equal to the one
         that was finished."""
-        op, plane, server, status, error, *keys = self._kinds[
-            self._kind_of[row]]
+        spec = self._kinds[self._kind_of[row]]
         trace_id, span_id, parent_id = self._ids[3 * row:3 * row + 3]
         start, end = self._times[2 * row:2 * row + 2]
         at, to = self._offsets[row:row + 2]
+        values = self._values[at:to]
+        if spec.in_ints is not None:
+            at, to = self._int_offsets[row:row + 2]
+            ints, others = iter(self._ints[at:to]), iter(values)
+            values = [next(ints) if in_ints else next(others)
+                      for in_ints in spec.in_ints]
         span = Span(trace_id, span_id,
-                    None if parent_id == NO_PARENT else parent_id, op,
-                    plane, server, start,
-                    dict(zip(keys, self._values[at:to])))
+                    None if parent_id == NO_PARENT else parent_id, spec.op,
+                    spec.plane, spec.server, start,
+                    dict(zip(spec.keys, values)))
         span.end = end
-        span.status = status
-        span.error = error
+        span.status = spec.status
+        span.error = spec.error
         return span
 
     def _rows_of(self, trace_id: int) -> List[int]:
         self._catch_up()
         return self._index.get(trace_id, [])
 
-    def _kinds_of(self, field: int, value: str) -> set:
+    def _kinds_of(self, field: str, value: str) -> set:
         """Indexes of the kinds whose ``field`` is ``value``."""
         return {k for k, kind in enumerate(self._kinds)
-                if kind[field] == value}
+                if getattr(kind, field) == value}
 
     def spans(self, trace_id: Optional[int] = None) -> List[Span]:
         self._catch_up()
@@ -163,14 +240,30 @@ class SpanStore:
                 else self._index.get(trace_id, []))
         return [self._span(row) for row in rows]
 
+    def _sorted_trace_column(self) -> np.ndarray:
+        """Every row's trace id, ascending: a copy of the id column's
+        first field, with no int object per row.  Not off the index: the
+        end-of-run counters ask for the count of stores nobody reads by
+        trace, and would be all the index was built for."""
+        ids = np.frombuffer(self._ids, dtype=np.int64)[0::3].copy()
+        ids.sort()
+        return ids
+
     def trace_ids(self) -> List[int]:
-        # not off the index: the end-of-run counters ask this of stores
-        # nobody reads by trace, and would be all the index was built for
-        return sorted(set(self._ids[0::3]))
+        ids = self._sorted_trace_column()
+        if len(ids):
+            ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        return ids.tolist()
+
+    def trace_count(self) -> int:
+        """``len(self.trace_ids())``, without the list."""
+        ids = self._sorted_trace_column()
+        return (int(np.count_nonzero(ids[1:] != ids[:-1])) + 1 if len(ids)
+                else 0)
 
     def trace_of_root(self, op: str) -> Optional[int]:
         """The first trace whose root span runs ``op`` (None if absent)."""
-        kinds, ids = self._kinds_of(_OP, op), self._ids
+        kinds, ids = self._kinds_of("op", op), self._ids
         return min((ids[3 * row] for row, kind in enumerate(self._kind_of)
                     if kind in kinds and ids[3 * row + 2] == NO_PARENT),
                    default=None)
@@ -178,7 +271,7 @@ class SpanStore:
     def errors_since(self, start: float) -> Iterator[Tuple[int, float]]:
         """``(trace_id, duration)`` of each error row that started at or
         after ``start``, in the order they were retained."""
-        kinds = self._kinds_of(_STATUS, "error")
+        kinds = self._kinds_of("status", "error")
         if not kinds:
             return
         ids, times = self._ids, self._times
@@ -211,7 +304,7 @@ class SpanStore:
     def servers(self, trace_id: int) -> List[str]:
         """Distinct non-empty server names a trace touched."""
         kinds, kind_of = self._kinds, self._kind_of
-        return sorted({kinds[kind_of[row]][_SERVER]
+        return sorted({kinds[kind_of[row]].server
                        for row in self._rows_of(trace_id)} - {""})
 
     # -- critical path -----------------------------------------------------
@@ -260,8 +353,8 @@ class SpanStore:
                       op: Optional[str] = None) -> SummaryStats:
         """Duration stats over the retained spans, filtered by plane/op."""
         kinds = {k for k, kind in enumerate(self._kinds)
-                 if (plane is None or kind[_PLANE] == plane)
-                 and (op is None or kind[_OP] == op)}
+                 if (plane is None or kind.plane == plane)
+                 and (op is None or kind.op == op)}
         times = self._times
         return summarize([times[2 * row + 1] - times[2 * row]
                           for row, kind in enumerate(self._kind_of)
@@ -269,13 +362,13 @@ class SpanStore:
 
     def planes(self) -> List[str]:
         kinds = self._kinds
-        return sorted({kinds[k][_PLANE] for k in set(self._kind_of)} - {""})
+        return sorted({kinds[k].plane for k in set(self._kind_of)} - {""})
 
     def snapshot(self) -> dict:
         """Plain-dict summary (durations in ms) for the metrics registry."""
         out = {
             "spans": len(self),
-            "traces": len(self.trace_ids()),
+            "traces": self.trace_count(),
             "dropped": self.dropped,
         }
         by_plane = {}

@@ -25,7 +25,7 @@ archiving them twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional
+from typing import Collection, Dict, Iterator, List, Optional
 
 from repro.storage.backends import StorageBackend
 
@@ -114,10 +114,11 @@ class WriteAheadLog:
         return [WalRecord.from_entry(e) for e in self.backend.entries()
                 if int(e.get("lsn", 0)) > cut]
 
-    def archived(self) -> List[WalRecord]:
-        """The archived records the snapshot covers, oldest first."""
-        return [WalRecord.from_entry(e)
-                for e in self.backend.archive_entries(self._archived)]
+    def archived(self) -> Iterator[WalRecord]:
+        """The archived records the snapshot covers, oldest first, each
+        decoded as it is consumed."""
+        return map(WalRecord.from_entry,
+                   self.backend.archive_entries(self._archived))
 
     def snapshot_state(self) -> Optional[Dict]:
         return self._snapshot_state

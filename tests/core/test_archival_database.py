@@ -143,6 +143,19 @@ def test_the_callers_dict_is_copied_once_for_record_and_journal():
     assert rec.data == {"v": 1} and payload["data"] == {"v": 1}
 
 
+def test_a_recovered_record_adopts_its_payloads_dict():
+    """Recovery makes no second copy: the record keeps the dict its
+    journal payload decoded to (here, the one the heap still holds)."""
+    backend = MemoryBackend()
+    db, _journal = journaled_db(backend)
+    db.table("t").insert("alice", {"v": 1}, created_at=0.0)
+    again, journal = journaled_db(backend)
+    journal.recover()
+    (rec,) = again.table("t").select("alice")
+    (entry,) = backend.entries()
+    assert rec.data == {"v": 1} and rec.data is entry["data"]["data"]
+
+
 def test_a_fixed_insert_writes_the_same_wal_line(tmp_path):
     db, _journal = journaled_db(JsonlBackend(tmp_path), clock=lambda: 2.5)
     rec = db.table("app_log").insert(

@@ -117,3 +117,37 @@ def test_deterministic_replay():
     row_b, collab_b = run_fault_injection(duration=12.0, kill_at=4.0)
     collab_b.stop()
     assert row_a == row_b
+
+
+# -- a long run: the span store fills before the kill -------------------------
+
+@pytest.fixture(scope="module")
+def late_kill_run():
+    """E10b with a store that fills about 30 s in, and the kill at 45 s
+    (``trace_max_spans`` reaches the deployment through the runner's
+    existing pass-through)."""
+    row, collab = run_fault_injection(duration=60.0, kill_at=45.0,
+                                      trace_max_spans=2_000)
+    yield row, collab
+    collab.stop()
+
+
+def test_the_store_fills_before_the_late_alerts_fire(late_kill_run):
+    _row, collab = late_kill_run
+    store = collab.tracer.store
+    assert len(store) == 2_000 and store.dropped > 0
+    last_retained = max(span.end for span in store.spans())
+    fired = collab.server_of(0).health.alerts.history()
+    assert fired and all(a.fired_at > last_retained for a in fired)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 22(a): a full span store keeps its first spans and "
+    "refuses the rest, so an alert that fires after it fills finds no "
+    "error row to name"))
+def test_late_alerts_name_exemplars_the_store_holds(late_kill_run):
+    _row, collab = late_kill_run
+    stored = set(collab.tracer.store.trace_ids())
+    for alert in collab.server_of(0).health.alerts.history():
+        assert alert.exemplars, (alert.slo, alert.severity)
+        assert stored.issuperset(alert.exemplars)

@@ -331,8 +331,11 @@ POLLS = 57
 #: five links the miniature's frames crossed, 5 calls: 7 113.  The span
 #: store keeps a finished span as a row of columns: each of the 73 traced
 #: hops is written straight into the store, its ``Span.__init__`` gone,
-#: 73 calls: 7 040)
-FRAME_PATH_CALLS = 7_040
+#: 73 calls: 7 040.  A kind is keyed on its attr values' types as well,
+#: so which values go to the int column is decided once per kind: the
+#: store's ``_new_kind``, once for each of the 24 kinds the miniature
+#: writes, none per span: 7 064)
+FRAME_PATH_CALLS = 7_064
 
 
 def test_client_polling_miniature_frame_path_calls():

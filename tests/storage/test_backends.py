@@ -49,7 +49,7 @@ def test_clear_wipes_both_regions(backend):
     backend.clear()
     assert backend.entries() == []
     assert backend.load_snapshot() is None
-    assert backend.archive_entries(0) == []
+    assert list(backend.archive_entries(0)) == []
     with pytest.raises(StorageError):
         backend.archive_entries(1)
 
@@ -163,3 +163,55 @@ def test_jsonl_reads_after_close_raise(tmp_path):
         b.entries()
     with pytest.raises(StorageError):
         b.archive_entries(0)
+
+
+# ---------------------- what the heap holds, and reads ----------------------
+
+#: a WAL-shaped entry (kept as column slots) and others the backend
+#: must hand back as they were appended
+APPENDED = [
+    {"lsn": 1, "kind": "db.insert", "at": 0.5, "data": {"table": "t"}},
+    {"lsn": 4},
+    {"kind": "locks.acquire", "lsn": 2, "at": 1.0, "data": {}},
+    {"lsn": 3, "kind": "seq.seq", "at": 2.0, "data": {"n": 1}, "extra": 1},
+    {"a": 1, "b": 2, "c": 3, "d": 4},
+]
+
+
+def test_memory_reads_return_the_dicts_appended():
+    backend = MemoryBackend()
+    for entry in APPENDED:
+        backend.append(entry)
+    backend.archive_append(APPENDED, after=0)
+    for read in (backend.entries(), list(backend.archive_entries(5))):
+        assert read == APPENDED
+        assert [list(e) for e in read] == [list(e) for e in APPENDED]
+        # the payload is not copied: the heap holds the caller's dict
+        assert read[0]["data"] is APPENDED[0]["data"]
+    # only the first is WAL-shaped: the others are kept whole
+    assert backend._wal.kind == ["db.insert", None, None, None, None]
+    assert backend._wal.data[1] is APPENDED[1]
+    backend.reset_wal(APPENDED[::-1])
+    assert backend.entries() == APPENDED[::-1]
+
+
+def test_jsonl_archive_decodes_lazily_and_names_a_corrupt_line(tmp_path):
+    """Entries are decoded as they are consumed, a chunk of lines at a
+    time; a corrupt line is named by its number, past the first chunk
+    too."""
+    b = JsonlBackend(tmp_path)
+    b.archive_append([{"lsn": i} for i in range(1, 1101)], after=0)
+    with open(b.archive_path, "r+", encoding="utf-8") as fh:
+        lines = fh.readlines()
+        lines[1049] = '{"lsn": 1050,,\n'
+        fh.seek(0)
+        fh.writelines(lines)
+        fh.truncate()
+    read = b.archive_entries(1100)  # nothing is decoded yet
+    assert [next(read)["lsn"] for _ in range(1024)] == list(range(1, 1025))
+    with pytest.raises(StorageError,
+                       match=r"corrupt archive .*archive\.jsonl line 1050"):
+        next(read)
+    # a reader handed only the intact prefix never meets the bad line
+    assert [e["lsn"] for e in b.archive_entries(1049)][-1] == 1049
+    b.close()
