@@ -101,7 +101,10 @@ class Reservoir:
         combination — when both sets fit they concatenate; otherwise
         each side keeps a share of slots proportional to its *observed*
         count, so the merged percentile estimate weights each source by
-        how much traffic it actually saw.  The ordered copy is dropped;
+        how much traffic it actually saw.  Each share is drawn from its
+        side with this reservoir's seeded RNG, not cut off the front: a
+        side that never filled is in arrival order, and its first slots
+        are its earliest values.  The ordered copy is dropped;
         the next :meth:`percentile` rebuilds it.
         """
         merged_count = self.count + other.count
@@ -117,8 +120,9 @@ class Reservoir:
                           round(self.capacity * (other.count / merged_count)))
             k_self = min(len(self._samples), self.capacity - k_other)
             k_other = min(len(other._samples), self.capacity - k_self)
-            self._samples = (self._samples[:k_self]
-                             + other._samples[:k_other])
+            draw = self._rng.sample
+            self._samples = (draw(self._samples, k_self)
+                             + draw(other._samples, k_other))
         self._ordered = None
         self.count = merged_count
         return self

@@ -98,6 +98,22 @@ def test_merge_sample_share_is_traffic_weighted():
     assert kept_b == 10
 
 
+def test_merge_draws_each_share_from_the_whole_side():
+    # neither side filled, so each is in arrival order: a share cut off
+    # the front would keep only each side's earliest (here smallest) half
+    a, b = Reservoir(capacity=100), Reservoir(capacity=100)
+    for i in range(100):
+        a.add(float(i))
+    for i in range(100):
+        b.add(1000.0 + i)
+    a.merge(b)
+    kept = a.samples()
+    mine = [v for v in kept if v < 1000.0]
+    theirs = [v - 1000.0 for v in kept if v >= 1000.0]
+    assert len(mine) == len(theirs) == 50
+    assert max(mine) >= 50.0 and max(theirs) >= 50.0
+
+
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False), min_size=0, max_size=300),
        st.lists(st.floats(min_value=-1e6, max_value=1e6,
