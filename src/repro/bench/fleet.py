@@ -143,8 +143,11 @@ class Population:
     homes: Dict[str, str]
 
 
+#: how many users each published application's ACL lists
+USERS_PER_APP = 6
+
+
 def publish_population(fleet: Fleet, *, n_apps: int, n_users: int,
-                       users_per_app: int = 6,
                        rng: Optional[DeterministicRNG] = None) -> Population:
     """Generator: publish a synthetic app population through the plane.
 
@@ -175,7 +178,7 @@ def publish_population(fleet: Fleet, *, n_apps: int, n_users: int,
         acls[app_ids[(j + 1) % n_apps]][user] = "read"
     for app_id in app_ids:
         acl = acls[app_id]
-        while len(acl) < min(users_per_app, n_users):
+        while len(acl) < min(USERS_PER_APP, n_users):
             user = acl_rng.choice(users)
             if user not in acl:
                 acl[user] = "write" if priv_rng.uniform() < 0.3 else "read"

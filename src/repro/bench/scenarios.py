@@ -154,8 +154,7 @@ def run_app_scalability(n_apps: int, *, duration: float = 30.0,
     server.recorder = recorder
     make_app_farm(collab, n_apps, update_period=update_period)
     if profiler is not None:
-        if profiler.tracer is None:
-            profiler.tracer = collab.tracer
+        profiler.tracer = collab.tracer
         profiler.install(collab.sim)
     collab.sim.run(until=collab.sim.now + duration)
     if profiler is not None:
@@ -328,7 +327,20 @@ def _echo_orb(latency: float):
     return sim, orb, Orb(net.hosts["b"]).activate(_Echo(), key="echo")
 
 
-def _corba_ceiling(duration: float, concurrency: int = 8) -> float:
+#: E3: concurrent callers that saturate one ORB server
+CORBA_CALLERS = 8
+#: E7: probes of each discovery path per deployment
+DISCOVERY_REPEATS = 20
+#: E9: healthy applications each peer carries
+APPS_PER_SERVER = 30
+#: A2: seconds between the slow client's polls
+SLOW_POLL = 3.0
+#: E13: the fleet error fraction of a bucket that counts as detection —
+#: the request SLO's fast-burn threshold, 10x a 0.1% error budget
+BREACH_THRESHOLD = 0.01
+
+
+def _corba_ceiling(duration: float) -> float:
     """Saturate one ORB server with concurrent invocations; calls/s."""
     sim, orb, ref = _echo_orb(0.0005)
     done = {"calls": 0}
@@ -338,7 +350,7 @@ def _corba_ceiling(duration: float, concurrency: int = 8) -> float:
             yield from orb.invoke(ref, "echo", 42)
             done["calls"] += 1
 
-    for _ in range(concurrency):
+    for _ in range(CORBA_CALLERS):
         sim.spawn(caller())
     sim.run(until=duration)
     return done["calls"] / duration
@@ -368,7 +380,7 @@ def run_protocol_asymmetry(*, duration: float = 15.0) -> list:
     ]
 
 
-def run_discovery_overhead(n_domains: int, *, repeats: int = 20) -> dict:
+def run_discovery_overhead(n_domains: int) -> dict:
     """E7 (+A3, the trader on top of naming): a trader query for
     service-id DISCOVER, a naming resolve of one application id, and an
     invocation through an already-cached reference, as the number of
@@ -385,7 +397,7 @@ def run_discovery_overhead(n_domains: int, *, repeats: int = 20) -> dict:
     def probe():
         # warm resolution so "cached" is truly cached
         ref = yield from server.registry.remote_proxy_ref(app_id)
-        for _ in range(repeats):
+        for _ in range(DISCOVERY_REPEATS):
             recorder.start("trader_query", 0)
             yield from server.orb.invoke(server.trader_ref, "query",
                                          SERVICE_ID)
@@ -447,13 +459,12 @@ def run_remote_login(n_domains: int, *, use_directory: bool = False,
     }
 
 
-def run_network_scalability(n_servers: int, *, apps_per_server: int = 30,
-                            duration: float = 15.0,
+def run_network_scalability(n_servers: int, *, duration: float = 15.0,
                             single_server: bool = False) -> dict:
-    """E9: ``n_servers`` peers each carrying a healthy ``apps_per_server``
-    applications.  ``single_server=True`` is the strawman — the same
-    total pushed at one server (an E1 run)."""
-    total = n_servers * apps_per_server
+    """E9: ``n_servers`` peers each carrying a healthy
+    :data:`APPS_PER_SERVER` applications.  ``single_server=True`` is the
+    strawman — the same total pushed at one server (an E1 run)."""
+    total = n_servers * APPS_PER_SERVER
     if single_server:
         row = run_app_scalability(total, duration=duration)
         return {
@@ -471,7 +482,7 @@ def run_network_scalability(n_servers: int, *, apps_per_server: int = 30,
     recorder = LatencyRecorder(collab.sim)
     for d in range(n_servers):
         collab.server_of(d).recorder = recorder
-        make_app_farm(collab, apps_per_server, domain_index=d, user="bench")
+        make_app_farm(collab, APPS_PER_SERVER, domain_index=d, user="bench")
     collab.sim.run(until=collab.sim.now + duration)
     stats = recorder.stats("update_lag")
     return {
@@ -656,7 +667,6 @@ def run_poll_interval(poll_interval: float, *, n_clients: int = 8,
 
 
 def run_fifo_buffers(capacity: float, *, duration: float = 30.0,
-                     slow_poll: float = 3.0,
                      update_period: float = 0.1) -> dict:
     """A2: one fast application, one slow client, a per-client FIFO
     buffer of ``capacity`` messages (``inf`` = unbounded): peak buffer
@@ -677,7 +687,7 @@ def run_fifo_buffers(capacity: float, *, duration: float = 30.0,
     portal = collab.add_portal(0)
     collab.sim.spawn(polling_client(
         portal, app_id, user="bench", duration=duration,
-        poll_interval=slow_poll, recorder=recorder))
+        poll_interval=SLOW_POLL, recorder=recorder))
     collab.sim.run(until=collab.sim.now + duration + 1.0)
     delivered = server.collab.delivered
     dropped = server.collab.dropped
@@ -1015,9 +1025,7 @@ def run_recovery_drill(*, n_commands: int = 10,
 
 def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
                         outage: float = 2.0, settle: float = 5.0,
-                        bucket_width: float = 1.0,
-                        breach_threshold: float = 0.01,
-                        warmup: float = 2.0):
+                        bucket_width: float = 1.0, warmup: float = 2.0):
     """E13: kill-and-recover, observed entirely through the telemetry plane.
 
     The E10b fault shape (:func:`_run_kill_drill`) plus the E12
@@ -1029,9 +1037,8 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
     - **detection**: the fleet-merged per-bucket error rate
       (``pipeline.errors.http`` over the ``count`` of the bucket's
       ``pipeline.latency.http`` point) first breaches
-      ``breach_threshold`` — the default is the request SLO's fast burn
-      threshold, 10x a 0.1% error budget — within one bucket width of
-      the kill instant.
+      :data:`BREACH_THRESHOLD` within one bucket width of the kill
+      instant.
     - **recovery**: the fleet-merged ``pipeline.latency.http`` p99 over
       the post-recovery window returns to within one log-bucket
       (~9.05% < 10%) of the pre-kill baseline.  The baseline window
@@ -1067,7 +1074,7 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
     breach_start = None
     for point in errors:
         total = requests.get(point["t"], 0.0)
-        if total > 0 and point["value"] / total >= breach_threshold:
+        if total > 0 and point["value"] / total >= BREACH_THRESHOLD:
             breach_start = point["t"]
             break
 

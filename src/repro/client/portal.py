@@ -28,6 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
 
 
+#: seconds between the polls of a :meth:`AppSession.wait_lock` in the queue
+LOCK_POLL_INTERVAL = 0.25
+
+
 class PortalError(Exception):
     """Login/steering failures surfaced to the portal user."""
 
@@ -92,13 +96,6 @@ class DiscoverPortal:
         for http, _cid in self._connections.values():
             http.close()
         self._connections.clear()
-
-    def list_apps(self):
-        """Generator: refresh and return the application list."""
-        body = yield from self.http.get("/master/apps",
-                                        {"client_id": self._cid()})
-        self.apps = body["apps"]
-        return self.apps
 
     #: maximum §4.1 redirect hops a single select may follow
     MAX_REDIRECTS = 4
@@ -286,19 +283,18 @@ class AppSession:
         return msg.result
 
     # -- typed steering helpers -------------------------------------------
-    def get_param(self, name: str, timeout: float = 60.0):
+    def get_param(self, name: str):
         """Generator: read a steerable parameter."""
-        return (yield from self.steer("get_param", {"name": name}, timeout))
+        return (yield from self.steer("get_param", {"name": name}))
 
-    def set_param(self, name: str, value: Any, timeout: float = 60.0):
+    def set_param(self, name: str, value: Any):
         """Generator: write a steerable parameter (needs WRITE + lock)."""
         return (yield from self.steer("set_param",
-                                      {"name": name, "value": value},
-                                      timeout))
+                                      {"name": name, "value": value}))
 
-    def read_sensor(self, name: str, timeout: float = 60.0):
+    def read_sensor(self, name: str):
         """Generator: sample an application sensor."""
-        return (yield from self.steer("read_sensor", {"name": name}, timeout))
+        return (yield from self.steer("read_sensor", {"name": name}))
 
     def actuate(self, name: str, args: Optional[dict] = None,
                 timeout: float = 60.0):
@@ -307,21 +303,17 @@ class AppSession:
         call.update(args or {})
         return (yield from self.steer("actuate", call, timeout))
 
-    def app_status(self, timeout: float = 60.0):
+    def app_status(self):
         """Generator: the application's own status record."""
-        return (yield from self.steer("status", {}, timeout))
+        return (yield from self.steer("status"))
 
-    def pause(self, timeout: float = 60.0):
+    def pause(self):
         """Generator: pause the application (needs WRITE + lock)."""
-        return (yield from self.steer("pause", {}, timeout))
+        return (yield from self.steer("pause"))
 
-    def resume(self, timeout: float = 60.0):
+    def resume(self):
         """Generator: resume a paused application."""
-        return (yield from self.steer("resume", {}, timeout))
-
-    def stop_app(self, timeout: float = 60.0):
-        """Generator: stop the application."""
-        return (yield from self.steer("stop", {}, timeout))
+        return (yield from self.steer("resume"))
 
     # -- locking ------------------------------------------------------------
     def acquire_lock(self):
@@ -350,7 +342,7 @@ class AppSession:
                                                {"app_id": self.app_id})
         return body["holder"]
 
-    def wait_lock(self, timeout: float = 60.0, poll_interval: float = 0.25):
+    def wait_lock(self, timeout: float = 60.0):
         """Generator: acquire, waiting in the queue if necessary."""
         outcome = yield from self.acquire_lock()
         if outcome == "granted":
@@ -364,7 +356,7 @@ class AppSession:
                         and ev.action == "granted"):
                     self.portal.lock_events.remove(ev)
                     return "granted"
-            yield self.portal.sim.timeout(poll_interval)
+            yield self.portal.sim.timeout(LOCK_POLL_INTERVAL)
         raise PortalError(f"lock not granted within {timeout}s")
 
     # -- scheduled interactions (§2.1) ------------------------------------

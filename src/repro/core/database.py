@@ -193,9 +193,6 @@ class Database:
                                              reader_sets=self._reader_sets)
         return tbl
 
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)
-
     # -- durable state plane hook ---------------------------------------
     def apply_event(self, event: str, data: dict, at: float) -> None:
         """Replay one journaled mutation (archive or WAL tail, during

@@ -45,13 +45,6 @@ class TokenBucket:
         """Spend ``amount`` tokens the last :meth:`refill` showed."""
         self._tokens -= amount
 
-    def try_take(self, now: float, amount: float = 1.0) -> bool:
-        """Consume ``amount`` tokens if available at virtual time ``now``."""
-        if self.refill(now) >= amount:
-            self.take(amount)
-            return True
-        return False
-
 
 class ResourcePolicy:
     """Both §6.3 metrics for one principal class.

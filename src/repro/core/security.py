@@ -51,9 +51,6 @@ class AccessControlList:
         privilege_level(privilege)  # validates
         self._entries[user] = privilege
 
-    def revoke(self, user: str) -> None:
-        self._entries.pop(user, None)
-
     def privilege_of(self, user: str) -> Optional[str]:
         return self._entries.get(user)
 
@@ -63,9 +60,6 @@ class AccessControlList:
         if held is None:
             return False
         return privilege_level(held) >= privilege_level(privilege)
-
-    def users(self) -> list:
-        return sorted(self._entries)
 
     def __contains__(self, user: str) -> bool:
         return user in self._entries
@@ -98,12 +92,6 @@ class SecurityManager:
 
     def register_app_acl(self, app_id: str, acl: Dict[str, str]) -> None:
         self._app_acls[app_id] = AccessControlList(acl)
-
-    def unregister_app(self, app_id: str) -> None:
-        self._app_acls.pop(app_id, None)
-
-    def acl_for(self, app_id: str) -> Optional[AccessControlList]:
-        return self._app_acls.get(app_id)
 
     # -- users ---------------------------------------------------------------
     def user_known(self, user: str) -> bool:

@@ -102,9 +102,6 @@ class MonitoringService:
         """Latest heartbeat per server."""
         return dict(self._heartbeats)
 
-    def servers_seen(self) -> List[str]:
-        return sorted(self._heartbeats)
-
 
 class JobRecord:
     """One staged/launched application managed by the CoG kit."""
@@ -214,9 +211,6 @@ class CorbaCoGKit:
             job.app.request_stop()
             job.state = "cancelled"
         return job.descriptor()
-
-    def list_jobs(self) -> List[dict]:
-        return [j.descriptor() for j in self._jobs.values()]
 
     def _job(self, job_id: str) -> JobRecord:
         try:

@@ -45,14 +45,18 @@ def downsample(field: np.ndarray, width: int, height: int = 1) -> np.ndarray:
     raise VisualizationError(f"cannot render {field.ndim}-D field")
 
 
-def ascii_render(view: np.ndarray, palette: str = " .:-=+*#%@") -> List[str]:
+#: ASCII shades from the field's minimum to its maximum
+PALETTE = " .:-=+*#%@"
+
+
+def ascii_render(view: np.ndarray) -> List[str]:
     """Render a (downsampled) view as ASCII art lines — the portal's
     terminal 'display'."""
     arr = np.atleast_2d(np.asarray(view, dtype=float))
     lo, hi = float(arr.min()), float(arr.max())
     span = hi - lo if hi > lo else 1.0
-    idx = ((arr - lo) / span * (len(palette) - 1)).round().astype(int)
-    return ["".join(palette[v] for v in row) for row in idx]
+    idx = ((arr - lo) / span * (len(PALETTE) - 1)).round().astype(int)
+    return ["".join(PALETTE[v] for v in row) for row in idx]
 
 
 class VisualizationService:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.directory.client import DirectoryClient
-from repro.directory.ring import DEFAULT_VNODES, HashRing
+from repro.directory.ring import HashRing
 from repro.directory.shard import DIRECTORY_SHARD, DirectoryShardServant
 from repro.orb.idl import validate_servant
 
@@ -27,10 +27,9 @@ from repro.orb.idl import validate_servant
 class DirectoryPlane:
     """The deployed ring of directory shard servants."""
 
-    def __init__(self, *, replicas: int = 1,
-                 vnodes: int = DEFAULT_VNODES) -> None:
+    def __init__(self, *, replicas: int = 1) -> None:
         self.replicas = max(1, replicas)
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         self.servants: Dict[str, DirectoryShardServant] = {}
         self.orbs: Dict[str, object] = {}
         #: live ``shard name -> ObjectRef`` — shared (not copied) with
@@ -99,9 +98,10 @@ class DirectoryPlane:
         names = self.live_shards if live_only else list(self.servants)
         return {name: self.servants[name].requests for name in names}
 
-    def load_flatness(self, live_only: bool = True) -> float:
-        """max/mean of per-shard request load (1.0 = perfectly flat)."""
-        loads = list(self.per_shard_load(live_only).values())
+    def load_flatness(self) -> float:
+        """max/mean of the live shards' request load (1.0 = perfectly
+        flat)."""
+        loads = list(self.per_shard_load(live_only=True).values())
         if not loads or sum(loads) == 0:
             return 0.0
         return max(loads) / (sum(loads) / len(loads))
@@ -113,7 +113,7 @@ class DirectoryPlane:
             "epoch": self.ring.epoch,
             "killed": sorted(self._killed),
             "apps": self.app_count(),
-            "load_flatness": round(self.load_flatness(live_only=True), 4),
+            "load_flatness": round(self.load_flatness(), 4),
             "per_shard": {name: servant.stats()
                           for name, servant in sorted(self.servants.items())},
         }

@@ -1,7 +1,7 @@
 """Consistent-hash ring with virtual nodes and an explicit epoch.
 
 Nodes are directory shard servers; keys are user names and app ids.
-Each node is hashed at ``vnodes`` points on a 64-bit circle and a key
+Each node is hashed at :data:`VNODES` points on a 64-bit circle and a key
 is owned by the first node point at or clockwise-after the key's hash
 (``shard_of``).  ``replicas_of`` walks further clockwise and collects
 the first R *distinct* nodes, so replica sets survive vnode
@@ -11,7 +11,7 @@ Hashing uses BLAKE2b with an 8-byte digest — deterministic across
 processes and Python versions (``hash()`` is salted by
 ``PYTHONHASHSEED`` and must never reach placement decisions).
 
-Membership changes (``add_node``/``remove_node``) bump ``epoch``.
+Each membership change (``add_node``) bumps ``epoch``.
 Clients stamp every shard call with the epoch they routed under;
 servants reject stale epochs so a caller that routed on an old ring
 re-resolves instead of silently writing to the wrong shard.
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
-#: default virtual-node count per server — enough that 1000 keys over a
+#: virtual-node count per server — enough that 1000 keys over a
 #: handful of shards balance within ~2x of ideal (property-tested).
-DEFAULT_VNODES = 128
+VNODES = 128
 
 
 def _hash64(data: str) -> int:
@@ -37,47 +37,25 @@ def _hash64(data: str) -> int:
 class HashRing:
     """Consistent-hash ring over named shard servers."""
 
-    def __init__(self, nodes: Iterable[str] = (), *,
-                 vnodes: int = DEFAULT_VNODES) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
+    def __init__(self) -> None:
         #: bumped on every membership change; stamped on shard calls
         self.epoch = 0
         self._nodes: Dict[str, List[int]] = {}
         # sorted, parallel: _points[i] is owned by _owners[i]
         self._points: List[int] = []
         self._owners: List[str] = []
-        for node in nodes:
-            self.add_node(node)
 
     # -- membership --------------------------------------------------------
     def add_node(self, node: str) -> int:
         """Add ``node``; returns the new epoch."""
         if node in self._nodes:
             raise ValueError(f"node {node!r} already on ring")
-        points = [_hash64(f"{node}#v{i}") for i in range(self.vnodes)]
+        points = [_hash64(f"{node}#v{i}") for i in range(VNODES)]
         self._nodes[node] = points
         for point in points:
             idx = bisect.bisect(self._points, point)
             self._points.insert(idx, point)
             self._owners.insert(idx, node)
-        self.epoch += 1
-        return self.epoch
-
-    def remove_node(self, node: str) -> int:
-        """Remove ``node``; returns the new epoch."""
-        points = self._nodes.pop(node, None)
-        if points is None:
-            raise KeyError(node)
-        for point in points:
-            idx = bisect.bisect_left(self._points, point)
-            # duplicate hash points are astronomically unlikely but make
-            # the scan exact anyway
-            while self._owners[idx] != node:
-                idx += 1
-            del self._points[idx]
-            del self._owners[idx]
         self.epoch += 1
         return self.epoch
 
@@ -114,11 +92,3 @@ class HashRing:
                 if len(out) == want:
                     break
         return out
-
-    # -- introspection -----------------------------------------------------
-    def spread(self, keys: Iterable[str]) -> Dict[str, int]:
-        """``{node: owned key count}`` over ``keys`` (balance checks)."""
-        counts = {node: 0 for node in self._nodes}
-        for key in keys:
-            counts[self.shard_of(key)] += 1
-        return counts

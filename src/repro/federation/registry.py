@@ -217,10 +217,6 @@ class PeerRegistry:
         if dropped and self.metrics is not None:
             self.metrics.count("peer_invalidations")
 
-    def cached_apps(self) -> List[str]:
-        """App ids with a live level-two cache entry (for tests/inspection)."""
-        return sorted(self._proxies)
-
     # -- level-one fan-out helpers ----------------------------------------
     def collect_remote_apps(self, user: str) -> dict:
         """Generator: the §5.2.2 login fan-out — authenticate ``user`` with

@@ -175,6 +175,3 @@ class SubscriptionManager:
         for poller in self._pollers.values():
             if poller.is_alive:
                 poller.interrupt("server stopped")
-
-    def active_pollers(self) -> int:
-        return sum(1 for p in self._pollers.values() if p.is_alive)

@@ -11,13 +11,13 @@ statuses:
 - ``healthy`` — recent observations succeed
 - ``degraded`` — a previously healthy component missed an observation
   (transient WAN blip territory; nothing is routed away yet)
-- ``unhealthy`` — :attr:`down_after` consecutive misses (routing avoids
+- ``unhealthy`` — :data:`DOWN_AFTER` consecutive misses (routing avoids
   the component; callers fail over eagerly)
 - ``unknown`` — never observed
 
 Transitions are hysteretic so statuses do not flap: going *down* takes
-``down_after`` consecutive failures and coming *back* from unhealthy
-takes ``up_after`` consecutive successes.  A degraded component recovers
+:data:`DOWN_AFTER` consecutive failures and coming *back* from unhealthy
+takes :data:`UP_AFTER` consecutive successes.  A degraded component recovers
 on a single success — it was never considered down.
 
 Everything here is plain bookkeeping on the simulated clock: recording
@@ -41,7 +41,7 @@ STATUS_UNKNOWN = "unknown"
 STATUS_HEALTHY = "healthy"
 #: a healthy component missed at least one observation (not yet down)
 STATUS_DEGRADED = "degraded"
-#: ``down_after`` consecutive misses — routing avoids the component
+#: :data:`DOWN_AFTER` consecutive misses — routing avoids the component
 STATUS_UNHEALTHY = "unhealthy"
 
 #: all statuses, in increasing order of badness
@@ -52,27 +52,20 @@ STATUS_ORDER = (STATUS_UNKNOWN, STATUS_HEALTHY, STATUS_DEGRADED,
 STATUS_CODES = {STATUS_UNKNOWN: 0, STATUS_HEALTHY: 1,
                 STATUS_DEGRADED: 2, STATUS_UNHEALTHY: 3}
 
-#: default hysteresis: consecutive misses before a component goes down
-DEFAULT_DOWN_AFTER = 3
-#: default hysteresis: consecutive successes before it is trusted again
-DEFAULT_UP_AFTER = 2
+#: hysteresis: consecutive misses before a component goes down
+DOWN_AFTER = 3
+#: hysteresis: consecutive successes before it is trusted again
+UP_AFTER = 2
 
 
 class ComponentHealth:
     """Hysteresis state machine for one monitored component."""
 
-    __slots__ = ("component", "down_after", "up_after", "status",
-                 "since", "_fail_streak", "_ok_streak",
-                 "successes", "failures", "transitions")
+    __slots__ = ("component", "status", "since", "_fail_streak",
+                 "_ok_streak", "successes", "failures", "transitions")
 
-    def __init__(self, component: str, *,
-                 down_after: int = DEFAULT_DOWN_AFTER,
-                 up_after: int = DEFAULT_UP_AFTER) -> None:
-        if down_after < 1 or up_after < 1:
-            raise ValueError("hysteresis thresholds must be >= 1")
+    def __init__(self, component: str) -> None:
         self.component = component
-        self.down_after = down_after
-        self.up_after = up_after
         self.status = STATUS_UNKNOWN
         #: sim time of the last status change (0.0 until first observed)
         self.since = 0.0
@@ -100,7 +93,7 @@ class ComponentHealth:
             # a single good observation restores full trust.
             self._become(STATUS_HEALTHY, now)
         elif self.status == STATUS_UNHEALTHY:
-            if self._ok_streak >= self.up_after:
+            if self._ok_streak >= UP_AFTER:
                 self._become(STATUS_HEALTHY, now)
         return self.status
 
@@ -109,7 +102,7 @@ class ComponentHealth:
         self.failures += 1
         self._fail_streak += 1
         self._ok_streak = 0
-        if self._fail_streak >= self.down_after:
+        if self._fail_streak >= DOWN_AFTER:
             self._become(STATUS_UNHEALTHY, now)
         elif self.status == STATUS_HEALTHY:
             self._become(STATUS_DEGRADED, now)
@@ -129,21 +122,15 @@ class HealthModel:
     proxies.
     """
 
-    def __init__(self, *, clock: Callable[[], float],
-                 down_after: int = DEFAULT_DOWN_AFTER,
-                 up_after: int = DEFAULT_UP_AFTER) -> None:
+    def __init__(self, *, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self.down_after = down_after
-        self.up_after = up_after
         self._components: Dict[str, ComponentHealth] = {}
 
     # -- observation -------------------------------------------------------
     def component(self, key: str) -> ComponentHealth:
         entry = self._components.get(key)
         if entry is None:
-            entry = ComponentHealth(key, down_after=self.down_after,
-                                    up_after=self.up_after)
-            self._components[key] = entry
+            entry = self._components[key] = ComponentHealth(key)
         return entry
 
     def record_success(self, key: str) -> str:

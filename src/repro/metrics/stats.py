@@ -131,10 +131,6 @@ class Reservoir:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def samples(self) -> List[float]:
-        """The retained (possibly subsampled) values."""
-        return list(self._samples)
-
     def percentile(self, percent: float) -> float:
         """One sampled percentile — ``stats().p99`` for ``percent=99``,
         bit for bit, without the rest of the summary (empty → 0.0).

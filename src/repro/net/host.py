@@ -134,14 +134,6 @@ class Endpoint:
         """Event that fires with the next delivered :class:`Frame`."""
         return self.inbox.get()
 
-    def try_recv(self) -> Optional["Frame"]:
-        """Non-blocking receive; ``None`` if nothing is queued."""
-        return self.inbox.try_get()
-
-    def pending(self) -> int:
-        """Number of frames waiting in the inbox."""
-        return len(self.inbox)
-
     def close(self) -> None:
         """Unbind the port, unless it is bound anew already (closing twice
         never releases a successor's port)."""

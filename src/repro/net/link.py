@@ -16,7 +16,7 @@ the clock; there is no in-flight slot and no queue to drain.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -55,10 +55,6 @@ class Link:
         self._free_at: Dict[str, float] = {
             a: float("-inf"), b: float("-inf")}
 
-    @property
-    def ends(self) -> Tuple[str, str]:
-        return (self.a, self.b)
-
     def other(self, host: str) -> str:
         """The opposite endpoint of ``host``."""
         if host == self.a:
@@ -66,11 +62,6 @@ class Link:
         if host == self.b:
             return self.a
         raise ValueError(f"{host!r} is not an endpoint of {self!r}")
-
-    def transfer_time(self, size: int) -> float:
-        """Pure transmission time for ``size`` bytes (no queueing); zero
-        on an infinite-bandwidth link."""
-        return size / self.bandwidth
 
     def send(self, src: str, size: int,
              arrive: Callable[[Any], None], arg: Any) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Tuple
 
 from repro.net.host import Host
 from repro.net.link import Link
@@ -77,13 +77,6 @@ class Frame:
         self.delivered_at = delivered_at
         self.trace_ctx = trace_ctx
         self.frame_id = frame_id
-
-    @property
-    def latency(self) -> Optional[float]:
-        """End-to-end delivery time, once delivered."""
-        if self.delivered_at is None:
-            return None
-        return self.delivered_at - self.sent_at
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Frame #{self.frame_id} {self.src_host}:{self.src_port}->"
@@ -149,10 +142,10 @@ class _Delivery:
 class Network:
     """A set of hosts joined by links, with static shortest-path routing."""
 
-    def __init__(self, sim: "Simulator", trace: Optional[TrafficTrace] = None,
-                 frame_overhead: int = 64, strict_wire: bool = False) -> None:
+    def __init__(self, sim: "Simulator", frame_overhead: int = 64,
+                 strict_wire: bool = False) -> None:
         self.sim = sim
-        self.trace = trace if trace is not None else TrafficTrace()
+        self.trace = TrafficTrace()
         #: optional repro.obs.Tracer — stamps outgoing frames with the
         #: sender's current trace context and records per-hop spans.  It is
         #: asked on every send, so a tracer that samples nothing is left
@@ -237,17 +230,6 @@ class Network:
                     heappush(heap, (reach, pushes, peer))
                     pushes += 1
         raise NetworkError(f"no route {src} -> {dst}")
-
-    def route(self, src: str, dst: str) -> List[str]:
-        """Hop sequence (list of host names) from ``src`` to ``dst``."""
-        path = [src]
-        for link in self._links(src, dst):
-            path.append(link.other(path[-1]))
-        return path
-
-    def path_latency(self, src: str, dst: str) -> float:
-        """Sum of propagation latencies along the route (no queueing)."""
-        return sum(link.latency for link in self._links(src, dst))
 
     # -- delivery -------------------------------------------------------------
     def send(self, src_host: str, src_port: int, dst_host: str, dst_port: int,

@@ -370,6 +370,10 @@ class RequestCostLedger:
                 f"requests={self.total.requests}>")
 
 
+#: Chrome trace events a profiler keeps; later samples still fold into stacks
+MAX_PROFILE_RECORDS = 20_000
+
+
 class DispatchProfiler:
     """Continuous sampling profiler over the kernel dispatch loop.
 
@@ -389,16 +393,15 @@ class DispatchProfiler:
     """
 
     def __init__(self, *, interval_us: int = 200, stride: int = 64,
-                 tracer=None, max_records: int = 20_000,
                  wall_clock: Callable[[], int] = time.perf_counter_ns) -> None:
         self.interval_ns = int(interval_us) * 1000
         self.stride = int(stride)
-        self.tracer = tracer
+        #: attached before ``install``, names each sample by its active span
+        self.tracer = None
         self._wall = wall_clock
         #: folded stack tuple -> [sample count, total wall-ns]
         self.samples: Dict[Tuple[str, ...], List[int]] = {}
         self.records: List[dict] = []
-        self.max_records = max_records
         self.events_seen = 0
         self.sample_count = 0
         self._countdown = self.stride
@@ -443,7 +446,7 @@ class DispatchProfiler:
         else:
             cell[0] += 1
             cell[1] += elapsed
-        if len(self.records) < self.max_records:
+        if len(self.records) < MAX_PROFILE_RECORDS:
             self.records.append({
                 "name": stack[-1], "cat": stack[0], "ph": "X",
                 "ts": (t0 - self._epoch_ns) / 1000.0,

@@ -32,9 +32,6 @@ class TraceContext:
         self.trace_id = trace_id
         self.span_id = span_id
 
-    def as_tuple(self) -> tuple:
-        return (self.trace_id, self.span_id)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TraceContext)
                 and other.trace_id == self.trace_id

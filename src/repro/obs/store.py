@@ -349,12 +349,10 @@ class SpanStore:
             segments.append(PathSegment(span, span.start, t))
 
     # -- reduction ---------------------------------------------------------
-    def latency_stats(self, plane: Optional[str] = None,
-                      op: Optional[str] = None) -> SummaryStats:
-        """Duration stats over the retained spans, filtered by plane/op."""
+    def latency_stats(self, plane: str) -> SummaryStats:
+        """Duration stats over the retained spans of one plane."""
         kinds = {k for k, kind in enumerate(self._kinds)
-                 if (plane is None or kind.plane == plane)
-                 and (op is None or kind.op == op)}
+                 if kind.plane == plane}
         times = self._times
         return summarize([times[2 * row + 1] - times[2 * row]
                           for row, kind in enumerate(self._kind_of)

@@ -453,13 +453,12 @@ class TimeSeriesRegistry:
             return value.quantile(q) if series.kind == HISTOGRAM else value
         raise ValueError(f"unknown query fn: {fn!r}")
 
-    def histogram_summary(self, name: str, *, start: Optional[float] = None,
-                          end: Optional[float] = None) -> Dict[str, float]:
+    def histogram_summary(self, name: str) -> Dict[str, float]:
+        """Count, mean, p50/p90/p99 and max of every retained bucket."""
         series = self._series.get(name)
         if series is None or series.kind != HISTOGRAM:
             raise KeyError(name)
-        s, e = self._range(start, end)
-        merged = series.merged_histogram(s, e)
+        merged = series.merged_histogram(*self._range(None, None))
         return {
             "count": merged.count,
             "mean": merged.mean,
@@ -469,16 +468,14 @@ class TimeSeriesRegistry:
             "max": merged.maximum if merged.count else 0.0,
         }
 
-    def histogram_cumulative(self, name: str, *,
-                             start: Optional[float] = None,
-                             end: Optional[float] = None,
+    def histogram_cumulative(self, name: str,
                              ) -> Tuple[List[Tuple[float, int]], float, int]:
-        """``(le_pairs, sum, count)`` for Prometheus exposition."""
+        """``(le_pairs, sum, count)`` of every retained bucket, for
+        Prometheus exposition."""
         series = self._series.get(name)
         if series is None or series.kind != HISTOGRAM:
             raise KeyError(name)
-        s, e = self._range(start, end)
-        merged = series.merged_histogram(s, e)
+        merged = series.merged_histogram(*self._range(None, None))
         return merged.cumulative(), merged.total, merged.count
 
     # -- fleet aggregation -------------------------------------------
@@ -544,12 +541,12 @@ class TimeSeriesRegistry:
         return out
 
 
-def to_chrome_counters(registry: TimeSeriesRegistry, *,
-                       scale: float = 1e6) -> List[Dict[str, Any]]:
-    """Chrome trace-event counter tracks (``ph: "C"``) for every series.
+def to_chrome_counters(registry: TimeSeriesRegistry) -> List[Dict[str, Any]]:
+    """Chrome trace-event counter tracks (``ph: "C"``) for every series,
+    stamped in microseconds of simulated time.
 
-    Load the output next to the PR 4 span export in ``chrome://tracing``
-    / Perfetto; ``scale`` converts sim-seconds to microseconds.
+    Load the output next to the span export in ``chrome://tracing`` /
+    Perfetto.
     """
     events: List[Dict[str, Any]] = []
     for name in registry.names():
@@ -561,5 +558,5 @@ def to_chrome_counters(registry: TimeSeriesRegistry, *,
             else:
                 args = {"value": value}
             events.append({"name": name, "ph": "C", "pid": 1, "tid": 1,
-                           "ts": t0 * scale, "args": args})
+                           "ts": t0 * 1e6, "args": args})
     return events

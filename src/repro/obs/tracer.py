@@ -148,8 +148,7 @@ class Tracer:
 
     def record_span(self, op: str, start: float, end: float, *,
                     parent: Optional[TraceContext], plane: str = "",
-                    server: str = "", attrs: Optional[dict] = None,
-                    status: str = "ok") -> None:
+                    server: str = "", attrs: Optional[dict] = None) -> None:
         """Retain an already-completed span (e.g. a network hop observed
         at hand-off) as a store row; no :class:`Span` is built.  Requires
         a sampled parent context — hop spans never start traces of their
@@ -161,7 +160,7 @@ class Tracer:
             sim = self._sim
             self.ledger.charge_span(sim.active_process or sim)
         self.store.add(parent.trace_id, span_id, parent.span_id, start, end,
-                       op, plane, server, status, "", attrs or {})
+                       op, plane, server, "ok", "", attrs or {})
 
     # -- in-process context propagation -------------------------------------
     def current_span(self) -> Optional[Span]:

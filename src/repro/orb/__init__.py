@@ -11,7 +11,7 @@ rebuilds exactly the pieces the paper uses:
   (:mod:`repro.orb.giop` is the wire protocol).
 - :class:`ObjectRef` — an IOR-like reference ``(host, port, object_key)``
   that can itself travel over the wire.
-- :class:`NamingService` — bind/resolve/unbind/list of name → reference.
+- :class:`NamingService` — bind/rebind/resolve of name → reference.
 - :class:`TraderService` — the paper's "minimalist trader service on top of
   the CORBA naming service": service-offer pairs with property lists,
   queried by service id (all DISCOVER servers export service id

@@ -37,14 +37,11 @@ class Operation:
 
 
 class Interface:
-    """An ordered collection of operations, with inheritance."""
+    """An ordered collection of operations."""
 
-    def __init__(self, name: str, operations: Tuple[Operation, ...] = (),
-                 bases: Tuple["Interface", ...] = ()) -> None:
+    def __init__(self, name: str, operations: Tuple[Operation, ...]) -> None:
         self.name = name
         self._ops: Dict[str, Operation] = {}
-        for base in bases:
-            self._ops.update(base._ops)
         for op in operations:
             if op.name in self._ops:
                 raise OrbError(f"duplicate operation {op.name!r} in "
@@ -118,10 +115,6 @@ class Stub:
     @property
     def ref(self) -> "ObjectRef":
         return self._ref
-
-    @property
-    def interface(self) -> Interface:
-        return self._interface
 
     def __getattr__(self, name: str):
         if name.startswith("_"):

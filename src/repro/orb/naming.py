@@ -7,7 +7,7 @@ be remotely accessed from any server" (§5.1.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.orb.errors import ObjectNotFound, OrbError
 from repro.orb.reference import ObjectRef
@@ -46,17 +46,6 @@ class NamingService:
             return self._bindings[name]
         except KeyError:
             raise ObjectNotFound(f"name {name!r} not bound") from None
-
-    def unbind(self, name: str) -> bool:
-        """Remove a binding."""
-        if name not in self._bindings:
-            raise ObjectNotFound(f"name {name!r} not bound")
-        del self._bindings[name]
-        return True
-
-    def list_names(self, prefix: str = "") -> List[str]:
-        """All bound names, optionally filtered by prefix."""
-        return sorted(n for n in self._bindings if n.startswith(prefix))
 
     def __len__(self) -> int:
         return len(self._bindings)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.orb.errors import ObjectNotFound
 from repro.orb.naming import NamingService
 from repro.orb.reference import ObjectRef
 from repro.wire.serialize import register_codec
@@ -81,17 +80,6 @@ class TraderService:
         self.naming.rebind(self._name_for(offer), offer.ref)
         return offer.offer_id
 
-    def withdraw(self, offer_id: str) -> bool:
-        """Remove a previously exported offer."""
-        offer = self._offers.pop(offer_id, None)
-        if offer is None:
-            raise ObjectNotFound(f"no offer {offer_id!r}")
-        try:
-            self.naming.unbind(self._name_for(offer))
-        except ObjectNotFound:  # pragma: no cover - defensive
-            pass
-        return True
-
     @staticmethod
     def _name_for(offer: ServiceOffer) -> str:
         return f"trader/{offer.service_id}/{offer.offer_id}"
@@ -112,9 +100,6 @@ class TraderService:
             yield self.sim.timeout(self.match_cost * len(self._offers))
         return matches
 
-    def offer_count(self, service_id: Optional[str] = None) -> int:
-        """Number of exported offers (optionally for one service id)."""
-        if service_id is None:
-            return len(self._offers)
-        return sum(1 for o in self._offers.values()
-                   if o.service_id == service_id)
+    def offer_count(self) -> int:
+        """Number of exported offers."""
+        return len(self._offers)

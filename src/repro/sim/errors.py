@@ -28,12 +28,5 @@ class Interrupt(Exception):
     client is blocked polling for updates).
     """
 
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Interrupt(cause={self.args[0]!r})"

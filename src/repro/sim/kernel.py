@@ -115,11 +115,11 @@ class Simulator:
         sim.run()
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: current virtual time.  Only the kernel writes it; assigning it
         #: from outside is not supported (scheduled entries keep their
         #: absolute times)
-        self.now = float(start_time)
+        self.now = 0.0
         #: far-future overflow: (time, priority, seq, event) tuples
         self._heap: List[Tuple[float, int, int, SimEvent]] = []
         self._seq = 0

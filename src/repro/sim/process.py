@@ -63,7 +63,7 @@ class Process(SimEvent):
         """True while the generator has not terminated."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
+    def interrupt(self, cause: Any) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.
 
         Interrupting a dead process is an error; interrupting a process that

@@ -56,13 +56,6 @@ class DeterministicRNG:
             raise ValueError("choice() on empty sequence")
         return seq[int(self._gen.integers(0, len(seq)))]
 
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        n = len(seq)
-        for i in range(n - 1, 0, -1):
-            j = int(self._gen.integers(0, i + 1))
-            seq[i], seq[j] = seq[j], seq[i]
-
     def jitter(self, value: float, fraction: float) -> float:
         """``value`` perturbed uniformly by up to ±``fraction``."""
         return value * self.uniform(1.0 - fraction, 1.0 + fraction)

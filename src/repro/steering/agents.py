@@ -30,11 +30,11 @@ class InteractionAgent:
 
     def handle(self, command: str, args: Dict[str, Any]) -> Any:
         """Execute one command; returns its result (raises SteeringError)."""
-        handler = getattr(self, f"_cmd_{command}", None)
+        handler = self.COMMANDS.get(command)
         if handler is None:
             raise SteeringError(f"unknown command {command!r}")
         self.commands_handled += 1
-        return handler(**args)
+        return handler(self, **args)
 
     # -- queries ----------------------------------------------------------
     def _cmd_get_param(self, name: str) -> Any:
@@ -67,3 +67,19 @@ class InteractionAgent:
 
     def _cmd_stop(self) -> str:
         return self.app.request_stop()
+
+    #: command name -> handler: a command costs one dict lookup and builds
+    #: no attribute name (a looked-up name can outlive the call in the
+    #: interpreter's type attribute cache)
+    COMMANDS = {
+        "get_param": _cmd_get_param,
+        "list_params": _cmd_list_params,
+        "read_sensor": _cmd_read_sensor,
+        "describe": _cmd_describe,
+        "status": _cmd_status,
+        "set_param": _cmd_set_param,
+        "actuate": _cmd_actuate,
+        "pause": _cmd_pause,
+        "resume": _cmd_resume,
+        "stop": _cmd_stop,
+    }

@@ -45,9 +45,6 @@ class StorageBackend:
     replaced on save.
     """
 
-    def wal_len(self) -> int:
-        return len(self.entries())
-
     def clear(self) -> None:
         """Wipe all three regions (tests / fresh deployments)."""
         self.reset_wal(())
@@ -151,9 +148,6 @@ class MemoryBackend(StorageBackend):
         wal = _Rows()
         wal.extend(entries)
         self._wal = wal
-
-    def wal_len(self) -> int:
-        return len(self._wal)
 
     def archive_append(self, entries: List[Dict], after: int) -> None:
         archive = self._archive

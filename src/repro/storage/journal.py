@@ -78,10 +78,6 @@ class StateJournal:
         self._planes: Dict[str, _Plane] = {}
         self._since_snapshot = 0
 
-    @property
-    def backend(self) -> StorageBackend:
-        return self.wal.backend
-
     def register_plane(self, name: str, *, apply, snapshot=None,
                        restore=None) -> None:
         """Wire one stateful plane's snapshot/restore/apply hooks; with

@@ -108,11 +108,10 @@ class WriteAheadLog:
         return len(entries) - len(keep)
 
     # -- read path ------------------------------------------------------
-    def tail(self, after_lsn: Optional[int] = None) -> List[WalRecord]:
-        """Records strictly after ``after_lsn`` (default: the snapshot)."""
-        cut = self._snapshot_lsn if after_lsn is None else after_lsn
+    def tail(self) -> List[WalRecord]:
+        """Records strictly after the snapshot."""
         return [WalRecord.from_entry(e) for e in self.backend.entries()
-                if int(e.get("lsn", 0)) > cut]
+                if int(e.get("lsn", 0)) > self._snapshot_lsn]
 
     def archived(self) -> Iterator[WalRecord]:
         """The archived records the snapshot covers, oldest first, each

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.sim import AnyOf
 from repro.web.http import GET, POST, HttpRequest, HttpResponse
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -12,7 +11,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class HttpError(Exception):
-    """A non-2xx response surfaced as an exception, or a timeout."""
+    """A non-2xx response surfaced as an exception."""
 
     def __init__(self, status: int, body: Any = None) -> None:
         super().__init__(f"HTTP {status}: {body!r}")
@@ -55,11 +54,10 @@ class HttpClient:
 
     # -- request helpers -------------------------------------------------
     def request(self, method: str, path: str,
-                params: Optional[dict] = None, body: Any = None,
-                timeout: Optional[float] = None):
+                params: Optional[dict] = None, body: Any = None):
         """Generator: send one request, return the response body.
 
-        Raises :class:`HttpError` on non-2xx status or timeout (status 0).
+        Raises :class:`HttpError` on non-2xx status.
         """
         req = HttpRequest(self.sim.next_id("http_request"), method, path,
                           params, body, cookie=self.cookie)
@@ -67,29 +65,18 @@ class HttpClient:
         self._pending[req.request_id] = waiter
         self.endpoint.send(self.server_host, self.server_port, req,
                            channel="command" if method == POST else "main")
-        if timeout is None:
-            resp = yield waiter
-        else:
-            expiry = self.sim.timeout(timeout)
-            fired = yield AnyOf(self.sim, [waiter, expiry])
-            if waiter not in fired:
-                self._pending.pop(req.request_id, None)
-                raise HttpError(0, f"timeout after {timeout}s on {path}")
-            resp = fired[waiter]
+        resp = yield waiter
         if resp.set_cookie:
             self.cookie = resp.set_cookie
         if not resp.ok:
             raise HttpError(resp.status, resp.body)
         return resp.body
 
-    def get(self, path: str, params: Optional[dict] = None,
-            timeout: Optional[float] = None):
+    def get(self, path: str, params: Optional[dict] = None):
         """Generator: HTTP GET."""
-        return (yield from self.request(GET, path, params, timeout=timeout))
+        return (yield from self.request(GET, path, params))
 
     def post(self, path: str, body: Any = None,
-             params: Optional[dict] = None,
-             timeout: Optional[float] = None):
+             params: Optional[dict] = None):
         """Generator: HTTP POST."""
-        return (yield from self.request(POST, path, params, body,
-                                        timeout=timeout))
+        return (yield from self.request(POST, path, params, body))

@@ -39,8 +39,8 @@ class SessionManager:
                  on_expire: Optional[Callable[[HttpSession], None]] = None
                  ) -> None:
         self.timeout = timeout
-        #: told each session dropped for idleness, once, on either expiry
-        #: path (``invalidate`` is the owner's own doing and tells nobody)
+        #: told each session dropped for idleness, once, on either
+        #: expiry path
         self.on_expire = on_expire
         #: sessions dropped for idleness so far
         self.expired = 0
@@ -62,10 +62,6 @@ class SessionManager:
             return None
         session.last_access = now
         return session
-
-    def invalidate(self, cookie: str) -> None:
-        """Drop a session (logout)."""
-        self._sessions.pop(cookie, None)
 
     def expire_stale(self, now: float) -> int:
         """Drop every session idle past the timeout; returns how many."""

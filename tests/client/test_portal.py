@@ -58,8 +58,9 @@ def test_list_apps_refreshes(site):
         collab.add_app(0, SyntheticApp, "late-app",
                        acl={"alice": "read"}, config=fast_config())
         yield portal.sim.timeout(2.0)
-        second = yield from portal.list_apps()
-        return (len(first), len(second))
+        body = yield from portal.http.get(
+            "/master/apps", {"client_id": portal.client_id})
+        return (len(first), len(body["apps"]))
 
     assert run(collab, scenario()) == (1, 2)
 
@@ -159,7 +160,8 @@ def test_wait_lock_granted_after_release(site):
     bob_portal = collab.add_portal(0)
     # give bob write access for this test
     server = collab.server_of(0)
-    server.security.acl_for(app.app_id).grant("bob", "write")
+    server.security.register_app_acl(
+        app.app_id, {"alice": "write", "bob": "write"})
 
     def alice_holds_then_releases():
         yield from alice.login("alice")
@@ -187,7 +189,8 @@ def test_expired_session_hands_its_lock_to_the_waiter(site):
     she is logged out like ``/master/logout`` would, so the waiter drives."""
     collab, app = site
     server = collab.server_of(0)
-    server.security.acl_for(app.app_id).grant("bob", "write")
+    server.security.register_app_acl(
+        app.app_id, {"alice": "write", "bob": "write"})
     alice, bob = collab.add_portal(0), collab.add_portal(0)
     # the sweep reads the timeout live: a minute covers the same hand-off
     # path as the default half hour in a fraction of the simulated time
@@ -218,7 +221,8 @@ def test_logout_is_refused_to_a_session_that_did_not_log_the_client_in(site):
     free her lock — only her own logout hands it on."""
     collab, app = site
     server = collab.server_of(0)
-    server.security.acl_for(app.app_id).grant("carol", "write")
+    server.security.register_app_acl(
+        app.app_id, {"alice": "write", "bob": "read", "carol": "write"})
     alice, carol, mallory = (collab.add_portal(0) for _ in range(3))
 
     def foreign_logout():

@@ -17,6 +17,21 @@ def drive(sim: Simulator, generator):
     return sim.run(until=proc)
 
 
+def route(net, src: str, dst: str) -> list:
+    """Hop sequence (host names) of ``net``'s route from ``src`` to
+    ``dst``."""
+    path = [src]
+    for link in net._links(src, dst):
+        path.append(link.other(path[-1]))
+    return path
+
+
+def path_latency(net, src: str, dst: str) -> float:
+    """Sum of the propagation latencies along ``net``'s route from ``src``
+    to ``dst`` (no queueing, no transfer)."""
+    return sum(link.latency for link in net._links(src, dst))
+
+
 def equipped_server(host, tracer=None):
     """A standalone ``DiscoverServer`` handed what a deployment would build
     for it, the heartbeat apart: a ledger (joined to ``tracer``), a

@@ -71,7 +71,7 @@ def test_database_creates_tables_on_demand():
     t1 = db.table("x")
     assert db.table("x") is t1
     db.table("y")
-    assert db.table_names() == ["x", "y"]
+    assert sorted(db._tables) == ["x", "y"]
 
 
 # ------------------------- what a record retains ---------------------------
@@ -135,7 +135,7 @@ def test_the_callers_dict_is_copied_once_for_record_and_journal():
     data = {"v": 1}
     rec = db.table("t").insert("alice", data, created_at=0.0,
                                readers=["bob"])
-    (entry,) = journal.backend.entries()
+    (entry,) = journal.wal.backend.entries()
     payload = entry["data"]
     assert payload["data"] is rec.data and rec.data is not data
     data["v"] = 2
@@ -188,7 +188,7 @@ def test_recover_rebuilds_equal_records(tmp_path, medium):
     journal.recover()
     # each original has an owner of its own: what they read is their record
     rebuilt = {rec.record_id: rec for orig in originals
-               for name in again.table_names()
+               for name in sorted(again._tables)
                for rec in again.table(name).select(orig.owner)
                if rec.owner == orig.owner}
     assert sorted(rebuilt) == [rec.record_id for rec in originals]

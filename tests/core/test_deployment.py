@@ -20,7 +20,7 @@ def test_bootstrap_publishes_and_discovers():
     collab = build_collaboratory(3, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1)
     collab.run_bootstrap()
-    assert collab.trader.offer_count(SERVICE_ID) == 3
+    assert len(collab.trader.query_now(SERVICE_ID)) == 3
     for server in collab.servers.values():
         assert len(server.peers) == 2
         assert server.name not in server.peers

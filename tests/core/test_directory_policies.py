@@ -111,11 +111,12 @@ def test_directory_withdraws_on_app_stop():
 def test_token_bucket_basic():
     b = TokenBucket(rate=10.0, burst=5.0)
     # burst capacity available immediately
-    assert all(b.try_take(0.0) for _ in range(5))
-    assert not b.try_take(0.0)
-    # refills over time
-    assert b.try_take(0.1)  # 1 token back
-    assert not b.try_take(0.1)
+    assert b.refill(0.0) == 5.0
+    b.take(5.0)
+    assert b.refill(0.0) == 0.0
+    # refills over time, never beyond the burst
+    assert b.refill(0.1) == pytest.approx(1.0)
+    assert b.refill(10.0) == 5.0
 
 
 def test_token_bucket_validation():

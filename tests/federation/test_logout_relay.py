@@ -12,11 +12,12 @@ from repro import build_collaboratory
 from repro.apps import SyntheticApp
 from repro.directory import home_server_of
 
+from tests.conftest import path_latency
 from tests.federation.conftest import cfg, run
 
 
 def journalled(server, kind):
-    return [r for r in server.journal.wal.tail(0) if r.kind == kind]
+    return [r for r in server.journal.wal.tail() if r.kind == kind]
 
 
 def leave(collab, portal, exit_path):
@@ -37,7 +38,8 @@ def leave(collab, portal, exit_path):
 def test_remote_holders_exit_grants_the_waiter_at_the_host(pair, exit_path):
     collab, app = pair
     host, relay = collab.server_of(0), collab.server_of(1)
-    host.security.acl_for(app.app_id).grant("bob", "write")
+    host.security.register_app_acl(
+        app.app_id, {"alice": "write", "bob": "write"})
     alice, bob = collab.add_portal(1), collab.add_portal(0)
 
     def both_ask():
@@ -63,7 +65,7 @@ def test_remote_holders_exit_grants_the_waiter_at_the_host(pair, exit_path):
                if r.data["client_id"] == holder]
     (drop,) = [r for r in journalled(host, "locks.drop")
                if r.data["client_id"] == holder]
-    round_trip = 2 * collab.net.path_latency(relay.name, host.name)
+    round_trip = 2 * path_latency(collab.net, relay.name, host.name)
     assert left.at < drop.at <= left.at + round_trip + 0.05
     # and told the waiter, who now drives
     run(collab, bob.poll(max_items=10_000))

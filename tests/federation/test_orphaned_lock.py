@@ -22,7 +22,8 @@ GRANT_BOUND = 30.0
 def test_a_dead_relays_lock_passes_to_the_waiter(pair):
     collab, app = pair  # two domains, 30 ms WAN, the app homed in domain 0
     host = collab.server_of(0)
-    host.security.acl_for(app.app_id).grant("bob", "write")
+    host.security.register_app_acl(
+        app.app_id, {"alice": "write", "bob": "write"})
     alice, bob = collab.add_portal(1), collab.add_portal(0)
 
     def both_ask():

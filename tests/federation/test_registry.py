@@ -15,6 +15,11 @@ from repro.orb import OrbError
 from tests.federation.conftest import cfg, run
 
 
+def cached_apps(server):
+    """App ids with a live level-two cache entry at ``server``."""
+    return sorted(server.registry._proxies)
+
+
 def _warm_remote_cache(collab, app):
     """Open the app from server 1 so its level-two refs are cached there."""
     portal = collab.add_portal(1)
@@ -30,20 +35,20 @@ def _warm_remote_cache(collab, app):
 def test_select_populates_proxy_cache(pair):
     collab, app = pair
     s1 = collab.server_of(1)
-    assert s1.registry.cached_apps() == []
+    assert cached_apps(s1) == []
     _warm_remote_cache(collab, app)
-    assert s1.registry.cached_apps() == [app.app_id]
+    assert cached_apps(s1) == [app.app_id]
 
 
 def test_app_stopped_notice_invalidates_cache(pair):
     collab, app = pair
     s0, s1 = collab.server_of(0), collab.server_of(1)
     _warm_remote_cache(collab, app)
-    assert app.app_id in s1.registry.cached_apps()
+    assert app.app_id in cached_apps(s1)
     # the application deregisters; its home pushes app_stopped to s1
     s0.on_app_deregister(app.app_id)
     collab.sim.run(until=collab.sim.now + 1.0)
-    assert s1.registry.cached_apps() == []
+    assert cached_apps(s1) == []
     assert s1.federation_metrics.get("app_invalidations") >= 1
 
 
@@ -51,7 +56,7 @@ def test_orb_error_invalidates_peer_caches(pair):
     collab, app = pair
     s0, s1 = collab.server_of(0), collab.server_of(1)
     portal = _warm_remote_cache(collab, app)
-    assert app.app_id in s1.registry.cached_apps()
+    assert app.app_id in cached_apps(s1)
     s0.stop()  # the home server dies
 
     def failing_open():
@@ -63,7 +68,7 @@ def test_orb_error_invalidates_peer_caches(pair):
     # the relay resolves from the warm cache, the call to the dead peer
     # fails, and every cache entry homed there is dropped
     assert run(collab, failing_open()) == 500
-    assert s1.registry.cached_apps() == []
+    assert cached_apps(s1) == []
     assert s1.federation_metrics.get("peer_invalidations") >= 1
 
 
@@ -74,7 +79,7 @@ def test_deregister_reregister_then_select_succeeds(pair):
     _warm_remote_cache(collab, app)
     s0.on_app_deregister(app.app_id)
     collab.sim.run(until=collab.sim.now + 1.0)
-    assert s1.registry.cached_apps() == []
+    assert cached_apps(s1) == []
     # a replacement registers at the same home server
     fresh = collab.add_app(0, SyntheticApp, "wave",
                            acl={"alice": "write"}, config=cfg())
@@ -95,13 +100,13 @@ def test_add_peer_with_changed_ref_invalidates(pair):
     collab, app = pair
     s0, s1 = collab.server_of(0), collab.server_of(1)
     _warm_remote_cache(collab, app)
-    assert app.app_id in s1.registry.cached_apps()
+    assert app.app_id in cached_apps(s1)
     # re-adding under the same reference keeps the caches warm
     s1.add_peer(s0.name, s1.peers[s0.name])
-    assert app.app_id in s1.registry.cached_apps()
+    assert app.app_id in cached_apps(s1)
     # a changed reference (restarted peer) drops everything homed there
     s1.add_peer(s0.name, s1.corba_ref)
-    assert s1.registry.cached_apps() == []
+    assert cached_apps(s1) == []
     assert s1.federation_metrics.get("peer_invalidations") >= 1
 
 
@@ -119,7 +124,7 @@ def test_check_peer_liveness(pair):
     assert run(collab, s1.registry.check_peer(s0.name)) is True
     s0.stop()
     assert run(collab, s1.registry.check_peer(s0.name)) is False
-    assert s1.registry.cached_apps() == []
+    assert cached_apps(s1) == []
 
 
 def test_discover_peers_without_trader_surfaces_the_skip():

@@ -9,15 +9,16 @@ from repro.health import (
     STATUS_UNHEALTHY,
     STATUS_UNKNOWN,
 )
-from repro.health.model import ComponentHealth, HealthModel
+from repro.health.model import (
+    DOWN_AFTER,
+    UP_AFTER,
+    ComponentHealth,
+    HealthModel,
+)
 
-DOWN_AFTER = 3
-UP_AFTER = 2
 
-
-def make(down_after=DOWN_AFTER, up_after=UP_AFTER):
-    return ComponentHealth("server:x", down_after=down_after,
-                           up_after=up_after)
+def make():
+    return ComponentHealth("server:x")
 
 
 class TestComponentHealth:
@@ -78,9 +79,8 @@ class TestComponentHealth:
         ]
 
     def test_thresholds_validated(self):
-        import pytest
-        with pytest.raises(ValueError):
-            ComponentHealth("x", down_after=0)
+        # a single miss only degrades, and recovery takes some success
+        assert DOWN_AFTER > 1 and UP_AFTER >= 1
 
 
 # -- the no-flap property -----------------------------------------------------

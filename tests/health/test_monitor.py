@@ -112,12 +112,12 @@ def test_a_tick_reads_the_p99_from_the_kept_order(monkeypatch):
     monkeypatch.setattr(np, "percentile", no_numpy)
     moved = 0
     for tick in range(40):
-        before = reservoir.samples()
+        before = list(reservoir._samples)
         traffic(1 + tick % 7)
-        moved += reservoir.samples() != before
+        moved += list(reservoir._samples) != before
         monitor.tick()
-        assert reservoir._ordered is ordered == sorted(reservoir.samples())
-        assert read[-1] == float(real_percentile(reservoir.samples(), 99))
+        assert reservoir._ordered is ordered == sorted(reservoir._samples)
+        assert read[-1] == float(real_percentile(list(reservoir._samples), 99))
     assert moved >= 30  # slots were replaced on most ticks
     assert len(read) == 41
     assert monitor.counters["heartbeats"] == 41

@@ -33,7 +33,7 @@ def test_reservoir_is_deterministic():
         res = Reservoir(capacity=16)
         for i in range(1000):
             res.add(float(i % 37))
-        return res.samples()
+        return list(res._samples)
 
     assert fill() == fill()
 
@@ -69,7 +69,7 @@ def test_merge_small_reservoirs_concatenates():
         a.add(v)
     b.add(10.0)
     a.merge(b)
-    assert sorted(a.samples()) == [1.0, 2.0, 10.0]
+    assert sorted(a._samples) == [1.0, 2.0, 10.0]
     assert a.count == 3
 
 
@@ -77,9 +77,9 @@ def test_merge_with_empty_is_identity():
     a = Reservoir(capacity=8)
     for i in range(100):
         a.add(float(i))
-    before = (a.count, a.total, a.minimum, a.maximum, a.samples())
+    before = (a.count, a.total, a.minimum, a.maximum, list(a._samples))
     a.merge(Reservoir(capacity=8))
-    assert (a.count, a.total, a.minimum, a.maximum, a.samples()) == before
+    assert (a.count, a.total, a.minimum, a.maximum, list(a._samples)) == before
     b = Reservoir(capacity=8)
     b.merge(a)
     assert (b.count, b.total, b.minimum, b.maximum) == before[:4]
@@ -93,7 +93,7 @@ def test_merge_sample_share_is_traffic_weighted():
     for i in range(1000):
         b.add(1.0)
     a.merge(b)
-    kept_b = sum(1 for v in a.samples() if v == 1.0)
+    kept_b = sum(1 for v in a._samples if v == 1.0)
     assert len(a) == 100
     assert kept_b == 10
 
@@ -107,7 +107,7 @@ def test_merge_draws_each_share_from_the_whole_side():
     for i in range(100):
         b.add(1000.0 + i)
     a.merge(b)
-    kept = a.samples()
+    kept = list(a._samples)
     mine = [v for v in kept if v < 1000.0]
     theirs = [v - 1000.0 for v in kept if v >= 1000.0]
     assert len(mine) == len(theirs) == 50
@@ -182,7 +182,7 @@ def test_percentile_recomputed_only_when_count_moved(monkeypatch):
         res.add(0.01 * (i * 37 % 101))
         res.percentile(99)
     assert len(reads) == 1 + 200
-    assert res._ordered is ordered == sorted(res.samples())
+    assert res._ordered is ordered == sorted(res._samples)
     value = res.percentile(99)
     monkeypatch.undo()
     assert value == res.stats().p99
@@ -212,12 +212,12 @@ def test_ordered_copy_reads_numpy_percentile_bit_for_bit(ops):
         else:
             res.percentile(arg)
         if res._ordered is not None:
-            assert res._ordered == sorted(res.samples())
+            assert res._ordered == sorted(res._samples)
     for percent in PERCENTS:
-        expected = (float(np.percentile(res.samples(), percent))
+        expected = (float(np.percentile(list(res._samples), percent))
                     if res.count else 0.0)
         assert res.percentile(percent) == expected
-    assert res._ordered == sorted(res.samples())
+    assert res._ordered == sorted(res._samples)
 
 
 @pytest.mark.parametrize("values", [

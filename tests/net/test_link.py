@@ -25,15 +25,18 @@ def test_link_other_endpoint():
     assert link.other("b") == "a"
     with pytest.raises(ValueError):
         link.other("c")
-    assert link.ends == ("a", "b")
 
 
 def test_transfer_time():
     sim = Simulator()
+    arrivals = []
     link = Link(sim, "a", "b", 0.0, bandwidth=1000.0)
-    assert link.transfer_time(500) == pytest.approx(0.5)
+    link.send("a", 500, arrivals.append, "slow")
     infinite = Link(sim, "a", "b", 0.0)
-    assert infinite.transfer_time(10 ** 9) == 0.0
+    infinite.send("a", 10 ** 9, arrivals.append, "instant")
+    assert arrivals == ["instant"]  # no transfer time: delivered in send
+    sim.run()
+    assert arrivals == ["instant", "slow"] and sim.now == pytest.approx(0.5)
 
 
 def test_transmit_unknown_endpoint_rejected():

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.net import CostModel, TrafficTrace, build_lan, build_multi_domain
+from repro.net import CostModel, build_lan, build_multi_domain
 from repro.net.costs import LinkSpec
 from repro.net.network import Network
 from repro.sim import Simulator
+
+from tests.conftest import route
 
 
 def test_build_lan_names_and_links():
@@ -17,7 +19,7 @@ def test_build_lan_names_and_links():
     assert len(dom.client_hosts) == 3
     # every host one LAN hop from the server
     for h in dom.app_hosts + dom.client_hosts:
-        assert len(net.route(h.name, dom.server.name)) == 2
+        assert len(route(net, h.name, dom.server.name)) == 2
 
 
 def test_build_multi_domain_wan_mesh():
@@ -29,7 +31,7 @@ def test_build_multi_domain_wan_mesh():
     wan_links = [l for l in net.links.values() if l.kind == "wan"]
     assert len(wan_links) == 3
     # cross-domain route goes through the two servers
-    path = net.route("d0-client0", "d1-client0")
+    path = route(net, "d0-client0", "d1-client0")
     assert "d0-server" in path and "d1-server" in path
 
 
@@ -75,9 +77,9 @@ def test_trace_counts_wan_vs_lan():
 
 
 def test_trace_reset():
-    trace = TrafficTrace()
     sim = Simulator()
-    net = Network(sim, trace=trace)
+    net = Network(sim)
+    trace = net.trace
     net.add_host("a")
     net.add_host("b")
     net.add_link("a", "b", 0.001)

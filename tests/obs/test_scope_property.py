@@ -174,7 +174,8 @@ class ScopeMachine(RuleBasedStateMachine):
         if top is None:
             assert context is None
         else:
-            assert context.as_tuple() == (top.trace_id, top.span_id)
+            assert ((context.trace_id, context.span_id)
+                    == (top.trace_id, top.span_id))
 
     @invariant()
     def every_process_shows_its_own_span(self):

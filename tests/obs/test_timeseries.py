@@ -375,7 +375,7 @@ class TestSerialization:
         reg = TimeSeriesRegistry(bucket_width=1.0)
         reg.inc("reqs", 3)
         reg.observe("lat", 0.25)
-        events = to_chrome_counters(reg, scale=1e6)
+        events = to_chrome_counters(reg)
         assert all(e["ph"] == "C" for e in events)
         by_name = {e["name"]: e for e in events}
         assert by_name["reqs"]["args"] == {"value": 3.0}

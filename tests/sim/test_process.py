@@ -109,7 +109,7 @@ def test_interrupt_wakes_sleeping_process():
             yield sim.timeout(100.0)
             log.append("overslept")
         except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
+            log.append(("interrupted", sim.now, intr.args[0]))
 
     def interrupter(sim, victim):
         yield sim.timeout(5.0)
@@ -135,7 +135,7 @@ def test_interrupted_process_can_keep_running():
 
     def interrupter(sim, victim):
         yield sim.timeout(2.0)
-        victim.interrupt()
+        victim.interrupt("stop")
 
     victim = sim.spawn(sleeper(sim))
     sim.spawn(interrupter(sim, victim))
@@ -152,7 +152,7 @@ def test_interrupt_dead_process_rejected():
     p = sim.spawn(quick(sim))
     sim.run()
     with pytest.raises(SimulationError):
-        p.interrupt()
+        p.interrupt("stop")
 
 
 def test_self_interrupt_rejected():
@@ -162,7 +162,7 @@ def test_self_interrupt_rejected():
     def narcissist(sim):
         try:
             me = sim.active_process
-            me.interrupt()
+            me.interrupt("stop")
         except SimulationError:
             errors.append("rejected")
         yield sim.timeout(0)

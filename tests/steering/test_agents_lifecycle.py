@@ -160,7 +160,7 @@ def test_paused_app_still_serves_interaction():
         value = yield from session.get_param("gain")
         yield from session.resume()
         assert app.state != PAUSED
-        yield from session.stop_app()
+        yield from session.steer("stop")
         return value
 
     value = collab.sim.run(until=collab.sim.spawn(scenario()))

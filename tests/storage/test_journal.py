@@ -76,10 +76,10 @@ def test_append_is_suppressed_during_recovery():
     backend = MemoryBackend()
     journal, plane = make_journal(backend)
     plane.bump(journal)
-    before = backend.wal_len()
+    before = len(backend.entries())
     journal2, plane2 = make_journal(backend)
     journal2.recover()  # apply calls plane code paths that journal
-    assert backend.wal_len() == before
+    assert len(backend.entries()) == before
 
 
 def test_auto_snapshot_cadence():
@@ -89,7 +89,7 @@ def test_auto_snapshot_cadence():
         plane.bump(journal)
     # two automatic snapshots at appends 5 and 10; tail holds 11..12
     assert journal.wal.snapshot_lsn == 10
-    assert backend.wal_len() == 2
+    assert len(backend.entries()) == 2
 
 
 def test_clock_stamps_records():

@@ -47,7 +47,7 @@ class Planes:
         return {name: [((r.record_id,) if with_ids else ())
                        + (r.owner, r.created_at, r.data, sorted(r.readers))
                        for r in self.db.table(name).select("anyone")]
-                for name in self.db.table_names()}
+                for name in sorted(self.db._tables)}
 
     def facts(self, with_ids=True):
         # a refused release leaves a never-used lock entry behind, which
@@ -133,13 +133,13 @@ def test_crash_at_each_write_of_a_snapshot(tmp_path, op, torn):
     planes2.journal.take_snapshot()
     planes2.insert("notes", 10)
     post = planes2.facts()
-    planes3, report = reopen(tmp_path, planes2.journal.backend)
+    planes3, report = reopen(tmp_path, planes2.journal.wal.backend)
     assert planes3.facts() == post
     assert_archive_intact(planes3, post["db"])
     assert (report.archived, report.replayed) == (10, 1)
-    lsns = [e["lsn"] for e in planes3.journal.backend.archive_entries(10)]
+    lsns = [e["lsn"] for e in planes3.journal.wal.backend.archive_entries(10)]
     assert lsns == sorted(set(lsns))
-    planes3.journal.backend.close()
+    planes3.journal.wal.backend.close()
 
 
 CLIENTS = ("s0:c1", "s0:c2", "s0:c3")

@@ -121,13 +121,6 @@ def test_session_timeout():
     assert len(mgr) == 0
 
 
-def test_session_invalidate():
-    mgr = SessionManager()
-    s = mgr.create(0.0, "JSESSIONID-1")
-    mgr.invalidate(s.session_id)
-    assert mgr.resolve(s.session_id, now=1.0) is None
-
-
 def test_expire_stale_bulk():
     mgr = SessionManager(timeout=10.0)
     s1 = mgr.create(0.0, "JSESSIONID-1")
@@ -307,21 +300,6 @@ def test_mount_validation():
     container.mount("/x", EchoServlet())
     with pytest.raises(ValueError):
         container.mount("/x", EchoServlet())
-
-
-def test_client_timeout_after_container_stop():
-    sim, net, container, client = make_site()
-    container.stop()
-
-    def go():
-        try:
-            yield from client.get("/echo", timeout=2.0)
-        except HttpError as exc:
-            return (exc.status, sim.now)
-
-    status, t = drive(sim, go())
-    assert status == 0
-    assert t >= 2.0
 
 
 def test_requests_queue_on_single_cpu():
